@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench
+.PHONY: check vet build test race bench bench-smoke
 
 check: vet build race
 
@@ -23,3 +23,9 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
+
+# bench/ is its own module (replace spnet => ../), so `./...` above never
+# builds it: this is what catches an internal/... API change that breaks the
+# repository benchmark's build.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...

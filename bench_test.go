@@ -6,6 +6,7 @@
 package spnet_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -102,14 +103,35 @@ func BenchmarkBreakdown(b *testing.B) { benchmarkExperiment(b, "breakdown") }
 func BenchmarkSimCheck(b *testing.B) {
 	// The simulator cross-validation is the heaviest artifact; run it at an
 	// extra-small scale for benchmarking.
+	b.ReportAllocs()
+	var total int
+	var vsec float64
 	for i := 0; i < b.N; i++ {
 		rep, err := spnet.RunExperiment("simcheck",
 			spnet.ExperimentParams{Scale: 0.03, Trials: 1, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		_ = rep
+		// The report carries the run's size only in its note.
+		var peers, clusters, queries, events int
+		if _, err := fmt.Sscanf(rep.Notes[0],
+			"%d peers, %d clusters; %g s of virtual time, %d queries, %d events",
+			&peers, &clusters, &vsec, &queries, &events); err != nil {
+			b.Fatalf("simcheck note %q: %v", rep.Notes[0], err)
+		}
+		total += events
 	}
+	reportSimEvents(b, total, vsec)
+}
+
+// reportSimEvents reports a simulator benchmark's throughput, events/wall-s,
+// next to events/vsec — the scenario's event density per *virtual* second,
+// which says nothing about speed. events is the total over all b.N runs of
+// vsec virtual seconds each.
+func reportSimEvents(b *testing.B, events int, vsec float64) {
+	b.Helper()
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/wall-s")
+	b.ReportMetric(float64(events)/(vsec*float64(b.N)), "events/vsec")
 }
 
 // Core-engine micro-benchmarks.
@@ -172,8 +194,9 @@ func BenchmarkSimulate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
-	var events int
+	var total int
 	for i := 0; i < b.N; i++ {
 		m, err := spnet.Simulate(inst, spnet.SimOptions{
 			Duration: 120, Seed: uint64(i), Churn: true,
@@ -181,9 +204,9 @@ func BenchmarkSimulate(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		events = m.EventsExecuted
+		total += m.EventsExecuted
 	}
-	b.ReportMetric(float64(events)/120, "events/vsec")
+	reportSimEvents(b, total, 120)
 }
 
 // BenchmarkDesign measures the Figure 10 global design procedure.

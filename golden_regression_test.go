@@ -144,3 +144,97 @@ func TestGoldenSimAdaptive(t *testing.T) {
 			m.FinalMeanTTL, m.FinalMeanOutdegree),
 		"4054 980026 39 566 4.384615384615385 7.8461538461538458")
 }
+
+// The three goldens below pin the schedule call sites the churn, content and
+// adaptive goldens never reach: failure clocks and recovery timers, replayed
+// fault schedules, strategy-selected forwarding, and the adversary's
+// observation timers.
+
+func simScalars(m *spnet.Measured) string {
+	return fmt.Sprintf("%d %d %d %d %d",
+		m.QueriesIssued, m.EventsExecuted, m.QueriesForwarded, m.FailuresInjected, m.ClientQueriesLost)
+}
+
+func TestGoldenSimFailures(t *testing.T) {
+	// Stochastic MTBF clocks on single-partner clusters: whole-cluster
+	// outages, lost client queries, recoverCluster.
+	inst, err := spnet.Generate(goldenConfig(), nil, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spnet.Simulate(inst, spnet.SimOptions{
+		Duration: 600, Seed: 21, Churn: true,
+		Failures: &spnet.FailureOptions{MTBF: 400, RecoveryDelay: 60},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, "mtbf aggregate", fmtLoad(m.Aggregate), "{545142.34666666714 545240.93333333358 6248609.6400012737}")
+	expect(t, "mtbf scalars", simScalars(m), "1931 185558 120813 53 253")
+
+	// A replayed fault schedule on 2-redundant clusters: the co-partner
+	// carries on and replacePartner restores the redundancy level.
+	cfg := goldenConfig()
+	cfg.Redundancy = true
+	inst, err = spnet.Generate(cfg, nil, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := spnet.ExponentialFailureSchedule(22, len(inst.Clusters), 2, 300, 600)
+	m, err = spnet.Simulate(inst, spnet.SimOptions{
+		Duration: 600, Seed: 23, Churn: true,
+		Failures: &spnet.FailureOptions{RecoveryDelay: 45, Schedule: sched},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, "replay aggregate", fmtLoad(m.Aggregate), "{469627.52000000019 493124.18666666676 5056043.5920001147}")
+	expect(t, "replay scalars", simScalars(m), "2076 247961 159368 146 59")
+}
+
+func TestGoldenSimRouting(t *testing.T) {
+	inst, err := spnet.Generate(goldenConfig(), nil, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walk, err := spnet.ParseRouting("randomwalk:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spnet.Simulate(inst, spnet.SimOptions{
+		Duration: 600, Seed: 31, Churn: true, Routing: walk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, "aggregate", fmtLoad(m.Aggregate),
+		"{150441.06666666665 150443.57333333336 1658424.9840000148}")
+	expect(t, "scalars",
+		fmt.Sprintf("%s %s %.17g %.17g", m.Strategy, simScalars(m), m.ResultsPerQuery, m.EPL),
+		"randomwalk 2215 38952 17726 0 0 6.8699774266365692 3.0533106960950764")
+}
+
+func TestGoldenSimAdversary(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Redundancy = true
+	inst, err := spnet.Generate(cfg, nil, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := spnet.Simulate(inst, spnet.SimOptions{
+		Duration: 600, Seed: 41, Churn: true,
+		Adversary: &spnet.AdversaryOptions{Fraction: 0.3, Drop: 0.5, Forge: 0.5, Trust: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect(t, "aggregate", fmtLoad(m.Aggregate),
+		"{833258.26666666684 833503.89333333366 9982353.7679989263}")
+	expect(t, "scalars", simScalars(m), "2297 287445 187048 0 0")
+	expect(t, "adversary accounting",
+		fmt.Sprintf("%d %d %d %d %d %d %d %.17g %.17g",
+			m.QueriesDroppedMalicious, m.RelayDropsMalicious, m.ForgedResponses,
+			m.ForgedAccepted, m.ForgedDetected, m.ClientQueriesTracked,
+			m.ClientQueriesUnanswered, m.GenuineResultsPerQuery, m.SpreadP90),
+		"100 4634 4615 0 4613 1856 171 35.297413793103445 122")
+}

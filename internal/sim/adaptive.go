@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"spnet/internal/analysis"
 	"spnet/internal/cost"
 	"spnet/internal/design"
@@ -288,7 +290,6 @@ func (s *Simulator) splitCluster(c *clusterNode) {
 	nc := &clusterNode{
 		id:               len(s.clusters),
 		seen:             make(map[uint64]seenEntry),
-		neighbors:        make(map[int]*clusterNode),
 		ttl:              c.ttl,
 		acceptingClients: true,
 	}
@@ -314,13 +315,16 @@ func (s *Simulator) splitCluster(c *clusterNode) {
 	// the origin's neighbors.
 	s.addEdge(nc, c)
 	added := 0
-	c.forEachNeighbor(func(nb *clusterNode) {
-		if nb == nc || added >= 2 {
-			return
+	for _, nb := range c.neighbors {
+		if added >= 2 {
+			break
+		}
+		if nb == nc {
+			continue
 		}
 		s.addEdge(nc, nb)
 		added++
-	})
+	}
 	s.startPartnerProcesses(sp, false)
 	s.scheduleSeenCleanup(nc)
 	if s.opts.Adaptive != nil {
@@ -333,14 +337,14 @@ func (s *Simulator) splitCluster(c *clusterNode) {
 // client, and its clients re-join c.
 func (s *Simulator) tryCoalesce(c *clusterNode) {
 	var smallest *clusterNode
-	c.forEachNeighbor(func(nb *clusterNode) {
+	for _, nb := range c.neighbors {
 		if len(nb.partners) != 1 {
-			return // don't dissolve redundant clusters
+			continue // don't dissolve redundant clusters
 		}
 		if smallest == nil || len(nb.clients) < len(smallest.clients) {
 			smallest = nb
 		}
-	})
+	}
 	if smallest == nil || len(smallest.clients) > len(c.clients) {
 		return // only absorb clusters no larger than ourselves
 	}
@@ -397,7 +401,7 @@ func (s *Simulator) randomNonNeighbor(c *clusterNode) *clusterNode {
 		if cand == c || cand.dissolved() {
 			continue
 		}
-		if _, ok := c.neighbors[cand.id]; ok {
+		if c.hasNeighbor(cand.id) {
 			continue
 		}
 		return cand
@@ -405,23 +409,22 @@ func (s *Simulator) randomNonNeighbor(c *clusterNode) *clusterNode {
 	return nil
 }
 
-// addEdge / removeEdge keep the overlay symmetric.
+// addEdge / removeEdge keep the overlay symmetric and each neighbor slice
+// id-ascending and duplicate-free.
 func (s *Simulator) addEdge(a, b *clusterNode) {
 	if a == b {
 		return
 	}
-	a.neighbors[b.id] = b
-	b.neighbors[a.id] = a
+	a.insertNeighbor(b)
+	b.insertNeighbor(a)
 }
 
 func (s *Simulator) removeEdge(a, b *clusterNode) {
-	delete(a.neighbors, b.id)
-	delete(b.neighbors, a.id)
+	a.deleteNeighbor(b.id)
+	b.deleteNeighbor(a.id)
 }
 
-// neighborList snapshots a cluster's neighbors in deterministic order.
+// neighborList snapshots a cluster's neighbors, for loops that rewire them.
 func neighborList(c *clusterNode) []*clusterNode {
-	out := make([]*clusterNode, 0, len(c.neighbors))
-	c.forEachNeighbor(func(nb *clusterNode) { out = append(out, nb) })
-	return out
+	return slices.Clone(c.neighbors)
 }

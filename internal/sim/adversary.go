@@ -167,11 +167,11 @@ func (s *Simulator) initAdversary() error {
 	for _, c := range s.clusters {
 		c.trustBook = trust.NewBook()
 		if !a.NeutralPriors {
-			c.forEachNeighbor(func(nb *clusterNode) {
+			for _, nb := range c.neighbors {
 				for _, p := range nb.partners {
 					c.trustBook.SetPrior(p.advID, trust.NoisyPrior(s.adv.rng, rel(p), noise), weight)
 				}
-			})
+			}
 		}
 		for _, cl := range c.clients {
 			cl.trustBook = trust.NewBook()

@@ -63,7 +63,7 @@ func TestContentModeChurnMaintainsIndex(t *testing.T) {
 		before[v] = c.index.NumDocs()
 	}
 	s.start()
-	s.sched.runUntil(3000) // several full churn cycles per slot
+	s.runUntil(3000) // several full churn cycles per slot
 	for v, c := range s.clusters {
 		if got := c.index.NumDocs(); got != before[v] {
 			t.Fatalf("cluster %d index drifted: %d -> %d docs (stable churn must conserve)",

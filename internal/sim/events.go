@@ -10,69 +10,213 @@
 // churn, which the static analysis cannot.
 package sim
 
-import "container/heap"
+// evKind selects how runUntil dispatches an event.
+type evKind uint8
 
-// event is one scheduled action at a virtual time. seq breaks ties so that
-// execution order is deterministic.
+const (
+	// evFunc runs fn. Timers and every cold call site (Poisson ticks, churn
+	// cycles, seen cleanup, failure clocks, adaptive rounds, adversary
+	// observations) use it: their closure is built once per process and
+	// rescheduled, so it costs no allocation per event.
+	evFunc evKind = iota
+	// evQuery delivers query to target (handleQuery).
+	evQuery
+	// evResponse delivers resp to target (handleResponse).
+	evResponse
+)
+
+// event is one scheduled action at a virtual time, stored by value. seq
+// breaks ties so that execution order is deterministic. Message kinds carry
+// their payload inline: delivering a message allocates nothing.
 type event struct {
-	at  float64
-	seq uint64
-	fn  func()
+	at     float64
+	seq    uint64
+	kind   evKind
+	target *partnerNode // evQuery, evResponse
+	fn     func()       // evFunc
+	query  queryMsg     // evQuery
+	resp   respMsg      // evResponse
 }
 
-// eventQueue is a binary heap of events ordered by (at, seq).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by (at, seq).
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
-// scheduler wraps the heap with a monotonic clock.
+// timerHeap is a 4-ary min-heap of events ordered by (at, seq): half the
+// depth of a binary heap, and the four children of a node are adjacent in
+// memory.
+type timerHeap []event
+
+func (h *timerHeap) push(ev *event) {
+	q := append(*h, event{})
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = *ev
+	*h = q
+}
+
+// pop moves the minimum into out and re-inserts the last element from the
+// root down.
+func (h *timerHeap) pop(out *event) {
+	q := *h
+	*out = q[0]
+	n := len(q) - 1
+	last := &q[n]
+	i := 0
+	for {
+		child := 4*i + 1
+		if child >= n {
+			break
+		}
+		end := child + 4
+		if end > n {
+			end = n
+		}
+		least := child
+		for j := child + 1; j < end; j++ {
+			if q[j].before(&q[least]) {
+				least = j
+			}
+		}
+		if !q[least].before(last) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = *last
+	q[n] = event{} // drop the closure and payload references
+	*h = q[:n]
+}
+
+// lane is a FIFO ring of events already sorted by (at, seq). Every message
+// is delivered at now + Latency with now monotone and seq increasing, so
+// deliveries arrive in order and need no heap: push and pop are O(1) and the
+// storage is reused as the ring cycles (stale slots keep their payload until
+// overwritten; they reference only live nodes and query terms).
+type lane struct {
+	buf  []event // len is zero or a power of two
+	head int     // index of the oldest event
+	n    int     // occupancy
+}
+
+// accepts reports whether an event due at `at`, carrying a seq above every
+// queued one, would keep the lane sorted.
+func (l *lane) accepts(at float64) bool {
+	return l.n == 0 || at >= l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at
+}
+
+func (l *lane) push(ev *event) {
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = *ev
+	l.n++
+}
+
+func (l *lane) pop(out *event) {
+	*out = l.buf[l.head]
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+// grow doubles a full ring, unrolling it to start at index 0.
+func (l *lane) grow() {
+	size := 2 * len(l.buf)
+	if size == 0 {
+		size = 256
+	}
+	buf := make([]event, size)
+	k := copy(buf, l.buf[l.head:])
+	copy(buf[k:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
+}
+
+// scheduler is the event queue with a monotonic clock: a heap for timers
+// and a constant-latency lane for message deliveries, merged at pop under
+// the one (at, seq) order.
 type scheduler struct {
-	queue eventQueue
-	now   float64
-	seq   uint64
+	timers timerHeap
+	msgs   lane
+	now    float64
+	seq    uint64
 }
 
 // schedule enqueues fn to run after delay seconds of virtual time.
 func (s *scheduler) schedule(delay float64, fn func()) {
+	s.push(delay, &event{kind: evFunc, fn: fn})
+}
+
+// push stamps ev with now+delay and the next seq and enqueues a copy. A
+// message event enters the lane only when that keeps the lane sorted and
+// falls back to the heap otherwise, so the execution order never depends on
+// the caller using one delay.
+func (s *scheduler) push(delay float64, ev *event) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{at: s.now + delay, seq: s.seq, fn: fn})
+	ev.at, ev.seq = s.now+delay, s.seq
+	if ev.kind != evFunc && s.msgs.accepts(ev.at) {
+		s.msgs.push(ev)
+		return
+	}
+	s.timers.push(ev)
 }
 
-// runUntil executes events in order until the clock passes horizon or the
-// queue drains. It returns the number of events executed.
-func (s *scheduler) runUntil(horizon float64) int {
-	executed := 0
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.at > horizon {
-			break
-		}
-		heap.Pop(&s.queue)
-		s.now = next.at
-		next.fn()
-		executed++
+// pop moves the next event due at or before horizon into out and advances
+// the clock to it. When none is left it advances the clock to horizon and
+// returns false.
+func (s *scheduler) pop(horizon float64, out *event) bool {
+	var next *event
+	if s.msgs.n > 0 {
+		next = &s.msgs.buf[s.msgs.head]
 	}
-	if s.now < horizon {
-		s.now = horizon
+	fromHeap := len(s.timers) > 0 && (next == nil || s.timers[0].before(next))
+	if fromHeap {
+		next = &s.timers[0]
+	}
+	if next == nil || next.at > horizon {
+		if s.now < horizon {
+			s.now = horizon
+		}
+		return false
+	}
+	s.now = next.at
+	if fromHeap {
+		s.timers.pop(out)
+	} else {
+		s.msgs.pop(out)
+	}
+	return true
+}
+
+// runUntil executes events in (at, seq) order until the clock passes
+// horizon or the queue drains. It returns the number of events executed.
+func (s *Simulator) runUntil(horizon float64) int {
+	executed := 0
+	var ev event
+	for s.sched.pop(horizon, &ev) {
+		switch ev.kind {
+		case evQuery:
+			s.handleQuery(ev.target, ev.query)
+		case evResponse:
+			s.handleResponse(ev.target, ev.resp)
+		default:
+			ev.fn()
+		}
+		executed++
 	}
 	return executed
 }

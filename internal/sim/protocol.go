@@ -107,11 +107,7 @@ func (s *Simulator) sourceQuery(p *partnerNode, origin *clientNode) *advQueryRec
 	} else {
 		class = s.prof.Queries.SampleClass(s.rng)
 	}
-	entry := seenEntry{from: nil, origin: origin, at: s.sched.now}
-	if s.routeLearns {
-		entry.terms = terms
-	}
-	p.cluster.seen[id] = entry
+	s.markSeen(p.cluster, id, seenEntry{from: nil, origin: origin, at: s.sched.now}, terms)
 
 	// Process over the local index.
 	results, addrs := s.evaluateLocally(p, class, terms)
@@ -133,6 +129,18 @@ func (s *Simulator) sourceQuery(p *partnerNode, origin *clientNode) *advQueryRec
 	return rec
 }
 
+// markSeen records a query in the cluster's duplicate table, and its terms
+// beside it when the routing strategy learns from hit history.
+func (s *Simulator) markSeen(c *clusterNode, id uint64, entry seenEntry, terms []string) {
+	c.seen[id] = entry
+	if s.routeLearns && len(terms) > 0 {
+		if c.seenTerms == nil {
+			c.seenTerms = make(map[uint64][]string)
+		}
+		c.seenTerms[id] = terms
+	}
+}
+
 // sendQueryTo transmits one query copy from partner p to (one partner of)
 // neighbor cluster nb.
 func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg queryMsg) {
@@ -144,9 +152,9 @@ func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg queryMsg) {
 	p.counters.addOut(metrics.ClassQuery, s.qBytes)
 	p.counters.procU += s.sendQProc
 	s.pmPartner(p)
-	m := msg
-	m.from = p
-	s.sched.schedule(s.opts.Latency, func() { s.handleQuery(target, m) })
+	ev := event{kind: evQuery, target: target, query: msg}
+	ev.query.from = p
+	s.sched.push(s.opts.Latency, &ev)
 }
 
 // handleQuery runs the receiver side of query propagation: duplicate drop,
@@ -179,11 +187,7 @@ func (s *Simulator) handleQuery(p *partnerNode, msg queryMsg) {
 			return
 		}
 	}
-	entry := seenEntry{from: msg.from, at: s.sched.now}
-	if s.routeLearns {
-		entry.terms = msg.terms
-	}
-	p.cluster.seen[msg.id] = entry
+	s.markSeen(p.cluster, msg.id, seenEntry{from: msg.from, at: s.sched.now}, msg.terms)
 
 	results, addrs := s.evaluateLocally(p, msg.class, msg.terms)
 	p.counters.procU += float64(cost.ProcessQuery(float64(results)))
@@ -239,10 +243,10 @@ func (s *Simulator) sendResponse(p *partnerNode, to *partnerNode, msg respMsg) {
 	p.counters.procU += float64(cost.SendRespBase) +
 		cost.SendRespPerAddr*float64(msg.addrs) + cost.SendRespPerResult*float64(msg.results)
 	s.pmPartner(p)
-	m := msg
-	m.from = p
-	m.hops++
-	s.sched.schedule(s.opts.Latency, func() { s.handleResponse(to, m) })
+	ev := event{kind: evResponse, target: to, resp: msg}
+	ev.resp.from = p
+	ev.resp.hops++
+	s.sched.push(s.opts.Latency, &ev)
 }
 
 // handleResponse receives one Response hop: consume it at the source
@@ -278,12 +282,14 @@ func (s *Simulator) handleResponse(p *partnerNode, msg respMsg) {
 		// it good in the overlay book.
 		p.cluster.trustBook.Observe(msg.from.advID, true)
 	}
-	if s.routeLearns && msg.from != nil && len(entry.terms) > 0 {
+	if s.routeLearns && msg.from != nil {
 		// Credit the neighbor the response arrived through: its subtree
 		// produced results for these terms. (With trust off, forged hits
 		// reach this point and inflate the learned strategy's credit — the
 		// attack the trustsweep experiment measures.)
-		s.routingState(p.cluster).RecordHit(msg.from.cluster.id, entry.terms)
+		if terms := p.cluster.seenTerms[msg.id]; len(terms) > 0 {
+			s.routingState(p.cluster).RecordHit(msg.from.cluster.id, terms)
+		}
 	}
 	if entry.from == nil {
 		// This partner sourced the query.

@@ -37,18 +37,18 @@ func (s *Simulator) routingState(c *clusterNode) *routing.NodeState {
 // forwardQuery runs the routing strategy over p's neighbor clusters and
 // sends the selected query copies. exclude is the cluster the query arrived
 // from (nil at the source), which is never a candidate. Candidates are
-// enumerated in ascending cluster-id order — forEachNeighbor's order — so
+// enumerated in ascending cluster-id order — the neighbor slice's order — so
 // the flood strategy reproduces the pre-strategy per-neighbor loop and its
 // event sequence exactly.
 func (s *Simulator) forwardQuery(p *partnerNode, msg queryMsg, exclude *clusterNode) {
 	cands, nodes := s.candBuf[:0], s.candNodes[:0]
-	p.cluster.forEachNeighbor(func(nb *clusterNode) {
+	for _, nb := range p.cluster.neighbors {
 		if nb == exclude {
-			return
+			continue
 		}
 		cands = append(cands, routing.Candidate{ID: nb.id})
 		nodes = append(nodes, nb)
-	})
+	}
 	s.candBuf, s.candNodes = cands, nodes
 	if len(cands) == 0 {
 		return
@@ -91,7 +91,7 @@ func (s *Simulator) refreshSummaries(c *clusterNode) {
 	c.summaryGen = s.indexGen
 	c.summaryNext = s.sched.now + summaryRefreshInterval
 	ns := s.routingState(c)
-	c.forEachNeighbor(func(nb *clusterNode) {
+	for _, nb := range c.neighbors {
 		agg := index.MergeSummary(nil)
 		visited := map[int]bool{c.id: true, nb.id: true}
 		queue := []*clusterNode{nb}
@@ -99,15 +99,15 @@ func (s *Simulator) refreshSummaries(c *clusterNode) {
 			cur := queue[0]
 			queue = queue[1:]
 			agg = index.MergeSummary(agg, s.clusterSummary(cur))
-			cur.forEachNeighbor(func(next *clusterNode) {
+			for _, next := range cur.neighbors {
 				if !visited[next.id] {
 					visited[next.id] = true
 					queue = append(queue, next)
 				}
-			})
+			}
 		}
 		ns.SetSummary(nb.id, agg.Terms())
-	})
+	}
 }
 
 // clusterSummary returns c's own index digest, cached until the index

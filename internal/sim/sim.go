@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"spnet/internal/analysis"
@@ -185,10 +185,6 @@ type seenEntry struct {
 	from   *partnerNode // nil when this partner is the query source
 	origin *clientNode  // non-nil when a local client sourced the query
 	at     float64
-	// terms is the query's keyword set, retained only when the routing
-	// strategy learns from hit history (so responses can credit the
-	// neighbor they arrived through).
-	terms []string
 }
 
 // partnerNode is one super-peer partner (a full node; a non-redundant
@@ -219,8 +215,7 @@ func (p *partnerNode) alive() bool {
 }
 
 // clusterNode is a (virtual) super-peer and its clients; a node of the
-// overlay. Neighbors are kept in a map for O(1) lookup but always iterated
-// in ascending id order to keep the simulation deterministic.
+// overlay.
 type clusterNode struct {
 	id       int
 	partners []*partnerNode
@@ -229,8 +224,15 @@ type clusterNode struct {
 	// reverse-routing table, shared by all partners: the virtual super-peer
 	// is one node of the overlay, so a query is processed once per cluster
 	// no matter which partner a copy lands on.
-	seen             map[uint64]seenEntry
-	neighbors        map[int]*clusterNode
+	seen map[uint64]seenEntry
+	// seenTerms holds the keyword set of each seen query, kept only when the
+	// routing strategy learns from hit history (so responses can credit the
+	// neighbor they arrived through); entries expire with their seen entry.
+	seenTerms map[uint64][]string
+	// neighbors is the overlay adjacency in strictly ascending cluster-id
+	// order (addEdge/removeEdge maintain it), so ranging over it is the
+	// deterministic iteration order and conns counting is a short loop.
+	neighbors        []*clusterNode
 	ttl              int  // TTL stamped on queries sourced in this cluster
 	rrOut            int  // round-robin selector for neighbor partners
 	acceptingClients bool // rule I state, toggled by the adaptive advisor
@@ -261,18 +263,29 @@ type clusterNode struct {
 
 func (c *clusterNode) dissolved() bool { return len(c.partners) == 0 }
 
-// forEachNeighbor visits neighbors in ascending cluster-id order.
-func (c *clusterNode) forEachNeighbor(visit func(*clusterNode)) {
-	if len(c.neighbors) == 0 {
-		return
+// neighborIndex binary-searches the neighbor slice for cluster id. It returns
+// the position the id holds, or would be inserted at, and whether it is there.
+func (c *clusterNode) neighborIndex(id int) (int, bool) {
+	return slices.BinarySearchFunc(c.neighbors, id,
+		func(nb *clusterNode, id int) int { return nb.id - id })
+}
+
+func (c *clusterNode) hasNeighbor(id int) bool {
+	_, ok := c.neighborIndex(id)
+	return ok
+}
+
+// insertNeighbor and deleteNeighbor are the one-directional halves of
+// addEdge and removeEdge.
+func (c *clusterNode) insertNeighbor(nb *clusterNode) {
+	if i, ok := c.neighborIndex(nb.id); !ok {
+		c.neighbors = slices.Insert(c.neighbors, i, nb)
 	}
-	ids := make([]int, 0, len(c.neighbors))
-	for id := range c.neighbors {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		visit(c.neighbors[id])
+}
+
+func (c *clusterNode) deleteNeighbor(id int) {
+	if i, ok := c.neighborIndex(id); ok {
+		c.neighbors = slices.Delete(c.neighbors, i, i+1)
 	}
 }
 
@@ -373,7 +386,7 @@ func New(inst *network.Instance, opts Options) (*Simulator, error) {
 		c := &clusterNode{
 			id:               v,
 			seen:             make(map[uint64]seenEntry),
-			neighbors:        make(map[int]*clusterNode),
+			neighbors:        make([]*clusterNode, 0, inst.Graph.Degree(v)),
 			ttl:              inst.Config.TTL,
 			acceptingClients: true,
 		}
@@ -392,7 +405,7 @@ func New(inst *network.Instance, opts Options) (*Simulator, error) {
 	}
 	for v := range inst.Clusters {
 		inst.Graph.VisitNeighbors(v, func(w int) bool {
-			s.clusters[v].neighbors[w] = s.clusters[w]
+			s.clusters[v].insertNeighbor(s.clusters[w])
 			return true
 		})
 	}
@@ -416,7 +429,7 @@ func Run(inst *network.Instance, opts Options) (*Measured, error) {
 		return nil, err
 	}
 	s.start()
-	s.events = s.sched.runUntil(opts.Duration)
+	s.events = s.runUntil(opts.Duration)
 	return s.measure(), nil
 }
 
@@ -522,6 +535,7 @@ func (s *Simulator) scheduleSeenCleanup(c *clusterNode) {
 		for id, e := range c.seen {
 			if e.at < cutoff {
 				delete(c.seen, id)
+				delete(c.seenTerms, id)
 			}
 		}
 		s.sched.schedule(interval, tick)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spnet/internal/analysis"
 	"spnet/internal/network"
 	"spnet/internal/stats"
 	"spnet/internal/workload"
@@ -197,40 +198,6 @@ func TestSimTTLZero(t *testing.T) {
 	}
 }
 
-func TestEventQueueOrdering(t *testing.T) {
-	var s scheduler
-	var got []int
-	s.schedule(3, func() { got = append(got, 3) })
-	s.schedule(1, func() { got = append(got, 1) })
-	s.schedule(2, func() { got = append(got, 2) })
-	s.schedule(1, func() { got = append(got, 11) }) // same time: FIFO by seq
-	s.runUntil(10)
-	want := []int{1, 11, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("executed %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
-		}
-	}
-}
-
-func TestEventQueueHorizon(t *testing.T) {
-	var s scheduler
-	ran := false
-	s.schedule(5, func() { ran = true })
-	if n := s.runUntil(4); n != 0 || ran {
-		t.Error("event beyond horizon executed")
-	}
-	if s.now != 4 {
-		t.Errorf("clock = %v, want 4", s.now)
-	}
-	if n := s.runUntil(6); n != 1 || !ran {
-		t.Error("event within horizon skipped")
-	}
-}
-
 func TestIndexSizeAndConns(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 200,
 		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 3, Redundancy: true}
@@ -250,4 +217,85 @@ func TestIndexSizeAndConns(t *testing.T) {
 			t.Fatalf("cluster %d client conns %d, want %d", v, got, want)
 		}
 	}
+}
+
+// checkAdjacency asserts the overlay invariants the slice-backed adjacency
+// promises: strictly id-ascending (hence duplicate-free) neighbor slices,
+// symmetry, agreement with hasNeighbor, and partnerConns equal to a recount
+// that does not use the slice order.
+func checkAdjacency(t *testing.T, s *Simulator) {
+	t.Helper()
+	for _, c := range s.clusters {
+		conns := len(c.clients) + len(c.partners) - 1
+		for i, nb := range c.neighbors {
+			if i > 0 && c.neighbors[i-1].id >= nb.id {
+				t.Fatalf("cluster %d: neighbor ids not strictly ascending at %d: %d then %d",
+					c.id, i, c.neighbors[i-1].id, nb.id)
+			}
+			if nb == c {
+				t.Fatalf("cluster %d is its own neighbor", c.id)
+			}
+			if s.clusters[nb.id] != nb {
+				t.Fatalf("cluster %d: neighbor id %d does not name the cluster it points to", c.id, nb.id)
+			}
+			if !nb.hasNeighbor(c.id) {
+				t.Fatalf("edge %d→%d has no reverse", c.id, nb.id)
+			}
+			conns += len(nb.partners)
+		}
+		for _, other := range s.clusters {
+			linked := false
+			for _, nb := range c.neighbors {
+				linked = linked || nb == other
+			}
+			if c.hasNeighbor(other.id) != linked {
+				t.Fatalf("cluster %d: hasNeighbor(%d) = %v, slice says %v", c.id, other.id, !linked, linked)
+			}
+		}
+		if conns < 0 {
+			conns = 0
+		}
+		if got := c.partnerConns(); got != conns {
+			t.Fatalf("cluster %d: partnerConns = %d, recount %d", c.id, got, conns)
+		}
+	}
+}
+
+func TestAdjacencyInvariants(t *testing.T) {
+	cfg := network.DefaultConfig()
+	cfg.GraphSize = 400
+	run := func(cfg network.Config, opts Options) *Simulator {
+		s, err := New(generate(t, cfg, nil, 11), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAdjacency(t, s)
+		s.start()
+		// Check mid-run too: splits, merges and probes are in progress.
+		for _, horizon := range []float64{opts.Duration / 3, opts.Duration} {
+			s.runUntil(horizon)
+			checkAdjacency(t, s)
+		}
+		return s
+	}
+	// The adaptive golden scenario: rule II adds and drops edges, splits wire
+	// new clusters in, merges rewire a dissolved cluster's neighbors.
+	s := run(cfg, Options{
+		Duration: 900, Seed: 3, Churn: true,
+		Adaptive: &AdaptiveOptions{
+			Limit:       analysis.Load{InBps: 50_000, OutBps: 50_000, ProcHz: 1e6},
+			Interval:    60,
+			ArrivalRate: 0.2,
+		},
+	})
+	if len(s.clusters) == cfg.GraphSize/cfg.ClusterSize {
+		t.Error("adaptive scenario never split a cluster; edge rewiring was not exercised")
+	}
+	// Failures change partner counts under a fixed overlay.
+	red := cfg
+	red.Redundancy = true
+	run(red, Options{
+		Duration: 600, Seed: 21, Churn: true,
+		Failures: &FailureOptions{MTBF: 400, RecoveryDelay: 60},
+	})
 }
