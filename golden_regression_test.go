@@ -72,9 +72,9 @@ func TestGoldenEvaluate(t *testing.T) {
 		fmt.Sprintf("%.17g %.17g %.17g %.17g", cb[0][0], cb[0][1], cb[1][0], cb[1][1]),
 		"14602.501439999993 42693.341119999983 59552.713028079481 62311.125020181971")
 
-	// EvaluateStrategy with a nil forward model is the flood evaluation.
-	res2 := spnet.EvaluateStrategy(inst, nil)
-	expect(t, "EvaluateStrategy(nil) aggregate", fmtLoad(res2.AggregateLoad()),
+	// EvaluateWith without options is the flood evaluation.
+	res2 := spnet.EvaluateWith(inst, spnet.EvalOptions{})
+	expect(t, "EvaluateWith(zero) aggregate", fmtLoad(res2.AggregateLoad()),
 		fmtLoad(res.AggregateLoad()))
 }
 

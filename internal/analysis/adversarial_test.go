@@ -7,68 +7,68 @@ import (
 	"spnet/internal/routing"
 )
 
-// TestEvaluateAdversarialHonestIdentity: honest = 1 must reproduce the
+// TestRelayDropZeroIdentity: RelayDrop = 0 must reproduce the
 // pre-adversary engine bit-for-bit — on the flood path (nil model) and on
 // the strategy-model path.
-func TestEvaluateAdversarialHonestIdentity(t *testing.T) {
+func TestRelayDropZeroIdentity(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 2000, ClusterSize: 10,
 		AvgOutdegree: 4, TTL: 5}
 	inst := generate(t, cfg, nil, 5)
 
 	base := Evaluate(inst)
-	adv := EvaluateAdversarial(inst, nil, 1)
+	adv := EvaluateWith(inst, Options{RelayDrop: -0.5}) // clamped to 0
 	if base.AggregateLoad() != adv.AggregateLoad() || base.ResultsPerQuery != adv.ResultsPerQuery ||
 		base.EPL != adv.EPL {
-		t.Fatalf("honest=1 flood diverged: %+v vs %+v", base.AggregateLoad(), adv.AggregateLoad())
+		t.Fatalf("drop=0 flood diverged: %+v vs %+v", base.AggregateLoad(), adv.AggregateLoad())
 	}
 
 	fw := routing.RandomWalkForwards(2)
-	sbase := EvaluateStrategy(inst, fw)
-	sadv := EvaluateAdversarial(inst, fw, 1)
+	sbase := EvaluateWith(inst, Options{Forwards: fw})
+	sadv := EvaluateWith(inst, Options{Forwards: fw, RelayDrop: -0.5}) // clamped to 0
 	if sbase.AggregateLoad() != sadv.AggregateLoad() || sbase.ResultsPerQuery != sadv.ResultsPerQuery {
-		t.Fatalf("honest=1 strategy diverged: %+v vs %+v", sbase.AggregateLoad(), sadv.AggregateLoad())
+		t.Fatalf("drop=0 strategy diverged: %+v vs %+v", sbase.AggregateLoad(), sadv.AggregateLoad())
 	}
 }
 
-// TestEvaluateAdversarialMonotone: recall decays as relays get less honest,
-// and with honest = 0 the source cluster is the only responder — matching
+// TestRelayDropMonotone: recall decays as relays get less honest, and with
+// RelayDrop = 1 (or anything clamped to it) the source cluster is the only responder — matching
 // the TTL-0 local-only evaluation.
-func TestEvaluateAdversarialMonotone(t *testing.T) {
+func TestRelayDropMonotone(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 2000, ClusterSize: 10,
 		AvgOutdegree: 4, TTL: 5}
 	inst := generate(t, cfg, nil, 5)
 
-	prev := EvaluateAdversarial(inst, nil, 1).ResultsPerQuery
-	for _, h := range []float64{0.7, 0.4, 0.1} {
-		r := EvaluateAdversarial(inst, nil, h).ResultsPerQuery
+	prev := Evaluate(inst).ResultsPerQuery
+	for _, d := range []float64{0.3, 0.6, 0.9} {
+		r := EvaluateWith(inst, Options{RelayDrop: d}).ResultsPerQuery
 		if r >= prev {
-			t.Fatalf("ResultsPerQuery(%v) = %v, want < %v", h, r, prev)
+			t.Fatalf("ResultsPerQuery(drop %v) = %v, want < %v", d, r, prev)
 		}
 		prev = r
 	}
 
-	dead := EvaluateAdversarial(inst, nil, 0)
+	dead := EvaluateWith(inst, Options{RelayDrop: 1.5})
 	local := network.Config{GraphType: network.PowerLaw, GraphSize: 2000, ClusterSize: 10,
 		AvgOutdegree: 4, TTL: 0}
 	want := Evaluate(generate(t, local, nil, 5)).ResultsPerQuery
 	if relDiff(dead.ResultsPerQuery, want) > 1e-9 {
-		t.Fatalf("honest=0 results %v, want local-only %v", dead.ResultsPerQuery, want)
+		t.Fatalf("drop=1 results %v, want local-only %v", dead.ResultsPerQuery, want)
 	}
 }
 
-// TestEvaluateAdversarialLoadsShrink: dishonest relays also shed load —
+// TestRelayDropLoadsShrink: dishonest relays also shed load —
 // fewer forwarded copies and fewer responses mean the aggregate bandwidth
 // must fall below the honest evaluation, never rise.
-func TestEvaluateAdversarialLoadsShrink(t *testing.T) {
+func TestRelayDropLoadsShrink(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 1000, ClusterSize: 10,
 		AvgOutdegree: 4, TTL: 5}
 	inst := generate(t, cfg, nil, 9)
 	full := Evaluate(inst).AggregateLoad()
-	half := EvaluateAdversarial(inst, nil, 0.5).AggregateLoad()
+	half := EvaluateWith(inst, Options{RelayDrop: 0.5}).AggregateLoad()
 	if half.InBps >= full.InBps || half.OutBps >= full.OutBps || half.ProcHz >= full.ProcHz {
-		t.Fatalf("honest=0.5 load %+v not below honest load %+v", half, full)
+		t.Fatalf("drop=0.5 load %+v not below honest load %+v", half, full)
 	}
 	if half.InBps <= 0 || half.OutBps <= 0 || half.ProcHz <= 0 {
-		t.Fatalf("honest=0.5 load degenerate: %+v", half)
+		t.Fatalf("drop=0.5 load degenerate: %+v", half)
 	}
 }

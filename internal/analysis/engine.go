@@ -8,6 +8,7 @@ import (
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/routing"
+	"spnet/internal/topology"
 )
 
 // Result holds the evaluation of one network instance: per-node expected
@@ -41,12 +42,13 @@ type Result struct {
 	// query-path model and attached by callers that run both.
 	Transfer *TransferPrediction
 
-	spShared     []rawLoad   // per cluster: query-path load of the virtual super-peer (split across partners)
-	spPerPartner []rawLoad   // per cluster: join/update load each partner bears in full
-	clientBase   []rawLoad   // per cluster: per-client load excluding the join component
-	clientJoin   [][]rawLoad // per cluster, per client: the join component
-	respToSource []flow      // per cluster: total response flow for a query sourced there
-	bd           bdAcc       // system-wide component attribution
+	spShared     []rawLoad // per cluster: query-path load of the virtual super-peer (split across partners)
+	spPerPartner []rawLoad // per cluster: join/update load each partner bears in full
+	clientBase   []rawLoad // per cluster: per-client load excluding the join component
+	clientJoin   []rawLoad // per client, clusters back to back: the join component
+	clientOff    []int32   // len n+1: cluster v's clients are clientJoin[clientOff[v]:clientOff[v+1]]
+	respToSource []flow    // per cluster: total response flow for a query sourced there
+	bd           bdAcc     // system-wide component attribution
 
 	// Per-class super-peer byte rates (bytes/sec) mirroring spShared and
 	// spPerPartner, attributed to the Table 2 taxonomy classes live nodes
@@ -91,17 +93,14 @@ type evaluator struct {
 	reachClustersNum       float64
 	reachPeersNum          float64
 	fwdNum                 float64
-
-	// Reusable BFS buffers (generic-graph path), leased from scratchPool so
-	// concurrent evaluations on the worker pool never share state and
-	// repeated evaluations don't reallocate.
-	scratch *bfsScratch
 }
 
-// bfsScratch holds one evaluation's BFS working set. Pooled invariant: when a
-// scratch is returned to the pool, every depth/parent entry is -1, every
-// flowBuf entry is the zero flow, and order is empty — the same state the
-// per-source reset loop in evalGraphQueries restores.
+// bfsScratch holds one evaluation's BFS working set (generic-graph path),
+// leased from scratchPool so concurrent evaluations on the worker pool never
+// share state and repeated evaluations don't reallocate. Pooled invariant:
+// when a scratch is returned to the pool, every depth/parent entry is -1,
+// every flowBuf entry is the zero flow, and order is empty — the same state
+// the per-source reset loop in evalGraphQueries restores.
 type bfsScratch struct {
 	depth   []int32
 	parent  []int32
@@ -112,6 +111,10 @@ type bfsScratch struct {
 	// zero. Only touched when the evaluator carries a Forwards model.
 	prob []float64
 	frac []float64
+	// nbuf is the buffer handed to Graph.Neighbors, with room for n entries
+	// so an implicit graph never grows it. The returned slice is never
+	// stored here: it may alias another instance's graph.
+	nbuf []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return &bfsScratch{} }}
@@ -127,6 +130,7 @@ func getScratch(n int) *bfsScratch {
 		s.prob = make([]float64, n)
 		s.frac = make([]float64, n)
 		s.order = make([]int32, 0, n)
+		s.nbuf = make([]int32, 0, n)
 		for i := range s.depth {
 			s.depth[i] = -1
 			s.parent[i] = -1
@@ -145,41 +149,45 @@ func getScratch(n int) *bfsScratch {
 // Evaluate runs Steps 2–3 of the paper's evaluation model over one instance,
 // producing expected loads for every node and the expected quality of
 // results. The instance is treated as read-only.
-func Evaluate(inst *network.Instance) *Result { return evaluate(inst, nil, 1) }
+func Evaluate(inst *network.Instance) *Result { return EvaluateWith(inst, Options{}) }
 
-// EvaluateStrategy evaluates the instance under a routing strategy's
-// mean-value forwarding model (routing.Forwards gives the expected number of
-// query copies a source or relay emits at each eligible degree). A nil model
-// is the flood strategy and makes EvaluateStrategy identical to Evaluate.
-// With a model, reach becomes probabilistic: each BFS-tree node is reached
-// with the product of the forwarding fractions along its path, and every
-// query-path charge, response flow and traversal metric is weighted by that
-// probability.
-func EvaluateStrategy(inst *network.Instance, fw *routing.Forwards) *Result {
-	return evaluate(inst, fw, 1)
+// Options selects what EvaluateWith models beyond the paper's flood over
+// honest relays. The zero value is Evaluate.
+type Options struct {
+	// Forwards is a routing strategy's mean-value forwarding model: the
+	// expected number of query copies a source or relay emits at each
+	// eligible degree. Nil is flood. With a model, reach becomes
+	// probabilistic: each BFS-tree node is reached with the product of the
+	// forwarding fractions along its path, and every query-path charge,
+	// response flow and traversal metric is weighted by that probability.
+	Forwards *routing.Forwards
+	// RelayDrop is the probability that a non-source relay does not serve a
+	// query it receives, clamped to [0, 1] — for a malicious fraction m of
+	// super-peers that each drop with probability d, RelayDrop = m·d. A
+	// dishonest relay contributes no local processing, no response flow, and
+	// forwards nothing, so reach decays multiplicatively with path length,
+	// which is exactly how freeloading hollows out recall in the simulator
+	// and the live overlay; 1 leaves the source cluster as the only
+	// responder. Losses on the client access leg (Busy-lying or dropping
+	// one's own clients' queries) are an orthogonal closed form layered on
+	// by callers.
+	RelayDrop float64
 }
 
-// EvaluateAdversarial evaluates the instance with dishonest relays in the
-// overlay: honest is the probability that a given non-source relay serves a
-// query it receives — for a malicious fraction m of super-peers that each
-// drop with probability d, honest = 1 - m·d. A dishonest relay contributes
-// no local processing, no response flow, and forwards nothing, so reach
-// decays multiplicatively with path length, which is exactly how freeloading
-// hollows out recall in the simulator and the live overlay. honest = 1 (and
-// a nil fw) reproduces Evaluate bit-identically; losses on the client access
-// leg (Busy-lying or dropping one's own clients' queries) are an orthogonal
-// closed form layered on by callers.
-func EvaluateAdversarial(inst *network.Instance, fw *routing.Forwards, honest float64) *Result {
-	if honest < 0 {
-		honest = 0
-	} else if honest > 1 {
-		honest = 1
-	}
-	return evaluate(inst, fw, honest)
+// EvaluateWith is Evaluate under a routing strategy, dishonest relays, or
+// both. A field left zero takes the exact float sequence of the evaluation
+// without it.
+func EvaluateWith(inst *network.Instance, opts Options) *Result {
+	drop := min(max(opts.RelayDrop, 0), 1)
+	return evaluate(inst, opts.Forwards, 1-drop)
 }
 
 func evaluate(inst *network.Instance, fw *routing.Forwards, honest float64) *Result {
 	n := len(inst.Clusters)
+	clientOff := make([]int32, n+1)
+	for v := range inst.Clusters {
+		clientOff[v+1] = clientOff[v] + int32(len(inst.Clusters[v].Clients))
+	}
 	e := &evaluator{
 		inst:   inst,
 		fw:     fw,
@@ -189,7 +197,8 @@ func evaluate(inst *network.Instance, fw *routing.Forwards, honest float64) *Res
 			spShared:        make([]rawLoad, n),
 			spPerPartner:    make([]rawLoad, n),
 			clientBase:      make([]rawLoad, n),
-			clientJoin:      make([][]rawLoad, n),
+			clientJoin:      make([]rawLoad, clientOff[n]),
+			clientOff:       clientOff,
 			respToSource:    make([]flow, n),
 			spSharedCls:     make([]metrics.ByClass, n),
 			spPerPartnerCls: make([]metrics.ByClass, n),
@@ -214,8 +223,8 @@ func evaluate(inst *network.Instance, fw *routing.Forwards, honest float64) *Res
 	e.qBytes, e.sendQProc, e.recvQProc = float64(qb), float64(sp), float64(rp)
 
 	// The clique closed form hard-codes flood propagation; strategy models
-	// and adversarial relays route through the generic BFS path (Clique
-	// implements VisitNeighbors).
+	// and adversarial relays route through the generic BFS path, which reads
+	// a Clique's neighbors like any other graph's.
 	if inst.Graph.IsClique() && e.fw == nil && e.honest >= 1 {
 		e.evalCliqueQueries()
 	} else {
@@ -246,14 +255,24 @@ func recvRespProc(f flow) float64 {
 // evalGraphQueries runs one BFS per source cluster over an explicit overlay
 // and charges every query-path cost (Section 4.1, Step 2: the breadth-first
 // traversal models propagation; responses travel up the predecessor tree).
+//
+// Tuning rule: the %.17g goldens pin the addends each accumulator receives
+// and their order. Hoisting a product out of a loop or holding a slice header
+// in a local keeps both; merging two adds, or replacing k equal adds by one
+// multiplied by k, does not.
 func (e *evaluator) evalGraphQueries() {
 	g := e.inst.Graph
 	n := g.N()
 	ttl := e.inst.Config.TTL
-	e.scratch = getScratch(n)
+	sc := getScratch(n)
+	depth, parent, flowBuf, prob, frac := sc.depth, sc.parent, sc.flowBuf, sc.prob, sc.frac
 
 	sp := e.res.spShared
 	cls := e.res.spSharedCls
+	bd := &e.res.bd
+	own, users := e.own, e.users
+	qBytes, sendQProc, recvQProc := e.qBytes, e.sendQProc, e.recvQProc
+	useFw := e.fw != nil || e.honest < 1
 	for s := 0; s < n; s++ {
 		w := e.qWeight[s]
 		if w == 0 {
@@ -261,102 +280,101 @@ func (e *evaluator) evalGraphQueries() {
 			// would also be unweighted, so skip entirely.
 			continue
 		}
-		e.bfs(s, ttl)
-		useFw := e.fw != nil || e.honest < 1
+		order := sc.bfs(g, s, ttl)
 		if useFw {
-			e.computeReachProbs(s, ttl)
+			e.computeReachProbs(sc, s, ttl)
 		}
 
 		// Query forwarding: every reached node u with depth < TTL forwards
-		// to all neighbors except the edge the query arrived on. Copies
-		// arriving at already-visited nodes are redundant: received, then
-		// dropped (Section 5.1, rule #4). Under a strategy model each edge
-		// carries the expected copy count prob[u]·frac[u] instead of a full
-		// copy; the flood path performs no extra multiplications so its
-		// float sequence is unchanged.
-		for _, u32 := range e.scratch.order {
-			u := int(u32)
-			if int(e.scratch.depth[u]) >= ttl {
+		// to all neighbors except the edge the query arrived on (the source's
+		// parent is -1, so it forwards on every edge). Copies arriving at
+		// already-visited nodes are redundant: received, then dropped
+		// (Section 5.1, rule #4). Under a strategy model each edge carries
+		// the expected copy count prob[u]·frac[u] instead of a full copy; the
+		// flood path performs no extra multiplications so its float sequence
+		// is unchanged.
+		for _, u := range order {
+			if int(depth[u]) >= ttl {
 				continue // nodes at the TTL horizon do not forward
 			}
 			wf := w
 			if useFw {
-				wf = w * e.scratch.prob[u] * e.scratch.frac[u]
+				wf = w * prob[u] * frac[u]
 				if wf == 0 {
 					continue
 				}
 			}
-			par := e.scratch.parent[u]
-			g.VisitNeighbors(u, func(nb int) bool {
-				if int32(nb) == par && u != s {
-					return true
+			par := parent[u]
+			qB, sendU, recvU := wf*qBytes, wf*sendQProc, wf*recvQProc
+			su, cu := &sp[u], &cls[u]
+			for _, nb := range g.Neighbors(int(u), sc.nbuf) {
+				if nb == par {
+					continue
 				}
-				sp[u].outBytes += wf * e.qBytes
-				sp[u].procU += wf * e.sendQProc
-				sp[u].msgs += wf
-				cls[u].Add(metrics.ClassQuery, metrics.DirOut, wf*e.qBytes)
-				sp[nb].inBytes += wf * e.qBytes
-				sp[nb].procU += wf * e.recvQProc
-				sp[nb].msgs += wf
-				cls[nb].Add(metrics.ClassQuery, metrics.DirIn, wf*e.qBytes)
-				e.res.bd.queryTransfer(wf, e.qBytes, e.sendQProc, e.recvQProc)
+				su.outBytes += qB
+				su.procU += sendU
+				su.msgs += wf
+				cu.Add(metrics.ClassQuery, metrics.DirOut, qB)
+				sn := &sp[nb]
+				sn.inBytes += qB
+				sn.procU += recvU
+				sn.msgs += wf
+				cls[nb].Add(metrics.ClassQuery, metrics.DirIn, qB)
+				bd.queryTransfer(wf, qBytes, sendQProc, recvQProc)
 				e.fwdNum += wf
-				return true
-			})
+			}
 		}
 
 		// Every reached cluster processes the query over its index once
 		// (under a strategy model: with the probability it is reached).
-		for _, v32 := range e.scratch.order {
+		for _, v32 := range order {
 			v := int(v32)
+			f := own[v]
 			wp := w
 			if useFw {
-				wp = w * e.scratch.prob[v]
+				// A reached-but-dishonest relay neither processes nor
+				// responds; its expected contribution scales by honest.
+				wp = w * prob[v]
+				p := prob[v]
 				if v != s {
-					// A reached-but-dishonest relay neither processes nor
-					// responds; its expected contribution scales by honest.
 					wp *= e.honest
-				}
-			}
-			pu := float64(cost.ProcessQuery(e.own[v].results))
-			sp[v].procU += wp * pu
-			e.res.bd.process(wp, pu)
-			f := e.own[v]
-			if useFw {
-				p := e.scratch.prob[v]
-				if v != s {
 					p *= e.honest
 				}
 				f.msgs *= p
 				f.addrs *= p
 				f.results *= p
 			}
-			e.scratch.flowBuf[v] = f
+			pu := float64(cost.ProcessQuery(own[v].results))
+			sp[v].procU += wp * pu
+			bd.process(wp, pu)
+			flowBuf[v] = f
 		}
 
 		// Responses travel up the BFS predecessor tree; iterating the BFS
 		// order backwards visits children before parents, so each node's
 		// flow is complete when it is charged.
-		for i := len(e.scratch.order) - 1; i >= 1; i-- {
-			v := int(e.scratch.order[i])
-			f := e.scratch.flowBuf[v]
+		for i := len(order) - 1; i >= 1; i-- {
+			v := order[i]
+			f := flowBuf[v]
 			if f.isZero() {
 				continue
 			}
-			p := int(e.scratch.parent[v])
-			b := respBytes(f)
-			sp[v].outBytes += w * b
-			sp[v].procU += w * sendRespProc(f)
-			sp[v].msgs += w * f.msgs
+			p := parent[v]
+			b, sendU, recvU := respBytes(f), sendRespProc(f), recvRespProc(f)
+			sv := &sp[v]
+			sv.outBytes += w * b
+			sv.procU += w * sendU
+			sv.msgs += w * f.msgs
 			cls[v].Add(metrics.ClassResponse, metrics.DirOut, w*b)
-			sp[p].inBytes += w * b
-			sp[p].procU += w * recvRespProc(f)
-			sp[p].msgs += w * f.msgs
+			spar := &sp[p]
+			spar.inBytes += w * b
+			spar.procU += w * recvU
+			spar.msgs += w * f.msgs
 			cls[p].Add(metrics.ClassResponse, metrics.DirIn, w*b)
-			e.res.bd.respTransfer(w, b, sendRespProc(f), recvRespProc(f))
-			e.scratch.flowBuf[p].add(f)
+			bd.respTransfer(w, b, sendU, recvU)
+			flowBuf[p].add(f)
 		}
-		total := e.scratch.flowBuf[int(e.scratch.order[0])] // source: own + all relayed flows
+		total := flowBuf[s] // source: own + all relayed flows
 		e.res.respToSource[s] = total
 
 		// Traversal metrics.
@@ -364,46 +382,43 @@ func (e *evaluator) evalGraphQueries() {
 		e.resultsDen += w
 		if useFw {
 			var clustersReached, peers float64
-			for _, v32 := range e.scratch.order {
-				p := e.scratch.prob[v32]
+			for _, v := range order {
+				p := prob[v]
 				clustersReached += p
-				peers += p * e.users[v32]
+				peers += p * users[v]
 			}
 			e.reachClustersNum += w * clustersReached
 			e.reachPeersNum += w * peers
-			for _, v32 := range e.scratch.order[1:] {
-				v := int(v32)
-				m := e.scratch.prob[v] * e.honest * e.own[v].msgs
-				e.eplNum += w * float64(e.scratch.depth[v]) * m
+			for _, v := range order[1:] {
+				m := prob[v] * e.honest * own[v].msgs
+				e.eplNum += w * float64(depth[v]) * m
 				e.eplDen += w * m
 			}
 		} else {
-			e.reachClustersNum += w * float64(len(e.scratch.order))
+			e.reachClustersNum += w * float64(len(order))
 			var peers float64
-			for _, v32 := range e.scratch.order {
-				peers += e.users[v32]
+			for _, v := range order {
+				peers += users[v]
 			}
 			e.reachPeersNum += w * peers
-			for _, v32 := range e.scratch.order[1:] {
-				v := int(v32)
-				e.eplNum += w * float64(e.scratch.depth[v]) * e.own[v].msgs
-				e.eplDen += w * e.own[v].msgs
+			for _, v := range order[1:] {
+				e.eplNum += w * float64(depth[v]) * own[v].msgs
+				e.eplDen += w * own[v].msgs
 			}
 		}
 
 		// Reset the touched buffers for the next source.
-		for _, v32 := range e.scratch.order {
-			e.scratch.depth[v32] = -1
-			e.scratch.parent[v32] = -1
-			e.scratch.flowBuf[v32] = flow{}
-			e.scratch.prob[v32] = 0
-			e.scratch.frac[v32] = 0
+		for _, v := range order {
+			depth[v] = -1
+			parent[v] = -1
+			flowBuf[v] = flow{}
+			prob[v] = 0
+			frac[v] = 0
 		}
 	}
 	// The per-source resets restored the pool invariant; return the lease.
-	e.scratch.order = e.scratch.order[:0]
-	scratchPool.Put(e.scratch)
-	e.scratch = nil
+	sc.order = sc.order[:0]
+	scratchPool.Put(sc)
 }
 
 // computeReachProbs fills the scratch prob/frac buffers for one source under
@@ -413,18 +428,18 @@ func (e *evaluator) evalGraphQueries() {
 // pick eligible edges uniformly, so each BFS-tree child is reached from its
 // parent with probability frac[parent]. prob multiplies down the tree; BFS
 // order visits parents first, so one pass suffices.
-func (e *evaluator) computeReachProbs(s, ttl int) {
+func (e *evaluator) computeReachProbs(sc *bfsScratch, s, ttl int) {
 	g := e.inst.Graph
-	pr, fr := e.scratch.prob, e.scratch.frac
-	for _, u32 := range e.scratch.order {
+	pr, fr := sc.prob, sc.frac
+	for _, u32 := range sc.order {
 		u := int(u32)
 		if u == s {
 			pr[u] = 1
 		} else {
-			p := int(e.scratch.parent[u])
+			p := int(sc.parent[u])
 			pr[u] = pr[p] * fr[p]
 		}
-		if int(e.scratch.depth[u]) >= ttl {
+		if int(sc.depth[u]) >= ttl {
 			continue // horizon nodes forward nothing: frac stays 0
 		}
 		eligible := g.Degree(u)
@@ -459,33 +474,29 @@ func (e *evaluator) computeReachProbs(s, ttl int) {
 	}
 }
 
-// bfs fills the evaluator's reusable depth/parent/order buffers.
-func (e *evaluator) bfs(source, ttl int) {
-	e.scratch.order = e.scratch.order[:0]
-	e.scratch.depth[source] = 0
-	e.scratch.parent[source] = -1
-	e.scratch.order = append(e.scratch.order, int32(source))
-	if ttl == 0 {
-		return
-	}
-	g := e.inst.Graph
-	head := 0
-	for head < len(e.scratch.order) {
-		u := int(e.scratch.order[head])
-		head++
-		d := e.scratch.depth[u]
+// bfs fills the scratch depth/parent/order buffers with the traversal from
+// source and returns order, which doubles as the queue.
+func (sc *bfsScratch) bfs(g topology.Graph, source, ttl int) []int32 {
+	depth, parent := sc.depth, sc.parent
+	depth[source] = 0
+	parent[source] = -1
+	order := append(sc.order[:0], int32(source))
+	for head := 0; head < len(order); head++ {
+		u := order[head]
+		d := depth[u]
 		if int(d) >= ttl {
 			break // BFS order is depth-monotone; nothing shallower remains
 		}
-		g.VisitNeighbors(u, func(nb int) bool {
-			if e.scratch.depth[nb] == -1 {
-				e.scratch.depth[nb] = d + 1
-				e.scratch.parent[nb] = int32(u)
-				e.scratch.order = append(e.scratch.order, int32(nb))
+		for _, nb := range g.Neighbors(int(u), sc.nbuf) {
+			if depth[nb] == -1 {
+				depth[nb] = d + 1
+				parent[nb] = u
+				order = append(order, nb)
 			}
-			return true
-		})
+		}
 	}
+	sc.order = order
+	return order
 }
 
 // evalCliqueQueries is the closed-form fast path for strongly connected
@@ -631,7 +642,7 @@ func (e *evaluator) evalJoins() {
 	for v := range e.inst.Clusters {
 		cl := &e.inst.Clusters[v]
 		pp := &e.res.spPerPartner[v]
-		e.res.clientJoin[v] = make([]rawLoad, len(cl.Clients))
+		joins := e.res.clientJoins(v)
 
 		for i, c := range cl.Clients {
 			jr := 1 / c.Lifespan
@@ -639,7 +650,7 @@ func (e *evaluator) evalJoins() {
 			_, jpR := cost.RecvJoin(c.Files)
 
 			// Client side: one Join per partner.
-			cj := &e.res.clientJoin[v][i]
+			cj := &joins[i]
 			k := float64(partners)
 			cj.outBytes += jr * k * float64(jb)
 			cj.procU += jr * k * float64(jpS)

@@ -172,6 +172,23 @@ type noClique struct{ topology.Graph }
 
 func (noClique) IsClique() bool { return false }
 
+// completeGraph returns the explicit complete graph on n nodes, edges (i, j)
+// with i < j in lexicographic order, so every neighbor list is ascending.
+func completeGraph(t *testing.T, n int) *topology.AdjGraph {
+	t.Helper()
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
+		}
+	}
+	g, err := topology.NewAdjGraph(n, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestCliqueClosedFormMatchesGenericEngine cross-checks the two evaluation
 // paths on the same instance, with and without redundant query copies.
 func TestCliqueClosedFormMatchesGenericEngine(t *testing.T) {
@@ -190,18 +207,8 @@ func TestCliqueClosedFormMatchesGenericEngine(t *testing.T) {
 
 		// Same clusters, explicit complete graph, clique detection disabled.
 		n := inst.Graph.N()
-		var edges [][2]int
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				edges = append(edges, [2]int{i, j})
-			}
-		}
-		explicit, err := topology.NewAdjGraph(n, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
 		slowInst := *inst
-		slowInst.Graph = noClique{explicit}
+		slowInst.Graph = noClique{completeGraph(t, n)}
 		slow := Evaluate(&slowInst)
 
 		for v := 0; v < n; v++ {

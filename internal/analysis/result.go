@@ -31,8 +31,13 @@ func (r *Result) SuperPeerClassBps(v int) metrics.ByClass {
 // ClientLoad returns the expected load of client i of cluster v.
 func (r *Result) ClientLoad(v, i int) Load {
 	raw := r.clientBase[v]
-	raw.add(r.clientJoin[v][i])
+	raw.add(r.clientJoins(v)[i])
 	return raw.finalize(r.Inst.ClientConns())
+}
+
+// clientJoins returns the join components of cluster v's clients.
+func (r *Result) clientJoins(v int) []rawLoad {
+	return r.clientJoin[r.clientOff[v]:r.clientOff[v+1]]
 }
 
 // AggregateLoad returns E[M | I] (eq. 4): the sum of the loads of every node

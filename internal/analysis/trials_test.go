@@ -118,7 +118,7 @@ func TestRunTrialsDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{2, 4, 0} {
+	for _, w := range []int{2, 4, 8, 0} {
 		got, err := RunTrialsWorkers(cfg, nil, 5, 7, w)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

@@ -286,8 +286,11 @@ func tryCandidate(size, reach, ttl, cs int, redundant bool, cons Constraints, op
 		partners = 2
 	}
 	// Client connections alone blowing the budget cannot be fixed by a
-	// higher TTL — treat it as a permanent failure of this cluster size.
-	baseConns := cs - partners + partners
+	// higher TTL — treat it as a permanent failure of this cluster size. The
+	// floor is the connection count at outdegree 1: cs-partners clients plus
+	// one overlay link to each partner of the one neighbor, which is cs, and
+	// the co-partner link when redundant.
+	baseConns := cs
 	if redundant {
 		baseConns++
 	}

@@ -146,7 +146,7 @@ func TestDesignDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
-	for _, w := range []int{2, 4, 0} {
+	for _, w := range []int{2, 4, 8, 0} {
 		got, err := Run(goals, cons, Options{Trials: 1, Seed: 3, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)

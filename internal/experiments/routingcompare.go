@@ -18,7 +18,7 @@ import (
 
 // RoutingCompareParams shape the routing-strategy comparison: the same star
 // overlay with planted per-cluster content is priced analytically
-// (EvaluateStrategy), simulated (SimOptions.Routing) and run as live TCP
+// (EvaluateWith), simulated (SimOptions.Routing) and run as live TCP
 // super-peers (NodeOptions.Routing), and each strategy's forwarded-query
 // bandwidth and recall are reported against the flood baseline.
 //
@@ -446,7 +446,7 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 		if err != nil {
 			return nil, err
 		}
-		res := analysis.EvaluateStrategy(inst, fw)
+		res := analysis.EvaluateWith(inst, analysis.Options{Forwards: fw})
 		model := RoutingCompareCell{
 			ForwardsPerQuery: res.QueryForwardsPerQuery,
 			Recall:           res.ResultsPerQuery / floodRes.ResultsPerQuery,
@@ -505,7 +505,7 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 			fmt.Sprintf("simulated %g virtual s per strategy; live layer issued %d measured queries per strategy",
 				p.SimDuration, p.LiveQueries),
 			"fwd/query counts query copies on overlay links (spnet_queries_forwarded_total); recall is found results over planted matches",
-			"model column: EvaluateStrategy forward models; content-aware recall is 1 by the conservative-summary argument",
+			"model column: EvaluateWith forward models; content-aware recall is 1 by the conservative-summary argument",
 		},
 		Tables: []Table{{
 			Title:   "per-strategy forwarded bandwidth and recall, model vs simulator vs live",
@@ -531,22 +531,8 @@ func RunRoutingCompare(p RoutingCompareParams) (*Report, error) {
 func runRoutingCompareDefault(p Params) (*Report, error) {
 	rp := RoutingCompareParams{Seed: p.Seed}
 	if p.Scale > 0 && p.Scale < 1 {
-		rp.SimDuration = maxf(400, 4000*p.Scale)
-		rp.LiveQueries = maxi(24, int(120*p.Scale))
+		rp.SimDuration = max(400, 4000*p.Scale)
+		rp.LiveQueries = max(24, int(120*p.Scale))
 	}
 	return RunRoutingCompare(rp)
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

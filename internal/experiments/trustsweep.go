@@ -433,7 +433,7 @@ func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*T
 			meanQ += v
 		}
 		meanQ /= float64(len(q))
-		row.ModelResults = analysis.EvaluateAdversarial(inst, nil, 1-meanQ).ResultsPerQuery
+		row.ModelResults = analysis.EvaluateWith(inst, analysis.Options{RelayDrop: meanQ}).ResultsPerQuery
 
 		m, err := runTrustSimCell(&p, c.frac, c.trust)
 		if err != nil {

@@ -112,6 +112,10 @@ func Generate(cfg Config, prof *workload.Profile, rng *stats.RNG) (*Instance, er
 			Lifespan: prof.Lifespans.Sample(peerRNG),
 		}
 	}
+	// Peers draw their file counts from a few hundred distinct values, and
+	// ProbAnyResult is a sum of one pow per query class: price each count
+	// once. The table lives for this call only, so it is never shared.
+	probAny := probAnyMemo{qm: prof.Queries, byFiles: make(map[int]float64)}
 	for v := range inst.Clusters {
 		cl := &inst.Clusters[v]
 		cl.Partners = make([]Peer, cfg.Partners())
@@ -125,27 +129,45 @@ func Generate(cfg Config, prof *workload.Profile, rng *stats.RNG) (*Instance, er
 			cl.Clients[i] = samplePeer()
 		}
 		inst.NumPeers += len(cl.Partners) + len(cl.Clients)
-		cl.computeQueryExpectations(prof.Queries)
+		cl.computeQueryExpectations(&probAny)
 	}
 	return inst, nil
 }
 
-// computeQueryExpectations fills the cluster's Appendix B quantities.
-func (c *Cluster) computeQueryExpectations(qm *workload.QueryModel) {
-	collections := make([]int, 0, len(c.Clients)+len(c.Partners))
+// probAnyMemo is QueryModel.ProbAnyResult remembered by collection size: the
+// same pure function, so the same bits.
+type probAnyMemo struct {
+	qm      *workload.QueryModel
+	byFiles map[int]float64
+}
+
+func (m *probAnyMemo) prob(files int) float64 {
+	p, ok := m.byFiles[files]
+	if !ok {
+		p = m.qm.ProbAnyResult(files)
+		m.byFiles[files] = p
+	}
+	return p
+}
+
+// computeQueryExpectations fills the cluster's Appendix B quantities. ExpAddrs
+// is QueryModel.ExpectedMatchingClients over the partners' then the clients'
+// collections, summed in that order.
+func (c *Cluster) computeQueryExpectations(probAny *probAnyMemo) {
 	total := 0
+	var addrs float64
 	for _, p := range c.Partners {
-		collections = append(collections, p.Files)
+		addrs += probAny.prob(p.Files)
 		total += p.Files
 	}
 	for _, p := range c.Clients {
-		collections = append(collections, p.Files)
+		addrs += probAny.prob(p.Files)
 		total += p.Files
 	}
 	c.IndexFiles = total
-	c.ExpResults = qm.ExpectedResults(total)
-	c.ExpAddrs = qm.ExpectedMatchingClients(collections)
-	c.ProbResp = qm.ProbAnyResult(total)
+	c.ExpResults = probAny.qm.ExpectedResults(total)
+	c.ExpAddrs = addrs
+	c.ProbResp = probAny.qm.ProbAnyResult(total) // index totals rarely repeat
 }
 
 // SuperPeerConns returns the number of open connections one super-peer

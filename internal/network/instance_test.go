@@ -222,6 +222,59 @@ func TestClusterExpectationsConsistent(t *testing.T) {
 	}
 }
 
+// TestExpectationsMatchStraightRecomputation: Generate prices each distinct
+// file count once per call; every cluster's Appendix B quantities must equal
+// (==, not ≈) the unmemoised QueryModel calls, at paper scale with the default
+// model and with a custom one.
+func TestExpectationsMatchStraightRecomputation(t *testing.T) {
+	custom := workload.DefaultProfile()
+	qm, err := workload.NewQueryModel([]float64{5, 3, 1, 1}, []float64{0.02, 1e-3, 4e-5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom.Queries = qm
+	cfg := DefaultConfig()
+	cfg.GraphSize = 10000
+	for name, prof := range map[string]*workload.Profile{"default": nil, "custom": custom} {
+		inst, err := Generate(cfg, prof, stats.NewRNG(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		qm := inst.Profile.Queries
+		distinct := make(map[int]bool)
+		for i := range inst.Clusters {
+			cl := &inst.Clusters[i]
+			var collections []int
+			for _, p := range cl.Partners {
+				collections = append(collections, p.Files)
+			}
+			for _, p := range cl.Clients {
+				collections = append(collections, p.Files)
+			}
+			total := 0
+			for _, n := range collections {
+				total += n
+				distinct[n] = true
+			}
+			if cl.IndexFiles != total {
+				t.Fatalf("%s cluster %d: IndexFiles = %d, want %d", name, i, cl.IndexFiles, total)
+			}
+			if got, want := cl.ExpAddrs, qm.ExpectedMatchingClients(collections); got != want {
+				t.Fatalf("%s cluster %d: ExpAddrs = %.17g, want %.17g", name, i, got, want)
+			}
+			if got, want := cl.ProbResp, qm.ProbAnyResult(total); got != want {
+				t.Fatalf("%s cluster %d: ProbResp = %.17g, want %.17g", name, i, got, want)
+			}
+			if got, want := cl.ExpResults, qm.ExpectedResults(total); got != want {
+				t.Fatalf("%s cluster %d: ExpResults = %.17g, want %.17g", name, i, got, want)
+			}
+		}
+		if len(distinct) >= inst.NumPeers/2 {
+			t.Errorf("%s: %d distinct file counts over %d peers; the memo would not pay", name, len(distinct), inst.NumPeers)
+		}
+	}
+}
+
 func TestConnectionCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GraphSize = 1000

@@ -403,11 +403,12 @@ func New(inst *network.Instance, opts Options) (*Simulator, error) {
 		c.targetPartners = len(c.partners)
 		s.clusters[v] = c
 	}
+	var nbs []int32
 	for v := range inst.Clusters {
-		inst.Graph.VisitNeighbors(v, func(w int) bool {
+		nbs = inst.Graph.Neighbors(v, nbs)
+		for _, w := range nbs {
 			s.clusters[v].insertNeighbor(s.clusters[w])
-			return true
-		})
+		}
 	}
 	if s.contentMode() {
 		if err := s.initContent(); err != nil {

@@ -35,43 +35,48 @@ func (r *BFSResult) MaxDepth() int {
 // fixed-reach EPL measurements); 0 means unbounded.
 func BFS(g Graph, source, ttl, maxNodes int) *BFSResult {
 	n := g.N()
+	orderCap := n
+	if maxNodes > 0 {
+		orderCap = min(n, maxNodes)
+	}
 	res := &BFSResult{
 		Source: source,
 		Depth:  make([]int32, n),
 		Parent: make([]int32, n),
+		Order:  make([]int32, 0, orderCap),
 	}
-	for i := range res.Depth {
-		res.Depth[i] = -1
-		res.Parent[i] = -1
+	depth, parent := res.Depth, res.Parent
+	for i := range depth {
+		depth[i] = -1
+		parent[i] = -1
 	}
-	res.Depth[source] = 0
+	depth[source] = 0
 	res.Order = append(res.Order, int32(source))
 	if (maxNodes > 0 && len(res.Order) >= maxNodes) || ttl == 0 {
 		return res
 	}
-	frontier := []int32{int32(source)}
-	for depth := 1; len(frontier) > 0 && (ttl < 0 || depth <= ttl); depth++ {
-		var next []int32
-		for _, v := range frontier {
-			stop := false
-			g.VisitNeighbors(int(v), func(w int) bool {
-				if res.Depth[w] == -1 {
-					res.Depth[w] = int32(depth)
-					res.Parent[w] = v
-					res.Order = append(res.Order, int32(w))
-					next = append(next, int32(w))
-					if maxNodes > 0 && len(res.Order) >= maxNodes {
-						stop = true
-						return false
-					}
-				}
-				return true
-			})
-			if stop {
+	// Order doubles as the queue: it is depth-monotone, so the nodes of one
+	// level are exactly the stretch appended while the previous level was
+	// expanded, and the first node at the TTL horizon ends the traversal.
+	var nbs []int32
+	for head := 0; head < len(res.Order); head++ {
+		v := res.Order[head]
+		d := depth[v]
+		if ttl >= 0 && int(d) >= ttl {
+			break
+		}
+		nbs = g.Neighbors(int(v), nbs) // one graph, local buffer: safe to hand back
+		for _, w := range nbs {
+			if depth[w] != -1 {
+				continue
+			}
+			depth[w] = d + 1
+			parent[w] = v
+			res.Order = append(res.Order, w)
+			if maxNodes > 0 && len(res.Order) >= maxNodes {
 				return res
 			}
 		}
-		frontier = next
 	}
 	return res
 }

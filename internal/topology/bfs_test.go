@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -47,6 +48,71 @@ func TestBFSMaxNodesCutoff(t *testing.T) {
 	res := BFS(g, 0, -1, 4)
 	if res.Reach() != 4 {
 		t.Errorf("Reach = %d, want 4", res.Reach())
+	}
+}
+
+// refBFS is the level-by-level traversal BFS replaced (a fresh `next` slice
+// per level, neighbors through the callback), kept as the reference.
+func refBFS(g Graph, source, ttl, maxNodes int) *BFSResult {
+	n := g.N()
+	res := &BFSResult{Source: source, Depth: make([]int32, n), Parent: make([]int32, n)}
+	for i := range res.Depth {
+		res.Depth[i] = -1
+		res.Parent[i] = -1
+	}
+	res.Depth[source] = 0
+	res.Order = append(res.Order, int32(source))
+	if (maxNodes > 0 && len(res.Order) >= maxNodes) || ttl == 0 {
+		return res
+	}
+	frontier := []int32{int32(source)}
+	for depth := 1; len(frontier) > 0 && (ttl < 0 || depth <= ttl); depth++ {
+		var next []int32
+		for _, v := range frontier {
+			stop := false
+			refVisit(g, int(v), func(w int) bool {
+				if res.Depth[w] == -1 {
+					res.Depth[w] = int32(depth)
+					res.Parent[w] = v
+					res.Order = append(res.Order, int32(w))
+					next = append(next, int32(w))
+					if maxNodes > 0 && len(res.Order) >= maxNodes {
+						stop = true
+						return false
+					}
+				}
+				return true
+			})
+			if stop {
+				return res
+			}
+		}
+		frontier = next
+	}
+	return res
+}
+
+// TestBFSMatchesLevelByLevel: Depth, Parent and Order are those of the
+// level-by-level traversal at every TTL and every maxNodes early stop, on the
+// fixtures above, random explicit graphs and cliques.
+func TestBFSMatchesLevelByLevel(t *testing.T) {
+	graphs := append(randomGraphs(t),
+		pathGraph(t, 10),
+		mustGraph(t, 4, [][2]int{{0, 1}}),
+		mustGraph(t, 5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 4}}))
+	for gi, g := range graphs {
+		n := g.N()
+		for _, src := range []int{0, n / 2, n - 1} {
+			for _, ttl := range []int{-1, 0, 1, 2, 3, 7} {
+				for _, maxNodes := range []int{0, 1, 2, 4, n / 2, n, n + 3} {
+					got, want := BFS(g, src, ttl, maxNodes), refBFS(g, src, ttl, maxNodes)
+					if !slices.Equal(got.Order, want.Order) || !slices.Equal(got.Depth, want.Depth) ||
+						!slices.Equal(got.Parent, want.Parent) || got.Source != want.Source {
+						t.Fatalf("graph %d src %d ttl %d maxNodes %d:\n got %+v\nwant %+v", gi, src, ttl, maxNodes, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -9,16 +9,20 @@ package topology
 import "fmt"
 
 // Graph is an undirected overlay over nodes 0..N()-1. Neighbors of a node
-// are visited through VisitNeighbors so that cliques need not materialize
-// O(n²) edges.
+// are read as a slice; a clique writes them into the caller's buffer so that
+// it need not materialize O(n²) edges.
 type Graph interface {
 	// N returns the number of nodes.
 	N() int
 	// Degree returns the number of neighbors of node v.
 	Degree(v int) int
-	// VisitNeighbors calls visit for every neighbor of v until visit
-	// returns false.
-	VisitNeighbors(v int, visit func(w int) bool)
+	// Neighbors returns the neighbors of v in the graph's fixed order. A
+	// graph with stored adjacency returns a view of it and ignores buf; an
+	// implicit one fills buf[:0], growing it when its capacity is below
+	// Degree(v). The result is read-only and valid until buf is reused.
+	// Because it may alias graph storage, hand it back as the next buf only
+	// to the same graph.
+	Neighbors(v int, buf []int32) []int32
 	// IsClique reports whether the graph is a complete graph, enabling the
 	// analysis engine's closed-form fast path.
 	IsClique() bool
@@ -81,18 +85,10 @@ func (g *AdjGraph) Degree(v int) int {
 	return int(g.offsets[v+1] - g.offsets[v])
 }
 
-// Neighbors returns a read-only view of v's neighbor list.
-func (g *AdjGraph) Neighbors(v int) []int32 {
+// Neighbors returns a read-only view of v's neighbor list in edge-insertion
+// order; the buffer is not used.
+func (g *AdjGraph) Neighbors(v int, _ []int32) []int32 {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
-}
-
-// VisitNeighbors calls visit for each neighbor of v until it returns false.
-func (g *AdjGraph) VisitNeighbors(v int, visit func(w int) bool) {
-	for _, w := range g.Neighbors(v) {
-		if !visit(int(w)) {
-			return
-		}
-	}
 }
 
 // IsClique reports whether every node is adjacent to every other.
@@ -121,7 +117,7 @@ func (g *AdjGraph) HasEdge(u, v int) bool {
 	if g.Degree(u) > g.Degree(v) {
 		u, v = v, u
 	}
-	for _, w := range g.Neighbors(u) {
+	for _, w := range g.Neighbors(u, nil) {
 		if int(w) == v {
 			return true
 		}
@@ -147,16 +143,15 @@ func (c Clique) N() int { return c.n }
 // Degree returns n-1 for every node.
 func (c Clique) Degree(v int) int { return c.n - 1 }
 
-// VisitNeighbors visits every node except v.
-func (c Clique) VisitNeighbors(v int, visit func(w int) bool) {
+// Neighbors writes every node except v, ascending, into buf[:0].
+func (c Clique) Neighbors(v int, buf []int32) []int32 {
+	buf = buf[:0]
 	for w := 0; w < c.n; w++ {
-		if w == v {
-			continue
-		}
-		if !visit(w) {
-			return
+		if w != v {
+			buf = append(buf, int32(w))
 		}
 	}
+	return buf
 }
 
 // IsClique reports true.

@@ -1,8 +1,11 @@
 package topology
 
 import (
+	"slices"
 	"sort"
 	"testing"
+
+	"spnet/internal/stats"
 )
 
 func mustGraph(t *testing.T, n int, edges [][2]int) *AdjGraph {
@@ -54,12 +57,11 @@ func TestAdjGraphBasics(t *testing.T) {
 func TestAdjGraphNeighborSymmetry(t *testing.T) {
 	g := mustGraph(t, 5, [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 4}, {3, 4}})
 	for v := 0; v < g.N(); v++ {
-		g.VisitNeighbors(v, func(w int) bool {
-			if !g.HasEdge(w, v) {
+		for _, w := range g.Neighbors(v, nil) {
+			if !g.HasEdge(int(w), v) {
 				t.Errorf("edge %d-%d not symmetric", v, w)
 			}
-			return true
-		})
+		}
 	}
 }
 
@@ -84,18 +86,6 @@ func TestAdjGraphTriangleIsClique(t *testing.T) {
 	}
 }
 
-func TestVisitNeighborsEarlyStop(t *testing.T) {
-	g := mustGraph(t, 4, [][2]int{{0, 1}, {0, 2}, {0, 3}})
-	visits := 0
-	g.VisitNeighbors(0, func(w int) bool {
-		visits++
-		return false
-	})
-	if visits != 1 {
-		t.Errorf("early stop visited %d neighbors, want 1", visits)
-	}
-}
-
 func TestCliqueBasics(t *testing.T) {
 	c := NewClique(5)
 	if c.N() != 5 {
@@ -108,16 +98,12 @@ func TestCliqueBasics(t *testing.T) {
 		if c.Degree(v) != 4 {
 			t.Errorf("Degree(%d) = %d, want 4", v, c.Degree(v))
 		}
-		var got []int
-		c.VisitNeighbors(v, func(w int) bool {
-			got = append(got, w)
-			return true
-		})
+		got := c.Neighbors(v, nil)
 		if len(got) != 4 {
 			t.Errorf("node %d visited %d neighbors, want 4", v, len(got))
 		}
 		for _, w := range got {
-			if w == v {
+			if int(w) == v {
 				t.Errorf("clique visited self at node %d", v)
 			}
 		}
@@ -127,15 +113,80 @@ func TestCliqueBasics(t *testing.T) {
 	}
 }
 
-func TestCliqueVisitEarlyStop(t *testing.T) {
-	c := NewClique(10)
-	visits := 0
-	c.VisitNeighbors(3, func(w int) bool {
-		visits++
-		return visits < 2
-	})
-	if visits != 2 {
-		t.Errorf("visited %d, want 2", visits)
+// refVisit is the callback iteration Graph.Neighbors replaced, kept as the
+// reference order: an AdjGraph visits its stored neighbor run front to back,
+// a Clique every other node ascending.
+func refVisit(g Graph, v int, visit func(w int) bool) {
+	switch g := g.(type) {
+	case *AdjGraph:
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			if !visit(int(g.adj[i])) {
+				return
+			}
+		}
+	case Clique:
+		for w := 0; w < g.n; w++ {
+			if w != v && !visit(w) {
+				return
+			}
+		}
+	}
+}
+
+// randomGraphs returns explicit graphs from random edge lists and from PLOD,
+// plus cliques, for differential tests.
+func randomGraphs(t *testing.T) []Graph {
+	t.Helper()
+	var gs []Graph
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := stats.NewRNG(seed)
+		n := 2 + rng.Intn(60)
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.1 {
+					edges = append(edges, [2]int{u, v})
+				}
+			}
+		}
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		gs = append(gs, mustGraph(t, n, edges))
+		pl, err := PowerLaw(PLODParams{N: 100 + 20*int(seed), AvgDeg: 3.1}, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs = append(gs, pl, NewClique(int(seed)))
+	}
+	return gs
+}
+
+// TestNeighborsMatchesCallbackOrder: the slice accessor yields exactly the
+// sequence the callback iteration did, whether or not the caller's buffer
+// has room, and an AdjGraph never writes into that buffer.
+func TestNeighborsMatchesCallbackOrder(t *testing.T) {
+	for gi, g := range randomGraphs(t) {
+		buf := make([]int32, 0, g.N())
+		for v := 0; v < g.N(); v++ {
+			var want []int32
+			refVisit(g, v, func(w int) bool { want = append(want, int32(w)); return true })
+			for name, got := range map[string][]int32{
+				"nil buf":   g.Neighbors(v, nil),
+				"roomy buf": g.Neighbors(v, buf),
+			} {
+				if !slices.Equal(got, want) {
+					t.Fatalf("graph %d node %d (%s): Neighbors = %v, want %v", gi, v, name, got, want)
+				}
+			}
+			if len(want) != g.Degree(v) {
+				t.Fatalf("graph %d node %d: %d neighbors, Degree %d", gi, v, len(want), g.Degree(v))
+			}
+		}
+	}
+	g := mustGraph(t, 3, [][2]int{{0, 1}, {0, 2}})
+	buf := []int32{7, 7, 7}
+	g.Neighbors(0, buf)
+	if !slices.Equal(buf, []int32{7, 7, 7}) {
+		t.Errorf("AdjGraph.Neighbors wrote into the caller's buffer: %v", buf)
 	}
 }
 

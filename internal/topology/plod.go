@@ -233,7 +233,7 @@ func components(n int, edges [][2]int) [][]int {
 func Components(g *AdjGraph) [][]int {
 	edges := make([][2]int, 0, g.NumEdges())
 	for v := 0; v < g.N(); v++ {
-		for _, w := range g.Neighbors(v) {
+		for _, w := range g.Neighbors(v, nil) {
 			if int(w) > v {
 				edges = append(edges, [2]int{v, int(w)})
 			}

@@ -124,7 +124,7 @@ type RoutingStrategy = routing.Strategy
 
 // RoutingForwards is a strategy's analytic model: the expected number of
 // query copies a node with d eligible neighbors forwards, at the source and
-// at relays. EvaluateStrategy consumes it.
+// at relays. EvalOptions.Forwards consumes it.
 type RoutingForwards = routing.Forwards
 
 // ParseRouting builds a strategy from a flag-style spec: "flood",
@@ -142,21 +142,18 @@ func ConstForwards(name string, source, relay float64) *RoutingForwards {
 	return routing.ConstForwards(name, source, relay)
 }
 
-// EvaluateStrategy runs the mean-value analysis with a routing strategy's
-// forward model in place of the flood: each hop forwards fw.Source/fw.Relay
-// copies in expectation instead of one per eligible neighbor, scaling query
-// traffic, results and reach accordingly. A nil fw is the exact flood
-// evaluation (identical to Evaluate).
-func EvaluateStrategy(inst *Instance, fw *RoutingForwards) *Result {
-	return analysis.EvaluateStrategy(inst, fw)
-}
+// EvalOptions selects what EvaluateWith models beyond the flood over honest
+// relays: Forwards puts a routing strategy's forward model in place of the
+// flood (each hop forwards fw.Source/fw.Relay copies in expectation instead of
+// one per eligible neighbor, scaling query traffic, results and reach
+// accordingly), and RelayDrop makes each non-source relay drop a query with
+// that probability — the analytic counterpart of SimOptions.Adversary, where
+// RelayDrop = (malicious fraction)·Drop. The zero value is Evaluate.
+type EvalOptions = analysis.Options
 
-// EvaluateAdversarial runs the mean-value analysis with each non-source relay
-// behaving honestly only with probability honest — the analytic counterpart
-// of SimOptions.Adversary, where honest = 1 − (malicious fraction)·Drop.
-// honest = 1 is identical to Evaluate/EvaluateStrategy.
-func EvaluateAdversarial(inst *Instance, fw *RoutingForwards, honest float64) *Result {
-	return analysis.EvaluateAdversarial(inst, fw, honest)
+// EvaluateWith runs the mean-value analysis under the given options.
+func EvaluateWith(inst *Instance, opts EvalOptions) *Result {
+	return analysis.EvaluateWith(inst, opts)
 }
 
 // Breakdown attributes aggregate load to protocol components (query
