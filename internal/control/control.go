@@ -453,7 +453,7 @@ func (c *Controller) scrapeNode(id string) {
 	if cfg.Telemetry == "" {
 		return
 	}
-	bytes, err := c.scrapeClassBytes(cfg.Telemetry)
+	bytes, err := metrics.ScrapeClassBytes(c.scrape, cfg.Telemetry)
 	now := time.Now()
 	c.mu.Lock()
 	if err != nil {
@@ -479,32 +479,6 @@ func (c *Controller) scrapeNode(id string) {
 	}
 	st.prevBytes, st.prevAt, st.havePrev = bytes, now, true
 	c.mu.Unlock()
-}
-
-// scrapeClassBytes fetches one telemetry endpoint's per-class byte totals.
-func (c *Controller) scrapeClassBytes(addr string) (metrics.ByClass, error) {
-	var b metrics.ByClass
-	resp, err := c.scrape.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return b, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return b, fmt.Errorf("scrape %s: status %d", addr, resp.StatusCode)
-	}
-	vals, err := metrics.ParsePrometheus(resp.Body)
-	if err != nil {
-		return b, err
-	}
-	for cl := 0; cl < metrics.NumClasses; cl++ {
-		for d := 0; d < metrics.NumDirs; d++ {
-			key := metrics.SeriesKey(metrics.MetricMessageBytes,
-				metrics.Label{Name: "type", Value: metrics.Class(cl).String()},
-				metrics.Label{Name: "dir", Value: metrics.Dir(d).String()})
-			b[cl][d] = vals[key]
-		}
-	}
-	return b, nil
 }
 
 // decide applies the Section 5.3 rules to the fleet's current picture.

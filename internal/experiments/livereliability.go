@@ -9,7 +9,6 @@ import (
 	"spnet/internal/faults"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
-	"spnet/internal/stats"
 	"spnet/internal/workload"
 )
 
@@ -104,38 +103,6 @@ func (lp *LiveParams) setDefaults() {
 	}
 }
 
-// wall converts virtual seconds to wall-clock duration under the bridge.
-func (lp *LiveParams) wall(virtual float64) time.Duration {
-	return time.Duration(virtual / lp.TimeScale * float64(time.Second))
-}
-
-// wallClamped is wall with a floor, for knobs (heartbeats, backoff) that
-// stop making sense below scheduler granularity.
-func (lp *LiveParams) wallClamped(virtual float64, floor time.Duration) time.Duration {
-	if d := lp.wall(virtual); d > floor {
-		return d
-	}
-	return floor
-}
-
-// liveArrivals draws one client's query arrival times in virtual seconds: a
-// Poisson process at rate queries/virtual-second out to duration. The stream
-// is split per (cluster, client) slot, so the full arrival plan is
-// deterministic in the seed and independent of scheduling.
-func liveArrivals(seed uint64, clientsPer, cluster, client int, rate, duration float64) []float64 {
-	rng := stats.NewRNG(seed).Split(uint64(cluster*clientsPer + client + 1))
-	var out []float64
-	if rate <= 0 {
-		return out
-	}
-	t := rng.ExpFloat64() / rate
-	for t < duration {
-		out = append(out, t)
-		t += rng.ExpFloat64() / rate
-	}
-	return out
-}
-
 // liveCellResult is one (regime, k) cell's measurements.
 type liveCellResult struct {
 	failures    int // kills actually executed
@@ -148,11 +115,9 @@ type liveCellResult struct {
 	recoveryN   int
 }
 
-// liveClient is one live client slot with its arrival plan and failover
-// observations.
+// liveClient is one live client slot's tallies and failover observations.
 type liveClient struct {
-	cl       *p2p.Client
-	arrivals []float64
+	issued, lost, degraded, busy, results int
 
 	mu       sync.Mutex
 	lostAt   []time.Time
@@ -162,177 +127,86 @@ type liveClient struct {
 // runLiveCell replays one failure regime at one redundancy level against a
 // real network and measures it.
 func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res liveCellResult, err error) {
-	live := network.NewLive(network.LiveConfig{
+	clock := bridge(lp.TimeScale)
+	f, err := launchFleet(network.LiveConfig{
 		Clusters: lp.Clusters,
 		Partners: k,
 		Seed:     cellSeed,
 		Node: p2p.Options{
-			HeartbeatInterval: lp.wallClamped(30, 100*time.Millisecond),
+			HeartbeatInterval: clock.wallClamped(30, 100*time.Millisecond),
 			DrainTimeout:      200 * time.Millisecond,
 		},
-	})
-	if err := live.Launch(); err != nil {
+	}, clock, lp.Logf)
+	if err != nil {
 		return res, err
 	}
-	defer live.Close()
+	defer f.close()
 
 	// Live clients: each shares one file matching the common probe term, so
 	// a fully healthy search returns Clusters×ClientsPerCluster results and
 	// anything less is measurable partial-result degradation.
 	healthy := lp.Clusters * lp.ClientsPerCluster
-	clients := make([]*liveClient, 0, healthy)
-	defer func() {
-		for _, lc := range clients {
-			lc.cl.Close()
+	clients := make([]liveClient, healthy)
+	err = f.dial(lp.ClientsPerCluster, func(c, i int) (p2p.DialOptions, []p2p.SharedFile) {
+		lc := &clients[c*lp.ClientsPerCluster+i]
+		opts := clock.supervised(cellSeed+uint64(c*lp.ClientsPerCluster+i), 2*k)
+		opts.OnEvent = func(ev p2p.Event) {
+			lc.mu.Lock()
+			switch ev.Type {
+			case p2p.EventConnLost:
+				lc.lostAt = append(lc.lostAt, time.Now())
+			case p2p.EventRejoined:
+				lc.rejoinAt = append(lc.rejoinAt, time.Now())
+			}
+			lc.mu.Unlock()
 		}
-	}()
-	for c := 0; c < lp.Clusters; c++ {
-		for i := 0; i < lp.ClientsPerCluster; i++ {
-			lc := &liveClient{
-				arrivals: liveArrivals(cellSeed, lp.ClientsPerCluster, c, i, lp.QueryRate, lp.Duration),
-			}
-			opts := p2p.DialOptions{
-				Addrs:             live.ClusterAddrs(c),
-				Seed:              cellSeed + uint64(c*lp.ClientsPerCluster+i),
-				HeartbeatInterval: lp.wallClamped(5, 20*time.Millisecond),
-				MaxAttempts:       2 * k, // one quick lap of the ranked list; the watchdog retries
-				Backoff: p2p.Backoff{
-					Initial: lp.wallClamped(1, 5*time.Millisecond),
-					Max:     lp.wallClamped(10, 25*time.Millisecond),
-				},
-				OnEvent: func(ev p2p.Event) {
-					lc.mu.Lock()
-					switch ev.Type {
-					case p2p.EventConnLost:
-						lc.lostAt = append(lc.lostAt, time.Now())
-					case p2p.EventRejoined:
-						lc.rejoinAt = append(lc.rejoinAt, time.Now())
-					}
-					lc.mu.Unlock()
-				},
-			}
-			cl, err := p2p.DialClientOptions(opts, []p2p.SharedFile{
-				{Index: 1, Title: fmt.Sprintf("needle c%dp%d", c, i)},
-			})
-			if err != nil {
-				return res, fmt.Errorf("live client %d/%d: %w", c, i, err)
-			}
-			clients = append(clients, lc)
-			lc.cl = cl
-		}
+		return opts, []p2p.SharedFile{{Index: 1, Title: fmt.Sprintf("needle c%dp%d", c, i)}}
+	})
+	if err != nil {
+		return res, err
+	}
+	if err := f.settle(0); err != nil {
+		return res, err
 	}
 
 	// The failure timeline: the same exponential per-partner failure process
-	// the simulator injects, drawn in virtual seconds and replayed at
-	// wall-clock times through the bridge. Kills and their recoveries merge
-	// into one ordered timeline.
+	// the simulator injects, drawn in virtual seconds. Kills and their
+	// recoveries merge into one ordered timeline.
 	sched := faults.ExponentialSchedule(cellSeed+500, lp.Clusters, k, reg.MTBF, lp.Duration).Truncate(lp.Duration)
-	type liveEvent struct {
-		atWall  time.Duration
-		kill    bool
-		cluster int
-		partner int
-	}
-	var timeline []liveEvent
+	var timeline []fault
 	for _, ev := range sched {
-		timeline = append(timeline, liveEvent{lp.wall(ev.At), true, ev.Cluster, ev.Partner})
+		timeline = append(timeline, fault{at: ev.At, cluster: ev.Cluster, partner: ev.Partner})
 		if back := ev.At + reg.Recovery; back < lp.Duration {
-			timeline = append(timeline, liveEvent{lp.wall(back), false, ev.Cluster, ev.Partner})
+			timeline = append(timeline, fault{at: back, restart: true, cluster: ev.Cluster, partner: ev.Partner})
 		}
 	}
-	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].atWall < timeline[j].atWall })
+	sort.SliceStable(timeline, func(i, j int) bool { return timeline[i].at < timeline[j].at })
 
-	start := time.Now()
-	stopc := make(chan struct{})
-	var kills int
-	var killMu sync.Mutex
-	var driverWG sync.WaitGroup
-	driverWG.Add(1)
-	go func() {
-		defer driverWG.Done()
-		for _, ev := range timeline {
-			wait := time.Until(start.Add(ev.atWall))
-			if wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-stopc:
-					return
-				}
-			}
-			if ev.kill {
-				if err := live.KillSuperPeer(ev.cluster, ev.partner); err == nil {
-					killMu.Lock()
-					kills++
-					killMu.Unlock()
-				}
-			} else {
-				// "Still running" / double-restart races are benign: the
-				// schedule may re-kill a partner inside its own recovery
-				// window.
-				if err := live.RestartSuperPeer(ev.cluster, ev.partner); err != nil {
-					lp.Logf("live: restart sp %d/%d: %v", ev.cluster, ev.partner, err)
-				}
-			}
+	_, kills := f.replay(cellSeed, lp.ClientsPerCluster, lp.QueryRate, lp.Duration, timeline, func(c, i int) {
+		lc := &clients[c*lp.ClientsPerCluster+i]
+		out, err := f.clients[c][i].SearchDetailed("needle", lp.QueryWindow)
+		lc.issued++
+		if err != nil {
+			lc.lost++
+			return
 		}
-	}()
+		lc.results += len(out.Results)
+		lc.busy += out.Busy
+		if len(out.Results) < healthy {
+			lc.degraded++
+		}
+	})
 
-	// Query generators: one per client, firing at the precomputed arrivals.
-	type tally struct {
-		issued, lost, degraded, busy, results int
-	}
-	tallies := make([]tally, len(clients))
-	var genWG sync.WaitGroup
-	for ci, lc := range clients {
-		genWG.Add(1)
-		go func(ci int, lc *liveClient) {
-			defer genWG.Done()
-			tl := &tallies[ci]
-			for _, at := range lc.arrivals {
-				if wait := time.Until(start.Add(lp.wall(at))); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-stopc:
-						return
-					}
-				}
-				out, err := lc.cl.SearchDetailed("needle", lp.QueryWindow)
-				tl.issued++
-				if err != nil {
-					tl.lost++
-					continue
-				}
-				tl.results += len(out.Results)
-				tl.busy += out.Busy
-				if len(out.Results) < healthy {
-					tl.degraded++
-				}
-			}
-		}(ci, lc)
-	}
-
-	// Let the cell play out: generators finish their arrival plans (late
-	// queries just fire late), then the fault driver is released.
-	genWG.Wait()
-	endWait := time.Until(start.Add(lp.wall(lp.Duration)))
-	if endWait > 0 {
-		time.Sleep(endWait)
-	}
-	close(stopc)
-	driverWG.Wait()
-
-	killMu.Lock()
-	res.failures = kills
-	killMu.Unlock()
-	for i := range tallies {
-		res.issued += tallies[i].issued
-		res.lost += tallies[i].lost
-		res.degraded += tallies[i].degraded
-		res.busy += tallies[i].busy
-		res.resultsSum += tallies[i].results
-	}
-	// Recovery times: pair each connection loss with the next rejoin,
-	// reported in virtual seconds through the bridge.
-	for _, lc := range clients {
+	res.failures = len(kills)
+	for i := range clients {
+		lc := &clients[i]
+		res.issued += lc.issued
+		res.lost += lc.lost
+		res.degraded += lc.degraded
+		res.busy += lc.busy
+		res.resultsSum += lc.results
+		// Recovery times: pair each connection loss with the next rejoin,
+		// reported in virtual seconds through the bridge.
 		lc.mu.Lock()
 		ri := 0
 		for _, lost := range lc.lostAt {
@@ -342,7 +216,7 @@ func runLiveCell(lp *LiveParams, reg LiveRegime, k int, cellSeed uint64) (res li
 			if ri >= len(lc.rejoinAt) {
 				break
 			}
-			res.recoverySum += lc.rejoinAt[ri].Sub(lost).Seconds() * lp.TimeScale
+			res.recoverySum += clock.virtual(lc.rejoinAt[ri].Sub(lost))
 			res.recoveryN++
 			ri++
 		}

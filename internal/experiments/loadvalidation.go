@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"net/http"
-	"sync"
 	"time"
 
 	"spnet/internal/analysis"
@@ -13,7 +11,6 @@ import (
 	"spnet/internal/p2p"
 	"spnet/internal/sim"
 	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
 // loadProbeTerm is the common query term of the validation workload; every
@@ -29,16 +26,14 @@ const loadProbeTerm = "needle"
 // The configuration is chosen so all three layers describe the same system
 // exactly: k = 1 (the live flood sends to every partner of every neighbor,
 // which equals the model only when each neighbor has one partner), a clique
-// overlay (Clusters super-peers fully linked — the 3-cluster ring the live
-// harness wires is the K3 clique), a single query class matching every
-// collection with probability 1, updates disabled, and effectively infinite
-// lifespans so the one-shot live joins mirror the model's zero join rate.
+// overlay (Clusters super-peers fully linked; the live fleet is wired from
+// the instance's own graph), a single query class matching every collection
+// with probability 1, updates disabled, and effectively infinite lifespans so
+// the one-shot live joins mirror the model's zero join rate.
 // Query and response traffic — the paper's dominant Table 2 components — are
 // the classes compared.
 type LoadValidationParams struct {
-	// Clusters is the number of single-partner super-peers (default 3;
-	// the live harness ring equals a clique only for 3, so larger values
-	// also switch the analytical overlay accordingly — keep 3).
+	// Clusters is the number of single-partner super-peers (default 3).
 	Clusters int
 	// ClientsPerCluster is how many clients join each super-peer, each
 	// sharing one matching file (default 3).
@@ -98,53 +93,19 @@ func (p *LoadValidationParams) setDefaults() {
 	}
 }
 
-func (p *LoadValidationParams) wall(virtual float64) time.Duration {
-	return time.Duration(virtual / p.TimeScale * float64(time.Second))
-}
-
-// loadValidationInstance hand-builds the exactly-known network instance the
-// analytical and simulated columns evaluate: every cluster has one partner
-// with no files and ClientsPerCluster clients with one matching file each,
-// the single query class matches every file, and churn rates are zero.
-func loadValidationInstance(p *LoadValidationParams) (*network.Instance, error) {
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
-	if err != nil {
-		return nil, err
-	}
-	const never = 1e12 // lifespan, seconds: join rate 1/never ~ 0
-	c := p.ClientsPerCluster
-	prof := &workload.Profile{
-		Queries:  qm,
-		Rates:    workload.Rates{QueryRate: p.QueryRate, UpdateRate: 0},
-		QueryLen: len(loadProbeTerm),
-	}
-	clusters := make([]network.Cluster, p.Clusters)
-	for v := range clusters {
-		cl := network.Cluster{
-			Partners:   []network.Peer{{Files: 0, Lifespan: never}},
-			IndexFiles: c,
-			ExpResults: float64(c),
-			ExpAddrs:   float64(c),
-			ProbResp:   1,
-		}
-		for i := 0; i < c; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		clusters[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.Strong,
-			GraphSize:   p.Clusters * (c + 1),
-			ClusterSize: c + 1,
-			KRedundancy: 1,
-			TTL:         p.TTL,
-		},
-		Profile:  prof,
-		Graph:    topology.NewClique(p.Clusters),
-		Clusters: clusters,
-		NumPeers: p.Clusters * (c + 1),
-	}, nil
+// instance builds the exactly-known network all three layers share: every
+// cluster has one partner with no files and ClientsPerCluster clients with
+// one matching file each, and the single query class matches every file.
+func (p *LoadValidationParams) instance() (*network.Instance, error) {
+	return network.NewPlanted(network.Planted{
+		Graph:     topology.NewClique(p.Clusters),
+		Partners:  1,
+		Clients:   p.ClientsPerCluster,
+		Topics:    1,
+		QueryRate: p.QueryRate,
+		QueryLen:  len(loadProbeTerm),
+		TTL:       p.TTL,
+	})
 }
 
 // LoadValidationRow is one super-peer's three-way bandwidth comparison, all
@@ -200,39 +161,12 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / want
 }
 
-// scrapeClassBytes fetches one super-peer's /metrics exposition and returns
-// its per-class wire-byte totals.
-func scrapeClassBytes(addr string) (metrics.ByClass, error) {
-	var b metrics.ByClass
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return b, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return b, fmt.Errorf("scrape %s: status %d", addr, resp.StatusCode)
-	}
-	vals, err := metrics.ParsePrometheus(resp.Body)
-	if err != nil {
-		return b, err
-	}
-	for c := 0; c < metrics.NumClasses; c++ {
-		for d := 0; d < metrics.NumDirs; d++ {
-			key := metrics.SeriesKey(metrics.MetricMessageBytes,
-				metrics.Label{Name: "type", Value: metrics.Class(c).String()},
-				metrics.Label{Name: "dir", Value: metrics.Dir(d).String()})
-			b[c][d] = vals[key]
-		}
-	}
-	return b, nil
-}
-
-// runLiveLoadCell boots the live network, drives the seeded workload, and
-// returns each super-peer's measured per-class bandwidth in bits per virtual
-// second, keyed in the harness's stable super-peer order.
-func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.ByClass, err error) {
-	live := network.NewLive(network.LiveConfig{
-		Clusters:  p.Clusters,
+// runLiveLoadCell boots the instance's overlay as a live fleet, drives the
+// seeded workload, and returns each super-peer's measured per-class bandwidth
+// in bits per virtual second, keyed in the harness's stable super-peer order.
+func runLiveLoadCell(p *LoadValidationParams, inst *network.Instance) (ids []string, measured []metrics.ByClass, err error) {
+	f, err := launchFleet(network.LiveConfig{
+		Overlay:   inst.Graph,
 		Partners:  1,
 		Seed:      p.Seed,
 		Telemetry: true,
@@ -241,94 +175,61 @@ func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.
 			HeartbeatInterval: -1, // keep the ping class quiet
 			DrainTimeout:      200 * time.Millisecond,
 		},
-	})
-	if err := live.Launch(); err != nil {
+	}, bridge(p.TimeScale), p.Logf)
+	if err != nil {
 		return nil, nil, err
 	}
-	defer live.Close()
+	defer f.close()
 
 	// Clients: each shares one file matching the probe term, mirroring the
-	// hand-built instance's one-file collections.
-	var clients []*p2p.Client
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
+	// planted instance's one-file collections.
+	err = f.dial(p.ClientsPerCluster, func(c, i int) (p2p.DialOptions, []p2p.SharedFile) {
+		return p2p.DialOptions{}, []p2p.SharedFile{
+			{Index: uint32(i + 1), Title: fmt.Sprintf("%s c%dp%d", loadProbeTerm, c, i)},
 		}
-	}()
-	for c := 0; c < p.Clusters; c++ {
-		for i := 0; i < p.ClientsPerCluster; i++ {
-			cl, err := p2p.DialClient(live.ClusterAddrs(c)[0], []p2p.SharedFile{
-				{Index: uint32(i + 1), Title: fmt.Sprintf("%s c%dp%d", loadProbeTerm, c, i)},
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("live client %d/%d: %w", c, i, err)
-			}
-			clients = append(clients, cl)
-		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	// Let joins finish indexing before the baseline scrape.
-	time.Sleep(150 * time.Millisecond)
-
-	sps := live.SuperPeers()
-	base := make([]metrics.ByClass, len(sps))
-	for i, sp := range sps {
-		if base[i], err = scrapeClassBytes(sp.Telemetry); err != nil {
-			return nil, nil, err
-		}
+	// Joins must be indexed before the baseline scrape.
+	if err := f.settle(0); err != nil {
+		return nil, nil, err
+	}
+	base, err := f.scrape()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// The workload: every user — client or super-peer partner — issues
-	// Poisson queries at QueryRate, exactly the model's user population.
-	// Arrival plans are drawn per user slot in virtual seconds, so the full
-	// schedule is deterministic in the seed.
-	usersPer := p.ClientsPerCluster + 1
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < p.Clusters; c++ {
-		for u := 0; u < usersPer; u++ {
-			arrivals := liveArrivals(p.Seed, usersPer, c, u, p.QueryRate, p.Duration)
-			wg.Add(1)
-			go func(c, u int, arrivals []float64) {
-				defer wg.Done()
-				for _, at := range arrivals {
-					if wait := time.Until(start.Add(p.wall(at))); wait > 0 {
-						time.Sleep(wait)
-					}
-					var err error
-					if u < p.ClientsPerCluster {
-						_, err = clients[c*p.ClientsPerCluster+u].SearchDetailed(loadProbeTerm, p.QueryWindow)
-					} else if n := live.Node(c, 0); n != nil {
-						_, err = n.Search(loadProbeTerm, p.QueryWindow)
-					}
-					if err != nil {
-						p.Logf("loadvalidation: query c%du%d: %v", c, u, err)
-					}
-				}
-			}(c, u, arrivals)
+	// Poisson queries at QueryRate, exactly the model's user population; a
+	// cluster's last user slot is its super-peer.
+	start, _ := f.replay(p.Seed, p.ClientsPerCluster+1, p.QueryRate, p.Duration, nil, func(c, u int) {
+		var err error
+		if u < p.ClientsPerCluster {
+			_, err = f.clients[c][u].SearchDetailed(loadProbeTerm, p.QueryWindow)
+		} else {
+			_, err = f.live.Node(c, 0).Search(loadProbeTerm, p.QueryWindow)
 		}
-	}
-	wg.Wait()
-	if rest := time.Until(start.Add(p.wall(p.Duration))); rest > 0 {
-		time.Sleep(rest)
-	}
+		if err != nil {
+			p.Logf("loadvalidation: query c%du%d: %v", c, u, err)
+		}
+	})
 	// Short drain so in-flight forwards land before the closing scrape.
 	time.Sleep(100 * time.Millisecond)
-	virtualElapsed := time.Since(start).Seconds() * p.TimeScale
+	virtualElapsed := f.virtual(time.Since(start))
 
-	ids = make([]string, len(sps))
-	measured = make([]metrics.ByClass, len(sps))
-	for i, sp := range sps {
-		end, err := scrapeClassBytes(sp.Telemetry)
-		if err != nil {
-			return nil, nil, err
-		}
-		delta := end
+	end, err := f.scrape()
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, sp := range f.live.SuperPeers() {
+		delta := end[i]
 		delta.Merge(base[i].Scale(-1))
 		// Bytes over the actual elapsed window, converted to bits per
 		// virtual second — late-firing arrivals dilate elapsed time and the
 		// division self-corrects for it.
-		measured[i] = delta.Scale(8 / virtualElapsed)
-		ids[i] = sp.ID
+		measured = append(measured, delta.Scale(8/virtualElapsed))
+		ids = append(ids, sp.ID)
 	}
 	return ids, measured, nil
 }
@@ -337,7 +238,7 @@ func runLiveLoadCell(p *LoadValidationParams) (ids []string, measured []metrics.
 // both the comparison rows and the printable report.
 func RunLoadValidationResult(p LoadValidationParams) (*LoadValidationResult, error) {
 	p.setDefaults()
-	inst, err := loadValidationInstance(&p)
+	inst, err := p.instance()
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +248,7 @@ func RunLoadValidationResult(p LoadValidationParams) (*LoadValidationResult, err
 	if err != nil {
 		return nil, err
 	}
-	ids, liveMeasured, err := runLiveLoadCell(&p)
+	ids, liveMeasured, err := runLiveLoadCell(&p, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -417,16 +318,6 @@ func RunLoadValidationResult(p LoadValidationParams) (*LoadValidationResult, err
 	return &LoadValidationResult{Rows: rows, Report: report}, nil
 }
 
-// RunLoadValidation is the registry entry point for the loadvalidation
-// experiment.
-func RunLoadValidation(p LoadValidationParams) (*Report, error) {
-	res, err := RunLoadValidationResult(p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
 // runLoadValidationDefault adapts the generic experiment Params: Scale
 // shortens the live and simulated windows proportionally (sampling noise
 // grows as windows shrink — full scale is the validated configuration).
@@ -436,5 +327,9 @@ func runLoadValidationDefault(p Params) (*Report, error) {
 		lp.Duration = math.Max(60, 900*p.Scale)
 		lp.SimDuration = math.Max(400, 8000*p.Scale)
 	}
-	return RunLoadValidation(lp)
+	res, err := RunLoadValidationResult(lp)
+	if err != nil {
+		return nil, err
+	}
+	return res.Report, nil
 }

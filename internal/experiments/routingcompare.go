@@ -13,7 +13,6 @@ import (
 	"spnet/internal/sim"
 	"spnet/internal/stats"
 	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
 // RoutingCompareParams shape the routing-strategy comparison: the same star
@@ -92,64 +91,31 @@ func (p *RoutingCompareParams) clusters() int { return p.Leaves + 1 }
 
 func routingTopic(cluster int) string { return fmt.Sprintf("topic%d", cluster) }
 
-// routingStar builds the hub-and-leaves overlay: node 0 is the hub, nodes
-// 1..Leaves connect to it.
-func routingStar(leaves int) (*topology.AdjGraph, error) {
-	edges := make([][2]int, leaves)
-	for i := 0; i < leaves; i++ {
-		edges[i] = [2]int{0, i + 1}
+// topicContent is the simulator's side of topic-partitioned content over n
+// clusters: every file of cluster c is titled routingTopic(c) and every query
+// asks for a uniformly random cluster's topic.
+func topicContent(n int) *sim.ContentOptions {
+	return &sim.ContentOptions{
+		Titles:  func(cluster, owner, file int) []string { return []string{routingTopic(cluster)} },
+		Queries: func(rng *stats.RNG) []string { return []string{routingTopic(rng.Intn(n))} },
 	}
-	return topology.NewAdjGraph(leaves+1, edges)
 }
 
-// routingCompareInstance hand-builds the star instance all three layers
-// share. Every cluster has one partner with no files and ClientsPerCluster
-// clients with one topic file each; a query matches a cluster's index with
-// probability 1/clusters and then returns all ClientsPerCluster files.
-func routingCompareInstance(p *RoutingCompareParams) (*network.Instance, error) {
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
-	if err != nil {
-		return nil, err
-	}
-	graph, err := routingStar(p.Leaves)
-	if err != nil {
-		return nil, err
-	}
-	const never = 1e12 // lifespan, seconds: join rate 1/never ~ 0
-	n := p.clusters()
-	c := p.ClientsPerCluster
-	prof := &workload.Profile{
-		Queries:  qm,
-		Rates:    workload.Rates{QueryRate: p.QueryRate, UpdateRate: 0},
-		QueryLen: len(routingTopic(0)),
-	}
-	clusters := make([]network.Cluster, n)
-	for v := range clusters {
-		cl := network.Cluster{
-			Partners:   []network.Peer{{Files: 0, Lifespan: never}},
-			IndexFiles: c,
-			ExpResults: float64(c) / float64(n),
-			ExpAddrs:   float64(c) / float64(n),
-			ProbResp:   1 / float64(n),
-		}
-		for i := 0; i < c; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		clusters[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.PowerLaw,
-			GraphSize:   n * (c + 1),
-			ClusterSize: c + 1,
-			KRedundancy: 1,
-			TTL:         2,
-		},
-		Profile:  prof,
-		Graph:    graph,
-		Clusters: clusters,
-		NumPeers: n * (c + 1),
-	}, nil
+// instance builds the star instance all three layers share: node 0 is the
+// hub, nodes 1..Leaves connect to it. Every cluster has one partner with no
+// files and ClientsPerCluster clients with one topic file each; a query
+// matches a cluster's index with probability 1/clusters and then returns all
+// ClientsPerCluster files.
+func (p *RoutingCompareParams) instance() (*network.Instance, error) {
+	return network.NewPlanted(network.Planted{
+		Graph:     topology.Star(p.Leaves),
+		Partners:  1,
+		Clients:   p.ClientsPerCluster,
+		Topics:    p.clusters(),
+		QueryRate: p.QueryRate,
+		QueryLen:  len(routingTopic(0)),
+		TTL:       2,
+	})
 }
 
 // routingForwardModel returns the analytic forward model for a strategy spec
@@ -241,29 +207,17 @@ func (r *RoutingCompareResult) Row(strategy string) *RoutingCompareRow {
 
 // runRoutingSim simulates one strategy over the shared instance and returns
 // forwards per query and recall against the planted ground truth.
-func runRoutingSim(p *RoutingCompareParams, spec string) (RoutingCompareCell, error) {
+func runRoutingSim(p *RoutingCompareParams, inst *network.Instance, spec string) (RoutingCompareCell, error) {
 	var cell RoutingCompareCell
-	inst, err := routingCompareInstance(p)
-	if err != nil {
-		return cell, err
-	}
 	strat, err := routing.Parse(spec)
 	if err != nil {
 		return cell, err
 	}
-	n := p.clusters()
 	m, err := sim.Run(inst, sim.Options{
 		Duration: p.SimDuration,
 		Seed:     p.Seed + 1,
 		Routing:  strat,
-		Content: &sim.ContentOptions{
-			Titles: func(cluster, owner, file int) []string {
-				return []string{routingTopic(cluster)}
-			},
-			Queries: func(rng *stats.RNG) []string {
-				return []string{routingTopic(rng.Intn(n))}
-			},
-		},
+		Content:  topicContent(p.clusters()),
 	})
 	if err != nil {
 		return cell, err
@@ -276,11 +230,11 @@ func runRoutingSim(p *RoutingCompareParams, spec string) (RoutingCompareCell, er
 	return cell, nil
 }
 
-// runRoutingLive boots a live star of p2p nodes under one strategy, drives a
-// seeded query schedule through real client connections, and measures
-// forwards per query from the spnet_queries_forwarded_total counters and
-// recall from collected results.
-func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, error) {
+// runRoutingLive boots the instance's overlay as a live fleet under one
+// strategy, drives a seeded query schedule through real client connections,
+// and measures forwards per query from the spnet_queries_forwarded_total
+// counters and recall from collected results.
+func runRoutingLive(p *RoutingCompareParams, inst *network.Instance, spec string) (RoutingCompareCell, error) {
 	var cell RoutingCompareCell
 	strat, err := routing.Parse(spec)
 	if err != nil {
@@ -289,67 +243,39 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 	n := p.clusters()
 	c := p.ClientsPerCluster
 
-	nodes := make([]*p2p.Node, n)
-	defer func() {
-		for _, nd := range nodes {
-			if nd != nil {
-				nd.Close()
-			}
-		}
-	}()
-	for i := 0; i < n; i++ {
-		st, err := routing.Parse(spec) // fresh value per node; state is per-node anyway
-		if err != nil {
-			return cell, err
-		}
-		nodes[i] = p2p.NewNode(p2p.Options{
-			TTL:               2,
+	f, err := launchFleet(network.LiveConfig{
+		Overlay:  inst.Graph,
+		Partners: 1,
+		Seed:     p.Seed,
+		Node: p2p.Options{
+			TTL:               inst.Config.TTL,
 			HeartbeatInterval: -1,
 			DrainTimeout:      200 * time.Millisecond,
-			Routing:           st,
-			RoutingSeed:       p.Seed + uint64(i+1),
-		})
-		if err := nodes[i].Listen("127.0.0.1:0"); err != nil {
-			return cell, fmt.Errorf("routingcompare: node %d listen: %w", i, err)
-		}
+			Routing:           strat, // strategies are values; state is per node
+		},
+	}, 0, p.Logf)
+	if err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
 	}
-	for i := 1; i < n; i++ {
-		if err := nodes[i].ConnectPeer(nodes[0].Addr()); err != nil {
-			return cell, fmt.Errorf("routingcompare: leaf %d connect: %w", i, err)
-		}
+	defer f.close()
+	err = f.dial(c, func(v, i int) (p2p.DialOptions, []p2p.SharedFile) {
+		return p2p.DialOptions{}, []p2p.SharedFile{{Index: uint32(i + 1), Title: routingTopic(v)}}
+	})
+	if err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
 	}
-
-	var clients []*p2p.Client
-	defer func() {
-		for _, cl := range clients {
-			cl.Close()
-		}
-	}()
-	for v := 0; v < n; v++ {
-		for i := 0; i < c; i++ {
-			cl, err := p2p.DialClient(nodes[v].Addr(), []p2p.SharedFile{
-				{Index: uint32(i + 1), Title: routingTopic(v)},
-			})
-			if err != nil {
-				return cell, fmt.Errorf("routingcompare: client %d/%d: %w", v, i, err)
-			}
-			clients = append(clients, cl)
-		}
-	}
-
-	if routing.UsesSummaries(strat) {
-		if err := awaitSummaries(nodes, p.Leaves, 5*time.Second); err != nil {
-			return cell, err
-		}
-	} else {
-		time.Sleep(150 * time.Millisecond) // let joins finish indexing
+	// Routing-index adverts have propagated once the hub holds one summary
+	// per leaf and every leaf holds the hub's aggregate covering all other
+	// clusters' topics: Leaves terms either way.
+	if err := f.settle(p.Leaves); err != nil {
+		return cell, fmt.Errorf("routingcompare: %w", err)
 	}
 
 	search := func(rng *stats.RNG) int {
 		src := rng.Intn(n)
 		cli := rng.Intn(c)
 		topic := routingTopic(rng.Intn(n))
-		out, err := clients[src*c+cli].SearchDetailed(topic, p.QueryWindow)
+		out, err := f.clients[src][cli].SearchDetailed(topic, p.QueryWindow)
 		if err != nil {
 			p.Logf("routingcompare: live query %s from cluster %d: %v", topic, src, err)
 			return 0
@@ -368,8 +294,8 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 
 	forwarded := func() int64 {
 		var sum int64
-		for _, nd := range nodes {
-			sum += nd.Metrics().QueriesForwarded.Value()
+		for v := 0; v < n; v++ {
+			sum += f.live.Node(v, 0).Metrics().QueriesForwarded.Value()
 		}
 		return sum
 	}
@@ -380,37 +306,12 @@ func runRoutingLive(p *RoutingCompareParams, spec string) (RoutingCompareCell, e
 	for q := 0; q < p.LiveQueries; q++ {
 		found += float64(search(rng))
 	}
-	// Settle so in-flight relays land in the counters before the read.
+	// Drain so in-flight relays land in the counters before the read.
 	time.Sleep(100 * time.Millisecond)
 
 	cell.ForwardsPerQuery = float64(forwarded()-base) / float64(p.LiveQueries)
 	cell.Recall = found / float64(p.LiveQueries*c)
 	return cell, nil
-}
-
-// awaitSummaries polls RoutingInfo until routing-index adverts have
-// propagated: the hub holds one summary per leaf and every leaf holds the
-// hub's aggregate covering all other clusters' topics.
-func awaitSummaries(nodes []*p2p.Node, leaves int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		ok := true
-		for i, nd := range nodes {
-			_, links, terms := nd.RoutingInfo()
-			if i == 0 {
-				ok = ok && links == leaves && terms >= leaves
-			} else {
-				ok = ok && links == 1 && terms >= leaves
-			}
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("routingcompare: summaries did not converge within %v", timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // RunRoutingCompareResult executes the full three-way strategy comparison
@@ -430,7 +331,7 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 		specs = append([]string{"flood"}, specs...)
 	}
 
-	inst, err := routingCompareInstance(&p)
+	inst, err := p.instance()
 	if err != nil {
 		return nil, err
 	}
@@ -458,11 +359,11 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 		if fw != nil && (strings.HasPrefix(spec, "routingindex") || strings.HasPrefix(spec, "learned")) {
 			model.Recall = 1
 		}
-		simCell, err := runRoutingSim(&p, spec)
+		simCell, err := runRoutingSim(&p, inst, spec)
 		if err != nil {
 			return nil, err
 		}
-		liveCell, err := runRoutingLive(&p, spec)
+		liveCell, err := runRoutingLive(&p, inst, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -516,16 +417,6 @@ func RunRoutingCompareResult(p RoutingCompareParams) (*RoutingCompareResult, err
 	return &RoutingCompareResult{Rows: rows, Report: report}, nil
 }
 
-// RunRoutingCompare is the exported entry point for the routingcompare
-// experiment.
-func RunRoutingCompare(p RoutingCompareParams) (*Report, error) {
-	res, err := RunRoutingCompareResult(p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
 // runRoutingCompareDefault adapts the generic experiment Params: Scale
 // shortens the simulated and live windows proportionally.
 func runRoutingCompareDefault(p Params) (*Report, error) {
@@ -534,5 +425,9 @@ func runRoutingCompareDefault(p Params) (*Report, error) {
 		rp.SimDuration = max(400, 4000*p.Scale)
 		rp.LiveQueries = max(24, int(120*p.Scale))
 	}
-	return RunRoutingCompare(rp)
+	res, err := RunRoutingCompareResult(rp)
+	if err != nil {
+		return nil, err
+	}
+	return res.Report, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"spnet/internal/analysis"
@@ -98,17 +97,6 @@ func (p *SelfHealParams) setDefaults() {
 	}
 }
 
-func (p *SelfHealParams) wall(virtual float64) time.Duration {
-	return time.Duration(virtual / p.TimeScale * float64(time.Second))
-}
-
-func (p *SelfHealParams) wallClamped(virtual float64, floor time.Duration) time.Duration {
-	if d := p.wall(virtual); d > floor {
-		return d
-	}
-	return floor
-}
-
 // clientShare is the per-partner client budget: capacity is provisioned
 // exactly, so a dead partner's clients cannot re-home without a promotion.
 func (p *SelfHealParams) clientShare() int {
@@ -161,8 +149,10 @@ func rotate(addrs []string, from int) []string {
 // only) let the control plane respond.
 func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *control.Controller, time.Time, error) {
 	var arm SelfHealArm
+	var killedAt time.Time
 	share := p.clientShare()
-	live := network.NewLive(network.LiveConfig{
+	clock := bridge(p.TimeScale)
+	f, err := launchFleet(network.LiveConfig{
 		Clusters:  p.Clusters,
 		Partners:  p.Partners,
 		Seed:      p.Seed,
@@ -170,19 +160,19 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 		Node: p2p.Options{
 			MaxClients:        share,
 			TTL:               7,
-			HeartbeatInterval: p.wallClamped(30, 100*time.Millisecond),
+			HeartbeatInterval: clock.wallClamped(30, 100*time.Millisecond),
 			DrainTimeout:      200 * time.Millisecond,
 		},
-	})
-	if err := live.Launch(); err != nil {
-		return arm, nil, time.Time{}, err
+	}, clock, p.Logf)
+	if err != nil {
+		return arm, nil, killedAt, err
 	}
-	defer live.Close()
+	defer f.close()
 
 	var ctrl *control.Controller
 	if withController {
 		var nodes []control.NodeConfig
-		for _, sp := range live.SuperPeers() {
+		for _, sp := range f.live.SuperPeers() {
 			nodes = append(nodes, control.NodeConfig{
 				ID: sp.ID, Addr: sp.Addr, Telemetry: sp.Telemetry,
 				Cluster: sp.Cluster, Partner: sp.Partner,
@@ -190,7 +180,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 		}
 		ctrl = control.New(control.Options{
 			Nodes:          nodes,
-			ScrapeInterval: p.wallClamped(p.ScrapeInterval, 50*time.Millisecond),
+			ScrapeInterval: clock.wallClamped(p.ScrapeInterval, 50*time.Millisecond),
 			RPCTimeout:     500 * time.Millisecond,
 			DialTimeout:    500 * time.Millisecond,
 			Backoff:        control.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
@@ -198,7 +188,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 			ClientCapacity: share,
 			BaseTTL:        7,
 			TimeScale:      p.TimeScale,
-			Dial:           live.Faults().Dialer(network.ControllerLabel),
+			Dial:           f.live.Faults().Dialer(network.ControllerLabel),
 			Logf:           p.Logf,
 		})
 		ctrl.Start()
@@ -207,89 +197,33 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 
 	// Clients, spread round-robin across partners with ranked failover lists
 	// starting at their home partner.
-	type shClient struct {
-		cl       *p2p.Client
-		arrivals []float64
+	err = f.dial(p.ClientsPerCluster, func(c, i int) (p2p.DialOptions, []p2p.SharedFile) {
+		opts := clock.supervised(p.Seed+uint64(c*p.ClientsPerCluster+i), 2*p.Partners)
+		opts.Addrs = rotate(f.live.ClusterAddrs(c), i%p.Partners)
+		return opts, []p2p.SharedFile{{Index: 1, Title: fmt.Sprintf("needle c%dp%d", c, i)}}
+	})
+	if err != nil {
+		return arm, nil, killedAt, fmt.Errorf("selfheal: %w", err)
 	}
-	var clients []*shClient
-	defer func() {
-		for _, sc := range clients {
-			sc.cl.Close()
-		}
-	}()
-	for c := 0; c < p.Clusters; c++ {
-		for i := 0; i < p.ClientsPerCluster; i++ {
-			cl, err := p2p.DialClientOptions(p2p.DialOptions{
-				Addrs:             rotate(live.ClusterAddrs(c), i%p.Partners),
-				Seed:              p.Seed + uint64(c*p.ClientsPerCluster+i),
-				HeartbeatInterval: p.wallClamped(5, 20*time.Millisecond),
-				MaxAttempts:       2 * p.Partners,
-				Backoff: p2p.Backoff{
-					Initial: p.wallClamped(1, 5*time.Millisecond),
-					Max:     p.wallClamped(10, 25*time.Millisecond),
-				},
-			}, []p2p.SharedFile{{Index: 1, Title: fmt.Sprintf("needle c%dp%d", c, i)}})
-			if err != nil {
-				return arm, nil, time.Time{}, fmt.Errorf("selfheal client %d/%d: %w", c, i, err)
-			}
-			clients = append(clients, &shClient{
-				cl:       cl,
-				arrivals: liveArrivals(p.Seed, p.ClientsPerCluster, c, i, p.QueryRate, p.Duration),
-			})
-		}
+	if err := f.settle(0); err != nil {
+		return arm, nil, killedAt, fmt.Errorf("selfheal: %w", err)
 	}
-
-	start := time.Now()
-	stopc := make(chan struct{})
-	var killedAt time.Time
-	var killWG sync.WaitGroup
-	killWG.Add(1)
-	go func() {
-		defer killWG.Done()
-		wait := time.Until(start.Add(p.wall(p.KillAt)))
-		if wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-stopc:
-				return
-			}
-		}
-		killedAt = time.Now()
-		if err := live.KillSuperPeer(0, 0); err != nil {
-			p.Logf("selfheal: kill sp-0-0: %v", err)
-		}
-	}()
 
 	type tally struct{ issued, lost int }
-	tallies := make([]tally, len(clients))
-	var genWG sync.WaitGroup
-	for ci, sc := range clients {
-		genWG.Add(1)
-		go func(ci int, sc *shClient) {
-			defer genWG.Done()
-			tl := &tallies[ci]
-			for _, at := range sc.arrivals {
-				if wait := time.Until(start.Add(p.wall(at))); wait > 0 {
-					select {
-					case <-time.After(wait):
-					case <-stopc:
-						return
-					}
-				}
-				_, err := sc.cl.Search("needle", p.QueryWindow)
-				tl.issued++
-				if err != nil {
-					tl.lost++
-				}
+	tallies := make([]tally, p.Clusters*p.ClientsPerCluster)
+	_, kills := f.replay(p.Seed, p.ClientsPerCluster, p.QueryRate, p.Duration,
+		[]fault{{at: p.KillAt, cluster: 0, partner: 0}},
+		func(c, i int) {
+			tl := &tallies[c*p.ClientsPerCluster+i]
+			_, err := f.clients[c][i].Search("needle", p.QueryWindow)
+			tl.issued++
+			if err != nil {
+				tl.lost++
 			}
-		}(ci, sc)
+		})
+	if len(kills) > 0 {
+		killedAt = kills[0]
 	}
-	genWG.Wait()
-	if endWait := time.Until(start.Add(p.wall(p.Duration))); endWait > 0 {
-		time.Sleep(endWait)
-	}
-	close(stopc)
-	killWG.Wait()
 
 	for i := range tallies {
 		arm.Issued += tallies[i].issued
@@ -336,7 +270,7 @@ func RunSelfHealResult(p SelfHealParams) (*SelfHealResult, error) {
 		if killedAt.IsZero() || e.Time.Before(killedAt) {
 			continue
 		}
-		since := e.Time.Sub(killedAt).Seconds() * p.TimeScale
+		since := bridge(p.TimeScale).virtual(e.Time.Sub(killedAt))
 		if e.Type == control.EvDead && e.Node == "sp-0-0" && res.DetectVirtual < 0 {
 			res.DetectVirtual = since
 		}

@@ -121,42 +121,32 @@ func (r *TransferBenchResult) WireRelErr() float64 {
 
 // scrapeTransferBytes sums the transfer-class wire bytes (both directions)
 // over every live super-peer's telemetry endpoint.
-func scrapeTransferBytes(live *network.Live) (float64, error) {
+func scrapeTransferBytes(f *fleet) (float64, error) {
+	scraped, err := f.scrape()
+	if err != nil {
+		return 0, err
+	}
 	var total float64
-	for _, sp := range live.SuperPeers() {
-		b, err := scrapeClassBytes(sp.Telemetry)
-		if err != nil {
-			return 0, err
-		}
+	for _, b := range scraped {
 		total += b.Sum(metrics.DirIn, metrics.ClassTransfer)
 		total += b.Sum(metrics.DirOut, metrics.ClassTransfer)
 	}
 	return total, nil
 }
 
-// discoverSources queries the overlay from one node until every serving
-// super-peer's hit has arrived (summaries and peer links register
-// asynchronously after launch), then distills the hits into sources.
+// discoverSources queries the settled overlay from one node and distills
+// the hits into sources: one per serving super-peer.
 func discoverSources(p *TransferBenchParams, live *network.Live) ([]transfer.Source, error) {
-	n := live.Node(0, 0)
-	if n == nil {
-		return nil, fmt.Errorf("transferbench: query node missing")
+	results, err := live.Node(0, 0).Search(transferBenchTitle, p.QueryWindow)
+	if err != nil {
+		return nil, err
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	var sources []transfer.Source
-	for time.Now().Before(deadline) {
-		results, err := n.Search(transferBenchTitle, p.QueryWindow)
-		if err != nil {
-			return nil, err
-		}
-		sources = p2p.TransferSources(results, transferBenchTitle)
-		if len(sources) >= p.Clusters {
-			return sources, nil
-		}
-		time.Sleep(50 * time.Millisecond)
+	sources := p2p.TransferSources(results, transferBenchTitle)
+	if len(sources) < p.Clusters {
+		return nil, fmt.Errorf("transferbench: query surfaced %d sources, want %d",
+			len(sources), p.Clusters)
 	}
-	return nil, fmt.Errorf("transferbench: query surfaced %d sources, want %d",
-		len(sources), p.Clusters)
+	return sources, nil
 }
 
 func (p *TransferBenchParams) fetchOpts() transfer.Options {
@@ -184,7 +174,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 	})
 	f := store.Add(transferBenchTitle)
 
-	live := network.NewLive(network.LiveConfig{
+	cell, err := launchFleet(network.LiveConfig{
 		Clusters:  p.Clusters,
 		Partners:  1,
 		Seed:      p.Seed,
@@ -195,11 +185,15 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 			HeartbeatInterval: -1,
 			DrainTimeout:      200 * time.Millisecond,
 		},
-	})
-	if err := live.Launch(); err != nil {
+	}, 0, p.Logf)
+	if err != nil {
 		return nil, err
 	}
-	defer live.Close()
+	defer cell.close()
+	live := cell.live
+	if err := cell.settle(0); err != nil {
+		return nil, err
+	}
 
 	sources, err := discoverSources(&p, live)
 	if err != nil {
@@ -220,7 +214,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 
 	// Clean download, bracketed by telemetry scrapes so the wire-byte column
 	// covers exactly this transfer.
-	wireBase, err := scrapeTransferBytes(live)
+	wireBase, err := scrapeTransferBytes(cell)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +225,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 	if clean.Hash != wantHash {
 		return nil, fmt.Errorf("transferbench: clean download hash mismatch")
 	}
-	wireEnd, err := scrapeTransferBytes(live)
+	wireEnd, err := scrapeTransferBytes(cell)
 	if err != nil {
 		return nil, err
 	}
@@ -347,16 +341,6 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 	return res, nil
 }
 
-// RunTransferBench is the registry entry point for the transferbench
-// experiment.
-func RunTransferBench(p TransferBenchParams) (*Report, error) {
-	res, err := RunTransferBenchResult(p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Report, nil
-}
-
 // runTransferBenchDefault adapts the generic experiment Params: Scale shrinks
 // the served file (floored so the failover drill still has time to kill a
 // source mid-transfer).
@@ -365,5 +349,9 @@ func runTransferBenchDefault(p Params) (*Report, error) {
 	if p.Scale > 0 && p.Scale < 1 {
 		tp.FileSize = int64(math.Max(256<<10, float64(int64(1<<20))*p.Scale))
 	}
-	return RunTransferBench(tp)
+	res, err := RunTransferBenchResult(tp)
+	if err != nil {
+		return nil, err
+	}
+	return res.Report, nil
 }

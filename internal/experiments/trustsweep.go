@@ -10,9 +10,7 @@ import (
 	"spnet/internal/network"
 	"spnet/internal/p2p"
 	"spnet/internal/sim"
-	"spnet/internal/stats"
 	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
 // trustProbeTerm is the live sweep's common query term; the hub's provider
@@ -151,109 +149,37 @@ func trustModelLost(q []float64) float64 {
 	return total / float64(n*n)
 }
 
-// trustStarInstance hand-builds the star the model and simulator share:
-// clusters 2-redundant super-peer pairs, 3 one-file clients each, topic-
-// partitioned content, TTL 2 (enough for leaf→hub→leaf).
-func trustStarInstance(clusters int) (*network.Instance, error) {
-	const clientsPer = 3
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
-	if err != nil {
-		return nil, err
-	}
-	edges := make([][2]int, clusters-1)
-	for i := range edges {
-		edges[i] = [2]int{0, i + 1}
-	}
-	graph, err := topology.NewAdjGraph(clusters, edges)
-	if err != nil {
-		return nil, err
-	}
-	const never = 1e12
-	cls := make([]network.Cluster, clusters)
-	for v := range cls {
-		cl := network.Cluster{
-			Partners: []network.Peer{
-				{Files: 0, Lifespan: never},
-				{Files: 0, Lifespan: never},
-			},
-			IndexFiles: clientsPer,
-			ExpResults: float64(clientsPer) / float64(clusters),
-			ExpAddrs:   float64(clientsPer) / float64(clusters),
-			ProbResp:   1 / float64(clusters),
-		}
-		for i := 0; i < clientsPer; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		cls[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.PowerLaw,
-			GraphSize:   clusters * (clientsPer + 2),
-			ClusterSize: clientsPer + 2,
-			KRedundancy: 2,
-			TTL:         2,
-		},
-		Profile: &workload.Profile{
-			Queries:  qm,
-			Rates:    workload.Rates{QueryRate: 0.05},
-			QueryLen: 6,
-		},
-		Graph:    graph,
-		Clusters: cls,
-		NumPeers: clusters * (clientsPer + 2),
-	}, nil
+// instance builds the star the model and simulator share: SimClusters
+// 2-redundant super-peer pairs, 3 one-file clients each, topic-partitioned
+// content, TTL 2 (enough for leaf→hub→leaf).
+func (p *TrustSweepParams) instance() (*network.Instance, error) {
+	return network.NewPlanted(network.Planted{
+		Graph:     topology.Star(p.SimClusters - 1),
+		Partners:  2,
+		Clients:   3,
+		Topics:    p.SimClusters,
+		QueryRate: 0.05,
+		QueryLen:  len(routingTopic(0)),
+		TTL:       2,
+	})
 }
 
 // runTrustSimCell simulates one (fraction, trust) cell on the star with
 // topic-partitioned content, so lost-fraction and spread measure real recall
 // against exact ground truth.
-func runTrustSimCell(p *TrustSweepParams, frac float64, trustOn bool) (*sim.Measured, error) {
-	inst, err := trustStarInstance(p.SimClusters)
-	if err != nil {
-		return nil, err
-	}
+func runTrustSimCell(p *TrustSweepParams, inst *network.Instance, frac float64, trustOn bool) (*sim.Measured, error) {
 	nMal := int(math.Round(frac * 2 * float64(p.SimClusters)))
-	clusters := p.SimClusters
 	return sim.Run(inst, sim.Options{
 		Duration: p.SimDuration,
 		Seed:     p.Seed + 17,
 		Adversary: &sim.AdversaryOptions{
-			Malicious: trustMaliciousSlots(nMal, clusters),
+			Malicious: trustMaliciousSlots(nMal, p.SimClusters),
 			Drop:      p.Drop,
 			Forge:     p.Forge,
 			Trust:     trustOn,
 		},
-		Content: &sim.ContentOptions{
-			Titles: func(cluster, owner, file int) []string {
-				return []string{fmt.Sprintf("topic%d", cluster)}
-			},
-			Queries: func(rng *stats.RNG) []string {
-				return []string{fmt.Sprintf("topic%d", rng.Intn(clusters))}
-			},
-		},
+		Content: topicContent(p.SimClusters),
 	})
-}
-
-// trustLiveCell is one live (fraction, trust) measurement.
-type trustLiveCell struct {
-	Lost           float64 // fraction of client searches with zero genuine results
-	GenuinePerQ    float64
-	ForgedDetected int64
-	Rehomes        int64
-	AdmissionShed  int64
-}
-
-// trustWait polls cond until it holds or the timeout elapses.
-func trustWait(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
 }
 
 // runTrustLiveCell boots a flat star of real nodes — an honest hub indexing
@@ -262,72 +188,63 @@ func trustWait(timeout time.Duration, cond func() bool) bool {
 // the diametrically opposite leaf as its ranked alternative. Each client's
 // searches must cross its access leaf to reach the hub's content, so a
 // freeloading leaf starves exactly its own clients: the loss reputation-
-// driven re-homing is able to win back.
-func runTrustLiveCell(p *TrustSweepParams, frac float64, trustOn bool) (trustLiveCell, error) {
-	var cell trustLiveCell
+// driven re-homing is able to win back. The cell's measurements land in the
+// row's Live fields.
+func runTrustLiveCell(p *TrustSweepParams, row *TrustSweepRow) error {
+	trustOn := row.Trust
 	leaves := p.LiveLeaves
-	nMal := int(math.Round(frac * float64(leaves)))
+	nMal := int(math.Round(row.Fraction * float64(leaves)))
 
-	hub := p2p.NewNode(p2p.Options{Trust: trustOn})
-	if err := hub.Listen("127.0.0.1:0"); err != nil {
-		return cell, err
+	f, err := launchFleet(network.LiveConfig{
+		Overlay:  topology.Star(leaves),
+		Partners: 1,
+		Seed:     p.Seed,
+		Node:     p2p.Options{Trust: trustOn},
+		Adjust: func(cluster, _ int, opts *p2p.Options) {
+			if leaf := cluster - 1; leaf >= 0 && leaf < nMal {
+				opts.Misbehave = &p2p.MisbehaveOptions{
+					Drop:  p.Drop,
+					Forge: p.Forge,
+					Seed:  p.Seed + uint64(leaf),
+				}
+			}
+		},
+	}, 0, p.Logf)
+	if err != nil {
+		return fmt.Errorf("trustsweep: %w", err)
 	}
-	defer hub.Close()
-	nodes := make([]*p2p.Node, leaves)
-	for i := range nodes {
-		opts := p2p.Options{Trust: trustOn}
-		if i < nMal {
-			opts.Misbehave = &p2p.MisbehaveOptions{
-				Drop:  p.Drop,
-				Forge: p.Forge,
-				Seed:  p.Seed + uint64(i),
+	defer f.close()
+
+	// One client per cluster: the hub's is the provider, each leaf's a
+	// searcher sharing nothing.
+	leafAddr := func(leaf int) string { return f.live.ClusterAddrs(1 + leaf%leaves)[0] }
+	err = f.dial(1, func(c, _ int) (p2p.DialOptions, []p2p.SharedFile) {
+		if c == 0 {
+			return p2p.DialOptions{}, []p2p.SharedFile{
+				{Index: 1, Title: trustProbeTerm + " first edition"},
+				{Index: 2, Title: trustProbeTerm + " second edition"},
 			}
 		}
-		nodes[i] = p2p.NewNode(opts)
-		if err := nodes[i].Listen("127.0.0.1:0"); err != nil {
-			return cell, err
-		}
-		defer nodes[i].Close()
-		if err := nodes[i].ConnectPeer(hub.Addr()); err != nil {
-			return cell, err
-		}
-	}
-	if !trustWait(5*time.Second, func() bool { return hub.Stats().Peers == leaves }) {
-		return cell, fmt.Errorf("trustsweep: hub saw %d peers, want %d", hub.Stats().Peers, leaves)
-	}
-
-	provider, err := p2p.DialClient(hub.Addr(), []p2p.SharedFile{
-		{Index: 1, Title: trustProbeTerm + " first edition"},
-		{Index: 2, Title: trustProbeTerm + " second edition"},
+		leaf := c - 1
+		return p2p.DialOptions{
+			Addrs: []string{leafAddr(leaf), leafAddr(leaf + leaves/2)},
+			Trust: trustOn,
+			Seed:  p.Seed ^ uint64(leaf+1)<<8,
+		}, nil
 	})
 	if err != nil {
-		return cell, err
+		return fmt.Errorf("trustsweep: %w", err)
 	}
-	defer provider.Close()
-	if !trustWait(5*time.Second, func() bool { return hub.Stats().IndexedFiles == 2 }) {
-		return cell, fmt.Errorf("trustsweep: provider files not indexed")
-	}
-
-	clients := make([]*p2p.Client, leaves)
-	for i := range clients {
-		cl, err := p2p.DialClientOptions(p2p.DialOptions{
-			Addrs: []string{nodes[i].Addr(), nodes[(i+leaves/2)%leaves].Addr()},
-			Trust: trustOn,
-			Seed:  p.Seed ^ uint64(i+1)<<8,
-		}, nil)
-		if err != nil {
-			return cell, err
-		}
-		defer cl.Close()
-		clients[i] = cl
+	if err := f.settle(0); err != nil {
+		return fmt.Errorf("trustsweep: %w", err)
 	}
 
 	var mu sync.Mutex
 	searches, lost, genuine := 0, 0, 0
 	var wg sync.WaitGroup
-	for i, cl := range clients {
+	for leaf := 0; leaf < leaves; leaf++ {
 		wg.Add(1)
-		go func(i int, cl *p2p.Client) {
+		go func(leaf int, cl *p2p.Client) {
 			defer wg.Done()
 			for s := 0; s < p.Searches; s++ {
 				out, err := cl.SearchDetailed(trustProbeTerm, p.Window)
@@ -336,31 +253,28 @@ func runTrustLiveCell(p *TrustSweepParams, frac float64, trustOn bool) (trustLiv
 				if err != nil || out.Genuine == 0 {
 					lost++
 					if err != nil {
-						p.Logf("trustsweep: live search leaf %d: %v", i, err)
+						p.Logf("trustsweep: live search leaf %d: %v", leaf, err)
 					}
 				} else {
 					genuine += out.Genuine
 				}
 				mu.Unlock()
 			}
-		}(i, cl)
+		}(leaf, f.clients[1+leaf][0])
 	}
 	wg.Wait()
 
-	cell.Lost = float64(lost) / float64(searches)
-	cell.GenuinePerQ = float64(genuine) / float64(searches)
-	st := hub.Stats()
-	cell.ForgedDetected = st.HitsForged
-	cell.AdmissionShed = st.QueriesShedAdmission
-	for _, n := range nodes {
-		st := n.Stats()
-		cell.ForgedDetected += st.HitsForged
-		cell.AdmissionShed += st.QueriesShedAdmission
+	row.LiveLost = float64(lost) / float64(searches)
+	row.LiveGenuine = float64(genuine) / float64(searches)
+	for c := 0; c <= leaves; c++ {
+		st := f.live.Node(c, 0).Stats()
+		row.LiveForgedDet += st.HitsForged
+		row.LiveAdmissionShed += st.QueriesShedAdmission
+		if c > 0 {
+			row.LiveRehomes += int64(f.clients[c][0].Reconnects())
+		}
 	}
-	for _, cl := range clients {
-		cell.Rehomes += int64(cl.Reconnects())
-	}
-	return cell, nil
+	return nil
 }
 
 // TrustSweepRow is one (fraction, trust) cell's three-way measurement.
@@ -368,7 +282,7 @@ type TrustSweepRow struct {
 	Fraction float64
 	Trust    bool
 
-	// Lost-query fractions per layer (zero genuine results).
+	// Lost-query fractions per layer: searches with zero genuine results.
 	ModelLost, SimLost, LiveLost float64
 	// Recall per layer: the model's expected results per query, and the
 	// measured genuine results per client query.
@@ -403,7 +317,7 @@ func (r *TrustSweepResult) Row(frac float64, trust bool) *TrustSweepRow {
 // RunTrustSweepResult executes the full sweep and returns rows and report.
 func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*TrustSweepResult, error) {
 	p.setDefaults()
-	inst, err := trustStarInstance(p.SimClusters)
+	inst, err := p.instance()
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +349,7 @@ func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*T
 		meanQ /= float64(len(q))
 		row.ModelResults = analysis.EvaluateWith(inst, analysis.Options{RelayDrop: meanQ}).ResultsPerQuery
 
-		m, err := runTrustSimCell(&p, c.frac, c.trust)
+		m, err := runTrustSimCell(&p, inst, c.frac, c.trust)
 		if err != nil {
 			return nil, err
 		}
@@ -451,15 +365,9 @@ func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*T
 		row.SimDropped = m.QueriesDroppedMalicious
 		row.SimRelays = m.RelayDropsMalicious
 
-		live, err := runTrustLiveCell(&p, c.frac, c.trust)
-		if err != nil {
+		if err := runTrustLiveCell(&p, &row); err != nil {
 			return nil, err
 		}
-		row.LiveLost = live.Lost
-		row.LiveGenuine = live.GenuinePerQ
-		row.LiveForgedDet = live.ForgedDetected
-		row.LiveRehomes = live.Rehomes
-		row.LiveAdmissionShed = live.AdmissionShed
 
 		rows[i] = row
 		if progress != nil {

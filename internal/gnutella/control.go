@@ -80,14 +80,16 @@ func (rg *Register) WireSize() int {
 	return RegisterSize(len(rg.NodeID) + len(rg.Addr) + len(rg.Telemetry))
 }
 
+// Type returns TypeRegister.
+func (rg *Register) Type() MsgType { return TypeRegister }
+
+func (rg *Register) frame() ([]byte, error) { return rg.Encode() }
+
 // DecodeRegister parses an encoded register.
 func DecodeRegister(buf []byte) (*Register, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeRegister)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeRegister {
-		return nil, fmt.Errorf("%w: type %v, want Register", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < registerPayload+3 {
 		return nil, fmt.Errorf("%w: register payload %d", ErrBadMessage, h.PayloadLen)
@@ -197,14 +199,16 @@ func (d *Directive) Encode() ([]byte, error) {
 // DirectiveSize(len(Target)).
 func (d *Directive) WireSize() int { return DirectiveSize(len(d.Target)) }
 
+// Type returns TypeDirective.
+func (d *Directive) Type() MsgType { return TypeDirective }
+
+func (d *Directive) frame() ([]byte, error) { return d.Encode() }
+
 // DecodeDirective parses an encoded directive.
 func DecodeDirective(buf []byte) (*Directive, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeDirective)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeDirective {
-		return nil, fmt.Errorf("%w: type %v, want Directive", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < directivePayload+1 {
 		return nil, fmt.Errorf("%w: directive payload %d", ErrBadMessage, h.PayloadLen)
@@ -263,14 +267,16 @@ func (a *DirectiveAck) Encode() ([]byte, error) {
 // DirectiveAckSize(len(NodeID)).
 func (a *DirectiveAck) WireSize() int { return DirectiveAckSize(len(a.NodeID)) }
 
+// Type returns TypeDirectiveAck.
+func (a *DirectiveAck) Type() MsgType { return TypeDirectiveAck }
+
+func (a *DirectiveAck) frame() ([]byte, error) { return a.Encode() }
+
 // DecodeDirectiveAck parses an encoded directive ack.
 func DecodeDirectiveAck(buf []byte) (*DirectiveAck, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeDirectiveAck)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeDirectiveAck {
-		return nil, fmt.Errorf("%w: type %v, want DirectiveAck", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < ackPayload+1 {
 		return nil, fmt.Errorf("%w: ack payload %d", ErrBadMessage, h.PayloadLen)

@@ -2,52 +2,10 @@ package gnutella
 
 import "spnet/internal/metrics"
 
-// LoadClass maps a payload descriptor type onto the metrics load taxonomy
-// (Table 2 components plus the live-stack Busy and heartbeat classes).
-func LoadClass(t MsgType) metrics.Class {
-	switch t {
-	case TypeQuery:
-		return metrics.ClassQuery
-	case TypeQueryHit:
-		return metrics.ClassResponse
-	case TypeJoin:
-		return metrics.ClassJoin
-	case TypeUpdate:
-		return metrics.ClassUpdate
-	case TypeBusy:
-		return metrics.ClassBusy
-	case TypePing, TypePong:
-		return metrics.ClassPing
-	case TypeChunkRequest, TypeChunkData, TypeChunkNack:
-		return metrics.ClassTransfer
-	case TypeSummary, TypeRegister, TypeDirective, TypeDirectiveAck:
-		return metrics.ClassOther
-	}
-	return metrics.ClassOther
-}
-
-// MessageClass classifies a decoded message. Allocation-free.
-func MessageClass(m Message) metrics.Class {
-	switch m.(type) {
-	case *Query:
-		return metrics.ClassQuery
-	case *QueryHit:
-		return metrics.ClassResponse
-	case *Join:
-		return metrics.ClassJoin
-	case *Update:
-		return metrics.ClassUpdate
-	case *Busy:
-		return metrics.ClassBusy
-	case *Ping, *Pong:
-		return metrics.ClassPing
-	case *ChunkRequest, *ChunkData, *ChunkNack:
-		return metrics.ClassTransfer
-	case *Summary, *Register, *Directive, *DirectiveAck:
-		return metrics.ClassOther
-	}
-	return metrics.ClassOther
-}
+// MessageClass classifies a decoded message onto the metrics load taxonomy
+// (Table 2 components plus the live-stack Busy, heartbeat and transfer
+// classes): its frame-table row's class. Allocation-free.
+func MessageClass(m Message) metrics.Class { return frames[m.Type()].class }
 
 // Meter attributes one codec message to lm in direction d, charging its full
 // wire size (payload plus frame overhead) so measured bytes are commensurate

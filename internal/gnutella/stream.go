@@ -3,32 +3,55 @@ package gnutella
 import (
 	"fmt"
 	"io"
+
+	"spnet/internal/metrics"
 )
 
-// Message is any wire message: queries, query hits, joins and updates.
+// Message is any wire message. The interface is sealed: the frame table
+// below lists every implementation.
 type Message interface {
+	// Type returns the payload descriptor the message travels under.
+	Type() MsgType
 	// WireSize returns the on-the-wire size including framing, as the cost
 	// model prices it.
 	WireSize() int
+	// frame serializes the message: descriptor header plus payload.
+	frame() ([]byte, error)
 }
 
-// Compile-time checks that every message satisfies Message.
-var (
-	_ Message = (*Ping)(nil)
-	_ Message = (*Pong)(nil)
-	_ Message = (*Busy)(nil)
-	_ Message = (*Query)(nil)
-	_ Message = (*QueryHit)(nil)
-	_ Message = (*Join)(nil)
-	_ Message = (*Update)(nil)
-	_ Message = (*Summary)(nil)
-	_ Message = (*Register)(nil)
-	_ Message = (*Directive)(nil)
-	_ Message = (*DirectiveAck)(nil)
-	_ Message = (*ChunkRequest)(nil)
-	_ Message = (*ChunkData)(nil)
-	_ Message = (*ChunkNack)(nil)
-)
+// frameRow describes one frame type. Everything that varies by type and is
+// not the payload layout itself lives here, so a new frame is its struct, its
+// three Message methods, its decoder and one row.
+type frameRow struct {
+	name   string        // MsgType.String
+	class  metrics.Class // load-taxonomy class MessageClass and Meter charge
+	decode func(buf []byte) (Message, error)
+}
+
+// frames is the frame table, indexed by payload descriptor; a type without a
+// row (empty name) is not a message this stack speaks.
+var frames = [256]frameRow{
+	TypePing:         {"Ping", metrics.ClassPing, decoder(DecodePing)},
+	TypePong:         {"Pong", metrics.ClassPing, decoder(DecodePong)},
+	TypeQuery:        {"Query", metrics.ClassQuery, decoder(DecodeQuery)},
+	TypeQueryHit:     {"QueryHit", metrics.ClassResponse, decoder(DecodeQueryHit)},
+	TypeJoin:         {"Join", metrics.ClassJoin, decoder(DecodeJoin)},
+	TypeUpdate:       {"Update", metrics.ClassUpdate, decoder(DecodeUpdate)},
+	TypeBusy:         {"Busy", metrics.ClassBusy, decoder(DecodeBusy)},
+	TypeSummary:      {"Summary", metrics.ClassOther, decoder(DecodeSummary)},
+	TypeRegister:     {"Register", metrics.ClassOther, decoder(DecodeRegister)},
+	TypeDirective:    {"Directive", metrics.ClassOther, decoder(DecodeDirective)},
+	TypeDirectiveAck: {"DirectiveAck", metrics.ClassOther, decoder(DecodeDirectiveAck)},
+	TypeChunkRequest: {"ChunkRequest", metrics.ClassTransfer, decoder(DecodeChunkRequest)},
+	TypeChunkData:    {"ChunkData", metrics.ClassTransfer, decoder(DecodeChunkData)},
+	TypeChunkNack:    {"ChunkNack", metrics.ClassTransfer, decoder(DecodeChunkNack)},
+}
+
+// decoder adapts a typed DecodeX to the table's signature. Its constraint is
+// also the compile-time check that every message type satisfies Message.
+func decoder[M Message](dec func([]byte) (M, error)) func([]byte) (Message, error) {
+	return func(buf []byte) (Message, error) { return dec(buf) }
+}
 
 // MaxPayloadLen is the hard upper bound on accepted payloads, protecting
 // readers from malicious or corrupt length fields: a frame header can never
@@ -52,57 +75,9 @@ func (payloadTooLargeError) Is(target error) bool { return target == ErrBadMessa
 // WriteMessage serializes one message to w (descriptor header + payload;
 // TCP provides the framing the cost model's fixed overhead accounts for).
 func WriteMessage(w io.Writer, m Message) error {
-	var buf []byte
-	var err error
-	switch msg := m.(type) {
-	case *Ping:
-		buf = msg.Encode()
-	case *Pong:
-		buf = msg.Encode()
-	case *Busy:
-		buf = msg.Encode()
-	case *Query:
-		buf = msg.Encode()
-	case *QueryHit:
-		buf, err = msg.Encode()
-		if err != nil {
-			return err
-		}
-	case *Summary:
-		buf, err = msg.Encode()
-		if err != nil {
-			return err
-		}
-	case *Register:
-		buf, err = msg.Encode()
-		if err != nil {
-			return err
-		}
-	case *Directive:
-		buf, err = msg.Encode()
-		if err != nil {
-			return err
-		}
-	case *DirectiveAck:
-		buf, err = msg.Encode()
-		if err != nil {
-			return err
-		}
-	case *Join:
-		buf = msg.Encode()
-	case *Update:
-		buf = msg.Encode()
-	case *ChunkRequest:
-		buf = msg.Encode()
-	case *ChunkData:
-		buf, err = msg.Encode()
-		if err != nil {
-			return err
-		}
-	case *ChunkNack:
-		buf = msg.Encode()
-	default:
-		return fmt.Errorf("%w: unsupported message type %T", ErrBadMessage, m)
+	buf, err := m.frame()
+	if err != nil {
+		return err
 	}
 	_, err = w.Write(buf)
 	return err
@@ -142,35 +117,8 @@ func ReadMessageLimit(r io.Reader, maxPayload uint32) (Message, error) {
 		}
 		return nil, err
 	}
-	switch h.Type {
-	case TypePing:
-		return DecodePing(buf)
-	case TypePong:
-		return DecodePong(buf)
-	case TypeBusy:
-		return DecodeBusy(buf)
-	case TypeQuery:
-		return DecodeQuery(buf)
-	case TypeQueryHit:
-		return DecodeQueryHit(buf)
-	case TypeJoin:
-		return DecodeJoin(buf)
-	case TypeUpdate:
-		return DecodeUpdate(buf)
-	case TypeSummary:
-		return DecodeSummary(buf)
-	case TypeRegister:
-		return DecodeRegister(buf)
-	case TypeDirective:
-		return DecodeDirective(buf)
-	case TypeDirectiveAck:
-		return DecodeDirectiveAck(buf)
-	case TypeChunkRequest:
-		return DecodeChunkRequest(buf)
-	case TypeChunkData:
-		return DecodeChunkData(buf)
-	case TypeChunkNack:
-		return DecodeChunkNack(buf)
+	if row := &frames[h.Type]; row.decode != nil {
+		return row.decode(buf)
 	}
 	return nil, fmt.Errorf("%w: unknown message type 0x%02x", ErrBadMessage, byte(h.Type))
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -84,13 +86,49 @@ func TestReadMessageUnknownType(t *testing.T) {
 	}
 }
 
-func TestWriteMessageUnsupported(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteMessage(&buf, fakeMessage{}); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("err = %v, want ErrBadMessage", err)
+// TestFrameTableComplete walks the frame table, so a new frame type is held
+// to all of this by adding its row: the type has a real name, a fuzz seed in
+// seedMessages that carries it, survives WriteMessage→ReadMessage unchanged,
+// and is metered under its row's load class without allocating.
+func TestFrameTableComplete(t *testing.T) {
+	seeds := make(map[MsgType]Message)
+	for _, m := range seedMessages(t) {
+		seeds[m.Type()] = m
+	}
+	rows := 0
+	for i := range frames {
+		typ, row := MsgType(i), &frames[i]
+		if row.name == "" {
+			if row.decode != nil {
+				t.Errorf("type 0x%02x has a decoder but no name", i)
+			}
+			continue
+		}
+		rows++
+		if got := typ.String(); got != row.name || strings.HasPrefix(got, "MsgType(") {
+			t.Errorf("type 0x%02x String() = %q, want %q", i, got, row.name)
+		}
+		m, ok := seeds[typ]
+		if !ok {
+			t.Errorf("%v has no fuzz seed in seedMessages", typ)
+			continue
+		}
+		back, err := ReadMessage(bytes.NewReader(encodeMsg(t, m)))
+		if err != nil {
+			t.Errorf("%v round trip: %v", typ, err)
+			continue
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Errorf("%v round trip = %+v, want %+v", typ, back, m)
+		}
+		if got := MessageClass(back); got != row.class {
+			t.Errorf("MessageClass(%v) = %v, want %v", typ, got, row.class)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { MessageClass(back) }); allocs != 0 {
+			t.Errorf("MessageClass(%v) allocates %.0f times", typ, allocs)
+		}
+	}
+	if len(seeds) != rows {
+		t.Errorf("%d seeded types for %d table rows", len(seeds), rows)
 	}
 }
-
-type fakeMessage struct{}
-
-func (fakeMessage) WireSize() int { return 0 }

@@ -44,14 +44,16 @@ func (cr *ChunkRequest) Encode() []byte {
 // WireSize returns the on-the-wire size including framing: ChunkRequestSize().
 func (cr *ChunkRequest) WireSize() int { return ChunkRequestSize() }
 
+// Type returns TypeChunkRequest.
+func (cr *ChunkRequest) Type() MsgType { return TypeChunkRequest }
+
+func (cr *ChunkRequest) frame() ([]byte, error) { return cr.Encode(), nil }
+
 // DecodeChunkRequest parses an encoded chunk request.
 func DecodeChunkRequest(buf []byte) (*ChunkRequest, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeChunkRequest)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeChunkRequest {
-		return nil, fmt.Errorf("%w: type %v, want ChunkRequest", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen != chunkRequestPayload {
 		return nil, fmt.Errorf("%w: chunk request payload %d", ErrBadMessage, h.PayloadLen)
@@ -106,14 +108,16 @@ func (cd *ChunkData) Encode() ([]byte, error) {
 // ChunkDataSize(len(Data)).
 func (cd *ChunkData) WireSize() int { return ChunkDataSize(len(cd.Data)) }
 
+// Type returns TypeChunkData.
+func (cd *ChunkData) Type() MsgType { return TypeChunkData }
+
+func (cd *ChunkData) frame() ([]byte, error) { return cd.Encode() }
+
 // DecodeChunkData parses an encoded chunk data frame.
 func DecodeChunkData(buf []byte) (*ChunkData, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeChunkData)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeChunkData {
-		return nil, fmt.Errorf("%w: type %v, want ChunkData", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < chunkDataPayload {
 		return nil, fmt.Errorf("%w: chunk data payload %d", ErrBadMessage, h.PayloadLen)
@@ -174,14 +178,16 @@ func (cn *ChunkNack) Encode() []byte {
 // WireSize returns the on-the-wire size including framing: ChunkNackSize().
 func (cn *ChunkNack) WireSize() int { return ChunkNackSize() }
 
+// Type returns TypeChunkNack.
+func (cn *ChunkNack) Type() MsgType { return TypeChunkNack }
+
+func (cn *ChunkNack) frame() ([]byte, error) { return cn.Encode(), nil }
+
 // DecodeChunkNack parses an encoded chunk nack.
 func DecodeChunkNack(buf []byte) (*ChunkNack, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeChunkNack)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeChunkNack {
-		return nil, fmt.Errorf("%w: type %v, want ChunkNack", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen != chunkNackPayload {
 		return nil, fmt.Errorf("%w: chunk nack payload %d", ErrBadMessage, h.PayloadLen)

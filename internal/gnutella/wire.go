@@ -23,36 +23,10 @@ const (
 	TypeSummary  MsgType = 0x13
 )
 
+// String returns the type's name from the frame table.
 func (t MsgType) String() string {
-	switch t {
-	case TypePing:
-		return "Ping"
-	case TypePong:
-		return "Pong"
-	case TypeQuery:
-		return "Query"
-	case TypeQueryHit:
-		return "QueryHit"
-	case TypeJoin:
-		return "Join"
-	case TypeUpdate:
-		return "Update"
-	case TypeBusy:
-		return "Busy"
-	case TypeSummary:
-		return "Summary"
-	case TypeRegister:
-		return "Register"
-	case TypeDirective:
-		return "Directive"
-	case TypeDirectiveAck:
-		return "DirectiveAck"
-	case TypeChunkRequest:
-		return "ChunkRequest"
-	case TypeChunkData:
-		return "ChunkData"
-	case TypeChunkNack:
-		return "ChunkNack"
+	if name := frames[t].name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("MsgType(0x%02x)", byte(t))
 }
@@ -98,6 +72,15 @@ func decodeHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
+// decodeHeaderAs is decodeHeader for a buffer that must hold a want frame.
+func decodeHeaderAs(buf []byte, want MsgType) (Header, error) {
+	h, err := decodeHeader(buf)
+	if err == nil && h.Type != want {
+		err = fmt.Errorf("%w: type %v, want %v", ErrBadMessage, h.Type, want)
+	}
+	return h, err
+}
+
 // Ping is the Gnutella 0.4 keep-alive probe, reused by the live super-peer
 // stack as the heartbeat that detects dead peers and partitioned links. The
 // payload is empty: the descriptor header alone carries the GUID.
@@ -118,14 +101,16 @@ func (p *Ping) Encode() []byte {
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (p *Ping) WireSize() int { return PingSize() }
 
+// Type returns TypePing.
+func (p *Ping) Type() MsgType { return TypePing }
+
+func (p *Ping) frame() ([]byte, error) { return p.Encode(), nil }
+
 // DecodePing parses an encoded ping.
 func DecodePing(buf []byte) (*Ping, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypePing)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypePing {
-		return nil, fmt.Errorf("%w: type %v, want Ping", ErrBadMessage, h.Type)
 	}
 	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
 		return nil, fmt.Errorf("%w: ping payload %d, want 0", ErrBadMessage, h.PayloadLen)
@@ -152,14 +137,16 @@ func (p *Pong) Encode() []byte {
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (p *Pong) WireSize() int { return PingSize() }
 
+// Type returns TypePong.
+func (p *Pong) Type() MsgType { return TypePong }
+
+func (p *Pong) frame() ([]byte, error) { return p.Encode(), nil }
+
 // DecodePong parses an encoded pong.
 func DecodePong(buf []byte) (*Pong, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypePong)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypePong {
-		return nil, fmt.Errorf("%w: type %v, want Pong", ErrBadMessage, h.Type)
 	}
 	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
 		return nil, fmt.Errorf("%w: pong payload %d, want 0", ErrBadMessage, h.PayloadLen)
@@ -191,14 +178,16 @@ func (b *Busy) Encode() []byte {
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (b *Busy) WireSize() int { return PingSize() }
 
+// Type returns TypeBusy.
+func (b *Busy) Type() MsgType { return TypeBusy }
+
+func (b *Busy) frame() ([]byte, error) { return b.Encode(), nil }
+
 // DecodeBusy parses an encoded busy signal.
 func DecodeBusy(buf []byte) (*Busy, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeBusy)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeBusy {
-		return nil, fmt.Errorf("%w: type %v, want Busy", ErrBadMessage, h.Type)
 	}
 	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
 		return nil, fmt.Errorf("%w: busy payload %d, want 0", ErrBadMessage, h.PayloadLen)
@@ -231,14 +220,16 @@ func (q *Query) Encode() []byte {
 // QuerySize(len(Text)).
 func (q *Query) WireSize() int { return QuerySize(len(q.Text)) }
 
+// Type returns TypeQuery.
+func (q *Query) Type() MsgType { return TypeQuery }
+
+func (q *Query) frame() ([]byte, error) { return q.Encode(), nil }
+
 // DecodeQuery parses an encoded query.
 func DecodeQuery(buf []byte) (*Query, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeQuery)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeQuery {
-		return nil, fmt.Errorf("%w: type %v, want Query", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 3 {
 		return nil, fmt.Errorf("%w: payload length %d vs buffer %d", ErrBadMessage, h.PayloadLen, len(buf)-DescriptorHeaderLen)
@@ -323,14 +314,16 @@ func (r *QueryHit) Encode() ([]byte, error) {
 // ResponseSize(len(Responders), len(Results)).
 func (r *QueryHit) WireSize() int { return ResponseSize(len(r.Responders), len(r.Results)) }
 
+// Type returns TypeQueryHit.
+func (r *QueryHit) Type() MsgType { return TypeQueryHit }
+
+func (r *QueryHit) frame() ([]byte, error) { return r.Encode() }
+
 // DecodeQueryHit parses an encoded query hit.
 func DecodeQueryHit(buf []byte) (*QueryHit, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeQueryHit)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeQueryHit {
-		return nil, fmt.Errorf("%w: type %v, want QueryHit", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 1 {
 		return nil, fmt.Errorf("%w: payload length %d vs buffer %d", ErrBadMessage, h.PayloadLen, len(buf)-DescriptorHeaderLen)
@@ -407,14 +400,16 @@ func (j *Join) Encode() []byte {
 // JoinSize(len(Files)).
 func (j *Join) WireSize() int { return JoinSize(len(j.Files)) }
 
+// Type returns TypeJoin.
+func (j *Join) Type() MsgType { return TypeJoin }
+
+func (j *Join) frame() ([]byte, error) { return j.Encode(), nil }
+
 // DecodeJoin parses an encoded join.
 func DecodeJoin(buf []byte) (*Join, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeJoin)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeJoin {
-		return nil, fmt.Errorf("%w: type %v, want Join", ErrBadMessage, h.Type)
 	}
 	rest := int(h.PayloadLen) - 1
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || rest < 0 || rest%MetadataRecordLen != 0 {
@@ -466,14 +461,16 @@ func (u *Update) Encode() []byte {
 // WireSize returns the on-the-wire size including framing: UpdateLen.
 func (u *Update) WireSize() int { return UpdateSize() }
 
+// Type returns TypeUpdate.
+func (u *Update) Type() MsgType { return TypeUpdate }
+
+func (u *Update) frame() ([]byte, error) { return u.Encode(), nil }
+
 // DecodeUpdate parses an encoded update.
 func DecodeUpdate(buf []byte) (*Update, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeUpdate)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeUpdate {
-		return nil, fmt.Errorf("%w: type %v, want Update", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || int(h.PayloadLen) != 1+MetadataRecordLen {
 		return nil, fmt.Errorf("%w: update payload %d", ErrBadMessage, h.PayloadLen)
@@ -537,14 +534,16 @@ func (s *Summary) WireSize() int {
 	return SummarySize(len(s.Terms), bytes)
 }
 
+// Type returns TypeSummary.
+func (s *Summary) Type() MsgType { return TypeSummary }
+
+func (s *Summary) frame() ([]byte, error) { return s.Encode() }
+
 // DecodeSummary parses an encoded summary.
 func DecodeSummary(buf []byte) (*Summary, error) {
-	h, err := decodeHeader(buf)
+	h, err := decodeHeaderAs(buf, TypeSummary)
 	if err != nil {
 		return nil, err
-	}
-	if h.Type != TypeSummary {
-		return nil, fmt.Errorf("%w: type %v, want Summary", ErrBadMessage, h.Type)
 	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 2 {
 		return nil, fmt.Errorf("%w: summary payload %d", ErrBadMessage, h.PayloadLen)

@@ -51,3 +51,32 @@ func Handler(reg *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
+
+// ScrapeClassBytes fetches a Handler's /metrics exposition at addr through
+// client and returns its per-class wire-byte totals
+// (spnet_message_bytes_total) — the one reading of a node's load every
+// scraper shares, so the fleet controller and the experiments compare the
+// same series.
+func ScrapeClassBytes(client *http.Client, addr string) (ByClass, error) {
+	var b ByClass
+	resp, err := client.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return b, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return b, fmt.Errorf("scrape %s: status %d", addr, resp.StatusCode)
+	}
+	vals, err := ParsePrometheus(resp.Body)
+	if err != nil {
+		return b, err
+	}
+	for c := 0; c < NumClasses; c++ {
+		for d := 0; d < NumDirs; d++ {
+			b[c][d] = vals[SeriesKey(MetricMessageBytes,
+				Label{Name: "type", Value: Class(c).String()},
+				Label{Name: "dir", Value: Dir(d).String()})]
+		}
+	}
+	return b, nil
+}

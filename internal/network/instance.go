@@ -134,6 +134,84 @@ func Generate(cfg Config, prof *workload.Profile, rng *stats.RNG) (*Instance, er
 	return inst, nil
 }
 
+// Planted describes an exactly-known instance: the small networks the
+// three-way experiments price with the model, run in the simulator and boot as
+// a live fleet over one and the same Graph. Every cluster holds Partners
+// fileless super-peer partners and Clients clients sharing one file each;
+// content is split into Topics equally popular topics, one per cluster, so a
+// query matches a cluster's index with probability 1/Topics and then returns
+// all Clients files (Topics = 1: every file matches every query; Topics =
+// Graph.N(): topic-partitioned content). Nobody leaves and nothing updates,
+// which is what one-shot live joins look like to the model.
+type Planted struct {
+	Graph    topology.Graph
+	Partners int
+	Clients  int
+	Topics   int
+	// QueryRate is each user's queries per second, QueryLen the query
+	// string's length in bytes, TTL the query time-to-live.
+	QueryRate float64
+	QueryLen  int
+	TTL       int
+}
+
+// plantedLifespan is a session so long, in seconds, that the join rate it
+// implies (its inverse) is zero for every purpose.
+const plantedLifespan = 1e12
+
+// NewPlanted builds the instance p describes. Unlike Generate it draws
+// nothing: the same description always gives the same instance.
+func NewPlanted(p Planted) (*Instance, error) {
+	if p.Graph == nil || p.Partners < 1 || p.Clients < 0 || p.Topics < 1 {
+		return nil, fmt.Errorf("network: planted instance needs a graph, >= 1 partner and >= 1 topic: %+v", p)
+	}
+	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
+	if err != nil {
+		return nil, err
+	}
+	n := p.Graph.N()
+	size := p.Partners + p.Clients
+	clusters := make([]Cluster, n)
+	for v := range clusters {
+		cl := Cluster{
+			Partners:   make([]Peer, p.Partners),
+			Clients:    make([]Peer, p.Clients),
+			IndexFiles: p.Clients,
+			ExpResults: float64(p.Clients) / float64(p.Topics),
+			ExpAddrs:   float64(p.Clients) / float64(p.Topics),
+			ProbResp:   1 / float64(p.Topics),
+		}
+		for i := range cl.Partners {
+			cl.Partners[i] = Peer{Lifespan: plantedLifespan}
+		}
+		for i := range cl.Clients {
+			cl.Clients[i] = Peer{Files: 1, Lifespan: plantedLifespan}
+		}
+		clusters[v] = cl
+	}
+	graphType := PowerLaw
+	if p.Graph.IsClique() {
+		graphType = Strong
+	}
+	return &Instance{
+		Config: Config{
+			GraphType:   graphType,
+			GraphSize:   n * size,
+			ClusterSize: size,
+			KRedundancy: p.Partners,
+			TTL:         p.TTL,
+		},
+		Profile: &workload.Profile{
+			Queries:  qm,
+			Rates:    workload.Rates{QueryRate: p.QueryRate},
+			QueryLen: p.QueryLen,
+		},
+		Graph:    p.Graph,
+		Clusters: clusters,
+		NumPeers: n * size,
+	}, nil
+}
+
 // probAnyMemo is QueryModel.ProbAnyResult remembered by collection size: the
 // same pure function, so the same bits.
 type probAnyMemo struct {

@@ -9,6 +9,7 @@ import (
 	"spnet/internal/faults"
 	"spnet/internal/metrics"
 	"spnet/internal/p2p"
+	"spnet/internal/topology"
 )
 
 // LiveConfig shapes a live loopback deployment: real p2p.Node super-peers
@@ -16,13 +17,20 @@ import (
 // routed through a faults.Controller so churn is scriptable and
 // deterministic.
 type LiveConfig struct {
-	// Clusters is the number of virtual super-peers on the overlay ring
-	// (default 3).
+	// Overlay is the graph the fleet is wired from: node v is cluster v, and
+	// every partner of a cluster links to every partner of each neighboring
+	// cluster. Hand it the Instance.Graph the model and the simulator
+	// evaluate and all three layers run one topology. Nil selects the ring
+	// over Clusters.
+	Overlay topology.Graph
+	// Clusters is the number of virtual super-peers on the default ring
+	// (default 3); with an Overlay it is Overlay.N().
 	Clusters int
 	// Partners is the k-redundancy level: partners per virtual super-peer
 	// (Section 3.2; default 2).
 	Partners int
-	// Seed drives the fault controller's randomness.
+	// Seed drives the fault controller's randomness and, offset by the slot
+	// number, each super-peer's RoutingSeed.
 	Seed uint64
 	// Telemetry starts a loopback HTTP server per super-peer serving the
 	// node's metrics registry (Prometheus text, expvar JSON, pprof) — the
@@ -31,14 +39,22 @@ type LiveConfig struct {
 	Telemetry bool
 	// Node is the base configuration applied to every super-peer; its
 	// Wrap/Dial hooks are overwritten to route through the fault
-	// controller.
+	// controller, and its RoutingSeed with the slot's.
 	Node p2p.Options
+	// Adjust, when set, edits one slot's copy of Node before the super-peer
+	// is built (at launch and again on every restart) — how a fleet plants
+	// an adversary or any other odd node out.
+	Adjust func(cluster, partner int, opts *p2p.Options)
 }
 
 func (c *LiveConfig) setDefaults() {
 	if c.Clusters <= 0 {
 		c.Clusters = 3
 	}
+	if c.Overlay == nil {
+		c.Overlay = topology.Ring(c.Clusters)
+	}
+	c.Clusters = c.Overlay.N()
 	if c.Partners <= 0 {
 		c.Partners = 2
 	}
@@ -56,9 +72,10 @@ type liveNode struct {
 
 // Live runs a real super-peer network on loopback and orchestrates churn
 // against it: killing and restarting super-peers, partitioning whole
-// clusters, and injecting link faults. Clusters form a ring; all partners of
-// adjacent clusters are fully inter-linked, and partners within a cluster
-// peer with each other, matching the paper's redundancy wiring.
+// clusters, and injecting link faults. Clusters are the nodes of
+// LiveConfig.Overlay; all partners of adjacent clusters are fully
+// inter-linked, and partners within a cluster peer with each other, matching
+// the paper's redundancy wiring.
 type Live struct {
 	cfg  LiveConfig
 	ctrl *faults.Controller
@@ -80,6 +97,10 @@ func label(cluster, partner int) string { return fmt.Sprintf("sp-%d-%d", cluster
 // Faults exposes the controller for scripting link faults on top of the
 // topology-level churn operations.
 func (l *Live) Faults() *faults.Controller { return l.ctrl }
+
+// Overlay returns the graph the fleet is wired from (the default ring when
+// LiveConfig.Overlay was nil).
+func (l *Live) Overlay() topology.Graph { return l.cfg.Overlay }
 
 // Launch boots every super-peer and wires the overlay. On error the harness
 // is closed.
@@ -109,7 +130,7 @@ func (l *Live) Launch() error {
 	}
 	for c := range l.nodes {
 		for p, ln := range l.nodes[c] {
-			if err := l.connectLocked(c, p, ln.node); err != nil {
+			if err := l.connectLocked(c, p, ln.node, true); err != nil {
 				l.closeLocked()
 				return err
 			}
@@ -150,7 +171,7 @@ func stopTelemetry(srv *http.Server) {
 // slots in stable cluster-major, partner-minor order with addresses pinned
 // across kill/restart, so scrape loops and result tables are deterministic.
 type SuperPeerInfo struct {
-	Cluster int    // cluster index on the ring
+	Cluster int    // cluster index: the slot's overlay node
 	Partner int    // partner rank within the cluster
 	ID      string // stable label, "sp-<cluster>-<partner>"
 	Addr    string // p2p listen address (pinned across restarts)
@@ -186,70 +207,36 @@ func (l *Live) newNode(cluster, partner int) *p2p.Node {
 	lbl := label(cluster, partner)
 	opts.Wrap = l.ctrl.WrapAccept(lbl)
 	opts.Dial = l.ctrl.Dialer(lbl)
+	opts.RoutingSeed = l.cfg.Seed + uint64(cluster*l.cfg.Partners+partner+1)
+	if l.cfg.Adjust != nil {
+		l.cfg.Adjust(cluster, partner, &opts)
+	}
 	return p2p.NewNode(opts)
 }
 
-// connectLocked dials n's overlay links: co-partners in its own cluster and
-// every live partner of the ring-adjacent clusters. Only slots "before" the
-// given one are dialed during launch (the later slots dial back), so each
-// link is established exactly once; restarts dial everyone.
-func (l *Live) connectLocked(cluster, partner int, n *p2p.Node) error {
-	dial := func(c, p int) error {
-		tgt := l.nodes[c][p]
-		if tgt == nil || tgt.node == nil || tgt.node == n {
-			return nil
-		}
-		return n.ConnectPeer(tgt.addr)
-	}
-	// Co-partners: the intra-cluster mesh that lets partners hand off.
-	for p := 0; p < partner; p++ {
-		if err := dial(cluster, p); err != nil {
-			return err
-		}
-	}
-	// Ring neighbors, all partners (2k links per neighbor pair — the
-	// redundancy cost Section 3.2 accounts for).
-	if prev := cluster - 1; prev >= 0 {
-		for p := range l.nodes[prev] {
-			if err := dial(prev, p); err != nil {
-				return err
-			}
-		}
-	}
-	// The wrap-around link closes the ring (only for >2 clusters; with 2,
-	// cluster 1's "previous" link already connects the pair).
-	if cluster == l.cfg.Clusters-1 && l.cfg.Clusters > 2 {
-		for p := range l.nodes[0] {
-			if err := dial(0, p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// reconnectLocked dials every live overlay neighbor of the slot — used after
-// a restart, when no other node will dial back.
-func (l *Live) reconnectLocked(cluster, partner int, n *p2p.Node) error {
-	var errFirst error
-	dialAll := func(c int) {
+// connectLocked dials n's overlay links: its live co-partners (the
+// intra-cluster mesh that lets partners hand off), then every live partner
+// of each cluster adjacent in the overlay — k links per neighbor partner, the
+// redundancy cost Section 3.2 accounts for. At launch only slots before the
+// given one are dialed (the later slots dial back), so each link is
+// established exactly once; a restarted slot dials its whole neighborhood,
+// since nobody will dial back. Every target is tried and the first failure
+// reported.
+func (l *Live) connectLocked(cluster, partner int, n *p2p.Node, launch bool) error {
+	var first error
+	hood := append([]int32{int32(cluster)}, l.cfg.Overlay.Neighbors(cluster, nil)...)
+	for _, c := range hood {
 		for p, tgt := range l.nodes[c] {
-			if (c == cluster && p == partner) || tgt.node == nil {
+			later := int(c) > cluster || (int(c) == cluster && p >= partner)
+			if tgt.node == nil || tgt.node == n || (launch && later) {
 				continue
 			}
-			if err := n.ConnectPeer(tgt.addr); err != nil && errFirst == nil {
-				errFirst = err
+			if err := n.ConnectPeer(tgt.addr); err != nil && first == nil {
+				first = err
 			}
 		}
 	}
-	dialAll(cluster)
-	if l.cfg.Clusters > 1 {
-		dialAll((cluster + 1) % l.cfg.Clusters)
-		if prev := (cluster - 1 + l.cfg.Clusters) % l.cfg.Clusters; prev != (cluster+1)%l.cfg.Clusters {
-			dialAll(prev)
-		}
-	}
-	return errFirst
+	return first
 }
 
 // ClusterAddrs returns the cluster's ranked partner addresses — the
@@ -314,7 +301,7 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 		return err
 	}
 	n.SetIdentity(label(cluster, partner), ln.telAddr)
-	return l.reconnectLocked(cluster, partner, n)
+	return l.connectLocked(cluster, partner, n, false)
 }
 
 // ControllerLabel is the fault-controller label of the fleet controller's

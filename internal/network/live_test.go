@@ -2,11 +2,14 @@ package network
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"spnet/internal/p2p"
+	"spnet/internal/topology"
 )
 
 func waitLive(t *testing.T, what string, cond func() bool) {
@@ -297,4 +300,84 @@ func TestLivePartitionCluster(t *testing.T) {
 	lv.HealCluster(1)
 	// The healed link may deliver the stale query first; retry briefly.
 	waitLive(t, "post-heal search", func() bool { return search() == 1 })
+}
+
+// TestLiveWiresOverlay checks that the fleet's links are the overlay's edges,
+// whatever the overlay: the default ring (whose 1-, 2- and 3-cluster cases
+// have no, one shared, and coinciding wrap-around links), a star and a
+// clique. Every super-peer must hold degree × partners + co-partner links,
+// a TTL-1 search from each cluster must reach exactly its neighbors'
+// content, and a killed and restarted hub partner must get its links back.
+func TestLiveWiresOverlay(t *testing.T) {
+	ring := func(n int) LiveConfig { return LiveConfig{Clusters: n, Partners: 1} }
+	for _, tc := range []struct {
+		name  string
+		cfg   LiveConfig
+		links [][]int // links[c]: the clusters c must be wired to
+	}{
+		{"ring1", ring(1), [][]int{{}}},
+		{"ring2", ring(2), [][]int{{1}, {0}}},
+		{"ring3", ring(3), [][]int{{1, 2}, {0, 2}, {0, 1}}},
+		{"ring4", ring(4), [][]int{{1, 3}, {0, 2}, {1, 3}, {0, 2}}},
+		{"star", LiveConfig{Overlay: topology.Star(3), Partners: 2}, [][]int{{1, 2, 3}, {0}, {0}, {0}}},
+		{"clique", LiveConfig{Overlay: topology.NewClique(4), Partners: 1}, [][]int{{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := tc.cfg.Partners
+			tc.cfg.Seed = 21
+			tc.cfg.Node = p2p.Options{TTL: 1, HeartbeatInterval: -1, DrainTimeout: 50 * time.Millisecond}
+			lv := NewLive(tc.cfg)
+			if err := lv.Launch(); err != nil {
+				t.Fatal(err)
+			}
+			defer lv.Close()
+			whole := func() bool {
+				for c, nbrs := range tc.links {
+					for p := 0; p < k; p++ {
+						if lv.Node(c, p).Stats().Peers != len(nbrs)*k+k-1 {
+							return false
+						}
+					}
+				}
+				return true
+			}
+			waitLive(t, "overlay links", whole)
+
+			for c := range tc.links {
+				cl, err := p2p.DialClient(lv.ClusterAddrs(c)[0], []p2p.SharedFile{
+					{Index: uint32(c), Title: fmt.Sprintf("probe c%d", c)},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Close()
+				n := lv.Node(c, 0)
+				waitLive(t, "probe indexed", func() bool { return n.Stats().IndexedFiles == 1 })
+			}
+			for c, nbrs := range tc.links {
+				res, err := lv.Node(c, 0).Search("probe", 50*time.Millisecond)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []int
+				for _, r := range res {
+					got = append(got, int(r.FileIndex))
+				}
+				slices.Sort(got)
+				want := append([]int{c}, nbrs...)
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Errorf("TTL-1 search from cluster %d reached clusters %v, want %v", c, got, want)
+				}
+			}
+
+			if err := lv.KillSuperPeer(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := lv.RestartSuperPeer(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			waitLive(t, "overlay links after restart", whole)
+		})
+	}
 }

@@ -345,8 +345,14 @@ func TestSearchDeadlineFailureRetiresConn(t *testing.T) {
 		t.Fatal("search with failing SetReadDeadline reported success")
 	}
 
-	// The poisoned connection was retired: the next search reconnects
-	// (plain conn this time) and succeeds with a working deadline.
+	// The poisoned connection was retired. The client has no watchdog
+	// (HeartbeatInterval unset), so it is the next search that reconnects
+	// (plain conn this time) and re-joins; once the node has dropped the old
+	// link's entry and indexed the new join, searches succeed with a working
+	// deadline.
+	if _, err := cl.Search("dirge", 150*time.Millisecond); err != nil {
+		t.Fatalf("reconnecting search: %v", err)
+	}
 	waitFor(t, "re-joined after retirement", func() bool { return n.Stats().IndexedFiles == 1 })
 	r, err := cl.Search("dirge", 150*time.Millisecond)
 	if err != nil {

@@ -9,76 +9,15 @@ import (
 	"spnet/internal/routing"
 	"spnet/internal/stats"
 	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
-// advInstance hand-builds a fixed topology with 2-redundant clusters for
-// adversary tests: `edges` wires the overlay, every cluster holds two
-// partner super-peers (so reputation has an honest alternative to pick) and
-// `clients` clients with one file each. Content is topic-partitioned as in
-// the routing tests, so ground truth is exact.
-func advInstance(t *testing.T, n int, edges [][2]int, clients, ttl int) *network.Instance {
-	t.Helper()
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	graph, err := topology.NewAdjGraph(n, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const never = 1e12
-	clusters := make([]network.Cluster, n)
-	for v := range clusters {
-		cl := network.Cluster{
-			Partners: []network.Peer{
-				{Files: 0, Lifespan: never},
-				{Files: 0, Lifespan: never},
-			},
-			IndexFiles: clients,
-			ExpResults: float64(clients) / float64(n),
-			ExpAddrs:   float64(clients) / float64(n),
-			ProbResp:   1 / float64(n),
-		}
-		for i := 0; i < clients; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		clusters[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.PowerLaw,
-			GraphSize:   n * (clients + 2),
-			ClusterSize: clients + 2,
-			KRedundancy: 2,
-			TTL:         ttl,
-		},
-		Profile: &workload.Profile{
-			Queries:  qm,
-			Rates:    workload.Rates{QueryRate: 0.05},
-			QueryLen: 6,
-		},
-		Graph:    graph,
-		Clusters: clusters,
-		NumPeers: n * (clients + 2),
-	}
-}
-
-// starEdges wires a hub (cluster 0) to `leaves` leaf clusters.
-func starEdges(leaves int) [][2]int {
-	edges := make([][2]int, leaves)
-	for i := range edges {
-		edges[i] = [2]int{0, i + 1}
-	}
-	return edges
-}
-
-// runAdvStar simulates the 2-redundant star with planted topics under the
-// given adversary (nil = honest) and routing strategy.
+// runAdvStar simulates the star with planted topics under the given adversary
+// (nil = honest) and routing strategy. Every cluster holds two partner
+// super-peers, so reputation has an honest alternative to pick.
 func runAdvStar(t *testing.T, adv *AdversaryOptions, strat routing.Strategy, seed uint64) *Measured {
 	t.Helper()
 	const leaves, clients = 4, 3
-	inst := advInstance(t, leaves+1, starEdges(leaves), clients, 2)
+	inst := plantedTopics(t, topology.Star(leaves), 2, clients, 2)
 	m, err := Run(inst, Options{
 		Duration:  1500,
 		Seed:      seed,
@@ -217,10 +156,13 @@ func TestAdversaryForgeryAccounting(t *testing.T) {
 // inflated and far-topic recall collapses. Reputation-weighted neighbor
 // selection must route around the forger and recover recall.
 func TestLearnedCreditInflation(t *testing.T) {
-	line := [][2]int{{0, 1}, {1, 2}}
+	line, err := topology.NewAdjGraph(3, [][2]int{{0, 1}, {1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	middleSlot0 := func(cluster, slot int) bool { return cluster == 1 && slot == 0 }
 	run := func(trustOn bool, seed uint64) *Measured {
-		inst := advInstance(t, 3, line, 3, 3)
+		inst := plantedTopics(t, line, 2, 3, 3)
 		m, err := Run(inst, Options{
 			Duration: 2500,
 			Seed:     seed,

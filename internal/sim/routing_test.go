@@ -8,70 +8,31 @@ import (
 	"spnet/internal/routing"
 	"spnet/internal/stats"
 	"spnet/internal/topology"
-	"spnet/internal/workload"
 )
 
-// routingStarInstance hand-builds the fixed topology the strategy tests run
-// on: a hub with `leaves` leaf super-peers, TTL 2, `clients` clients per
-// cluster, no churn. With topic-partitioned content (every cluster c's files
-// titled "topic<c>", queries for a uniform topic) ground truth is exact:
-// each query has `clients` matching files, all in one cluster, and a flood
-// reaches every cluster.
-func routingStarInstance(t *testing.T, leaves, clients int) *network.Instance {
+// plantedTopics builds the fixed instances the strategy and adversary tests
+// run on: `partners` fileless super-peers and `clients` one-file clients per
+// cluster of g, no churn. With topic-partitioned content (every cluster c's
+// files titled "topic<c>", queries for a uniform topic) ground truth is
+// exact: each query has `clients` matching files, all in one cluster.
+func plantedTopics(t *testing.T, g topology.Graph, partners, clients, ttl int) *network.Instance {
 	t.Helper()
-	qm, err := workload.NewQueryModel([]float64{1}, []float64{1})
+	inst, err := network.NewPlanted(network.Planted{
+		Graph: g, Partners: partners, Clients: clients, Topics: g.N(),
+		QueryRate: 0.05, QueryLen: 6, TTL: ttl,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := make([][2]int, leaves)
-	for i := range edges {
-		edges[i] = [2]int{0, i + 1}
-	}
-	graph, err := topology.NewAdjGraph(leaves+1, edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const never = 1e12
-	n := leaves + 1
-	clusters := make([]network.Cluster, n)
-	for v := range clusters {
-		cl := network.Cluster{
-			Partners:   []network.Peer{{Files: 0, Lifespan: never}},
-			IndexFiles: clients,
-			ExpResults: float64(clients) / float64(n),
-			ExpAddrs:   float64(clients) / float64(n),
-			ProbResp:   1 / float64(n),
-		}
-		for i := 0; i < clients; i++ {
-			cl.Clients = append(cl.Clients, network.Peer{Files: 1, Lifespan: never})
-		}
-		clusters[v] = cl
-	}
-	return &network.Instance{
-		Config: network.Config{
-			GraphType:   network.PowerLaw,
-			GraphSize:   n * (clients + 1),
-			ClusterSize: clients + 1,
-			KRedundancy: 1,
-			TTL:         2,
-		},
-		Profile: &workload.Profile{
-			Queries:  qm,
-			Rates:    workload.Rates{QueryRate: 0.05},
-			QueryLen: 6,
-		},
-		Graph:    graph,
-		Clusters: clusters,
-		NumPeers: n * (clients + 1),
-	}
+	return inst
 }
 
-// runStarStrategy simulates one strategy over the star with planted topics
-// and returns the measurement.
+// runStarStrategy simulates one strategy over a hub with 4 leaf super-peers
+// at TTL 2 (a flood reaches every cluster) and returns the measurement.
 func runStarStrategy(t *testing.T, strat routing.Strategy, seed uint64) *Measured {
 	t.Helper()
 	const leaves, clients = 4, 3
-	inst := routingStarInstance(t, leaves, clients)
+	inst := plantedTopics(t, topology.Star(leaves), 1, clients, 2)
 	m, err := Run(inst, Options{
 		Duration: 1500,
 		Seed:     seed,

@@ -77,6 +77,38 @@ func NewAdjGraph(n int, edges [][2]int) (*AdjGraph, error) {
 	return g, nil
 }
 
+// Ring returns the cycle 0–1–…–(n-1)–0: no edge for one node, a single edge
+// for two. Edge i joins node i to its successor, so every node lists its
+// predecessor before its successor.
+func Ring(n int) *AdjGraph {
+	var edges [][2]int
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	if n > 2 {
+		edges = append(edges, [2]int{n - 1, 0})
+	}
+	return fixedGraph(n, edges)
+}
+
+// Star returns a hub (node 0) joined to each of nodes 1..leaves.
+func Star(leaves int) *AdjGraph {
+	edges := make([][2]int, leaves)
+	for i := range edges {
+		edges[i] = [2]int{0, i + 1}
+	}
+	return fixedGraph(leaves+1, edges)
+}
+
+// fixedGraph builds a graph whose edge list is valid by construction.
+func fixedGraph(n int, edges [][2]int) *AdjGraph {
+	g, err := NewAdjGraph(n, edges)
+	if err != nil {
+		panic(err) // only a bug in the caller's edge list can get here
+	}
+	return g
+}
+
 // N returns the number of nodes.
 func (g *AdjGraph) N() int { return len(g.offsets) - 1 }
 

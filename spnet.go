@@ -22,7 +22,7 @@
 //     outgoing bandwidth and processing power, plus results per query, reach
 //     and expected path length.
 //   - The global design procedure of Figure 10 (Design) and the TTL/EPL
-//     helpers of rule #4 and Appendix F (PredictTTL, PredictEPL, MeasureEPL).
+//     helpers of rule #4 and Appendix F (PredictTTL, MeasureEPL).
 //   - The Section 5.3 local decision rules (Advise) and a deterministic
 //     discrete-event, message-level simulator (Simulate) that validates the
 //     analysis and runs the local rules under churn.
@@ -124,23 +124,12 @@ type RoutingStrategy = routing.Strategy
 
 // RoutingForwards is a strategy's analytic model: the expected number of
 // query copies a node with d eligible neighbors forwards, at the source and
-// at relays. EvalOptions.Forwards consumes it.
+// at relays. EvalOptions.Forwards consumes it; nil is the flood.
 type RoutingForwards = routing.Forwards
 
 // ParseRouting builds a strategy from a flag-style spec: "flood",
 // "randomwalk" (optionally "randomwalk:k"), "routingindex" or "learned".
 func ParseRouting(spec string) (RoutingStrategy, error) { return routing.Parse(spec) }
-
-// RoutingNames lists the built-in routing strategy names.
-func RoutingNames() []string { return routing.Names() }
-
-// FloodForwards, RandomWalkForwards and ConstForwards build the analytic
-// forward models for the built-in strategies.
-func FloodForwards() *RoutingForwards           { return routing.FloodForwards() }
-func RandomWalkForwards(k int) *RoutingForwards { return routing.RandomWalkForwards(k) }
-func ConstForwards(name string, source, relay float64) *RoutingForwards {
-	return routing.ConstForwards(name, source, relay)
-}
 
 // EvalOptions selects what EvaluateWith models beyond the flood over honest
 // relays: Forwards puts a routing strategy's forward model in place of the
@@ -196,12 +185,6 @@ func Design(goals Goals, cons Constraints, opts DesignOptions) (*Plan, error) {
 	return design.Run(goals, cons, opts)
 }
 
-// PredictEPL approximates the expected path length for a desired reach (in
-// clusters) at an average outdegree: EPL ≈ log_d(reach) (Appendix F).
-func PredictEPL(avgOutdegree float64, reachClusters int) float64 {
-	return design.PredictEPL(avgOutdegree, reachClusters)
-}
-
 // PredictTTL returns the TTL to use for a desired reach at an average
 // outdegree (rule #4 with the Appendix F adjustment).
 func PredictTTL(avgOutdegree float64, reachClusters int) int {
@@ -240,11 +223,6 @@ type (
 // vocabulary — the corpus behind the simulator's content mode and the
 // BuildQueryModel calibration bridge.
 type Library = content.Library
-
-// NewLibrary builds a vocabulary of vocabSize terms with Zipf popularity.
-func NewLibrary(vocabSize int, exponent float64) (*Library, error) {
-	return content.NewLibrary(vocabSize, exponent)
-}
 
 // DefaultLibrary returns the calibrated default corpus generator.
 func DefaultLibrary() *Library { return content.DefaultLibrary() }
@@ -381,13 +359,9 @@ func TransferSourcesFor(results []SearchResult, title string) []TransferSource {
 	return p2p.TransferSources(results, title)
 }
 
-// TransferContentSize and TransferContentHash expose the deterministic
-// content model: the size and sha256 a store-served title always has, so
-// callers can verify a completed download end to end without trusting any
-// source.
-func TransferContentSize(title string, minSize, maxSize int64) int64 {
-	return transfer.ContentSize(title, minSize, maxSize)
-}
+// TransferContentHash exposes the deterministic content model: the sha256 a
+// store-served title of that size always has, so callers can verify a
+// completed download end to end without trusting any source.
 func TransferContentHash(title string, size int64) [32]byte {
 	return transfer.ContentHash(title, size)
 }
@@ -404,18 +378,6 @@ type (
 // same way Evaluate prices query traffic.
 func PredictTransfer(w TransferWorkload) (*TransferPrediction, error) {
 	return analysis.PredictTransfer(w)
-}
-
-// TransferBenchParams shape RunTransferBench: a live fleet serves one file
-// from every cluster, a downloader fetches it multi-source, telemetry is
-// scraped for transfer-class wire bytes, and a failover drill kills a source
-// mid-download — all compared against PredictTransfer.
-type TransferBenchParams = experiments.TransferBenchParams
-
-// RunTransferBench runs the transfer-plane validation experiment and renders
-// its report.
-func RunTransferBench(p TransferBenchParams) (*ExperimentReport, error) {
-	return experiments.RunTransferBench(p)
 }
 
 // ClientDialOptions, ClientBackoff and ClientEvent configure a supervised
@@ -465,9 +427,6 @@ type (
 	FailureSchedule = faults.Schedule
 	PartnerFailure  = faults.PartnerFailure
 )
-
-// NewFaultController creates a deterministic, seed-driven fault injector.
-func NewFaultController(seed uint64) *FaultController { return faults.NewController(seed) }
 
 // ExponentialFailureSchedule draws a reproducible failure schedule with
 // exponentially distributed inter-failure gaps (mean mtbf) for every partner
@@ -545,47 +504,3 @@ const (
 // NewFleetController builds a controller over the given fleet; call Start to
 // launch its control links and decision loop, Close to stop it.
 func NewFleetController(opts FleetOptions) *FleetController { return control.New(opts) }
-
-// FleetPredictedLoad folds an analytical per-class bandwidth prediction
-// (Result.SuperPeerClassBps) into the load-limit form FleetOptions.Limit
-// expects, scaled by headroom.
-func FleetPredictedLoad(b LoadByClass, headroom float64) Load {
-	return control.PredictedLoad(b, headroom)
-}
-
-// SelfHealParams shape RunSelfHeal: a live fleet loses a loaded super-peer
-// mid-run, once with the fleet controller watching and once without, and the
-// lost-query fraction quantifies what the pushed Section 5.3 rules buy.
-type SelfHealParams = experiments.SelfHealParams
-
-// SelfHealResult carries the raw self-healing measurements.
-type SelfHealResult = experiments.SelfHealResult
-
-// RunSelfHeal runs the self-healing experiment and renders the comparison
-// table (controller off vs on vs the sim-adaptive baseline).
-func RunSelfHeal(p SelfHealParams) (*ExperimentReport, error) {
-	return experiments.RunSelfHeal(p)
-}
-
-// LoadValidationParams shape RunLoadValidation, the model-vs-measured
-// validation experiment.
-type LoadValidationParams = experiments.LoadValidationParams
-
-// RoutingCompareParams shape RunRoutingCompare, the three-way routing
-// strategy comparison.
-type RoutingCompareParams = experiments.RoutingCompareParams
-
-// RunRoutingCompare prices each routing strategy analytically, simulates it,
-// and measures it on a live TCP star network, reporting forwarded-query
-// bandwidth saved and recall lost against the flood baseline.
-func RunRoutingCompare(p RoutingCompareParams) (*ExperimentReport, error) {
-	return experiments.RunRoutingCompare(p)
-}
-
-// RunLoadValidation evaluates, simulates and actually runs the same small
-// super-peer network, scrapes each live super-peer's telemetry endpoint, and
-// reports per-super-peer bandwidth three ways — analytical prediction,
-// simulator measurement, live measurement — with relative errors.
-func RunLoadValidation(p LoadValidationParams) (*ExperimentReport, error) {
-	return experiments.RunLoadValidation(p)
-}
