@@ -109,32 +109,5 @@ func (r *Result) AllNodeLoads() []NodeLoad {
 	return out
 }
 
-// SuperPeerLoadsByOutdegree returns, for every cluster, the overlay
-// outdegree of its super-peer and the per-partner load — the raw data for
-// the load-vs-outdegree histograms of Figures 7 and 8.
-func (r *Result) SuperPeerLoadsByOutdegree() (outdegrees []int, loads []Load) {
-	n := len(r.Inst.Clusters)
-	outdegrees = make([]int, n)
-	loads = make([]Load, n)
-	for v := 0; v < n; v++ {
-		outdegrees[v] = r.Inst.Graph.Degree(v)
-		loads[v] = r.SuperPeerLoad(v)
-	}
-	return outdegrees, loads
-}
-
-// ResultsBySourceOutdegree returns, for every cluster, its outdegree and the
-// expected number of results a query sourced there receives (Figure 8).
-func (r *Result) ResultsBySourceOutdegree() (outdegrees []int, results []float64) {
-	n := len(r.Inst.Clusters)
-	outdegrees = make([]int, n)
-	results = make([]float64, n)
-	for v := 0; v < n; v++ {
-		outdegrees[v] = r.Inst.Graph.Degree(v)
-		results[v] = r.respToSource[v].results
-	}
-	return outdegrees, results
-}
-
 // SourceResults returns E[R_S] (eq. 2) for queries sourced at cluster v.
 func (r *Result) SourceResults(v int) float64 { return r.respToSource[v].results }

@@ -155,13 +155,6 @@ func (f *Controller) SetRule(node string, r Rule) {
 	f.mu.Unlock()
 }
 
-// ClearRule removes node's fault rule.
-func (f *Controller) ClearRule(node string) {
-	f.mu.Lock()
-	delete(f.rules, node)
-	f.mu.Unlock()
-}
-
 // Isolate partitions a node from everything: writes on its links are
 // silently dropped and reads stall, exactly as if every packet to and from
 // it were lost. Dials to or from it fail.
@@ -191,14 +184,6 @@ func (f *Controller) Partition(a, b string) {
 func (f *Controller) Heal(a, b string) {
 	f.mu.Lock()
 	delete(f.cut, pairKey(a, b))
-	f.mu.Unlock()
-}
-
-// HealAll removes every partition and isolation.
-func (f *Controller) HealAll() {
-	f.mu.Lock()
-	f.isolated = make(map[string]bool)
-	f.cut = make(map[[2]string]bool)
 	f.mu.Unlock()
 }
 

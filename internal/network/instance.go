@@ -264,9 +264,6 @@ func (inst *Instance) SuperPeerConns(v int) int {
 // one per partner super-peer.
 func (inst *Instance) ClientConns() int { return inst.Config.Partners() }
 
-// TotalUsers returns the number of query-submitting users in the instance.
-func (inst *Instance) TotalUsers() int { return inst.NumPeers }
-
 // TotalFiles returns the total number of files shared across all clusters.
 func (inst *Instance) TotalFiles() int {
 	total := 0

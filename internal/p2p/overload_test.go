@@ -129,6 +129,13 @@ func TestNodeOverloadSheds(t *testing.T) {
 	if busy == 0 {
 		t.Error("no Busy responses despite overload")
 	}
+	// dispatch counts a query as handled only after its QueryHit is written,
+	// so the client can read the last hit before the counter moves: wait
+	// for the counters to catch up with what the client saw.
+	waitFor(t, "counters to match the client's tally", func() bool {
+		st := n.Stats()
+		return int(st.QueriesHandled) == hits && int(st.QueriesShed) == busy
+	})
 	st := n.Stats()
 	if st.QueriesShed == 0 {
 		t.Errorf("Stats().QueriesShed = 0, want > 0 (hits=%d busy=%d)", hits, busy)

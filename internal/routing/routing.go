@@ -138,14 +138,6 @@ func (ns *NodeState) SetSummary(id int, terms []string) {
 	ns.mu.Unlock()
 }
 
-// HasSummary reports whether neighbor id has advertised a summary.
-func (ns *NodeState) HasSummary(id int) bool {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	st := ns.nbrs[id]
-	return st != nil && st.summary != nil
-}
-
 // SummaryTerms returns the number of terms neighbor id currently advertises,
 // or -1 if it has not advertised a summary.
 func (ns *NodeState) SummaryTerms(id int) int {

@@ -42,9 +42,6 @@ func NewRandomWalk(k int) RandomWalk {
 	return RandomWalk{k: k}
 }
 
-// Walkers returns k.
-func (s RandomWalk) Walkers() int { return s.k }
-
 // Name implements Strategy.
 func (s RandomWalk) Name() string {
 	if s.k == DefaultWalkers {

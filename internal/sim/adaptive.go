@@ -85,13 +85,13 @@ func (s *Simulator) noteSourceQuery(c *clusterNode, localResults int) {
 	}
 }
 
-func (s *Simulator) noteSourceResponse(c *clusterNode, msg respMsg) {
+func (s *Simulator) noteSourceResponse(c *clusterNode, msg *message) {
 	if c.adaptive == nil {
 		return
 	}
 	c.adaptive.resultsObserved += float64(msg.results)
-	if msg.hops > c.adaptive.ttlWindowMaxHops {
-		c.adaptive.ttlWindowMaxHops = msg.hops
+	if hops := int(msg.hops); hops > c.adaptive.ttlWindowMaxHops {
+		c.adaptive.ttlWindowMaxHops = hops
 	}
 	if c.adaptive.probing {
 		c.adaptive.probeResults += float64(msg.results)
@@ -269,7 +269,7 @@ func (s *Simulator) promotePartner(c *clusterNode) {
 		return
 	}
 	p := &partnerNode{cluster: c, files: cl.files, lifespan: cl.lifespan}
-	c.partners = append(c.partners, p)
+	c.setPartners(append(c.partners, p))
 	c.targetPartners = len(c.partners)
 	cl.cluster = nil // retire the client slot; its processes stop
 
@@ -289,12 +289,12 @@ func (s *Simulator) splitCluster(c *clusterNode) {
 	}
 	nc := &clusterNode{
 		id:               len(s.clusters),
-		seen:             make(map[uint64]seenEntry),
+		seen:             seenTable{span: c.seen.span},
 		ttl:              c.ttl,
 		acceptingClients: true,
 	}
 	sp := &partnerNode{cluster: nc, files: seedClient.files, lifespan: seedClient.lifespan}
-	nc.partners = []*partnerNode{sp}
+	nc.setPartners([]*partnerNode{sp})
 	nc.targetPartners = 1
 	seedClient.cluster = nil
 	s.clusters = append(s.clusters, nc)
@@ -368,7 +368,7 @@ func (s *Simulator) tryCoalesce(c *clusterNode) {
 
 	// Rewire: the dissolved cluster's neighbors connect to c so the overlay
 	// stays connected, then it leaves the overlay.
-	smallest.partners = nil // marks the cluster dissolved
+	smallest.setPartners(nil) // marks the cluster dissolved
 	for _, nb := range neighborList(smallest) {
 		s.removeEdge(smallest, nb)
 		if nb != c {
@@ -420,8 +420,8 @@ func (s *Simulator) addEdge(a, b *clusterNode) {
 }
 
 func (s *Simulator) removeEdge(a, b *clusterNode) {
-	a.deleteNeighbor(b.id)
-	b.deleteNeighbor(a.id)
+	a.deleteNeighbor(b)
+	b.deleteNeighbor(a)
 }
 
 // neighborList snapshots a cluster's neighbors, for loops that rewire them.

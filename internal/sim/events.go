@@ -10,32 +10,16 @@
 // churn, which the static analysis cannot.
 package sim
 
-// evKind selects how runUntil dispatches an event.
-type evKind uint8
-
-const (
-	// evFunc runs fn. Timers and every cold call site (Poisson ticks, churn
-	// cycles, seen cleanup, failure clocks, adaptive rounds, adversary
-	// observations) use it: their closure is built once per process and
-	// rescheduled, so it costs no allocation per event.
-	evFunc evKind = iota
-	// evQuery delivers query to target (handleQuery).
-	evQuery
-	// evResponse delivers resp to target (handleResponse).
-	evResponse
-)
-
-// event is one scheduled action at a virtual time, stored by value. seq
-// breaks ties so that execution order is deterministic. Message kinds carry
-// their payload inline: delivering a message allocates nothing.
+// event is one scheduled action at a virtual time, stored by value. A timer
+// runs fn (a recurring process builds its closure once and reschedules it);
+// a message delivery has fn == nil and carries its payload inline, so
+// delivering a message allocates nothing. seq breaks ties so that execution
+// order is deterministic. TestEventSize pins the size at 96 bytes.
 type event struct {
-	at     float64
-	seq    uint64
-	kind   evKind
-	target *partnerNode // evQuery, evResponse
-	fn     func()       // evFunc
-	query  queryMsg     // evQuery
-	resp   respMsg      // evResponse
+	at  float64
+	seq uint64
+	fn  func()
+	msg message
 }
 
 // before orders events by (at, seq).
@@ -51,19 +35,23 @@ func (e *event) before(o *event) bool {
 // memory.
 type timerHeap []event
 
-func (h *timerHeap) push(ev *event) {
+// reserve sifts a hole for an event due at (at, seq) into place and returns
+// it, zeroed but for the key, for the caller to fill.
+func (h *timerHeap) reserve(at float64, seq uint64) *event {
+	key := event{at: at, seq: seq}
 	q := append(*h, event{})
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !ev.before(&q[parent]) {
+		if !key.before(&q[parent]) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = *ev
+	q[i] = key
 	*h = q
+	return &q[i]
 }
 
 // pop moves the minimum into out and re-inserts the last element from the
@@ -102,9 +90,9 @@ func (h *timerHeap) pop(out *event) {
 
 // lane is a FIFO ring of events already sorted by (at, seq). Every message
 // is delivered at now + Latency with now monotone and seq increasing, so
-// deliveries arrive in order and need no heap: push and pop are O(1) and the
-// storage is reused as the ring cycles (stale slots keep their payload until
-// overwritten; they reference only live nodes and query terms).
+// deliveries arrive in order and need no heap: reserve and pop are O(1) and
+// the storage is reused as the ring cycles (stale slots keep their payload
+// until overwritten; they reference only live nodes and query terms).
 type lane struct {
 	buf  []event // len is zero or a power of two
 	head int     // index of the oldest event
@@ -117,12 +105,16 @@ func (l *lane) accepts(at float64) bool {
 	return l.n == 0 || at >= l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at
 }
 
-func (l *lane) push(ev *event) {
+// reserve appends a message slot due at (at, seq) and returns it; the
+// caller assigns its whole msg (fn is nil: the lane only holds messages).
+func (l *lane) reserve(at float64, seq uint64) *event {
 	if l.n == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = *ev
+	e := &l.buf[(l.head+l.n)&(len(l.buf)-1)]
+	e.at, e.seq = at, seq
 	l.n++
+	return e
 }
 
 func (l *lane) pop(out *event) {
@@ -155,24 +147,25 @@ type scheduler struct {
 
 // schedule enqueues fn to run after delay seconds of virtual time.
 func (s *scheduler) schedule(delay float64, fn func()) {
-	s.push(delay, &event{kind: evFunc, fn: fn})
+	s.reserve(delay, false).fn = fn
 }
 
-// push stamps ev with now+delay and the next seq and enqueues a copy. A
-// message event enters the lane only when that keeps the lane sorted and
-// falls back to the heap otherwise, so the execution order never depends on
-// the caller using one delay.
-func (s *scheduler) push(delay float64, ev *event) {
+// reserve enqueues an event due after delay, stamped with the next seq, and
+// returns its queue slot for the caller to fill in place: a timer sets fn, a
+// message (msg true) assigns its whole msg. The slot is valid until the next
+// reserve or pop. A message enters the lane only when that keeps the lane
+// sorted and falls back to the heap otherwise, so the execution order never
+// depends on the caller using one delay.
+func (s *scheduler) reserve(delay float64, msg bool) *event {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	ev.at, ev.seq = s.now+delay, s.seq
-	if ev.kind != evFunc && s.msgs.accepts(ev.at) {
-		s.msgs.push(ev)
-		return
+	at := s.now + delay
+	if msg && s.msgs.accepts(at) {
+		return s.msgs.reserve(at, s.seq)
 	}
-	s.timers.push(ev)
+	return s.timers.reserve(at, s.seq)
 }
 
 // pop moves the next event due at or before horizon into out and advances
@@ -208,13 +201,13 @@ func (s *Simulator) runUntil(horizon float64) int {
 	executed := 0
 	var ev event
 	for s.sched.pop(horizon, &ev) {
-		switch ev.kind {
-		case evQuery:
-			s.handleQuery(ev.target, ev.query)
-		case evResponse:
-			s.handleResponse(ev.target, ev.resp)
-		default:
+		switch {
+		case ev.fn != nil:
 			ev.fn()
+		case ev.msg.kind == msgQuery:
+			s.handleQuery(&ev.msg)
+		default:
+			s.handleResponse(&ev.msg)
 		}
 		executed++
 	}

@@ -4,18 +4,19 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"spnet/internal/stats"
 )
 
-// drain pops every event due by horizon, running the evFunc ones, and
-// returns the seqs in execution order.
+// drain pops every event due by horizon, running the timers, and returns
+// the seqs in execution order.
 func drain(s *scheduler, horizon float64) []uint64 {
 	var order []uint64
 	var ev event
 	for s.pop(horizon, &ev) {
 		order = append(order, ev.seq)
-		if ev.kind == evFunc {
+		if ev.fn != nil {
 			ev.fn()
 		}
 	}
@@ -87,17 +88,19 @@ func TestSchedulerMatchesReferenceOrder(t *testing.T) {
 			default:
 				delay = 3 * rng.Float64()
 			}
-			ev := event{kind: evKind(rng.Intn(3))}
-			if ev.kind == evFunc {
-				// A running event schedules up to three more.
+			isMsg := rng.Intn(3) != 0
+			ev := s.reserve(delay, isMsg)
+			pushed = append(pushed, stamp{ev.at, ev.seq})
+			if isMsg {
+				ev.msg = message{kind: msgKind(rng.Intn(2))}
+			} else {
+				// A running timer schedules up to three more.
 				ev.fn = func() {
 					for k := rng.Intn(4); k > 0; k-- {
 						pushRandom()
 					}
 				}
 			}
-			s.push(delay, &ev)
-			pushed = append(pushed, stamp{ev.at, ev.seq})
 		}
 
 		for i := 0; i < 500; i++ {
@@ -141,14 +144,22 @@ func TestSchedulerMatchesReferenceOrder(t *testing.T) {
 // before the lane's tail goes to the heap and still runs in (at, seq) order.
 func TestLaneFallsBackToHeap(t *testing.T) {
 	var s scheduler
-	s.push(5, &event{kind: evQuery})    // seq 1, lane
-	s.push(1, &event{kind: evResponse}) // seq 2, due earlier: heap
-	s.push(5, &event{kind: evResponse}) // seq 3, tie with the tail: lane
+	s.reserve(5, true) // seq 1, lane
+	s.reserve(1, true) // seq 2, due earlier: heap
+	s.reserve(5, true) // seq 3, tie with the tail: lane
 	if s.msgs.n != 2 || len(s.timers) != 1 {
 		t.Fatalf("lane holds %d, heap %d; want 2 and 1", s.msgs.n, len(s.timers))
 	}
 	if got := fmt.Sprint(drain(&s, 10)); got != "[2 1 3]" {
 		t.Fatalf("order %s, want [2 1 3]", got)
+	}
+}
+
+// TestEventSize pins the event at 96 bytes: every message is copied into
+// the queue and out again, so its size is paid twice per delivery.
+func TestEventSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 96 {
+		t.Errorf("event is %d bytes, want <= 96", size)
 	}
 }
 
@@ -160,7 +171,7 @@ func TestMessageEventsAllocateNothing(t *testing.T) {
 	target := &partnerNode{}
 	const inFlight = 300
 	for i := 0; i < inFlight; i++ {
-		s.push(0.02, &event{kind: evQuery, target: target, query: queryMsg{id: uint64(i), ttl: 7}})
+		s.reserve(0.02, true).msg = message{kind: msgQuery, to: target, id: uint64(i), ttl: 7}
 	}
 	ringCap := len(s.msgs.buf)
 	var ev event
@@ -168,8 +179,8 @@ func TestMessageEventsAllocateNothing(t *testing.T) {
 		if !s.pop(s.now+1, &ev) {
 			t.Fatal("queue drained")
 		}
-		s.push(0.02, &event{kind: evQuery, target: ev.target, query: ev.query})
-		s.push(0.02, &event{kind: evResponse, target: ev.target, resp: respMsg{id: ev.query.id}})
+		s.reserve(0.02, true).msg = ev.msg
+		s.reserve(0.02, true).msg = message{kind: msgResponse, to: ev.msg.to, id: ev.msg.id}
 		if !s.pop(s.now+1, &ev) {
 			t.Fatal("queue drained")
 		}

@@ -1,6 +1,10 @@
 package sim
 
-import "spnet/internal/faults"
+import (
+	"slices"
+
+	"spnet/internal/faults"
+)
 
 // FailureOptions inject super-peer failures, quantifying the reliability
 // argument of Section 3.2: "if one partner fails, the others may continue to
@@ -95,11 +99,8 @@ func (s *Simulator) failPartner(p *partnerNode) {
 
 	if len(c.partners) > 1 {
 		// Remove the failed partner; the co-partners carry on.
-		for i, q := range c.partners {
-			if q == p {
-				c.partners = append(c.partners[:i], c.partners[i+1:]...)
-				break
-			}
+		if i := slices.Index(c.partners, p); i >= 0 {
+			c.setPartners(slices.Delete(c.partners, i, i+1))
 		}
 		s.sched.schedule(s.opts.Failures.RecoveryDelay, func() {
 			// If the whole cluster went dark in the meantime, the full
@@ -122,7 +123,7 @@ func (s *Simulator) failPartner(p *partnerNode) {
 // the partner resumes normal service (including its own failure process).
 func (s *Simulator) replacePartner(c *clusterNode, files int, lifespan float64) {
 	p := &partnerNode{cluster: c, files: files, lifespan: lifespan}
-	c.partners = append(c.partners, p)
+	c.setPartners(append(c.partners, p))
 	for _, cl := range c.clients {
 		s.clientJoinOne(cl, p)
 	}
@@ -147,7 +148,7 @@ func (s *Simulator) recoverCluster(c *clusterNode) {
 			files:    s.prof.Files.Sample(s.rng),
 			lifespan: s.prof.Lifespans.Sample(s.rng),
 		}
-		c.partners = append(c.partners, p)
+		c.setPartners(append(c.partners, p))
 		s.partnerRejoin(c.partners[0])
 		s.startPartnerProcesses(p, false)
 		s.schedulePartnerFailure(p)

@@ -6,23 +6,28 @@ import (
 	"spnet/internal/metrics"
 )
 
-// queryMsg is a query in flight between two super-peer partners.
-type queryMsg struct {
-	id    uint64
-	class int      // query class sampled at the source (g distribution)
-	terms []string // keyword terms (content mode)
-	ttl   int      // remaining TTL, decremented by the receiver
-	hops  int      // overlay hops traveled so far (routing strategy input)
-	from  *partnerNode
-}
+// msgKind tells a message delivery's two kinds apart.
+type msgKind uint8
 
-// respMsg is a Response traveling the reverse path toward the source.
-type respMsg struct {
+const (
+	msgQuery    msgKind = iota // handled by handleQuery
+	msgResponse                // handled by handleResponse
+)
+
+// message is a query or a Response in flight between two super-peer
+// partners: one payload for both kinds, packed so an event fits in 96 bytes.
+// Counts are int32: the largest is a cluster's result count.
+type message struct {
 	id      uint64
-	addrs   int
-	results int
-	hops    int
-	from    *partnerNode
+	to      *partnerNode // the receiving partner
+	from    *partnerNode // the sending partner (the reverse-path hop)
+	terms   []string     // query keyword terms (content mode)
+	class   int32        // query class sampled at the source (g distribution)
+	ttl     int32        // query: remaining TTL, decremented by the receiver
+	hops    int32        // overlay hops traveled so far
+	addrs   int32        // response: responding collections
+	results int32        // response: result count
+	kind    msgKind
 	// forged marks a fabricated QueryHit from a malicious relay (adversary
 	// mode). The flag is simulator bookkeeping, invisible to honest nodes
 	// unless trust auditing is on.
@@ -107,7 +112,7 @@ func (s *Simulator) sourceQuery(p *partnerNode, origin *clientNode) *advQueryRec
 	} else {
 		class = s.prof.Queries.SampleClass(s.rng)
 	}
-	s.markSeen(p.cluster, id, seenEntry{from: nil, origin: origin, at: s.sched.now}, terms)
+	s.markSeen(p.cluster, id, nil, origin, terms)
 
 	// Process over the local index.
 	results, addrs := s.evaluateLocally(p, class, terms)
@@ -124,26 +129,26 @@ func (s *Simulator) sourceQuery(p *partnerNode, origin *clientNode) *advQueryRec
 	if p.cluster.ttl < 1 {
 		return rec
 	}
-	msg := queryMsg{id: id, class: class, terms: terms, ttl: p.cluster.ttl, from: p}
-	s.forwardQuery(p, msg, nil)
+	msg := message{id: id, class: int32(class), terms: terms, ttl: int32(p.cluster.ttl)}
+	s.forwardQuery(p, &msg, nil)
 	return rec
 }
 
-// markSeen records a query in the cluster's duplicate table, and its terms
-// beside it when the routing strategy learns from hit history.
-func (s *Simulator) markSeen(c *clusterNode, id uint64, entry seenEntry, terms []string) {
-	c.seen[id] = entry
-	if s.routeLearns && len(terms) > 0 {
-		if c.seenTerms == nil {
-			c.seenTerms = make(map[uint64][]string)
-		}
-		c.seenTerms[id] = terms
+// markSeen records a query's first arrival in the cluster's duplicate table:
+// the reverse-path hop it came from (nil at the source), the local client
+// that submitted it, and its terms when the routing strategy learns from hit
+// history.
+func (s *Simulator) markSeen(c *clusterNode, id uint64, from *partnerNode, origin *clientNode, terms []string) {
+	e := c.seen.insert(id, s.sched.now)
+	e.from, e.origin = from, origin
+	if s.routeLearns {
+		e.terms = terms
 	}
 }
 
-// sendQueryTo transmits one query copy from partner p to (one partner of)
-// neighbor cluster nb.
-func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg queryMsg) {
+// sendQueryTo transmits one copy of query msg from partner p to (one
+// partner of) neighbor cluster nb.
+func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg *message) {
 	if nb.isDown() || len(nb.partners) == 0 {
 		return // the neighbor's connections are closed; nothing is sent
 	}
@@ -152,14 +157,15 @@ func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg queryMsg) {
 	p.counters.addOut(metrics.ClassQuery, s.qBytes)
 	p.counters.procU += s.sendQProc
 	s.pmPartner(p)
-	ev := event{kind: evQuery, target: target, query: msg}
-	ev.query.from = p
-	s.sched.push(s.opts.Latency, &ev)
+	e := &s.sched.reserve(s.opts.Latency, true).msg
+	*e = *msg
+	e.kind, e.to, e.from = msgQuery, target, p
 }
 
 // handleQuery runs the receiver side of query propagation: duplicate drop,
 // local processing, response, and forwarding with a decremented TTL.
-func (s *Simulator) handleQuery(p *partnerNode, msg queryMsg) {
+func (s *Simulator) handleQuery(msg *message) {
+	p := msg.to
 	if p.cluster.isDown() {
 		return // failed while the message was in flight
 	}
@@ -167,7 +173,7 @@ func (s *Simulator) handleQuery(p *partnerNode, msg queryMsg) {
 	p.counters.procU += s.recvQProc
 	s.pmPartner(p)
 
-	if _, dup := p.cluster.seen[msg.id]; dup {
+	if p.cluster.seen.lookup(msg.id, s.sched.now) != nil {
 		return // redundant copy: received, then dropped
 	}
 	if s.adversaryMode() && p.malicious {
@@ -178,7 +184,7 @@ func (s *Simulator) handleQuery(p *partnerNode, msg queryMsg) {
 		drop := a.Drop > 0 && s.adv.rng.Float64() < a.Drop
 		if forge {
 			s.adv.forged++
-			s.sendResponse(p, msg.from, respMsg{
+			s.sendResponse(p, msg.from, &message{
 				id: msg.id, addrs: 1, results: advForgedResults, forged: true,
 			})
 		}
@@ -187,24 +193,24 @@ func (s *Simulator) handleQuery(p *partnerNode, msg queryMsg) {
 			return
 		}
 	}
-	s.markSeen(p.cluster, msg.id, seenEntry{from: msg.from, at: s.sched.now}, msg.terms)
+	s.markSeen(p.cluster, msg.id, msg.from, nil, msg.terms)
 
-	results, addrs := s.evaluateLocally(p, msg.class, msg.terms)
+	results, addrs := s.evaluateLocally(p, int(msg.class), msg.terms)
 	p.counters.procU += float64(cost.ProcessQuery(float64(results)))
 	if results > 0 {
-		s.sendResponse(p, msg.from, respMsg{id: msg.id, addrs: addrs, results: results})
+		s.sendResponse(p, msg.from, &message{id: msg.id, addrs: int32(addrs), results: int32(results)})
 	}
 
 	ttl := msg.ttl - 1
 	if ttl < 1 {
 		return
 	}
-	fwd := queryMsg{id: msg.id, class: msg.class, terms: msg.terms, ttl: ttl, hops: msg.hops + 1}
+	fwd := message{id: msg.id, class: msg.class, terms: msg.terms, ttl: ttl, hops: msg.hops + 1}
 	var exclude *clusterNode
 	if msg.from != nil {
 		exclude = msg.from.cluster // never back over the arrival edge
 	}
-	s.forwardQuery(p, fwd, exclude)
+	s.forwardQuery(p, &fwd, exclude)
 }
 
 // evaluateLocally determines the number of matching files and responding
@@ -215,15 +221,14 @@ func (s *Simulator) evaluateLocally(p *partnerNode, class int, terms []string) (
 	if s.contentMode() {
 		return contentEvaluate(p.cluster, terms)
 	}
-	qm := s.prof.Queries
 	for _, partner := range p.cluster.partners {
-		if n := qm.SampleMatches(s.rng, class, partner.files); n > 0 {
+		if n := s.sampleMatches(class, partner.files, &partner.noMatch); n > 0 {
 			results += n
 			addrs++
 		}
 	}
 	for _, cl := range p.cluster.clients {
-		if n := qm.SampleMatches(s.rng, class, cl.files); n > 0 {
+		if n := s.sampleMatches(class, cl.files, &cl.noMatch); n > 0 {
 			results += n
 			addrs++
 		}
@@ -231,40 +236,81 @@ func (s *Simulator) evaluateLocally(p *partnerNode, class int, terms []string) (
 	return results, addrs
 }
 
+// sampleMatches draws a collection's binomial(files, f(class)) match count.
+// row is the collection's memoised P(no match) per class, pointed at the
+// simulator's shared row for its file count on first use and filled one
+// class at a time, so a draw repeats no math.Exp or math.Log.
+func (s *Simulator) sampleMatches(class, files int, row *[]float64) int {
+	if files <= 0 {
+		return 0 // no draw, as in stats.Binomial
+	}
+	if *row == nil {
+		*row = s.noMatchRow(files)
+	}
+	qm := s.prof.Queries
+	p0 := (*row)[class]
+	if p0 < 0 {
+		p0 = qm.NoMatchProb(class, files)
+		(*row)[class] = p0
+	}
+	return qm.SampleMatchesFrom(s.rng, class, files, p0)
+}
+
+// noMatchRow returns the simulator's row of QueryModel.NoMatchProb values
+// for collections of n files, one per class, -1 until computed. The memo
+// lives on the Simulator, not on the QueryModel, because concurrent
+// simulators share one profile.
+func (s *Simulator) noMatchRow(n int) []float64 {
+	row, ok := s.noMatch[n]
+	if !ok {
+		if s.noMatch == nil {
+			s.noMatch = make(map[int][]float64)
+		}
+		row = make([]float64, s.prof.Queries.Classes())
+		for j := range row {
+			row[j] = -1
+		}
+		s.noMatch[n] = row
+	}
+	return row
+}
+
 // respCost returns the wire bytes of a concrete Response message.
 func respCost(addrs, results int) float64 {
 	return float64(gnutella.ResponseSize(addrs, results))
 }
 
-// sendResponse transmits one Response hop from p toward `to`.
-func (s *Simulator) sendResponse(p *partnerNode, to *partnerNode, msg respMsg) {
-	b := respCost(msg.addrs, msg.results)
+// sendResponse transmits one Response hop from p toward `to`: a copy of r
+// (a Response being relayed, or a new one carrying only id, counts and the
+// forged flag) one hop further.
+func (s *Simulator) sendResponse(p *partnerNode, to *partnerNode, r *message) {
+	b := respCost(int(r.addrs), int(r.results))
 	p.counters.addOut(metrics.ClassResponse, b)
 	p.counters.procU += float64(cost.SendRespBase) +
-		cost.SendRespPerAddr*float64(msg.addrs) + cost.SendRespPerResult*float64(msg.results)
+		cost.SendRespPerAddr*float64(r.addrs) + cost.SendRespPerResult*float64(r.results)
 	s.pmPartner(p)
-	ev := event{kind: evResponse, target: to, resp: msg}
-	ev.resp.from = p
-	ev.resp.hops++
-	s.sched.push(s.opts.Latency, &ev)
+	e := &s.sched.reserve(s.opts.Latency, true).msg
+	*e = *r
+	e.kind, e.to, e.from, e.hops = msgResponse, to, p, r.hops+1
 }
 
 // handleResponse receives one Response hop: consume it at the source
 // (forwarding to the originating client when there is one) or relay it
 // along the reverse path.
-func (s *Simulator) handleResponse(p *partnerNode, msg respMsg) {
+func (s *Simulator) handleResponse(msg *message) {
+	p := msg.to
 	if p.cluster.isDown() {
 		return // failed while the message was in flight
 	}
-	b := respCost(msg.addrs, msg.results)
+	b := respCost(int(msg.addrs), int(msg.results))
 	p.counters.addIn(metrics.ClassResponse, b)
 	p.counters.procU += float64(cost.RecvRespBase) +
 		cost.RecvRespPerAddr*float64(msg.addrs) + cost.RecvRespPerResult*float64(msg.results)
 	s.pmPartner(p)
 
-	entry, ok := p.cluster.seen[msg.id]
-	if !ok {
-		return // path expired (e.g. the query record was cleaned up)
+	entry := p.cluster.seen.lookup(msg.id, s.sched.now)
+	if entry == nil {
+		return // path expired: the query's generation was retired
 	}
 	if msg.forged && s.adversaryMode() && s.adv.opts.Trust {
 		// Audit: the fabricated hit is detected, dropped before it can
@@ -287,8 +333,8 @@ func (s *Simulator) handleResponse(p *partnerNode, msg respMsg) {
 		// produced results for these terms. (With trust off, forged hits
 		// reach this point and inflate the learned strategy's credit — the
 		// attack the trustsweep experiment measures.)
-		if terms := p.cluster.seenTerms[msg.id]; len(terms) > 0 {
-			s.routingState(p.cluster).RecordHit(msg.from.cluster.id, terms)
+		if len(entry.terms) > 0 {
+			s.routingState(p.cluster).RecordHit(msg.from.cluster.id, entry.terms)
 		}
 	}
 	if entry.from == nil {
@@ -299,20 +345,20 @@ func (s *Simulator) handleResponse(p *partnerNode, msg respMsg) {
 		s.noteSourceResponse(p.cluster, msg)
 		if rec := s.advRecord(msg.id); rec != nil {
 			if msg.forged {
-				rec.forged += msg.results
+				rec.forged += int(msg.results)
 				s.adv.forgedAccepted++
 			} else {
-				rec.genuine += msg.results
+				rec.genuine += int(msg.results)
 			}
 		}
 		// The originating client may have been retired (promoted or moved)
 		// while its query was in flight; responses to it are then dropped.
 		if entry.origin != nil && entry.origin.alive() {
-			s.deliverResponseToClient(p, entry.origin, msg.addrs, msg.results)
+			s.deliverResponseToClient(p, entry.origin, int(msg.addrs), int(msg.results))
 		}
 		return
 	}
-	s.sendResponse(p, entry.from, respMsg{id: msg.id, addrs: msg.addrs, results: msg.results, hops: msg.hops, forged: msg.forged})
+	s.sendResponse(p, entry.from, msg)
 }
 
 // deliverResponseToClient forwards one Response from the source super-peer

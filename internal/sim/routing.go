@@ -40,7 +40,7 @@ func (s *Simulator) routingState(c *clusterNode) *routing.NodeState {
 // enumerated in ascending cluster-id order — the neighbor slice's order — so
 // the flood strategy reproduces the pre-strategy per-neighbor loop and its
 // event sequence exactly.
-func (s *Simulator) forwardQuery(p *partnerNode, msg queryMsg, exclude *clusterNode) {
+func (s *Simulator) forwardQuery(p *partnerNode, msg *message, exclude *clusterNode) {
 	cands, nodes := s.candBuf[:0], s.candNodes[:0]
 	for _, nb := range p.cluster.neighbors {
 		if nb == exclude {
@@ -56,7 +56,7 @@ func (s *Simulator) forwardQuery(p *partnerNode, msg queryMsg, exclude *clusterN
 	if s.routeSummaries {
 		s.refreshSummaries(p.cluster)
 	}
-	q := routing.Query{ID: msg.id, Terms: msg.terms, TTL: msg.ttl, Hops: msg.hops}
+	q := routing.Query{ID: msg.id, Terms: msg.terms, TTL: int(msg.ttl), Hops: int(msg.hops)}
 	sel := s.route.Select(s.selBuf[:0], q, cands, s.routingState(p.cluster))
 	s.selBuf = sel[:0]
 	for _, i := range sel {

@@ -175,17 +175,12 @@ type clientNode struct {
 	// trustBook scores the cluster's partner slots by observed reliability
 	// (adversary trust mode only; keyed by partner slot index).
 	trustBook *trust.Book
+	// noMatch is the memoised P(no match) per query class for this
+	// collection's size (Simulator.noMatchRow), set on first evaluation.
+	noMatch []float64
 }
 
 func (c *clientNode) alive() bool { return c.cluster != nil }
-
-// seenEntry records where a query first arrived from, for duplicate
-// detection and reverse-path routing.
-type seenEntry struct {
-	from   *partnerNode // nil when this partner is the query source
-	origin *clientNode  // non-nil when a local client sourced the query
-	at     float64
-}
 
 // partnerNode is one super-peer partner (a full node; a non-redundant
 // cluster has exactly one).
@@ -200,6 +195,7 @@ type partnerNode struct {
 	// partner as planted by AdversaryOptions.
 	advID     int
 	malicious bool
+	noMatch   []float64 // as clientNode.noMatch
 }
 
 func (p *partnerNode) alive() bool {
@@ -221,18 +217,15 @@ type clusterNode struct {
 	partners []*partnerNode
 	clients  []*clientNode
 	// seen is the virtual super-peer's duplicate-detection and
-	// reverse-routing table, shared by all partners: the virtual super-peer
-	// is one node of the overlay, so a query is processed once per cluster
-	// no matter which partner a copy lands on.
-	seen map[uint64]seenEntry
-	// seenTerms holds the keyword set of each seen query, kept only when the
-	// routing strategy learns from hit history (so responses can credit the
-	// neighbor they arrived through); entries expire with their seen entry.
-	seenTerms map[uint64][]string
+	// reverse-routing table.
+	seen seenTable
 	// neighbors is the overlay adjacency in strictly ascending cluster-id
 	// order (addEdge/removeEdge maintain it), so ranging over it is the
-	// deterministic iteration order and conns counting is a short loop.
-	neighbors        []*clusterNode
+	// deterministic iteration order.
+	neighbors []*clusterNode
+	// nbPartners is the number of partners across all neighbors, kept by
+	// insertNeighbor/deleteNeighbor and setPartners.
+	nbPartners       int
 	ttl              int  // TTL stamped on queries sourced in this cluster
 	rrOut            int  // round-robin selector for neighbor partners
 	acceptingClients bool // rule I state, toggled by the adaptive advisor
@@ -280,22 +273,32 @@ func (c *clusterNode) hasNeighbor(id int) bool {
 func (c *clusterNode) insertNeighbor(nb *clusterNode) {
 	if i, ok := c.neighborIndex(nb.id); !ok {
 		c.neighbors = slices.Insert(c.neighbors, i, nb)
+		c.nbPartners += len(nb.partners)
 	}
 }
 
-func (c *clusterNode) deleteNeighbor(id int) {
-	if i, ok := c.neighborIndex(id); ok {
+func (c *clusterNode) deleteNeighbor(nb *clusterNode) {
+	if i, ok := c.neighborIndex(nb.id); ok {
 		c.neighbors = slices.Delete(c.neighbors, i, i+1)
+		c.nbPartners -= len(nb.partners)
 	}
+}
+
+// setPartners replaces the cluster's partner list. Every partner join and
+// leave goes through here so each neighbor's nbPartners stays exact.
+func (c *clusterNode) setPartners(ps []*partnerNode) {
+	if d := len(ps) - len(c.partners); d != 0 {
+		for _, nb := range c.neighbors {
+			nb.nbPartners += d
+		}
+	}
+	c.partners = ps
 }
 
 // partnerConns returns the number of open connections one partner holds:
 // all clients, every partner of every neighbor, and the co-partner link.
 func (c *clusterNode) partnerConns() int {
-	conns := len(c.clients) + len(c.partners) - 1
-	for _, nb := range c.neighbors {
-		conns += len(nb.partners)
-	}
+	conns := len(c.clients) + len(c.partners) - 1 + c.nbPartners
 	if conns < 0 {
 		conns = 0 // dissolved cluster handling a late in-flight message
 	}
@@ -347,6 +350,9 @@ type Simulator struct {
 	nextQueryID       uint64
 	arrivalsScheduled bool
 
+	// noMatch memoises QueryModel.NoMatchProb rows by collection size.
+	noMatch map[int][]float64
+
 	queries      int
 	resultsTotal float64
 	respMsgs     float64
@@ -380,20 +386,21 @@ func New(inst *network.Instance, opts Options) (*Simulator, error) {
 	s.qBytes, s.sendQProc, s.recvQProc = float64(qb), float64(sp), float64(rp)
 
 	// Build mutable clusters.
+	retention := seenRetention(inst.Config.TTL, opts.Latency)
 	s.clusters = make([]*clusterNode, len(inst.Clusters))
 	for v := range inst.Clusters {
 		src := &inst.Clusters[v]
 		c := &clusterNode{
 			id:               v,
-			seen:             make(map[uint64]seenEntry),
+			seen:             seenTable{span: retention},
 			neighbors:        make([]*clusterNode, 0, inst.Graph.Degree(v)),
 			ttl:              inst.Config.TTL,
 			acceptingClients: true,
 		}
 		for _, p := range src.Partners {
-			c.partners = append(c.partners, &partnerNode{
+			c.setPartners(append(c.partners, &partnerNode{
 				cluster: c, files: p.Files, lifespan: p.Lifespan,
-			})
+			}))
 		}
 		for _, cl := range src.Clients {
 			c.clients = append(c.clients, &clientNode{
@@ -523,22 +530,18 @@ func (s *Simulator) scheduleGuardedProcess(rate float64, alive func() bool, fn f
 	s.sched.schedule(s.rng.ExpFloat64()/rate, tick)
 }
 
-// scheduleSeenCleanup periodically expires old duplicate-detection entries
-// of a cluster's shared table.
+// scheduleSeenCleanup runs a cluster's periodic seen-table tick, which
+// retires the generations of a table that has been idle since they expired
+// (an active table retires its own on access). The tick keeps its 120 s
+// schedule because every golden pins EventsExecuted.
 func (s *Simulator) scheduleSeenCleanup(c *clusterNode) {
-	const interval, maxAge = 120.0, 60.0
+	const interval = 120.0
 	var tick func()
 	tick = func() {
 		if c.dissolved() {
 			return
 		}
-		cutoff := s.sched.now - maxAge
-		for id, e := range c.seen {
-			if e.at < cutoff {
-				delete(c.seen, id)
-				delete(c.seenTerms, id)
-			}
-		}
+		c.seen.roll(s.sched.now)
 		s.sched.schedule(interval, tick)
 	}
 	s.sched.schedule(interval, tick)

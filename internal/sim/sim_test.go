@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"spnet/internal/analysis"
@@ -221,12 +223,12 @@ func TestIndexSizeAndConns(t *testing.T) {
 
 // checkAdjacency asserts the overlay invariants the slice-backed adjacency
 // promises: strictly id-ascending (hence duplicate-free) neighbor slices,
-// symmetry, agreement with hasNeighbor, and partnerConns equal to a recount
-// that does not use the slice order.
+// symmetry, agreement with hasNeighbor, and the incrementally kept
+// nbPartners and partnerConns equal to a recount over the neighbors.
 func checkAdjacency(t *testing.T, s *Simulator) {
 	t.Helper()
 	for _, c := range s.clusters {
-		conns := len(c.clients) + len(c.partners) - 1
+		nbPartners := 0
 		for i, nb := range c.neighbors {
 			if i > 0 && c.neighbors[i-1].id >= nb.id {
 				t.Fatalf("cluster %d: neighbor ids not strictly ascending at %d: %d then %d",
@@ -241,7 +243,10 @@ func checkAdjacency(t *testing.T, s *Simulator) {
 			if !nb.hasNeighbor(c.id) {
 				t.Fatalf("edge %d→%d has no reverse", c.id, nb.id)
 			}
-			conns += len(nb.partners)
+			nbPartners += len(nb.partners)
+		}
+		if c.nbPartners != nbPartners {
+			t.Fatalf("cluster %d: nbPartners = %d, recount %d", c.id, c.nbPartners, nbPartners)
 		}
 		for _, other := range s.clusters {
 			linked := false
@@ -252,9 +257,7 @@ func checkAdjacency(t *testing.T, s *Simulator) {
 				t.Fatalf("cluster %d: hasNeighbor(%d) = %v, slice says %v", c.id, other.id, !linked, linked)
 			}
 		}
-		if conns < 0 {
-			conns = 0
-		}
+		conns := max(len(c.clients)+len(c.partners)-1+nbPartners, 0)
 		if got := c.partnerConns(); got != conns {
 			t.Fatalf("cluster %d: partnerConns = %d, recount %d", c.id, got, conns)
 		}
@@ -298,4 +301,86 @@ func TestAdjacencyInvariants(t *testing.T) {
 		Duration: 600, Seed: 21, Churn: true,
 		Failures: &FailureOptions{MTBF: 400, RecoveryDelay: 60},
 	})
+}
+
+// TestQueryFloodAllocatesNothing: once the seen tables, the memoised
+// no-match rows, the routing state and the queue have reached their working
+// size, flooding a query — first-copy marking at every cluster, match
+// sampling, duplicate drops and the reverse-path Responses — allocates
+// nothing.
+func TestQueryFloodAllocatesNothing(t *testing.T) {
+	cfg := network.DefaultConfig()
+	cfg.GraphSize = 400
+	s, err := New(generate(t, cfg, nil, 11), Options{Duration: 1e6, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each round sources one query at the next partner and drains its flood
+	// and Responses (all done 2·TTL·Latency later).
+	settle := s.clusters[0].seen.span
+	round := 0
+	flood := func() {
+		c := s.clusters[round%len(s.clusters)]
+		round++
+		s.sourceQuery(c.partners[0], nil)
+		s.runUntil(s.sched.now + settle)
+	}
+	for i := 0; i < 5*len(s.clusters); i++ {
+		flood()
+	}
+	events := s.sched.seq
+	if allocs := testing.AllocsPerRun(len(s.clusters), flood); allocs != 0 {
+		t.Errorf("a flooded query allocates %v objects after warm-up, want 0", allocs)
+	}
+	per := float64(s.sched.seq-events) / float64(len(s.clusters)+1)
+	t.Logf("%.0f messages per flood", per)
+	if per < 50 {
+		t.Fatalf("only %.0f messages per flood; the message path was not exercised", per)
+	}
+}
+
+// TestConcurrentRunsShareProfile: simulators running concurrently over one
+// instance share its Profile and QueryModel; the no-match memo is per
+// Simulator, so each concurrent run reproduces its serial result exactly.
+// Run it under -race.
+func TestConcurrentRunsShareProfile(t *testing.T) {
+	cfg := network.DefaultConfig()
+	cfg.GraphSize = 400
+	inst := generate(t, cfg, nil, 11)
+	digest := func(m *Measured) string {
+		return fmt.Sprintf("%.17g/%.17g/%.17g/%d", m.Aggregate.InBps, m.Aggregate.OutBps, m.Aggregate.ProcHz, m.EventsExecuted)
+	}
+	opts := func(i int) Options { return Options{Duration: 60, Seed: uint64(20 + i), Churn: true} }
+	const runs = 4
+	var serial, concurrent [runs]string
+	for i := range serial {
+		m, err := Run(inst, opts(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = digest(m)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, runs)
+	for i := range concurrent {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, err := Run(inst, opts(i))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			concurrent[i] = digest(m)
+		}(i)
+	}
+	wg.Wait()
+	for i := range serial {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if concurrent[i] != serial[i] {
+			t.Errorf("run %d: concurrent %s, serial %s", i, concurrent[i], serial[i])
+		}
+	}
 }

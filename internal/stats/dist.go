@@ -204,6 +204,25 @@ func (d *Discrete) Sample(r *RNG) int {
 // For small n·p it uses inversion; otherwise a normal approximation with
 // continuity correction, clamped to [0, n].
 func Binomial(r *RNG, n int, p float64) int {
+	var p0 float64
+	if n > 0 && p > 0 && p < 1 {
+		p0 = BinomialZero(n, p)
+	}
+	return BinomialFrom(r, n, p, p0)
+}
+
+// BinomialZero returns P(X = 0) = (1−p)^n of a binomial(n, p) draw, computed
+// in log space for stability. It is the only transcendental work in the
+// inversion sampler, so callers that draw repeatedly for the same (n, p) can
+// compute it once and use BinomialFrom.
+func BinomialZero(n int, p float64) float64 {
+	return math.Exp(float64(n) * math.Log(1-p))
+}
+
+// BinomialFrom is Binomial with P(X = 0) supplied by the caller, who must
+// pass exactly BinomialZero(n, p) (it is read only on the inversion branch).
+// It draws the same values, consuming the same RNG output, as Binomial.
+func BinomialFrom(r *RNG, n int, p, p0 float64) int {
 	if n <= 0 || p <= 0 {
 		return 0
 	}
@@ -214,9 +233,7 @@ func Binomial(r *RNG, n int, p float64) int {
 	if mean < 30 && n < 10000 {
 		// Inversion by sequential search from the mode is O(n·p) expected.
 		q := 1 - p
-		// P(X = 0) = q^n computed in log space for stability.
-		logq := math.Log(q)
-		pk := math.Exp(float64(n) * logq)
+		pk := p0
 		u := r.Float64()
 		var k int
 		cum := pk

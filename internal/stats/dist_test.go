@@ -227,6 +227,69 @@ func TestBinomialMean(t *testing.T) {
 	}
 }
 
+// binomialReference is Binomial as it was before P(X = 0) was split out into
+// BinomialZero, kept verbatim so the split can be checked draw for draw.
+func binomialReference(r *RNG, n int, p float64) int {
+	if n <= 0 || p <= 0 {
+		return 0
+	}
+	if p >= 1 {
+		return n
+	}
+	mean := float64(n) * p
+	if mean < 30 && n < 10000 {
+		// Inversion by sequential search from the mode is O(n·p) expected.
+		q := 1 - p
+		// P(X = 0) = q^n computed in log space for stability.
+		logq := math.Log(q)
+		pk := math.Exp(float64(n) * logq)
+		u := r.Float64()
+		var k int
+		cum := pk
+		for cum < u && k < n {
+			k++
+			pk *= (float64(n-k+1) / float64(k)) * (p / q)
+			cum += pk
+		}
+		return k
+	}
+	sd := math.Sqrt(mean * (1 - p))
+	v := int(math.Round(mean + sd*r.NormFloat64()))
+	if v < 0 {
+		v = 0
+	}
+	if v > n {
+		v = n
+	}
+	return v
+}
+
+// TestBinomialSplitDrawsIdentically: Binomial and BinomialFrom with a
+// precomputed BinomialZero draw the same values as the reference and leave
+// the RNG in the same state after every draw, on both the inversion and the
+// normal-approximation branch and at every edge case.
+func TestBinomialSplitDrawsIdentically(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 99, 9999, 10000, 20000} {
+		for _, p := range []float64{0, 1e-6, 9e-4, 0.03, 0.5, 1} {
+			for seed := uint64(1); seed <= 50; seed++ {
+				ref, split, from := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+				p0 := BinomialZero(n, p)
+				for draw := 0; draw < 4; draw++ {
+					want := binomialReference(ref, n, p)
+					if got := Binomial(split, n, p); got != want || *split != *ref {
+						t.Fatalf("Binomial(n=%d, p=%v) seed %d draw %d = %d, want %d (rng state equal: %v)",
+							n, p, seed, draw, got, want, *split == *ref)
+					}
+					if got := BinomialFrom(from, n, p, p0); got != want || *from != *ref {
+						t.Fatalf("BinomialFrom(n=%d, p=%v) seed %d draw %d = %d, want %d (rng state equal: %v)",
+							n, p, seed, draw, got, want, *from == *ref)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBinomialEdgeCases(t *testing.T) {
 	r := NewRNG(8)
 	if got := Binomial(r, 0, 0.5); got != 0 {

@@ -108,16 +108,6 @@ func (s *Store) Lookup(index uint32) (File, bool) {
 	return s.files[index], true
 }
 
-// FindTitle returns the file whose title matches exactly.
-func (s *Store) FindTitle(title string) (File, bool) {
-	for _, f := range s.files {
-		if f.Title == title {
-			return f, true
-		}
-	}
-	return File{}, false
-}
-
 // Manifest returns the precomputed manifest for index.
 func (s *Store) Manifest(index uint32) (*Manifest, bool) {
 	if int64(index) >= int64(len(s.manifests)) {

@@ -178,3 +178,16 @@ func (m *QueryModel) SampleClass(rng *stats.RNG) int { return m.sampler.Sample(r
 func (m *QueryModel) SampleMatches(rng *stats.RNG, j, n int) int {
 	return stats.Binomial(rng, n, m.f[j])
 }
+
+// NoMatchProb returns the probability stats.BinomialZero(n, f(j)) that an
+// n-file collection matches nothing for a class-j query. A caller that
+// samples the same (j, n) repeatedly memoises it and passes it to
+// SampleMatchesFrom; the model itself keeps no cache, so one model is safe
+// to share between concurrent callers.
+func (m *QueryModel) NoMatchProb(j, n int) float64 { return stats.BinomialZero(n, m.f[j]) }
+
+// SampleMatchesFrom is SampleMatches with p0 = NoMatchProb(j, n) supplied by
+// the caller: the same draw from the same RNG output.
+func (m *QueryModel) SampleMatchesFrom(rng *stats.RNG, j, n int, p0 float64) int {
+	return stats.BinomialFrom(rng, n, m.f[j], p0)
+}

@@ -110,6 +110,24 @@ func TestMonteCarloMatchesExpectations(t *testing.T) {
 	}
 }
 
+// TestSampleMatchesFromNoMatchProb: drawing with P(no match) supplied from
+// NoMatchProb consumes the RNG exactly as SampleMatches does.
+func TestSampleMatchesFromNoMatchProb(t *testing.T) {
+	m := NewDefaultQueryModel()
+	for _, n := range []int{0, 1, 37, 500, 12000} {
+		a, b := stats.NewRNG(uint64(n)), stats.NewRNG(uint64(n))
+		for i := 0; i < 2000; i++ {
+			j := m.SampleClass(a)
+			if m.SampleClass(b) != j {
+				t.Fatal("class draws diverged")
+			}
+			if got, want := m.SampleMatchesFrom(b, j, n, m.NoMatchProb(j, n)), m.SampleMatches(a, j, n); got != want || *a != *b {
+				t.Fatalf("n=%d draw %d class %d: memoised %d, direct %d", n, i, j, got, want)
+			}
+		}
+	}
+}
+
 func TestSampleClassMatchesPopularity(t *testing.T) {
 	m := NewDefaultQueryModel()
 	rng := stats.NewRNG(2)
