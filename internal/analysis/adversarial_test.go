@@ -22,7 +22,7 @@ func TestRelayDropZeroIdentity(t *testing.T) {
 		t.Fatalf("drop=0 flood diverged: %+v vs %+v", base.AggregateLoad(), adv.AggregateLoad())
 	}
 
-	fw := routing.RandomWalkForwards(2)
+	fw := routing.NewRandomWalk(2).Forwards()
 	sbase := EvaluateWith(inst, Options{Forwards: fw})
 	sadv := EvaluateWith(inst, Options{Forwards: fw, RelayDrop: -0.5}) // clamped to 0
 	if sbase.AggregateLoad() != sadv.AggregateLoad() || sbase.ResultsPerQuery != sadv.ResultsPerQuery {

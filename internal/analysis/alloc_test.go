@@ -21,7 +21,7 @@ func TestEvaluateAllocationBound(t *testing.T) {
 	cfg.GraphSize = 10000 // 1000 clusters, ~3100 edges, 1000 sources
 	powerLaw := generate(t, cfg, nil, 1)
 	clique := generate(t, network.Config{GraphType: network.Strong, GraphSize: 2000, ClusterSize: 10, TTL: 2}, nil, 1)
-	fw := routing.RandomWalkForwards(2)
+	fw := routing.NewRandomWalk(2).Forwards()
 
 	cases := []struct {
 		name string
@@ -51,7 +51,7 @@ func TestImplicitCliqueMatchesExplicitThroughGenericEngine(t *testing.T) {
 	implicitInst, explicitInst := *inst, *inst
 	implicitInst.Graph = noClique{topology.NewClique(n)}
 	explicitInst.Graph = noClique{completeGraph(t, n)}
-	for _, opts := range []Options{{}, {Forwards: routing.RandomWalkForwards(3), RelayDrop: 0.25}} {
+	for _, opts := range []Options{{}, {Forwards: routing.NewRandomWalk(3).Forwards(), RelayDrop: 0.25}} {
 		a, b := EvaluateWith(&implicitInst, opts), EvaluateWith(&explicitInst, opts)
 		if a.AggregateLoad() != b.AggregateLoad() || a.ResultsPerQuery != b.ResultsPerQuery || a.EPL != b.EPL ||
 			a.QueryForwardsPerQuery != b.QueryForwardsPerQuery {
@@ -71,7 +71,7 @@ func TestScratchSharedAcrossGraphKinds(t *testing.T) {
 	cfg.GraphSize = 1500
 	powerLaw := generate(t, cfg, nil, 2)
 	clique := generate(t, network.Config{GraphType: network.Strong, GraphSize: 400, ClusterSize: 10, TTL: 2}, nil, 2)
-	cliqueOpts := Options{Forwards: routing.RandomWalkForwards(2)}
+	cliqueOpts := Options{Forwards: routing.NewRandomWalk(2).Forwards()}
 
 	adj := powerLaw.Graph.(*topology.AdjGraph)
 	var before [][]int32

@@ -134,14 +134,20 @@ func (f *fleet) dial(perCluster int, slot func(c, i int) (p2p.DialOptions, []p2p
 // strategy, every link has advertised and each node has heard at least
 // summaryTerms terms in all.
 func (f *fleet) settle(summaryTerms int) error {
+	return await("settle", func() string { return f.unsettled(summaryTerms) })
+}
+
+// await polls pending every 5 ms until it names nothing left to wait for,
+// giving up after 10 s with what it last named.
+func await(what string, pending func() string) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		pending := f.unsettled(summaryTerms)
-		if pending == "" {
+		p := pending()
+		if p == "" {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("live fleet did not settle: %s", pending)
+			return fmt.Errorf("live fleet did not %s: %s", what, p)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -262,6 +268,34 @@ func (f *fleet) replay(seed uint64, usersPer int, rate, duration float64, timeli
 	close(stop)
 	driver.Wait()
 	return start, kills
+}
+
+// drain blocks until the fleet has gone quiet — no super-peer's socket byte
+// counters move across one poll — so every in-flight forward and relayed hit
+// has landed before a closing counter read.
+func (f *fleet) drain() error {
+	last := int64(-1)
+	return await("drain", func() string {
+		now := f.socketBytes()
+		if now == last {
+			return ""
+		}
+		moved := now - last
+		last = now
+		return fmt.Sprintf("%d socket bytes moved since the last poll", moved)
+	})
+}
+
+// socketBytes sums the raw socket bytes every running super-peer has moved.
+func (f *fleet) socketBytes() int64 {
+	var total int64
+	for _, sp := range f.live.SuperPeers() {
+		if n := f.live.Node(sp.Cluster, sp.Partner); n != nil {
+			m := n.Metrics()
+			total += m.ConnBytes[metrics.DirIn].Value() + m.ConnBytes[metrics.DirOut].Value()
+		}
+	}
+	return total
 }
 
 // scrape reads every super-peer's per-class wire-byte totals off its

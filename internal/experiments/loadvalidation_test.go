@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"spnet/internal/metrics"
+	"spnet/internal/topology"
 )
 
 // TestLoadValidationE2E boots the full three-way validation on a small
@@ -23,14 +24,12 @@ func TestLoadValidationE2E(t *testing.T) {
 	for _, clusters := range []int{3, 4} {
 		t.Run(fmt.Sprintf("clusters=%d", clusters), func(t *testing.T) {
 			t.Parallel()
-			res, err := RunLoadValidationResult(LoadValidationParams{
-				Clusters:    clusters,
-				Duration:    600,
-				TimeScale:   150,
-				SimDuration: 3000,
-				Seed:        42,
-				Logf:        t.Logf,
-			})
+			s := loadScenario(42)
+			s.Planted.Graph = topology.NewClique(clusters)
+			s.SimDuration = 3000
+			s.Live.Duration, s.Live.TimeScale = 600, 150
+			s.Logf = t.Logf
+			res, err := runLoadValidation(s)
 			if err != nil {
 				t.Fatal(err)
 			}

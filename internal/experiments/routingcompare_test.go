@@ -11,13 +11,11 @@ func TestRoutingCompareSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a live network for several wall seconds")
 	}
-	res, err := RunRoutingCompareResult(RoutingCompareParams{
-		Strategies:  []string{"flood", "routingindex"},
-		SimDuration: 800,
-		LiveQueries: 30,
-		Seed:        42,
-		Logf:        t.Logf,
-	})
+	s := routingScenario(42)
+	s.SimDuration = 800
+	s.Live.Duration = 120
+	s.Logf = t.Logf
+	res, err := runRoutingCompare(s, []string{"flood", "routingindex"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,93 +3,68 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
-	"spnet/internal/analysis"
 	"spnet/internal/network"
-	"spnet/internal/p2p"
 	"spnet/internal/sim"
 	"spnet/internal/topology"
 )
 
-// trustProbeTerm is the live sweep's common query term; the hub's provider
-// clients share files matching it, so any query that survives the access and
-// relay legs returns genuine results.
-const trustProbeTerm = "trust probe needle"
-
-// TrustSweepParams shape the adversarial three-way sweep: the same star
-// overlay is walked in closed form, simulated at the message level, and run
-// as real TCP nodes, at malicious fractions 0–50% with reputation-weighted
-// selection off and on.
+// trustScenario is the adversarial sweep's star: 5 clusters of 2 partner
+// slots and 3 one-file clients each, topic-partitioned content, TTL 2
+// (enough for leaf→hub→leaf). trustCell plants one (fraction, trust) cell's
+// attack on it, and all three layers run that one graph: the model walks
+// its access and relay legs in closed form, the simulator adds reputation
+// learning, Busy accounting and the forged-hit audit, and the live fleet
+// adds what only a working system has — client re-homing over real
+// sockets, trust-aware admission, and hit validation against outstanding
+// query routes. The simulator has always run at seed+17.
 //
-// The three layers share the attack (freeloading drops plus forged hits) but
-// each measures its own defense surface. The model predicts recall from
-// per-leg drop probabilities — trust-off legs lose a query with probability
-// (malicious slots/2)·Drop, trust-on legs only when every slot of a cluster
-// is malicious. The simulator adds reputation learning, Busy accounting and
-// the forged-hit audit. The live layer adds what only a working system has:
-// client re-homing over real sockets, trust-aware admission, and hit
-// validation against outstanding query routes.
-type TrustSweepParams struct {
-	// Fractions are the malicious-partner fractions swept (default
-	// 0, 0.1, 0.3, 0.5 — the ISSUE's 0–50% range).
-	Fractions []float64
-	// Drop and Forge are the per-opportunity misbehavior probabilities of a
-	// malicious partner (default 1: always drop, always forge — the
-	// starkest version of the attack).
-	Drop, Forge float64
-	// SimClusters is the simulated star's cluster count including the hub;
-	// each cluster has 2 partner slots and 3 clients (default 5).
-	SimClusters int
-	// SimDuration is the simulated virtual time per cell (default 1500 s).
-	SimDuration float64
-	// LiveLeaves is the live star's leaf-node count; malicious nodes are
-	// round(fraction·LiveLeaves) of them (default 10).
-	LiveLeaves int
-	// Searches is how many queries each live client issues (default 6).
-	Searches int
-	// Window is each live search's result-collection window (default
-	// 250 ms) — also the cadence of the client's reputation observations.
-	Window time.Duration
-	// Seed drives the simulator and the live misbehavior streams.
-	Seed uint64
-	// Logf, when set, receives diagnostic output.
-	Logf func(format string, args ...any)
+// Live k = 2 is not the model's k = 2. A live client joins one partner, so
+// its files are indexed there only, while the live flood reaches every
+// partner of a neighbor (and the co-partner). A freeloading access partner
+// therefore starves its clients' searches and hides their files from
+// everyone else's, and the trust-oblivious live column loses more than the
+// model's uniform partner choice predicts.
+func trustScenario(seed uint64) Scenario {
+	return Scenario{
+		Planted: network.Planted{
+			Graph:     topology.Star(4),
+			Partners:  2,
+			Clients:   3,
+			Topics:    5,
+			QueryRate: 0.05,
+			QueryLen:  len(routingTopic(0)),
+			TTL:       2,
+		},
+		SimDuration: 1500,
+		// 100 ms windows are also the cadence of a trusting client's
+		// reputation observations.
+		Live: LiveLoad{Duration: 120, TimeScale: 80, Window: 100 * time.Millisecond},
+		Seed: seed + 17,
+	}
 }
 
-func (p *TrustSweepParams) setDefaults() {
-	if p.Fractions == nil {
-		p.Fractions = []float64{0, 0.1, 0.3, 0.5}
+// trustFractions is the sweep's malicious-partner axis, 0–50%.
+var trustFractions = []float64{0, 0.1, 0.3, 0.5}
+
+// trustCell plants round(fraction × partner slots) malicious partners on
+// base at full strength — every query dropped, every relayed query answered
+// with a forged hit — with reputation-weighted selection off or on.
+func trustCell(base Scenario, fraction float64, trust bool) Scenario {
+	clusters := base.Planted.Graph.N()
+	nMal := int(math.Round(fraction * float64(base.Planted.Partners) * float64(clusters)))
+	base.Adversary = &sim.AdversaryOptions{
+		Malicious: trustMaliciousSlots(nMal, clusters),
+		Drop:      1,
+		Forge:     1,
+		Trust:     trust,
 	}
-	if p.Drop <= 0 {
-		p.Drop = 1
-	}
-	if p.Forge <= 0 {
-		p.Forge = 1
-	}
-	if p.SimClusters <= 0 {
-		p.SimClusters = 5
-	}
-	if p.SimDuration <= 0 {
-		p.SimDuration = 1500
-	}
-	if p.LiveLeaves <= 0 {
-		p.LiveLeaves = 10
-	}
-	if p.Searches <= 0 {
-		p.Searches = 6
-	}
-	if p.Window <= 0 {
-		p.Window = 250 * time.Millisecond
-	}
-	if p.Logf == nil {
-		p.Logf = func(string, ...any) {}
-	}
+	return base
 }
 
 // trustMaliciousSlots spreads nMal malicious assignments over the star's
-// 2-slot clusters, slot 0 first across all clusters — so no cluster loses
+// clusters, slot 0 first across all clusters — so no 2-slot cluster loses
 // both partners until more than half of all slots are malicious, matching
 // the model's trust-on assumption that an honest alternative exists.
 func trustMaliciousSlots(nMal, clusters int) func(cluster, slot int) bool {
@@ -98,203 +73,21 @@ func trustMaliciousSlots(nMal, clusters int) func(cluster, slot int) bool {
 	}
 }
 
-// trustLegLoss returns each cluster's per-leg query-loss probability q(c):
-// the chance that the partner chosen to receive a query (by a client at its
-// own cluster, or by a forwarding neighbor) is malicious and drops it.
-// Trust-oblivious choosers pick uniformly over the 2 slots; reputation-
-// weighted choosers avoid a malicious slot whenever an honest one exists.
-func trustLegLoss(nMal, clusters int, drop float64, trustOn bool) []float64 {
-	malicious := trustMaliciousSlots(nMal, clusters)
-	q := make([]float64, clusters)
-	for c := range q {
-		mal := 0
-		for s := 0; s < 2; s++ {
-			if malicious(c, s) {
-				mal++
-			}
-		}
-		if trustOn {
-			if mal == 2 {
-				q[c] = drop
-			}
-		} else {
-			q[c] = drop * float64(mal) / 2
-		}
-	}
-	return q
-}
-
-// trustModelLost is the closed-form lost-query fraction on the star: clients
-// and query topics are uniform over clusters, and a query survives iff every
-// leg's chosen partner relays it. Legs for a client at cluster x querying
-// topic t: the access leg at x always; then x→hub, hub→t as the star path
-// requires (cluster 0 is the hub).
-func trustModelLost(q []float64) float64 {
-	n := len(q)
-	total := 0.0
-	for x := 0; x < n; x++ {
-		for t := 0; t < n; t++ {
-			surv := 1 - q[x]
-			if t != x {
-				if x != 0 {
-					surv *= 1 - q[0]
-				}
-				if t != 0 {
-					surv *= 1 - q[t]
-				}
-			}
-			total += 1 - surv
-		}
-	}
-	return total / float64(n*n)
-}
-
-// instance builds the star the model and simulator share: SimClusters
-// 2-redundant super-peer pairs, 3 one-file clients each, topic-partitioned
-// content, TTL 2 (enough for leaf→hub→leaf).
-func (p *TrustSweepParams) instance() (*network.Instance, error) {
-	return network.NewPlanted(network.Planted{
-		Graph:     topology.Star(p.SimClusters - 1),
-		Partners:  2,
-		Clients:   3,
-		Topics:    p.SimClusters,
-		QueryRate: 0.05,
-		QueryLen:  len(routingTopic(0)),
-		TTL:       2,
-	})
-}
-
-// runTrustSimCell simulates one (fraction, trust) cell on the star with
-// topic-partitioned content, so lost-fraction and spread measure real recall
-// against exact ground truth.
-func runTrustSimCell(p *TrustSweepParams, inst *network.Instance, frac float64, trustOn bool) (*sim.Measured, error) {
-	nMal := int(math.Round(frac * 2 * float64(p.SimClusters)))
-	return sim.Run(inst, sim.Options{
-		Duration: p.SimDuration,
-		Seed:     p.Seed + 17,
-		Adversary: &sim.AdversaryOptions{
-			Malicious: trustMaliciousSlots(nMal, p.SimClusters),
-			Drop:      p.Drop,
-			Forge:     p.Forge,
-			Trust:     trustOn,
-		},
-		Content: topicContent(p.SimClusters),
-	})
-}
-
-// runTrustLiveCell boots a flat star of real nodes — an honest hub indexing
-// the provider's files, LiveLeaves access super-peers of which the first
-// round(frac·LiveLeaves) misbehave — and homes one client on every leaf with
-// the diametrically opposite leaf as its ranked alternative. Each client's
-// searches must cross its access leaf to reach the hub's content, so a
-// freeloading leaf starves exactly its own clients: the loss reputation-
-// driven re-homing is able to win back. The cell's measurements land in the
-// row's Live fields.
-func runTrustLiveCell(p *TrustSweepParams, row *TrustSweepRow) error {
-	trustOn := row.Trust
-	leaves := p.LiveLeaves
-	nMal := int(math.Round(row.Fraction * float64(leaves)))
-
-	f, err := launchFleet(network.LiveConfig{
-		Overlay:  topology.Star(leaves),
-		Partners: 1,
-		Seed:     p.Seed,
-		Node:     p2p.Options{Trust: trustOn},
-		Adjust: func(cluster, _ int, opts *p2p.Options) {
-			if leaf := cluster - 1; leaf >= 0 && leaf < nMal {
-				opts.Misbehave = &p2p.MisbehaveOptions{
-					Drop:  p.Drop,
-					Forge: p.Forge,
-					Seed:  p.Seed + uint64(leaf),
-				}
-			}
-		},
-	}, 0, p.Logf)
-	if err != nil {
-		return fmt.Errorf("trustsweep: %w", err)
-	}
-	defer f.close()
-
-	// One client per cluster: the hub's is the provider, each leaf's a
-	// searcher sharing nothing.
-	leafAddr := func(leaf int) string { return f.live.ClusterAddrs(1 + leaf%leaves)[0] }
-	err = f.dial(1, func(c, _ int) (p2p.DialOptions, []p2p.SharedFile) {
-		if c == 0 {
-			return p2p.DialOptions{}, []p2p.SharedFile{
-				{Index: 1, Title: trustProbeTerm + " first edition"},
-				{Index: 2, Title: trustProbeTerm + " second edition"},
-			}
-		}
-		leaf := c - 1
-		return p2p.DialOptions{
-			Addrs: []string{leafAddr(leaf), leafAddr(leaf + leaves/2)},
-			Trust: trustOn,
-			Seed:  p.Seed ^ uint64(leaf+1)<<8,
-		}, nil
-	})
-	if err != nil {
-		return fmt.Errorf("trustsweep: %w", err)
-	}
-	if err := f.settle(0); err != nil {
-		return fmt.Errorf("trustsweep: %w", err)
-	}
-
-	var mu sync.Mutex
-	searches, lost, genuine := 0, 0, 0
-	var wg sync.WaitGroup
-	for leaf := 0; leaf < leaves; leaf++ {
-		wg.Add(1)
-		go func(leaf int, cl *p2p.Client) {
-			defer wg.Done()
-			for s := 0; s < p.Searches; s++ {
-				out, err := cl.SearchDetailed(trustProbeTerm, p.Window)
-				mu.Lock()
-				searches++
-				if err != nil || out.Genuine == 0 {
-					lost++
-					if err != nil {
-						p.Logf("trustsweep: live search leaf %d: %v", leaf, err)
-					}
-				} else {
-					genuine += out.Genuine
-				}
-				mu.Unlock()
-			}
-		}(leaf, f.clients[1+leaf][0])
-	}
-	wg.Wait()
-
-	row.LiveLost = float64(lost) / float64(searches)
-	row.LiveGenuine = float64(genuine) / float64(searches)
-	for c := 0; c <= leaves; c++ {
-		st := f.live.Node(c, 0).Stats()
-		row.LiveForgedDet += st.HitsForged
-		row.LiveAdmissionShed += st.QueriesShedAdmission
-		if c > 0 {
-			row.LiveRehomes += int64(f.clients[c][0].Reconnects())
-		}
-	}
-	return nil
-}
-
 // TrustSweepRow is one (fraction, trust) cell's three-way measurement.
 type TrustSweepRow struct {
 	Fraction float64
 	Trust    bool
 
-	// Lost-query fractions per layer: searches with zero genuine results.
+	// Lost-query fractions per layer: client searches with zero genuine
+	// results.
 	ModelLost, SimLost, LiveLost float64
 	// Recall per layer: the model's expected results per query, and the
-	// measured genuine results per client query.
+	// measured genuine results per client search.
 	ModelResults, SimGenuine, LiveGenuine float64
 
-	// Simulator defense accounting.
-	SimSpreadP50, SimSpreadP90        float64
-	SimForgedAccepted, SimForgedDet   int
-	SimRefused, SimDropped, SimRelays int
-
-	// Live defense accounting.
-	LiveForgedDet, LiveRehomes, LiveAdmissionShed int64
+	// Sim and Live carry each layer's defense accounting.
+	Sim  *sim.Measured
+	Live LiveMeasured
 }
 
 // TrustSweepResult carries the sweep rows alongside the printable report,
@@ -314,64 +107,32 @@ func (r *TrustSweepResult) Row(frac float64, trust bool) *TrustSweepRow {
 	return nil
 }
 
-// RunTrustSweepResult executes the full sweep and returns rows and report.
-func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*TrustSweepResult, error) {
-	p.setDefaults()
-	inst, err := p.instance()
-	if err != nil {
-		return nil, err
-	}
-
-	type cellKey struct {
-		frac  float64
-		trust bool
-	}
-	var cells []cellKey
-	for _, f := range p.Fractions {
+// runTrustSweep runs base at every fraction with trust off and on and
+// returns rows and report.
+func runTrustSweep(base Scenario, fractions []float64, progress func(done, total int)) (*TrustSweepResult, error) {
+	var rows []TrustSweepRow
+	for _, frac := range fractions {
 		for _, trust := range []bool{false, true} {
-			cells = append(cells, cellKey{f, trust})
-		}
-	}
-
-	rows := make([]TrustSweepRow, len(cells))
-	for i, c := range cells {
-		row := TrustSweepRow{Fraction: c.frac, Trust: c.trust}
-
-		// Model column: closed-form star walk for the lost fraction, and the
-		// mean-value engine with the mean per-leg honesty for recall.
-		nMalSlots := int(math.Round(c.frac * 2 * float64(p.SimClusters)))
-		q := trustLegLoss(nMalSlots, p.SimClusters, p.Drop, c.trust)
-		row.ModelLost = trustModelLost(q)
-		meanQ := 0.0
-		for _, v := range q {
-			meanQ += v
-		}
-		meanQ /= float64(len(q))
-		row.ModelResults = analysis.EvaluateWith(inst, analysis.Options{RelayDrop: meanQ}).ResultsPerQuery
-
-		m, err := runTrustSimCell(&p, inst, c.frac, c.trust)
-		if err != nil {
-			return nil, err
-		}
-		if m.ClientQueriesTracked > 0 {
-			row.SimLost = float64(m.ClientQueriesUnanswered) / float64(m.ClientQueriesTracked)
-		}
-		row.SimGenuine = m.GenuineResultsPerQuery
-		row.SimSpreadP50 = m.SpreadP50
-		row.SimSpreadP90 = m.SpreadP90
-		row.SimForgedAccepted = m.ForgedAccepted
-		row.SimForgedDet = m.ForgedDetected
-		row.SimRefused = m.QueriesRefused
-		row.SimDropped = m.QueriesDroppedMalicious
-		row.SimRelays = m.RelayDropsMalicious
-
-		if err := runTrustLiveCell(&p, &row); err != nil {
-			return nil, err
-		}
-
-		rows[i] = row
-		if progress != nil {
-			progress(i+1, len(cells))
+			tw, err := runThreeWay(trustCell(base, frac, trust))
+			if err != nil {
+				return nil, fmt.Errorf("trustsweep: %w", err)
+			}
+			m, live := tw.Sim, tw.Live
+			rows = append(rows, TrustSweepRow{
+				Fraction:     frac,
+				Trust:        trust,
+				ModelLost:    tw.ModelLost,
+				SimLost:      ratio(m.ClientQueriesUnanswered, m.ClientQueriesTracked),
+				LiveLost:     ratio(live.ClientLost, live.ClientQueries),
+				ModelResults: tw.Model.ResultsPerQuery,
+				SimGenuine:   m.GenuineResultsPerQuery,
+				LiveGenuine:  ratio(live.ClientGenuine, live.ClientQueries),
+				Sim:          m,
+				Live:         live,
+			})
+			if progress != nil {
+				progress(len(rows), 2*len(fractions))
+			}
 		}
 	}
 
@@ -401,25 +162,28 @@ func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*T
 			fmt.Sprintf("%.2f", r.ModelResults),
 			fmt.Sprintf("%.2f", r.SimGenuine),
 			fmt.Sprintf("%.2f", r.LiveGenuine),
-			fmt.Sprintf("%.1f/%.1f", r.SimSpreadP50, r.SimSpreadP90),
+			fmt.Sprintf("%.1f/%.1f", r.Sim.SpreadP50, r.Sim.SpreadP90),
 		})
 		defense.Rows = append(defense.Rows, []string{
 			mal, onOff(r.Trust),
-			fmt.Sprint(r.SimRefused),
-			fmt.Sprint(r.SimDropped),
-			fmt.Sprint(r.SimRelays),
-			fmt.Sprintf("%d/%d", r.SimForgedAccepted, r.SimForgedDet),
-			fmt.Sprint(r.LiveForgedDet),
-			fmt.Sprint(r.LiveRehomes),
-			fmt.Sprint(r.LiveAdmissionShed),
+			fmt.Sprint(r.Sim.QueriesRefused),
+			fmt.Sprint(r.Sim.QueriesDroppedMalicious),
+			fmt.Sprint(r.Sim.RelayDropsMalicious),
+			fmt.Sprintf("%d/%d", r.Sim.ForgedAccepted, r.Sim.ForgedDetected),
+			fmt.Sprint(r.Live.ForgedDetected),
+			fmt.Sprint(r.Live.Reconnects),
+			fmt.Sprint(r.Live.AdmissionShed),
 		})
 	}
 
+	p := base.Planted
 	report := &Report{
 		Notes: []string{
 			"extension beyond the paper: freeloading + forgery attack at 0–50% malicious partners, trust-oblivious vs reputation-weighted",
-			fmt.Sprintf("model/sim star: %d clusters × 2 partner slots, malicious slots spread one per cluster first", p.SimClusters),
-			fmt.Sprintf("live star: honest hub + %d access super-peers, %d searches per client, %v result windows", p.LiveLeaves, p.Searches, p.Window),
+			fmt.Sprintf("one star in every layer: %d clusters × %d partner slots, malicious slots spread one per cluster first", p.Graph.N(), p.Partners),
+			fmt.Sprintf("live: every client and partner replays %g virtual s of Poisson queries, %v result windows; a client's ranked partners are its own cluster's",
+				base.Live.Duration, base.Live.Window),
+			"live k = 2 is not the model's: a client joins one partner (its files are indexed there only) and the flood reaches every partner of a neighbor, so trust-off live losses exceed the model's",
 			"acceptance shape: at >=30% malicious, trust-on recovers at least half of the lost-query gap in every layer",
 			"live cells measure a real TCP overlay; their counts carry scheduling noise the model and simulator do not",
 		},
@@ -432,19 +196,17 @@ func RunTrustSweepResult(p TrustSweepParams, progress func(done, total int)) (*T
 // shrink the sweep to its endpoints and shorten every window so the smoke
 // run stays fast; full scale is the validated configuration.
 func runTrustSweepDefault(p Params) (*Report, error) {
-	tp := TrustSweepParams{Seed: p.Seed}
+	base, fractions := trustScenario(p.Seed), trustFractions
 	if p.Scale > 0 && p.Scale < 1 {
-		tp.Fractions = []float64{0, 0.5}
-		tp.LiveLeaves = 4
-		tp.Searches = 3
-		tp.Window = 150 * time.Millisecond
-		tp.SimDuration = math.Max(400, 1500*p.Scale)
+		fractions = []float64{0, 0.5}
+		base.SimDuration = math.Max(400, 1500*p.Scale)
+		base.Live.Duration = 60
 	}
 	var progress func(done, total int)
 	if p.Progress != nil {
 		progress = func(done, total int) { p.Progress("cells", done, total) }
 	}
-	res, err := RunTrustSweepResult(tp, progress)
+	res, err := runTrustSweep(base, fractions, progress)
 	if err != nil {
 		return nil, err
 	}

@@ -73,7 +73,7 @@ func (n *Node) SearchDetailed(query string, window time.Duration) (*SearchOutcom
 		n.mu.Unlock()
 		return nil, errClosed
 	}
-	rt := &routeEntry{owner: -1, local: ch, busyN: &busyN, at: time.Now()}
+	rt := &routeEntry{owner: -1, local: ch, busyN: &busyN, forwarded: true, at: time.Now()}
 	if n.routeLearns {
 		rt.terms = titleTerms(query)
 	}
@@ -121,6 +121,10 @@ type SearchResult struct {
 	OwnerPort uint16
 	Hops      int
 }
+
+// Genuine reports whether a dialable owner address backs the result — what
+// a forged hit cannot fake.
+func (r SearchResult) Genuine() bool { return r.OwnerPort != 0 }
 
 func hitResults(h *gnutella.QueryHit) []SearchResult {
 	out := make([]SearchResult, 0, len(h.Results))
@@ -829,7 +833,7 @@ func (cl *Client) SearchDetailed(query string, window time.Duration) (*ClientSea
 				rs := hitResults(m)
 				out.Results = append(out.Results, rs...)
 				for _, r := range rs {
-					if r.OwnerPort != 0 {
+					if r.Genuine() {
 						out.Genuine++
 					}
 				}

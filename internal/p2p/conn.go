@@ -227,7 +227,7 @@ func (n *Node) handleClientQuery(c *conn, q *gnutella.Query) {
 		n.mu.Unlock()
 		return
 	}
-	rt := &routeEntry{owner: c.owner, at: time.Now()}
+	rt := &routeEntry{owner: c.owner, forwarded: true, at: time.Now()}
 	if n.routeLearns {
 		rt.terms = titleTerms(q.Text)
 	}
@@ -325,6 +325,16 @@ func (n *Node) runPeer(c *conn) {
 // handlePeerQuery is the receiver side of query flooding: duplicate drop,
 // local processing, response over the arrival link, and forwarding with a
 // decremented TTL to every other neighbor.
+//
+// A node answers a query once, for the first copy, and forwards it once,
+// for the first copy with hops left to forward. Every other copy is dropped.
+// The two differ only when a copy that ends here (TTL 1) overtakes one that
+// can still travel — on a loopback fleet a co-partner's relay can beat the
+// source's own copy to a neighbor — and dropping the later copy would stop
+// the flood one hop short. Hits keep following the first copy's reverse
+// path, which leads back to the source as well. Forwarding a copy once per
+// extra hop left instead would cost a node a second fan-out whenever a
+// longer path wins a race even if the first copy already had TTL to spare.
 func (n *Node) handlePeerQuery(c *conn, q *gnutella.Query) {
 	if n.mis != nil {
 		if n.mis.forgeHit() {
@@ -337,18 +347,23 @@ func (n *Node) handlePeerQuery(c *conn, q *gnutella.Query) {
 		}
 	}
 	n.mu.Lock()
-	if _, dup := n.routes[q.ID]; dup {
+	rt, dup := n.routes[q.ID]
+	if dup && (rt.forwarded || q.TTL <= 1) {
 		n.mu.Unlock()
 		return // redundant copy: received, then dropped
 	}
-	rt := &routeEntry{via: c, owner: -1, at: time.Now()}
-	if n.routeLearns {
-		rt.terms = titleTerms(q.Text)
+	var hit *gnutella.QueryHit
+	if !dup {
+		rt = &routeEntry{via: c, owner: -1, at: time.Now()}
+		if n.routeLearns {
+			rt.terms = titleTerms(q.Text)
+		}
+		n.routes[q.ID] = rt
+		hit = n.searchLocked(q.ID, q.Text)
 	}
-	n.routes[q.ID] = rt
-	hit := n.searchLocked(q.ID, q.Text)
 	var peers []*conn
 	if q.TTL > 1 {
+		rt.forwarded = true
 		peers = n.peerListLocked(c)
 	}
 	n.mu.Unlock()

@@ -230,7 +230,10 @@ type routeEntry struct {
 	// terms caches the query's keywords when the routing strategy learns
 	// from hit history, so responses can credit the neighbor they came via.
 	terms []string
-	at    time.Time
+	// forwarded is set once a copy has been forwarded (or originated) here;
+	// until then a later copy with hops left is forwarded instead of dropped.
+	forwarded bool
+	at        time.Time
 }
 
 // Node is one super-peer.

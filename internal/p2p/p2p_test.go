@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bufio"
 	"fmt"
 	"testing"
 	"time"
@@ -213,6 +214,49 @@ func TestDuplicateQueriesDropped(t *testing.T) {
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want exactly 3 (duplicates must be dropped): %+v",
 			len(results), results)
+	}
+}
+
+// TestDuplicateForwardedOnceTTLAllows: a node forwards the first copy of a
+// query that has hops left, even when a copy ending there (TTL 1) came
+// first, and drops every other copy. In a k-redundant cluster a co-partner's
+// relay can beat the source's own copy to a neighbor; dropping the source's
+// copy would stop the flood one hop short.
+func TestDuplicateForwardedOnceTTLAllows(t *testing.T) {
+	n := startNode(t, Options{TTL: 7, HeartbeatInterval: -1})
+	in := dialRawPeer(t, n.Addr())
+	out := dialRawPeer(t, n.Addr())
+	waitFor(t, "both links up", func() bool { return n.Stats().Peers == 2 })
+
+	id, sentinel := testGUID(1), testGUID(2)
+	for i, q := range []*gnutella.Query{
+		{ID: id, TTL: 1, Hops: 1, Text: "x"}, // handled, not forwarded
+		{ID: id, TTL: 1, Hops: 1, Text: "x"}, // duplicate: dropped
+		{ID: id, TTL: 2, Text: "x"},          // first with hops left: forwarded
+		{ID: id, TTL: 2, Text: "x"},          // duplicate again: dropped
+		{ID: id, TTL: 3, Text: "x"},          // already forwarded: dropped
+		{ID: sentinel, TTL: 2, Text: "x"},    // marks the end of the stream
+	} {
+		if err := gnutella.WriteMessage(in, q); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "query handled", func() bool { return n.Stats().QueriesHandled == int64(i+1) })
+	}
+
+	var got []gnutella.Query
+	out.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(out)
+	for len(got) == 0 || got[len(got)-1].ID != sentinel {
+		msg, err := gnutella.ReadMessage(br)
+		if err != nil {
+			t.Fatalf("after %d forwarded queries: %v", len(got), err)
+		}
+		if q, ok := msg.(*gnutella.Query); ok {
+			got = append(got, *q)
+		}
+	}
+	if len(got) != 2 || got[0].ID != id || got[0].TTL != 1 || got[0].Hops != 1 {
+		t.Fatalf("forwarded %+v, want the TTL-2 copy once as TTL 1, hops 1, then the sentinel", got)
 	}
 }
 

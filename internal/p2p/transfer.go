@@ -144,7 +144,7 @@ func TransferSources(results []SearchResult, title string) []transfer.Source {
 		if title != "" && r.Title != title {
 			continue
 		}
-		if r.OwnerPort == 0 {
+		if !r.Genuine() {
 			continue
 		}
 		addr := fmt.Sprintf("%d.%d.%d.%d:%d",

@@ -20,24 +20,14 @@ type Forwards struct {
 	Relay func(d int) float64
 }
 
-// FloodForwards returns the explicit flood model: every eligible neighbor.
-// Evaluating it exercises the strategy-parametric engine path with all
-// fractions exactly 1.0, which is numerically identical to the nil fast
-// path (multiplication by 1.0 is exact in IEEE 754).
-func FloodForwards() *Forwards {
-	id := func(d int) float64 { return float64(d) }
-	return &Forwards{Name: "flood", Source: id, Relay: id}
-}
-
-// RandomWalkForwards models k seeded walkers: the source starts min(k, d)
-// walkers, each relay forwards an arriving walker along min(1, d) edges.
-func RandomWalkForwards(k int) *Forwards {
-	if k < 1 {
-		k = 1
-	}
+// Forwards models the strategy's k seeded walkers: the source starts
+// min(k, d) walkers, each relay forwards an arriving walker along min(1, d)
+// edges.
+func (s RandomWalk) Forwards() *Forwards {
+	k := float64(s.k)
 	return &Forwards{
-		Name:   NewRandomWalk(k).Name(),
-		Source: func(d int) float64 { return minf(float64(k), d) },
+		Name:   s.Name(),
+		Source: func(d int) float64 { return minf(k, d) },
 		Relay:  func(d int) float64 { return minf(1, d) },
 	}
 }

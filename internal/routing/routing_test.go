@@ -185,7 +185,7 @@ func TestMarkers(t *testing.T) {
 }
 
 func TestForwardsModels(t *testing.T) {
-	fw := RandomWalkForwards(3)
+	fw := NewRandomWalk(3).Forwards()
 	if got := fw.Source(5); got != 3 {
 		t.Fatalf("randomwalk Source(5) = %g, want 3", got)
 	}
@@ -204,10 +204,6 @@ func TestForwardsModels(t *testing.T) {
 	}
 	if got := cf.Relay(0); got != 0 {
 		t.Fatalf("const Relay(0) = %g, want 0", got)
-	}
-	ff := FloodForwards()
-	if got := ff.Source(7); got != 7 {
-		t.Fatalf("flood Source(7) = %g, want 7", got)
 	}
 }
 
