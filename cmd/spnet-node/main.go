@@ -87,8 +87,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 		misBusy    = fs.Float64("mis-busylie", 0, "misbehave (harness only): probability of Busy-refusing a client with capacity to spare")
 		misSeed    = fs.Uint64("mis-seed", 1, "seed for the misbehavior draw stream")
 
-		dialTO    = fs.Duration("dial-timeout", 10*time.Second, "TCP dial timeout for peer connections")
-		handTO    = fs.Duration("handshake-timeout", 10*time.Second, "hello-exchange timeout")
+		dialTO    = fs.Duration("dial-timeout", 10*time.Second, "connection setup timeout: bounds each peer dial, and the hello exchange on accepted and dialed links")
 		writeTO   = fs.Duration("write-timeout", 30*time.Second, "per-message write timeout")
 		hbEvery   = fs.Duration("heartbeat", 5*time.Second, "overlay heartbeat interval (0 disables)")
 		hbTimeout = fs.Duration("heartbeat-timeout", 0, "silence before a peer is declared dead (0 = 3×heartbeat)")
@@ -100,7 +99,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 
 	opts := spnet.NodeOptions{
 		TTL: *ttl, MaxClients: *maxCl, MaxPeers: *maxPeer,
-		DialTimeout: *dialTO, HandshakeTimeout: *handTO, WriteTimeout: *writeTO,
+		DialTimeout: *dialTO, WriteTimeout: *writeTO,
 		HeartbeatInterval: *hbEvery, HeartbeatTimeout: *hbTimeout,
 		DrainTimeout: *drainTO,
 	}

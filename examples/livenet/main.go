@@ -167,11 +167,9 @@ func churnDemo() {
 	// reports every failover event.
 	var lostAt, rejoinedAt time.Time
 	cl, err := spnet.DialSuperPeers(spnet.ClientDialOptions{
-		Addrs: lv.ClusterAddrs(0),
-		Seed:  7,
-		Backoff: spnet.ClientBackoff{
-			Initial: 50 * time.Millisecond, Max: time.Second, Multiplier: 2, Jitter: 0.2,
-		},
+		Addrs:   lv.ClusterAddrs(0),
+		Seed:    7,
+		Backoff: spnet.Backoff{Initial: 50 * time.Millisecond, Max: time.Second},
 		OnEvent: func(e spnet.ClientEvent) {
 			switch e.Type {
 			case spnet.EventConnLost:

@@ -4,68 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/stats"
 )
-
-// Protocol literals shared with internal/p2p's handshake.
-const (
-	helloControl = "SPNET/1.0 CONTROL"
-	helloOK      = "SPNET/1.0 OK"
-)
-
-// Backoff shapes the seeded exponential backoff every control RPC retry and
-// every link redial uses — the same discipline as the supervised client.
-type Backoff struct {
-	// Initial is the first retry delay (default 100ms).
-	Initial time.Duration
-	// Max caps the delay (default 2s).
-	Max time.Duration
-	// Multiplier grows the delay per attempt (default 2).
-	Multiplier float64
-	// Jitter is the ± fraction of random spread (default 0.2; negative
-	// disables jitter entirely, for deterministic schedules).
-	Jitter float64
-}
-
-func (b *Backoff) setDefaults() {
-	if b.Initial <= 0 {
-		b.Initial = 100 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 2 * time.Second
-	}
-	if b.Multiplier < 1 {
-		b.Multiplier = 2
-	}
-	if b.Jitter == 0 {
-		b.Jitter = 0.2
-	}
-	if b.Jitter < 0 || b.Jitter >= 1 {
-		b.Jitter = 0
-	}
-}
-
-// delay computes the attempt'th backoff delay (0-based; attempt 0 waits
-// Initial) with seeded jitter.
-func (b Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
-}
 
 // agent maintains the control link to one node: dial with seeded backoff,
 // handshake, read the node's Register announcement, then pump acks and
@@ -74,7 +19,7 @@ func (b Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
 type agent struct {
 	ctrl *Controller
 	cfg  NodeConfig
-	rng  *stats.RNG
+	rng  *stats.RNG // backoff jitter, drawn under mu
 
 	mu   sync.Mutex
 	conn net.Conn // nil while the link is down
@@ -107,20 +52,19 @@ func (a *agent) run() {
 			return
 		default:
 		}
-		conn, err := a.dial()
+		conn, br, err := a.ctrl.opts.Dial.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout)
 		if err != nil {
-			d := a.ctrl.opts.Backoff.delay(attempt, a.rng)
 			attempt++
 			select {
 			case <-a.ctrl.stop:
 				return
-			case <-time.After(d):
+			case <-time.After(a.backoff(attempt)):
 			}
 			continue
 		}
 		attempt = 0
 		a.setConn(conn)
-		a.readLoop(conn)
+		a.readLoop(br)
 		a.setConn(nil)
 		conn.Close()
 		// Brief seeded pause before redialing, so a dead node is probed at
@@ -128,44 +72,18 @@ func (a *agent) run() {
 		select {
 		case <-a.ctrl.stop:
 			return
-		case <-time.After(a.ctrl.opts.Backoff.delay(0, a.rng)):
+		case <-time.After(a.backoff(1)):
 		}
 	}
 }
 
-// dial opens and handshakes the control link.
-func (a *agent) dial() (net.Conn, error) {
-	c, err := a.ctrl.opts.Dial("tcp", a.cfg.Addr, a.ctrl.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fmt.Fprintf(c, "%s\n", helloControl); err != nil {
-		c.Close()
-		return nil, err
-	}
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(a.ctrl.opts.DialTimeout))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	if strings.TrimSpace(line) != helloOK {
-		c.Close()
-		return nil, fmt.Errorf("control: node %s refused: %s", a.cfg.ID, strings.TrimSpace(line))
-	}
-	c.SetReadDeadline(time.Time{})
-	return &bufferedConn{Conn: c, br: br}, nil
+// backoff draws the attempt'th wait from the agent's seeded stream under mu:
+// run's redials and push's retries draw on different goroutines.
+func (a *agent) backoff(attempt int) time.Duration {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.ctrl.opts.Backoff.Delay(attempt, a.rng)
 }
-
-// bufferedConn keeps the handshake reader's buffered bytes attached to the
-// connection for the frame reader.
-type bufferedConn struct {
-	net.Conn
-	br *bufio.Reader
-}
-
-func (b *bufferedConn) Read(p []byte) (int, error) { return b.br.Read(p) }
 
 // setConn publishes or clears the live link.
 func (a *agent) setConn(c net.Conn) {
@@ -188,10 +106,11 @@ func (a *agent) linkUp() bool {
 	return a.up
 }
 
-// readLoop pumps the link's inbound frames until it errors.
-func (a *agent) readLoop(conn net.Conn) {
+// readLoop pumps the link's inbound frames, read through the handshake's
+// reader, until it errors.
+func (a *agent) readLoop(br *bufio.Reader) {
 	for {
-		m, err := gnutella.ReadMessageLimit(conn, 1<<16)
+		m, err := gnutella.ReadMessageLimit(br, 1<<16)
 		if err != nil {
 			return
 		}
@@ -257,7 +176,7 @@ func (a *agent) push(d *gnutella.Directive) error {
 			select {
 			case <-a.ctrl.stop:
 				return fmt.Errorf("control: shutting down")
-			case <-time.After(a.ctrl.opts.Backoff.delay(attempt-1, a.rng)):
+			case <-time.After(a.backoff(attempt)):
 			}
 		}
 		ack, err := a.pushOnce(d)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"spnet/internal/link"
 	"spnet/internal/p2p"
 )
 
@@ -67,7 +68,7 @@ func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 		// outlasts the Busy window until the controller's promotion lands.
 		HeartbeatInterval: 25 * time.Millisecond,
 		MaxAttempts:       40,
-		Backoff:           p2p.Backoff{Initial: 40 * time.Millisecond, Max: 150 * time.Millisecond},
+		Backoff:           link.Backoff{Initial: 40 * time.Millisecond, Max: 150 * time.Millisecond},
 		Seed:              11,
 		OnEvent:           log.add,
 	}, []p2p.SharedFile{{Index: 1, Title: "ordered events manual"}})

@@ -29,6 +29,7 @@ import (
 	"spnet/internal/analysis"
 	"spnet/internal/design"
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/stats"
 )
@@ -59,13 +60,13 @@ type Options struct {
 	ScrapeTimeout time.Duration
 	// RPCTimeout bounds one directive push round trip (default 2s).
 	RPCTimeout time.Duration
-	// DialTimeout bounds control-link dials and handshakes (default 2s).
+	// DialTimeout bounds each control-link dial and its hello (default 2s).
 	DialTimeout time.Duration
 	// PushAttempts is how many times a directive is retried before the
 	// controller gives up for this tick (default 3).
 	PushAttempts int
-	// Backoff shapes redial and retry delays.
-	Backoff Backoff
+	// Backoff shapes redial and retry delays (default 100ms..2s).
+	Backoff link.Backoff
 	// Seed drives every random draw (backoff jitter); fixed seed, fixed
 	// schedule.
 	Seed uint64
@@ -105,7 +106,7 @@ type Options struct {
 	CooldownTicks int
 	// Dial, when set, replaces the dialer for both control links and
 	// telemetry scrapes — the fault-injection hook (faults.Dialer).
-	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
+	Dial link.Dialer
 	// OnEvent, when set, receives every controller event as it happens.
 	OnEvent func(Event)
 	// Logf, when set, receives diagnostic output.
@@ -128,7 +129,7 @@ func (o *Options) setDefaults() {
 	if o.PushAttempts <= 0 {
 		o.PushAttempts = 3
 	}
-	o.Backoff.setDefaults()
+	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 100 * time.Millisecond, Max: 2 * time.Second})
 	if o.DeadAfter <= 0 {
 		o.DeadAfter = 2
 	}
@@ -149,9 +150,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.CooldownTicks <= 0 {
 		o.CooldownTicks = 3
-	}
-	if o.Dial == nil {
-		o.Dial = net.DialTimeout
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -302,7 +300,7 @@ func New(opts Options) *Controller {
 			// pooled connection to a restarted node must not serve stale.
 			DisableKeepAlives: true,
 			DialContext: func(_ context.Context, network, addr string) (net.Conn, error) {
-				return dial(network, addr, scrapeTO)
+				return dial.Dial(network, addr, scrapeTO)
 			},
 		},
 	}

@@ -12,8 +12,10 @@ import (
 	"spnet/internal/analysis"
 	"spnet/internal/faults"
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/p2p"
+	"spnet/internal/stats"
 )
 
 // startNode spins up a p2p node with a control-plane identity.
@@ -50,7 +52,7 @@ func testOptions(nodes []NodeConfig) Options {
 		RPCTimeout:     300 * time.Millisecond,
 		DialTimeout:    300 * time.Millisecond,
 		PushAttempts:   2,
-		Backoff:        Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: -1},
+		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
 		Seed:           7,
 		ClientCapacity: 5,
 		BaseTTL:        7,
@@ -382,14 +384,28 @@ func TestPredictedLoad(t *testing.T) {
 	}
 }
 
+// TestBackoffDelayGrowsAndCaps checks the controller's retry schedule under
+// its seeded jitter: the defaults are 100ms..2s, attempt 0 is immediate, and
+// every later wait lies within ±20 % of Initial·2^(n-1) without exceeding
+// Max, replaying identically for the same seed.
 func TestBackoffDelayGrowsAndCaps(t *testing.T) {
-	b := Backoff{Initial: 100 * time.Millisecond, Max: 400 * time.Millisecond, Multiplier: 2, Jitter: -1}
-	b.setDefaults()
-	got := []time.Duration{b.delay(0, nil), b.delay(1, nil), b.delay(2, nil), b.delay(5, nil)}
-	want := []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 400 * time.Millisecond, 400 * time.Millisecond}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("delay(%d) = %v, want %v", i, got[i], want[i])
+	var o Options
+	o.setDefaults()
+	if want := (link.Backoff{Initial: 100 * time.Millisecond, Max: 2 * time.Second}); o.Backoff != want {
+		t.Fatalf("default backoff = %+v, want %+v", o.Backoff, want)
+	}
+	b := link.Backoff{Initial: 100 * time.Millisecond, Max: 400 * time.Millisecond}
+	bases := []time.Duration{0, 100, 200, 400, 400, 400}
+	rng, replay := stats.NewRNG(7), stats.NewRNG(7)
+	for i, base := range bases {
+		base *= time.Millisecond
+		got := b.Delay(i, rng)
+		lo, hi := time.Duration(float64(base)*0.8), min(time.Duration(float64(base)*1.2), b.Max)
+		if got < lo || got > hi {
+			t.Errorf("Delay(%d) = %v, want in [%v, %v]", i, got, lo, hi)
+		}
+		if again := b.Delay(i, replay); again != got {
+			t.Errorf("Delay(%d) = %v on replay, want %v", i, again, got)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
@@ -42,7 +43,7 @@ func (b bridge) supervised(seed uint64, attempts int) p2p.DialOptions {
 		Seed:              seed,
 		HeartbeatInterval: b.wallClamped(5, 20*time.Millisecond),
 		MaxAttempts:       attempts,
-		Backoff: p2p.Backoff{
+		Backoff: link.Backoff{
 			Initial: b.wallClamped(1, 5*time.Millisecond),
 			Max:     b.wallClamped(10, 25*time.Millisecond),
 		},

@@ -7,6 +7,7 @@ import (
 
 	"spnet/internal/analysis"
 	"spnet/internal/control"
+	"spnet/internal/link"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
 	"spnet/internal/sim"
@@ -183,7 +184,7 @@ func runSelfHealArm(p *SelfHealParams, withController bool) (SelfHealArm, *contr
 			ScrapeInterval: clock.wallClamped(p.ScrapeInterval, 50*time.Millisecond),
 			RPCTimeout:     500 * time.Millisecond,
 			DialTimeout:    500 * time.Millisecond,
-			Backoff:        control.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+			Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 			Seed:           p.Seed + 1,
 			ClientCapacity: share,
 			BaseTTL:        7,

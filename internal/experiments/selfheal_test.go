@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spnet/internal/control"
+	"spnet/internal/link"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
 )
@@ -131,7 +132,7 @@ func TestSelfHealControllerPartition(t *testing.T) {
 		ScrapeInterval: 50 * time.Millisecond,
 		RPCTimeout:     300 * time.Millisecond,
 		DialTimeout:    300 * time.Millisecond,
-		Backoff:        control.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
+		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
 		Seed:           24,
 		ClientCapacity: 4,
 		BaseTTL:        7,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"spnet/internal/analysis"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
@@ -151,12 +152,11 @@ func discoverSources(p *TransferBenchParams, live *network.Live) ([]transfer.Sou
 
 func (p *TransferBenchParams) fetchOpts() transfer.Options {
 	return transfer.Options{
-		Window:           p.Window,
-		Seed:             p.Seed,
-		DialTimeout:      2 * time.Second,
-		HandshakeTimeout: 2 * time.Second,
-		ChunkTimeout:     5 * time.Second,
-		Backoff:          transfer.Backoff{Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond, Multiplier: 2, Jitter: 0.25},
+		Window:       p.Window,
+		Seed:         p.Seed,
+		DialTimeout:  2 * time.Second,
+		ChunkTimeout: 5 * time.Second,
+		Backoff:      link.Backoff{Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond},
 	}
 }
 

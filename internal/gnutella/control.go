@@ -210,6 +210,11 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	if err != nil {
 		return nil, err
 	}
+	if h.TTL != 1 || h.Hops != 0 {
+		// Directives travel one controller link, never relayed; Encode
+		// stamps TTL 1, hops 0, and anything else is not a frame it made.
+		return nil, fmt.Errorf("%w: directive ttl %d hops %d, want 1 and 0", ErrBadMessage, h.TTL, h.Hops)
+	}
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < directivePayload+1 {
 		return nil, fmt.Errorf("%w: directive payload %d", ErrBadMessage, h.PayloadLen)
 	}

@@ -127,6 +127,8 @@ func TestDecodeDirectiveRejectsDamage(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0, 0) }},
 		{"target overrun", func(b []byte) []byte { b[35] = 50; return b }},
+		{"relayed ttl", func(b []byte) []byte { b[17] = 5; return b }},
+		{"relayed hops", func(b []byte) []byte { b[18] = 1; return b }},
 	}
 	for _, tc := range cases {
 		buf := append([]byte(nil), valid...)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,14 +65,14 @@ func (*bufferConn) SetDeadline(time.Time) error      { return nil }
 func (*bufferConn) SetReadDeadline(time.Time) error  { return nil }
 func (*bufferConn) SetWriteDeadline(time.Time) error { return nil }
 
-// faultedEncodes runs every seed message through a faults.Controller applying
-// the given rule to each write, returning whatever bytes reached the "wire".
-func faultedEncodes(t testing.TB, seed uint64, rule faults.Rule) [][]byte {
+// faultedEncodes runs each message through a faults.Controller applying the
+// given rule to each write, returning whatever bytes reached the "wire".
+func faultedEncodes(t testing.TB, seed uint64, rule faults.Rule, msgs []Message) [][]byte {
 	t.Helper()
 	ctrl := faults.NewController(seed)
 	ctrl.SetRule("sender", rule)
 	var out [][]byte
-	for _, m := range seedMessages(t) {
+	for _, m := range msgs {
 		var buf bufferConn
 		fc := ctrl.Wrap("sender", "", &buf)
 		WriteMessage(fc, m) // error expected for truncating rules
@@ -92,10 +93,10 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	// Damaged variants of every message via the fault injector: streams cut
 	// mid-frame and streams with flipped bytes.
-	for _, b := range faultedEncodes(f, 11, faults.Rule{TruncateProb: 1}) {
+	for _, b := range faultedEncodes(f, 11, faults.Rule{TruncateProb: 1}, seedMessages(f)) {
 		f.Add(b)
 	}
-	for _, b := range faultedEncodes(f, 12, faults.Rule{CorruptProb: 1}) {
+	for _, b := range faultedEncodes(f, 12, faults.Rule{CorruptProb: 1}, seedMessages(f)) {
 		f.Add(b)
 	}
 	// A header whose length field vastly overstates the payload.
@@ -122,6 +123,60 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("decoded %T does not re-encode: %v", msg, werr)
 		}
 	})
+}
+
+// encoder is a message whose Encode is the exact inverse of its decoder.
+type encoder interface {
+	Encode() ([]byte, error)
+}
+
+// fuzzDecode fuzzes one payload decoder on its own, seeded from the given
+// messages' encodes plus fault-injected truncated and corrupted copies. The
+// decoder must never panic, must fail only with errors wrapping
+// ErrBadMessage, and must accept only canonical bytes: whatever decodes
+// re-encodes to exactly the input.
+func fuzzDecode[M encoder](f *testing.F, decode func([]byte) (M, error), msgs ...Message) {
+	for _, m := range msgs {
+		f.Add(encodeMsg(f, m))
+	}
+	for _, b := range faultedEncodes(f, 21, faults.Rule{TruncateProb: 1}, msgs) {
+		f.Add(b)
+	}
+	for _, b := range faultedEncodes(f, 22, faults.Rule{CorruptProb: 1}, msgs) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decode(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("decode error does not wrap ErrBadMessage: %v", err)
+			}
+			return
+		}
+		re, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded %+v does not re-encode: %v", m, err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("non-canonical input accepted:\n in % x\nout % x", data, re)
+		}
+	})
+}
+
+func FuzzDecodeSummary(f *testing.F) {
+	fuzzDecode(f, DecodeSummary,
+		&Summary{ID: GUID{9}, TTL: 1, Terms: []string{"free", "jazz"}},
+		&Summary{ID: GUID{10}, TTL: 3, Hops: 2},
+		&Summary{ID: GUID{11}, TTL: 1, Terms: []string{"", strings.Repeat("t", 255)}})
+}
+
+func FuzzDecodeDirective(f *testing.F) {
+	fuzzDecode(f, DecodeDirective,
+		&Directive{ID: GUID{11}, Epoch: 43, Action: ActionPromotePartner,
+			MaxClients: 200, Target: "127.0.0.1:7002"},
+		&Directive{ID: GUID{12}, Epoch: 1, Action: ActionSetTTL, TTL: 3},
+		&Directive{ID: GUID{13}, Epoch: 1 << 63, Action: ActionCoalesce,
+			MaxClients: 65535, Target: strings.Repeat("h", 255)})
 }
 
 // TestReadMessageFaultedStream replays injector-damaged frames over a real

@@ -44,12 +44,12 @@ type Header struct {
 	PayloadLen uint32
 }
 
-// ErrShortMessage is returned when a buffer is too small to hold the claimed
-// message.
-var ErrShortMessage = errors.New("gnutella: short message")
-
 // ErrBadMessage is returned for structurally invalid messages.
 var ErrBadMessage = errors.New("gnutella: malformed message")
+
+// ErrShortMessage is returned when a buffer is too small to hold the claimed
+// message. A short buffer is malformed too, so it wraps ErrBadMessage.
+var ErrShortMessage = fmt.Errorf("%w: short message", ErrBadMessage)
 
 func (h *Header) encode(buf []byte) {
 	copy(buf[0:16], h.ID[:])

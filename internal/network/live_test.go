@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"spnet/internal/link"
 	"spnet/internal/p2p"
 	"spnet/internal/topology"
 )
@@ -24,7 +25,7 @@ func waitLive(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-var liveBackoff = p2p.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+var liveBackoff = link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond}
 
 // TestLiveKillMidSearchRecovery is the end-to-end churn scenario: a client's
 // super-peer is killed mid-search; the client fails over to the redundant
@@ -177,7 +178,7 @@ func TestLiveAllPartnersDown(t *testing.T) {
 		return lv.Node(1, 0).Stats().IndexedFiles == 1
 	})
 
-	backoff := p2p.Backoff{Initial: 5 * time.Millisecond, Max: 25 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+	backoff := link.Backoff{Initial: 5 * time.Millisecond, Max: 25 * time.Millisecond}
 	var evmu sync.Mutex
 	var events []p2p.Event
 	cl, err := p2p.DialClientOptions(p2p.DialOptions{

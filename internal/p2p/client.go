@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/stats"
 	"spnet/internal/trust"
@@ -152,60 +152,6 @@ type SharedFile struct {
 	Title string
 }
 
-// Backoff parameterizes the client's reconnect loop: exponential growth with
-// multiplicative jitter.
-type Backoff struct {
-	// Initial is the delay before the second attempt (default 200ms); the
-	// first reconnect attempt is immediate.
-	Initial time.Duration
-	// Max caps the delay (default 5s).
-	Max time.Duration
-	// Multiplier grows the delay per attempt (default 2).
-	Multiplier float64
-	// Jitter spreads each delay uniformly over ±Jitter fraction
-	// (default 0.2). Jitter draws come from DialOptions.Seed, so a fixed
-	// seed yields a fixed delay sequence.
-	Jitter float64
-}
-
-func (b *Backoff) setDefaults() {
-	if b.Initial <= 0 {
-		b.Initial = 200 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = 5 * time.Second
-	}
-	if b.Multiplier < 1 {
-		b.Multiplier = 2
-	}
-	if b.Jitter < 0 || b.Jitter >= 1 {
-		b.Jitter = 0.2
-	}
-}
-
-// delay returns the backoff before reconnect attempt `attempt` (0-based; 0
-// is immediate).
-func (b *Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
-	if attempt <= 0 {
-		return 0
-	}
-	d := float64(b.Initial)
-	for i := 1; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	if d > float64(b.Max) {
-		d = float64(b.Max)
-	}
-	return time.Duration(d)
-}
-
 // EventType classifies client connection-lifecycle events.
 type EventType int
 
@@ -263,14 +209,13 @@ type DialOptions struct {
 	// connects to the first reachable one and fails over down (and around)
 	// the list when its super-peer dies.
 	Addrs []string
-	// DialTimeout bounds each TCP dial (default 10s).
+	// DialTimeout bounds each TCP dial and, separately, the hello exchange
+	// that follows it (default 10s).
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds the hello exchange (default 10s).
-	HandshakeTimeout time.Duration
 	// WriteTimeout bounds each message write (default 30s).
 	WriteTimeout time.Duration
-	// Backoff shapes the reconnect delays.
-	Backoff Backoff
+	// Backoff shapes the reconnect delays (default 200ms..5s).
+	Backoff link.Backoff
 	// MaxAttempts bounds one failover cycle's reconnect attempts across the
 	// ranked list (default 8).
 	MaxAttempts int
@@ -301,7 +246,7 @@ type DialOptions struct {
 	// the same names super-peers use.
 	Metrics *metrics.NodeMetrics
 	// Dial, when set, replaces the dialer (fault-injection hook).
-	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
+	Dial link.Dialer
 	// OnEvent, when set, observes failover progress. Called synchronously
 	// from client goroutines; keep it fast.
 	OnEvent func(Event)
@@ -313,22 +258,17 @@ func (o *DialOptions) setDefaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
 	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 10 * time.Second
-	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
 	}
-	o.Backoff.setDefaults()
+	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 200 * time.Millisecond, Max: 5 * time.Second})
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
 	}
 	if o.TrustMargin <= 0 || o.TrustMargin >= 1 {
 		o.TrustMargin = 0.15
 	}
-	if o.Dial == nil {
-		o.Dial = net.DialTimeout
-	}
+	o.Dial = o.Dial.Metered(o.Metrics)
 	if o.OnEvent == nil {
 		o.OnEvent = func(Event) {}
 	}
@@ -429,20 +369,17 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 		}
 	}
 	var firstErr error
-	connected := false
 	for _, i := range cl.rankedOrder() {
-		c, br, err := cl.dialOne(opts.Addrs[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
+		c, br, err := opts.Dial.Open(opts.Addrs[i], link.Client, opts.DialTimeout)
+		if err == nil {
+			cl.c, cl.br, cl.addrIdx = c, br, i
+			break
 		}
-		cl.c, cl.br, cl.addrIdx = c, br, i
-		connected = true
-		break
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	if !connected {
+	if cl.c == nil {
 		return nil, firstErr
 	}
 	if err := cl.writeMsg(cl.c, cl.joinMsg()); err != nil {
@@ -454,37 +391,6 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 		go cl.watchdog()
 	}
 	return cl, nil
-}
-
-// dialOne establishes and handshakes one client connection.
-func (cl *Client) dialOne(addr string) (net.Conn, *bufio.Reader, error) {
-	c, err := cl.opts.Dial("tcp", addr, cl.opts.DialTimeout)
-	if err != nil {
-		return nil, nil, fmt.Errorf("p2p: dialing super-peer %s: %w", addr, err)
-	}
-	if nm := cl.opts.Metrics; nm != nil {
-		c = metrics.NewMeteredConn(c, nm.ConnBytes[metrics.DirIn], nm.ConnBytes[metrics.DirOut])
-	}
-	if _, err := fmt.Fprintf(c, "%s\n", helloClient); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(cl.opts.HandshakeTimeout))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		c.Close()
-		return nil, nil, fmt.Errorf("p2p: handshake with %s: %w", addr, err)
-	}
-	if err := c.SetReadDeadline(time.Time{}); err != nil {
-		c.Close()
-		return nil, nil, err
-	}
-	if strings.TrimSpace(line) != helloOK {
-		c.Close()
-		return nil, nil, fmt.Errorf("p2p: super-peer %s refused: %s", addr, strings.TrimSpace(line))
-	}
-	return c, br, nil
 }
 
 // joinMsg builds the Join for the current collection. Callers hold cl.mu or
@@ -598,7 +504,7 @@ func (cl *Client) failover() error {
 			next = order[attempt%len(order)]
 		}
 		addr := cl.opts.Addrs[next]
-		if d := cl.opts.Backoff.delay(attempt, cl.rng); d > 0 {
+		if d := cl.opts.Backoff.Delay(attempt, cl.rng); d > 0 {
 			cl.opts.OnEvent(Event{Type: EventBackoff, Addr: addr, Attempt: attempt, Delay: d})
 			select {
 			case <-time.After(d):
@@ -606,7 +512,7 @@ func (cl *Client) failover() error {
 				return errClientClosed
 			}
 		}
-		c, br, err := cl.dialOne(addr)
+		c, br, err := cl.opts.Dial.Open(addr, link.Client, cl.opts.DialTimeout)
 		if err != nil {
 			lastErr = err
 			cl.opts.Logf("p2p: reconnect attempt %d to %s: %v", attempt, addr, err)

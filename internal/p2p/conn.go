@@ -15,21 +15,18 @@ import (
 	"spnet/internal/metrics"
 )
 
-// conn is one TCP link — to a client or to a neighbor super-peer. A mutex
-// serializes writes; each conn has one reader goroutine.
+// conn is one TCP link — to a client, a neighbor super-peer, a controller or
+// a downloader. A mutex serializes writes; each conn has one reader
+// goroutine.
 type conn struct {
-	node     *Node
-	c        net.Conn
-	br       *bufio.Reader
-	wmu      sync.Mutex
-	isClient bool
-	// isControl marks a fleet-controller link: outside the client/peer
-	// capacity budgets and outside the query path entirely.
-	isControl bool
-	// isTransfer marks a content-download link, admitted under its own
-	// capacity budget (Options.MaxTransfers) and served by runTransfer.
-	isTransfer bool
-	owner      int // client owner id; -1 for peers
+	node *Node
+	c    net.Conn
+	br   *bufio.Reader
+	wmu  sync.Mutex
+	// role is what the link is to the node: it picks the capacity budget
+	// the link is admitted under and the loop that serves it.
+	role  role
+	owner int // client owner id; -1 for peers
 	// peerID is the link's stable id in the routing strategy's neighbor
 	// namespace; assigned under Node.mu when the peer link registers.
 	peerID int
@@ -74,8 +71,8 @@ func (b *tokenBucket) take(now time.Time, rate, burst float64) bool {
 	return true
 }
 
-func newConn(n *Node, c net.Conn, br *bufio.Reader, isClient bool) *conn {
-	cc := &conn{node: n, c: c, br: br, isClient: isClient, owner: -1}
+func newConn(n *Node, c net.Conn, br *bufio.Reader, r role) *conn {
+	cc := &conn{node: n, c: c, br: br, role: r, owner: -1}
 	cc.touch()
 	return cc
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Control-plane side of a node: the receiver half of the fleet controller in
-// internal/control. A controller connects with the "SPNET/1.0 CONTROL" hello;
+// internal/control. A controller connects with the link.Control hello;
 // the node immediately announces itself with a Register frame (carrying its
 // identity and the highest directive epoch it has applied, so a restarted
 // controller can rebuild its database), then answers Pings and applies
@@ -37,21 +37,6 @@ func (n *Node) ControlState() (epoch uint64, ttl, maxClients int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.ctlEpoch, n.opts.TTL, n.opts.MaxClients
-}
-
-// registerControl admits a controller link. Control links are not part of the
-// client or peer capacity budget — a full cluster must still be reachable by
-// its controller — so only the closed check applies.
-func (n *Node) registerControl(c *conn) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return false
-	}
-	n.conns[c] = struct{}{}
-	n.ctlConns[c] = struct{}{}
-	n.metrics.ConnsOpen.Inc()
-	return true
 }
 
 // runControl serves one controller link: announce, then answer pings and
@@ -155,13 +140,13 @@ func (n *Node) applyDirective(d *gnutella.Directive) bool {
 
 // deregisterFromControllers sends a best-effort RegisterBye on every open
 // control link during Close, so controllers can tell a drain from a crash.
-// conns is Close's snapshot; control links are filtered from it so the bye
-// goes only to links that were alive when shutdown began.
+// conns is Close's snapshot; control links still registered are filtered
+// from it so the bye goes only to links that were alive when shutdown began.
 func (n *Node) deregisterFromControllers(conns []*conn) {
 	var ctl []*conn
 	n.mu.Lock()
 	for _, c := range conns {
-		if _, ok := n.ctlConns[c]; ok {
+		if _, ok := n.conns[c]; ok && c.role == roleControl {
 			ctl = append(ctl, c)
 		}
 	}

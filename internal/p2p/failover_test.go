@@ -10,6 +10,7 @@ import (
 
 	"spnet/internal/faults"
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/stats"
 )
 
@@ -39,7 +40,11 @@ func (r *recorder) byType(t EventType) []Event {
 
 // fastBackoff keeps failover tests quick while still exercising the delay
 // machinery.
-var fastBackoff = Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond, Multiplier: 2, Jitter: 0.2}
+var fastBackoff = link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond}
+
+// fastJitter is link.Backoff's fixed ± spread, for recomputing an expected
+// delay by hand.
+const fastJitter = 0.2
 
 // deadPort returns an address nothing listens on.
 func deadPort(t *testing.T) string {
@@ -136,7 +141,7 @@ func TestClientFailoverKillMidSearch(t *testing.T) {
 	if len(backoffs) == 0 {
 		t.Fatal("no backoff observed")
 	}
-	wantDelay := time.Duration(float64(fastBackoff.Initial) * (1 + fastBackoff.Jitter*(2*stats.NewRNG(seed).Float64()-1)))
+	wantDelay := time.Duration(float64(fastBackoff.Initial) * (1 + fastJitter*(2*stats.NewRNG(seed).Float64()-1)))
 	if backoffs[0].Delay != wantDelay {
 		t.Errorf("first backoff delay = %v, want %v (deterministic under seed %d)", backoffs[0].Delay, wantDelay, seed)
 	}
@@ -258,12 +263,10 @@ func TestWatchdogReconnectsWithoutUserOps(t *testing.T) {
 // seed: same seed, same delays; different seed, different delays.
 func TestBackoffDeterministicSchedule(t *testing.T) {
 	seq := func(seed uint64) []time.Duration {
-		b := fastBackoff
-		b.setDefaults()
 		rng := stats.NewRNG(seed)
 		var out []time.Duration
 		for i := 0; i < 8; i++ {
-			out = append(out, b.delay(i, rng))
+			out = append(out, fastBackoff.Delay(i, rng))
 		}
 		return out
 	}
@@ -380,10 +383,10 @@ func TestHeartbeatDetectsDeadPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write([]byte(helloPeer + "\n")); err != nil {
+	if _, err := c.Write([]byte(link.Peer + "\n")); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, len(helloOK)+1)
+	buf := make([]byte, len(link.OK)+1)
 	if _, err := c.Read(buf); err != nil {
 		t.Fatal(err)
 	}

@@ -12,32 +12,23 @@
 package p2p
 
 import (
-	"bufio"
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"spnet/internal/gnutella"
 	"spnet/internal/index"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/routing"
 	"spnet/internal/stats"
 	"spnet/internal/transfer"
 	"spnet/internal/trust"
-)
-
-// Protocol handshake lines.
-const (
-	helloClient  = "SPNET/1.0 CLIENT"
-	helloPeer    = "SPNET/1.0 PEER"
-	helloControl = "SPNET/1.0 CONTROL"
-	helloOK      = "SPNET/1.0 OK"
-	helloBusy    = "SPNET/1.0 BUSY"
 )
 
 // Options configure a Node. The zero value is usable.
@@ -52,11 +43,9 @@ type Options struct {
 	// RouteTTL is how long reverse-path routing state is kept
 	// (default 60s).
 	RouteTTL time.Duration
-	// DialTimeout bounds ConnectPeer's TCP dial (default 10s).
+	// DialTimeout bounds connection setup: ConnectPeer's TCP dial, and the
+	// hello exchange on both the accept and the dial path (default 10s).
 	DialTimeout time.Duration
-	// HandshakeTimeout bounds the hello exchange on both the accept and
-	// the dial path (default 10s).
-	HandshakeTimeout time.Duration
 	// WriteTimeout bounds each message write (default 30s).
 	WriteTimeout time.Duration
 	// HeartbeatInterval is how often the node pings its overlay neighbors
@@ -122,7 +111,7 @@ type Options struct {
 	// Content, when set, makes this node a transfer source: the store's
 	// catalog is indexed beside client collections (queries hit it and the
 	// QueryHit carries this node's own listen address as the dialable
-	// responder), and transfer.Hello links are served chunks from it.
+	// responder), and link.Transfer links are served chunks from it.
 	Content *transfer.Store
 	// MaxTransfers bounds concurrent transfer links, a capacity budget of
 	// their own so downloads can't crowd out clients or peers (default 16).
@@ -141,7 +130,7 @@ type Options struct {
 	Wrap func(net.Conn) net.Conn
 	// Dial, when set, replaces the dialer used by ConnectPeer (same fault
 	// injection hook, outbound side).
-	Dial func(network, addr string, timeout time.Duration) (net.Conn, error)
+	Dial link.Dialer
 	// Logf, when set, receives diagnostic output.
 	Logf func(format string, args ...any)
 }
@@ -161,9 +150,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
-	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 10 * time.Second
 	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 30 * time.Second
@@ -198,7 +184,9 @@ func (o *Options) setDefaults() {
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 2 * time.Second
 	}
-	if o.MaxTransfers <= 0 {
+	if o.Content == nil {
+		o.MaxTransfers = 0 // nothing to serve: every transfer link is refused
+	} else if o.MaxTransfers <= 0 {
 		o.MaxTransfers = 16
 	}
 	if o.TrustPeerShare <= 0 || o.TrustPeerShare > 1 {
@@ -209,9 +197,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.Wrap == nil {
 		o.Wrap = func(c net.Conn) net.Conn { return c }
-	}
-	if o.Dial == nil {
-		o.Dial = net.DialTimeout
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -262,13 +247,11 @@ type Node struct {
 	nextPeerID     int
 	sumMu          sync.Mutex
 
-	// Admission counts, maintained at register/unregister time. The
+	// Admission counts per role, maintained at admit/unregister time. The
 	// clients/peers maps are only populated later (on Join / in runPeer), so
 	// capacity must be enforced on these counters to make check-and-admit
 	// atomic — otherwise concurrent handshakes slip past MaxClients/MaxPeers.
-	nClients   int
-	nPeers     int
-	nTransfers int
+	nRole [numRoles]int
 
 	// xferLimit paces served transfer bytes (Options.TransferRate); nil when
 	// the node serves no content.
@@ -292,12 +275,10 @@ type Node struct {
 	// Control-plane state (guarded by mu). nodeID and telemetryAddr identify
 	// this node to a fleet controller (SetIdentity); ctlEpoch is the highest
 	// directive epoch applied — the idempotency watermark every Register
-	// announces and every Directive is checked against. ctlConns tracks open
-	// control links so Close can send a deregistration bye.
+	// announces and every Directive is checked against.
 	nodeID        string
 	telemetryAddr string
 	ctlEpoch      uint64
-	ctlConns      map[*conn]struct{}
 
 	// book scores each peer link's reliability from observed behavior
 	// (genuine hits vs forged/unsolicited ones vs Busy refusals); nil unless
@@ -323,19 +304,19 @@ type queryTask struct {
 func NewNode(opts Options) *Node {
 	opts.setDefaults()
 	n := &Node{
-		opts:     opts,
-		index:    index.New(),
-		clients:  make(map[int]*conn),
-		guids:    make(map[int]gnutella.GUID),
-		peers:    make(map[*conn]struct{}),
-		conns:    make(map[*conn]struct{}),
-		routes:   make(map[gnutella.GUID]*routeEntry),
-		ctlConns: make(map[*conn]struct{}),
-		queue:    make(chan queryTask, opts.QueueDepth),
-		metrics:  metrics.NewNodeMetrics(),
-		mis:      newMisbehaveState(opts.Misbehave),
-		stop:     make(chan struct{}),
+		opts:    opts,
+		index:   index.New(),
+		clients: make(map[int]*conn),
+		guids:   make(map[int]gnutella.GUID),
+		peers:   make(map[*conn]struct{}),
+		conns:   make(map[*conn]struct{}),
+		routes:  make(map[gnutella.GUID]*routeEntry),
+		queue:   make(chan queryTask, opts.QueueDepth),
+		metrics: metrics.NewNodeMetrics(),
+		mis:     newMisbehaveState(opts.Misbehave),
+		stop:    make(chan struct{}),
 	}
+	n.opts.Dial = opts.Dial.Metered(n.metrics)
 	if opts.Trust {
 		n.book = trust.NewBook()
 	}
@@ -520,91 +501,81 @@ func (n *Node) acceptLoop() {
 	}
 }
 
-// serve performs the acceptor side of the handshake and runs the
-// connection's read loop.
+// role is what a connection is to the node, named by its hello line.
+type role uint8
+
+const (
+	roleClient role = iota
+	rolePeer
+	roleControl
+	roleTransfer
+	numRoles
+)
+
+// roles is the accept path's table: the hello line that selects each role
+// and the loop that serves a connection once it is admitted.
+var roles = [numRoles]struct {
+	hello string
+	run   func(*Node, *conn)
+}{
+	roleClient:   {link.Client, (*Node).runClient},
+	rolePeer:     {link.Peer, (*Node).runPeer},
+	roleControl:  {link.Control, (*Node).runControl},
+	roleTransfer: {link.Transfer, (*Node).runTransfer},
+}
+
+// serve performs the acceptor side of the handshake — hello, admit, reply —
+// and runs the connection's role loop.
 func (n *Node) serve(c net.Conn) {
 	c = n.opts.Wrap(c)
 	c = metrics.NewMeteredConn(c, n.metrics.ConnBytes[metrics.DirIn], n.metrics.ConnBytes[metrics.DirOut])
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(n.opts.HandshakeTimeout))
-	line, err := br.ReadString('\n')
-	if err != nil {
+	hello, br, err := link.ReadHello(c, n.opts.DialTimeout)
+	r := role(0)
+	for err == nil && r < numRoles && roles[r].hello != hello {
+		r++
+	}
+	if err != nil || r == numRoles {
+		n.opts.Logf("p2p: rejecting hello %q from %s: %v", hello, c.RemoteAddr(), err)
 		c.Close()
 		return
 	}
-	c.SetReadDeadline(time.Time{})
-	hello := strings.TrimSpace(line)
-
-	switch hello {
-	case helloClient:
-		cc := newConn(n, c, br, true)
-		if !n.register(cc, true) {
-			fmt.Fprintf(c, "%s\n", helloBusy)
-			c.Close()
-			return
-		}
-		fmt.Fprintf(c, "%s\n", helloOK)
-		defer n.unregister(cc)
-		n.runClient(cc)
-	case helloPeer:
-		cc := newConn(n, c, br, false)
-		if !n.register(cc, false) {
-			fmt.Fprintf(c, "%s\n", helloBusy)
-			c.Close()
-			return
-		}
-		fmt.Fprintf(c, "%s\n", helloOK)
-		defer n.unregister(cc)
-		n.runPeer(cc)
-	case helloControl:
-		cc := newConn(n, c, br, false)
-		cc.isControl = true
-		if !n.registerControl(cc) {
-			fmt.Fprintf(c, "%s\n", helloBusy)
-			c.Close()
-			return
-		}
-		fmt.Fprintf(c, "%s\n", helloOK)
-		defer n.unregister(cc)
-		n.runControl(cc)
-	case transfer.Hello:
-		cc := newConn(n, c, br, false)
-		cc.isTransfer = true
-		if !n.registerTransfer(cc) {
-			fmt.Fprintf(c, "%s\n", transfer.HelloBusy)
-			c.Close()
-			return
-		}
-		fmt.Fprintf(c, "%s\n", transfer.HelloOK)
-		defer n.unregister(cc)
-		n.runTransfer(cc)
-	default:
-		n.opts.Logf("p2p: rejecting unknown hello %q from %s", hello, c.RemoteAddr())
+	cc := newConn(n, c, br, r)
+	defer n.unregister(cc) // a no-op unless admitted
+	admitted := n.admit(cc)
+	if err := link.Reply(c, admitted); err != nil || !admitted {
 		c.Close()
+		return
 	}
+	roles[r].run(n, cc)
 }
 
-// register admits a connection into the tracked set, enforcing the role's
-// capacity limit. The check and the reservation happen under one lock
-// acquisition, so two concurrent handshakes can never both slip under the
-// limit.
-func (n *Node) register(c *conn, isClient bool) bool {
+// capacityLocked is a role's admission budget. Control links sit outside
+// every budget — a full cluster must still be reachable by its controller —
+// and transfer links have their own, so downloads can never crowd queries
+// out of the node (or vice versa). Read under mu: directives change
+// MaxClients.
+func (n *Node) capacityLocked(r role) int {
+	switch r {
+	case roleClient:
+		return n.opts.MaxClients
+	case rolePeer:
+		return n.opts.MaxPeers
+	case roleTransfer:
+		return n.opts.MaxTransfers
+	}
+	return math.MaxInt
+}
+
+// admit adds a connection to the tracked set, enforcing its role's capacity.
+// The check and the reservation happen under one lock acquisition, so two
+// concurrent handshakes can never both slip under the limit.
+func (n *Node) admit(c *conn) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.closed {
+	if n.closed || n.nRole[c.role] >= n.capacityLocked(c.role) {
 		return false
 	}
-	if isClient {
-		if n.nClients >= n.opts.MaxClients {
-			return false
-		}
-		n.nClients++
-	} else {
-		if n.nPeers >= n.opts.MaxPeers {
-			return false
-		}
-		n.nPeers++
-	}
+	n.nRole[c.role]++
 	n.conns[c] = struct{}{}
 	n.metrics.ConnsOpen.Inc()
 	return true
@@ -614,16 +585,7 @@ func (n *Node) unregister(c *conn) {
 	n.mu.Lock()
 	if _, ok := n.conns[c]; ok {
 		delete(n.conns, c)
-		switch {
-		case c.isControl:
-			delete(n.ctlConns, c)
-		case c.isTransfer:
-			n.nTransfers--
-		case c.isClient:
-			n.nClients--
-		default:
-			n.nPeers--
-		}
+		n.nRole[c.role]--
 		n.metrics.ConnsOpen.Dec()
 	}
 	n.mu.Unlock()
@@ -631,29 +593,12 @@ func (n *Node) unregister(c *conn) {
 
 // ConnectPeer dials another super-peer and adds it as an overlay neighbor.
 func (n *Node) ConnectPeer(addr string) error {
-	c, err := n.opts.Dial("tcp", addr, n.opts.DialTimeout)
+	c, br, err := n.opts.Dial.Open(addr, link.Peer, n.opts.DialTimeout)
 	if err != nil {
-		return fmt.Errorf("p2p: dialing peer %s: %w", addr, err)
+		return fmt.Errorf("p2p: connecting peer: %w", err)
 	}
-	c = metrics.NewMeteredConn(c, n.metrics.ConnBytes[metrics.DirIn], n.metrics.ConnBytes[metrics.DirOut])
-	if _, err := fmt.Fprintf(c, "%s\n", helloPeer); err != nil {
-		c.Close()
-		return err
-	}
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(n.opts.HandshakeTimeout))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		c.Close()
-		return fmt.Errorf("p2p: peer handshake with %s: %w", addr, err)
-	}
-	c.SetReadDeadline(time.Time{})
-	if strings.TrimSpace(line) != helloOK {
-		c.Close()
-		return fmt.Errorf("p2p: peer %s refused: %s", addr, strings.TrimSpace(line))
-	}
-	pc := newConn(n, c, br, false)
-	if !n.register(pc, false) {
+	pc := newConn(n, c, br, rolePeer)
+	if !n.admit(pc) {
 		c.Close()
 		return errClosed
 	}

@@ -2,14 +2,13 @@ package p2p
 
 import (
 	"bufio"
-	"fmt"
 	"net"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 )
 
 // slowWriteConn delays every write, simulating a saturated downlink so the
@@ -33,24 +32,11 @@ type rawClient struct {
 
 func dialRaw(t *testing.T, addr string, files []gnutella.MetadataRecord) *rawClient {
 	t.Helper()
-	c, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	c, br, err := link.Dialer(nil).Open(addr, link.Client, 5*time.Second)
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatalf("client handshake: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if _, err := fmt.Fprintf(c, "%s\n", helloClient); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	br := bufio.NewReader(c)
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := br.ReadString('\n')
-	if err != nil {
-		t.Fatalf("handshake read: %v", err)
-	}
-	if strings.TrimSpace(line) != helloOK {
-		t.Fatalf("handshake reply: %q", line)
-	}
-	c.SetReadDeadline(time.Time{})
 	guid := gnutella.GUID{0xaa}
 	if err := gnutella.WriteMessage(c, &gnutella.Join{ID: guid, Files: files}); err != nil {
 		t.Fatalf("join: %v", err)
@@ -255,5 +241,32 @@ func TestNodePartialFrameTimeout(t *testing.T) {
 	}
 	if waited := time.Since(start); waited > 3*time.Second {
 		t.Errorf("stalled frame held the connection for %v; FrameTimeout not enforced", waited)
+	}
+}
+
+// TestNodeOverlongHelloClosed checks the bound on the hello line: a dialer
+// that streams bytes with no newline is cut off once it passes link's line
+// bound, well inside the setup timeout, instead of being buffered until it
+// expires.
+func TestNodeOverlongHelloClosed(t *testing.T) {
+	n := startNode(t, Options{DialTimeout: 10 * time.Second})
+	c, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	go func() {
+		c.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		c.Write(make([]byte, 64<<10)) // fails once the node hangs up
+	}()
+
+	start := time.Now()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err = c.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+		t.Fatalf("read = %v; want the node to close an over-long hello", err)
+	}
+	if waited := time.Since(start); waited > 2*time.Second {
+		t.Errorf("over-long hello held the connection for %v", waited)
 	}
 }

@@ -63,24 +63,6 @@ func (l *byteLimiter) reserve(now time.Time, n int) time.Duration {
 	return time.Duration(-l.tokens / l.rate * float64(time.Second))
 }
 
-// registerTransfer admits a transfer link under its own capacity budget,
-// separate from the client/peer counts, so downloads can never crowd
-// queries out of the node (or vice versa).
-func (n *Node) registerTransfer(c *conn) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed || n.opts.Content == nil {
-		return false
-	}
-	if n.nTransfers >= n.opts.MaxTransfers {
-		return false
-	}
-	n.nTransfers++
-	n.conns[c] = struct{}{}
-	n.metrics.ConnsOpen.Inc()
-	return true
-}
-
 // runTransfer serves one transfer link: a strict request/response loop over
 // the content store. Responses go back in request order, which is what lets
 // the downloader pipeline a window of requests per source.

@@ -1,34 +1,25 @@
 package p2p
 
 import (
-	"bufio"
 	"fmt"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 )
 
-// dialRawPeer performs a peer handshake by hand, returning the raw link —
+// dialRawPeer performs a peer handshake and returns the raw link —
 // for injecting protocol traffic a well-behaved Node would never send.
 func dialRawPeer(t *testing.T, addr string) net.Conn {
 	t.Helper()
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial %s: %v", addr, err)
-	}
-	t.Cleanup(func() { c.Close() })
-	fmt.Fprintf(c, "%s\n", helloPeer)
-	line, err := bufio.NewReader(c).ReadString('\n')
+	c, _, err := link.Dialer(nil).Open(addr, link.Peer, 5*time.Second)
 	if err != nil {
 		t.Fatalf("peer handshake: %v", err)
 	}
-	if strings.TrimSpace(line) != helloOK {
-		t.Fatalf("peer handshake refused: %q", line)
-	}
+	t.Cleanup(func() { c.Close() })
 	return c
 }
 

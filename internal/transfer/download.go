@@ -6,26 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/stats"
 	"spnet/internal/trust"
-)
-
-// Transfer links share the node's listener with client/peer/control links;
-// the hello line names which plane a connection belongs to.
-const (
-	// Hello opens a transfer link on a serving node.
-	Hello = "SPNET/1.0 TRANSFER"
-	// HelloOK accepts the link.
-	HelloOK = "SPNET/1.0 OK"
-	// HelloBusy refuses it: the node's transfer plane is at capacity. The
-	// downloader treats this like a failed dial and retries with backoff.
-	HelloBusy = "SPNET/1.0 BUSY"
 )
 
 // Source is one place a file can be fetched from: a serving node's address
@@ -33,30 +21,6 @@ const (
 type Source struct {
 	Addr      string
 	FileIndex uint32
-}
-
-// Backoff shapes seeded exponential redial backoff, mirroring the supervised
-// client's failover policy.
-type Backoff struct {
-	Initial    time.Duration
-	Max        time.Duration
-	Multiplier float64
-	Jitter     float64 // ±fraction of the base delay
-}
-
-func (b Backoff) delay(attempt int, rng *stats.RNG) time.Duration {
-	d := float64(b.Initial)
-	for i := 0; i < attempt; i++ {
-		d *= b.Multiplier
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
-	}
-	if b.Jitter > 0 {
-		d *= 1 + b.Jitter*(2*rng.Float64()-1)
-	}
-	return time.Duration(d)
 }
 
 // Options shapes one download.
@@ -71,15 +35,14 @@ type Options struct {
 	// Redials bounds reconnection attempts per source. Default 2.
 	Redials int
 
-	DialTimeout      time.Duration // default 5s
-	HandshakeTimeout time.Duration // default 5s
-	WriteTimeout     time.Duration // default 10s
+	DialTimeout  time.Duration // each dial, and then its hello; default 5s
+	WriteTimeout time.Duration // default 10s
 	// ChunkTimeout bounds how long a source may go without delivering any
 	// outstanding chunk before its window is re-queued and the link redialed.
 	// Default 15s.
 	ChunkTimeout time.Duration
-	// Backoff paces redials. Default 50ms..2s ×2 with 0.25 jitter.
-	Backoff Backoff
+	// Backoff paces redials. Default 50ms..2s.
+	Backoff link.Backoff
 	// Seed drives the per-source jitter streams; equal seeds replay equal
 	// backoff schedules.
 	Seed uint64
@@ -93,13 +56,14 @@ type Options struct {
 	DropScore float64 // default 0.2
 
 	// Metrics, when set, meters the client side: ClassTransfer frames on the
-	// load meter, raw socket bytes, verified content bytes
+	// load meter, raw socket bytes (hello exchange included), verified
+	// content bytes
 	// (spnet_transfer_bytes_total{dir="in"}), retried/forged chunk counters
 	// and the per-download throughput histogram.
 	Metrics *metrics.NodeMetrics
 
 	// Dial overrides the transport (fault injection hooks in here).
-	Dial func(addr string, timeout time.Duration) (net.Conn, error)
+	Dial link.Dialer
 	// Logf receives protocol diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -117,25 +81,16 @@ func (o *Options) setDefaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
 	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 5 * time.Second
-	}
 	if o.WriteTimeout <= 0 {
 		o.WriteTimeout = 10 * time.Second
 	}
 	if o.ChunkTimeout <= 0 {
 		o.ChunkTimeout = 15 * time.Second
 	}
-	if o.Backoff.Initial <= 0 {
-		o.Backoff = Backoff{Initial: 50 * time.Millisecond, Max: 2 * time.Second, Multiplier: 2, Jitter: 0.25}
-	}
+	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 50 * time.Millisecond, Max: 2 * time.Second})
+	o.Dial = o.Dial.Metered(o.Metrics)
 	if o.DropScore <= 0 {
 		o.DropScore = 0.2
-	}
-	if o.Dial == nil {
-		o.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -209,7 +164,6 @@ func Resume(sources []Source, prev *Progress, opts Options) (*Result, error) {
 }
 
 var (
-	errSourceBusy      = errors.New("transfer: source busy")
 	errSourceDone      = errors.New("transfer: no claimable chunks left for source")
 	errSourceUntrusted = errors.New("transfer: source fell below trust threshold")
 )
@@ -350,7 +304,7 @@ func (d *download) bootstrap() error {
 }
 
 func (d *download) fetchManifest(idx int, src Source) (*Manifest, error) {
-	conn, err := d.dialSource(src)
+	conn, br, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -361,7 +315,7 @@ func (d *download) fetchManifest(idx int, src Source) (*Manifest, error) {
 		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(d.opts.ChunkTimeout))
-	msg, err := d.read(conn)
+	msg, err := d.read(br)
 	if err != nil {
 		return nil, err
 	}
@@ -384,38 +338,6 @@ func (d *download) fetchManifest(idx int, src Source) (*Manifest, error) {
 	return nil, fmt.Errorf("transfer: unexpected %T for manifest", msg)
 }
 
-// dialSource opens and handshakes one transfer link.
-func (d *download) dialSource(src Source) (net.Conn, error) {
-	conn, err := d.opts.Dial(src.Addr, d.opts.DialTimeout)
-	if err != nil {
-		return nil, err
-	}
-	conn.SetDeadline(time.Now().Add(d.opts.HandshakeTimeout))
-	if _, err := fmt.Fprintf(conn, "%s\n", Hello); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	line, err := bufio.NewReaderSize(conn, 64).ReadString('\n')
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	switch strings.TrimSpace(line) {
-	case HelloOK:
-	case HelloBusy:
-		conn.Close()
-		return nil, errSourceBusy
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("transfer: unexpected hello reply %q", strings.TrimSpace(line))
-	}
-	conn.SetDeadline(time.Time{})
-	if nm := d.opts.Metrics; nm != nil {
-		conn = metrics.NewMeteredConn(conn, nm.ConnBytes[metrics.DirIn], nm.ConnBytes[metrics.DirOut])
-	}
-	return conn, nil
-}
-
 func (d *download) write(conn net.Conn, m gnutella.Message) error {
 	if err := gnutella.WriteMessage(conn, m); err != nil {
 		return err
@@ -426,8 +348,8 @@ func (d *download) write(conn net.Conn, m gnutella.Message) error {
 	return nil
 }
 
-func (d *download) read(conn net.Conn) (gnutella.Message, error) {
-	m, err := gnutella.ReadMessage(conn)
+func (d *download) read(br *bufio.Reader) (gnutella.Message, error) {
+	m, err := gnutella.ReadMessage(br)
 	if err != nil {
 		return nil, err
 	}
@@ -444,46 +366,38 @@ func (d *download) read(conn net.Conn) (gnutella.Message, error) {
 func (d *download) runSource(idx int) {
 	src := d.sources[idx]
 	rng := stats.NewRNG(d.opts.Seed).Split(uint64(idx))
-	redials := 0
-	for {
-		if d.finished() {
-			return
-		}
-		conn, err := d.dialSource(src)
-		if err != nil {
-			if redials >= d.opts.Redials {
-				d.retire(idx, fmt.Errorf("transfer: dialing %s: %w", src.Addr, err))
-				return
-			}
-			redials++
+	for redials := 0; ; redials++ {
+		if redials > 0 {
 			d.mu.Lock()
 			d.srcStats[idx].Redials++
 			d.mu.Unlock()
-			time.Sleep(d.opts.Backoff.delay(redials, rng))
-			continue
-		}
-		err = d.stream(idx, conn)
-		conn.Close()
-		switch {
-		case err == nil || errors.Is(err, errSourceDone):
-			d.retire(idx, nil)
-			return
-		case errors.Is(err, errSourceUntrusted):
-			d.retire(idx, err)
-			return
+			time.Sleep(d.opts.Backoff.Delay(redials, rng))
 		}
 		if d.finished() {
 			return
+		}
+		conn, br, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout)
+		if err != nil {
+			err = fmt.Errorf("transfer: dialing: %w", err)
+		} else {
+			err = d.stream(idx, conn, br)
+			conn.Close()
+			switch {
+			case err == nil || errors.Is(err, errSourceDone):
+				d.retire(idx, nil)
+				return
+			case errors.Is(err, errSourceUntrusted):
+				d.retire(idx, err)
+				return
+			}
+			if d.finished() {
+				return
+			}
 		}
 		if redials >= d.opts.Redials {
 			d.retire(idx, err)
 			return
 		}
-		redials++
-		d.mu.Lock()
-		d.srcStats[idx].Redials++
-		d.mu.Unlock()
-		time.Sleep(d.opts.Backoff.delay(redials, rng))
 	}
 }
 
@@ -491,7 +405,7 @@ func (d *download) runSource(idx int) {
 // the download completed, errSourceDone when no remaining chunk may be
 // served by this source, errSourceUntrusted on trust collapse, and the
 // transport error otherwise (the caller decides whether to redial).
-func (d *download) stream(idx int, conn net.Conn) error {
+func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
 	src := d.sources[idx]
 	outstanding := make(map[uint32]bool)
 	requeueAll := func() {
@@ -528,7 +442,7 @@ func (d *download) stream(idx int, conn net.Conn) error {
 			continue
 		}
 		conn.SetReadDeadline(time.Now().Add(d.opts.ChunkTimeout))
-		msg, err := d.read(conn)
+		msg, err := d.read(br)
 		if err != nil {
 			requeueAll()
 			return err

@@ -4,6 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"spnet/internal/gnutella"
+	"spnet/internal/link"
+	"spnet/internal/metrics"
 	"spnet/internal/p2p"
 	"spnet/internal/transfer"
 	"spnet/internal/trust"
@@ -58,9 +61,8 @@ func waitPeered(t *testing.T, nodes ...*p2p.Node) {
 func fastOpts() transfer.Options {
 	return transfer.Options{
 		Window: 4, Redials: 2, Seed: 1,
-		DialTimeout: time.Second, HandshakeTimeout: time.Second,
-		ChunkTimeout: 2 * time.Second,
-		Backoff:      transfer.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond, Multiplier: 2, Jitter: 0.25},
+		DialTimeout: time.Second, ChunkTimeout: 2 * time.Second,
+		Backoff: link.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 	}
 }
 
@@ -248,5 +250,37 @@ func TestResumeFromBitmap(t *testing.T) {
 	if got := res.Sources[0].Chunks; got != res.Chunks-already {
 		t.Errorf("resume fetched %d chunks, want only the %d missing ones",
 			got, res.Chunks-already)
+	}
+}
+
+// TestFetchConnBytesCountHello checks the downloader's socket metering: raw
+// conn bytes are exactly the metered frames, less the Ethernet/TCP/IP
+// framing their wire sizes fold in, plus one hello exchange per link (the
+// manifest link and the one streaming link of a single source).
+func TestFetchConnBytesCountHello(t *testing.T) {
+	store := testStore()
+	f := store.Files()[0]
+	n := startNode(t, store, 0, nil)
+	opts := fastOpts()
+	opts.Metrics = metrics.NewNodeMetrics()
+	res, err := transfer.Fetch([]transfer.Source{{Addr: n.Addr(), FileIndex: f.Index}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := res.Sources[0].Redials; r != 0 {
+		t.Fatalf("source redialed %d times; the link count below assumes none", r)
+	}
+	const links = 2
+	nm := opts.Metrics
+	for _, tc := range []struct {
+		dir   metrics.Dir
+		hello string
+	}{{metrics.DirOut, link.Transfer}, {metrics.DirIn, link.OK}} {
+		frames := nm.Load.Bytes(metrics.ClassTransfer, tc.dir) -
+			nm.Load.Messages(metrics.ClassTransfer, tc.dir)*gnutella.FrameOverhead
+		want := frames + links*int64(len(tc.hello)+1)
+		if got := nm.ConnBytes[tc.dir].Value(); got != want {
+			t.Errorf("conn bytes %v = %d, want %d (frames %d + %d hellos)", tc.dir, got, want, frames, links)
+		}
 	}
 }

@@ -47,6 +47,7 @@ import (
 	"spnet/internal/design"
 	"spnet/internal/experiments"
 	"spnet/internal/faults"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
@@ -328,7 +329,6 @@ type (
 	TransferFile         = transfer.File
 	TransferSource       = transfer.Source
 	TransferOptions      = transfer.Options
-	TransferBackoff      = transfer.Backoff
 	TransferResult       = transfer.Result
 	TransferProgress     = transfer.Progress
 	TransferSourceStats  = transfer.SourceStats
@@ -380,16 +380,20 @@ func PredictTransfer(w TransferWorkload) (*TransferPrediction, error) {
 	return analysis.PredictTransfer(w)
 }
 
-// ClientDialOptions, ClientBackoff and ClientEvent configure a supervised
-// client: a ranked list of redundant partner super-peers (the paper's
-// k-redundancy), exponential backoff with seeded jitter, automatic re-join
-// after failover, and an event stream for observing recovery.
+// ClientDialOptions and ClientEvent configure a supervised client: a ranked
+// list of redundant partner super-peers (the paper's k-redundancy),
+// exponential backoff with seeded jitter, automatic re-join after failover,
+// and an event stream for observing recovery.
 type (
 	ClientDialOptions = p2p.DialOptions
-	ClientBackoff     = p2p.Backoff
 	ClientEvent       = p2p.Event
 	ClientEventType   = p2p.EventType
 )
+
+// Backoff is the one redial schedule the supervised client, Fetch and the
+// fleet controller share: attempt n ≥ 1 waits Initial·2^(n-1) with ±20 %
+// seeded jitter, capped at Max.
+type Backoff = link.Backoff
 
 // Client failover events, in the order a recovery emits them.
 const (
@@ -477,13 +481,12 @@ func TelemetryHandler(reg *MetricsRegistry) http.Handler { return metrics.Handle
 // the controller is unreachable, and a restarted controller rebuilds its
 // epoch watermark from the fleet's Register announcements.
 type (
-	FleetController     = control.Controller
-	FleetOptions        = control.Options
-	FleetNodeConfig     = control.NodeConfig
-	FleetEvent          = control.Event
-	FleetEventType      = control.EventType
-	FleetNodeStatus     = control.NodeStatus
-	FleetControlBackoff = control.Backoff
+	FleetController = control.Controller
+	FleetOptions    = control.Options
+	FleetNodeConfig = control.NodeConfig
+	FleetEvent      = control.Event
+	FleetEventType  = control.EventType
+	FleetNodeStatus = control.NodeStatus
 )
 
 // Fleet controller events, in rough lifecycle order.
