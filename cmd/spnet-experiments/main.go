@@ -6,7 +6,7 @@
 //	spnet-experiments -list
 //	spnet-experiments -exp fig4 [-scale 1.0] [-trials 3] [-seed 1]
 //	spnet-experiments -exp all -scale 0.2
-//	spnet-experiments -exp reliability -live [-live-scale 120] [-live-duration 600]
+//	spnet-experiments -exp livereliability -scale 0.1
 //	spnet-experiments -exp loadvalidation
 package main
 
@@ -29,11 +29,6 @@ func main() {
 		list     = flag.Bool("list", false, "list the available experiments")
 		csvDir   = flag.String("csv", "", "also write the report's tables and series as CSV files into this directory (streamed per sweep point: interrupted runs keep partial results)")
 		progress = flag.Bool("progress", false, "report per-sweep progress on stderr while experiments run")
-
-		live         = flag.Bool("live", false, "with -exp reliability (or all): also replay the failure regimes on a real TCP super-peer network and print the live table next to the simulated one")
-		liveScale    = flag.Float64("live-scale", 120, "time-scale bridge: virtual seconds per wall-clock second for the live run")
-		liveDuration = flag.Float64("live-duration", 600, "virtual seconds per live cell")
-		liveClients  = flag.Int("live-clients", 3, "live clients per cluster")
 	)
 	flag.Parse()
 
@@ -96,32 +91,6 @@ func main() {
 			continue
 		}
 		fmt.Print(spnet.FormatReport(rep))
-
-		if *live && id == "reliability" {
-			lp := spnet.LiveReliabilityParams{
-				TimeScale:         *liveScale,
-				Duration:          *liveDuration,
-				ClientsPerCluster: *liveClients,
-				Seed:              *seed,
-				Progress:          prog,
-			}
-			if stream != nil {
-				lp.RowSink = stream.Row
-			}
-			liveRep, err := spnet.RunLiveReliability(lp)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "live reliability failed: %v\n", err)
-				failed = true
-			} else {
-				fmt.Print(spnet.FormatReport(liveRep))
-				if *csvDir != "" {
-					if _, err := spnet.WriteReportCSV(liveRep, *csvDir); err != nil {
-						fmt.Fprintf(os.Stderr, "writing CSV for live reliability: %v\n", err)
-						failed = true
-					}
-				}
-			}
-		}
 
 		if stream != nil {
 			if _, err := stream.Close(); err != nil {

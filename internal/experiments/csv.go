@@ -77,7 +77,7 @@ func WriteCSV(r *Report, dir string) ([]string, error) {
 // CSVStream writes sweep rows to per-stage CSV files incrementally, flushing
 // to disk after every row, so an interrupted run (crash, ^C, power loss)
 // keeps every sweep point that had completed. Plug its Row method into
-// Params.RowSink (or LiveParams.RowSink); the final WriteCSV of the full
+// Params.RowSink; the final WriteCSV of the full
 // report remains authoritative and will simply overwrite matching files with
 // identical content.
 //

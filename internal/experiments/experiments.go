@@ -157,6 +157,7 @@ var registry = []definition{
 	{"simcheck", "Validation: discrete-event simulator vs mean-value analysis", runSimCheck},
 	{"kredundancy", "Extension: general k-redundancy sweep (paper evaluates k=2 only)", runKRedundancy},
 	{"reliability", "Extension: failure injection — measuring the Section 3.2 reliability claim", runReliability},
+	{"livereliability", "Extension: the failure regimes on a live super-peer fleet — lost queries, simulator vs live", runLiveReliabilityDefault},
 	{"breakdown", "Ablation: aggregate load attributed to protocol components", runBreakdown},
 	{"loadvalidation", "Validation: analytical vs simulated vs live-measured super-peer load", runLoadValidationDefault},
 	{"routingcompare", "Extension: query-routing strategies — bandwidth saved vs recall lost, three ways", runRoutingCompareDefault},

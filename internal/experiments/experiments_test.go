@@ -13,7 +13,7 @@ func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
 	want := []string{"table1", "table2", "table3", "fig4", "fig5", "fig6",
 		"fig7", "fig8", "fig9", "fig11", "fig12", "rule4",
-		"figA13", "figA14", "figA15", "tableD2", "simcheck", "kredundancy", "reliability", "breakdown",
+		"figA13", "figA14", "figA15", "tableD2", "simcheck", "kredundancy", "reliability", "livereliability", "breakdown",
 		"loadvalidation", "routingcompare", "trustsweep", "selfheal", "transferbench"}
 	if len(ids) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(ids), len(want))
@@ -43,6 +43,7 @@ func TestEveryExperimentRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all experiments")
 	}
+	leakCheck(t)
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {

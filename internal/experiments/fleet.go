@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"spnet/internal/control"
 	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/network"
@@ -269,6 +270,36 @@ func (f *fleet) replay(seed uint64, usersPer int, rate, duration float64, timeli
 	close(stop)
 	driver.Wait()
 	return start, kills
+}
+
+// control starts a fleet controller over every super-peer, scraping every
+// `every` virtual seconds, with capacity clients per partner and ttl as the
+// fleet's baselines. Its control links and scrapes dial through the fault
+// controller as network.ControllerLabel, so a drill can partition it. The
+// caller closes it.
+func (f *fleet) control(every float64, capacity, ttl int, seed uint64) *control.Controller {
+	var nodes []control.NodeConfig
+	for _, sp := range f.live.SuperPeers() {
+		nodes = append(nodes, control.NodeConfig{
+			ID: sp.ID, Addr: sp.Addr, Telemetry: sp.Telemetry,
+			Cluster: sp.Cluster, Partner: sp.Partner,
+		})
+	}
+	ctrl := control.New(control.Options{
+		Nodes:          nodes,
+		ScrapeInterval: f.wallClamped(every, 50*time.Millisecond),
+		RPCTimeout:     500 * time.Millisecond,
+		DialTimeout:    500 * time.Millisecond,
+		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
+		Seed:           seed,
+		ClientCapacity: capacity,
+		BaseTTL:        ttl,
+		TimeScale:      float64(f.bridge),
+		Dial:           f.live.Faults().Dialer(network.ControllerLabel),
+		Logf:           f.logf,
+	})
+	ctrl.Start()
+	return ctrl
 }
 
 // drain blocks until the fleet has gone quiet — no super-peer's socket byte

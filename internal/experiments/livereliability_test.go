@@ -1,28 +1,11 @@
 package experiments
 
 import (
-	"runtime"
 	"strconv"
 	"testing"
-	"time"
 
 	"spnet/internal/faults"
 )
-
-// tinyLiveParams is a fast live configuration: ~1 wall second per cell.
-func tinyLiveParams(seed uint64) LiveParams {
-	return LiveParams{
-		Clusters:          2,
-		Ks:                []int{2},
-		ClientsPerCluster: 2,
-		Duration:          60,
-		TimeScale:         60,
-		QueryRate:         0.1, // ~6 queries per client per cell
-		QueryWindow:       50 * time.Millisecond,
-		Seed:              seed,
-		Regimes:           []LiveRegime{{"tiny (MTBF 30 s, recovery 8 s)", 30, 8}},
-	}
-}
 
 // TestLiveReliabilitySchedulesDeterministic pins the determinism contract:
 // everything scheduled — fault times and per-client query arrivals — is
@@ -59,7 +42,7 @@ func TestLiveReliabilitySchedulesDeterministic(t *testing.T) {
 	}
 }
 
-// TestLiveReliabilityEndToEnd boots a real (tiny) live network, replays a
+// TestLiveReliabilityEndToEnd boots real (tiny) live networks, replays a
 // failure regime through the time-scale bridge, and checks the run is sound:
 // queries were issued, the report is shaped like the simulated table's live
 // counterpart, rows streamed to the sink, and — the leak check — every
@@ -68,54 +51,39 @@ func TestLiveReliabilityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network run")
 	}
-	before := runtime.NumGoroutine()
-
-	lp := tinyLiveParams(11)
+	leakCheck(t)
 	var streamed [][]string
-	lp.RowSink = func(stage string, columns, row []string) {
+	p := Params{Scale: 0.1, Seed: 11} // a 60-virtual-second window
+	p.RowSink = func(stage string, columns, row []string) {
 		if stage == "" || len(columns) != len(row) {
 			t.Errorf("sink got stage %q, %d columns, %d cells", stage, len(columns), len(row))
 		}
 		streamed = append(streamed, append([]string(nil), row...))
 	}
-	rep, err := RunLiveReliability(lp)
+	rep, err := runLiveReliability(p, []failureRegime{{"tiny (MTBF 30 s, recovery 8 s)", 30, 8}}, []int{2})
 	if err != nil {
-		t.Fatalf("RunLiveReliability: %v", err)
+		t.Fatalf("runLiveReliability: %v", err)
 	}
 	if len(rep.Tables) != 1 || len(rep.Tables[0].Rows) != 1 {
 		t.Fatalf("report shape: %+v", rep.Tables)
 	}
-	row := rep.Tables[0].Rows[0]
-	if len(row) != len(liveReliabilityColumns) {
-		t.Fatalf("row has %d cells, want %d", len(row), len(liveReliabilityColumns))
+	tbl := rep.Tables[0]
+	row := tbl.Rows[0]
+	if len(row) != len(tbl.Columns) {
+		t.Fatalf("row has %d cells, want %d", len(row), len(tbl.Columns))
 	}
-	issued, err := strconv.Atoi(row[3])
-	if err != nil || issued == 0 {
-		t.Fatalf("queries issued = %q, want > 0", row[3])
+	for i, want := range map[int]string{3: "Failures (live)", 4: "Queries (live)", 5: "Lost (sim)", 6: "Lost (live)"} {
+		if tbl.Columns[i] != want {
+			t.Errorf("column %d is %q, want %q", i, tbl.Columns[i], want)
+		}
 	}
-	lost, err := strconv.Atoi(row[4])
-	if err != nil || lost > issued {
-		t.Fatalf("queries lost = %q vs issued %d", row[4], issued)
+	if kills, err := strconv.Atoi(row[3]); err != nil || kills == 0 {
+		t.Errorf("live kills = %q, want > 0 at MTBF 30 s", row[3])
+	}
+	if issued, err := strconv.Atoi(row[4]); err != nil || issued == 0 {
+		t.Fatalf("queries issued = %q, want > 0", row[4])
 	}
 	if len(streamed) != 1 {
 		t.Fatalf("RowSink saw %d rows, want 1", len(streamed))
-	}
-
-	// Leak check: the harness must wind down every goroutine it started
-	// (nodes, clients, generators, fault driver). Allow time for connection
-	// teardown to settle.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if after := runtime.NumGoroutine(); after <= before {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -21,6 +21,7 @@ func TestLoadValidationE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a live network for several wall seconds")
 	}
+	leakCheck(t)
 	for _, clusters := range []int{3, 4} {
 		t.Run(fmt.Sprintf("clusters=%d", clusters), func(t *testing.T) {
 			t.Parallel()

@@ -24,14 +24,6 @@ func runReliability(p Params) (*Report, error) {
 		AvgOutdegree: 3.1,
 		TTL:          5,
 	}
-	regimes := []struct {
-		label    string
-		mtbf     float64
-		recovery float64
-	}{
-		{"harsh (MTBF 1000 s, recovery 300 s)", 1000, 300},
-		{"benign (MTBF 2000 s, recovery 60 s)", 2000, 60},
-	}
 	duration := 3000.0
 	if p.scale() < 0.2 {
 		duration = 1200 // keep tiny-scale (benchmark) runs fast
@@ -44,14 +36,14 @@ func runReliability(p Params) (*Report, error) {
 		k      int
 	}
 	var cells []cell
-	for ri := range regimes {
+	for ri := range failureRegimes {
 		for k := 1; k <= 3; k++ {
 			cells = append(cells, cell{ri, k})
 		}
 	}
 	columns := []string{"Failure regime", "k", "Failures", "Client queries lost", "Lost fraction", "Results/query"}
 	rows, err := pmapRows(p, "failure regimes", columns, len(cells), func(i int) ([]string, error) {
-		reg := regimes[cells[i].regime]
+		reg := failureRegimes[cells[i].regime]
 		k := cells[i].k
 		c := cfg
 		c.KRedundancy = k
@@ -67,17 +59,12 @@ func runReliability(p Params) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		total := m.QueriesIssued + m.ClientQueriesLost
-		frac := 0.0
-		if total > 0 {
-			frac = float64(m.ClientQueriesLost) / float64(total)
-		}
 		return []string{
 			reg.label,
 			fmt.Sprint(k),
 			fmt.Sprint(m.FailuresInjected),
 			fmt.Sprint(m.ClientQueriesLost),
-			fmt.Sprintf("%.2f%%", 100*frac),
+			fmt.Sprintf("%.2f%%", 100*simLost(m)),
 			fmt.Sprintf("%.1f", m.ResultsPerQuery),
 		}, nil
 	})
@@ -95,4 +82,10 @@ func runReliability(p Params) (*Report, error) {
 			Rows:    rows,
 		}},
 	}, nil
+}
+
+// simLost is the simulator's reliability measure: client queries lost to a
+// dark cluster over every query users tried to submit.
+func simLost(m *sim.Measured) float64 {
+	return ratio(m.ClientQueriesLost, m.QueriesIssued+m.ClientQueriesLost)
 }

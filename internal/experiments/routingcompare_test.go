@@ -11,6 +11,7 @@ func TestRoutingCompareSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a live network for several wall seconds")
 	}
+	leakCheck(t)
 	s := routingScenario(42)
 	s.SimDuration = 800
 	s.Live.Duration = 120

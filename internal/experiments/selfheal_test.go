@@ -1,43 +1,35 @@
 package experiments
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
-	"spnet/internal/control"
-	"spnet/internal/link"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
 )
 
-// tinySelfHealParams is a fast configuration: ~2 wall seconds per live arm.
-func tinySelfHealParams(seed uint64) SelfHealParams {
-	return SelfHealParams{
-		Clusters:          2,
-		Partners:          2,
-		ClientsPerCluster: 4,
-		Duration:          120,
-		TimeScale:         60,
-		QueryRate:         0.15,
-		QueryWindow:       50 * time.Millisecond,
-		KillAt:            40,
-		ScrapeInterval:    10,
-		Seed:              seed,
-	}
+// tinySelfHeal is a fast drill: ~2 wall seconds per arm, sp-0-0 killed at
+// 40 virtual s.
+func tinySelfHeal(seed uint64) Scenario {
+	s := selfHealScenario(seed, 120)
+	s.Planted.QueryRate = 0.15
+	s.Live.TimeScale = 60
+	s.Live.Window = 50 * time.Millisecond
+	return s
 }
 
-// waitUntil polls cond with a generous deadline (CI is -race on one CPU).
-func waitUntil(t *testing.T, what string, cond func() bool) {
+// waitFor fails t unless cond holds within await's deadline.
+func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
+	err := await(what, func() string {
 		if cond() {
-			return
+			return ""
 		}
-		time.Sleep(10 * time.Millisecond)
+		return "not yet"
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("timed out waiting for %s", what)
 }
 
 // TestSelfHealEndToEnd is the acceptance drill: kill a loaded super-peer
@@ -50,54 +42,44 @@ func TestSelfHealEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network run")
 	}
-	before := runtime.NumGoroutine()
-
-	res, err := RunSelfHealResult(tinySelfHealParams(17))
+	leakCheck(t)
+	s := tinySelfHeal(17)
+	off, err := runThreeWay(s)
 	if err != nil {
-		t.Fatalf("RunSelfHealResult: %v", err)
+		t.Fatalf("controller off: %v", err)
 	}
-	if res.Off.Issued == 0 || res.On.Issued == 0 {
-		t.Fatalf("no queries issued: off=%d on=%d", res.Off.Issued, res.On.Issued)
+	s.ControlInterval = 10
+	on, err := runThreeWay(s)
+	if err != nil {
+		t.Fatalf("controller on: %v", err)
 	}
-	if res.DetectVirtual < 0 {
-		t.Fatalf("death never detected; events: %v", res.Events)
+	if off.Live.Queries == 0 || on.Live.Queries == 0 {
+		t.Fatalf("no queries issued: off=%d on=%d", off.Live.Queries, on.Live.Queries)
+	}
+	detect, reconfig, acked := healTimes(on.Live, s.Live.TimeScale)
+	if detect < 0 {
+		t.Fatalf("death never detected; events: %v", on.Live.Events)
 	}
 	// Detection: the kill deregisters gracefully, so the controller should
 	// notice within roughly one decision tick — allow three for tick
 	// alignment and single-CPU -race scheduler slack.
-	if res.DetectVirtual > 3*10 {
-		t.Errorf("detection took %.0f virtual s, want within ~3 scrape intervals (30)", res.DetectVirtual)
+	if detect > 3*10 {
+		t.Errorf("detection took %.0f virtual s, want within ~3 scrape intervals (30)", detect)
 	}
-	if res.ReconfigVirtual < 0 {
-		t.Fatalf("promotion never acked; events: %v", res.Events)
+	if reconfig < 0 {
+		t.Fatalf("promotion never acked; events: %v", on.Live.Events)
 	}
-	if res.DirectivesAcked == 0 {
+	if acked == 0 {
 		t.Error("no directives acked")
 	}
 	// The healing claim: the controller-on arm recovers at least half the
 	// lost-query gap opened by the controller-off arm.
-	if res.Off.LostFrac > 0.05 && res.On.LostFrac > res.Off.LostFrac*0.5+0.02 {
-		t.Errorf("controller recovered too little: lost on=%.1f%% off=%.1f%%",
-			100*res.On.LostFrac, 100*res.Off.LostFrac)
+	offLost, onLost := liveLost(off.Live), liveLost(on.Live)
+	if offLost > 0.05 && onLost > offLost*0.5+0.02 {
+		t.Errorf("controller recovered too little: lost on=%.1f%% off=%.1f%%", 100*onLost, 100*offLost)
 	}
-
-	// Leak check: both arms must wind down cleanly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if after := runtime.NumGoroutine(); after <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines leaked: %d before, %d after\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Logf("lost: off=%.1f%% on=%.1f%%, detect=%.0f vs, reconfig=%.0f vs, directives=%d",
-		100*res.Off.LostFrac, 100*res.On.LostFrac, res.DetectVirtual, res.ReconfigVirtual, res.DirectivesAcked)
+	t.Logf("lost: off=%.1f%% on=%.1f%% (sim %.1f%%), detect=%.0f vs, reconfig=%.0f vs, directives=%d",
+		100*offLost, 100*onLost, 100*simLost(on.Sim), detect, reconfig, acked)
 }
 
 // TestSelfHealControllerPartition drills graceful degradation through the
@@ -108,51 +90,34 @@ func TestSelfHealControllerPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network run")
 	}
-	live := network.NewLive(network.LiveConfig{
+	leakCheck(t)
+	f, err := launchFleet(network.LiveConfig{
 		Clusters:  2,
 		Partners:  2,
 		Seed:      23,
 		Telemetry: true,
 		Node:      p2p.Options{MaxClients: 4, TTL: 7, DrainTimeout: 100 * time.Millisecond},
-	})
-	if err := live.Launch(); err != nil {
-		t.Fatalf("Launch: %v", err)
+	}, 1, t.Logf)
+	if err != nil {
+		t.Fatalf("launch: %v", err)
 	}
-	defer live.Close()
-
-	var nodes []control.NodeConfig
-	for _, sp := range live.SuperPeers() {
-		nodes = append(nodes, control.NodeConfig{
-			ID: sp.ID, Addr: sp.Addr, Telemetry: sp.Telemetry,
-			Cluster: sp.Cluster, Partner: sp.Partner,
-		})
-	}
-	ctrl := control.New(control.Options{
-		Nodes:          nodes,
-		ScrapeInterval: 50 * time.Millisecond,
-		RPCTimeout:     300 * time.Millisecond,
-		DialTimeout:    300 * time.Millisecond,
-		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
-		Seed:           24,
-		ClientCapacity: 4,
-		BaseTTL:        7,
-		Dial:           live.Faults().Dialer(network.ControllerLabel),
-	})
-	ctrl.Start()
+	defer f.close()
+	live := f.live
+	// At one virtual second per wall second: a 50 ms scrape tick.
+	ctrl := f.control(0.05, 4, 7, 24)
 	defer ctrl.Close()
 
-	allLinked := func() bool {
+	waitFor(t, "all control links up", func() bool {
 		for _, s := range ctrl.Status() {
 			if !s.LinkUp || s.Dead {
 				return false
 			}
 		}
 		return true
-	}
-	waitUntil(t, "all control links up", allLinked)
+	})
 
 	live.PartitionController()
-	waitUntil(t, "scrapes failing", func() bool {
+	waitFor(t, "scrapes failing", func() bool {
 		for _, s := range ctrl.Status() {
 			if s.ScrapeFails > 0 {
 				return true
@@ -167,7 +132,7 @@ func TestSelfHealControllerPartition(t *testing.T) {
 		t.Fatalf("DialClient during partition: %v", err)
 	}
 	defer cl.Close()
-	waitUntil(t, "query served during partition", func() bool {
+	waitFor(t, "query served during partition", func() bool {
 		res, err := cl.Search("dark", 100*time.Millisecond)
 		return err == nil && len(res) == 1
 	})
@@ -183,7 +148,7 @@ func TestSelfHealControllerPartition(t *testing.T) {
 
 	// Heal: scrapes recover and any spuriously-dead slots come back.
 	live.HealController()
-	waitUntil(t, "control plane reconverged", func() bool {
+	waitFor(t, "control plane reconverged", func() bool {
 		for _, s := range ctrl.Status() {
 			if s.Dead || !s.LinkUp || s.ScrapeFails > 0 {
 				return false
@@ -202,14 +167,15 @@ func TestSelfHealControllerPartition(t *testing.T) {
 	}
 }
 
-// TestSelfHealSchedulesDeterministic pins that the experiment's client
-// arrival plans are bit-deterministic in the seed — the property that makes
-// the off arm replayable.
+// TestSelfHealSchedulesDeterministic pins what makes the drill's off and on
+// arms a paired comparison: the client arrival plans are bit-deterministic
+// in the seed, and the live timeline is the one kill a third of the way in,
+// with no restart inside the window.
 func TestSelfHealSchedulesDeterministic(t *testing.T) {
-	p := tinySelfHealParams(5)
-	p.setDefaults()
-	a := liveArrivals(p.Seed, p.ClientsPerCluster, 1, 2, p.QueryRate, p.Duration)
-	b := liveArrivals(p.Seed, p.ClientsPerCluster, 1, 2, p.QueryRate, p.Duration)
+	s := tinySelfHeal(5)
+	usersPer := s.Planted.Clients + s.Planted.Partners
+	a := liveArrivals(s.Seed, usersPer, 1, 2, s.Planted.QueryRate, s.Live.Duration)
+	b := liveArrivals(s.Seed, usersPer, 1, 2, s.Planted.QueryRate, s.Live.Duration)
 	if len(a) == 0 {
 		t.Fatal("no arrivals drawn")
 	}
@@ -218,7 +184,8 @@ func TestSelfHealSchedulesDeterministic(t *testing.T) {
 			t.Fatalf("arrival %d differs", i)
 		}
 	}
-	if got := rotate([]string{"a", "b", "c"}, 1); got[0] != "b" || got[1] != "c" || got[2] != "a" {
-		t.Fatalf("rotate = %v", got)
+	want := []fault{{at: 40, cluster: 0, partner: 0}}
+	if got := s.timeline(); len(got) != 1 || got[0] != want[0] {
+		t.Fatalf("timeline = %+v, want %+v", got, want)
 	}
 }

@@ -3,10 +3,13 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
 	"spnet/internal/analysis"
+	"spnet/internal/control"
 	"spnet/internal/metrics"
 	"spnet/internal/network"
 	"spnet/internal/p2p"
@@ -19,8 +22,8 @@ import (
 // Scenario is one configuration priced three ways: analytically, in the
 // simulator and on a live loopback fleet. It is a frozen value every arm of
 // runThreeWay reads, so the three columns of a three-way experiment describe
-// one network, one workload and one attack. An experiment is a table of
-// Scenarios plus a formatter over their ThreeWay results.
+// one network, one workload, one attack and one kill schedule. An experiment
+// is a table of Scenarios plus a formatter over their ThreeWay results.
 type Scenario struct {
 	// Planted is the network. Every arm takes its instance from
 	// network.NewPlanted(Planted), and the live fleet is wired from that
@@ -38,12 +41,29 @@ type Scenario struct {
 	// form walks a topic-partitioned star whose hub is cluster 0, and
 	// runThreeWay refuses an adversary on any other network.
 	Adversary *sim.AdversaryOptions
+	// Failures, when set, kills partners in the simulator and on the live
+	// fleet. Its Schedule is drawn once and each arm plays the part inside
+	// its own window: the simulator takes the options as they are, and the
+	// live arm kills each scheduled slot and restarts it RecoveryDelay later
+	// if that too falls inside the window. The model does not price
+	// failures. Only at k = 1 do the two arms kill event for event
+	// (sim.FailureOptions.Schedule).
+	Failures *sim.FailureOptions
+	// ClientCapacity, when positive, caps every live partner's clients
+	// (p2p.Options.MaxClients). A client's first dial walks its cluster's
+	// ranked partners past each full one, so clients fill partner 0 first.
+	ClientCapacity int
+	// ControlInterval, when positive, runs the fleet controller beside the
+	// live arm, scraping every ControlInterval virtual seconds. It
+	// provisions ClientCapacity clients per partner and Planted.TTL.
+	ControlInterval float64
 	// SimDuration is the simulator's run length in virtual seconds.
 	SimDuration float64
 	// Live is the live arm's measurement window.
 	Live LiveLoad
 	// Seed drives the simulator and the live arm's arrival plans, query
-	// topics and misbehavior streams.
+	// topics, misbehavior streams, client backoff jitter and (at Seed+1) the
+	// controller's.
 	Seed uint64
 	// Logf, when set, receives diagnostic output.
 	Logf func(format string, args ...any)
@@ -102,10 +122,22 @@ type LiveMeasured struct {
 	// results among theirs that a dialable owner backs, and ClientLost the
 	// searches that failed or came back without one genuine result.
 	ClientQueries, ClientGenuine, ClientLost int
+	// ClientDegraded counts client searches that were not lost but came back
+	// with fewer genuine results than the planted files matching their
+	// topic, and ClientBusy the Busy replies client searches collected.
+	ClientDegraded, ClientBusy int
 	// ForgedDetected counts QueryHits trust validation dropped as forged,
 	// AdmissionShed overlay queries trust-aware admission refused, and
-	// Reconnects client failovers — re-homes, on a fleet nobody kills.
+	// Reconnects client failovers — re-homes, on a fleet nobody kills. The
+	// first two and Forwarded sum running nodes' counters, which a restart
+	// resets, so they are window deltas only on a fleet nobody kills.
 	ForgedDetected, AdmissionShed, Reconnects int64
+	// Kills are the wall-clock times of the scheduled kills that took, and
+	// Recovery each client's conn-lost → rejoined time in virtual seconds.
+	Kills    []time.Time
+	Recovery []float64
+	// Events is the fleet controller's event log, nil without one.
+	Events []control.Event
 }
 
 // ForwardsPerQuery is the mean number of overlay query copies per search.
@@ -280,6 +312,7 @@ func (s *Scenario) simulate(inst *network.Instance, strat routing.Strategy) (*si
 		Seed:      s.Seed,
 		Routing:   strat,
 		Adversary: s.Adversary,
+		Failures:  s.Failures,
 	}
 	// Partitioned topics need real indexes to know which cluster matches.
 	// One topic keeps the Appendix B match sampling: every file matches every
@@ -311,12 +344,19 @@ const (
 
 // live boots the scenario's instance as a loopback fleet and measures it:
 // dial the planted clients, settle, warm a learning strategy up, then replay
-// one seeded window of Poisson searches for every user the model counts and
-// read the counters' deltas once the fleet has drained.
+// one seeded window of Poisson searches for every user the model counts —
+// with the scenario's kills and restarts beside them — and read the
+// counters' deltas once the fleet has drained.
+//
+// What the scenario kills shapes the rest: only then are clients supervised
+// (a watchdog, backoff and one failover lap per cycle, their losses and
+// rejoins timed), and only a fleet nobody kills is drained and scraped for
+// per-class deltas, since a restart resets a node's counters.
 func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMeasured, error) {
 	var m LiveMeasured
 	p, adv := s.Planted, s.Adversary
 	trust := adv != nil && adv.Trust
+	killing := s.Failures != nil
 	cfg := network.LiveConfig{
 		Overlay:   inst.Graph,
 		Partners:  p.Partners,
@@ -324,6 +364,7 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 		Telemetry: true,
 		Node: p2p.Options{
 			TTL:               p.TTL,
+			MaxClients:        s.ClientCapacity,
 			HeartbeatInterval: -1, // keep the ping class quiet
 			DrainTimeout:      200 * time.Millisecond,
 			Routing:           strat,
@@ -347,11 +388,42 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 		return m, err
 	}
 	defer f.close()
+	var ctrl *control.Controller
+	if s.ControlInterval > 0 {
+		ctrl = f.control(s.ControlInterval, s.ClientCapacity, p.TTL, s.Seed+1)
+		defer ctrl.Close()
+	}
+
+	// Users are a cluster's clients, then its partners — one goroutine each,
+	// so a user's topic stream needs no lock; the tallies and the failover
+	// log do.
+	usersPer := p.Clients + p.Partners
+	var mu sync.Mutex
+	lostAt := make([]time.Time, inst.Graph.N()*p.Clients)
+	var recovery []float64
 
 	// A client's ranked list is its own cluster's partners; it joins the
-	// first and, under trust, re-homes on reputation.
+	// first with room and, under trust, re-homes on reputation.
 	err = f.dial(p.Clients, func(c, i int) (p2p.DialOptions, []p2p.SharedFile) {
-		return p2p.DialOptions{Trust: trust}, []p2p.SharedFile{{Index: uint32(i + 1), Title: routingTopic(c % p.Topics)}}
+		files := []p2p.SharedFile{{Index: uint32(i + 1), Title: routingTopic(c % p.Topics)}}
+		if !killing {
+			return p2p.DialOptions{Trust: trust}, files
+		}
+		slot := c*p.Clients + i
+		opts := f.supervised(s.Seed+uint64(slot), 2*p.Partners)
+		opts.Trust = trust
+		opts.OnEvent = func(ev p2p.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case ev.Type == p2p.EventConnLost:
+				lostAt[slot] = time.Now()
+			case ev.Type == p2p.EventRejoined && !lostAt[slot].IsZero():
+				recovery = append(recovery, f.virtual(time.Since(lostAt[slot])))
+				lostAt[slot] = time.Time{}
+			}
+		}
+		return opts, files
 	})
 	if err != nil {
 		return m, err
@@ -361,96 +433,138 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 		return m, err
 	}
 
-	// Users are a cluster's clients, then its partners — one goroutine each,
-	// so a user's topic stream needs no lock; the tallies do.
-	usersPer := p.Clients + p.Partners
-	var mu sync.Mutex
-	window := func(seed uint64, measure bool) time.Time {
+	// matches[t] is how many planted files answer topic t.
+	matches := make([]int, p.Topics)
+	for c := range f.clients {
+		matches[c%p.Topics] += p.Clients
+	}
+	window := func(seed uint64, timeline []fault, measure bool) (time.Time, []time.Time) {
 		root := stats.NewRNG(seed ^ liveTopicSalt)
 		topics := make([]*stats.RNG, len(f.clients)*usersPer)
 		for i := range topics {
 			topics[i] = root.Split(uint64(i + 1))
 		}
-		start, _ := f.replay(seed, usersPer, p.QueryRate, s.Live.Duration, nil, func(c, u int) {
-			topic := routingTopic(topics[c*usersPer+u].Intn(p.Topics))
-			results, err := s.search(f, c, u, topic)
+		return f.replay(seed, usersPer, p.QueryRate, s.Live.Duration, timeline, func(c, u int) {
+			t := topics[c*usersPer+u].Intn(p.Topics)
+			out, issued, err := s.search(f, c, u, routingTopic(t))
+			if !issued {
+				return
+			}
 			if err != nil {
-				s.logf("live query %s from c%du%d: %v", topic, c, u, err)
+				s.logf("live query %s from c%du%d: %v", routingTopic(t), c, u, err)
 			}
 			if !measure {
 				return
 			}
-			genuine := 0
-			for _, r := range results {
-				if r.Genuine() {
-					genuine++
-				}
-			}
 			mu.Lock()
 			defer mu.Unlock()
 			m.Queries++
-			m.Results += len(results)
+			m.Results += len(out.Results)
 			if u < p.Clients {
 				m.ClientQueries++
-				m.ClientGenuine += genuine
-				if err != nil || genuine == 0 {
+				m.ClientGenuine += out.Genuine
+				m.ClientBusy += out.Busy
+				switch {
+				case err != nil || out.Genuine == 0:
 					m.ClientLost++
+				case out.Genuine < matches[t]:
+					m.ClientDegraded++
 				}
 			}
 		})
-		return start
 	}
 	// Learned routing needs hit history before its scores mean anything.
 	if routing.Learns(strat) {
-		window(s.Seed^liveWarmupSalt, false)
+		window(s.Seed^liveWarmupSalt, nil, false)
 		if err := f.drain(); err != nil {
 			return m, err
 		}
 	}
 
 	f.count(-1, &m)
-	base, err := f.scrape()
-	if err != nil {
-		return m, err
+	var base []metrics.ByClass
+	if !killing {
+		if base, err = f.scrape(); err != nil {
+			return m, err
+		}
 	}
-	start := window(s.Seed, true)
-	if err := f.drain(); err != nil {
-		return m, err
-	}
-	// Bytes over the actual elapsed window, converted to bits per virtual
-	// second — late-firing arrivals dilate elapsed time and the division
-	// self-corrects for it.
-	elapsed := f.virtual(time.Since(start))
-	end, err := f.scrape()
-	if err != nil {
-		return m, err
+	start, kills := window(s.Seed, s.timeline(), true)
+	m.Kills = kills
+	if !killing {
+		if err := f.drain(); err != nil {
+			return m, err
+		}
+		// Bytes over the actual elapsed window, converted to bits per
+		// virtual second — late-firing arrivals dilate elapsed time and the
+		// division self-corrects for it.
+		elapsed := f.virtual(time.Since(start))
+		end, err := f.scrape()
+		if err != nil {
+			return m, err
+		}
+		for i, sp := range f.live.SuperPeers() {
+			delta := end[i]
+			delta.Merge(base[i].Scale(-1))
+			m.IDs = append(m.IDs, sp.ID)
+			m.ClassBps = append(m.ClassBps, delta.Scale(8/elapsed))
+		}
 	}
 	f.count(1, &m)
-	for i, sp := range f.live.SuperPeers() {
-		delta := end[i]
-		delta.Merge(base[i].Scale(-1))
-		m.IDs = append(m.IDs, sp.ID)
-		m.ClassBps = append(m.ClassBps, delta.Scale(8/elapsed))
+	if ctrl != nil {
+		m.Events = ctrl.Events()
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	m.Recovery = slices.Clone(recovery)
 	return m, nil
 }
 
-// search issues user u of cluster c's search for topic and returns the
-// results it collected: users below Planted.Clients are the cluster's
-// clients, the rest its partners.
-func (s *Scenario) search(f *fleet, c, u int, topic string) ([]p2p.SearchResult, error) {
-	if u < s.Planted.Clients {
-		return f.clients[c][u].Search(topic, s.Live.Window)
+// timeline is the live side of Failures: each scheduled kill inside the
+// window and, when it too falls inside, the slot's restart RecoveryDelay
+// later, in time order.
+func (s *Scenario) timeline() []fault {
+	if s.Failures == nil {
+		return nil
 	}
-	return f.live.Node(c, u-s.Planted.Clients).Search(topic, s.Live.Window)
+	var out []fault
+	for _, ev := range s.Failures.Schedule.Truncate(s.Live.Duration) {
+		out = append(out, fault{at: ev.At, cluster: ev.Cluster, partner: ev.Partner})
+		if back := ev.At + s.Failures.RecoveryDelay; back < s.Live.Duration {
+			out = append(out, fault{at: back, restart: true, cluster: ev.Cluster, partner: ev.Partner})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].at < out[j].at })
+	return out
+}
+
+// search issues user u of cluster c's search for topic and returns what it
+// collected: users below Planted.Clients are the cluster's clients, the rest
+// its partners. A killed partner issues nothing (issued false).
+func (s *Scenario) search(f *fleet, c, u int, topic string) (out p2p.ClientSearchOutcome, issued bool, err error) {
+	if u < s.Planted.Clients {
+		o, err := f.clients[c][u].SearchDetailed(topic, s.Live.Window)
+		if o != nil {
+			out = *o
+		}
+		return out, true, err
+	}
+	n := f.live.Node(c, u-s.Planted.Clients)
+	if n == nil {
+		return out, false, nil
+	}
+	out.Results, err = n.Search(topic, s.Live.Window)
+	return out, true, err
 }
 
 // count adds sign × the fleet-wide totals of m's counter fields into m:
 // once negated before the measured window and once after it, m holds the
-// window's deltas.
+// window's deltas. A killed slot has no counters to read.
 func (f *fleet) count(sign int64, m *LiveMeasured) {
 	for _, sp := range f.live.SuperPeers() {
 		n := f.live.Node(sp.Cluster, sp.Partner)
+		if n == nil {
+			continue
+		}
 		st := n.Stats()
 		m.Forwarded += sign * n.Metrics().QueriesForwarded.Value()
 		m.ForgedDetected += sign * st.HitsForged

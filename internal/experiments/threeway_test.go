@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"spnet/internal/faults"
 	"spnet/internal/network"
 	"spnet/internal/routing"
 	"spnet/internal/sim"
@@ -116,6 +117,7 @@ func TestThreeWayFloodForwardsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the live case boots a fleet")
 	}
+	leakCheck(t)
 	tw, err := runThreeWay(floodScenario(topology.Ring(4), 2))
 	if err != nil {
 		t.Fatal(err)
@@ -132,5 +134,39 @@ func TestThreeWayFloodForwardsAgree(t *testing.T) {
 	if tw.Live.Forwarded != int64(want*queries) {
 		t.Errorf("live fleet forwarded %d copies for %d queries, want exactly %d per query",
 			tw.Live.Forwarded, queries, want)
+	}
+}
+
+// TestThreeWayKillsAgree holds the simulator and the live fleet to the same
+// kills of one drawn schedule. At k = 1 a kill either darkens its cluster in
+// both arms or, landing on a slot still down from an earlier one, is dropped
+// in both, so the simulator's FailuresInjected must equal the live arm's
+// executed kills exactly. Every event falls in the window's first three
+// quarters, so every kill and its restart play out inside it.
+func TestThreeWayKillsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots a fleet")
+	}
+	leakCheck(t)
+	const window = 240
+	s := floodScenario(topology.Ring(3), 2)
+	s.SimDuration = window
+	s.Live.Duration, s.Live.TimeScale = window, 240
+	// Seed 7 draws 7 kills of which 2 land on a slot already down.
+	s.Failures = &sim.FailureOptions{
+		Schedule:      faults.ExponentialSchedule(7, 3, 1, 60, 0.75*window),
+		RecoveryDelay: 20,
+	}
+	tw, err := runThreeWay(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tw.Live.Kills) == 0 || len(tw.Live.Kills) == len(s.Failures.Schedule) {
+		t.Fatalf("%d of %d scheduled kills executed live: the schedule no longer exercises dropped events",
+			len(tw.Live.Kills), len(s.Failures.Schedule))
+	}
+	if tw.Sim.FailuresInjected != len(tw.Live.Kills) {
+		t.Errorf("simulator injected %d failures, live fleet executed %d kills of the same %d-event schedule",
+			tw.Sim.FailuresInjected, len(tw.Live.Kills), len(s.Failures.Schedule))
 	}
 }

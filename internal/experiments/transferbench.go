@@ -18,66 +18,32 @@ import (
 // must be discoverable via the ordinary query plane before a byte moves.
 const transferBenchTitle = "transferbench validation payload"
 
-// TransferBenchParams shape the content-transfer validation: a fleet of live
-// super-peers serves one deterministic file under a per-source rate cap, a
-// multi-source chunked download runs against the sources a real overlay query
-// surfaced, and the measured throughput, duration and transfer-class wire
-// bytes are laid beside the analytical prediction. A second download is the
-// failover drill: one source is killed mid-transfer and the download must
-// complete on the survivors with the hash intact.
-type TransferBenchParams struct {
-	// Clusters is the number of super-peers (ring overlay, one partner
-	// each); every one serves the shared catalog, so it is also the source
-	// count the query should surface (default 3).
-	Clusters int
-	// FileSize pins the served file's size in bytes (default 1 MiB).
-	FileSize int64
-	// ChunkSize is the serving chunk width (default 16 KiB).
-	ChunkSize int
-	// SourceRate is each super-peer's content-byte service cap in bytes/sec
-	// — the knob that makes throughput predictable (default 256 KiB/s).
-	SourceRate float64
-	// Window is the downloader's per-source outstanding-chunk window
-	// (default 4).
-	Window int
-	// QueryWindow is the wall-clock window the source-discovery search
-	// collects hits for (default 300ms).
-	QueryWindow time.Duration
-	// KillFraction is when the failover drill kills one source, as a
-	// fraction of the predicted clean-download duration (default 0.4).
-	KillFraction float64
-	// Seed drives the downloader's backoff jitter and the harness.
-	Seed uint64
-	// Logf, when set, receives diagnostic output.
-	Logf func(format string, args ...any)
-}
-
-func (p *TransferBenchParams) setDefaults() {
-	if p.Clusters <= 0 {
-		p.Clusters = 3
-	}
-	if p.FileSize <= 0 {
-		p.FileSize = 1 << 20
-	}
-	if p.ChunkSize <= 0 {
-		p.ChunkSize = 16 << 10
-	}
-	if p.SourceRate <= 0 {
-		p.SourceRate = 256 << 10
-	}
-	if p.Window <= 0 {
-		p.Window = 4
-	}
-	if p.QueryWindow <= 0 {
-		p.QueryWindow = 300 * time.Millisecond
-	}
-	if p.KillFraction <= 0 || p.KillFraction >= 1 {
-		p.KillFraction = 0.4
-	}
-	if p.Logf == nil {
-		p.Logf = func(string, ...any) {}
-	}
-}
+// The content-transfer validation: a fleet of live super-peers serves one
+// deterministic file under a per-source rate cap, a multi-source chunked
+// download runs against the sources a real overlay query surfaced, and the
+// measured throughput, duration and transfer-class wire bytes are laid beside
+// the analytical prediction. A second download is the failover drill: one
+// source is killed mid-transfer and the download must complete on the
+// survivors with the hash intact.
+const (
+	// transferSources is the number of super-peers (ring overlay, one
+	// partner each); every one serves the shared catalog, so it is also the
+	// source count the query should surface.
+	transferSources = 3
+	// transferChunkSize is the serving chunk width.
+	transferChunkSize = 16 << 10
+	// transferSourceRate is each super-peer's content-byte service cap in
+	// bytes/sec — the knob that makes throughput predictable.
+	transferSourceRate = 256 << 10
+	// transferWindow is the downloader's per-source outstanding-chunk window.
+	transferWindow = 4
+	// transferQueryWindow is how long the source-discovery search collects
+	// hits.
+	transferQueryWindow = 300 * time.Millisecond
+	// transferKillFraction is when the failover drill kills one source, as a
+	// fraction of the predicted clean-download duration.
+	transferKillFraction = 0.4
+)
 
 // TransferKill is the failover drill's outcome.
 type TransferKill struct {
@@ -137,55 +103,55 @@ func scrapeTransferBytes(f *fleet) (float64, error) {
 
 // discoverSources queries the settled overlay from one node and distills
 // the hits into sources: one per serving super-peer.
-func discoverSources(p *TransferBenchParams, live *network.Live) ([]transfer.Source, error) {
-	results, err := live.Node(0, 0).Search(transferBenchTitle, p.QueryWindow)
+func discoverSources(live *network.Live) ([]transfer.Source, error) {
+	results, err := live.Node(0, 0).Search(transferBenchTitle, transferQueryWindow)
 	if err != nil {
 		return nil, err
 	}
 	sources := p2p.TransferSources(results, transferBenchTitle)
-	if len(sources) < p.Clusters {
+	if len(sources) < transferSources {
 		return nil, fmt.Errorf("transferbench: query surfaced %d sources, want %d",
-			len(sources), p.Clusters)
+			len(sources), transferSources)
 	}
 	return sources, nil
 }
 
-func (p *TransferBenchParams) fetchOpts() transfer.Options {
+// fetchOpts are the downloader's options; seed drives its backoff jitter.
+func fetchOpts(seed uint64) transfer.Options {
 	return transfer.Options{
-		Window:       p.Window,
-		Seed:         p.Seed,
+		Window:       transferWindow,
+		Seed:         seed,
 		DialTimeout:  2 * time.Second,
 		ChunkTimeout: 5 * time.Second,
 		Backoff:      link.Backoff{Initial: 50 * time.Millisecond, Max: 500 * time.Millisecond},
 	}
 }
 
-// RunTransferBenchResult executes the transfer validation and failover drill
-// and returns both the measurements and the printable report.
-func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error) {
-	p.setDefaults()
-
+// runTransferBench executes the transfer validation and failover drill on a
+// fileSize-byte file and returns both the measurements and the printable
+// report; seed drives the downloader's backoff jitter and the harness.
+func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error) {
 	// One shared immutable store backs every super-peer: identical catalog,
 	// identical bytes — the precondition for multi-source downloads.
 	store := transfer.NewStore(transfer.StoreOptions{
-		ChunkSize:   p.ChunkSize,
-		MinFileSize: p.FileSize,
-		MaxFileSize: p.FileSize,
+		ChunkSize:   transferChunkSize,
+		MinFileSize: fileSize,
+		MaxFileSize: fileSize,
 	})
 	f := store.Add(transferBenchTitle)
 
 	cell, err := launchFleet(network.LiveConfig{
-		Clusters:  p.Clusters,
+		Clusters:  transferSources,
 		Partners:  1,
-		Seed:      p.Seed,
+		Seed:      seed,
 		Telemetry: true,
 		Node: p2p.Options{
 			Content:           store,
-			TransferRate:      p.SourceRate,
+			TransferRate:      transferSourceRate,
 			HeartbeatInterval: -1,
 			DrainTimeout:      200 * time.Millisecond,
 		},
-	}, 0, p.Logf)
+	}, 0, func(string, ...any) {})
 	if err != nil {
 		return nil, err
 	}
@@ -195,16 +161,16 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 		return nil, err
 	}
 
-	sources, err := discoverSources(&p, live)
+	sources, err := discoverSources(live)
 	if err != nil {
 		return nil, err
 	}
 
 	pred, err := analysis.PredictTransfer(analysis.TransferWorkload{
 		FileSize:      f.Size,
-		ChunkSize:     p.ChunkSize,
+		ChunkSize:     transferChunkSize,
 		Sources:       len(sources),
-		SourceRateBps: p.SourceRate,
+		SourceRateBps: transferSourceRate,
 	})
 	if err != nil {
 		return nil, err
@@ -218,7 +184,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 	if err != nil {
 		return nil, err
 	}
-	clean, err := transfer.Fetch(sources, p.fetchOpts())
+	clean, err := transfer.Fetch(sources, fetchOpts(seed))
 	if err != nil {
 		return nil, fmt.Errorf("transferbench: clean download: %w", err)
 	}
@@ -231,7 +197,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 	}
 
 	// Failover drill: same download, one source killed mid-transfer.
-	killCluster := p.Clusters - 1
+	killCluster := transferSources - 1
 	killAddr := ""
 	if n := live.Node(killCluster, 0); n != nil {
 		killAddr = n.Addr()
@@ -243,10 +209,10 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 	done := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		res, err := transfer.Fetch(sources, p.fetchOpts())
+		res, err := transfer.Fetch(sources, fetchOpts(seed))
 		done <- outcome{res, err}
 	}()
-	killDelay := time.Duration(p.KillFraction * pred.DurationSec * float64(time.Second))
+	killDelay := time.Duration(transferKillFraction * pred.DurationSec * float64(time.Second))
 	var killAt time.Duration
 	select {
 	case out := <-done:
@@ -255,14 +221,13 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 		if out.err != nil {
 			return nil, fmt.Errorf("transferbench: drill download: %w", out.err)
 		}
-		return nil, fmt.Errorf("transferbench: drill finished in %v, before the %v kill point — raise FileSize or KillFraction",
+		return nil, fmt.Errorf("transferbench: drill finished in %v, before the %v kill point — raise the file size",
 			out.res.Elapsed, killDelay)
 	case <-time.After(killDelay):
 		if err := live.KillSuperPeer(killCluster, 0); err != nil {
 			return nil, err
 		}
 		killAt = time.Since(start)
-		p.Logf("transferbench: killed %s at %v", killAddr, killAt)
 	}
 	var drill outcome
 	select {
@@ -308,7 +273,7 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 			{"protocol efficiency", fmt.Sprintf("%.4f", pred.Efficiency),
 				fmt.Sprintf("%.4f", float64(clean.Size)/math.Max(res.WireScraped, 1)), ""},
 			{"chunks", fmt.Sprintf("%d", pred.Chunks), fmt.Sprintf("%d", clean.Chunks), ""},
-			{"sources", fmt.Sprintf("%d", p.Clusters), fmt.Sprintf("%d", res.Sources), ""},
+			{"sources", fmt.Sprintf("%d", transferSources), fmt.Sprintf("%d", res.Sources), ""},
 		},
 	}
 	drillTable := Table{
@@ -329,12 +294,12 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 		Title: "Validation: analytical vs live multi-source transfer throughput",
 		Notes: []string{
 			fmt.Sprintf("%d super-peers each serving the %d-byte file in %d-byte chunks, rate-capped at %g bytes/s per source",
-				p.Clusters, f.Size, p.ChunkSize, p.SourceRate),
+				transferSources, f.Size, transferChunkSize, float64(transferSourceRate)),
 			"sources discovered through a real overlay query (QueryHit responder addresses), not configured",
 			"model: window pipelining keeps every source service-bound, so throughput = sources × per-source rate cap",
 			"wire column scraped from each super-peer's /metrics endpoint (spnet_message_bytes_total{type=\"transfer\"})",
 			fmt.Sprintf("failover drill killed one source at %.0f%% of the predicted duration; download completed on the survivors",
-				100*p.KillFraction),
+				100*transferKillFraction),
 		},
 		Tables: []Table{cleanTable, drillTable},
 	}
@@ -345,11 +310,11 @@ func RunTransferBenchResult(p TransferBenchParams) (*TransferBenchResult, error)
 // the served file (floored so the failover drill still has time to kill a
 // source mid-transfer).
 func runTransferBenchDefault(p Params) (*Report, error) {
-	tp := TransferBenchParams{Seed: p.Seed}
+	fileSize := int64(1 << 20)
 	if p.Scale > 0 && p.Scale < 1 {
-		tp.FileSize = int64(math.Max(256<<10, float64(int64(1<<20))*p.Scale))
+		fileSize = int64(math.Max(256<<10, float64(int64(1<<20))*p.Scale))
 	}
-	res, err := RunTransferBenchResult(tp)
+	res, err := runTransferBench(p.Seed, fileSize)
 	if err != nil {
 		return nil, err
 	}

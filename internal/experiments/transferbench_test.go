@@ -6,19 +6,6 @@ import (
 	"time"
 )
 
-// tinyTransferBenchParams keeps the wall clock around 2-3 seconds: 512 KiB
-// from 3 sources at 256 KiB/s predicts a ~0.67s clean download plus the
-// failover drill.
-func tinyTransferBenchParams(seed uint64) TransferBenchParams {
-	return TransferBenchParams{
-		Clusters:   3,
-		FileSize:   512 << 10,
-		ChunkSize:  16 << 10,
-		SourceRate: 256 << 10,
-		Seed:       seed,
-	}
-}
-
 // TestTransferBenchEndToEnd is the acceptance drill for the transfer plane:
 // live multi-source throughput must land within 30% of the analytical
 // prediction, the transfer-class wire accounting must match the protocol
@@ -27,9 +14,12 @@ func TestTransferBenchEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network run")
 	}
-	res, err := RunTransferBenchResult(tinyTransferBenchParams(11))
+	leakCheck(t)
+	// 512 KiB from 3 sources at 256 KiB/s predicts a ~0.67s clean download,
+	// about 2-3 wall seconds with the failover drill.
+	res, err := runTransferBench(11, 512<<10)
 	if err != nil {
-		t.Fatalf("RunTransferBenchResult: %v", err)
+		t.Fatalf("runTransferBench: %v", err)
 	}
 	if res.Sources != 3 {
 		t.Errorf("overlay query surfaced %d sources, want 3", res.Sources)

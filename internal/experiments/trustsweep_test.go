@@ -10,6 +10,7 @@ func TestTrustSweepGapRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a live overlay per cell")
 	}
+	leakCheck(t)
 	s := trustScenario(41)
 	s.Logf = t.Logf
 	res, err := runTrustSweep(s, []float64{0.3}, nil)
@@ -83,6 +84,7 @@ func TestTrustSweepHonestBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a live overlay per cell")
 	}
+	leakCheck(t)
 	s := trustScenario(43)
 	s.SimDuration = 600
 	s.Live.Duration = 60

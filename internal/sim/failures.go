@@ -21,8 +21,11 @@ type FailureOptions struct {
 	RecoveryDelay float64
 	// Schedule, when non-empty, replays a fixed failure schedule (virtual
 	// seconds from simulation start) instead of the stochastic MTBF
-	// process. The same schedule can drive the live harness, so simulated
-	// and measured recovery can be compared event for event.
+	// process. The same schedule can drive the live harness. At k = 1 the
+	// two execute it event for event. At k >= 2 they part once a partner is
+	// down: replay indexes the cluster's surviving partners, so events for
+	// the dead slot or the slots after it strike the wrong partner or are
+	// dropped.
 	Schedule faults.Schedule
 }
 
@@ -68,9 +71,9 @@ func (s *Simulator) schedulePartnerFailure(p *partnerNode) {
 
 // scheduleReplay installs a fixed failure schedule: each event kills the
 // given partner slot of the given cluster at its virtual time. Events aimed
-// at a slot that no longer exists (already failed and not yet replaced) or
-// at a dark cluster are dropped, mirroring a live run where that process is
-// already dead.
+// at a dark cluster, or at an index past its surviving partners, are
+// dropped. The index counts survivors, not the live fleet's fixed slots, so
+// only at k = 1 does a drop mirror a live kill of an already-dead process.
 func (s *Simulator) scheduleReplay() {
 	for _, ev := range s.opts.Failures.Schedule.Truncate(s.opts.Duration) {
 		ev := ev

@@ -270,30 +270,13 @@ func WriteReportCSV(r *ExperimentReport, dir string) ([]string, error) {
 
 // ReportCSVStream writes sweep rows to per-stage CSV files incrementally,
 // flushing after every row, so interrupted runs keep the sweep points that
-// completed. Plug its Row method into ExperimentParams.RowSink or
-// LiveReliabilityParams.RowSink.
+// completed. Plug its Row method into ExperimentParams.RowSink.
 type ReportCSVStream = experiments.CSVStream
 
 // NewReportCSVStream creates a streaming CSV exporter for the given report
 // id under dir.
 func NewReportCSVStream(id, dir string) (*ReportCSVStream, error) {
 	return experiments.NewCSVStream(id, dir)
-}
-
-// LiveReliabilityParams and LiveReliabilityRegime shape the live reliability
-// experiment: the reliability experiment's failure regimes replayed against
-// a real TCP super-peer network through a wall-clock ↔ virtual-time bridge,
-// with seeded Poisson client query workloads.
-type (
-	LiveReliabilityParams = experiments.LiveParams
-	LiveReliabilityRegime = experiments.LiveRegime
-)
-
-// RunLiveReliability measures lost-query fraction, recovery time and
-// partial-result degradation on a live network, side by side with the
-// simulated reliability table.
-func RunLiveReliability(lp LiveReliabilityParams) (*ExperimentReport, error) {
-	return experiments.RunLiveReliability(lp)
 }
 
 // Node, NodeOptions, NodeClient and friends are the runnable super-peer
