@@ -19,7 +19,6 @@ package control
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 	"net"
 	"net/http"
@@ -53,11 +52,10 @@ type NodeConfig struct {
 type Options struct {
 	// Nodes is the fleet.
 	Nodes []NodeConfig
-	// ScrapeInterval is the decision-loop tick (default 2s). Detection
-	// latency for a dead node is at most DeadAfter ticks.
+	// ScrapeInterval is the decision-loop tick (default 2s). One telemetry
+	// fetch is bounded by half a tick, and detection latency for a dead node
+	// is at most two ticks (deadAfter).
 	ScrapeInterval time.Duration
-	// ScrapeTimeout bounds one telemetry fetch (default ScrapeInterval/2).
-	ScrapeTimeout time.Duration
 	// RPCTimeout bounds one directive push round trip (default 2s).
 	RPCTimeout time.Duration
 	// DialTimeout bounds each control-link dial and its hello (default 2s).
@@ -70,13 +68,6 @@ type Options struct {
 	// Seed drives every random draw (backoff jitter); fixed seed, fixed
 	// schedule.
 	Seed uint64
-	// DeadAfter is how many consecutive scrape failures (with the control
-	// link also down) declare a node dead (default 2).
-	DeadAfter int
-	// FlapRegisters is the re-registration-storm threshold: this many
-	// Register frames from one node within a single tick triggers the same
-	// partner-promotion response as death (default 3).
-	FlapRegisters int
 	// ClientCapacity is the fleet's baseline per-node client capacity.
 	// Promotion pushes 2× this to the surviving partner; recovery restores
 	// it (default 100).
@@ -86,9 +77,6 @@ type Options struct {
 	// (Result.SuperPeerClassBps) plus headroom. The zero value disables the
 	// hotspot and underload rules; death handling always runs.
 	Limit analysis.Load
-	// Thresholds tune the Section 5.3 advisor (zero values = paper
-	// defaults).
-	Thresholds design.Thresholds
 	// BaseTTL is the TTL nodes start with, the ceiling TTL decay works down
 	// from (default 7).
 	BaseTTL int
@@ -113,12 +101,19 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// deadAfter is how many consecutive scrape failures (with the control
+	// link also down) declare a node dead.
+	deadAfter = 2
+	// flapRegisters is the re-registration-storm threshold: this many
+	// Register frames from one node within a single tick triggers the same
+	// partner-promotion response as death.
+	flapRegisters = 3
+)
+
 func (o *Options) setDefaults() {
 	if o.ScrapeInterval <= 0 {
 		o.ScrapeInterval = 2 * time.Second
-	}
-	if o.ScrapeTimeout <= 0 {
-		o.ScrapeTimeout = o.ScrapeInterval / 2
 	}
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = 2 * time.Second
@@ -130,12 +125,6 @@ func (o *Options) setDefaults() {
 		o.PushAttempts = 3
 	}
 	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 100 * time.Millisecond, Max: 2 * time.Second})
-	if o.DeadAfter <= 0 {
-		o.DeadAfter = 2
-	}
-	if o.FlapRegisters <= 0 {
-		o.FlapRegisters = 3
-	}
 	if o.ClientCapacity <= 0 {
 		o.ClientCapacity = 100
 	}
@@ -292,7 +281,7 @@ func New(opts Options) *Controller {
 		stop:  make(chan struct{}),
 	}
 	dial := opts.Dial
-	scrapeTO := opts.ScrapeTimeout
+	scrapeTO := opts.ScrapeInterval / 2
 	c.scrape = &http.Client{
 		Timeout: scrapeTO,
 		Transport: &http.Transport{
@@ -500,9 +489,9 @@ func (c *Controller) decideDeaths() {
 		c.mu.Unlock()
 		regs, bye := st.agent.takeRegisters()
 
-		scrapeDead := cfg.Telemetry != "" && fails >= c.opts.DeadAfter
+		scrapeDead := cfg.Telemetry != "" && fails >= deadAfter
 		linkDead := cfg.Telemetry == "" && !linkUp
-		storm := regs >= c.opts.FlapRegisters
+		storm := regs >= flapRegisters
 		dead := bye || storm || ((scrapeDead || linkDead) && !linkUp)
 
 		switch {
@@ -623,7 +612,7 @@ func (c *Controller) decideLoad() {
 		adv := design.Advise(design.LocalState{
 			Load: st.load, Limit: c.opts.Limit,
 			Clients: 2, TTL: st.ttl,
-		}, c.opts.Thresholds)
+		}, design.Thresholds{})
 		var over, under bool
 		switch {
 		case adv.PromotePartner || adv.SplitCluster || adv.Resign:
@@ -649,7 +638,7 @@ func (c *Controller) decideLoad() {
 			// pressure).
 			d := &gnutella.Directive{
 				Action:     gnutella.ActionSplitCluster,
-				MaxClients: uint16(maxInt(1, c.opts.ClientCapacity/2)),
+				MaxClients: uint16(max(1, c.opts.ClientCapacity/2)),
 			}
 			if ttl > 1 {
 				d.TTL = uint8(ttl - 1)
@@ -690,10 +679,7 @@ func (c *Controller) decideLoad() {
 // re-derived (with a fresh epoch) on a later tick if it still holds.
 func (c *Controller) pushDirective(st *nodeState, d *gnutella.Directive, onAcked func(*nodeState)) {
 	d.Epoch = c.nextEpoch()
-	id, err := newGUID()
-	if err == nil {
-		d.ID = id
-	}
+	d.ID = gnutella.NewGUID()
 	c.event(Event{Type: EvPushed, Node: st.agent.cfg.ID, Epoch: d.Epoch,
 		Detail: fmt.Sprintf("%s max-clients=%d ttl=%d target=%q", d.Action, d.MaxClients, d.TTL, d.Target)})
 	if err := st.agent.push(d); err != nil {
@@ -717,20 +703,4 @@ func PredictedLoad(b metrics.ByClass, headroom float64) analysis.Load {
 		l.OutBps += b[cl][metrics.DirOut]
 	}
 	return l.Scale(headroom)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// newGUID returns a random descriptor id.
-func newGUID() (gnutella.GUID, error) {
-	var g gnutella.GUID
-	if _, err := rand.Read(g[:]); err != nil {
-		return g, err
-	}
-	return g, nil
 }

@@ -462,12 +462,13 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 			m.Results += len(out.Results)
 			if u < p.Clients {
 				m.ClientQueries++
-				m.ClientGenuine += out.Genuine
+				genuine := out.Genuine()
+				m.ClientGenuine += genuine
 				m.ClientBusy += out.Busy
 				switch {
-				case err != nil || out.Genuine == 0:
+				case err != nil || genuine == 0:
 					m.ClientLost++
-				case out.Genuine < matches[t]:
+				case genuine < matches[t]:
 					m.ClientDegraded++
 				}
 			}
@@ -540,20 +541,16 @@ func (s *Scenario) timeline() []fault {
 // search issues user u of cluster c's search for topic and returns what it
 // collected: users below Planted.Clients are the cluster's clients, the rest
 // its partners. A killed partner issues nothing (issued false).
-func (s *Scenario) search(f *fleet, c, u int, topic string) (out p2p.ClientSearchOutcome, issued bool, err error) {
+func (s *Scenario) search(f *fleet, c, u int, topic string) (out p2p.SearchOutcome, issued bool, err error) {
+	var o *p2p.SearchOutcome
 	if u < s.Planted.Clients {
-		o, err := f.clients[c][u].SearchDetailed(topic, s.Live.Window)
-		if o != nil {
-			out = *o
-		}
-		return out, true, err
-	}
-	n := f.live.Node(c, u-s.Planted.Clients)
-	if n == nil {
+		o, err = f.clients[c][u].SearchDetailed(topic, s.Live.Window)
+	} else if n := f.live.Node(c, u-s.Planted.Clients); n != nil {
+		o, err = n.SearchDetailed(topic, s.Live.Window)
+	} else {
 		return out, false, nil
 	}
-	out.Results, err = n.Search(topic, s.Live.Window)
-	return out, true, err
+	return *o, true, err
 }
 
 // count adds sign × the fleet-wide totals of m's counter fields into m:

@@ -1,6 +1,7 @@
 package gnutella
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -34,6 +35,16 @@ func (t MsgType) String() string {
 // GUID is a 16-byte descriptor identifier. Super-peers use it for duplicate
 // detection when the same query arrives over a cycle.
 type GUID [16]byte
+
+// NewGUID returns a random descriptor id. It panics if the system's secure
+// random source fails, which crypto/rand itself treats as fatal from Go 1.24.
+func NewGUID() GUID {
+	var g GUID
+	if _, err := rand.Read(g[:]); err != nil {
+		panic("gnutella: reading a random GUID: " + err.Error())
+	}
+	return g
+}
 
 // Header is the 23-byte Gnutella descriptor header.
 type Header struct {

@@ -23,93 +23,41 @@ type NeighborStatus struct {
 	Err  error
 }
 
-// SearchOutcome is the detailed result of a node-originated search: the
-// collected results plus the per-neighbor delivery accounting, so a search
-// over a degraded overlay returns what it could reach instead of failing
-// whole.
+// SearchOutcome is the detailed result of one search, a node's own or a
+// client's: the collected results plus how many Busy (load-shed) signals
+// came back for the query, so callers can distinguish "no matches" from
+// "the network refused some of the work", and for a node's own flood the
+// per-neighbor delivery accounting, so a search over a degraded overlay
+// returns what it could reach instead of failing whole. SearchDetailed
+// returns one even with an error: what was collected before it.
 type SearchOutcome struct {
 	Results []SearchResult
-	// Neighbors records, per overlay link, whether the flood reached it.
-	Neighbors []NeighborStatus
 	// Busy counts load-shed (Busy) signals routed back for this query:
 	// overloaded super-peers that refused it instead of answering.
 	Busy int
+	// Neighbors records, per overlay link, whether a node's own flood
+	// reached it; nil for a client's search.
+	Neighbors []NeighborStatus
 }
 
 // Failed counts neighbors the flood could not be delivered to.
 func (o *SearchOutcome) Failed() int {
+	return count(o.Neighbors, func(s NeighborStatus) bool { return s.Err != nil })
+}
+
+// Genuine counts results backed by a dialable owner address — the subset a
+// forged hit cannot fake. Under Trust this is what a client scores its
+// partner on; trust-oblivious callers still see forged results in Results.
+func (o *SearchOutcome) Genuine() int { return count(o.Results, SearchResult.Genuine) }
+
+func count[T any](xs []T, keep func(T) bool) int {
 	n := 0
-	for _, s := range o.Neighbors {
-		if s.Err != nil {
+	for _, x := range xs {
+		if keep(x) {
 			n++
 		}
 	}
 	return n
-}
-
-// Search floods a query from this node itself (super-peers are users too)
-// and collects Response messages for the given window. Local matches are
-// included.
-func (n *Node) Search(query string, window time.Duration) ([]SearchResult, error) {
-	out, err := n.SearchDetailed(query, window)
-	if out == nil {
-		return nil, err
-	}
-	return out.Results, err
-}
-
-// SearchDetailed is Search with per-neighbor delivery accounting. Dead
-// overlay links degrade the result set; they do not error the search.
-func (n *Node) SearchDetailed(query string, window time.Duration) (*SearchOutcome, error) {
-	id, err := newGUID()
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan *gnutella.QueryHit, 64)
-	var busyN atomic.Int32
-
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, errClosed
-	}
-	rt := &routeEntry{owner: -1, local: ch, busyN: &busyN, forwarded: true, at: time.Now()}
-	if n.routeLearns {
-		rt.terms = titleTerms(query)
-	}
-	n.routes[id] = rt
-	localHit := n.searchLocked(id, query)
-	peers := n.peerListLocked(nil)
-	ttl := uint8(n.opts.TTL)
-	n.mu.Unlock()
-
-	defer func() {
-		n.mu.Lock()
-		delete(n.routes, id)
-		n.mu.Unlock()
-	}()
-
-	peers = n.selectPeers(peers, query, id, int(ttl), 0)
-	outcome := &SearchOutcome{}
-	outcome.Neighbors = n.flood(&gnutella.Query{ID: id, TTL: ttl, Text: query}, peers)
-
-	if localHit != nil {
-		outcome.Results = append(outcome.Results, hitResults(localHit)...)
-	}
-	deadline := time.NewTimer(window)
-	defer deadline.Stop()
-	for {
-		select {
-		case hit := <-ch:
-			outcome.Results = append(outcome.Results, hitResults(hit)...)
-		case <-deadline.C:
-			outcome.Busy = int(busyN.Load())
-			return outcome, nil
-		case <-n.stop:
-			outcome.Busy = int(busyN.Load())
-			return outcome, errClosed
-		}
-	}
 }
 
 // SearchResult is one matching file, with the owning client's address.
@@ -231,12 +179,8 @@ type DialOptions struct {
 	// backed by a dialable owner address), refusals count against it, and
 	// failover walks the ranked list in reliability-score order instead of
 	// list order. When the best rival's score exceeds the current partner's
-	// by TrustMargin the client re-homes proactively.
+	// by 0.15 (trustMargin) the client re-homes proactively.
 	Trust bool
-	// TrustMargin is how far (in score) a rival must lead before the client
-	// re-homes to it (default 0.15; the hysteresis that prevents flapping
-	// between comparable partners).
-	TrustMargin float64
 	// TrustPriors, when non-empty, seeds the reputation book with initial
 	// reliability views aligned index-for-index with Addrs — the noisy
 	// initial views of the reliability model (values clamped to [0, 1]).
@@ -264,9 +208,6 @@ func (o *DialOptions) setDefaults() {
 	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 200 * time.Millisecond, Max: 5 * time.Second})
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
-	}
-	if o.TrustMargin <= 0 || o.TrustMargin >= 1 {
-		o.TrustMargin = 0.15
 	}
 	o.Dial = o.Dial.Metered(o.Metrics)
 	if o.OnEvent == nil {
@@ -308,6 +249,11 @@ type Client struct {
 	wg   sync.WaitGroup
 }
 
+// trustMargin is how far (in score) a rival partner must lead before a
+// trusting client re-homes to it: the hysteresis that prevents flapping
+// between comparable partners.
+const trustMargin = 0.15
+
 // trustPriorWeight is the pseudo-count weight of DialOptions.TrustPriors —
 // strong enough to steer initial partner choice, weak enough that a few
 // contradicting observations override a wrong view.
@@ -348,13 +294,9 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 		return nil, errors.New("p2p: DialOptions.Addrs is empty")
 	}
 	opts.setDefaults()
-	guid, err := newGUID()
-	if err != nil {
-		return nil, err
-	}
 	cl := &Client{
 		opts:  opts,
-		guid:  guid,
+		guid:  gnutella.NewGUID(),
 		rng:   stats.NewRNG(opts.Seed),
 		files: append([]SharedFile(nil), files...),
 		stop:  make(chan struct{}),
@@ -573,15 +515,11 @@ func (cl *Client) watchdog() {
 		broken, c := cl.broken, cl.c
 		cl.mu.Unlock()
 		if !broken {
-			id, err := newGUID()
-			if err != nil {
+			err := cl.writeMsg(c, &gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1})
+			if err == nil {
 				continue
 			}
-			if err := cl.writeMsg(c, &gnutella.Ping{ID: id, TTL: 1}); err == nil {
-				continue
-			} else {
-				cl.markBroken(c, err)
-			}
+			cl.markBroken(c, err)
 		}
 		if err := cl.failover(); err != nil && !errors.Is(err, errClientClosed) {
 			cl.opts.Logf("p2p: watchdog failover: %v", err)
@@ -666,45 +604,23 @@ func (cl *Client) Update(op gnutella.UpdateOp, f SharedFile) error {
 // stale deadline poisoning subsequent calls.
 func (cl *Client) Search(query string, window time.Duration) ([]SearchResult, error) {
 	out, err := cl.SearchDetailed(query, window)
-	if out == nil {
-		return nil, err
-	}
 	return out.Results, err
-}
-
-// ClientSearchOutcome is the detailed result of one client search: the
-// collected results plus how many Busy (load-shed) signals came back for the
-// query, so callers can distinguish "no matches" from "the network refused
-// some of the work".
-type ClientSearchOutcome struct {
-	Results []SearchResult
-	// Busy counts Busy responses received for this query's GUID: super-peers
-	// that shed the query under overload instead of answering it.
-	Busy int
-	// Genuine counts results backed by a dialable owner address — the
-	// subset a forged hit cannot fake. Under Trust this is what the partner
-	// is scored on; trust-oblivious callers still see forged results in
-	// Results.
-	Genuine int
 }
 
 // SearchDetailed is Search with overload accounting: Busy responses for the
 // query are counted instead of silently skipped. The degradation semantics
 // are identical to Search.
-func (cl *Client) SearchDetailed(query string, window time.Duration) (*ClientSearchOutcome, error) {
+func (cl *Client) SearchDetailed(query string, window time.Duration) (*SearchOutcome, error) {
+	out := &SearchOutcome{}
 	c, br, err := cl.liveConn()
 	if err != nil {
-		return nil, err
+		return out, err
 	}
-	id, err := newGUID()
-	if err != nil {
-		return nil, err
-	}
+	id := gnutella.NewGUID()
 	if err := cl.writeMsg(c, &gnutella.Query{ID: id, TTL: 1, Text: query}); err != nil {
 		cl.markBroken(c, err)
-		return nil, err
+		return out, err
 	}
-	out := &ClientSearchOutcome{}
 	deadline := time.Now().Add(window)
 	for {
 		if err := c.SetReadDeadline(deadline); err != nil {
@@ -713,11 +629,6 @@ func (cl *Client) SearchDetailed(query string, window time.Duration) (*ClientSea
 			return out, err
 		}
 		msg, err := gnutella.ReadMessage(br)
-		if err == nil {
-			if nm := cl.opts.Metrics; nm != nil {
-				gnutella.Meter(nm.Load, metrics.DirIn, msg)
-			}
-		}
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() && time.Now().After(deadline) {
 				// Window elapsed: results are complete. Restore the
@@ -733,16 +644,13 @@ func (cl *Client) SearchDetailed(query string, window time.Duration) (*ClientSea
 			cl.markBroken(c, err)
 			return out, err
 		}
+		if nm := cl.opts.Metrics; nm != nil {
+			gnutella.Meter(nm.Load, metrics.DirIn, msg)
+		}
 		switch m := msg.(type) {
 		case *gnutella.QueryHit:
 			if m.ID == id {
-				rs := hitResults(m)
-				out.Results = append(out.Results, rs...)
-				for _, r := range rs {
-					if r.Genuine() {
-						out.Genuine++
-					}
-				}
+				out.Results = append(out.Results, hitResults(m)...)
 			}
 		case *gnutella.Busy:
 			if m.ID == id {
@@ -758,8 +666,8 @@ func (cl *Client) SearchDetailed(query string, window time.Duration) (*ClientSea
 // observeSearch scores the current partner on one completed search window —
 // good iff any genuine result came back, so Busy-lying, freeloading and
 // forging all register as bad — then re-homes if a rival's reputation now
-// leads by TrustMargin. Skipped if the connection changed mid-search.
-func (cl *Client) observeSearch(c net.Conn, out *ClientSearchOutcome) {
+// leads by trustMargin. Skipped if the connection changed mid-search.
+func (cl *Client) observeSearch(c net.Conn, out *SearchOutcome) {
 	if cl.book == nil {
 		return
 	}
@@ -770,12 +678,12 @@ func (cl *Client) observeSearch(c net.Conn, out *ClientSearchOutcome) {
 	if !live {
 		return
 	}
-	cl.book.Observe(idx, out.Genuine > 0)
+	cl.book.Observe(idx, out.Genuine() > 0)
 	cl.maybeRehome()
 }
 
 // maybeRehome proactively switches to the best-reputed partner when the
-// current one's score has fallen TrustMargin behind it: the live connection
+// current one's score has fallen trustMargin behind it: the live connection
 // is retired and a failover cycle — which under Trust walks partners in
 // score order — installs the better one, re-joining so the replacement's
 // index has this client's collection. A malicious partner keeps its TCP link
@@ -796,7 +704,7 @@ func (cl *Client) maybeRehome() {
 			best, bestScore = i, s
 		}
 	}
-	if best == cur || bestScore < curScore+cl.opts.TrustMargin {
+	if best == cur || bestScore < curScore+trustMargin {
 		return
 	}
 	cl.opts.Logf("p2p: re-homing: partner %s score %.2f trails %s at %.2f",

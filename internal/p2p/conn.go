@@ -96,11 +96,11 @@ func (c *conn) send(m gnutella.Message) error {
 }
 
 // read returns the link's next message under the node's hard read limits: a
-// frame's payload may not exceed Options.MaxPayload, and once its first byte
-// has arrived the rest must arrive within Options.FrameTimeout. An idle link
-// (no bytes pending) waits without a deadline — heartbeats own idle-death
-// detection — but a half-sent frame can never hang the reader goroutine or
-// make it allocate unbounded memory.
+// frame's payload may not exceed gnutella.MaxPayloadLen, and once its first
+// byte has arrived the rest must arrive within Options.FrameTimeout. An idle
+// link (no bytes pending) waits without a deadline — heartbeats own
+// idle-death detection — but a half-sent frame can never hang the reader
+// goroutine or make it allocate unbounded memory.
 func (c *conn) read() (gnutella.Message, error) {
 	if _, err := c.br.Peek(1); err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func (c *conn) read() (gnutella.Message, error) {
 			return nil, err
 		}
 	}
-	m, err := gnutella.ReadMessageLimit(c.br, c.node.opts.MaxPayload)
+	m, err := gnutella.ReadMessage(c.br)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +153,7 @@ func (n *Node) runClient(c *conn) {
 				n.opts.Logf("p2p: query before join from %s", c.c.RemoteAddr())
 				return
 			}
-			n.enqueueQuery(c, m, false)
+			n.enqueueQuery(c, m)
 		case *gnutella.Update:
 			if c.owner < 0 {
 				n.opts.Logf("p2p: update before join from %s", c.c.RemoteAddr())
@@ -203,44 +203,6 @@ func (n *Node) dropClient(c *conn) {
 		delete(n.clients, c.owner)
 		delete(n.guids, c.owner)
 	}
-}
-
-// handleClientQuery services a client's query: answer from the local index,
-// then flood to the overlay on the client's behalf ("the super-peer will
-// then submit the query to its neighbors as if it were its own").
-func (n *Node) handleClientQuery(c *conn, q *gnutella.Query) {
-	if n.mis.busyLie() {
-		// Adversary: refuse the client's query despite having capacity.
-		n.sendBusy(c, q)
-		return
-	}
-	if n.mis.dropQuery() {
-		// Adversary: accept the query and discard it — the covert refusal a
-		// client can only observe as a result window with nothing in it.
-		return
-	}
-	n.mu.Lock()
-	if _, dup := n.routes[q.ID]; dup {
-		n.mu.Unlock()
-		return
-	}
-	rt := &routeEntry{owner: c.owner, forwarded: true, at: time.Now()}
-	if n.routeLearns {
-		rt.terms = titleTerms(q.Text)
-	}
-	n.routes[q.ID] = rt
-	hit := n.searchLocked(q.ID, q.Text)
-	peers := n.peerListLocked(nil)
-	ttl := uint8(n.opts.TTL)
-	n.mu.Unlock()
-
-	if hit != nil {
-		if err := c.send(hit); err != nil {
-			n.opts.Logf("p2p: responding to client: %v", err)
-		}
-	}
-	peers = n.selectPeers(peers, q.Text, q.ID, int(ttl), 0)
-	n.flood(&gnutella.Query{ID: q.ID, TTL: ttl, MinSpeed: q.MinSpeed, Text: q.Text}, peers)
 }
 
 // handleClientUpdate applies a single-item collection change.
@@ -302,7 +264,7 @@ func (n *Node) runPeer(c *conn) {
 		case *gnutella.Pong:
 			// Liveness already recorded by touch.
 		case *gnutella.Query:
-			n.enqueueQuery(c, m, true)
+			n.enqueueQuery(c, m)
 		case *gnutella.QueryHit:
 			n.handleQueryHit(c, m)
 		case *gnutella.Busy:
@@ -317,189 +279,6 @@ func (n *Node) runPeer(c *conn) {
 			return
 		}
 	}
-}
-
-// handlePeerQuery is the receiver side of query flooding: duplicate drop,
-// local processing, response over the arrival link, and forwarding with a
-// decremented TTL to every other neighbor.
-//
-// A node answers a query once, for the first copy, and forwards it once,
-// for the first copy with hops left to forward. Every other copy is dropped.
-// The two differ only when a copy that ends here (TTL 1) overtakes one that
-// can still travel — on a loopback fleet a co-partner's relay can beat the
-// source's own copy to a neighbor — and dropping the later copy would stop
-// the flood one hop short. Hits keep following the first copy's reverse
-// path, which leads back to the source as well. Forwarding a copy once per
-// extra hop left instead would cost a node a second fan-out whenever a
-// longer path wins a race even if the first copy already had TTL to spare.
-func (n *Node) handlePeerQuery(c *conn, q *gnutella.Query) {
-	if n.mis != nil {
-		if n.mis.forgeHit() {
-			if err := c.send(forgeQueryHit(q)); err != nil {
-				n.opts.Logf("p2p: sending forged hit: %v", err)
-			}
-		}
-		if n.mis.dropQuery() {
-			return // freeloading: accepted, then silently discarded
-		}
-	}
-	n.mu.Lock()
-	rt, dup := n.routes[q.ID]
-	if dup && (rt.forwarded || q.TTL <= 1) {
-		n.mu.Unlock()
-		return // redundant copy: received, then dropped
-	}
-	var hit *gnutella.QueryHit
-	if !dup {
-		rt = &routeEntry{via: c, owner: -1, at: time.Now()}
-		if n.routeLearns {
-			rt.terms = titleTerms(q.Text)
-		}
-		n.routes[q.ID] = rt
-		hit = n.searchLocked(q.ID, q.Text)
-	}
-	var peers []*conn
-	if q.TTL > 1 {
-		rt.forwarded = true
-		peers = n.peerListLocked(c)
-	}
-	n.mu.Unlock()
-
-	if hit != nil {
-		hit.Hops = q.Hops
-		if err := c.send(hit); err != nil {
-			n.opts.Logf("p2p: responding to peer: %v", err)
-		}
-	}
-	if len(peers) > 0 {
-		peers = n.selectPeers(peers, q.Text, q.ID, int(q.TTL)-1, int(q.Hops)+1)
-	}
-	if len(peers) > 0 {
-		n.flood(&gnutella.Query{
-			ID: q.ID, TTL: q.TTL - 1, Hops: q.Hops + 1,
-			MinSpeed: q.MinSpeed, Text: q.Text,
-		}, peers)
-	}
-}
-
-// handleQueryHit routes a Response along the reverse path: to the peer the
-// query came from, to the local client that originated it, or to a local
-// search waiter. c is the peer link the hit arrived on; when the routing
-// strategy learns from hit history that link gets the credit.
-//
-// Hits are validated before anything else happens with them. A hit whose
-// GUID matches no outstanding query is unsolicited — forged, replayed, or
-// stale — and is dropped and counted, never relayed. Under Trust, a hit
-// with no dialable responder behind any claimed result is dropped as forged
-// before the routing strategy can credit the sending link, and the link's
-// reputation is debited; a validated hit earns the link a good observation.
-func (n *Node) handleQueryHit(c *conn, h *gnutella.QueryHit) {
-	n.mu.Lock()
-	rt, ok := n.routes[h.ID]
-	var target *conn
-	var local chan *gnutella.QueryHit
-	var learnTerms []string
-	if ok {
-		if n.routeLearns && len(rt.terms) > 0 {
-			learnTerms = rt.terms
-		}
-		switch {
-		case rt.local != nil:
-			local = rt.local
-		case rt.owner >= 0:
-			target = n.clients[rt.owner]
-		default:
-			target = rt.via
-		}
-	}
-	n.mu.Unlock()
-	if !ok {
-		n.metrics.HitsUnsolicited.Inc()
-		if n.book != nil {
-			n.book.Observe(c.peerID, false)
-		}
-		return
-	}
-	if n.book != nil {
-		if hitLooksForged(h) {
-			n.metrics.HitsForged.Inc()
-			n.book.Observe(c.peerID, false)
-			return
-		}
-		n.book.Observe(c.peerID, true)
-	}
-	if learnTerms != nil {
-		n.rstate.RecordHit(c.peerID, learnTerms)
-	}
-	if local != nil {
-		select {
-		case local <- h:
-		default: // waiter gone or saturated; drop
-		}
-		return
-	}
-	if target == nil {
-		return // route expired
-	}
-	fwd := *h
-	fwd.Hops++
-	if err := target.send(&fwd); err != nil {
-		n.opts.Logf("p2p: relaying hit: %v", err)
-	}
-}
-
-// handleBusy routes an overloaded peer's load-shed signal along the reverse
-// path, like handleQueryHit, so the query's originator can account for
-// degraded coverage. For locally originated searches the count lands on the
-// route entry's busy counter. Under Trust a solicited Busy debits the
-// sending link's reliability: a refusal is a refusal whether the peer is
-// genuinely overloaded or Busy-lying, and that symmetry is exactly how
-// persistent liars lose score while an occasionally-loaded honest peer's
-// good observations dominate.
-func (n *Node) handleBusy(c *conn, b *gnutella.Busy) {
-	n.metrics.BusyReceived.Inc()
-	n.mu.Lock()
-	rt, ok := n.routes[b.ID]
-	var target *conn
-	if ok {
-		switch {
-		case rt.local != nil:
-			if rt.busyN != nil {
-				rt.busyN.Add(1)
-			}
-		case rt.owner >= 0:
-			target = n.clients[rt.owner]
-		default:
-			target = rt.via
-		}
-	}
-	n.mu.Unlock()
-	if ok && n.book != nil {
-		n.book.Observe(c.peerID, false)
-	}
-	if target == nil {
-		return // locally counted, or route expired
-	}
-	fwd := *b
-	fwd.Hops++
-	if err := target.send(&fwd); err != nil {
-		n.opts.Logf("p2p: relaying busy: %v", err)
-	}
-}
-
-// flood sends a query to the given peers (computed under lock beforehand)
-// and reports per-neighbor delivery status: a failed link degrades the
-// search instead of failing it.
-func (n *Node) flood(q *gnutella.Query, peers []*conn) []NeighborStatus {
-	out := make([]NeighborStatus, 0, len(peers))
-	for _, p := range peers {
-		err := p.send(q)
-		if err != nil {
-			n.opts.Logf("p2p: flooding to %s: %v", p.c.RemoteAddr(), err)
-		}
-		out = append(out, NeighborStatus{Addr: p.c.RemoteAddr().String(), Err: err})
-	}
-	return out
 }
 
 // peerListLocked snapshots the peer set, excluding one link.
@@ -560,16 +339,7 @@ func (n *Node) searchLocked(id gnutella.GUID, text string) *gnutella.QueryHit {
 }
 
 // titleTerms tokenizes a title or query string into lower-case terms.
-func titleTerms(s string) []string {
-	fields := strings.Fields(strings.ToLower(s))
-	out := fields[:0]
-	for _, f := range fields {
-		if f != "" {
-			out = append(out, f)
-		}
-	}
-	return out
-}
+func titleTerms(s string) []string { return strings.Fields(strings.ToLower(s)) }
 
 // splitAddr extracts IPv4 and port from a TCP address; zero values for
 // anything else.

@@ -81,14 +81,10 @@ func (n *Node) runControl(c *conn) {
 
 // makeRegister builds this node's announcement frame.
 func (n *Node) makeRegister(flags uint8) *gnutella.Register {
-	id, err := newGUID()
-	if err != nil {
-		id = gnutella.GUID{} // rand exhausted; the GUID is informational here
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return &gnutella.Register{
-		ID:        id,
+		ID:        gnutella.NewGUID(),
 		Flags:     flags,
 		Epoch:     n.ctlEpoch,
 		NodeID:    n.nodeID,

@@ -12,7 +12,6 @@
 package p2p
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"math"
@@ -40,9 +39,6 @@ type Options struct {
 	MaxClients int
 	// MaxPeers bounds the overlay outdegree (default 30).
 	MaxPeers int
-	// RouteTTL is how long reverse-path routing state is kept
-	// (default 60s).
-	RouteTTL time.Duration
 	// DialTimeout bounds connection setup: ConnectPeer's TCP dial, and the
 	// hello exchange on both the accept and the dial path (default 10s).
 	DialTimeout time.Duration
@@ -76,10 +72,6 @@ type Options struct {
 	// instead of hanging its reader goroutine forever (default 30s;
 	// negative disables).
 	FrameTimeout time.Duration
-	// MaxPayload bounds accepted frame payloads; larger length fields are
-	// rejected with gnutella.ErrPayloadTooLarge and the connection dropped
-	// (default and ceiling: gnutella.MaxPayloadLen).
-	MaxPayload uint32
 	// DrainTimeout is how long Close lets already-queued queries finish
 	// before connections are torn down (default 2s; negative disables the
 	// drain).
@@ -96,7 +88,7 @@ type Options struct {
 	// they are relayed or credited to the routing strategy, each neighbor
 	// link carries a beta-posterior reliability score (exported as
 	// spnet_peer_reputation), and overlay admission is weighted by the
-	// sending link's score — see TrustPeerShare and TrustFloor.
+	// sending link's score — see TrustPeerShare.
 	Trust bool
 	// TrustPeerShare is the fraction of QueueDepth that overlay-forwarded
 	// queries may collectively occupy when Trust is on; the share usable by
@@ -104,10 +96,6 @@ type Options struct {
 	// client-side remainder this reserves queue slots between overlay and
 	// local-client traffic (default 0.5).
 	TrustPeerShare float64
-	// TrustFloor is the minimum admission weight a fully distrusted link
-	// keeps, so a misjudged peer can still earn its reputation back
-	// (default 0.1).
-	TrustFloor float64
 	// Content, when set, makes this node a transfer source: the store's
 	// catalog is indexed beside client collections (queries hit it and the
 	// QueryHit carries this node's own listen address as the dialable
@@ -135,6 +123,14 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// routeTTL is how long reverse-path routing state is kept.
+	routeTTL = 60 * time.Second
+	// trustFloor is the minimum admission weight a fully distrusted link
+	// keeps, so a misjudged peer can still earn its reputation back.
+	trustFloor = 0.1
+)
+
 func (o *Options) setDefaults() {
 	if o.TTL <= 0 {
 		o.TTL = 7
@@ -144,9 +140,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.MaxPeers <= 0 {
 		o.MaxPeers = 30
-	}
-	if o.RouteTTL <= 0 {
-		o.RouteTTL = 60 * time.Second
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
@@ -178,9 +171,6 @@ func (o *Options) setDefaults() {
 	if o.FrameTimeout == 0 {
 		o.FrameTimeout = 30 * time.Second
 	}
-	if o.MaxPayload == 0 || o.MaxPayload > gnutella.MaxPayloadLen {
-		o.MaxPayload = gnutella.MaxPayloadLen
-	}
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 2 * time.Second
 	}
@@ -192,33 +182,12 @@ func (o *Options) setDefaults() {
 	if o.TrustPeerShare <= 0 || o.TrustPeerShare > 1 {
 		o.TrustPeerShare = 0.5
 	}
-	if o.TrustFloor <= 0 || o.TrustFloor >= 1 {
-		o.TrustFloor = 0.1
-	}
 	if o.Wrap == nil {
 		o.Wrap = func(c net.Conn) net.Conn { return c }
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
-}
-
-// routeEntry remembers where a query GUID arrived from, for duplicate
-// detection and reverse-path response routing.
-type routeEntry struct {
-	via   *conn // nil for locally originated or client-originated queries
-	owner int   // client owner id when a local client originated it, else -1
-	local chan *gnutella.QueryHit
-	// busyN, when set on a locally originated search, counts Busy
-	// (load-shed) signals routed back for the query.
-	busyN *atomic.Int32
-	// terms caches the query's keywords when the routing strategy learns
-	// from hit history, so responses can credit the neighbor they came via.
-	terms []string
-	// forwarded is set once a copy has been forwarded (or originated) here;
-	// until then a later copy with hops left is forwarded instead of dropped.
-	forwarded bool
-	at        time.Time
 }
 
 // Node is one super-peer.
@@ -293,11 +262,11 @@ type Node struct {
 	stop chan struct{}
 }
 
-// queryTask is one query waiting for a dispatch worker.
+// queryTask is one query waiting for a dispatch worker; the link's role
+// says whether it is a client's query or a peer's copy.
 type queryTask struct {
-	c        *conn
-	q        *gnutella.Query
-	fromPeer bool
+	c *conn
+	q *gnutella.Query
 }
 
 // NewNode creates a node; call Listen to start serving.
@@ -635,11 +604,7 @@ func (n *Node) heartbeatLoop() {
 					p.c.Close()
 					continue
 				}
-				id, err := newGUID()
-				if err != nil {
-					continue
-				}
-				if err := p.send(&gnutella.Ping{ID: id, TTL: 1}); err != nil {
+				if err := p.send(&gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1}); err != nil {
 					n.opts.Logf("p2p: heartbeat to %s: %v", p.c.RemoteAddr(), err)
 					p.c.Close()
 				}
@@ -653,12 +618,13 @@ func (n *Node) heartbeatLoop() {
 // connection inflight cap, then the node-wide queue bound. Every refusal is
 // an explicit, counted Busy response to the sender — never a silent drop —
 // and admission never blocks the connection's read loop.
-func (n *Node) enqueueQuery(c *conn, q *gnutella.Query, fromPeer bool) {
+func (n *Node) enqueueQuery(c *conn, q *gnutella.Query) {
+	peer := c.role == rolePeer
 	src := metrics.SourceClient
-	if fromPeer {
+	if peer {
 		src = metrics.SourcePeer
 	}
-	if !fromPeer && n.opts.ClientQueryRate > 0 &&
+	if !peer && n.opts.ClientQueryRate > 0 &&
 		!c.bucket.take(time.Now(), n.opts.ClientQueryRate, n.opts.ClientQueryBurst) {
 		n.metrics.Shed[metrics.ShedRateLimit][src].Inc()
 		n.sendBusy(c, q)
@@ -669,17 +635,14 @@ func (n *Node) enqueueQuery(c *conn, q *gnutella.Query, fromPeer bool) {
 		n.sendBusy(c, q)
 		return
 	}
-	if fromPeer && n.book != nil {
+	if peer && n.book != nil {
 		// Trust-aware admission: overlay queries may collectively occupy at
 		// most a TrustPeerShare slice of the queue — the rest stays reserved
 		// for local clients — and a link's usable slice scales with its
 		// reliability score, so a distrusted neighbor can flood us out of at
-		// most TrustFloor of the overlay share.
-		w := n.book.Weight(c.peerID, n.opts.TrustFloor)
-		limit := int(w * n.opts.TrustPeerShare * float64(n.opts.QueueDepth))
-		if limit < 1 {
-			limit = 1
-		}
+		// most trustFloor of the overlay share.
+		w := n.book.Weight(c.peerID, trustFloor)
+		limit := max(1, int(w*n.opts.TrustPeerShare*float64(n.opts.QueueDepth)))
 		if int(n.peerQueued.Load()) >= limit {
 			n.metrics.Shed[metrics.ShedAdmission][src].Inc()
 			n.sendBusy(c, q)
@@ -687,32 +650,32 @@ func (n *Node) enqueueQuery(c *conn, q *gnutella.Query, fromPeer bool) {
 		}
 	}
 	c.inflight.Add(1)
-	if fromPeer {
+	if peer {
 		n.peerQueued.Add(1)
 	}
 	select {
-	case n.queue <- queryTask{c: c, q: q, fromPeer: fromPeer}:
+	case n.queue <- queryTask{c: c, q: q}:
 	case <-n.stop:
-		c.inflight.Add(-1) // shutting down; the connection dies with us
-		if fromPeer {
-			n.peerQueued.Add(-1)
-		}
+		n.release(c) // shutting down; the connection dies with us
 	default:
-		c.inflight.Add(-1)
-		if fromPeer {
-			n.peerQueued.Add(-1)
-		}
+		n.release(c)
 		n.metrics.Shed[metrics.ShedQueue][src].Inc()
 		n.sendBusy(c, q)
 	}
 }
 
-// sendBusy answers a shed query. Best effort: if the link is already dead the
-// sender will learn from the connection error instead.
-func (n *Node) sendBusy(c *conn, q *gnutella.Query) {
-	if err := c.send(&gnutella.Busy{ID: q.ID, TTL: 1, Hops: q.Hops}); err != nil {
-		n.opts.Logf("p2p: busy to %s: %v", c.c.RemoteAddr(), err)
+// release gives back the admission slots a query held: its link's inflight
+// count and, for a peer's copy, its share of the overlay's queue slice.
+func (n *Node) release(c *conn) {
+	c.inflight.Add(-1)
+	if c.role == rolePeer {
+		n.peerQueued.Add(-1)
 	}
+}
+
+// sendBusy answers a shed query over its arrival link.
+func (n *Node) sendBusy(c *conn, q *gnutella.Query) {
+	c.reply(&gnutella.Busy{ID: q.ID, TTL: 1, Hops: q.Hops}, false)
 }
 
 // queryWorker drains the dispatch queue. On shutdown it keeps draining until
@@ -739,13 +702,10 @@ func (n *Node) queryWorker() {
 
 // dispatch executes one admitted query.
 func (n *Node) dispatch(t queryTask) {
-	defer t.c.inflight.Add(-1)
-	if t.fromPeer {
-		defer n.peerQueued.Add(-1)
-	}
+	defer n.release(t.c)
 	start := time.Now()
-	if t.fromPeer {
-		n.handlePeerQuery(t.c, t.q)
+	if t.c.role == rolePeer {
+		n.relay(t.c, t.q)
 	} else {
 		n.handleClientQuery(t.c, t.q)
 	}
@@ -753,35 +713,27 @@ func (n *Node) dispatch(t queryTask) {
 	n.metrics.QueriesHandled.Inc()
 }
 
-// pruneLoop expires stale reverse-path routes.
+// pruneLoop expires stale reverse-path routes. A search of the node's own
+// keeps its route until its window closes, and then deletes it itself.
 func (n *Node) pruneLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(n.opts.RouteTTL / 2)
+	t := time.NewTicker(routeTTL / 2)
 	defer t.Stop()
 	for {
 		select {
 		case <-n.stop:
 			return
 		case now := <-t.C:
-			cutoff := now.Add(-n.opts.RouteTTL)
+			cutoff := now.Add(-routeTTL)
 			n.mu.Lock()
 			for id, rt := range n.routes {
-				if rt.at.Before(cutoff) && rt.local == nil {
+				if _, own := rt.back.(*ownSearch); rt.at.Before(cutoff) && !own {
 					delete(n.routes, id)
 				}
 			}
 			n.mu.Unlock()
 		}
 	}
-}
-
-// newGUID returns a random descriptor id.
-func newGUID() (gnutella.GUID, error) {
-	var g gnutella.GUID
-	if _, err := rand.Read(g[:]); err != nil {
-		return g, err
-	}
-	return g, nil
 }
 
 // errClosed reports operations on a closed node.

@@ -11,28 +11,28 @@ import (
 )
 
 // selectPeers runs the node's routing strategy over a snapshot of peer links
-// (taken under n.mu by the caller) and returns the links one query copy
-// should go to. hops is the query's overlay distance at the forwarding
+// (taken under n.mu by the caller) and returns the links the query copy q
+// should go to. q's Hops is the query's overlay distance at the forwarding
 // decision: 0 when this node sources the query, >= 1 when relaying. Called
 // outside n.mu — strategy state locks internally. The snapshot is sorted by
 // peer id so candidate order (and any seeded randomness over it) is stable.
-func (n *Node) selectPeers(peers []*conn, text string, id gnutella.GUID, ttl, hops int) []*conn {
+func (n *Node) selectPeers(peers []*conn, q *gnutella.Query) []*conn {
 	if len(peers) == 0 {
 		return peers
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i].peerID < peers[j].peerID })
-	terms := titleTerms(text)
+	terms := titleTerms(q.Text)
 	cands := make([]routing.Candidate, len(peers))
 	for i, p := range peers {
 		cands[i] = routing.Candidate{ID: p.peerID}
 	}
-	q := routing.Query{
-		ID:    binary.LittleEndian.Uint64(id[:8]),
+	rq := routing.Query{
+		ID:    binary.LittleEndian.Uint64(q.ID[:8]),
 		Terms: terms,
-		TTL:   ttl,
-		Hops:  hops,
+		TTL:   int(q.TTL),
+		Hops:  int(q.Hops),
 	}
-	sel := n.route.Select(nil, q, cands, n.rstate)
+	sel := n.route.Select(nil, rq, cands, n.rstate)
 	out := make([]*conn, 0, len(sel))
 	for _, i := range sel {
 		p := peers[i]
@@ -93,11 +93,7 @@ func (n *Node) summariesChanged() {
 		sends = append(sends, advert{p: p, terms: terms})
 	}
 	for _, a := range sends {
-		id, err := newGUID()
-		if err != nil {
-			continue
-		}
-		if err := a.p.send(&gnutella.Summary{ID: id, TTL: 1, Terms: a.terms}); err != nil {
+		if err := a.p.send(&gnutella.Summary{ID: gnutella.NewGUID(), TTL: 1, Terms: a.terms}); err != nil {
 			n.opts.Logf("p2p: summary to %s: %v", a.p.c.RemoteAddr(), err)
 		}
 	}

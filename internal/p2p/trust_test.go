@@ -30,11 +30,7 @@ func TestUnsolicitedHitDropped(t *testing.T) {
 	n := startNode(t, Options{})
 	c := dialRawPeer(t, n.Addr())
 
-	id, err := newGUID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hit := &gnutella.QueryHit{ID: id, TTL: 1}
+	hit := &gnutella.QueryHit{ID: gnutella.NewGUID(), TTL: 1}
 	hit.Responders = append(hit.Responders, gnutella.ResponderRecord{ResultCount: 1})
 	hit.Results = append(hit.Results, gnutella.ResultRecord{Title: "junk"})
 	if err := gnutella.WriteMessage(c, hit); err != nil {
@@ -69,8 +65,8 @@ func TestForgedHitValidation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("SearchDetailed: %v", err)
 			}
-			if out.Genuine != 0 {
-				t.Fatalf("Genuine = %d, want 0 (no real matches exist)", out.Genuine)
+			if out.Genuine() != 0 {
+				t.Fatalf("Genuine = %d, want 0 (no real matches exist)", out.Genuine())
 			}
 			st := honest.Stats()
 			if trustOn {
@@ -105,7 +101,7 @@ func TestForgedHitValidation(t *testing.T) {
 }
 
 // TestTrustAdmissionShare: a distrusted overlay link's usable queue share
-// collapses toward TrustFloor, so its queries shed with the admission
+// collapses toward trustFloor, so its queries shed with the admission
 // reason while a reputable link's pass.
 func TestTrustAdmissionShare(t *testing.T) {
 	n := startNode(t, Options{Trust: true, QueueDepth: 8})
@@ -126,13 +122,13 @@ func TestTrustAdmissionShare(t *testing.T) {
 	}
 
 	q := &gnutella.Query{TTL: 2, Text: "anything"}
-	if q.ID, _ = newGUID(); q.ID == (gnutella.GUID{}) {
+	if q.ID = gnutella.NewGUID(); q.ID == (gnutella.GUID{}) {
 		t.Fatal("guid")
 	}
 
 	// Reputable link, empty queue: admission passes.
 	n.book.SetPrior(link.peerID, 1, 100)
-	n.enqueueQuery(link, q, true)
+	n.enqueueQuery(link, q)
 	if got := n.metrics.Shed[metrics.ShedAdmission][metrics.SourcePeer].Value(); got != 0 {
 		t.Fatalf("reputable link shed %d by admission, want 0", got)
 	}
@@ -143,8 +139,8 @@ func TestTrustAdmissionShare(t *testing.T) {
 	n.peerQueued.Store(1)
 	defer n.peerQueued.Store(0)
 	q2 := *q
-	q2.ID, _ = newGUID()
-	n.enqueueQuery(link, &q2, true)
+	q2.ID = gnutella.NewGUID()
+	n.enqueueQuery(link, &q2)
 	if got := n.metrics.Shed[metrics.ShedAdmission][metrics.SourcePeer].Value(); got != 1 {
 		t.Fatalf("distrusted link shed %d by admission, want 1", got)
 	}
@@ -180,7 +176,7 @@ func TestClientTrustRehoming(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SearchDetailed: %v", err)
 		}
-		return out.Genuine
+		return out.Genuine()
 	}
 
 	// Trust-oblivious baseline: homed on the liar, every search refused.

@@ -28,10 +28,6 @@ type Options struct {
 	// Window is the per-source outstanding-chunk window: how many pipelined
 	// ChunkRequests a source may have unanswered. Default 4.
 	Window int
-	// ChunkRetries bounds how many times one chunk may be re-queued (after
-	// timeouts, nacks, forgeries or source death) before the download fails.
-	// Default 8.
-	ChunkRetries int
 	// Redials bounds reconnection attempts per source. Default 2.
 	Redials int
 
@@ -50,10 +46,9 @@ type Options struct {
 	// Trust receives one observation per verified chunk (good) and per
 	// hash-mismatched chunk (bad), keyed by source index in the sources
 	// slice. When nil a private book is used; either way a source whose
-	// posterior falls below DropScore is abandoned and its chunks re-fetched
-	// from the remaining sources.
-	Trust     *trust.Book
-	DropScore float64 // default 0.2
+	// posterior falls below 0.2 (dropScore) is abandoned and its chunks
+	// re-fetched from the remaining sources.
+	Trust *trust.Book
 
 	// Metrics, when set, meters the client side: ClassTransfer frames on the
 	// load meter, raw socket bytes (hello exchange included), verified
@@ -68,12 +63,17 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// chunkRetries bounds how many times one chunk may be re-queued (after
+	// timeouts, nacks, forgeries or source death) before the download fails.
+	chunkRetries = 8
+	// dropScore is the trust posterior below which a source is abandoned.
+	dropScore = 0.2
+)
+
 func (o *Options) setDefaults() {
 	if o.Window <= 0 {
 		o.Window = 4
-	}
-	if o.ChunkRetries <= 0 {
-		o.ChunkRetries = 8
 	}
 	if o.Redials <= 0 {
 		o.Redials = 2
@@ -89,9 +89,6 @@ func (o *Options) setDefaults() {
 	}
 	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 50 * time.Millisecond, Max: 2 * time.Second})
 	o.Dial = o.Dial.Metered(o.Metrics)
-	if o.DropScore <= 0 {
-		o.DropScore = 0.2
-	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -410,7 +407,7 @@ func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
 	outstanding := make(map[uint32]bool)
 	requeueAll := func() {
 		for c := range outstanding {
-			d.requeue(idx, c, true)
+			d.requeue(idx, c, false)
 			delete(outstanding, c)
 		}
 	}
@@ -423,7 +420,7 @@ func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
 			req := &gnutella.ChunkRequest{FileIndex: src.FileIndex, Chunk: c}
 			conn.SetWriteDeadline(time.Now().Add(d.opts.WriteTimeout))
 			if err := d.write(conn, req); err != nil {
-				d.requeue(idx, c, true)
+				d.requeue(idx, c, false)
 				requeueAll()
 				return err
 			}
@@ -453,21 +450,16 @@ func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
 				continue // stale duplicate; not ours anymore
 			}
 			delete(outstanding, m.Chunk)
-			ok, err := d.deliver(idx, m)
-			if err != nil {
+			if err := d.deliver(idx, m); err != nil {
 				requeueAll()
 				return err
 			}
-			_ = ok
 		case *gnutella.ChunkNack:
 			if !outstanding[m.Chunk] {
 				continue
 			}
 			delete(outstanding, m.Chunk)
-			if m.Code == gnutella.NackNotFound || m.Code == gnutella.NackBadRequest {
-				d.ban(idx, m.Chunk)
-			}
-			d.requeue(idx, m.Chunk, true)
+			d.requeue(idx, m.Chunk, m.Code == gnutella.NackNotFound || m.Code == gnutella.NackBadRequest)
 		default:
 			d.opts.Logf("transfer: unexpected %T from %s", msg, src.Addr)
 		}
@@ -494,10 +486,9 @@ func (d *download) bannedLocked(chunk, idx int) bool {
 	return d.banned[chunk] != nil && d.banned[chunk][idx]
 }
 
-// requeue releases a claimed chunk back to the pool, counting a retry when
-// counted is true. Blowing the per-chunk retry budget is fatal: it means no
-// source can produce this chunk.
-func (d *download) requeue(idx int, chunk uint32, counted bool) {
+// requeue releases a claimed chunk back to the pool and counts a retry; with
+// ban set (nacked), idx may not serve the chunk again.
+func (d *download) requeue(idx int, chunk uint32, ban bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := int(chunk)
@@ -505,28 +496,31 @@ func (d *download) requeue(idx int, chunk uint32, counted bool) {
 		return
 	}
 	d.claimed[c] = -1
-	if !counted || d.have[c] {
+	if ban {
+		d.banLocked(idx, c)
+	}
+	if d.have[c] {
 		return
 	}
+	d.srcStats[idx].Retried++
+	d.retryLocked(c)
+}
+
+// retryLocked counts one more failed fetch of chunk c. Blowing the per-chunk
+// retry budget is fatal: it means no source can produce this chunk.
+func (d *download) retryLocked(c int) {
 	d.retries[c]++
 	d.retried++
-	d.srcStats[idx].Retried++
 	if nm := d.opts.Metrics; nm != nil {
 		nm.ChunksRetried.Inc()
 	}
-	if d.retries[c] > d.opts.ChunkRetries && d.fatal == nil {
+	if d.retries[c] > chunkRetries && d.fatal == nil {
 		d.fatal = fmt.Errorf("transfer: chunk %d failed %d times", c, d.retries[c])
 	}
 }
 
-// ban forbids idx from serving chunk again (nacked or forged).
-func (d *download) ban(idx int, chunk uint32) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := int(chunk)
-	if c >= len(d.banned) {
-		return
-	}
+// banLocked forbids idx from serving chunk c again (nacked or forged).
+func (d *download) banLocked(idx, c int) {
 	if d.banned[c] == nil {
 		d.banned[c] = make(map[int]bool)
 	}
@@ -536,16 +530,16 @@ func (d *download) ban(idx int, chunk uint32) {
 // deliver verifies one arrived chunk against the manifest. A hash mismatch
 // is a forged chunk: debit the source's trust, ban it from the chunk, and
 // requeue; a collapsed posterior retires the source entirely.
-func (d *download) deliver(idx int, m *gnutella.ChunkData) (bool, error) {
+func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	c := int(m.Chunk)
 	if c >= len(d.have) || d.claimed[c] != idx {
-		return false, nil
+		return nil
 	}
 	d.claimed[c] = -1
 	if d.have[c] {
-		return true, nil
+		return nil
 	}
 	want := d.man.Hashes[c]
 	if len(m.Data) != d.man.ChunkLen(c) || sha256.Sum256(m.Data) != want {
@@ -555,22 +549,12 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) (bool, error) {
 		if nm := d.opts.Metrics; nm != nil {
 			nm.ChunksForged.Inc()
 		}
-		if d.banned[c] == nil {
-			d.banned[c] = make(map[int]bool)
+		d.banLocked(idx, c)
+		d.retryLocked(c)
+		if d.book.Score(idx) < dropScore {
+			return errSourceUntrusted
 		}
-		d.banned[c][idx] = true
-		d.retries[c]++
-		d.retried++
-		if nm := d.opts.Metrics; nm != nil {
-			nm.ChunksRetried.Inc()
-		}
-		if d.retries[c] > d.opts.ChunkRetries && d.fatal == nil {
-			d.fatal = fmt.Errorf("transfer: chunk %d failed %d times", c, d.retries[c])
-		}
-		if d.book.Score(idx) < d.opts.DropScore {
-			return false, errSourceUntrusted
-		}
-		return false, nil
+		return nil
 	}
 	copy(d.data[int64(c)*int64(d.man.ChunkSize):], m.Data)
 	d.have[c] = true
@@ -581,7 +565,7 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) (bool, error) {
 	if nm := d.opts.Metrics; nm != nil {
 		nm.TransferBytes[metrics.DirIn].Add(int64(len(m.Data)))
 	}
-	return true, nil
+	return nil
 }
 
 // finished reports whether workers should stop: done or fatally stuck.

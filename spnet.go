@@ -285,16 +285,15 @@ func NewReportCSVStream(id, dir string) (*ReportCSVStream, error) {
 // queries over its overlay links with a TTL, and routes Response messages
 // back along the reverse path — the system the paper models, live.
 type (
-	Node                = p2p.Node
-	NodeOptions         = p2p.Options
-	MisbehaveOptions    = p2p.MisbehaveOptions
-	NodeStats           = p2p.Stats
-	NodeClient          = p2p.Client
-	SharedFile          = p2p.SharedFile
-	SearchResult        = p2p.SearchResult
-	SearchOutcome       = p2p.SearchOutcome
-	ClientSearchOutcome = p2p.ClientSearchOutcome
-	NeighborStatus      = p2p.NeighborStatus
+	Node             = p2p.Node
+	NodeOptions      = p2p.Options
+	MisbehaveOptions = p2p.MisbehaveOptions
+	NodeStats        = p2p.Stats
+	NodeClient       = p2p.Client
+	SharedFile       = p2p.SharedFile
+	SearchResult     = p2p.SearchResult
+	SearchOutcome    = p2p.SearchOutcome
+	NeighborStatus   = p2p.NeighborStatus
 )
 
 // Content transfer plane: QueryHits name who has a file; the transfer plane
