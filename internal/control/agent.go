@@ -1,9 +1,7 @@
 package control
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -22,7 +20,7 @@ type agent struct {
 	rng  *stats.RNG // backoff jitter, drawn under mu
 
 	mu   sync.Mutex
-	conn net.Conn // nil while the link is down
+	conn *link.Conn // nil while the link is down
 	// pending routes DirectiveAcks to waiting push calls, keyed by epoch.
 	pending map[uint64]chan *gnutella.DirectiveAck
 	// registers counts Register frames since the decision loop last looked —
@@ -45,6 +43,9 @@ func newAgent(c *Controller, cfg NodeConfig, rng *stats.RNG) *agent {
 // run is the agent's connection-supervision loop.
 func (a *agent) run() {
 	defer a.ctrl.wg.Done()
+	// A frame that has started must finish within one RPC timeout, so a node
+	// stalled mid-frame takes its link down; payloads are capped at 64 KiB.
+	framing := link.Framing{Bound: a.ctrl.opts.RPCTimeout, MaxPayload: 1 << 16}
 	attempt := 0
 	for {
 		select {
@@ -52,7 +53,7 @@ func (a *agent) run() {
 			return
 		default:
 		}
-		conn, br, err := a.ctrl.opts.Dial.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout)
+		conn, err := a.ctrl.opts.Dial.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout, framing)
 		if err != nil {
 			attempt++
 			select {
@@ -64,7 +65,7 @@ func (a *agent) run() {
 		}
 		attempt = 0
 		a.setConn(conn)
-		a.readLoop(br)
+		a.readLoop(conn)
 		a.setConn(nil)
 		conn.Close()
 		// Brief seeded pause before redialing, so a dead node is probed at
@@ -86,7 +87,7 @@ func (a *agent) backoff(attempt int) time.Duration {
 }
 
 // setConn publishes or clears the live link.
-func (a *agent) setConn(c net.Conn) {
+func (a *agent) setConn(c *link.Conn) {
 	a.mu.Lock()
 	a.conn = c
 	a.up = c != nil
@@ -106,11 +107,10 @@ func (a *agent) linkUp() bool {
 	return a.up
 }
 
-// readLoop pumps the link's inbound frames, read through the handshake's
-// reader, until it errors.
-func (a *agent) readLoop(br *bufio.Reader) {
+// readLoop pumps the link's inbound frames until it errors.
+func (a *agent) readLoop(c *link.Conn) {
 	for {
-		m, err := gnutella.ReadMessageLimit(br, 1<<16)
+		m, err := c.Recv(time.Time{})
 		if err != nil {
 			return
 		}
@@ -208,8 +208,7 @@ func (a *agent) pushOnce(d *gnutella.Directive) (*gnutella.DirectiveAck, error) 
 		a.mu.Unlock()
 	}()
 
-	conn.SetWriteDeadline(time.Now().Add(a.ctrl.opts.RPCTimeout))
-	if err := gnutella.WriteMessage(conn, d); err != nil {
+	if err := conn.Send(d, a.ctrl.opts.RPCTimeout); err != nil {
 		conn.Close() // poison the link; run() redials
 		return nil, err
 	}

@@ -345,6 +345,7 @@ func (f *fakeTelemetry) setStep(step float64) {
 }
 
 func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
+	t.Parallel()
 	n := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
 	tel := newFakeTelemetry(t, 1e7) // ~2 Gbit/s measured at a 40ms scrape
 	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: n.Addr(), Telemetry: tel.addr}})
@@ -371,6 +372,52 @@ func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
 		_, ttl, maxClients := n.ControlState()
 		return maxClients == 10 && ttl == 7
 	})
+}
+
+// TestControllerStalledFrameDropsLink: a node that sends part of a frame and
+// goes silent takes its control link down within the frame bound
+// (RPCTimeout), so decideDeaths, which needs the link down, can see it.
+func TestControllerStalledFrameDropsLink(t *testing.T) {
+	t.Parallel() // mostly one idle RPCTimeout: overlap it with other waits
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	stalled, quit := make(chan struct{}), make(chan struct{})
+	defer close(quit)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		_, lc, err := link.ReadHello(c, time.Second, link.Framing{})
+		if err != nil || lc.Reply(true) != nil {
+			return
+		}
+		// 10 bytes of a 23-byte descriptor header, then silence with the
+		// socket held open.
+		if _, err := c.Write(make([]byte, 10)); err == nil {
+			close(stalled)
+		}
+		<-quit
+	}()
+
+	c := New(testOptions([]NodeConfig{{ID: "sp-0-0", Addr: ln.Addr().String()}}))
+	c.Start()
+	defer c.Close()
+	select {
+	case <-stalled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("controller never opened its control link")
+	}
+	for deadline := time.Now().Add(2 * time.Second); !hasEvent(c, EvLinkDown, "sp-0-0"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("control link still up 2s after a stalled frame; status %+v", c.Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 func TestPredictedLoad(t *testing.T) {

@@ -1,9 +1,10 @@
-// Package link owns connection setup for every plane that shares a node's
-// listener. A node serves clients, peers, fleet controllers and downloaders on
-// one port; the first line a dialer sends names its plane, and the acceptor
-// answers OK or BUSY. This package declares those lines once, bounds how many
-// bytes either side may spend on them, and holds the one Dialer and the one
-// redial Backoff that p2p, control and transfer share.
+// Package link owns every connection a node's listener serves, from the
+// hello to the last frame. A node serves clients, peers, fleet controllers and
+// downloaders on one port; the first line a dialer sends names its plane, and
+// the acceptor answers OK or BUSY. This package declares those lines once,
+// bounds how many bytes either side may spend on them, holds the one Dialer
+// and the one redial Backoff that p2p, control and transfer share, and hands
+// each side one Conn whose Send and Recv are the planes' only frame I/O.
 package link
 
 import (
@@ -13,8 +14,10 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
+	"spnet/internal/gnutella"
 	"spnet/internal/metrics"
 	"spnet/internal/stats"
 )
@@ -38,6 +41,10 @@ const maxLine = 64
 var (
 	// ErrBusy is a BUSY reply: the role is full, so callers redial on Backoff.
 	ErrBusy = errors.New("link: busy")
+	// ErrIdle is Recv's error when its deadline passes before a frame
+	// starts. The Conn is intact and its deadline cleared; every other Recv
+	// error means the Conn must be retired.
+	ErrIdle = errors.New("link: no frame before the deadline")
 	// errLineTooLong reports a hello or reply line longer than maxLine.
 	errLineTooLong = errors.New("link: hello line too long")
 )
@@ -71,32 +78,127 @@ func (d Dialer) Metered(nm *metrics.NodeMetrics) Dialer {
 	}
 }
 
+// Framing is what a plane sets once for every Conn it makes.
+type Framing struct {
+	// Bound is how long a frame may take to finish arriving once its first
+	// byte is in, for a Recv with no deadline of its own (0: unbounded).
+	Bound time.Duration
+	// MaxPayload caps a frame's payload (0: gnutella.MaxPayloadLen).
+	MaxPayload uint32
+	// Meter, when set, is charged every frame sent and received.
+	Meter func(metrics.Dir, gnutella.Message)
+}
+
+// LoadMeter is a Framing.Meter charging every frame to nm's Table 2 load
+// meter; nil for a nil nm.
+func LoadMeter(nm *metrics.NodeMetrics) func(metrics.Dir, gnutella.Message) {
+	if nm == nil {
+		return nil
+	}
+	return func(d metrics.Dir, m gnutella.Message) { gnutella.Meter(nm.Load, d, m) }
+}
+
+// Conn is one set-up connection of any plane. It is a net.Conn whose reads
+// go through the reader that read the hello or reply, so bytes that arrived
+// right behind it are never lost. Send and Recv are the only frame I/O, the
+// only deadlines and the only metering a plane needs after setup.
+type Conn struct {
+	net.Conn
+	br  *bufio.Reader
+	wmu sync.Mutex
+	f   Framing
+}
+
+// Read reads through the handshake reader.
+func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
+
+// Send writes one frame within the given time, serialized against the
+// Conn's other senders, and meters it once written. Each Send sets its own
+// write deadline, so a stale one never outlives the next.
+func (c *Conn) Send(m gnutella.Message, within time.Duration) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.Conn.SetWriteDeadline(time.Now().Add(within)); err != nil {
+		return err
+	}
+	if err := gnutella.WriteMessage(c.Conn, m); err != nil {
+		return err
+	}
+	if c.f.Meter != nil {
+		c.f.Meter(metrics.DirOut, m)
+	}
+	return nil
+}
+
+// Recv reads and meters the next frame. With a zero deadline the wait for
+// the frame's first byte is unbounded, and once it is in the rest must
+// arrive within Framing.Bound. With a non-zero deadline the whole read must
+// finish by it, and a deadline that passes before the frame starts returns
+// ErrIdle. Every return leaves the socket with no read deadline, or is an
+// error other than ErrIdle, after which the Conn must be retired: a frame
+// cut off part way leaves the stream out of step.
+func (c *Conn) Recv(deadline time.Time) (gnutella.Message, error) {
+	if !deadline.IsZero() {
+		if err := c.Conn.SetReadDeadline(deadline); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := c.br.Peek(1); err != nil {
+		var ne net.Error
+		if deadline.IsZero() || !errors.As(err, &ne) || !ne.Timeout() {
+			return nil, err
+		}
+		// No byte of a frame was taken: the Conn is whole once the deadline
+		// is gone.
+		if err := c.Conn.SetReadDeadline(time.Time{}); err != nil {
+			return nil, err
+		}
+		return nil, ErrIdle
+	}
+	if deadline.IsZero() && c.f.Bound > 0 {
+		deadline = time.Now().Add(c.f.Bound)
+		if err := c.Conn.SetReadDeadline(deadline); err != nil {
+			return nil, err
+		}
+	}
+	m, err := gnutella.ReadMessageLimit(c.br, c.f.MaxPayload)
+	if err == nil && !deadline.IsZero() {
+		err = c.Conn.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		return nil, err
+	}
+	if c.f.Meter != nil {
+		c.f.Meter(metrics.DirIn, m)
+	}
+	return m, nil
+}
+
 // Open dials addr over TCP, sends hello and reads the acceptor's reply.
 // timeout bounds the dial and, separately, the exchange. On success the
-// connection's deadlines are clear and the returned reader holds any bytes
-// that arrived right behind the reply, so every later read must go through
-// it. A BUSY reply returns an error wrapping ErrBusy.
-func (d Dialer) Open(addr, hello string, timeout time.Duration) (net.Conn, *bufio.Reader, error) {
+// Conn's deadlines are clear and its frames follow f. A BUSY reply returns
+// an error wrapping ErrBusy.
+func (d Dialer) Open(addr, hello string, timeout time.Duration, f Framing) (*Conn, error) {
 	c, err := d.Dial("tcp", addr, timeout)
 	if err == nil {
-		var br *bufio.Reader
-		if br, err = exchange(c, hello, timeout); err == nil {
-			return c, br, nil
+		var lc *Conn
+		if lc, err = exchange(c, hello, timeout, f); err == nil {
+			return lc, nil
 		}
 		c.Close()
 	}
-	return nil, nil, fmt.Errorf("link: %s: %w", addr, err)
+	return nil, fmt.Errorf("link: %s: %w", addr, err)
 }
 
-func exchange(c net.Conn, hello string, timeout time.Duration) (*bufio.Reader, error) {
+func exchange(c net.Conn, hello string, timeout time.Duration, f Framing) (*Conn, error) {
 	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
 	if _, err := io.WriteString(c, hello+"\n"); err != nil {
 		return nil, err
 	}
-	br := bufio.NewReader(c)
-	reply, err := readLine(br)
+	lc := &Conn{Conn: c, br: bufio.NewReader(c), f: f}
+	reply, err := readLine(lc.br)
 	if err != nil {
 		return nil, err
 	}
@@ -107,33 +209,36 @@ func exchange(c net.Conn, hello string, timeout time.Duration) (*bufio.Reader, e
 	default:
 		return nil, fmt.Errorf("link: unexpected reply %q to %q", reply, hello)
 	}
-	return br, c.SetDeadline(time.Time{})
+	return lc, c.SetDeadline(time.Time{})
 }
 
 // ReadHello is the acceptor's side of Open: it reads the dialer's hello
-// within timeout. The deadline stays set so the Reply that follows is bounded
-// by the same setup timeout; Reply clears it. The returned reader holds any
-// bytes the dialer sent after its hello.
-func ReadHello(c net.Conn, timeout time.Duration) (string, *bufio.Reader, error) {
+// within timeout and returns the Conn, whose frames follow f. The deadline
+// stays set so the Reply that follows is bounded by the same setup timeout;
+// Reply clears it.
+func ReadHello(c net.Conn, timeout time.Duration, f Framing) (string, *Conn, error) {
 	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return "", nil, err
 	}
-	br := bufio.NewReader(c)
-	hello, err := readLine(br)
-	return hello, br, err
+	lc := &Conn{Conn: c, br: bufio.NewReader(c), f: f}
+	hello, err := readLine(lc.br)
+	if err != nil {
+		return "", nil, err
+	}
+	return hello, lc, nil
 }
 
 // Reply answers a hello — OK when the plane admitted the connection, BUSY
 // when it is at capacity — and clears ReadHello's setup deadline.
-func Reply(c net.Conn, admitted bool) error {
+func (c *Conn) Reply(admitted bool) error {
 	line := Busy
 	if admitted {
 		line = OK
 	}
-	if _, err := io.WriteString(c, line+"\n"); err != nil {
+	if _, err := io.WriteString(c.Conn, line+"\n"); err != nil {
 		return err
 	}
-	return c.SetDeadline(time.Time{})
+	return c.Conn.SetDeadline(time.Time{})
 }
 
 // readLine reads one '\n'-terminated line of at most maxLine bytes and

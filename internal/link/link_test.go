@@ -3,12 +3,17 @@ package link
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"spnet/internal/gnutella"
+	"spnet/internal/metrics"
 	"spnet/internal/stats"
 )
 
@@ -38,46 +43,46 @@ func TestOpen(t *testing.T) {
 	cases := []struct {
 		name  string
 		dial  Dialer
-		check func(t *testing.T, br *bufio.Reader, err error)
+		check func(t *testing.T, c *Conn, err error)
 	}{
-		{"ok", pipeDialer(t, answer(OK+"\n")), func(t *testing.T, _ *bufio.Reader, err error) {
+		{"ok", pipeDialer(t, answer(OK+"\n")), func(t *testing.T, _ *Conn, err error) {
 			if err != nil {
 				t.Fatalf("err = %v, want nil", err)
 			}
 		}},
-		{"busy", pipeDialer(t, answer(Busy+"\n")), func(t *testing.T, _ *bufio.Reader, err error) {
+		{"busy", pipeDialer(t, answer(Busy+"\n")), func(t *testing.T, _ *Conn, err error) {
 			if !errors.Is(err, ErrBusy) {
 				t.Fatalf("err = %v, want ErrBusy", err)
 			}
 		}},
-		{"garbage reply", pipeDialer(t, answer("HTTP/1.1 400 Bad Request\n")), func(t *testing.T, _ *bufio.Reader, err error) {
+		{"garbage reply", pipeDialer(t, answer("HTTP/1.1 400 Bad Request\n")), func(t *testing.T, _ *Conn, err error) {
 			if err == nil || errors.Is(err, ErrBusy) || !strings.Contains(err.Error(), "unexpected reply") {
 				t.Fatalf("err = %v, want an unexpected-reply error", err)
 			}
 		}},
-		{"silent server", pipeDialer(t, answer("")), func(t *testing.T, _ *bufio.Reader, err error) {
+		{"silent server", pipeDialer(t, answer("")), func(t *testing.T, _ *Conn, err error) {
 			var ne net.Error
 			if !errors.As(err, &ne) || !ne.Timeout() {
 				t.Fatalf("err = %v, want a setup timeout", err)
 			}
 		}},
 		{"dial error", func(string, string, time.Duration) (net.Conn, error) { return nil, dialErr },
-			func(t *testing.T, _ *bufio.Reader, err error) {
+			func(t *testing.T, _ *Conn, err error) {
 				if !errors.Is(err, dialErr) {
 					t.Fatalf("err = %v, want the dial error", err)
 				}
 			}},
-		{"over-long line", pipeDialer(t, answer(strings.Repeat("x", 4*maxLine))), func(t *testing.T, _ *bufio.Reader, err error) {
+		{"over-long line", pipeDialer(t, answer(strings.Repeat("x", 4*maxLine))), func(t *testing.T, _ *Conn, err error) {
 			if !errors.Is(err, errLineTooLong) {
 				t.Fatalf("err = %v, want errLineTooLong", err)
 			}
 		}},
-		{"bytes after the reply", pipeDialer(t, answer(OK+"\nfirst frame")), func(t *testing.T, br *bufio.Reader, err error) {
+		{"bytes after the reply", pipeDialer(t, answer(OK+"\nfirst frame")), func(t *testing.T, c *Conn, err error) {
 			if err != nil {
 				t.Fatalf("err = %v, want nil", err)
 			}
 			got := make([]byte, len("first frame"))
-			if _, err := io.ReadFull(br, got); err != nil || string(got) != "first frame" {
+			if _, err := io.ReadFull(c, got); err != nil || string(got) != "first frame" {
 				t.Fatalf("read after reply = %q, %v; want %q", got, err, "first frame")
 			}
 		}},
@@ -85,16 +90,16 @@ func TestOpen(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			start := time.Now()
-			c, br, err := tc.dial.Open("node:1", Peer, 100*time.Millisecond)
+			c, err := tc.dial.Open("node:1", Peer, 100*time.Millisecond, Framing{})
 			if err == nil {
 				defer c.Close()
-			} else if c != nil || br != nil {
-				t.Errorf("failed Open returned conn %v, reader %v", c, br)
+			} else if c != nil {
+				t.Errorf("failed Open returned conn %v", c)
 			}
 			if el := time.Since(start); el > time.Second {
 				t.Errorf("Open took %v with a 100ms setup timeout", el)
 			}
-			tc.check(t, br, err)
+			tc.check(t, c, err)
 		})
 	}
 }
@@ -107,7 +112,7 @@ func TestReadHelloBounded(t *testing.T) {
 	defer server.Close()
 	go client.Write(make([]byte, 64<<10))
 	start := time.Now()
-	_, _, err := ReadHello(server, 10*time.Second)
+	_, _, err := ReadHello(server, 10*time.Second, Framing{})
 	if !errors.Is(err, errLineTooLong) {
 		t.Fatalf("err = %v, want errLineTooLong", err)
 	}
@@ -121,14 +126,14 @@ func TestReadHelloBounded(t *testing.T) {
 func TestReadHelloReply(t *testing.T) {
 	for _, admitted := range []bool{true, false} {
 		d := pipeDialer(t, func(c net.Conn) {
-			hello, _, err := ReadHello(c, time.Second)
+			hello, lc, err := ReadHello(c, time.Second, Framing{})
 			if err != nil || hello != Transfer {
 				t.Errorf("ReadHello = %q, %v; want %q", hello, err, Transfer)
 				return
 			}
-			Reply(c, admitted)
+			lc.Reply(admitted)
 		})
-		c, _, err := d.Open("node:1", Transfer, time.Second)
+		c, err := d.Open("node:1", Transfer, time.Second, Framing{})
 		if admitted && err != nil {
 			t.Errorf("admitted: err = %v", err)
 		}
@@ -138,6 +143,188 @@ func TestReadHelloReply(t *testing.T) {
 		if c != nil {
 			c.Close()
 		}
+	}
+}
+
+// meter counts the frames a Framing.Meter is charged, by direction.
+type meter [metrics.NumDirs]atomic.Int64
+
+func (m *meter) observe(d metrics.Dir, _ gnutella.Message) { m[d].Add(1) }
+
+// choppyConn writes one byte at a time, so two writers that are not
+// serialized interleave their bytes on the wire.
+type choppyConn struct{ net.Conn }
+
+func (c choppyConn) Write(p []byte) (int, error) {
+	for i := range p {
+		if _, err := c.Conn.Write(p[i : i+1]); err != nil {
+			return i, err
+		}
+	}
+	return len(p), nil
+}
+
+// ends are two Conns joined by net.Pipe, each framed with the same bound and
+// metering into its own counts.
+type ends struct {
+	a, b   *Conn
+	am, bm meter
+}
+
+func newEnds(t *testing.T, bound time.Duration, choppy bool) *ends {
+	pa, pb := net.Pipe()
+	t.Cleanup(func() { pa.Close(); pb.Close() })
+	var sa net.Conn = pa
+	if choppy {
+		sa = choppyConn{pa}
+	}
+	e := &ends{}
+	e.a = &Conn{Conn: sa, br: bufio.NewReader(sa), f: Framing{Bound: bound, Meter: e.am.observe}}
+	e.b = &Conn{Conn: pb, br: bufio.NewReader(pb), f: Framing{Bound: bound, Meter: e.bm.observe}}
+	return e
+}
+
+type received struct {
+	m   gnutella.Message
+	err error
+}
+
+// waitsThenReceives checks that a zero-deadline Recv on b is still waiting
+// after several frame bounds, and then that it takes the frame a sends.
+func (e *ends) waitsThenReceives(t *testing.T, bound time.Duration) {
+	t.Helper()
+	got := make(chan received, 1)
+	go func() {
+		m, err := e.b.Recv(time.Time{})
+		got <- received{m, err}
+	}()
+	select {
+	case r := <-got:
+		t.Fatalf("idle Recv returned %v, %v before any frame was sent", r.m, r.err)
+	case <-time.After(4 * bound):
+	}
+	if err := e.a.Send(&gnutella.Ping{ID: gnutella.GUID{2}, TTL: 1}, time.Second); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	select {
+	case r := <-got:
+		if _, ok := r.m.(*gnutella.Ping); !ok || r.err != nil {
+			t.Fatalf("Recv = %v, %v; want the Ping", r.m, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv never returned the frame")
+	}
+}
+
+// TestConn is Conn's frame contract: metering once per frame and direction,
+// a zero-deadline Recv that waits unbounded for a frame to start but not for
+// one to finish, a deadline that expires between frames and leaves the Conn
+// usable, and Sends that never interleave.
+func TestConn(t *testing.T) {
+	const bound = 50 * time.Millisecond
+	cases := []struct {
+		name   string
+		choppy bool // a's socket writes one byte at a time
+		run    func(t *testing.T, e *ends)
+	}{
+		{"round trip meters each frame once", false, func(t *testing.T, e *ends) {
+			// A pipe write returns after the read it feeds, so each Send
+			// reports back before the meters are read.
+			sent := make(chan error, 2)
+			q := &gnutella.Query{ID: gnutella.GUID{1}, TTL: 3, Text: "needle"}
+			go func() { sent <- e.a.Send(q, time.Second) }()
+			m, err := e.b.Recv(time.Time{})
+			if got, ok := m.(*gnutella.Query); !ok || err != nil || got.Text != q.Text {
+				t.Fatalf("b.Recv = %v, %v; want the query", m, err)
+			}
+			go func() { sent <- e.b.Send(&gnutella.Pong{ID: q.ID, TTL: 1}, time.Second) }()
+			if m, err := e.a.Recv(time.Now().Add(time.Second)); err != nil || m.Type() != gnutella.TypePong {
+				t.Fatalf("a.Recv = %v, %v; want the pong", m, err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := <-sent; err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+			}
+			for _, c := range []struct {
+				end string
+				m   *meter
+			}{{"a", &e.am}, {"b", &e.bm}} {
+				if in, out := c.m[metrics.DirIn].Load(), c.m[metrics.DirOut].Load(); in != 1 || out != 1 {
+					t.Errorf("%s metered %d in and %d out, want 1 and 1", c.end, in, out)
+				}
+			}
+		}},
+		{"idle Recv outlives the frame bound", false, func(t *testing.T, e *ends) {
+			e.waitsThenReceives(t, bound)
+		}},
+		{"half-sent frame is cut off at the bound", false, func(t *testing.T, e *ends) {
+			go e.a.Conn.Write(make([]byte, gnutella.DescriptorHeaderLen/2))
+			start := time.Now()
+			got := make(chan received, 1)
+			go func() {
+				m, err := e.b.Recv(time.Time{})
+				got <- received{m, err}
+			}()
+			var r received
+			select {
+			case r = <-got:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a half-sent frame held Recv for 5s")
+			}
+			var ne net.Error
+			if err := r.err; !errors.As(err, &ne) || !ne.Timeout() || errors.Is(err, ErrIdle) {
+				t.Fatalf("err = %v, want a frame timeout", err)
+			}
+			if el := time.Since(start); el < bound || el > time.Second {
+				t.Errorf("stalled frame cut off after %v, want about %v", el, bound)
+			}
+		}},
+		{"a passed deadline is cleared", false, func(t *testing.T, e *ends) {
+			if _, err := e.b.Recv(time.Now().Add(bound)); !errors.Is(err, ErrIdle) {
+				t.Fatalf("err = %v, want ErrIdle", err)
+			}
+			e.waitsThenReceives(t, bound)
+		}},
+		{"concurrent Sends never interleave", true, func(t *testing.T, e *ends) {
+			const senders, each = 4, 25
+			var wg sync.WaitGroup
+			for s := 0; s < senders; s++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < each; i++ {
+						text := fmt.Sprintf("sender %d frame %d %s", s, i, strings.Repeat("x", s*7))
+						if err := e.a.Send(&gnutella.Query{ID: gnutella.GUID{byte(s)}, TTL: 1, Text: text}, 5*time.Second); err != nil {
+							t.Errorf("Send: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			next := make([]int, senders)
+			for n := 0; n < senders*each; n++ {
+				m, err := e.b.Recv(time.Now().Add(5 * time.Second))
+				if err != nil {
+					t.Fatalf("frame %d: %v", n, err)
+				}
+				q := m.(*gnutella.Query)
+				s := int(q.ID[0])
+				if want := fmt.Sprintf("sender %d frame %d %s", s, next[s], strings.Repeat("x", s*7)); q.Text != want {
+					t.Fatalf("frame %d reads %q, want %q", n, q.Text, want)
+				}
+				next[s]++
+			}
+			wg.Wait()
+			if out, in := e.am[metrics.DirOut].Load(), e.bm[metrics.DirIn].Load(); out != senders*each || in != senders*each {
+				t.Errorf("metered %d out and %d in, want %d each", out, in, senders*each)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, newEnds(t, bound, tc.choppy))
+		})
 	}
 }
 

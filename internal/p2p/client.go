@@ -1,10 +1,8 @@
 package p2p
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,8 +158,6 @@ type DialOptions struct {
 	// DialTimeout bounds each TCP dial and, separately, the hello exchange
 	// that follows it (default 10s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds each message write (default 30s).
-	WriteTimeout time.Duration
 	// Backoff shapes the reconnect delays (default 200ms..5s).
 	Backoff link.Backoff
 	// MaxAttempts bounds one failover cycle's reconnect attempts across the
@@ -202,9 +198,6 @@ func (o *DialOptions) setDefaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
 	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
-	}
 	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 200 * time.Millisecond, Max: 5 * time.Second})
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
@@ -223,18 +216,17 @@ func (o *DialOptions) setDefaults() {
 // next partner in the ranked list with exponential backoff and re-joins, so
 // the replacement's index is reconciled automatically.
 type Client struct {
-	opts DialOptions
-	guid gnutella.GUID
-	rng  *stats.RNG // jitter stream; used only under recMu
+	opts    DialOptions
+	guid    gnutella.GUID
+	rng     *stats.RNG   // jitter stream; used only under recMu
+	framing link.Framing // meters every frame into DialOptions.Metrics
 
 	// book scores each ranked super-peer's reliability (keyed by index into
 	// opts.Addrs); nil unless DialOptions.Trust. The book locks internally.
 	book *trust.Book
 
-	mu      sync.Mutex // guards conn/br/files/addrIdx/broken/closed
-	wmu     sync.Mutex // serializes message writes
-	c       net.Conn
-	br      *bufio.Reader
+	mu      sync.Mutex // guards conn/files/addrIdx/broken/closed
+	conn    *link.Conn
 	files   []SharedFile
 	addrIdx int // index into opts.Addrs of the live super-peer
 	broken  bool
@@ -248,6 +240,9 @@ type Client struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
+
+// writeTimeout bounds each message write.
+const writeTimeout = 30 * time.Second
 
 // trustMargin is how far (in score) a rival partner must lead before a
 // trusting client re-homes to it: the hysteresis that prevents flapping
@@ -295,11 +290,12 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 	}
 	opts.setDefaults()
 	cl := &Client{
-		opts:  opts,
-		guid:  gnutella.NewGUID(),
-		rng:   stats.NewRNG(opts.Seed),
-		files: append([]SharedFile(nil), files...),
-		stop:  make(chan struct{}),
+		opts:    opts,
+		guid:    gnutella.NewGUID(),
+		rng:     stats.NewRNG(opts.Seed),
+		framing: link.Framing{Meter: link.LoadMeter(opts.Metrics)},
+		files:   append([]SharedFile(nil), files...),
+		stop:    make(chan struct{}),
 	}
 	if opts.Trust {
 		cl.book = trust.NewBook()
@@ -312,20 +308,20 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 	}
 	var firstErr error
 	for _, i := range cl.rankedOrder() {
-		c, br, err := opts.Dial.Open(opts.Addrs[i], link.Client, opts.DialTimeout)
+		c, err := opts.Dial.Open(opts.Addrs[i], link.Client, opts.DialTimeout, cl.framing)
 		if err == nil {
-			cl.c, cl.br, cl.addrIdx = c, br, i
+			cl.conn, cl.addrIdx = c, i
 			break
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	if cl.c == nil {
+	if cl.conn == nil {
 		return nil, firstErr
 	}
-	if err := cl.writeMsg(cl.c, cl.joinMsg()); err != nil {
-		cl.c.Close()
+	if err := cl.conn.Send(cl.joinMsg(), writeTimeout); err != nil {
+		cl.conn.Close()
 		return nil, err
 	}
 	if opts.HeartbeatInterval > 0 {
@@ -347,27 +343,12 @@ func (cl *Client) joinMsg() *gnutella.Join {
 	return j
 }
 
-// writeMsg writes one message to c with the write deadline, serialized
-// against concurrent writers.
-func (cl *Client) writeMsg(c net.Conn, m gnutella.Message) error {
-	cl.wmu.Lock()
-	defer cl.wmu.Unlock()
-	c.SetWriteDeadline(time.Now().Add(cl.opts.WriteTimeout))
-	if err := gnutella.WriteMessage(c, m); err != nil {
-		return err
-	}
-	if nm := cl.opts.Metrics; nm != nil {
-		gnutella.Meter(nm.Load, metrics.DirOut, m)
-	}
-	return nil
-}
-
 // markBroken flags the given connection dead (if it is still the live one)
 // so the next operation — or the watchdog — reconnects.
-func (cl *Client) markBroken(c net.Conn, err error) {
+func (cl *Client) markBroken(c *link.Conn, err error) {
 	cl.mu.Lock()
 	fire := false
-	if cl.c == c && !cl.broken && !cl.closed {
+	if cl.conn == c && !cl.broken && !cl.closed {
 		cl.broken = true
 		fire = true
 		c.Close()
@@ -381,27 +362,21 @@ func (cl *Client) markBroken(c net.Conn, err error) {
 
 // liveConn returns the current connection, running a failover cycle first if
 // the connection is known dead.
-func (cl *Client) liveConn() (net.Conn, *bufio.Reader, error) {
+func (cl *Client) liveConn() (*link.Conn, error) {
 	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, nil, errClientClosed
-	}
-	if !cl.broken {
-		c, br := cl.c, cl.br
-		cl.mu.Unlock()
-		return c, br, nil
-	}
+	broken := cl.broken && !cl.closed
 	cl.mu.Unlock()
-	if err := cl.failover(); err != nil {
-		return nil, nil, err
+	if broken {
+		if err := cl.failover(); err != nil {
+			return nil, err
+		}
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.closed {
-		return nil, nil, errClientClosed
+		return nil, errClientClosed
 	}
-	return cl.c, cl.br, nil
+	return cl.conn, nil
 }
 
 // failover is the supervised reconnect loop: starting from the partner
@@ -454,7 +429,7 @@ func (cl *Client) failover() error {
 				return errClientClosed
 			}
 		}
-		c, br, err := cl.opts.Dial.Open(addr, link.Client, cl.opts.DialTimeout)
+		c, err := cl.opts.Dial.Open(addr, link.Client, cl.opts.DialTimeout, cl.framing)
 		if err != nil {
 			lastErr = err
 			cl.opts.Logf("p2p: reconnect attempt %d to %s: %v", attempt, addr, err)
@@ -470,7 +445,7 @@ func (cl *Client) failover() error {
 		}
 		join := cl.joinMsg()
 		cl.mu.Unlock()
-		if err := cl.writeMsg(c, join); err != nil {
+		if err := c.Send(join, writeTimeout); err != nil {
 			c.Close()
 			lastErr = err
 			cl.opts.OnEvent(Event{Type: EventDialFailed, Addr: addr, Attempt: attempt, Err: err})
@@ -478,7 +453,7 @@ func (cl *Client) failover() error {
 		}
 
 		cl.mu.Lock()
-		cl.c, cl.br = c, br
+		cl.conn = c
 		cl.addrIdx = next
 		cl.broken = false
 		cl.reconnects++
@@ -512,10 +487,10 @@ func (cl *Client) watchdog() {
 			cl.mu.Unlock()
 			return
 		}
-		broken, c := cl.broken, cl.c
+		broken, c := cl.broken, cl.conn
 		cl.mu.Unlock()
 		if !broken {
-			err := cl.writeMsg(c, &gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1})
+			err := c.Send(&gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1}, writeTimeout)
 			if err == nil {
 				continue
 			}
@@ -532,14 +507,14 @@ func (cl *Client) Rejoin(files []SharedFile) error {
 	cl.mu.Lock()
 	cl.files = append(cl.files[:0], files...)
 	cl.mu.Unlock()
-	c, _, err := cl.liveConn()
+	c, err := cl.liveConn()
 	if err != nil {
 		return err
 	}
 	cl.mu.Lock()
 	j := cl.joinMsg()
 	cl.mu.Unlock()
-	if err := cl.writeMsg(c, j); err != nil {
+	if err := c.Send(j, writeTimeout); err != nil {
 		cl.markBroken(c, err)
 		return err
 	}
@@ -574,7 +549,7 @@ func (cl *Client) Update(op gnutella.UpdateOp, f SharedFile) error {
 	}
 	cl.mu.Unlock()
 
-	c, _, err := cl.liveConn()
+	c, err := cl.liveConn()
 	if err != nil {
 		return err
 	}
@@ -585,7 +560,7 @@ func (cl *Client) Update(op gnutella.UpdateOp, f SharedFile) error {
 			FileIndex: f.Index, FileSize: f.Size, Title: f.Title,
 		},
 	}
-	if err := cl.writeMsg(c, msg); err != nil {
+	if err := c.Send(msg, writeTimeout); err != nil {
 		cl.markBroken(c, err)
 		return err
 	}
@@ -599,9 +574,9 @@ func (cl *Client) Update(op gnutella.UpdateOp, f SharedFile) error {
 // Search degrades gracefully: a connection failure mid-window returns the
 // results collected so far together with the error, marks the connection
 // dead, and the next operation (or the watchdog) fails over to the next
-// ranked super-peer. Every exit path either clears the read deadline or
-// retires the connection, so a failed SetReadDeadline can never leave a
-// stale deadline poisoning subsequent calls.
+// ranked super-peer. Only a window that closes between frames keeps the
+// connection (link.ErrIdle); any other read error retires it, so a stale
+// deadline or a half-read frame can never poison subsequent calls.
 func (cl *Client) Search(query string, window time.Duration) ([]SearchResult, error) {
 	out, err := cl.SearchDetailed(query, window)
 	return out.Results, err
@@ -612,40 +587,26 @@ func (cl *Client) Search(query string, window time.Duration) ([]SearchResult, er
 // are identical to Search.
 func (cl *Client) SearchDetailed(query string, window time.Duration) (*SearchOutcome, error) {
 	out := &SearchOutcome{}
-	c, br, err := cl.liveConn()
+	c, err := cl.liveConn()
 	if err != nil {
 		return out, err
 	}
 	id := gnutella.NewGUID()
-	if err := cl.writeMsg(c, &gnutella.Query{ID: id, TTL: 1, Text: query}); err != nil {
+	if err := c.Send(&gnutella.Query{ID: id, TTL: 1, Text: query}, writeTimeout); err != nil {
 		cl.markBroken(c, err)
 		return out, err
 	}
 	deadline := time.Now().Add(window)
 	for {
-		if err := c.SetReadDeadline(deadline); err != nil {
-			// The deadline state is unknowable; retire the connection.
-			cl.markBroken(c, err)
-			return out, err
+		msg, err := c.Recv(deadline)
+		if errors.Is(err, link.ErrIdle) {
+			// Window elapsed: results are complete.
+			cl.observeSearch(c, out)
+			return out, nil
 		}
-		msg, err := gnutella.ReadMessage(br)
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && time.Now().After(deadline) {
-				// Window elapsed: results are complete. Restore the
-				// connection to its deadline-free state — if that fails,
-				// retire it rather than let the stale deadline poison the
-				// next call.
-				if cerr := c.SetReadDeadline(time.Time{}); cerr != nil {
-					cl.markBroken(c, cerr)
-				}
-				cl.observeSearch(c, out)
-				return out, nil
-			}
 			cl.markBroken(c, err)
 			return out, err
-		}
-		if nm := cl.opts.Metrics; nm != nil {
-			gnutella.Meter(nm.Load, metrics.DirIn, msg)
 		}
 		switch m := msg.(type) {
 		case *gnutella.QueryHit:
@@ -667,13 +628,13 @@ func (cl *Client) SearchDetailed(query string, window time.Duration) (*SearchOut
 // good iff any genuine result came back, so Busy-lying, freeloading and
 // forging all register as bad — then re-homes if a rival's reputation now
 // leads by trustMargin. Skipped if the connection changed mid-search.
-func (cl *Client) observeSearch(c net.Conn, out *SearchOutcome) {
+func (cl *Client) observeSearch(c *link.Conn, out *SearchOutcome) {
 	if cl.book == nil {
 		return
 	}
 	cl.mu.Lock()
 	idx := cl.addrIdx
-	live := cl.c == c && !cl.broken && !cl.closed
+	live := cl.conn == c && !cl.broken && !cl.closed
 	cl.mu.Unlock()
 	if !live {
 		return
@@ -691,7 +652,7 @@ func (cl *Client) observeSearch(c net.Conn, out *SearchOutcome) {
 func (cl *Client) maybeRehome() {
 	cl.mu.Lock()
 	cur := cl.addrIdx
-	c := cl.c
+	c := cl.conn
 	busy := cl.broken || cl.closed
 	cl.mu.Unlock()
 	if busy {
@@ -737,7 +698,7 @@ func (cl *Client) BusyResponses() int64 {
 // Reconnect forces a failover cycle if the connection is dead; it is a
 // no-op on a healthy client.
 func (cl *Client) Reconnect() error {
-	_, _, err := cl.liveConn()
+	_, err := cl.liveConn()
 	return err
 }
 
@@ -764,13 +725,10 @@ func (cl *Client) Close() error {
 		return nil
 	}
 	cl.closed = true
-	c := cl.c
+	c := cl.conn
 	cl.mu.Unlock()
 	close(cl.stop)
-	var err error
-	if c != nil {
-		err = c.Close()
-	}
+	err := c.Close() // a Client always holds a Conn, live or broken
 	cl.wg.Wait()
 	return err
 }

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"bufio"
 	"net"
 	"strconv"
 	"strings"
@@ -12,17 +11,16 @@ import (
 	"spnet/internal/cost"
 	"spnet/internal/gnutella"
 	"spnet/internal/index"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 )
 
 // conn is one TCP link — to a client, a neighbor super-peer, a controller or
-// a downloader. A mutex serializes writes; each conn has one reader
+// a downloader. Its link.Conn serializes writes; each conn has one reader
 // goroutine.
 type conn struct {
+	*link.Conn
 	node *Node
-	c    net.Conn
-	br   *bufio.Reader
-	wmu  sync.Mutex
 	// role is what the link is to the node: it picks the capacity budget
 	// the link is admitted under and the loop that serves it.
 	role  role
@@ -71,8 +69,8 @@ func (b *tokenBucket) take(now time.Time, rate, burst float64) bool {
 	return true
 }
 
-func newConn(n *Node, c net.Conn, br *bufio.Reader, r role) *conn {
-	cc := &conn{node: n, c: c, br: br, role: r, owner: -1}
+func newConn(n *Node, lc *link.Conn, r role) *conn {
+	cc := &conn{Conn: lc, node: n, role: r, owner: -1}
 	cc.touch()
 	return cc
 }
@@ -83,48 +81,8 @@ func (c *conn) touch() { c.lastRecv.Store(time.Now().UnixNano()) }
 // lastSeen reports when the link last delivered a message.
 func (c *conn) lastSeen() time.Time { return time.Unix(0, c.lastRecv.Load()) }
 
-// send writes one message, serialized against concurrent senders.
-func (c *conn) send(m gnutella.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.c.SetWriteDeadline(time.Now().Add(c.node.opts.WriteTimeout))
-	if err := gnutella.WriteMessage(c.c, m); err != nil {
-		return err
-	}
-	c.node.meterMessage(metrics.DirOut, m)
-	return nil
-}
-
-// read returns the link's next message under the node's hard read limits: a
-// frame's payload may not exceed gnutella.MaxPayloadLen, and once its first
-// byte has arrived the rest must arrive within Options.FrameTimeout. An idle
-// link (no bytes pending) waits without a deadline — heartbeats own
-// idle-death detection — but a half-sent frame can never hang the reader
-// goroutine or make it allocate unbounded memory.
-func (c *conn) read() (gnutella.Message, error) {
-	if _, err := c.br.Peek(1); err != nil {
-		return nil, err
-	}
-	ft := c.node.opts.FrameTimeout
-	if ft > 0 {
-		if err := c.c.SetReadDeadline(time.Now().Add(ft)); err != nil {
-			return nil, err
-		}
-	}
-	m, err := gnutella.ReadMessage(c.br)
-	if err != nil {
-		return nil, err
-	}
-	if ft > 0 {
-		// Clearing the deadline must succeed, or the stale deadline would
-		// poison the next idle wait; retire the connection if it fails.
-		if err := c.c.SetReadDeadline(time.Time{}); err != nil {
-			return nil, err
-		}
-	}
-	c.node.meterMessage(metrics.DirIn, m)
-	return m, nil
-}
+// send writes one message within the node's WriteTimeout.
+func (c *conn) send(m gnutella.Message) error { return c.Send(m, c.node.opts.WriteTimeout) }
 
 // runClient serves a client connection: the first message must be a Join;
 // afterwards the client may query, update, or re-join.
@@ -134,7 +92,7 @@ func (n *Node) runClient(c *conn) {
 		n.summariesChanged() // the departed client's terms left the index
 	}()
 	for {
-		msg, err := c.read()
+		msg, err := c.Recv(time.Time{})
 		if err != nil {
 			return
 		}
@@ -150,19 +108,19 @@ func (n *Node) runClient(c *conn) {
 			n.summariesChanged()
 		case *gnutella.Query:
 			if c.owner < 0 {
-				n.opts.Logf("p2p: query before join from %s", c.c.RemoteAddr())
+				n.opts.Logf("p2p: query before join from %s", c.RemoteAddr())
 				return
 			}
 			n.enqueueQuery(c, m)
 		case *gnutella.Update:
 			if c.owner < 0 {
-				n.opts.Logf("p2p: update before join from %s", c.c.RemoteAddr())
+				n.opts.Logf("p2p: update before join from %s", c.RemoteAddr())
 				return
 			}
 			n.handleClientUpdate(c, m)
 			n.summariesChanged()
 		default:
-			n.opts.Logf("p2p: unexpected %T from client %s", m, c.c.RemoteAddr())
+			n.opts.Logf("p2p: unexpected %T from client %s", m, c.RemoteAddr())
 			return
 		}
 	}
@@ -195,7 +153,7 @@ func (n *Node) handleClientJoin(c *conn, j *gnutella.Join) {
 // dropClient removes a departed client's metadata ("when a client leaves,
 // its super-peer will remove its metadata from the index").
 func (n *Node) dropClient(c *conn) {
-	c.c.Close()
+	c.Close()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if c.owner >= 0 {
@@ -240,7 +198,7 @@ func (n *Node) runPeer(c *conn) {
 	}
 	n.summariesChanged() // advertise our routing summary on the new link
 	defer func() {
-		c.c.Close()
+		c.Close()
 		n.mu.Lock()
 		delete(n.peers, c)
 		n.mu.Unlock()
@@ -251,7 +209,7 @@ func (n *Node) runPeer(c *conn) {
 		n.summariesChanged() // adverts shrink without this link's summary
 	}()
 	for {
-		msg, err := c.read()
+		msg, err := c.Recv(time.Time{})
 		if err != nil {
 			return
 		}
@@ -275,7 +233,7 @@ func (n *Node) runPeer(c *conn) {
 				n.summariesChanged() // our adverts to other links now differ
 			}
 		default:
-			n.opts.Logf("p2p: unexpected %T from peer %s", m, c.c.RemoteAddr())
+			n.opts.Logf("p2p: unexpected %T from peer %s", m, c.RemoteAddr())
 			return
 		}
 	}
@@ -324,7 +282,7 @@ func (n *Node) searchLocked(id gnutella.GUID, text string) *gnutella.QueryHit {
 					rec.IP, rec.Port = splitAddr(n.ln.Addr())
 				}
 			} else if cl := n.clients[m.Doc.Owner]; cl != nil {
-				rec.IP, rec.Port = splitAddr(cl.c.RemoteAddr())
+				rec.IP, rec.Port = splitAddr(cl.RemoteAddr())
 			}
 			hit.Responders = append(hit.Responders, rec)
 		}

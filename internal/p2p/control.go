@@ -42,13 +42,13 @@ func (n *Node) ControlState() (epoch uint64, ttl, maxClients int) {
 // runControl serves one controller link: announce, then answer pings and
 // apply directives until the link dies.
 func (n *Node) runControl(c *conn) {
-	defer c.c.Close()
+	defer c.Close()
 	if err := c.send(n.makeRegister(gnutella.RegisterHello)); err != nil {
-		n.opts.Logf("p2p: control register to %s: %v", c.c.RemoteAddr(), err)
+		n.opts.Logf("p2p: control register to %s: %v", c.RemoteAddr(), err)
 		return
 	}
 	for {
-		msg, err := c.read()
+		msg, err := c.Recv(time.Time{})
 		if err != nil {
 			return
 		}
@@ -69,11 +69,11 @@ func (n *Node) runControl(c *conn) {
 			n.mu.Unlock()
 			ack := &gnutella.DirectiveAck{ID: m.ID, Epoch: m.Epoch, Applied: flag, NodeID: id}
 			if err := c.send(ack); err != nil {
-				n.opts.Logf("p2p: directive ack to %s: %v", c.c.RemoteAddr(), err)
+				n.opts.Logf("p2p: directive ack to %s: %v", c.RemoteAddr(), err)
 				return
 			}
 		default:
-			n.opts.Logf("p2p: unexpected %T from controller %s", m, c.c.RemoteAddr())
+			n.opts.Logf("p2p: unexpected %T from controller %s", m, c.RemoteAddr())
 			return
 		}
 	}
@@ -152,13 +152,10 @@ func (n *Node) deregisterFromControllers(conns []*conn) {
 	}
 	bye := n.makeRegister(gnutella.RegisterBye)
 	for _, c := range ctl {
-		// Serialize against the link's ack writer, but with a short deadline:
-		// shutdown must not hang WriteTimeout-long per dead controller link.
-		c.wmu.Lock()
-		c.c.SetWriteDeadline(time.Now().Add(500 * time.Millisecond))
-		if err := gnutella.WriteMessage(c.c, bye); err != nil {
+		// A short bound: shutdown must not hang WriteTimeout-long per dead
+		// controller link.
+		if err := c.Send(bye, 500*time.Millisecond); err != nil {
 			n.opts.Logf("p2p: deregister bye: %v", err)
 		}
-		c.wmu.Unlock()
 	}
 }

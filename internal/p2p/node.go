@@ -240,6 +240,8 @@ type Node struct {
 	// outcomes are counted by reason and source class. Reported by Stats and
 	// exposed over HTTP via metrics.Handler(node.Metrics().Registry()).
 	metrics *metrics.NodeMetrics
+	// framing is every link's frame bound (FrameTimeout) and meter.
+	framing link.Framing
 
 	// Control-plane state (guarded by mu). nodeID and telemetryAddr identify
 	// this node to a fleet controller (SetIdentity); ctlEpoch is the highest
@@ -286,6 +288,7 @@ func NewNode(opts Options) *Node {
 		stop:    make(chan struct{}),
 	}
 	n.opts.Dial = opts.Dial.Metered(n.metrics)
+	n.framing = link.Framing{Bound: opts.FrameTimeout, Meter: n.meterMessage}
 	if opts.Trust {
 		n.book = trust.NewBook()
 	}
@@ -381,7 +384,7 @@ func (n *Node) Close() error {
 	}
 	n.deregisterFromControllers(conns)
 	for _, c := range conns {
-		c.c.Close()
+		c.Close()
 	}
 	n.wg.Wait()
 	n.qwg.Wait()
@@ -498,7 +501,7 @@ var roles = [numRoles]struct {
 func (n *Node) serve(c net.Conn) {
 	c = n.opts.Wrap(c)
 	c = metrics.NewMeteredConn(c, n.metrics.ConnBytes[metrics.DirIn], n.metrics.ConnBytes[metrics.DirOut])
-	hello, br, err := link.ReadHello(c, n.opts.DialTimeout)
+	hello, lc, err := link.ReadHello(c, n.opts.DialTimeout, n.framing)
 	r := role(0)
 	for err == nil && r < numRoles && roles[r].hello != hello {
 		r++
@@ -508,10 +511,10 @@ func (n *Node) serve(c net.Conn) {
 		c.Close()
 		return
 	}
-	cc := newConn(n, c, br, r)
+	cc := newConn(n, lc, r)
 	defer n.unregister(cc) // a no-op unless admitted
 	admitted := n.admit(cc)
-	if err := link.Reply(c, admitted); err != nil || !admitted {
+	if err := lc.Reply(admitted); err != nil || !admitted {
 		c.Close()
 		return
 	}
@@ -562,13 +565,13 @@ func (n *Node) unregister(c *conn) {
 
 // ConnectPeer dials another super-peer and adds it as an overlay neighbor.
 func (n *Node) ConnectPeer(addr string) error {
-	c, br, err := n.opts.Dial.Open(addr, link.Peer, n.opts.DialTimeout)
+	lc, err := n.opts.Dial.Open(addr, link.Peer, n.opts.DialTimeout, n.framing)
 	if err != nil {
 		return fmt.Errorf("p2p: connecting peer: %w", err)
 	}
-	pc := newConn(n, c, br, rolePeer)
+	pc := newConn(n, lc, rolePeer)
 	if !n.admit(pc) {
-		c.Close()
+		lc.Close()
 		return errClosed
 	}
 	n.startWorkers()
@@ -600,13 +603,13 @@ func (n *Node) heartbeatLoop() {
 			for _, p := range peers {
 				if silent := now.Sub(p.lastSeen()); silent > n.opts.HeartbeatTimeout {
 					n.opts.Logf("p2p: peer %s silent %v > %v, declaring dead",
-						p.c.RemoteAddr(), silent.Round(time.Millisecond), n.opts.HeartbeatTimeout)
-					p.c.Close()
+						p.RemoteAddr(), silent.Round(time.Millisecond), n.opts.HeartbeatTimeout)
+					p.Close()
 					continue
 				}
 				if err := p.send(&gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1}); err != nil {
-					n.opts.Logf("p2p: heartbeat to %s: %v", p.c.RemoteAddr(), err)
-					p.c.Close()
+					n.opts.Logf("p2p: heartbeat to %s: %v", p.RemoteAddr(), err)
+					p.Close()
 				}
 			}
 		}

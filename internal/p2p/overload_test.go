@@ -32,7 +32,7 @@ type rawClient struct {
 
 func dialRaw(t *testing.T, addr string, files []gnutella.MetadataRecord) *rawClient {
 	t.Helper()
-	c, br, err := link.Dialer(nil).Open(addr, link.Client, 5*time.Second)
+	c, err := link.Dialer(nil).Open(addr, link.Client, 5*time.Second, link.Framing{})
 	if err != nil {
 		t.Fatalf("client handshake: %v", err)
 	}
@@ -41,7 +41,7 @@ func dialRaw(t *testing.T, addr string, files []gnutella.MetadataRecord) *rawCli
 	if err := gnutella.WriteMessage(c, &gnutella.Join{ID: guid, Files: files}); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	return &rawClient{c: c, br: br}
+	return &rawClient{c: c, br: bufio.NewReader(c)}
 }
 
 // testGUID builds a deterministic distinct GUID per query index.

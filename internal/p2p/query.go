@@ -46,7 +46,7 @@ func (c *conn) reply(m gnutella.Message, relayed bool) {
 		}
 	}
 	if err := c.send(m); err != nil {
-		c.node.opts.Logf("p2p: responding to %s: %v", c.c.RemoteAddr(), err)
+		c.node.opts.Logf("p2p: responding to %s: %v", c.RemoteAddr(), err)
 	}
 }
 
@@ -220,9 +220,9 @@ func (n *Node) flood(q *gnutella.Query, peers []*conn) []NeighborStatus {
 	for _, p := range peers {
 		err := p.send(q)
 		if err != nil {
-			n.opts.Logf("p2p: flooding to %s: %v", p.c.RemoteAddr(), err)
+			n.opts.Logf("p2p: flooding to %s: %v", p.RemoteAddr(), err)
 		}
-		out = append(out, NeighborStatus{Addr: p.c.RemoteAddr().String(), Err: err})
+		out = append(out, NeighborStatus{Addr: p.RemoteAddr().String(), Err: err})
 	}
 	return out
 }

@@ -94,7 +94,7 @@ func (n *Node) summariesChanged() {
 	}
 	for _, a := range sends {
 		if err := a.p.send(&gnutella.Summary{ID: gnutella.NewGUID(), TTL: 1, Terms: a.terms}); err != nil {
-			n.opts.Logf("p2p: summary to %s: %v", a.p.c.RemoteAddr(), err)
+			n.opts.Logf("p2p: summary to %s: %v", a.p.RemoteAddr(), err)
 		}
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"spnet/internal/gnutella"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 )
 
@@ -179,5 +181,58 @@ func TestClientMetering(t *testing.T) {
 	}
 	if nm.ConnBytes[metrics.DirOut].Value() == 0 || nm.ConnBytes[metrics.DirIn].Value() == 0 {
 		t.Error("client raw conn bytes not counted")
+	}
+}
+
+// TestNodeConnBytesConserved is the node-side twin of transfer's
+// TestFetchConnBytesCountHello: every byte on a node's sockets is a hello or
+// reply line or a frame its Table 2 meter charged, less the Ethernet/TCP/IP
+// framing each charge folds in. A client, a peer and a controller link in and
+// trade frames, then the node closes, sending the controller its bye.
+func TestNodeConnBytesConserved(t *testing.T) {
+	n := startNode(t, Options{HeartbeatInterval: -1})
+	cl, err := DialClient(n.Addr(), []SharedFile{{Index: 1, Title: "needle"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	peer := startNode(t, Options{HeartbeatInterval: -1})
+	if err := peer.ConnectPeer(n.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := link.Dialer(nil).Open(n.Addr(), link.Control, 5*time.Second, link.Framing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	if m, err := ctl.Recv(time.Now().Add(5 * time.Second)); err != nil || m.Type() != gnutella.TypeRegister {
+		t.Fatalf("control link read %v, %v; want the node's Register", m, err)
+	}
+	waitFor(t, "client and peer links", func() bool {
+		st := n.Stats()
+		return st.Clients == 1 && st.Peers == 1
+	})
+	if r, err := cl.Search("needle", 200*time.Millisecond); err != nil || len(r) != 1 {
+		t.Fatalf("search = %v, %v; want one result", r, err)
+	}
+	n.Close()
+
+	nm := n.Metrics()
+	for _, tc := range []struct {
+		dir    metrics.Dir
+		hellos int
+	}{
+		{metrics.DirIn, len(link.Client) + len(link.Peer) + len(link.Control) + 3},
+		{metrics.DirOut, 3 * (len(link.OK) + 1)},
+	} {
+		var frames int64
+		for c := 0; c < metrics.NumClasses; c++ {
+			k := metrics.Class(c)
+			frames += nm.Load.Bytes(k, tc.dir) - nm.Load.Messages(k, tc.dir)*gnutella.FrameOverhead
+		}
+		want := frames + int64(tc.hellos)
+		if got := nm.ConnBytes[tc.dir].Value(); got != want {
+			t.Errorf("conn bytes %v = %d, want %d (frames %d + hello lines %d)", tc.dir, got, want, frames, tc.hellos)
+		}
 	}
 }

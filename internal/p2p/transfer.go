@@ -67,20 +67,20 @@ func (l *byteLimiter) reserve(now time.Time, n int) time.Duration {
 // the content store. Responses go back in request order, which is what lets
 // the downloader pipeline a window of requests per source.
 func (n *Node) runTransfer(c *conn) {
-	defer c.c.Close()
+	defer c.Close()
 	for {
-		msg, err := c.read()
+		msg, err := c.Recv(time.Time{})
 		if err != nil {
 			return
 		}
 		c.touch()
 		req, ok := msg.(*gnutella.ChunkRequest)
 		if !ok {
-			n.opts.Logf("p2p: unexpected %T on transfer link from %s", msg, c.c.RemoteAddr())
+			n.opts.Logf("p2p: unexpected %T on transfer link from %s", msg, c.RemoteAddr())
 			return
 		}
 		if err := n.serveChunk(c, req); err != nil {
-			n.opts.Logf("p2p: serving chunk to %s: %v", c.c.RemoteAddr(), err)
+			n.opts.Logf("p2p: serving chunk to %s: %v", c.RemoteAddr(), err)
 			return
 		}
 	}

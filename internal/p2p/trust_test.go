@@ -15,7 +15,7 @@ import (
 // for injecting protocol traffic a well-behaved Node would never send.
 func dialRawPeer(t *testing.T, addr string) net.Conn {
 	t.Helper()
-	c, _, err := link.Dialer(nil).Open(addr, link.Peer, 5*time.Second)
+	c, err := link.Dialer(nil).Open(addr, link.Peer, 5*time.Second, link.Framing{})
 	if err != nil {
 		t.Fatalf("peer handshake: %v", err)
 	}

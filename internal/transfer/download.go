@@ -1,11 +1,9 @@
 package transfer
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -31,8 +29,7 @@ type Options struct {
 	// Redials bounds reconnection attempts per source. Default 2.
 	Redials int
 
-	DialTimeout  time.Duration // each dial, and then its hello; default 5s
-	WriteTimeout time.Duration // default 10s
+	DialTimeout time.Duration // each dial, and then its hello; default 5s
 	// ChunkTimeout bounds how long a source may go without delivering any
 	// outstanding chunk before its window is re-queued and the link redialed.
 	// Default 15s.
@@ -69,6 +66,8 @@ const (
 	chunkRetries = 8
 	// dropScore is the trust posterior below which a source is abandoned.
 	dropScore = 0.2
+	// writeTimeout bounds each ChunkRequest write.
+	writeTimeout = 10 * time.Second
 )
 
 func (o *Options) setDefaults() {
@@ -80,9 +79,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
 	}
 	if o.ChunkTimeout <= 0 {
 		o.ChunkTimeout = 15 * time.Second
@@ -169,6 +165,8 @@ var (
 type download struct {
 	opts    Options
 	sources []Source
+	// framing meters every frame on the client side (Options.Metrics).
+	framing link.Framing
 
 	mu       sync.Mutex
 	man      *Manifest
@@ -194,6 +192,7 @@ func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
 	d := &download{
 		opts:     opts,
 		sources:  sources,
+		framing:  link.Framing{Meter: link.LoadMeter(opts.Metrics)},
 		book:     opts.Trust,
 		srcStats: make([]SourceStats, len(sources)),
 	}
@@ -301,18 +300,16 @@ func (d *download) bootstrap() error {
 }
 
 func (d *download) fetchManifest(idx int, src Source) (*Manifest, error) {
-	conn, br, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout)
+	conn, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout, d.framing)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
 	req := &gnutella.ChunkRequest{FileIndex: src.FileIndex, Chunk: ManifestChunk}
-	conn.SetWriteDeadline(time.Now().Add(d.opts.WriteTimeout))
-	if err := d.write(conn, req); err != nil {
+	if err := conn.Send(req, writeTimeout); err != nil {
 		return nil, err
 	}
-	conn.SetReadDeadline(time.Now().Add(d.opts.ChunkTimeout))
-	msg, err := d.read(br)
+	msg, err := conn.Recv(time.Now().Add(d.opts.ChunkTimeout))
 	if err != nil {
 		return nil, err
 	}
@@ -335,27 +332,6 @@ func (d *download) fetchManifest(idx int, src Source) (*Manifest, error) {
 	return nil, fmt.Errorf("transfer: unexpected %T for manifest", msg)
 }
 
-func (d *download) write(conn net.Conn, m gnutella.Message) error {
-	if err := gnutella.WriteMessage(conn, m); err != nil {
-		return err
-	}
-	if nm := d.opts.Metrics; nm != nil {
-		gnutella.Meter(nm.Load, metrics.DirOut, m)
-	}
-	return nil
-}
-
-func (d *download) read(br *bufio.Reader) (gnutella.Message, error) {
-	m, err := gnutella.ReadMessage(br)
-	if err != nil {
-		return nil, err
-	}
-	if nm := d.opts.Metrics; nm != nil {
-		gnutella.Meter(nm.Load, metrics.DirIn, m)
-	}
-	return m, nil
-}
-
 // runSource is one source's worker: dial (with seeded backoff), stream
 // chunks under the outstanding window, redial on link failure, retire when
 // the download finishes, the redial budget is spent, the source is banned
@@ -373,11 +349,11 @@ func (d *download) runSource(idx int) {
 		if d.finished() {
 			return
 		}
-		conn, br, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout)
+		conn, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout, d.framing)
 		if err != nil {
 			err = fmt.Errorf("transfer: dialing: %w", err)
 		} else {
-			err = d.stream(idx, conn, br)
+			err = d.stream(idx, conn)
 			conn.Close()
 			switch {
 			case err == nil || errors.Is(err, errSourceDone):
@@ -402,7 +378,7 @@ func (d *download) runSource(idx int) {
 // the download completed, errSourceDone when no remaining chunk may be
 // served by this source, errSourceUntrusted on trust collapse, and the
 // transport error otherwise (the caller decides whether to redial).
-func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
+func (d *download) stream(idx int, conn *link.Conn) error {
 	src := d.sources[idx]
 	outstanding := make(map[uint32]bool)
 	requeueAll := func() {
@@ -418,8 +394,7 @@ func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
 				break
 			}
 			req := &gnutella.ChunkRequest{FileIndex: src.FileIndex, Chunk: c}
-			conn.SetWriteDeadline(time.Now().Add(d.opts.WriteTimeout))
-			if err := d.write(conn, req); err != nil {
+			if err := conn.Send(req, writeTimeout); err != nil {
 				d.requeue(idx, c, false)
 				requeueAll()
 				return err
@@ -438,8 +413,7 @@ func (d *download) stream(idx int, conn net.Conn, br *bufio.Reader) error {
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		conn.SetReadDeadline(time.Now().Add(d.opts.ChunkTimeout))
-		msg, err := d.read(br)
+		msg, err := conn.Recv(time.Now().Add(d.opts.ChunkTimeout))
 		if err != nil {
 			requeueAll()
 			return err
