@@ -53,27 +53,20 @@ func (a *agent) run() {
 			return
 		default:
 		}
-		conn, err := a.ctrl.opts.Dial.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout, framing)
-		if err != nil {
+		if conn, err := a.ctrl.opts.Dial.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout, framing); err != nil {
 			attempt++
-			select {
-			case <-a.ctrl.stop:
-				return
-			case <-time.After(a.backoff(attempt)):
-			}
-			continue
+		} else {
+			attempt = 0
+			a.setConn(conn)
+			a.readLoop(conn)
+			a.setConn(nil)
+			conn.Close()
 		}
-		attempt = 0
-		a.setConn(conn)
-		a.readLoop(conn)
-		a.setConn(nil)
-		conn.Close()
-		// Brief seeded pause before redialing, so a dead node is probed at
-		// backoff pace rather than in a tight loop.
-		select {
-		case <-a.ctrl.stop:
+		// Seeded pause before redialing, so a dead node is probed at backoff
+		// pace rather than in a tight loop: it grows with each failed dial,
+		// and is one step after a link that was up.
+		if !link.Sleep(a.backoff(max(attempt, 1)), a.ctrl.stop) {
 			return
-		case <-time.After(a.backoff(1)):
 		}
 	}
 }
@@ -127,8 +120,6 @@ func (a *agent) readLoop(c *link.Conn) {
 				default:
 				}
 			}
-		case *gnutella.Pong:
-			// Liveness only.
 		default:
 			a.ctrl.opts.Logf("control: unexpected %T from %s", m, a.cfg.ID)
 			return
@@ -171,13 +162,9 @@ func (a *agent) takeRegisters() (n int, bye bool) {
 // controller must not block its decision loop on dead RPCs.
 func (a *agent) push(d *gnutella.Directive) error {
 	var lastErr error
-	for attempt := 0; attempt < a.ctrl.opts.PushAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-a.ctrl.stop:
-				return fmt.Errorf("control: shutting down")
-			case <-time.After(a.backoff(attempt)):
-			}
+	for attempt := 0; attempt < pushAttempts; attempt++ {
+		if attempt > 0 && !link.Sleep(a.backoff(attempt), a.ctrl.stop) {
+			return fmt.Errorf("control: shutting down")
 		}
 		ack, err := a.pushOnce(d)
 		if err != nil {

@@ -60,9 +60,6 @@ type Options struct {
 	RPCTimeout time.Duration
 	// DialTimeout bounds each control-link dial and its hello (default 2s).
 	DialTimeout time.Duration
-	// PushAttempts is how many times a directive is retried before the
-	// controller gives up for this tick (default 3).
-	PushAttempts int
 	// Backoff shapes redial and retry delays (default 100ms..2s).
 	Backoff link.Backoff
 	// Seed drives every random draw (backoff jitter); fixed seed, fixed
@@ -84,14 +81,6 @@ type Options struct {
 	// per-second rates when the workload is driven on compressed time:
 	// virtual seconds per wall second (default 1).
 	TimeScale float64
-	// SustainTicks is how many consecutive ticks a hotspot or underload
-	// signal must persist before the controller acts — hysteresis against
-	// one-scrape blips (default 2).
-	SustainTicks int
-	// CooldownTicks is how many ticks after an action the same node is left
-	// alone, so a directive's effect is observed before the next one
-	// (default 3).
-	CooldownTicks int
 	// Dial, when set, replaces the dialer for both control links and
 	// telemetry scrapes — the fault-injection hook (faults.Dialer).
 	Dial link.Dialer
@@ -109,6 +98,16 @@ const (
 	// Register frames from one node within a single tick triggers the same
 	// partner-promotion response as death.
 	flapRegisters = 3
+	// sustainTicks is how many consecutive ticks a hotspot or underload
+	// signal must persist before the controller acts — hysteresis against
+	// one-scrape blips.
+	sustainTicks = 2
+	// cooldownTicks is how many ticks after an action the same node is left
+	// alone, so a directive's effect is observed before the next one.
+	cooldownTicks = 3
+	// pushAttempts is how many times a directive is tried before the
+	// controller gives up on it for this tick.
+	pushAttempts = 3
 )
 
 func (o *Options) setDefaults() {
@@ -121,9 +120,6 @@ func (o *Options) setDefaults() {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
 	}
-	if o.PushAttempts <= 0 {
-		o.PushAttempts = 3
-	}
 	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 100 * time.Millisecond, Max: 2 * time.Second})
 	if o.ClientCapacity <= 0 {
 		o.ClientCapacity = 100
@@ -133,12 +129,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1
-	}
-	if o.SustainTicks <= 0 {
-		o.SustainTicks = 2
-	}
-	if o.CooldownTicks <= 0 {
-		o.CooldownTicks = 3
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -312,7 +302,10 @@ func (c *Controller) Start() {
 		go c.nodes[id].agent.run()
 	}
 	c.wg.Add(1)
-	go c.loop()
+	go func() {
+		defer c.wg.Done()
+		link.Every(c.stop, c.opts.ScrapeInterval, c.tick)
+	}()
 }
 
 // Close stops the controller. Nodes keep whatever configuration they last
@@ -406,25 +399,11 @@ func (c *Controller) nextEpoch() uint64 {
 	return c.epoch
 }
 
-// loop is the scrape/decide/push cycle.
-func (c *Controller) loop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.opts.ScrapeInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.stop:
-			return
-		case <-t.C:
-			c.tick()
-		}
-	}
-}
-
-// tick runs one control cycle: scrape everyone, then apply the decision
-// rules. Survives any combination of scrape failures and dead links; a tick
-// never blocks longer than the per-RPC and per-scrape timeouts bound.
-func (c *Controller) tick() {
+// tick runs one control cycle of the decision loop: scrape everyone, then
+// apply the decision rules. Survives any combination of scrape failures and
+// dead links; a tick never blocks longer than the per-RPC and per-scrape
+// timeouts bound.
+func (c *Controller) tick(time.Time) {
 	for _, id := range c.order {
 		c.scrapeNode(id)
 	}
@@ -591,8 +570,8 @@ func (c *Controller) pickSurvivor(dead NodeConfig) *nodeState {
 }
 
 // decideLoad applies the hotspot and underload rules with hysteresis: a
-// signal must persist SustainTicks before the controller acts, and an acted
-// on node is left alone for CooldownTicks.
+// signal must persist sustainTicks before the controller acts, and an acted
+// on node is left alone for cooldownTicks.
 func (c *Controller) decideLoad() {
 	for _, id := range c.order {
 		c.mu.Lock()
@@ -618,11 +597,11 @@ func (c *Controller) decideLoad() {
 		case adv.PromotePartner || adv.SplitCluster || adv.Resign:
 			st.overTicks++
 			st.underTicks = 0
-			over = st.overTicks >= c.opts.SustainTicks
+			over = st.overTicks >= sustainTicks
 		case adv.TryCoalesce:
 			st.underTicks++
 			st.overTicks = 0
-			under = st.underTicks >= c.opts.SustainTicks
+			under = st.underTicks >= sustainTicks
 		default:
 			st.overTicks, st.underTicks = 0, 0
 		}
@@ -644,7 +623,7 @@ func (c *Controller) decideLoad() {
 				d.TTL = uint8(ttl - 1)
 			}
 			c.pushDirective(st, d, func(st *nodeState) {
-				st.cooldown = c.opts.CooldownTicks
+				st.cooldown = cooldownTicks
 				st.overTicks = 0
 				if d.TTL > 0 {
 					st.ttl = int(d.TTL)
@@ -663,7 +642,7 @@ func (c *Controller) decideLoad() {
 				d.TTL = uint8(c.opts.BaseTTL)
 			}
 			c.pushDirective(st, d, func(st *nodeState) {
-				st.cooldown = c.opts.CooldownTicks
+				st.cooldown = cooldownTicks
 				st.underTicks = 0
 				if d.TTL > 0 {
 					st.ttl = int(d.TTL)

@@ -51,7 +51,6 @@ func testOptions(nodes []NodeConfig) Options {
 		ScrapeInterval: 40 * time.Millisecond,
 		RPCTimeout:     300 * time.Millisecond,
 		DialTimeout:    300 * time.Millisecond,
-		PushAttempts:   2,
 		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
 		Seed:           7,
 		ClientCapacity: 5,
@@ -215,6 +214,7 @@ func TestReRegistrationStormPromotesPartner(t *testing.T) {
 }
 
 func TestControllerPartitionGracefulDegradation(t *testing.T) {
+	t.Parallel() // mostly ack timeouts and backoff: overlap them with other waits
 	fc := faults.NewController(3)
 	n0 := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
 	n1 := startNode(t, "sp-0-1", p2p.Options{MaxClients: 5, TTL: 7})
@@ -350,8 +350,6 @@ func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
 	tel := newFakeTelemetry(t, 1e7) // ~2 Gbit/s measured at a 40ms scrape
 	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: n.Addr(), Telemetry: tel.addr}})
 	opts.Limit = analysis.Load{InBps: 1e6}
-	opts.SustainTicks = 2
-	opts.CooldownTicks = 2
 	c := New(opts)
 	c.Start()
 	defer c.Close()

@@ -92,6 +92,35 @@ func decodeHeaderAs(buf []byte, want MsgType) (Header, error) {
 	return h, err
 }
 
+// headerOnly is the body of a frame that is its descriptor header alone,
+// with no payload. Ping, Pong and Busy have its fields and share its codec.
+type headerOnly struct {
+	ID   GUID
+	TTL  uint8
+	Hops uint8
+}
+
+func (b *headerOnly) encode(t MsgType) []byte {
+	buf := make([]byte, DescriptorHeaderLen)
+	h := Header{ID: b.ID, Type: t, TTL: b.TTL, Hops: b.Hops}
+	h.encode(buf)
+	return buf
+}
+
+// decodeHeaderOnly parses a want frame, which must carry no payload; name
+// is the frame's in errors.
+func decodeHeaderOnly[M Ping | Pong | Busy](buf []byte, want MsgType, name string) (*M, error) {
+	h, err := decodeHeaderAs(buf, want)
+	if err != nil {
+		return nil, err
+	}
+	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
+		return nil, fmt.Errorf("%w: %s payload %d, want 0", ErrBadMessage, name, h.PayloadLen)
+	}
+	m := M(headerOnly{ID: h.ID, TTL: h.TTL, Hops: h.Hops})
+	return &m, nil
+}
+
 // Ping is the Gnutella 0.4 keep-alive probe, reused by the live super-peer
 // stack as the heartbeat that detects dead peers and partitioned links. The
 // payload is empty: the descriptor header alone carries the GUID.
@@ -102,12 +131,7 @@ type Ping struct {
 }
 
 // Encode serializes the ping (descriptor header only, no payload).
-func (p *Ping) Encode() []byte {
-	buf := make([]byte, DescriptorHeaderLen)
-	h := Header{ID: p.ID, Type: TypePing, TTL: p.TTL, Hops: p.Hops}
-	h.encode(buf)
-	return buf
-}
+func (p *Ping) Encode() []byte { return (*headerOnly)(p).encode(TypePing) }
 
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (p *Ping) WireSize() int { return PingSize() }
@@ -118,16 +142,7 @@ func (p *Ping) Type() MsgType { return TypePing }
 func (p *Ping) frame() ([]byte, error) { return p.Encode(), nil }
 
 // DecodePing parses an encoded ping.
-func DecodePing(buf []byte) (*Ping, error) {
-	h, err := decodeHeaderAs(buf, TypePing)
-	if err != nil {
-		return nil, err
-	}
-	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
-		return nil, fmt.Errorf("%w: ping payload %d, want 0", ErrBadMessage, h.PayloadLen)
-	}
-	return &Ping{ID: h.ID, TTL: h.TTL, Hops: h.Hops}, nil
-}
+func DecodePing(buf []byte) (*Ping, error) { return decodeHeaderOnly[Ping](buf, TypePing, "ping") }
 
 // Pong answers a Ping, echoing its GUID. Like the heartbeat Ping it carries
 // no payload: liveness, not peer discovery, is the information.
@@ -138,12 +153,7 @@ type Pong struct {
 }
 
 // Encode serializes the pong (descriptor header only, no payload).
-func (p *Pong) Encode() []byte {
-	buf := make([]byte, DescriptorHeaderLen)
-	h := Header{ID: p.ID, Type: TypePong, TTL: p.TTL, Hops: p.Hops}
-	h.encode(buf)
-	return buf
-}
+func (p *Pong) Encode() []byte { return (*headerOnly)(p).encode(TypePong) }
 
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (p *Pong) WireSize() int { return PingSize() }
@@ -154,16 +164,7 @@ func (p *Pong) Type() MsgType { return TypePong }
 func (p *Pong) frame() ([]byte, error) { return p.Encode(), nil }
 
 // DecodePong parses an encoded pong.
-func DecodePong(buf []byte) (*Pong, error) {
-	h, err := decodeHeaderAs(buf, TypePong)
-	if err != nil {
-		return nil, err
-	}
-	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
-		return nil, fmt.Errorf("%w: pong payload %d, want 0", ErrBadMessage, h.PayloadLen)
-	}
-	return &Pong{ID: h.ID, TTL: h.TTL, Hops: h.Hops}, nil
-}
+func DecodePong(buf []byte) (*Pong, error) { return decodeHeaderOnly[Pong](buf, TypePong, "pong") }
 
 // Busy is the explicit load-shed signal of the overload-protected super-peer
 // stack: a node that cannot accept a Query (dispatch queue full, per-link
@@ -179,12 +180,7 @@ type Busy struct {
 }
 
 // Encode serializes the busy signal (descriptor header only, no payload).
-func (b *Busy) Encode() []byte {
-	buf := make([]byte, DescriptorHeaderLen)
-	h := Header{ID: b.ID, Type: TypeBusy, TTL: b.TTL, Hops: b.Hops}
-	h.encode(buf)
-	return buf
-}
+func (b *Busy) Encode() []byte { return (*headerOnly)(b).encode(TypeBusy) }
 
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (b *Busy) WireSize() int { return PingSize() }
@@ -195,16 +191,7 @@ func (b *Busy) Type() MsgType { return TypeBusy }
 func (b *Busy) frame() ([]byte, error) { return b.Encode(), nil }
 
 // DecodeBusy parses an encoded busy signal.
-func DecodeBusy(buf []byte) (*Busy, error) {
-	h, err := decodeHeaderAs(buf, TypeBusy)
-	if err != nil {
-		return nil, err
-	}
-	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
-		return nil, fmt.Errorf("%w: busy payload %d, want 0", ErrBadMessage, h.PayloadLen)
-	}
-	return &Busy{ID: h.ID, TTL: h.TTL, Hops: h.Hops}, nil
-}
+func DecodeBusy(buf []byte) (*Busy, error) { return decodeHeaderOnly[Busy](buf, TypeBusy, "busy") }
 
 // Query is a keyword search request flooded over the super-peer overlay.
 type Query struct {

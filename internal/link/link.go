@@ -4,7 +4,8 @@
 // the acceptor answers OK or BUSY. This package declares those lines once,
 // bounds how many bytes either side may spend on them, holds the one Dialer
 // and the one redial Backoff that p2p, control and transfer share, and hands
-// each side one Conn whose Send and Recv are the planes' only frame I/O.
+// each side one Conn whose Send and Recv are the planes' only frame I/O and
+// whose Recv keeps the link alive. Sleep and Every are the planes' waits.
 package link
 
 import (
@@ -15,6 +16,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"spnet/internal/gnutella"
@@ -98,16 +100,34 @@ func LoadMeter(nm *metrics.NodeMetrics) func(metrics.Dir, gnutella.Message) {
 	return func(d metrics.Dir, m gnutella.Message) { gnutella.Meter(nm.Load, d, m) }
 }
 
+// pongWithin bounds the Pong that answers a Ping on a Conn without a frame
+// bound.
+const pongWithin = 30 * time.Second
+
 // Conn is one set-up connection of any plane. It is a net.Conn whose reads
 // go through the reader that read the hello or reply, so bytes that arrived
 // right behind it are never lost. Send and Recv are the only frame I/O, the
-// only deadlines and the only metering a plane needs after setup.
+// only deadlines, the only metering and the only keepalive a plane needs
+// after setup.
 type Conn struct {
 	net.Conn
 	br  *bufio.Reader
 	wmu sync.Mutex
 	f   Framing
+	// last is the unix-nano time the latest frame started arriving, or the
+	// Conn was made.
+	last atomic.Int64
 }
+
+func newConn(c net.Conn, f Framing) *Conn {
+	lc := &Conn{Conn: c, br: bufio.NewReader(c), f: f}
+	lc.last.Store(time.Now().UnixNano())
+	return lc
+}
+
+// LastFrame reports when the latest frame, liveness frames included, started
+// arriving; before the first, when the Conn was made.
+func (c *Conn) LastFrame() time.Time { return time.Unix(0, c.last.Load()) }
 
 // Read reads through the handshake reader.
 func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
@@ -137,7 +157,34 @@ func (c *Conn) Send(m gnutella.Message, within time.Duration) error {
 // ErrIdle. Every return leaves the socket with no read deadline, or is an
 // error other than ErrIdle, after which the Conn must be retired: a frame
 // cut off part way leaves the stream out of step.
+//
+// Liveness frames never reach the caller. Recv stamps LastFrame as every
+// frame starts, answers a Ping with a Pong within Framing.Bound (pongWithin
+// when unset), absorbs a Pong, and reads on under the same deadline.
 func (c *Conn) Recv(deadline time.Time) (gnutella.Message, error) {
+	for {
+		m, err := c.recv(deadline)
+		if err != nil {
+			return nil, err
+		}
+		switch p := m.(type) {
+		case *gnutella.Ping:
+			within := pongWithin
+			if c.f.Bound > 0 {
+				within = c.f.Bound
+			}
+			if err := c.Send(&gnutella.Pong{ID: p.ID, TTL: 1}, within); err != nil {
+				return nil, err
+			}
+		case *gnutella.Pong:
+		default:
+			return m, nil
+		}
+	}
+}
+
+// recv is Recv for one frame of any type.
+func (c *Conn) recv(deadline time.Time) (gnutella.Message, error) {
 	if !deadline.IsZero() {
 		if err := c.Conn.SetReadDeadline(deadline); err != nil {
 			return nil, err
@@ -155,8 +202,10 @@ func (c *Conn) Recv(deadline time.Time) (gnutella.Message, error) {
 		}
 		return nil, ErrIdle
 	}
+	now := time.Now()
+	c.last.Store(now.UnixNano())
 	if deadline.IsZero() && c.f.Bound > 0 {
-		deadline = time.Now().Add(c.f.Bound)
+		deadline = now.Add(c.f.Bound)
 		if err := c.Conn.SetReadDeadline(deadline); err != nil {
 			return nil, err
 		}
@@ -197,7 +246,7 @@ func exchange(c net.Conn, hello string, timeout time.Duration, f Framing) (*Conn
 	if _, err := io.WriteString(c, hello+"\n"); err != nil {
 		return nil, err
 	}
-	lc := &Conn{Conn: c, br: bufio.NewReader(c), f: f}
+	lc := newConn(c, f)
 	reply, err := readLine(lc.br)
 	if err != nil {
 		return nil, err
@@ -220,7 +269,7 @@ func ReadHello(c net.Conn, timeout time.Duration, f Framing) (string, *Conn, err
 	if err := c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return "", nil, err
 	}
-	lc := &Conn{Conn: c, br: bufio.NewReader(c), f: f}
+	lc := newConn(c, f)
 	hello, err := readLine(lc.br)
 	if err != nil {
 		return "", nil, err
@@ -303,4 +352,33 @@ func (b Backoff) Delay(attempt int, rng *stats.RNG) time.Duration {
 		d = float64(b.Max)
 	}
 	return time.Duration(d)
+}
+
+// Sleep waits d or until stop closes, whichever is first, and reports
+// whether d elapsed. Its timer is stopped either way, so nothing is left
+// waiting to fire. It is every one-shot wait of p2p, control and transfer.
+func Sleep(d time.Duration, stop <-chan struct{}) (elapsed bool) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-stop:
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// Every calls fn with the tick's time every d until stop closes, and returns
+// then. It is every periodic loop of p2p and control.
+func Every(stop <-chan struct{}, d time.Duration, fn func(now time.Time)) {
+	t := time.NewTicker(d)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case now := <-t.C:
+			fn(now)
+		}
+	}
 }

@@ -179,8 +179,8 @@ func newEnds(t *testing.T, bound time.Duration, choppy bool) *ends {
 		sa = choppyConn{pa}
 	}
 	e := &ends{}
-	e.a = &Conn{Conn: sa, br: bufio.NewReader(sa), f: Framing{Bound: bound, Meter: e.am.observe}}
-	e.b = &Conn{Conn: pb, br: bufio.NewReader(pb), f: Framing{Bound: bound, Meter: e.bm.observe}}
+	e.a = newConn(sa, Framing{Bound: bound, Meter: e.am.observe})
+	e.b = newConn(pb, Framing{Bound: bound, Meter: e.bm.observe})
 	return e
 }
 
@@ -203,23 +203,58 @@ func (e *ends) waitsThenReceives(t *testing.T, bound time.Duration) {
 		t.Fatalf("idle Recv returned %v, %v before any frame was sent", r.m, r.err)
 	case <-time.After(4 * bound):
 	}
-	if err := e.a.Send(&gnutella.Ping{ID: gnutella.GUID{2}, TTL: 1}, time.Second); err != nil {
+	if err := e.a.Send(&gnutella.Busy{ID: gnutella.GUID{2}, TTL: 1}, time.Second); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	select {
 	case r := <-got:
-		if _, ok := r.m.(*gnutella.Ping); !ok || r.err != nil {
-			t.Fatalf("Recv = %v, %v; want the Ping", r.m, r.err)
+		if _, ok := r.m.(*gnutella.Busy); !ok || r.err != nil {
+			t.Fatalf("Recv = %v, %v; want the Busy", r.m, r.err)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Recv never returned the frame")
 	}
 }
 
+// sendThenReceiveBusy has a send m and then a Busy, and checks that b's
+// zero-deadline Recv returns the Busy.
+func (e *ends) sendThenReceiveBusy(t *testing.T, m gnutella.Message) {
+	t.Helper()
+	sent := make(chan error, 1)
+	go func() {
+		err := e.a.Send(m, time.Second)
+		if err == nil {
+			err = e.a.Send(&gnutella.Busy{ID: gnutella.GUID{4}, TTL: 1}, time.Second)
+		}
+		sent <- err
+	}()
+	if got, err := e.b.Recv(time.Time{}); err != nil || got.Type() != gnutella.TypeBusy {
+		t.Fatalf("b.Recv = %v, %v; want the Busy behind the %v", got, err, m.Type())
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+}
+
+// metered checks the frames each end's meter was charged, as {in, out}.
+func (e *ends) metered(t *testing.T, a, b [2]int64) {
+	t.Helper()
+	for _, c := range []struct {
+		end  string
+		m    *meter
+		want [2]int64
+	}{{"a", &e.am, a}, {"b", &e.bm, b}} {
+		if got := [2]int64{c.m[metrics.DirIn].Load(), c.m[metrics.DirOut].Load()}; got != c.want {
+			t.Errorf("%s metered %d in and %d out, want %d and %d", c.end, got[0], got[1], c.want[0], c.want[1])
+		}
+	}
+}
+
 // TestConn is Conn's frame contract: metering once per frame and direction,
 // a zero-deadline Recv that waits unbounded for a frame to start but not for
 // one to finish, a deadline that expires between frames and leaves the Conn
-// usable, and Sends that never interleave.
+// usable, Sends that never interleave, and keepalive: a Ping answered once,
+// a Pong absorbed, each stamping LastFrame, under the Recv's own deadline.
 func TestConn(t *testing.T) {
 	const bound = 50 * time.Millisecond
 	cases := []struct {
@@ -237,23 +272,16 @@ func TestConn(t *testing.T) {
 			if got, ok := m.(*gnutella.Query); !ok || err != nil || got.Text != q.Text {
 				t.Fatalf("b.Recv = %v, %v; want the query", m, err)
 			}
-			go func() { sent <- e.b.Send(&gnutella.Pong{ID: q.ID, TTL: 1}, time.Second) }()
-			if m, err := e.a.Recv(time.Now().Add(time.Second)); err != nil || m.Type() != gnutella.TypePong {
-				t.Fatalf("a.Recv = %v, %v; want the pong", m, err)
+			go func() { sent <- e.b.Send(&gnutella.Busy{ID: q.ID, TTL: 1}, time.Second) }()
+			if m, err := e.a.Recv(time.Now().Add(time.Second)); err != nil || m.Type() != gnutella.TypeBusy {
+				t.Fatalf("a.Recv = %v, %v; want the busy", m, err)
 			}
 			for i := 0; i < 2; i++ {
 				if err := <-sent; err != nil {
 					t.Fatalf("Send: %v", err)
 				}
 			}
-			for _, c := range []struct {
-				end string
-				m   *meter
-			}{{"a", &e.am}, {"b", &e.bm}} {
-				if in, out := c.m[metrics.DirIn].Load(), c.m[metrics.DirOut].Load(); in != 1 || out != 1 {
-					t.Errorf("%s metered %d in and %d out, want 1 and 1", c.end, in, out)
-				}
-			}
+			e.metered(t, [2]int64{1, 1}, [2]int64{1, 1})
 		}},
 		{"idle Recv outlives the frame bound", false, func(t *testing.T, e *ends) {
 			e.waitsThenReceives(t, bound)
@@ -283,6 +311,55 @@ func TestConn(t *testing.T) {
 		{"a passed deadline is cleared", false, func(t *testing.T, e *ends) {
 			if _, err := e.b.Recv(time.Now().Add(bound)); !errors.Is(err, ErrIdle) {
 				t.Fatalf("err = %v, want ErrIdle", err)
+			}
+			e.waitsThenReceives(t, bound)
+		}},
+		{"a Ping is answered once", false, func(t *testing.T, e *ends) {
+			// a's Recv takes b's Pong and then idles out; b's Recv returns
+			// the Busy sent behind the Ping.
+			pong := make(chan error, 1)
+			go func() {
+				_, err := e.a.Recv(time.Now().Add(4 * bound))
+				pong <- err
+			}()
+			e.sendThenReceiveBusy(t, &gnutella.Ping{ID: gnutella.GUID{3}, TTL: 1})
+			select {
+			case err := <-pong:
+				if !errors.Is(err, ErrIdle) {
+					t.Fatalf("a.Recv = %v, want ErrIdle once the Pong is absorbed", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("a.Recv dropped its deadline once it had absorbed the Pong")
+			}
+			e.metered(t, [2]int64{1, 2}, [2]int64{2, 1})
+		}},
+		{"a Pong is absorbed", false, func(t *testing.T, e *ends) {
+			e.sendThenReceiveBusy(t, &gnutella.Pong{ID: gnutella.GUID{3}, TTL: 1})
+			e.metered(t, [2]int64{0, 2}, [2]int64{2, 0})
+		}},
+		{"an absorbed Pong stamps LastFrame and keeps the deadline", false, func(t *testing.T, e *ends) {
+			made := e.b.LastFrame()
+			time.Sleep(time.Millisecond)
+			start := time.Now()
+			go e.a.Send(&gnutella.Pong{ID: gnutella.GUID{3}, TTL: 1}, time.Second)
+			got := make(chan error, 1)
+			go func() {
+				_, err := e.b.Recv(start.Add(bound))
+				got <- err
+			}()
+			select {
+			case err := <-got:
+				if !errors.Is(err, ErrIdle) {
+					t.Fatalf("err = %v, want ErrIdle", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Recv dropped its deadline once it had absorbed a Pong")
+			}
+			if el := time.Since(start); el < bound || el > time.Second {
+				t.Errorf("Recv idled out after %v, want about %v", el, bound)
+			}
+			if last := e.b.LastFrame(); !last.After(made) {
+				t.Errorf("LastFrame = %v after a Pong, want later than %v", last, made)
 			}
 			e.waitsThenReceives(t, bound)
 		}},
@@ -356,5 +433,65 @@ func TestBackoffOr(t *testing.T) {
 	set := Backoff{Initial: time.Millisecond, Max: -1}
 	if got, want := set.Or(def), (Backoff{Initial: time.Millisecond, Max: time.Minute}); got != want {
 		t.Errorf("partial.Or = %+v, want %+v", got, want)
+	}
+}
+
+// TestSleep: a wait that runs its course reports elapsed, and closing stop
+// ends one within 50ms and reports that it did not elapse.
+func TestSleep(t *testing.T) {
+	const d = 20 * time.Millisecond
+	start := time.Now()
+	if !Sleep(d, make(chan struct{})) {
+		t.Error("Sleep with stop open reported not elapsed")
+	}
+	if el := time.Since(start); el < d {
+		t.Errorf("Sleep(%v) returned after %v", d, el)
+	}
+
+	stop := make(chan struct{})
+	go func() {
+		time.Sleep(d)
+		close(stop)
+	}()
+	start = time.Now()
+	if Sleep(2*time.Second, stop) {
+		t.Error("Sleep cut short by stop reported elapsed")
+	}
+	if el := time.Since(start); el > d+50*time.Millisecond {
+		t.Errorf("Sleep returned %v after stop, want within 50ms", el-d)
+	}
+	if Sleep(2*time.Second, stop) {
+		t.Error("Sleep with stop already closed reported elapsed")
+	}
+}
+
+// TestEvery: fn runs once per tick with non-decreasing times, and closing
+// stop ends the loop within 50ms.
+func TestEvery(t *testing.T) {
+	const d = 5 * time.Millisecond
+	stop, ended := make(chan struct{}), make(chan struct{})
+	var ticks []time.Time
+	go func() {
+		defer close(ended)
+		Every(stop, d, func(now time.Time) { ticks = append(ticks, now) })
+	}()
+	time.Sleep(20 * d)
+	close(stop)
+	closed := time.Now()
+	select {
+	case <-ended:
+	case <-time.After(time.Second):
+		t.Fatal("Every still running 1s after stop closed")
+	}
+	if el := time.Since(closed); el > 50*time.Millisecond {
+		t.Errorf("Every returned %v after stop, want within 50ms", el)
+	}
+	if len(ticks) < 2 {
+		t.Fatalf("%d ticks in %v at a %v period, want several", len(ticks), 20*d, d)
+	}
+	for i := 1; i < len(ticks); i++ {
+		if ticks[i].Before(ticks[i-1]) {
+			t.Errorf("tick %d at %v is before tick %d at %v", i, ticks[i], i-1, ticks[i-1])
+		}
 	}
 }

@@ -423,9 +423,7 @@ func (cl *Client) failover() error {
 		addr := cl.opts.Addrs[next]
 		if d := cl.opts.Backoff.Delay(attempt, cl.rng); d > 0 {
 			cl.opts.OnEvent(Event{Type: EventBackoff, Addr: addr, Attempt: attempt, Delay: d})
-			select {
-			case <-time.After(d):
-			case <-cl.stop:
+			if !link.Sleep(d, cl.stop) {
 				return errClientClosed
 			}
 		}
@@ -470,36 +468,25 @@ func (cl *Client) failover() error {
 
 // watchdog supervises the connection: it pings the super-peer every
 // HeartbeatInterval and triggers failover as soon as the link dies, so
-// recovery does not wait for the next user operation. Pong replies are
-// consumed (and ignored) by the next Search's read loop.
+// recovery does not wait for the next user operation. The next Search's
+// Recv absorbs the Pong replies.
 func (cl *Client) watchdog() {
 	defer cl.wg.Done()
-	t := time.NewTicker(cl.opts.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-cl.stop:
-			return
-		case <-t.C:
-		}
+	link.Every(cl.stop, cl.opts.HeartbeatInterval, func(time.Time) {
 		cl.mu.Lock()
-		if cl.closed {
-			cl.mu.Unlock()
-			return
-		}
 		broken, c := cl.broken, cl.conn
 		cl.mu.Unlock()
 		if !broken {
 			err := c.Send(&gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1}, writeTimeout)
 			if err == nil {
-				continue
+				return
 			}
 			cl.markBroken(c, err)
 		}
 		if err := cl.failover(); err != nil && !errors.Is(err, errClientClosed) {
 			cl.opts.Logf("p2p: watchdog failover: %v", err)
 		}
-	}
+	})
 }
 
 // Rejoin replaces the client's collection at the super-peer.
@@ -618,8 +605,6 @@ func (cl *Client) SearchDetailed(query string, window time.Duration) (*SearchOut
 				out.Busy++
 				cl.busy.Add(1)
 			}
-		default:
-			// Tolerate unexpected traffic (heartbeat pongs, etc.).
 		}
 	}
 }

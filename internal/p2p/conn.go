@@ -16,8 +16,8 @@ import (
 )
 
 // conn is one TCP link — to a client, a neighbor super-peer, a controller or
-// a downloader. Its link.Conn serializes writes; each conn has one reader
-// goroutine.
+// a downloader. Its link.Conn serializes writes and keeps the link alive;
+// each conn has one reader goroutine.
 type conn struct {
 	*link.Conn
 	node *Node
@@ -31,37 +31,43 @@ type conn struct {
 	// sentAdvert is the canonical key of the last routing summary sent on
 	// this link (guarded by Node.sumMu); adverts are re-sent only on change.
 	sentAdvert string
-	// lastRecv is the unix-nano timestamp of the link's last inbound
-	// message, read by the heartbeat loop for dead-peer detection.
-	lastRecv atomic.Int64
 	// inflight counts this link's queries that are queued or executing;
 	// admission refuses with Busy above Options.MaxInflight.
 	inflight atomic.Int32
-	// bucket rate-limits client queries when Options.ClientQueryRate is set.
-	bucket tokenBucket
+	// queries rate-limits a client's queries (Options.ClientQueryRate).
+	queries bucket
 }
 
-// tokenBucket is a standard leaky token bucket: take refills by elapsed time
-// at `rate` tokens/sec up to `burst`, then spends one token per admitted
-// query.
-type tokenBucket struct {
+// bucket is a token bucket that starts full: tokens refill at rate per
+// second up to burst. A client's queries each take one token or are
+// refused; served transfer bytes are debited and waited out. A rate of 0 is
+// unlimited.
+type bucket struct {
+	rate, burst float64
+
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
 }
 
-func (b *tokenBucket) take(now time.Time, rate, burst float64) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// refillLocked credits the tokens earned since the last call.
+func (b *bucket) refillLocked(now time.Time) {
 	if b.last.IsZero() {
-		b.tokens = burst
+		b.tokens = b.burst
 	} else {
-		b.tokens += now.Sub(b.last).Seconds() * rate
-		if b.tokens > burst {
-			b.tokens = burst
-		}
+		b.tokens = min(b.burst, b.tokens+now.Sub(b.last).Seconds()*b.rate)
 	}
 	b.last = now
+}
+
+// take spends one token, or refuses when less than one is left.
+func (b *bucket) take() bool {
+	if b.rate <= 0 {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.refillLocked(time.Now())
 	if b.tokens < 1 {
 		return false
 	}
@@ -69,17 +75,25 @@ func (b *tokenBucket) take(now time.Time, rate, burst float64) bool {
 	return true
 }
 
-func newConn(n *Node, lc *link.Conn, r role) *conn {
-	cc := &conn{Conn: lc, node: n, role: r, owner: -1}
-	cc.touch()
-	return cc
+// wait debits n tokens, going into debt if it must, and waits until the debt
+// is repaid or stop closes. It reports whether the wait ran its course.
+// Debt, not refusal, paces at the granularity of n.
+func (b *bucket) wait(n int, stop <-chan struct{}) bool {
+	if b.rate <= 0 {
+		return true
+	}
+	b.mu.Lock()
+	b.refillLocked(time.Now())
+	b.tokens -= float64(n)
+	debt := -b.tokens
+	b.mu.Unlock()
+	return debt <= 0 || link.Sleep(time.Duration(debt/b.rate*float64(time.Second)), stop)
 }
 
-// touch records inbound traffic on the link.
-func (c *conn) touch() { c.lastRecv.Store(time.Now().UnixNano()) }
-
-// lastSeen reports when the link last delivered a message.
-func (c *conn) lastSeen() time.Time { return time.Unix(0, c.lastRecv.Load()) }
+func newConn(n *Node, lc *link.Conn, r role) *conn {
+	return &conn{Conn: lc, node: n, role: r, owner: -1,
+		queries: bucket{rate: n.opts.ClientQueryRate, burst: n.opts.ClientQueryBurst}}
+}
 
 // send writes one message within the node's WriteTimeout.
 func (c *conn) send(m gnutella.Message) error { return c.Send(m, c.node.opts.WriteTimeout) }
@@ -96,13 +110,7 @@ func (n *Node) runClient(c *conn) {
 		if err != nil {
 			return
 		}
-		c.touch()
 		switch m := msg.(type) {
-		case *gnutella.Ping:
-			// Clients probe their super-peer for liveness; answer in kind.
-			if err := c.send(&gnutella.Pong{ID: m.ID, TTL: 1}); err != nil {
-				return
-			}
 		case *gnutella.Join:
 			n.handleClientJoin(c, m)
 			n.summariesChanged()
@@ -213,14 +221,7 @@ func (n *Node) runPeer(c *conn) {
 		if err != nil {
 			return
 		}
-		c.touch()
 		switch m := msg.(type) {
-		case *gnutella.Ping:
-			if err := c.send(&gnutella.Pong{ID: m.ID, TTL: 1}); err != nil {
-				return
-			}
-		case *gnutella.Pong:
-			// Liveness already recorded by touch.
 		case *gnutella.Query:
 			n.enqueueQuery(c, m)
 		case *gnutella.QueryHit:

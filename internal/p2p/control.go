@@ -10,8 +10,8 @@ import (
 // internal/control. A controller connects with the link.Control hello;
 // the node immediately announces itself with a Register frame (carrying its
 // identity and the highest directive epoch it has applied, so a restarted
-// controller can rebuild its database), then answers Pings and applies
-// Directives.
+// controller can rebuild its database), then applies Directives; its
+// link.Conn answers Pings.
 //
 // Directives are idempotent by epoch: the node applies a directive only when
 // its epoch exceeds the node's watermark, and acknowledges every directive
@@ -39,8 +39,8 @@ func (n *Node) ControlState() (epoch uint64, ttl, maxClients int) {
 	return n.ctlEpoch, n.opts.TTL, n.opts.MaxClients
 }
 
-// runControl serves one controller link: announce, then answer pings and
-// apply directives until the link dies.
+// runControl serves one controller link: announce, then apply directives
+// until the link dies.
 func (n *Node) runControl(c *conn) {
 	defer c.Close()
 	if err := c.send(n.makeRegister(gnutella.RegisterHello)); err != nil {
@@ -52,12 +52,7 @@ func (n *Node) runControl(c *conn) {
 		if err != nil {
 			return
 		}
-		c.touch()
 		switch m := msg.(type) {
-		case *gnutella.Ping:
-			if err := c.send(&gnutella.Pong{ID: m.ID, TTL: 1}); err != nil {
-				return
-			}
 		case *gnutella.Directive:
 			applied := n.applyDirective(m)
 			var flag uint8

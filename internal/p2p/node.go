@@ -224,7 +224,7 @@ type Node struct {
 
 	// xferLimit paces served transfer bytes (Options.TransferRate); nil when
 	// the node serves no content.
-	xferLimit *byteLimiter
+	xferLimit *bucket
 
 	// Query dispatch: readers enqueue, workers execute. The queue is the
 	// overload-protection buffer between accept rate and processing rate;
@@ -303,7 +303,7 @@ func NewNode(opts Options) *Node {
 	if opts.Content != nil {
 		n.indexStore(opts.Content)
 		burst := 2 * float64(opts.Content.ChunkSize())
-		n.xferLimit = &byteLimiter{rate: opts.TransferRate, burst: burst}
+		n.xferLimit = &bucket{rate: opts.TransferRate, burst: burst}
 	}
 	return n
 }
@@ -376,9 +376,7 @@ func (n *Node) Close() error {
 			n.qwg.Wait()
 			close(drained)
 		}()
-		select {
-		case <-drained:
-		case <-time.After(n.opts.DrainTimeout):
+		if link.Sleep(n.opts.DrainTimeout, drained) {
 			n.opts.Logf("p2p: drain timeout %v elapsed with queries pending", n.opts.DrainTimeout)
 		}
 	}
@@ -585,35 +583,28 @@ func (n *Node) ConnectPeer(addr string) error {
 }
 
 // heartbeatLoop pings every overlay neighbor each HeartbeatInterval and
-// closes links that have been silent past HeartbeatTimeout — the dead-peer
-// detection that lets the overlay shed crashed or partitioned super-peers
-// instead of blocking on them.
+// closes links whose last frame is older than HeartbeatTimeout — the
+// dead-peer detection that lets the overlay shed crashed or partitioned
+// super-peers instead of blocking on them.
 func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(n.opts.HeartbeatInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case now := <-t.C:
-			n.mu.Lock()
-			peers := n.peerListLocked(nil)
-			n.mu.Unlock()
-			for _, p := range peers {
-				if silent := now.Sub(p.lastSeen()); silent > n.opts.HeartbeatTimeout {
-					n.opts.Logf("p2p: peer %s silent %v > %v, declaring dead",
-						p.RemoteAddr(), silent.Round(time.Millisecond), n.opts.HeartbeatTimeout)
-					p.Close()
-					continue
-				}
-				if err := p.send(&gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1}); err != nil {
-					n.opts.Logf("p2p: heartbeat to %s: %v", p.RemoteAddr(), err)
-					p.Close()
-				}
+	link.Every(n.stop, n.opts.HeartbeatInterval, func(now time.Time) {
+		n.mu.Lock()
+		peers := n.peerListLocked(nil)
+		n.mu.Unlock()
+		for _, p := range peers {
+			if silent := now.Sub(p.LastFrame()); silent > n.opts.HeartbeatTimeout {
+				n.opts.Logf("p2p: peer %s silent %v > %v, declaring dead",
+					p.RemoteAddr(), silent.Round(time.Millisecond), n.opts.HeartbeatTimeout)
+				p.Close()
+				continue
+			}
+			if err := p.send(&gnutella.Ping{ID: gnutella.NewGUID(), TTL: 1}); err != nil {
+				n.opts.Logf("p2p: heartbeat to %s: %v", p.RemoteAddr(), err)
+				p.Close()
 			}
 		}
-	}
+	})
 }
 
 // enqueueQuery admits one arriving query into the dispatch queue, applying
@@ -627,8 +618,7 @@ func (n *Node) enqueueQuery(c *conn, q *gnutella.Query) {
 	if peer {
 		src = metrics.SourcePeer
 	}
-	if !peer && n.opts.ClientQueryRate > 0 &&
-		!c.bucket.take(time.Now(), n.opts.ClientQueryRate, n.opts.ClientQueryBurst) {
+	if !peer && !c.queries.take() {
 		n.metrics.Shed[metrics.ShedRateLimit][src].Inc()
 		n.sendBusy(c, q)
 		return
@@ -720,23 +710,16 @@ func (n *Node) dispatch(t queryTask) {
 // keeps its route until its window closes, and then deletes it itself.
 func (n *Node) pruneLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(routeTTL / 2)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case now := <-t.C:
-			cutoff := now.Add(-routeTTL)
-			n.mu.Lock()
-			for id, rt := range n.routes {
-				if _, own := rt.back.(*ownSearch); rt.at.Before(cutoff) && !own {
-					delete(n.routes, id)
-				}
+	link.Every(n.stop, routeTTL/2, func(now time.Time) {
+		cutoff := now.Add(-routeTTL)
+		n.mu.Lock()
+		for id, rt := range n.routes {
+			if _, own := rt.back.(*ownSearch); rt.at.Before(cutoff) && !own {
+				delete(n.routes, id)
 			}
-			n.mu.Unlock()
 		}
-	}
+		n.mu.Unlock()
+	})
 }
 
 // errClosed reports operations on a closed node.

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
+	"spnet/internal/metrics"
+	"spnet/internal/transfer"
 )
 
 // startNode spins up a node on a loopback port.
@@ -318,5 +321,42 @@ func TestSearchEmptyQuery(t *testing.T) {
 	}
 	if len(results) != 0 {
 		t.Errorf("empty query matched %+v", results)
+	}
+}
+
+// TestNodeCloseDuringPacedTransfer: Close cuts a transfer-pacing wait short
+// instead of waiting it out. At 1 KiB/s with 16 KiB chunks the bucket holds
+// two chunks, so the third waits about 16 s.
+func TestNodeCloseDuringPacedTransfer(t *testing.T) {
+	const chunk = 16 << 10
+	store := transfer.NewStore(transfer.StoreOptions{ChunkSize: chunk, MinFileSize: 8 * chunk, MaxFileSize: 8 * chunk})
+	f := store.Add("paced lecture")
+	n := NewNode(Options{Content: store, TransferRate: 1024, HeartbeatInterval: -1})
+	if err := n.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	fetched := make(chan error, 1)
+	go func() {
+		_, err := transfer.Fetch([]transfer.Source{{Addr: n.Addr(), FileIndex: f.Index}}, transfer.Options{
+			DialTimeout: time.Second,
+			Backoff:     link.Backoff{Initial: 10 * time.Millisecond, Max: 10 * time.Millisecond},
+		})
+		fetched <- err
+	}()
+	served := n.Metrics().TransferBytes[metrics.DirOut]
+	waitFor(t, "two chunks served", func() bool { return served.Value() == 2*chunk })
+
+	start := time.Now()
+	n.Close()
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("Close took %v with a paced chunk pending, want under 1s", el)
+	}
+	select {
+	case err := <-fetched:
+		if err == nil {
+			t.Error("fetch completed from a node closed mid-transfer")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fetch still running 5s after its only source closed")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/link"
 )
 
 // routeEntry remembers where a query GUID arrived from, for duplicate
@@ -82,12 +83,8 @@ func (n *Node) Search(query string, window time.Duration) ([]SearchResult, error
 func (n *Node) SearchDetailed(query string, window time.Duration) (*SearchOutcome, error) {
 	id, s := gnutella.NewGUID(), &ownSearch{}
 	neighbors := n.source(gnutella.Query{ID: id, Text: query}, s)
-	deadline := time.NewTimer(window)
-	defer deadline.Stop()
 	var err error
-	select {
-	case <-deadline.C:
-	case <-n.stop:
+	if !link.Sleep(window, n.stop) {
 		err = errClosed
 	}
 	n.mu.Lock()
@@ -240,7 +237,7 @@ func (n *Node) reverse(id gnutella.GUID) (back returnAddr, terms []string, ok bo
 	if !ok {
 		return nil, nil, false
 	}
-	if c, link := rt.back.(*conn); link && c.role == roleClient && n.clients[c.owner] != c {
+	if c, onLink := rt.back.(*conn); onLink && c.role == roleClient && n.clients[c.owner] != c {
 		return nil, rt.terms, true
 	}
 	return rt.back, rt.terms, true

@@ -2,7 +2,6 @@ package p2p
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"spnet/internal/gnutella"
@@ -28,41 +27,6 @@ func (n *Node) indexStore(s *transfer.Store) {
 	}
 }
 
-// byteLimiter paces the node's aggregate served transfer bytes: reserve
-// debits n bytes and returns how long the caller must sleep before sending
-// so the long-run rate stays at `rate` bytes/sec. Debt-based (tokens may go
-// negative), which smooths pacing at chunk granularity. A zero rate means
-// unlimited.
-type byteLimiter struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func (l *byteLimiter) reserve(now time.Time, n int) time.Duration {
-	if l == nil || l.rate <= 0 {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.last.IsZero() {
-		l.tokens = l.burst
-	} else {
-		l.tokens += now.Sub(l.last).Seconds() * l.rate
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-	}
-	l.last = now
-	l.tokens -= float64(n)
-	if l.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-l.tokens / l.rate * float64(time.Second))
-}
-
 // runTransfer serves one transfer link: a strict request/response loop over
 // the content store. Responses go back in request order, which is what lets
 // the downloader pipeline a window of requests per source.
@@ -73,7 +37,6 @@ func (n *Node) runTransfer(c *conn) {
 		if err != nil {
 			return
 		}
-		c.touch()
 		req, ok := msg.(*gnutella.ChunkRequest)
 		if !ok {
 			n.opts.Logf("p2p: unexpected %T on transfer link from %s", msg, c.RemoteAddr())
@@ -87,8 +50,9 @@ func (n *Node) runTransfer(c *conn) {
 }
 
 // serveChunk answers one ChunkRequest from the store, pacing data chunks
-// through the node's transfer-rate limiter. Unknown files or chunk indices
-// are nacked, not dropped, so the downloader can re-aim immediately.
+// through the node's transfer-rate bucket; Close cuts a pacing wait short.
+// Unknown files or chunk indices are nacked, not dropped, so the downloader
+// can re-aim immediately.
 func (n *Node) serveChunk(c *conn, req *gnutella.ChunkRequest) error {
 	data, man, ok := n.opts.Content.ChunkData(req.FileIndex, req.Chunk)
 	if !ok {
@@ -103,8 +67,8 @@ func (n *Node) serveChunk(c *conn, req *gnutella.ChunkRequest) error {
 			// the receiving side is what catches this.
 			data[0] ^= 0xA5
 		}
-		if d := n.xferLimit.reserve(time.Now(), len(data)); d > 0 {
-			time.Sleep(d)
+		if !n.xferLimit.wait(len(data), n.stop) {
+			return errClosed
 		}
 		n.metrics.TransferBytes[metrics.DirOut].Add(int64(len(data)))
 	}

@@ -26,8 +26,6 @@ type Options struct {
 	// Window is the per-source outstanding-chunk window: how many pipelined
 	// ChunkRequests a source may have unanswered. Default 4.
 	Window int
-	// Redials bounds reconnection attempts per source. Default 2.
-	Redials int
 
 	DialTimeout time.Duration // each dial, and then its hello; default 5s
 	// ChunkTimeout bounds how long a source may go without delivering any
@@ -64,6 +62,8 @@ const (
 	// chunkRetries bounds how many times one chunk may be re-queued (after
 	// timeouts, nacks, forgeries or source death) before the download fails.
 	chunkRetries = 8
+	// maxRedials bounds reconnection attempts per source.
+	maxRedials = 2
 	// dropScore is the trust posterior below which a source is abandoned.
 	dropScore = 0.2
 	// writeTimeout bounds each ChunkRequest write.
@@ -73,9 +73,6 @@ const (
 func (o *Options) setDefaults() {
 	if o.Window <= 0 {
 		o.Window = 4
-	}
-	if o.Redials <= 0 {
-		o.Redials = 2
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
@@ -181,6 +178,13 @@ type download struct {
 	fatal    error
 	book     *trust.Book
 	srcStats []SourceStats
+
+	// released holds one wake-up per source, posted whenever a claim is
+	// given up, so a source with nothing to claim waits for one instead of
+	// polling. done closes when the download ends: the last chunk is in, or
+	// a chunk's retries ran out (fatal), which leaves it missing for good.
+	released []chan struct{}
+	done     chan struct{}
 }
 
 func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
@@ -195,12 +199,15 @@ func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
 		framing:  link.Framing{Meter: link.LoadMeter(opts.Metrics)},
 		book:     opts.Trust,
 		srcStats: make([]SourceStats, len(sources)),
+		released: make([]chan struct{}, len(sources)),
+		done:     make(chan struct{}),
 	}
 	if d.book == nil {
 		d.book = trust.NewBook()
 	}
 	for i, s := range sources {
 		d.srcStats[i].Addr = s.Addr
+		d.released[i] = make(chan struct{}, 1)
 	}
 
 	if prev != nil {
@@ -344,7 +351,9 @@ func (d *download) runSource(idx int) {
 			d.mu.Lock()
 			d.srcStats[idx].Redials++
 			d.mu.Unlock()
-			time.Sleep(d.opts.Backoff.Delay(redials, rng))
+			if !link.Sleep(d.opts.Backoff.Delay(redials, rng), d.done) {
+				return
+			}
 		}
 		if d.finished() {
 			return
@@ -367,7 +376,7 @@ func (d *download) runSource(idx int) {
 				return
 			}
 		}
-		if redials >= d.opts.Redials {
+		if redials >= maxRedials {
 			d.retire(idx, err)
 			return
 		}
@@ -408,9 +417,12 @@ func (d *download) stream(idx int, conn *link.Conn) error {
 			if d.exhausted(idx) {
 				return errSourceDone
 			}
-			// Every missing chunk is inflight on another source; linger in
-			// case one gets re-queued our way.
-			time.Sleep(2 * time.Millisecond)
+			// Every missing chunk this source may serve is inflight on
+			// another: wait for a claim to be given up, or for the end.
+			select {
+			case <-d.released[idx]:
+			case <-d.done:
+			}
 			continue
 		}
 		msg, err := conn.Recv(time.Now().Add(d.opts.ChunkTimeout))
@@ -470,6 +482,7 @@ func (d *download) requeue(idx int, chunk uint32, ban bool) {
 		return
 	}
 	d.claimed[c] = -1
+	defer d.releasedLocked()
 	if ban {
 		d.banLocked(idx, c)
 	}
@@ -490,6 +503,7 @@ func (d *download) retryLocked(c int) {
 	}
 	if d.retries[c] > chunkRetries && d.fatal == nil {
 		d.fatal = fmt.Errorf("transfer: chunk %d failed %d times", c, d.retries[c])
+		close(d.done)
 	}
 }
 
@@ -512,6 +526,7 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
 		return nil
 	}
 	d.claimed[c] = -1
+	defer d.releasedLocked()
 	if d.have[c] {
 		return nil
 	}
@@ -532,7 +547,9 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
 	}
 	copy(d.data[int64(c)*int64(d.man.ChunkSize):], m.Data)
 	d.have[c] = true
-	d.remain--
+	if d.remain--; d.remain == 0 {
+		close(d.done)
+	}
 	d.book.Observe(idx, true)
 	d.srcStats[idx].Chunks++
 	d.srcStats[idx].Bytes += int64(len(m.Data))
@@ -540,6 +557,17 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
 		nm.TransferBytes[metrics.DirIn].Add(int64(len(m.Data)))
 	}
 	return nil
+}
+
+// releasedLocked follows a claim given up: it wakes every source waiting for
+// work.
+func (d *download) releasedLocked() {
+	for _, r := range d.released {
+		select {
+		case r <- struct{}{}:
+		default: // a wake-up is already posted
+		}
+	}
 }
 
 // finished reports whether workers should stop: done or fatally stuck.

@@ -60,7 +60,7 @@ func waitPeered(t *testing.T, nodes ...*p2p.Node) {
 
 func fastOpts() transfer.Options {
 	return transfer.Options{
-		Window: 4, Redials: 2, Seed: 1,
+		Window: 4, Seed: 1,
 		DialTimeout: time.Second, ChunkTimeout: 2 * time.Second,
 		Backoff: link.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},
 	}
@@ -69,6 +69,7 @@ func fastOpts() transfer.Options {
 // TestFetchViaQueryHits drives the whole plane end to end: query the overlay,
 // distill the hits into sources, download, verify against ground truth.
 func TestFetchViaQueryHits(t *testing.T) {
+	t.Parallel() // mostly paced or windowed waits: overlap them
 	store := testStore()
 	a := startNode(t, store, 0, nil)
 	b := startNode(t, store, 0, nil)
@@ -104,6 +105,7 @@ func TestFetchViaQueryHits(t *testing.T) {
 // one source mid-transfer and must complete on the survivor with the hash
 // intact, recovering within the retry budget.
 func TestKillSourceMidDownload(t *testing.T) {
+	t.Parallel() // mostly paced or windowed waits: overlap them
 	store := testStore()
 	f := store.Files()[0]
 	// 256 KiB/s each: the 512 KiB file takes ~1s from two sources, so a kill
@@ -159,13 +161,61 @@ func TestKillSourceMidDownload(t *testing.T) {
 	}
 }
 
+// TestFetchDoesNotWaitOutRedialBackoff: a source killed mid-download goes
+// into a 3 s redial backoff, and the download's end cuts that wait short, so
+// neither Fetch's return nor its Elapsed waits it out.
+func TestFetchDoesNotWaitOutRedialBackoff(t *testing.T) {
+	t.Parallel() // mostly paced or windowed waits: overlap them
+	store := testStore()
+	f := store.Files()[0]
+	// 512 KiB/s each: the 512 KiB file takes about 0.5 s from two sources.
+	a := startNode(t, store, 512<<10, nil)
+	b := startNode(t, store, 512<<10, nil)
+	opts := fastOpts()
+	opts.Backoff = link.Backoff{Initial: 3 * time.Second, Max: 3 * time.Second}
+	type outcome struct {
+		res *transfer.Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	start := time.Now()
+	go func() {
+		res, err := transfer.Fetch([]transfer.Source{
+			{Addr: a.Addr(), FileIndex: f.Index},
+			{Addr: b.Addr(), FileIndex: f.Index},
+		}, opts)
+		done <- outcome{res, err}
+	}()
+	time.Sleep(200 * time.Millisecond)
+	b.Close()
+	killAt := time.Since(start)
+
+	var out outcome
+	select {
+	case out = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("download did not finish after source kill")
+	}
+	if out.err != nil {
+		t.Fatalf("fetch after kill: %v", out.err)
+	}
+	if out.res.Sources[1].Redials == 0 {
+		t.Fatal("the killed source never went into its redial backoff; kill landed too late")
+	}
+	if el := out.res.Elapsed; el >= killAt+2*time.Second {
+		t.Errorf("Elapsed %v with the kill at %v: the 3 s redial backoff was waited out", el, killAt)
+	}
+}
+
 // TestForgedChunkAdversary plants a chunk-forging source beside an honest
 // one: every forged chunk must be rejected on its manifest hash, debited
 // against the forger's trust score, and re-fetched from the honest source.
 func TestForgedChunkAdversary(t *testing.T) {
 	store := testStore()
 	f := store.Files()[0]
-	honest := startNode(t, store, 0, nil)
+	// The honest source is paced (about 0.1 s for the file) so it cannot
+	// finish before the forger's link is up.
+	honest := startNode(t, store, 4<<20, nil)
 	forger := startNode(t, store, 0, &p2p.MisbehaveOptions{ForgeChunk: 1, Seed: 3})
 	sources := []transfer.Source{
 		{Addr: honest.Addr(), FileIndex: f.Index},
@@ -201,6 +251,7 @@ func TestForgedChunkAdversary(t *testing.T) {
 // returned Progress against a fresh source: previously verified chunks must
 // not be fetched again.
 func TestResumeFromBitmap(t *testing.T) {
+	t.Parallel() // mostly paced or windowed waits: overlap them
 	store := testStore()
 	f := store.Files()[0]
 	dying := startNode(t, store, 128<<10, nil) // ~4s alone: plenty of time to kill
