@@ -53,7 +53,7 @@ func (a *agent) run() {
 			return
 		default:
 		}
-		if conn, err := a.ctrl.opts.Dial.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout, framing); err != nil {
+		if conn, err := a.ctrl.opts.Net.Open(a.cfg.Addr, link.Control, a.ctrl.opts.DialTimeout, framing); err != nil {
 			attempt++
 		} else {
 			attempt = 0

@@ -18,9 +18,7 @@
 package control
 
 import (
-	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -81,9 +79,9 @@ type Options struct {
 	// per-second rates when the workload is driven on compressed time:
 	// virtual seconds per wall second (default 1).
 	TimeScale float64
-	// Dial, when set, replaces the dialer for both control links and
-	// telemetry scrapes — the fault-injection hook (faults.Dialer).
-	Dial link.Dialer
+	// Net is the transport both control links and telemetry scrapes dial on
+	// (zero: TCP; the fault-injection hook).
+	Net link.Net
 	// OnEvent, when set, receives every controller event as it happens.
 	OnEvent func(Event)
 	// Logf, when set, receives diagnostic output.
@@ -266,22 +264,10 @@ type Controller struct {
 func New(opts Options) *Controller {
 	opts.setDefaults()
 	c := &Controller{
-		opts:  opts,
-		nodes: make(map[string]*nodeState),
-		stop:  make(chan struct{}),
-	}
-	dial := opts.Dial
-	scrapeTO := opts.ScrapeInterval / 2
-	c.scrape = &http.Client{
-		Timeout: scrapeTO,
-		Transport: &http.Transport{
-			// Fresh dial per scrape: partitions must bite immediately, and a
-			// pooled connection to a restarted node must not serve stale.
-			DisableKeepAlives: true,
-			DialContext: func(_ context.Context, network, addr string) (net.Conn, error) {
-				return dial.Dial(network, addr, scrapeTO)
-			},
-		},
+		opts:   opts,
+		nodes:  make(map[string]*nodeState),
+		scrape: opts.Net.HTTPClient(opts.ScrapeInterval / 2),
+		stop:   make(chan struct{}),
 	}
 	rng := stats.NewRNG(opts.Seed)
 	for i, cfg := range opts.Nodes {

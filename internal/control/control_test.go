@@ -222,7 +222,7 @@ func TestControllerPartitionGracefulDegradation(t *testing.T) {
 		{ID: "sp-0-0", Addr: n0.Addr(), Cluster: 0},
 		{ID: "sp-0-1", Addr: n1.Addr(), Cluster: 0},
 	})
-	opts.Dial = fc.Dialer("controller")
+	opts.Net = link.Net{DialFunc: fc.Net("controller", link.Net{}).Dial}
 	c := New(opts)
 	c.Start()
 	defer c.Close()

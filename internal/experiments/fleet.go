@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -295,7 +294,7 @@ func (f *fleet) control(every float64, capacity, ttl int, seed uint64) *control.
 		ClientCapacity: capacity,
 		BaseTTL:        ttl,
 		TimeScale:      float64(f.bridge),
-		Dial:           f.live.Faults().Dialer(network.ControllerLabel),
+		Net:            f.live.Net(network.ControllerLabel),
 		Logf:           f.logf,
 	})
 	ctrl.Start()
@@ -331,13 +330,15 @@ func (f *fleet) socketBytes() int64 {
 }
 
 // scrape reads every super-peer's per-class wire-byte totals off its
-// telemetry endpoint, in the harness's stable slot order.
+// telemetry endpoint, in the harness's stable slot order, dialing from the
+// fleet controller's vantage point with 5 s per scrape.
 func (f *fleet) scrape() ([]metrics.ByClass, error) {
 	sps := f.live.SuperPeers()
 	out := make([]metrics.ByClass, len(sps))
+	client := f.live.Net(network.ControllerLabel).HTTPClient(5 * time.Second)
 	for i, sp := range sps {
 		var err error
-		if out[i], err = metrics.ScrapeClassBytes(http.DefaultClient, sp.Telemetry); err != nil {
+		if out[i], err = metrics.ScrapeClassBytes(client, sp.Telemetry); err != nil {
 			return nil, err
 		}
 	}

@@ -1,10 +1,10 @@
 // Package faults is a deterministic, seed-driven fault injector for the live
-// super-peer stack. A Controller hands out net.Conn wrappers that can drop,
-// delay, truncate or reset traffic according to per-node rules, and can
-// partition whole nodes (blackholing their links) — the failure vocabulary
-// the paper's Section 3.2 reliability argument is about, made concrete so
-// tests and the live network harness can kill a super-peer mid-search and
-// watch k-redundant failover happen.
+// super-peer stack. A Controller wraps each named node's transport so that
+// its connections can drop, truncate, corrupt or reset traffic according to
+// per-node rules, and can isolate whole nodes (blackholing their links) — the
+// failure vocabulary the paper's Section 3.2 reliability argument is about,
+// made concrete so tests and the live network harness can kill a super-peer
+// mid-search and watch k-redundant failover happen.
 //
 // All probabilistic decisions flow through one splittable PRNG seeded at
 // construction, so a fixed seed and a fixed sequence of operations yield the
@@ -30,8 +30,6 @@ type Kind int
 const (
 	// Drop silently discards a message write.
 	Drop Kind = iota
-	// Delay stalls a write before letting it through.
-	Delay
 	// Truncate writes a prefix of the message and then kills the
 	// connection, corrupting the stream mid-message.
 	Truncate
@@ -49,8 +47,6 @@ func (k Kind) String() string {
 	switch k {
 	case Drop:
 		return "drop"
-	case Delay:
-		return "delay"
 	case Truncate:
 		return "truncate"
 	case Reset:
@@ -65,15 +61,11 @@ func (k Kind) String() string {
 
 // Rule is a per-node probabilistic fault policy, evaluated independently on
 // every message write through the node's wrapped connections. Probabilities
-// are checked in order drop, delay, truncate, reset; at most one fault fires
-// per write.
+// are checked in order drop, truncate, corrupt, reset; at most one fault
+// fires per write.
 type Rule struct {
 	// DropProb is the probability a write is silently discarded.
 	DropProb float64
-	// DelayProb is the probability a write is stalled by DelayFor.
-	DelayProb float64
-	// DelayFor is how long a delayed write stalls.
-	DelayFor time.Duration
 	// TruncateProb is the probability a write is cut short mid-message and
 	// the connection killed.
 	TruncateProb float64
@@ -88,11 +80,11 @@ type Rule struct {
 // Controller owns the fault state for a set of named nodes and the
 // deterministic RNG behind every probabilistic decision.
 type Controller struct {
-	mu       sync.Mutex
-	rng      *stats.RNG
-	rules    map[string]Rule
-	isolated map[string]bool
-	cut      map[[2]string]bool
+	mu    sync.Mutex
+	rng   *stats.RNG
+	rules map[string]Rule
+	// isolated maps an isolated node to the channel Restore closes.
+	isolated map[string]chan struct{}
 	conns    map[string]map[*Conn]struct{}
 	counts   [numKinds]int
 }
@@ -102,17 +94,17 @@ func NewController(seed uint64) *Controller {
 	return &Controller{
 		rng:      stats.NewRNG(seed),
 		rules:    make(map[string]Rule),
-		isolated: make(map[string]bool),
-		cut:      make(map[[2]string]bool),
+		isolated: make(map[string]chan struct{}),
 		conns:    make(map[string]map[*Conn]struct{}),
 	}
 }
 
-// Wrap registers c as a link of node `local` (remote names the far endpoint
-// when known, "" otherwise) and returns the fault-injecting wrapper.
-func (f *Controller) Wrap(local, remote string, c net.Conn) *Conn {
-	fc := &Conn{Conn: c, ctrl: f, local: local, remote: remote}
+// Wrap registers c as a link of node `local` and returns the
+// fault-injecting wrapper.
+func (f *Controller) Wrap(local string, c net.Conn) *Conn {
+	fc := &Conn{Conn: c, ctrl: f, local: local}
 	f.mu.Lock()
+	fc.heal = f.isolated[local]
 	set := f.conns[local]
 	if set == nil {
 		set = make(map[*Conn]struct{})
@@ -123,29 +115,69 @@ func (f *Controller) Wrap(local, remote string, c net.Conn) *Conn {
 	return fc
 }
 
-// WrapAccept returns a wrapper suitable for a node's accept path, where the
-// remote identity is unknown.
+// WrapAccept returns a wrapper suitable for a node's accept path.
 func (f *Controller) WrapAccept(local string) func(net.Conn) net.Conn {
-	return func(c net.Conn) net.Conn { return f.Wrap(local, "", c) }
+	return func(c net.Conn) net.Conn { return f.Wrap(local, c) }
 }
 
-// Dialer returns a dial function for node `local` whose connections are
-// wrapped with the dialed address as the remote label.
-func (f *Controller) Dialer(local string) func(network, addr string, timeout time.Duration) (net.Conn, error) {
-	return func(network, addr string, timeout time.Duration) (net.Conn, error) {
-		f.mu.Lock()
-		blocked := f.isolated[local] || f.isolated[addr] || f.cut[pairKey(local, addr)]
-		f.mu.Unlock()
-		if blocked {
-			f.count(Partition)
-			return nil, &timeoutError{fmt.Sprintf("faults: %s is partitioned from %s", local, addr)}
-		}
-		c, err := net.DialTimeout(network, addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return f.Wrap(local, addr, c), nil
+// Transport is a network to listen and dial on; link.Net is one, and so is
+// what Net returns.
+type Transport interface {
+	Listen(addr string) (net.Listener, error)
+	Dial(addr string, timeout time.Duration) (net.Conn, error)
+}
+
+// Net returns base as node `local` sees it: every connection its listeners
+// accept and every dial it makes is wrapped, and dials fail while the node
+// is isolated.
+func (f *Controller) Net(local string, base Transport) Transport {
+	return nodeNet{f, local, base}
+}
+
+type nodeNet struct {
+	f     *Controller
+	local string
+	base  Transport
+}
+
+func (n nodeNet) Listen(addr string) (net.Listener, error) {
+	ln, err := n.base.Listen(addr)
+	if err != nil {
+		return nil, err
 	}
+	return listener{ln, n}, nil
+}
+
+func (n nodeNet) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	n.f.mu.Lock()
+	isolated := n.f.isolated[n.local] != nil
+	if isolated {
+		n.f.counts[Partition]++
+	}
+	n.f.mu.Unlock()
+	if isolated {
+		return nil, &timeoutError{fmt.Sprintf("faults: %s is partitioned from %s", n.local, addr)}
+	}
+	c, err := n.base.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return n.f.Wrap(n.local, c), nil
+}
+
+// listener wraps every connection it accepts; Addr is the base listener's,
+// so a node relistening on its pinned address keeps it.
+type listener struct {
+	net.Listener
+	n nodeNet
+}
+
+func (l listener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.n.f.Wrap(l.n.local, c), nil
 }
 
 // SetRule installs (or replaces) node's probabilistic fault rule.
@@ -156,34 +188,28 @@ func (f *Controller) SetRule(node string, r Rule) {
 }
 
 // Isolate partitions a node from everything: writes on its links are
-// silently dropped and reads stall, exactly as if every packet to and from
-// it were lost. Dials to or from it fail.
+// silently dropped and reads stall — those already waiting included —
+// exactly as if every packet to and from it were lost. Its dials fail.
 func (f *Controller) Isolate(node string) {
 	f.mu.Lock()
-	f.isolated[node] = true
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	heal := f.isolated[node]
+	if heal == nil {
+		heal = make(chan struct{})
+		f.isolated[node] = heal
+	}
+	for c := range f.conns[node] {
+		c.isolate(heal)
+	}
 }
 
-// Restore heals an isolated node.
+// Restore heals an isolated node; its stalled reads resume.
 func (f *Controller) Restore(node string) {
 	f.mu.Lock()
-	delete(f.isolated, node)
-	f.mu.Unlock()
-}
-
-// Partition cuts traffic between two named endpoints in both directions.
-// Only links whose remote endpoint is known (dialed links) are affected;
-// use Isolate for accept-side blackholing.
-func (f *Controller) Partition(a, b string) {
-	f.mu.Lock()
-	f.cut[pairKey(a, b)] = true
-	f.mu.Unlock()
-}
-
-// Heal removes a pairwise partition.
-func (f *Controller) Heal(a, b string) {
-	f.mu.Lock()
-	delete(f.cut, pairKey(a, b))
+	if heal := f.isolated[node]; heal != nil {
+		close(heal)
+		delete(f.isolated, node)
+	}
 	f.mu.Unlock()
 }
 
@@ -221,13 +247,6 @@ func (f *Controller) count(k Kind) {
 	f.mu.Unlock()
 }
 
-func pairKey(a, b string) [2]string {
-	if a > b {
-		a, b = b, a
-	}
-	return [2]string{a, b}
-}
-
 // writeAction decides, deterministically given the call sequence, what to do
 // with one write at a node. The RNG is consumed only when a rule with
 // non-zero probabilities is installed, so fault-free nodes do not perturb
@@ -237,26 +256,24 @@ type action int
 const (
 	actPass action = iota
 	actDrop
-	actDelay
 	actTruncate
 	actCorrupt
 	actReset
 	actPartition
 )
 
-// writeFault is one write's decided fate: the action plus its parameters
-// (delay length for actDelay; flip position and XOR mask for actCorrupt).
+// writeFault is one write's decided fate: the action plus, for actCorrupt,
+// the flip position and XOR mask.
 type writeFault struct {
-	act   action
-	delay time.Duration
-	pos   int
-	mask  byte
+	act  action
+	pos  int
+	mask byte
 }
 
-func (f *Controller) writeAction(local, remote string, n int) writeFault {
+func (f *Controller) writeAction(local string, n int) writeFault {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.isolated[local] || (remote != "" && (f.isolated[remote] || f.cut[pairKey(local, remote)])) {
+	if f.isolated[local] != nil {
 		f.counts[Partition]++
 		return writeFault{act: actPartition}
 	}
@@ -267,10 +284,6 @@ func (f *Controller) writeAction(local, remote string, n int) writeFault {
 	if r.DropProb > 0 && f.rng.Float64() < r.DropProb {
 		f.counts[Drop]++
 		return writeFault{act: actDrop}
-	}
-	if r.DelayProb > 0 && f.rng.Float64() < r.DelayProb {
-		f.counts[Delay]++
-		return writeFault{act: actDelay, delay: r.DelayFor}
 	}
 	if r.TruncateProb > 0 && f.rng.Float64() < r.TruncateProb {
 		f.counts[Truncate]++
@@ -291,12 +304,6 @@ func (f *Controller) writeAction(local, remote string, n int) writeFault {
 	return writeFault{act: actPass}
 }
 
-func (f *Controller) blackholed(node string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.isolated[node]
-}
-
 func (f *Controller) unregister(node string, c *Conn) {
 	f.mu.Lock()
 	delete(f.conns[node], c)
@@ -304,22 +311,31 @@ func (f *Controller) unregister(node string, c *Conn) {
 }
 
 // Conn is a fault-injecting net.Conn wrapper. Reads stall while the local
-// node is partitioned (honoring read deadlines); writes consult the
-// controller and may be dropped, delayed, truncated or turned into a
-// connection reset.
+// node is isolated, until it is restored, the Conn is closed or the read
+// deadline passes; writes consult the controller and may be dropped,
+// truncated, corrupted or turned into a connection reset.
 type Conn struct {
 	net.Conn
-	ctrl   *Controller
-	local  string
-	remote string
+	ctrl  *Controller
+	local string
 
-	dmu          sync.Mutex
-	readDeadline time.Time
+	mu sync.Mutex
+	// heal is the channel Restore closes, from the node's isolation until
+	// the first Read after the heal; meanwhile the socket's read deadline
+	// is in the past, so no read reaches it.
+	heal         chan struct{}
+	readDeadline time.Time // the caller's
 	closed       bool
+	// wake, made by a stalled Read, is closed when readDeadline changes or
+	// the Conn closes, so the Read looks again.
+	wake chan struct{}
 }
 
 // errReset reports a connection killed by fault injection.
 var errReset = fmt.Errorf("faults: connection reset by injector")
+
+// past is a read deadline long gone: setting it ends a pending read.
+var past = time.Unix(1, 0)
 
 // timeoutError is a net.Error with Timeout() == true, returned when a read
 // deadline expires while the node is partitioned.
@@ -331,13 +347,11 @@ func (e *timeoutError) Temporary() bool { return true }
 
 // Write applies the node's fault policy to one message write.
 func (c *Conn) Write(p []byte) (int, error) {
-	w := c.ctrl.writeAction(c.local, c.remote, len(p))
+	w := c.ctrl.writeAction(c.local, len(p))
 	switch w.act {
 	case actDrop, actPartition:
 		// The caller sees success; the bytes vanish.
 		return len(p), nil
-	case actDelay:
-		time.Sleep(w.delay)
 	case actTruncate:
 		n := len(p) / 2
 		if n > 0 {
@@ -357,47 +371,112 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// Read delivers data unless the local node is partitioned, in which case it
-// stalls — like packets lost in the network — until the partition heals, the
-// read deadline expires, or the connection is closed.
+// Read delivers data unless the local node is isolated, in which case it
+// stalls — like packets lost in the network — until the node is restored,
+// the read deadline passes, or the Conn is closed. Bytes that arrive in the
+// meantime wait in the socket for the heal.
 func (c *Conn) Read(p []byte) (int, error) {
-	for c.ctrl.blackholed(c.local) {
-		c.dmu.Lock()
-		dl, closed := c.readDeadline, c.closed
-		c.dmu.Unlock()
-		if closed {
-			return 0, net.ErrClosed
+	for {
+		if err := c.stall(); err != nil {
+			return 0, err
 		}
-		if !dl.IsZero() && time.Now().After(dl) {
-			return 0, &timeoutError{"faults: read timeout while partitioned"}
+		n, err := c.Conn.Read(p)
+		if n > 0 || err == nil || !c.isolated() {
+			return n, err
 		}
-		time.Sleep(2 * time.Millisecond)
+		// Isolate ended this read: stall instead.
 	}
-	return c.Conn.Read(p)
 }
 
-// SetReadDeadline tracks the deadline so partitioned reads can honor it.
+// isolate cuts the Conn off until heal closes, ending a read already waiting
+// on the socket.
+func (c *Conn) isolate(heal chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.heal = heal
+	c.Conn.SetReadDeadline(past)
+}
+
+func (c *Conn) isolated() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.heal != nil
+}
+
+// stall returns at once unless the Conn is isolated. Then it waits for the
+// heal, which puts the caller's read deadline back on the socket, and fails
+// once the Conn closes or that deadline — moved meanwhile or not — passes.
+func (c *Conn) stall() error {
+	for {
+		c.mu.Lock()
+		select {
+		case <-c.heal:
+			c.heal = nil
+			c.Conn.SetReadDeadline(c.readDeadline)
+		default:
+		}
+		heal, dl, closed := c.heal, c.readDeadline, c.closed
+		if heal != nil && c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake := c.wake
+		c.mu.Unlock()
+		switch {
+		case heal == nil:
+			return nil
+		case closed:
+			return net.ErrClosed
+		}
+		var expired <-chan time.Time // nil: no deadline
+		if !dl.IsZero() {
+			expired = time.After(time.Until(dl))
+		}
+		select {
+		case <-heal:
+		case <-wake:
+		case <-expired:
+			return &timeoutError{"faults: read timeout while partitioned"}
+		}
+	}
+}
+
+// wakeLocked wakes a stalled Read.
+func (c *Conn) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
+// SetReadDeadline records the deadline, so a stalled Read honors it, and
+// sets it on the socket unless isolation holds the socket's in the past.
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.dmu.Lock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.readDeadline = t
-	c.dmu.Unlock()
+	c.wakeLocked()
+	if c.heal != nil {
+		return nil
+	}
 	return c.Conn.SetReadDeadline(t)
 }
 
-// SetDeadline tracks the read half like SetReadDeadline.
+// SetDeadline sets both deadlines, the read one as SetReadDeadline does.
 func (c *Conn) SetDeadline(t time.Time) error {
-	c.dmu.Lock()
-	c.readDeadline = t
-	c.dmu.Unlock()
-	return c.Conn.SetDeadline(t)
+	if err := c.SetReadDeadline(t); err != nil {
+		return err
+	}
+	return c.Conn.SetWriteDeadline(t)
 }
 
-// Close unregisters the wrapper and closes the underlying connection.
+// Close unregisters the wrapper, wakes a stalled Read and closes the
+// underlying connection.
 func (c *Conn) Close() error {
-	c.dmu.Lock()
+	c.mu.Lock()
 	already := c.closed
 	c.closed = true
-	c.dmu.Unlock()
+	c.wakeLocked()
+	c.mu.Unlock()
 	if !already {
 		c.ctrl.unregister(c.local, c)
 	}

@@ -11,7 +11,7 @@ import (
 // pipePair wraps one end of a net.Pipe in a fault conn.
 func pipePair(f *Controller, node string) (*Conn, net.Conn) {
 	a, b := net.Pipe()
-	return f.Wrap(node, "", a), b
+	return f.Wrap(node, a), b
 }
 
 // drain reads everything from c into a buffer until EOF or error.
@@ -79,31 +79,6 @@ func equalBools(a, b []bool) bool {
 		}
 	}
 	return true
-}
-
-func TestDelayStallsWrites(t *testing.T) {
-	f := NewController(1)
-	f.SetRule("n", Rule{DelayProb: 1, DelayFor: 50 * time.Millisecond})
-	wc, rc := pipePair(f, "n")
-	defer wc.Close()
-	var buf bytes.Buffer
-	done := make(chan struct{})
-	go drain(rc, &buf, done)
-	start := time.Now()
-	if _, err := wc.Write([]byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 40*time.Millisecond {
-		t.Errorf("delayed write completed in %v, want >= ~50ms", d)
-	}
-	wc.Close()
-	<-done
-	if buf.String() != "hello" {
-		t.Errorf("payload = %q, want %q (delay must not corrupt)", buf.String(), "hello")
-	}
-	if f.Counts()[Delay] != 1 {
-		t.Errorf("delay count = %d, want 1", f.Counts()[Delay])
-	}
 }
 
 func TestTruncateCorruptsAndKills(t *testing.T) {
@@ -184,27 +159,41 @@ func TestIsolateBlackholesNode(t *testing.T) {
 	}
 }
 
-func TestPairwisePartition(t *testing.T) {
+// TestIsolateStallsReadInProgress: a Read already waiting on the socket when
+// its node is isolated stays blind to what arrives during the partition, and
+// gets those bytes once the node is restored.
+func TestIsolateStallsReadInProgress(t *testing.T) {
 	f := NewController(1)
-	a, b := net.Pipe()
-	defer b.Close()
-	wc := f.Wrap("x", "y", a)
+	wc, rc := pipePair(f, "n")
 	defer wc.Close()
-	f.Partition("x", "y")
-	if n, err := wc.Write([]byte("zz")); err != nil || n != 2 {
-		t.Fatalf("cut-pair write: n=%d err=%v, want silent drop", n, err)
+	defer rc.Close()
+
+	type read struct {
+		b   string
+		err error
 	}
-	f.Heal("x", "y")
-	done := make(chan struct{})
-	var buf bytes.Buffer
-	go drain(b, &buf, done)
-	if _, err := wc.Write([]byte("ok")); err != nil {
-		t.Fatal(err)
+	got := make(chan read, 1)
+	go func() {
+		buf := make([]byte, 8)
+		n, err := wc.Read(buf)
+		got <- read{string(buf[:n]), err}
+	}()
+	time.Sleep(20 * time.Millisecond) // let the Read block on the pipe
+	f.Isolate("n")
+	go rc.Write([]byte("late"))
+	select {
+	case r := <-got:
+		t.Fatalf("Read returned %q, %v during the partition", r.b, r.err)
+	case <-time.After(100 * time.Millisecond):
 	}
-	wc.Close()
-	<-done
-	if buf.String() != "ok" {
-		t.Errorf("post-heal payload %q, want %q", buf.String(), "ok")
+	f.Restore("n")
+	select {
+	case r := <-got:
+		if r.err != nil || r.b != "late" {
+			t.Fatalf("post-heal Read = %q, %v; want %q", r.b, r.err, "late")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Read still stalled 5s after Restore")
 	}
 }
 

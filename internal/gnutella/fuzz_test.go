@@ -74,7 +74,7 @@ func faultedEncodes(t testing.TB, seed uint64, rule faults.Rule, msgs []Message)
 	var out [][]byte
 	for _, m := range msgs {
 		var buf bufferConn
-		fc := ctrl.Wrap("sender", "", &buf)
+		fc := ctrl.Wrap("sender", &buf)
 		WriteMessage(fc, m) // error expected for truncating rules
 		if buf.Len() > 0 {
 			out = append(out, append([]byte(nil), buf.Bytes()...))
@@ -202,7 +202,7 @@ func TestReadMessageFaultedStream(t *testing.T) {
 				// must end promptly rather than hang.
 				a.SetWriteDeadline(time.Now().Add(2 * time.Second))
 				b.SetReadDeadline(time.Now().Add(2 * time.Second))
-				fc := ctrl.Wrap("sender", "", a)
+				fc := ctrl.Wrap("sender", a)
 				done := make(chan error, 1)
 				go func() {
 					var err error

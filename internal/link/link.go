@@ -2,18 +2,21 @@
 // hello to the last frame. A node serves clients, peers, fleet controllers and
 // downloaders on one port; the first line a dialer sends names its plane, and
 // the acceptor answers OK or BUSY. This package declares those lines once,
-// bounds how many bytes either side may spend on them, holds the one Dialer
-// and the one redial Backoff that p2p, control and transfer share, and hands
-// each side one Conn whose Send and Recv are the planes' only frame I/O and
-// whose Recv keeps the link alive. Sleep and Every are the planes' waits.
+// bounds how many bytes either side may spend on them, holds the one
+// transport (Net) and the one redial Backoff that p2p, control and transfer
+// share, and hands each side one Conn whose Send and Recv are the planes'
+// only frame I/O and whose Recv keeps the link alive. Sleep and Every are the
+// planes' waits.
 package link
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,32 +54,87 @@ var (
 	errLineTooLong = errors.New("link: hello line too long")
 )
 
-// Dialer opens a transport connection — net.DialTimeout's shape, and the one
-// seam fault injection (faults.Controller.Dialer) and metering hook into. A
-// nil Dialer dials the real network.
-type Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
-
-// Dial calls d, or net.DialTimeout when d is nil.
-func (d Dialer) Dial(network, addr string, timeout time.Duration) (net.Conn, error) {
-	if d == nil {
-		return net.DialTimeout(network, addr, timeout)
-	}
-	return d(network, addr, timeout)
+// Net is the transport every listener and dialer of the live stack goes
+// through, and the one seam fault injection (faults.Controller.Net) and
+// metering hook into. Either func left nil is TCP, so the zero Net is the
+// real network.
+type Net struct {
+	// ListenFunc binds addr in place of a TCP listener.
+	ListenFunc func(addr string) (net.Listener, error)
+	// DialFunc connects to addr within timeout in place of a TCP dial.
+	DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// Metered returns d with every connection it opens counting its socket
-// bytes, the hello exchange included, into nm's ConnBytes. A nil nm returns
-// d unchanged.
-func (d Dialer) Metered(nm *metrics.NodeMetrics) Dialer {
-	if nm == nil {
-		return d
+// Listen binds addr on n.
+func (n Net) Listen(addr string) (net.Listener, error) {
+	if n.ListenFunc == nil {
+		return net.Listen("tcp", addr)
 	}
-	return func(network, addr string, timeout time.Duration) (net.Conn, error) {
-		c, err := d.Dial(network, addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return metrics.NewMeteredConn(c, nm.ConnBytes[metrics.DirIn], nm.ConnBytes[metrics.DirOut]), nil
+	return n.ListenFunc(addr)
+}
+
+// Dial connects to addr on n within timeout.
+func (n Net) Dial(addr string, timeout time.Duration) (net.Conn, error) {
+	if n.DialFunc == nil {
+		return net.DialTimeout("tcp", addr, timeout)
+	}
+	return n.DialFunc(addr, timeout)
+}
+
+// Metered returns n with every connection it accepts or dials counting its
+// socket bytes, the hello exchange included, into nm's ConnBytes. A nil nm
+// returns n unchanged.
+func (n Net) Metered(nm *metrics.NodeMetrics) Net {
+	if nm == nil {
+		return n
+	}
+	meter := func(c net.Conn) net.Conn {
+		return metrics.NewMeteredConn(c, nm.ConnBytes[metrics.DirIn], nm.ConnBytes[metrics.DirOut])
+	}
+	return Net{
+		ListenFunc: func(addr string) (net.Listener, error) {
+			ln, err := n.Listen(addr)
+			if err != nil {
+				return nil, err
+			}
+			return meteredListener{ln, meter}, nil
+		},
+		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := n.Dial(addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return meter(c), nil
+		},
+	}
+}
+
+// meteredListener meters every connection it accepts.
+type meteredListener struct {
+	net.Listener
+	meter func(net.Conn) net.Conn
+}
+
+func (l meteredListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.meter(c), nil
+}
+
+// HTTPClient returns a client that dials every request afresh through n —
+// so a partition bites at once and no pooled connection outlives a restart —
+// and gives each request, dial included, timeout.
+func (n Net) HTTPClient(timeout time.Duration) *http.Client {
+	return &http.Client{
+		Timeout: timeout,
+		Transport: &http.Transport{
+			DisableKeepAlives: true,
+			DialContext: func(_ context.Context, _, addr string) (net.Conn, error) {
+				return n.Dial(addr, timeout)
+			},
+		},
 	}
 }
 
@@ -223,12 +281,12 @@ func (c *Conn) recv(deadline time.Time) (gnutella.Message, error) {
 	return m, nil
 }
 
-// Open dials addr over TCP, sends hello and reads the acceptor's reply.
-// timeout bounds the dial and, separately, the exchange. On success the
-// Conn's deadlines are clear and its frames follow f. A BUSY reply returns
-// an error wrapping ErrBusy.
-func (d Dialer) Open(addr, hello string, timeout time.Duration, f Framing) (*Conn, error) {
-	c, err := d.Dial("tcp", addr, timeout)
+// Open dials addr on n, sends hello and reads the acceptor's reply. timeout
+// bounds the dial and, separately, the exchange. On success the Conn's
+// deadlines are clear and its frames follow f. A BUSY reply returns an error
+// wrapping ErrBusy.
+func (n Net) Open(addr, hello string, timeout time.Duration, f Framing) (*Conn, error) {
+	c, err := n.Dial(addr, timeout)
 	if err == nil {
 		var lc *Conn
 		if lc, err = exchange(c, hello, timeout, f); err == nil {

@@ -17,15 +17,15 @@ import (
 	"spnet/internal/stats"
 )
 
-// pipeDialer returns a Dialer whose every connection is one end of a
-// net.Pipe, with serve running the acceptor's script on the other end.
-func pipeDialer(t *testing.T, serve func(net.Conn)) Dialer {
-	return func(network, addr string, timeout time.Duration) (net.Conn, error) {
+// pipeNet returns a Net whose every dial is one end of a net.Pipe, with
+// serve running the acceptor's script on the other end.
+func pipeNet(t *testing.T, serve func(net.Conn)) Net {
+	return Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
 		client, server := net.Pipe()
 		t.Cleanup(func() { server.Close() })
 		go serve(server)
 		return client, nil
-	}
+	}}
 }
 
 // answer reads the dialer's hello, then writes reply verbatim.
@@ -42,42 +42,42 @@ func TestOpen(t *testing.T) {
 	dialErr := errors.New("no route")
 	cases := []struct {
 		name  string
-		dial  Dialer
+		dial  Net
 		check func(t *testing.T, c *Conn, err error)
 	}{
-		{"ok", pipeDialer(t, answer(OK+"\n")), func(t *testing.T, _ *Conn, err error) {
+		{"ok", pipeNet(t, answer(OK+"\n")), func(t *testing.T, _ *Conn, err error) {
 			if err != nil {
 				t.Fatalf("err = %v, want nil", err)
 			}
 		}},
-		{"busy", pipeDialer(t, answer(Busy+"\n")), func(t *testing.T, _ *Conn, err error) {
+		{"busy", pipeNet(t, answer(Busy+"\n")), func(t *testing.T, _ *Conn, err error) {
 			if !errors.Is(err, ErrBusy) {
 				t.Fatalf("err = %v, want ErrBusy", err)
 			}
 		}},
-		{"garbage reply", pipeDialer(t, answer("HTTP/1.1 400 Bad Request\n")), func(t *testing.T, _ *Conn, err error) {
+		{"garbage reply", pipeNet(t, answer("HTTP/1.1 400 Bad Request\n")), func(t *testing.T, _ *Conn, err error) {
 			if err == nil || errors.Is(err, ErrBusy) || !strings.Contains(err.Error(), "unexpected reply") {
 				t.Fatalf("err = %v, want an unexpected-reply error", err)
 			}
 		}},
-		{"silent server", pipeDialer(t, answer("")), func(t *testing.T, _ *Conn, err error) {
+		{"silent server", pipeNet(t, answer("")), func(t *testing.T, _ *Conn, err error) {
 			var ne net.Error
 			if !errors.As(err, &ne) || !ne.Timeout() {
 				t.Fatalf("err = %v, want a setup timeout", err)
 			}
 		}},
-		{"dial error", func(string, string, time.Duration) (net.Conn, error) { return nil, dialErr },
+		{"dial error", Net{DialFunc: func(string, time.Duration) (net.Conn, error) { return nil, dialErr }},
 			func(t *testing.T, _ *Conn, err error) {
 				if !errors.Is(err, dialErr) {
 					t.Fatalf("err = %v, want the dial error", err)
 				}
 			}},
-		{"over-long line", pipeDialer(t, answer(strings.Repeat("x", 4*maxLine))), func(t *testing.T, _ *Conn, err error) {
+		{"over-long line", pipeNet(t, answer(strings.Repeat("x", 4*maxLine))), func(t *testing.T, _ *Conn, err error) {
 			if !errors.Is(err, errLineTooLong) {
 				t.Fatalf("err = %v, want errLineTooLong", err)
 			}
 		}},
-		{"bytes after the reply", pipeDialer(t, answer(OK+"\nfirst frame")), func(t *testing.T, c *Conn, err error) {
+		{"bytes after the reply", pipeNet(t, answer(OK+"\nfirst frame")), func(t *testing.T, c *Conn, err error) {
 			if err != nil {
 				t.Fatalf("err = %v, want nil", err)
 			}
@@ -125,7 +125,7 @@ func TestReadHelloBounded(t *testing.T) {
 // trimmed, Reply answers it, and the dialer sees the answer.
 func TestReadHelloReply(t *testing.T) {
 	for _, admitted := range []bool{true, false} {
-		d := pipeDialer(t, func(c net.Conn) {
+		d := pipeNet(t, func(c net.Conn) {
 			hello, lc, err := ReadHello(c, time.Second, Framing{})
 			if err != nil || hello != Transfer {
 				t.Errorf("ReadHello = %q, %v; want %q", hello, err, Transfer)

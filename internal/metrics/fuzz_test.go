@@ -55,7 +55,7 @@ func corruptedExpositions(t testing.TB, seed uint64, rule faults.Rule) [][]byte 
 			continue
 		}
 		var buf sink
-		fc := ctrl.Wrap("scraped", "", &buf)
+		fc := ctrl.Wrap("scraped", &buf)
 		fc.Write([]byte(line)) // error expected for truncating rules
 		if buf.Len() > 0 {
 			out = append(out, append([]byte(nil), buf.Bytes()...))

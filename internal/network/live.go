@@ -2,11 +2,11 @@ package network
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"sync"
 
 	"spnet/internal/faults"
+	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/p2p"
 	"spnet/internal/topology"
@@ -37,9 +37,9 @@ type LiveConfig struct {
 	// same handler spnet-node exposes for -telemetry. Addresses are pinned
 	// across kill/restart and reported by SuperPeers.
 	Telemetry bool
-	// Node is the base configuration applied to every super-peer; its
-	// Wrap/Dial hooks are overwritten to route through the fault
-	// controller, and its RoutingSeed with the slot's.
+	// Node is the base configuration applied to every super-peer; its Net
+	// is overwritten to route through the fault controller, and its
+	// RoutingSeed with the slot's.
 	Node p2p.Options
 	// Adjust, when set, edits one slot's copy of Node before the super-peer
 	// is built (at launch and again on every restart) — how a fleet plants
@@ -94,9 +94,14 @@ func NewLive(cfg LiveConfig) *Live {
 // label names a super-peer slot for the fault controller.
 func label(cluster, partner int) string { return fmt.Sprintf("sp-%d-%d", cluster, partner) }
 
-// Faults exposes the controller for scripting link faults on top of the
-// topology-level churn operations.
-func (l *Live) Faults() *faults.Controller { return l.ctrl }
+// Net is the transport of fault label lbl: TCP through the fault
+// controller, so isolating lbl blackholes everything listened or dialed on
+// it. Every slot's node and telemetry server use their own label's; the
+// fleet controller and the harness's scrapes dial on ControllerLabel's.
+func (l *Live) Net(lbl string) link.Net {
+	t := l.ctrl.Net(lbl, link.Net{})
+	return link.Net{ListenFunc: t.Listen, DialFunc: t.Dial}
+}
 
 // Overlay returns the graph the fleet is wired from (the default ring when
 // LiveConfig.Overlay was nil).
@@ -121,7 +126,7 @@ func (l *Live) Launch() error {
 			}
 			ln.addr = ln.node.Addr()
 			l.nodes[c][p] = ln
-			if err := l.startTelemetryLocked(ln); err != nil {
+			if err := l.startTelemetryLocked(ln, label(c, p)); err != nil {
 				l.closeLocked()
 				return err
 			}
@@ -139,9 +144,11 @@ func (l *Live) Launch() error {
 	return nil
 }
 
-// startTelemetryLocked serves the slot node's metrics registry over HTTP. The
-// first start picks a free loopback port; restarts rebind the pinned address.
-func (l *Live) startTelemetryLocked(ln *liveNode) error {
+// startTelemetryLocked serves the slot node's metrics registry over HTTP,
+// listening on the slot's fault label lbl so a partition blackholes scrapes
+// too; the node's meter never sees these bytes. The first start picks a free
+// loopback port; restarts rebind the pinned address.
+func (l *Live) startTelemetryLocked(ln *liveNode, lbl string) error {
 	if !l.cfg.Telemetry {
 		return nil
 	}
@@ -149,7 +156,7 @@ func (l *Live) startTelemetryLocked(ln *liveNode) error {
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	lis, err := net.Listen("tcp", addr)
+	lis, err := l.Net(lbl).Listen(addr)
 	if err != nil {
 		return err
 	}
@@ -205,8 +212,7 @@ func (l *Live) SuperPeers() []SuperPeerInfo {
 func (l *Live) newNode(cluster, partner int) *p2p.Node {
 	opts := l.cfg.Node
 	lbl := label(cluster, partner)
-	opts.Wrap = l.ctrl.WrapAccept(lbl)
-	opts.Dial = l.ctrl.Dialer(lbl)
+	opts.Net = l.Net(lbl)
 	opts.RoutingSeed = l.cfg.Seed + uint64(cluster*l.cfg.Partners+partner+1)
 	if l.cfg.Adjust != nil {
 		l.cfg.Adjust(cluster, partner, &opts)
@@ -295,7 +301,7 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 		return err
 	}
 	ln.node = n
-	if err := l.startTelemetryLocked(ln); err != nil {
+	if err := l.startTelemetryLocked(ln, label(cluster, partner)); err != nil {
 		ln.node = nil
 		n.Close()
 		return err
@@ -305,8 +311,8 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 }
 
 // ControllerLabel is the fault-controller label of the fleet controller's
-// vantage point. Route a control.Controller's Options.Dial through
-// Faults().Dialer(ControllerLabel) (internal/control cannot be imported here
+// vantage point. Hand Net(ControllerLabel) to a control.Controller's
+// Options.Net (internal/control cannot be imported here
 // without a cycle — the experiment layer assembles the Options from
 // SuperPeers()), and controller partitions become scriptable like any other
 // fault.

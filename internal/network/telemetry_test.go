@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"spnet/internal/metrics"
 )
@@ -126,5 +127,26 @@ func TestLiveTelemetry(t *testing.T) {
 		}
 		t.Fatalf("restarted node missing %s; scraped: %s",
 			metrics.MetricQueriesHandled, strings.Join(keys, ", "))
+	}
+}
+
+// TestLivePartitionBlackholesTelemetry: a partitioned super-peer's telemetry
+// goes dark with the rest of its traffic, and answers again once healed.
+func TestLivePartitionBlackholesTelemetry(t *testing.T) {
+	lv := NewLive(LiveConfig{Clusters: 2, Partners: 1, Seed: 9, Telemetry: true})
+	if err := lv.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+	client := &http.Client{Timeout: 300 * time.Millisecond, Transport: &http.Transport{DisableKeepAlives: true}}
+	addr := lv.SuperPeers()[1].Telemetry // sp-1-0
+
+	lv.PartitionCluster(1)
+	if _, err := metrics.ScrapeClassBytes(client, addr); err == nil {
+		t.Error("partitioned sp-1-0 answered a scrape")
+	}
+	lv.HealCluster(1)
+	if _, err := metrics.ScrapeClassBytes(client, addr); err != nil {
+		t.Errorf("scrape after heal: %v", err)
 	}
 }

@@ -185,8 +185,9 @@ type DialOptions struct {
 	// per-message load-taxonomy attribution land in this metric set, under
 	// the same names super-peers use.
 	Metrics *metrics.NodeMetrics
-	// Dial, when set, replaces the dialer (fault-injection hook).
-	Dial link.Dialer
+	// Net is the transport the client dials on (zero: TCP; the
+	// fault-injection hook).
+	Net link.Net
 	// OnEvent, when set, observes failover progress. Called synchronously
 	// from client goroutines; keep it fast.
 	OnEvent func(Event)
@@ -202,7 +203,7 @@ func (o *DialOptions) setDefaults() {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 8
 	}
-	o.Dial = o.Dial.Metered(o.Metrics)
+	o.Net = o.Net.Metered(o.Metrics)
 	if o.OnEvent == nil {
 		o.OnEvent = func(Event) {}
 	}
@@ -308,7 +309,7 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 	}
 	var firstErr error
 	for _, i := range cl.rankedOrder() {
-		c, err := opts.Dial.Open(opts.Addrs[i], link.Client, opts.DialTimeout, cl.framing)
+		c, err := opts.Net.Open(opts.Addrs[i], link.Client, opts.DialTimeout, cl.framing)
 		if err == nil {
 			cl.conn, cl.addrIdx = c, i
 			break
@@ -427,7 +428,7 @@ func (cl *Client) failover() error {
 				return errClientClosed
 			}
 		}
-		c, err := cl.opts.Dial.Open(addr, link.Client, cl.opts.DialTimeout, cl.framing)
+		c, err := cl.opts.Net.Open(addr, link.Client, cl.opts.DialTimeout, cl.framing)
 		if err != nil {
 			lastErr = err
 			cl.opts.Logf("p2p: reconnect attempt %d to %s: %v", attempt, addr, err)

@@ -323,14 +323,14 @@ func TestSearchDeadlineFailureRetiresConn(t *testing.T) {
 		Addrs:   []string{n.Addr(), n.Addr()},
 		Backoff: fastBackoff,
 		Seed:    5,
-		Dial: func(network, addr string, timeout time.Duration) (net.Conn, error) {
-			c, err := net.DialTimeout(network, addr, timeout)
+		Net: link.Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := link.Net{}.Dial(addr, timeout)
 			if err != nil || !first {
 				return c, err
 			}
 			first = false
 			return &deadlineFailConn{Conn: c, fail: &fail}, nil
-		},
+		}},
 	}, []SharedFile{{Index: 1, Title: "deadline dirge"}})
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestHeartbeatKeepsLivePeerConnected(t *testing.T) {
 // returns local results plus the per-neighbor error, instead of failing.
 func TestSearchDetailedAccountsDeadNeighbor(t *testing.T) {
 	ctrl := faults.NewController(9)
-	a := startNode(t, Options{Dial: ctrl.Dialer("a")})
+	a := startNode(t, Options{Net: link.Net{DialFunc: ctrl.Net("a", link.Net{}).Dial}})
 	b := startNode(t, Options{})
 	if err := a.ConnectPeer(b.Addr()); err != nil {
 		t.Fatal(err)

@@ -112,13 +112,10 @@ type Options struct {
 	// experiments: it freeloads, forges hits, and Busy-lies per the
 	// configured probabilities. Test hook; nil in production.
 	Misbehave *MisbehaveOptions
-	// Wrap, when set, wraps every accepted connection — the hook
-	// internal/faults uses to inject message drop, delay, truncation,
-	// resets and partitions.
-	Wrap func(net.Conn) net.Conn
-	// Dial, when set, replaces the dialer used by ConnectPeer (same fault
-	// injection hook, outbound side).
-	Dial link.Dialer
+	// Net is the transport Listen binds and ConnectPeer dials on (zero:
+	// TCP) — the hook internal/faults uses to inject message drops,
+	// truncation, resets and partitions on both sides.
+	Net link.Net
 	// Logf, when set, receives diagnostic output.
 	Logf func(format string, args ...any)
 }
@@ -181,9 +178,6 @@ func (o *Options) setDefaults() {
 	}
 	if o.TrustPeerShare <= 0 || o.TrustPeerShare > 1 {
 		o.TrustPeerShare = 0.5
-	}
-	if o.Wrap == nil {
-		o.Wrap = func(c net.Conn) net.Conn { return c }
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
@@ -287,7 +281,7 @@ func NewNode(opts Options) *Node {
 		mis:     newMisbehaveState(opts.Misbehave),
 		stop:    make(chan struct{}),
 	}
-	n.opts.Dial = opts.Dial.Metered(n.metrics)
+	n.opts.Net = opts.Net.Metered(n.metrics)
 	n.framing = link.Framing{Bound: opts.FrameTimeout, Meter: n.meterMessage}
 	if opts.Trust {
 		n.book = trust.NewBook()
@@ -326,7 +320,7 @@ func (n *Node) startWorkers() {
 // Listen binds addr (e.g. "127.0.0.1:0") and starts accepting clients and
 // peers.
 func (n *Node) Listen(addr string) error {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := n.opts.Net.Listen(addr)
 	if err != nil {
 		return fmt.Errorf("p2p: listen %s: %w", addr, err)
 	}
@@ -497,8 +491,6 @@ var roles = [numRoles]struct {
 // serve performs the acceptor side of the handshake — hello, admit, reply —
 // and runs the connection's role loop.
 func (n *Node) serve(c net.Conn) {
-	c = n.opts.Wrap(c)
-	c = metrics.NewMeteredConn(c, n.metrics.ConnBytes[metrics.DirIn], n.metrics.ConnBytes[metrics.DirOut])
 	hello, lc, err := link.ReadHello(c, n.opts.DialTimeout, n.framing)
 	r := role(0)
 	for err == nil && r < numRoles && roles[r].hello != hello {
@@ -563,7 +555,7 @@ func (n *Node) unregister(c *conn) {
 
 // ConnectPeer dials another super-peer and adds it as an overlay neighbor.
 func (n *Node) ConnectPeer(addr string) error {
-	lc, err := n.opts.Dial.Open(addr, link.Peer, n.opts.DialTimeout, n.framing)
+	lc, err := n.opts.Net.Open(addr, link.Peer, n.opts.DialTimeout, n.framing)
 	if err != nil {
 		return fmt.Errorf("p2p: connecting peer: %w", err)
 	}

@@ -23,6 +23,17 @@ func (c *slowWriteConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// slowListener accepts connections whose every write is delayed.
+type slowListener struct{ net.Listener }
+
+func (l slowListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &slowWriteConn{Conn: c, delay: 2 * time.Millisecond}, nil
+}
+
 // rawClient is a bare wire-level client: handshake + join, no failover
 // machinery, so tests control exactly what goes on the wire and when.
 type rawClient struct {
@@ -32,7 +43,7 @@ type rawClient struct {
 
 func dialRaw(t *testing.T, addr string, files []gnutella.MetadataRecord) *rawClient {
 	t.Helper()
-	c, err := link.Dialer(nil).Open(addr, link.Client, 5*time.Second, link.Framing{})
+	c, err := link.Net{}.Open(addr, link.Client, 5*time.Second, link.Framing{})
 	if err != nil {
 		t.Fatalf("client handshake: %v", err)
 	}
@@ -64,9 +75,10 @@ func TestNodeOverloadSheds(t *testing.T) {
 		QueryWorkers: 1,
 		QueueDepth:   4,
 		MaxInflight:  4,
-		Wrap: func(c net.Conn) net.Conn {
-			return &slowWriteConn{Conn: c, delay: 2 * time.Millisecond}
-		},
+		Net: link.Net{ListenFunc: func(addr string) (net.Listener, error) {
+			ln, err := link.Net{}.Listen(addr)
+			return slowListener{ln}, err
+		}},
 	})
 	rc := dialRaw(t, n.Addr(), []gnutella.MetadataRecord{
 		{FileIndex: 1, Title: "needle in a haystack"},

@@ -200,7 +200,7 @@ func TestNodeConnBytesConserved(t *testing.T) {
 	if err := peer.ConnectPeer(n.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := link.Dialer(nil).Open(n.Addr(), link.Control, 5*time.Second, link.Framing{})
+	ctl, err := link.Net{}.Open(n.Addr(), link.Control, 5*time.Second, link.Framing{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,8 +52,9 @@ type Options struct {
 	// and the per-download throughput histogram.
 	Metrics *metrics.NodeMetrics
 
-	// Dial overrides the transport (fault injection hooks in here).
-	Dial link.Dialer
+	// Net is the transport sources are dialed on (zero: TCP; fault
+	// injection hooks in here).
+	Net link.Net
 	// Logf receives protocol diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -81,7 +82,7 @@ func (o *Options) setDefaults() {
 		o.ChunkTimeout = 15 * time.Second
 	}
 	o.Backoff = o.Backoff.Or(link.Backoff{Initial: 50 * time.Millisecond, Max: 2 * time.Second})
-	o.Dial = o.Dial.Metered(o.Metrics)
+	o.Net = o.Net.Metered(o.Metrics)
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
@@ -307,7 +308,7 @@ func (d *download) bootstrap() error {
 }
 
 func (d *download) fetchManifest(idx int, src Source) (*Manifest, error) {
-	conn, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout, d.framing)
+	conn, err := d.opts.Net.Open(src.Addr, link.Transfer, d.opts.DialTimeout, d.framing)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +359,7 @@ func (d *download) runSource(idx int) {
 		if d.finished() {
 			return
 		}
-		conn, err := d.opts.Dial.Open(src.Addr, link.Transfer, d.opts.DialTimeout, d.framing)
+		conn, err := d.opts.Net.Open(src.Addr, link.Transfer, d.opts.DialTimeout, d.framing)
 		if err != nil {
 			err = fmt.Errorf("transfer: dialing: %w", err)
 		} else {

@@ -44,7 +44,7 @@ func FuzzDecodeManifest(f *testing.F) {
 		ctrl.SetRule("sender", rule)
 		for _, b := range seeds {
 			var sink sinkConn
-			ctrl.Wrap("sender", "", &sink).Write(b) // a truncating rule reports its reset
+			ctrl.Wrap("sender", &sink).Write(b) // a truncating rule reports its reset
 			f.Add(sink.buf.Bytes())
 		}
 	}

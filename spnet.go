@@ -404,7 +404,7 @@ func DialSuperPeers(opts ClientDialOptions, files []SharedFile) (*NodeClient, er
 
 // FaultController, FaultRule and FailureSchedule are the deterministic fault
 // injection layer: a seeded controller that wraps live connections to inject
-// message drop, delay, truncation, connection resets and partitions, plus
+// message drop, truncation, corruption, connection resets and partitions, plus
 // shared failure schedules that replay identically in the simulator
 // (FailureOptions.Schedule) and against live networks.
 type (
@@ -422,8 +422,8 @@ func ExponentialFailureSchedule(seed uint64, clusters, partners int, mtbf, durat
 }
 
 // LiveNetwork runs a real super-peer network on loopback and orchestrates
-// churn against it: killing and restarting super-peers, partitioning
-// clusters, and injecting link faults through its FaultController.
+// churn against it: killing and restarting super-peers and partitioning
+// clusters or the fleet controller, every link through a FaultController.
 type (
 	LiveNetwork = network.Live
 	LiveConfig  = network.LiveConfig
