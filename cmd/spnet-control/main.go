@@ -8,8 +8,8 @@
 // Each -node flag names one super-peer as id=addr[=telemetry] with the
 // optional cluster/partner position appended as @cluster.partner:
 //
-//	spnet-node -listen 127.0.0.1:7001 -id sp-0-0 -telemetry 127.0.0.1:9001
-//	spnet-node -listen 127.0.0.1:7002 -id sp-0-1 -telemetry 127.0.0.1:9002
+//	spnet-node -listen 127.0.0.1:7001 -telemetry 127.0.0.1:9001
+//	spnet-node -listen 127.0.0.1:7002 -telemetry 127.0.0.1:9002
 //	spnet-control -node sp-0-0=127.0.0.1:7001=127.0.0.1:9001@0.0 \
 //	              -node sp-0-1=127.0.0.1:7002=127.0.0.1:9002@0.1 \
 //	              -capacity 100 -scrape 2s

@@ -62,7 +62,6 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 	var (
 		listen  = fs.String("listen", "127.0.0.1:0", "address to serve clients and peers on")
 		peers   = fs.String("peers", "", "comma-separated super-peer addresses to connect to")
-		id      = fs.String("id", "", "node identity announced to fleet controllers (e.g. sp-0-0)")
 		ttl     = fs.Int("ttl", 7, "TTL stamped on queries")
 		maxCl   = fs.Int("max-clients", 100, "maximum clients (cluster size - 1)")
 		maxPeer = fs.Int("max-peers", 30, "maximum overlay neighbors (outdegree)")
@@ -162,10 +161,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 				log.Printf("telemetry server: %v", err)
 			}
 		}()
-		node.SetIdentity(*id, lis.Addr().String())
 		fmt.Fprintf(out, "telemetry on http://%s/metrics\n", lis.Addr())
-	} else {
-		node.SetIdentity(*id, "")
 	}
 
 	shutdown := func() {

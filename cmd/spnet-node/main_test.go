@@ -63,7 +63,6 @@ func TestRunShutsDownGracefullyOnSIGTERM(t *testing.T) {
 		done <- run([]string{
 			"-listen", "127.0.0.1:0",
 			"-telemetry", "127.0.0.1:0",
-			"-id", "sp-test",
 			"-drain-timeout", "100ms",
 		}, &out, nil)
 	}()

@@ -21,14 +21,21 @@ type agent struct {
 
 	mu   sync.Mutex
 	conn *link.Conn // nil while the link is down
-	// pending routes DirectiveAcks to waiting push calls, keyed by epoch.
-	pending map[uint64]chan *gnutella.DirectiveAck
+	// pending holds the pushes waiting for an ack on conn, keyed by epoch.
+	pending map[uint64]*pendingPush
 	// registers counts Register frames since the decision loop last looked —
 	// the re-registration-storm detector's input.
 	registers int
 	// bye records a graceful deregistration (node drained, not crashed).
 	bye bool
-	up  bool
+}
+
+// pendingPush is one push waiting for its ack. Whoever takes it out of
+// agent.pending closes woke: the reader when the ack arrives (setting ack
+// first), or setConn when the link drops.
+type pendingPush struct {
+	woke chan struct{}
+	ack  *gnutella.DirectiveAck
 }
 
 func newAgent(c *Controller, cfg NodeConfig, rng *stats.RNG) *agent {
@@ -36,7 +43,7 @@ func newAgent(c *Controller, cfg NodeConfig, rng *stats.RNG) *agent {
 		ctrl:    c,
 		cfg:     cfg,
 		rng:     rng,
-		pending: make(map[uint64]chan *gnutella.DirectiveAck),
+		pending: make(map[uint64]*pendingPush),
 	}
 }
 
@@ -79,13 +86,22 @@ func (a *agent) backoff(attempt int) time.Duration {
 	return a.ctrl.opts.Backoff.Delay(attempt, a.rng)
 }
 
-// setConn publishes or clears the live link.
+// setConn publishes or clears the live link. Clearing it wakes every push
+// still waiting for an ack on it.
 func (a *agent) setConn(c *link.Conn) {
 	a.mu.Lock()
 	a.conn = c
-	a.up = c != nil
 	if c != nil {
 		a.bye = false
+		select {
+		case <-a.ctrl.stop:
+			c.Close() // Close has already swept the links: this one is late
+		default:
+		}
+	}
+	for epoch, p := range a.pending {
+		delete(a.pending, epoch)
+		close(p.woke)
 	}
 	a.mu.Unlock()
 	if c == nil {
@@ -97,7 +113,7 @@ func (a *agent) setConn(c *link.Conn) {
 func (a *agent) linkUp() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.up
+	return a.conn != nil
 }
 
 // readLoop pumps the link's inbound frames until it errors.
@@ -112,14 +128,12 @@ func (a *agent) readLoop(c *link.Conn) {
 			a.handleRegister(msg)
 		case *gnutella.DirectiveAck:
 			a.mu.Lock()
-			ch := a.pending[msg.Epoch]
-			a.mu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- msg:
-				default:
-				}
+			if p := a.pending[msg.Epoch]; p != nil {
+				delete(a.pending, msg.Epoch)
+				p.ack = msg
+				close(p.woke)
 			}
+			a.mu.Unlock()
 		default:
 			a.ctrl.opts.Logf("control: unexpected %T from %s", m, a.cfg.ID)
 			return
@@ -179,6 +193,9 @@ func (a *agent) push(d *gnutella.Directive) error {
 	return lastErr
 }
 
+// pushOnce sends d on the live link and waits one RPCTimeout for its ack.
+// The wait ends early when the reader delivers the ack or the link drops,
+// Controller.Close included, since it closes the links.
 func (a *agent) pushOnce(d *gnutella.Directive) (*gnutella.DirectiveAck, error) {
 	a.mu.Lock()
 	conn := a.conn
@@ -186,30 +203,30 @@ func (a *agent) pushOnce(d *gnutella.Directive) (*gnutella.DirectiveAck, error) 
 		a.mu.Unlock()
 		return nil, fmt.Errorf("control: link to %s down", a.cfg.ID)
 	}
-	ch := make(chan *gnutella.DirectiveAck, 1)
-	a.pending[d.Epoch] = ch
+	p := &pendingPush{woke: make(chan struct{})}
+	a.pending[d.Epoch] = p
 	a.mu.Unlock()
-	defer func() {
-		a.mu.Lock()
-		delete(a.pending, d.Epoch)
-		a.mu.Unlock()
-	}()
 
-	if err := conn.Send(d, a.ctrl.opts.RPCTimeout); err != nil {
-		conn.Close() // poison the link; run() redials
-		return nil, err
+	err := conn.Send(d, a.ctrl.opts.RPCTimeout)
+	if err == nil && !link.Sleep(a.ctrl.opts.RPCTimeout, p.woke) {
+		// Woken: the ack arrived, or the link dropped.
+		if p.ack != nil {
+			return p.ack, nil
+		}
+		return nil, fmt.Errorf("control: link to %s dropped awaiting epoch %d", a.cfg.ID, d.Epoch)
 	}
-	select {
-	case ack := <-ch:
-		return ack, nil
-	case <-time.After(a.ctrl.opts.RPCTimeout):
+	if err == nil {
 		// A silent link (blackholed by a partition, or a wedged node) must
 		// not keep looking healthy: poison it so run() goes through a full
 		// redial, and later decisions fail fast on a down link instead of
 		// burning an RPC timeout each.
-		conn.Close()
-		return nil, fmt.Errorf("control: ack timeout from %s (epoch %d)", a.cfg.ID, d.Epoch)
-	case <-a.ctrl.stop:
-		return nil, fmt.Errorf("control: shutting down")
+		err = fmt.Errorf("control: ack timeout from %s (epoch %d)", a.cfg.ID, d.Epoch)
 	}
+	a.mu.Lock()
+	if a.pending[d.Epoch] == p {
+		delete(a.pending, d.Epoch)
+	}
+	a.mu.Unlock()
+	conn.Close() // poison the link; run() redials
+	return nil, err
 }

@@ -97,7 +97,7 @@ func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 	// only land after the controller promotes it to double capacity.
 	n0.Close()
 	waitFor(t, "controller promoted the survivor", func() bool {
-		_, _, maxClients := n1.ControlState()
+		maxClients := n1.Stats().MaxClients
 		return maxClients == 2
 	})
 	waitFor(t, "client rejoined", func() bool {

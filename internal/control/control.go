@@ -33,7 +33,7 @@ import (
 
 // NodeConfig names one super-peer under control.
 type NodeConfig struct {
-	// ID is the node's stable label (matches the node's SetIdentity).
+	// ID is the node's stable label in events and status (e.g. "sp-0-1").
 	ID string
 	// Addr is the node's p2p listen address (control links dial it).
 	Addr string
@@ -217,7 +217,8 @@ type nodeState struct {
 	// dead marks a node the controller has written off (and responded to).
 	dead bool
 	// promotedFor, on a surviving partner, names the dead node whose
-	// cluster it was promoted to absorb; "" otherwise.
+	// cluster it was promoted to absorb, until the walk-back is acked; ""
+	// otherwise.
 	promotedFor string
 	// overTicks / underTicks count consecutive ticks of hotspot / underload
 	// signal, for hysteresis.
@@ -226,7 +227,7 @@ type nodeState struct {
 	// cooldown suppresses further load actions for a few ticks after one.
 	cooldown int
 	// ttl tracks the TTL the controller believes the node runs (BaseTTL
-	// until a SetTTL directive is acked).
+	// until a directive carrying a TTL is acked).
 	ttl int
 }
 
@@ -476,7 +477,7 @@ func (c *Controller) decideDeaths() {
 			// Still dead and nobody promoted yet (the push may have failed
 			// while the controller was partitioned): keep trying, so the
 			// fleet reconverges once connectivity heals.
-			if !c.promotionCovered(cfg.ID) {
+			if c.coveringPartner(cfg.ID) == nil {
 				c.promotePartnerOf(cfg)
 			}
 		case !dead && wasDead && linkUp:
@@ -484,6 +485,11 @@ func (c *Controller) decideDeaths() {
 			st.dead = false
 			c.mu.Unlock()
 			c.event(Event{Type: EvRecovered, Node: id})
+			fallthrough
+		case !dead && !wasDead:
+			// Alive: walk back any partner still promoted for it. A
+			// walk-back whose push failed (say, the partner was cut off) is
+			// retried every tick until it is acked, as promotion is.
 			c.restorePartnerOf(cfg)
 		}
 	}
@@ -507,18 +513,11 @@ func (c *Controller) promotePartnerOf(dead NodeConfig) {
 
 // restorePartnerOf unwinds a promotion once the dead node is back: the
 // promoted partner returns to baseline capacity (the split half of rule I —
-// the recovered node takes its clients back as they re-home).
+// the recovered node takes its clients back as they re-home). A partner
+// whose control link is down is left for a later tick.
 func (c *Controller) restorePartnerOf(recovered NodeConfig) {
-	c.mu.Lock()
-	var promoted *nodeState
-	for _, id := range c.order {
-		if st := c.nodes[id]; st.promotedFor == recovered.ID {
-			promoted = st
-			break
-		}
-	}
-	c.mu.Unlock()
-	if promoted == nil {
+	promoted := c.coveringPartner(recovered.ID)
+	if promoted == nil || !promoted.agent.linkUp() {
 		return
 	}
 	c.pushDirective(promoted, &gnutella.Directive{
@@ -527,17 +526,17 @@ func (c *Controller) restorePartnerOf(recovered NodeConfig) {
 	}, func(st *nodeState) { st.promotedFor = "" })
 }
 
-// promotionCovered reports whether some survivor was already promoted to
-// absorb the named dead node.
-func (c *Controller) promotionCovered(deadID string) bool {
+// coveringPartner returns the partner promoted to absorb the named node, or
+// nil when none is.
+func (c *Controller) coveringPartner(id string) *nodeState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, id := range c.order {
-		if c.nodes[id].promotedFor == deadID {
-			return true
+	for _, other := range c.order {
+		if st := c.nodes[other]; st.promotedFor == id {
+			return st
 		}
 	}
-	return false
+	return nil
 }
 
 // pickSurvivor returns the first same-cluster partner of `dead` whose
@@ -646,7 +645,7 @@ func (c *Controller) pushDirective(st *nodeState, d *gnutella.Directive, onAcked
 	d.Epoch = c.nextEpoch()
 	d.ID = gnutella.NewGUID()
 	c.event(Event{Type: EvPushed, Node: st.agent.cfg.ID, Epoch: d.Epoch,
-		Detail: fmt.Sprintf("%s max-clients=%d ttl=%d target=%q", d.Action, d.MaxClients, d.TTL, d.Target)})
+		Detail: fmt.Sprintf("%s max-clients=%d ttl=%d", d.Action, d.MaxClients, d.TTL)})
 	if err := st.agent.push(d); err != nil {
 		c.event(Event{Type: EvPushFailed, Node: st.agent.cfg.ID, Epoch: d.Epoch, Detail: err.Error()})
 		return

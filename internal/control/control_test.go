@@ -18,14 +18,14 @@ import (
 	"spnet/internal/stats"
 )
 
-// startNode spins up a p2p node with a control-plane identity.
+// startNode spins up a p2p node; id is its label in the controller's
+// NodeConfig.
 func startNode(t *testing.T, id string, opts p2p.Options) *p2p.Node {
 	t.Helper()
 	n := p2p.NewNode(opts)
 	if err := n.Listen("127.0.0.1:0"); err != nil {
-		t.Fatalf("Listen: %v", err)
+		t.Fatalf("Listen %s: %v", id, err)
 	}
-	n.SetIdentity(id, "")
 	t.Cleanup(func() { n.Close() })
 	return n
 }
@@ -100,7 +100,7 @@ func TestPromoteOnDeathAndRestoreOnRecovery(t *testing.T) {
 		t.Errorf("dead detail = %q, want graceful deregistration", e.Detail)
 	}
 	waitFor(t, "survivor promoted", func() bool {
-		_, _, maxClients := n1.ControlState()
+		maxClients := n1.Stats().MaxClients
 		return maxClients == 10
 	})
 	waitFor(t, "promotion acked", func() bool { return hasEvent(c, EvAcked, "sp-0-1") })
@@ -118,11 +118,10 @@ func TestPromoteOnDeathAndRestoreOnRecovery(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	n0b.SetIdentity("sp-0-0", "")
 	defer n0b.Close()
 	waitFor(t, "recovery", func() bool { return hasEvent(c, EvRecovered, "sp-0-0") })
 	waitFor(t, "survivor restored", func() bool {
-		_, _, maxClients := n1.ControlState()
+		maxClients := n1.Stats().MaxClients
 		return maxClients == 5
 	})
 }
@@ -139,19 +138,20 @@ func TestEpochIdempotencyAndRestartRecovery(t *testing.T) {
 	a.mu.Lock()
 	st := a.nodes["sp-0-0"]
 	a.mu.Unlock()
-	a.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSetTTL, TTL: 5}, nil)
+	a.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSplitCluster, TTL: 5}, nil)
 	waitFor(t, "ttl applied", func() bool {
-		epoch, ttl, _ := n.ControlState()
+		ns := n.Stats()
+		epoch, ttl := ns.DirectiveEpoch, ns.TTL
 		return epoch == 1 && ttl == 5
 	})
 
 	// A replay of epoch 1 with different contents must be rejected as stale
 	// — and the push still succeeds from the controller's point of view
 	// (idempotent delivery).
-	if err := st.agent.push(&gnutella.Directive{Epoch: 1, Action: gnutella.ActionSetTTL, TTL: 3}); err != nil {
+	if err := st.agent.push(&gnutella.Directive{Epoch: 1, Action: gnutella.ActionSplitCluster, TTL: 3}); err != nil {
 		t.Fatalf("stale push: %v", err)
 	}
-	if _, ttl, _ := n.ControlState(); ttl != 5 {
+	if ttl := n.Stats().TTL; ttl != 5 {
 		t.Fatalf("stale directive applied: ttl = %d, want 5", ttl)
 	}
 	a.Close()
@@ -167,9 +167,10 @@ func TestEpochIdempotencyAndRestartRecovery(t *testing.T) {
 	b.mu.Lock()
 	st = b.nodes["sp-0-0"]
 	b.mu.Unlock()
-	b.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSetTTL, TTL: 4}, nil)
+	b.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSplitCluster, TTL: 4}, nil)
 	waitFor(t, "post-restart directive applied", func() bool {
-		epoch, ttl, _ := n.ControlState()
+		ns := n.Stats()
+		epoch, ttl := ns.DirectiveEpoch, ns.TTL
 		return epoch == 2 && ttl == 4
 	})
 }
@@ -201,14 +202,14 @@ func TestReRegistrationStormPromotesPartner(t *testing.T) {
 		t.Errorf("dead detail = %q, want storm", e.Detail)
 	}
 	waitFor(t, "partner promoted", func() bool {
-		_, _, maxClients := n1.ControlState()
+		maxClients := n1.Stats().MaxClients
 		return maxClients == 10
 	})
 	// The storm subsides (the link is in fact healthy), so the controller
 	// should recover the node and walk the partner back down.
 	waitFor(t, "storm recovery", func() bool { return hasEvent(c, EvRecovered, "sp-0-0") })
 	waitFor(t, "partner restored", func() bool {
-		_, _, maxClients := n1.ControlState()
+		maxClients := n1.Stats().MaxClients
 		return maxClients == 5
 	})
 }
@@ -240,10 +241,10 @@ func TestControllerPartitionGracefulDegradation(t *testing.T) {
 	st := c.nodes["sp-0-0"]
 	c.mu.Unlock()
 	epochBefore := c.Epoch()
-	c.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSetTTL, TTL: 3}, nil)
+	c.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSplitCluster, TTL: 3}, nil)
 	waitFor(t, "push failure surfaces", func() bool { return hasEvent(c, EvPushFailed, "sp-0-0") })
-	if _, ttl, maxClients := n0.ControlState(); ttl != 7 || maxClients != 5 {
-		t.Fatalf("node config changed during partition: ttl=%d maxClients=%d", ttl, maxClients)
+	if ns := n0.Stats(); ns.TTL != 7 || ns.MaxClients != 5 {
+		t.Fatalf("node config changed during partition: ttl=%d maxClients=%d", ns.TTL, ns.MaxClients)
 	}
 	if c.Epoch() == epochBefore {
 		t.Fatalf("push should have consumed an epoch")
@@ -263,11 +264,11 @@ func TestControllerPartitionGracefulDegradation(t *testing.T) {
 	// During the partition the controller may declare nodes dead and try to
 	// promote — every such push fails, so node configs must never move.
 	time.Sleep(400 * time.Millisecond)
-	if _, ttl, maxClients := n0.ControlState(); ttl != 7 || maxClients != 5 {
-		t.Fatalf("sp-0-0 config thrashed during partition: ttl=%d maxClients=%d", ttl, maxClients)
+	if ns := n0.Stats(); ns.TTL != 7 || ns.MaxClients != 5 {
+		t.Fatalf("sp-0-0 config thrashed during partition: ttl=%d maxClients=%d", ns.TTL, ns.MaxClients)
 	}
-	if _, ttl, maxClients := n1.ControlState(); ttl != 7 || maxClients != 5 {
-		t.Fatalf("sp-0-1 config thrashed during partition: ttl=%d maxClients=%d", ttl, maxClients)
+	if ns := n1.Stats(); ns.TTL != 7 || ns.MaxClients != 5 {
+		t.Fatalf("sp-0-1 config thrashed during partition: ttl=%d maxClients=%d", ns.TTL, ns.MaxClients)
 	}
 
 	// Heal. Links re-establish, any spurious deaths recover, and control
@@ -288,18 +289,84 @@ func TestControllerPartitionGracefulDegradation(t *testing.T) {
 				return false
 			}
 		}
-		_, ttl0, max0 := n0.ControlState()
-		_, ttl1, max1 := n1.ControlState()
-		return ttl0 == 7 && max0 == 5 && ttl1 == 7 && max1 == 5
+		s0, s1 := n0.Stats(), n1.Stats()
+		return s0.TTL == 7 && s0.MaxClients == 5 && s1.TTL == 7 && s1.MaxClients == 5
 	})
 
 	c.mu.Lock()
 	st = c.nodes["sp-0-1"]
 	c.mu.Unlock()
-	c.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSetTTL, TTL: 6}, nil)
+	c.pushDirective(st, &gnutella.Directive{Action: gnutella.ActionSplitCluster, TTL: 6}, nil)
 	waitFor(t, "post-heal directive applied", func() bool {
-		_, ttl, _ := n1.ControlState()
+		ttl := n1.Stats().TTL
 		return ttl == 6
+	})
+}
+
+// TestWalkBackRetriedAfterFailedPush: when a dead node recovers while its
+// promoted partner is cut off from the controller, the walk-back push fails;
+// the controller keeps pushing it on later ticks, so once the cut heals both
+// partners are back at baseline capacity.
+func TestWalkBackRetriedAfterFailedPush(t *testing.T) {
+	t.Parallel() // mostly one ack timeout and backoff: overlap them with other waits
+	fc := faults.NewController(5)
+	n0 := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
+	n1 := startNode(t, "sp-0-1", p2p.Options{MaxClients: 5, TTL: 7})
+	opts := testOptions([]NodeConfig{
+		{ID: "sp-0-0", Addr: n0.Addr(), Cluster: 0, Partner: 0},
+		{ID: "sp-0-1", Addr: n1.Addr(), Cluster: 0, Partner: 1},
+	})
+	// The controller reaches sp-0-1 through a fault-wrapped Net, so that one
+	// link can be cut while sp-0-0's stays up.
+	toN1, addr1 := fc.Net("sp-0-1", link.Net{}), n1.Addr()
+	opts.Net = link.Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+		if addr == addr1 {
+			return toN1.Dial(addr, timeout)
+		}
+		return link.Net{}.Dial(addr, timeout)
+	}}
+	c := New(opts)
+	c.Start()
+	defer c.Close()
+	waitFor(t, "both registered", func() bool {
+		return hasEvent(c, EvRegistered, "sp-0-0") && hasEvent(c, EvRegistered, "sp-0-1")
+	})
+
+	addr0 := n0.Addr()
+	n0.Close()
+	waitFor(t, "survivor promoted", func() bool { return n1.Stats().MaxClients == 10 })
+	waitFor(t, "promotion acked", func() bool { return hasEvent(c, EvAcked, "sp-0-1") })
+
+	// Cut sp-0-1 off, then bring sp-0-0 back: the walk-back push is lost.
+	fc.Isolate("sp-0-1")
+	cut := len(c.Events())
+	n0b := p2p.NewNode(p2p.Options{MaxClients: 5, TTL: 7})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		err := n0b.Listen(addr0)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Skipf("could not rebind %s: %v", addr0, err)
+		}
+	}
+	defer n0b.Close()
+	waitFor(t, "recovery", func() bool { return hasEvent(c, EvRecovered, "sp-0-0") })
+	waitFor(t, "walk-back push failed", func() bool {
+		for _, e := range c.Events()[cut:] {
+			if e.Type == EvPushFailed && e.Node == "sp-0-1" {
+				return true
+			}
+		}
+		return false
+	})
+	if got := n1.Stats().MaxClients; got != 10 {
+		t.Fatalf("walk-back reached sp-0-1 through the cut: max clients %d", got)
+	}
+
+	fc.Restore("sp-0-1")
+	waitFor(t, "both partners at baseline", func() bool {
+		return n0b.Stats().MaxClients == 5 && n1.Stats().MaxClients == 5
 	})
 }
 
@@ -358,7 +425,8 @@ func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
 	waitFor(t, "split applied", func() bool {
 		// ClientCapacity/2, TTL decayed at least one step (a second hotspot
 		// episode may already have decayed further).
-		_, ttl, maxClients := n.ControlState()
+		ns := n.Stats()
+		ttl, maxClients := ns.TTL, ns.MaxClients
 		return maxClients == 2 && ttl < 7
 	})
 
@@ -367,7 +435,8 @@ func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
 	tel.setStep(0)
 	waitFor(t, "underload declared", func() bool { return hasEvent(c, EvUnderload, "sp-0-0") })
 	waitFor(t, "coalesce applied", func() bool {
-		_, ttl, maxClients := n.ControlState()
+		ns := n.Stats()
+		ttl, maxClients := ns.TTL, ns.MaxClients
 		return maxClients == 10 && ttl == 7
 	})
 }

@@ -141,8 +141,8 @@ func TestSelfHealControllerPartition(t *testing.T) {
 		if n == nil {
 			continue
 		}
-		if _, ttl, maxClients := n.ControlState(); ttl != 7 || maxClients != 4 {
-			t.Fatalf("%s config thrashed during partition: ttl=%d maxClients=%d", sp.ID, ttl, maxClients)
+		if ns := n.Stats(); ns.TTL != 7 || ns.MaxClients != 4 {
+			t.Fatalf("%s config thrashed during partition: ttl=%d maxClients=%d", sp.ID, ns.TTL, ns.MaxClients)
 		}
 	}
 
@@ -161,8 +161,8 @@ func TestSelfHealControllerPartition(t *testing.T) {
 		if n == nil {
 			continue
 		}
-		if _, ttl, maxClients := n.ControlState(); ttl != 7 || maxClients != 4 {
-			t.Fatalf("%s config changed across partition: ttl=%d maxClients=%d", sp.ID, ttl, maxClients)
+		if ns := n.Stats(); ns.TTL != 7 || ns.MaxClients != 4 {
+			t.Fatalf("%s config changed across partition: ttl=%d maxClients=%d", sp.ID, ns.TTL, ns.MaxClients)
 		}
 	}
 }

@@ -3,18 +3,14 @@ package gnutella
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 )
 
 func TestRegisterRoundTrip(t *testing.T) {
 	in := &Register{
-		ID:        GUID{1, 2, 3},
-		Flags:     RegisterBye,
-		Epoch:     1<<40 + 17,
-		NodeID:    "sp-2-1",
-		Addr:      "127.0.0.1:7001",
-		Telemetry: "127.0.0.1:9001",
+		ID:    GUID{1, 2, 3},
+		Flags: RegisterBye,
+		Epoch: 1<<40 + 17,
 	}
 	buf, err := in.Encode()
 	if err != nil {
@@ -32,30 +28,8 @@ func TestRegisterRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegisterEmptyFields(t *testing.T) {
-	in := &Register{ID: GUID{9}}
-	buf, err := in.Encode()
-	if err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	out, err := DecodeRegister(buf)
-	if err != nil {
-		t.Fatalf("DecodeRegister: %v", err)
-	}
-	if *out != *in {
-		t.Errorf("round trip: got %+v, want %+v", out, in)
-	}
-}
-
-func TestRegisterRejectsOversizeField(t *testing.T) {
-	in := &Register{Addr: strings.Repeat("x", 256)}
-	if _, err := in.Encode(); !errors.Is(err, ErrBadMessage) {
-		t.Errorf("oversize field: err %v, want ErrBadMessage", err)
-	}
-}
-
 func TestDecodeRegisterRejectsDamage(t *testing.T) {
-	valid, err := (&Register{NodeID: "sp-0-0", Addr: "a:1", Telemetry: "t:2", Epoch: 5}).Encode()
+	valid, err := (&Register{Epoch: 5}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +41,6 @@ func TestDecodeRegisterRejectsDamage(t *testing.T) {
 		{"bad flags", func(b []byte) []byte { b[23] = 7; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-2] }},
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0) }},
-		{"field overrun", func(b []byte) []byte { b[32] = 200; return b }},
 		{"short payload claim", func(b []byte) []byte { b[19] = 2; return b }},
 	}
 	for _, tc := range cases {
@@ -94,7 +67,6 @@ func TestDirectiveRoundTrip(t *testing.T) {
 		Action:     ActionPromotePartner,
 		TTL:        5,
 		MaxClients: 250,
-		Target:     "127.0.0.1:7002",
 	}
 	buf, err := in.Encode()
 	if err != nil {
@@ -113,7 +85,7 @@ func TestDirectiveRoundTrip(t *testing.T) {
 }
 
 func TestDecodeDirectiveRejectsDamage(t *testing.T) {
-	valid, err := (&Directive{Epoch: 1, Action: ActionSetTTL, TTL: 3}).Encode()
+	valid, err := (&Directive{Epoch: 1, Action: ActionSplitCluster, TTL: 3}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +98,6 @@ func TestDecodeDirectiveRejectsDamage(t *testing.T) {
 		{"unknown action", func(b []byte) []byte { b[31] = 9; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"trailing bytes", func(b []byte) []byte { return append(b, 0, 0) }},
-		{"target overrun", func(b []byte) []byte { b[35] = 50; return b }},
 		{"relayed ttl", func(b []byte) []byte { b[17] = 5; return b }},
 		{"relayed hops", func(b []byte) []byte { b[18] = 1; return b }},
 	}
@@ -147,7 +118,6 @@ func TestDirectiveActionString(t *testing.T) {
 		ActionPromotePartner: "promote-partner",
 		ActionSplitCluster:   "split-cluster",
 		ActionCoalesce:       "coalesce",
-		ActionSetTTL:         "set-ttl",
 		DirectiveAction(9):   "DirectiveAction(9)",
 	} {
 		if got := a.String(); got != want {
@@ -157,7 +127,7 @@ func TestDirectiveActionString(t *testing.T) {
 }
 
 func TestDirectiveAckRoundTrip(t *testing.T) {
-	in := &DirectiveAck{ID: GUID{8}, Epoch: 7, Applied: 1, NodeID: "sp-1-0"}
+	in := &DirectiveAck{ID: GUID{8}, Epoch: 7, Applied: 1}
 	buf, err := in.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -175,7 +145,7 @@ func TestDirectiveAckRoundTrip(t *testing.T) {
 }
 
 func TestDecodeDirectiveAckRejectsDamage(t *testing.T) {
-	valid, err := (&DirectiveAck{Epoch: 7, Applied: 0, NodeID: "sp-1-0"}).Encode()
+	valid, err := (&DirectiveAck{Epoch: 7, Applied: 0}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +157,6 @@ func TestDecodeDirectiveAckRejectsDamage(t *testing.T) {
 		{"bad applied flag", func(b []byte) []byte { b[31] = 2; return b }},
 		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
 		{"trailing bytes", func(b []byte) []byte { return append(b, 1) }},
-		{"node id overrun", func(b []byte) []byte { b[32] = 99; return b }},
 	}
 	for _, tc := range cases {
 		buf := append([]byte(nil), valid...)
@@ -205,9 +174,9 @@ func TestDecodeDirectiveAckRejectsDamage(t *testing.T) {
 // generic stream reader/writer like every other message type.
 func TestControlFramesOverStream(t *testing.T) {
 	msgs := []Message{
-		&Register{ID: GUID{1}, Epoch: 3, NodeID: "sp-0-0", Addr: "a:1", Telemetry: "t:1"},
+		&Register{ID: GUID{1}, Epoch: 3},
 		&Directive{ID: GUID{2}, Epoch: 4, Action: ActionCoalesce, MaxClients: 50},
-		&DirectiveAck{ID: GUID{3}, Epoch: 4, Applied: 1, NodeID: "sp-0-0"},
+		&DirectiveAck{ID: GUID{3}, Epoch: 4, Applied: 1},
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
@@ -232,6 +201,43 @@ func TestControlFramesOverStream(t *testing.T) {
 		case *DirectiveAck:
 			if g, ok := got.(*DirectiveAck); !ok || *g != *w {
 				t.Errorf("got %+v, want %+v", got, w)
+			}
+		}
+	}
+}
+
+// TestSingleHopFramesRejectRelayedHeaders: the eight frame types without TTL
+// or hops fields are encoded at TTL 1, hops 0, and their decoders accept
+// nothing else.
+func TestSingleHopFramesRejectRelayedHeaders(t *testing.T) {
+	msgs := []Message{
+		&Join{ID: GUID{1}, Files: []MetadataRecord{{FileIndex: 1, Title: "a.mp3"}}},
+		&Update{ID: GUID{2}, Op: OpInsert, File: MetadataRecord{FileIndex: 2}},
+		&Register{ID: GUID{3}, Epoch: 3},
+		&Directive{ID: GUID{4}, Epoch: 4, Action: ActionCoalesce, MaxClients: 50},
+		&DirectiveAck{ID: GUID{5}, Epoch: 4, Applied: 1},
+		&ChunkRequest{ID: GUID{6}, FileIndex: 3, Chunk: 1},
+		&ChunkData{ID: GUID{7}, FileIndex: 3, Chunk: 1, TotalChunks: 2, Data: []byte("xy")},
+		&ChunkNack{ID: GUID{8}, FileIndex: 3, Chunk: 9, Code: NackNotFound},
+	}
+	for _, m := range msgs {
+		valid, err := m.frame()
+		if err != nil {
+			t.Fatalf("encoding %T: %v", m, err)
+		}
+		decode := frames[m.Type()].decode
+		if _, err := decode(valid); err != nil {
+			t.Fatalf("%v as encoded: %v", m.Type(), err)
+		}
+		for _, tc := range []struct {
+			field string
+			off   int
+			value byte
+		}{{"ttl", 17, 2}, {"hops", 18, 1}} {
+			buf := append([]byte(nil), valid...)
+			buf[tc.off] = tc.value
+			if _, err := decode(buf); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("%v with %s %d: err %v, want ErrBadMessage", m.Type(), tc.field, tc.value, err)
 			}
 		}
 	}

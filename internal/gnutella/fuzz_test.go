@@ -30,11 +30,9 @@ func seedMessages(t testing.TB) []Message {
 		&Join{ID: GUID{7}, Files: []MetadataRecord{{FileIndex: 1, FileSize: 2, Title: "a.mp3"}}},
 		&Update{ID: GUID{8}, Op: OpInsert, File: MetadataRecord{FileIndex: 3, Title: "b.mp3"}},
 		&Summary{ID: GUID{9}, TTL: 1, Terms: []string{"free", "jazz"}},
-		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42,
-			NodeID: "sp-0-1", Addr: "127.0.0.1:7001", Telemetry: "127.0.0.1:9001"},
-		&Directive{ID: GUID{11}, Epoch: 43, Action: ActionPromotePartner,
-			MaxClients: 200, Target: "127.0.0.1:7002"},
-		&DirectiveAck{ID: GUID{12}, Epoch: 43, Applied: 1, NodeID: "sp-0-1"},
+		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42},
+		&Directive{ID: GUID{11}, Epoch: 43, Action: ActionPromotePartner, MaxClients: 200},
+		&DirectiveAck{ID: GUID{12}, Epoch: 43, Applied: 1},
 		&ChunkRequest{ID: GUID{13}, FileIndex: 4, Chunk: 2},
 		&ChunkData{ID: GUID{14}, FileIndex: 4, Chunk: 2, TotalChunks: 8,
 			FileSize: 1 << 20, Data: []byte("chunk payload bytes")},
@@ -170,13 +168,23 @@ func FuzzDecodeSummary(f *testing.F) {
 		&Summary{ID: GUID{11}, TTL: 1, Terms: []string{"", strings.Repeat("t", 255)}})
 }
 
+func FuzzDecodeRegister(f *testing.F) {
+	fuzzDecode(f, DecodeRegister,
+		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42},
+		&Register{ID: GUID{11}, Flags: RegisterBye, Epoch: 1 << 63})
+}
+
 func FuzzDecodeDirective(f *testing.F) {
 	fuzzDecode(f, DecodeDirective,
-		&Directive{ID: GUID{11}, Epoch: 43, Action: ActionPromotePartner,
-			MaxClients: 200, Target: "127.0.0.1:7002"},
-		&Directive{ID: GUID{12}, Epoch: 1, Action: ActionSetTTL, TTL: 3},
-		&Directive{ID: GUID{13}, Epoch: 1 << 63, Action: ActionCoalesce,
-			MaxClients: 65535, Target: strings.Repeat("h", 255)})
+		&Directive{ID: GUID{11}, Epoch: 43, Action: ActionPromotePartner, MaxClients: 200},
+		&Directive{ID: GUID{12}, Epoch: 1, Action: ActionSplitCluster, TTL: 3},
+		&Directive{ID: GUID{13}, Epoch: 1 << 63, Action: ActionCoalesce, TTL: 255, MaxClients: 65535})
+}
+
+func FuzzDecodeDirectiveAck(f *testing.F) {
+	fuzzDecode(f, DecodeDirectiveAck,
+		&DirectiveAck{ID: GUID{12}, Epoch: 43, Applied: 1},
+		&DirectiveAck{ID: GUID{13}, Epoch: 1 << 63})
 }
 
 // TestReadMessageFaultedStream replays injector-damaged frames over a real

@@ -96,28 +96,18 @@ func UpdateSize() int { return UpdateLen }
 // PingSize returns the on-the-wire size of a heartbeat Ping or Pong: 79 bytes.
 func PingSize() int { return PingLen }
 
-// RegisterSize returns the on-the-wire size of a Register message whose
-// NodeID, Addr and Telemetry strings total strBytes: framing + descriptor
-// header + 1-byte flags + 8-byte epoch + a 1-byte length prefix per string.
-// Control frames are fleet-management traffic outside the paper's Table 2
-// cost model.
-func RegisterSize(strBytes int) int {
-	return FrameOverhead + DescriptorHeaderLen + registerPayload + 3 + strBytes
-}
+// RegisterSize returns the on-the-wire size of a Register message: framing +
+// descriptor header + 1-byte flags + 8-byte epoch. Control frames are
+// fleet-management traffic outside the paper's Table 2 cost model.
+func RegisterSize() int { return FrameOverhead + DescriptorHeaderLen + registerPayload }
 
-// DirectiveSize returns the on-the-wire size of a Directive message whose
-// target address has the given length: framing + descriptor header + 8-byte
-// epoch + action/TTL bytes + 2-byte capacity + 1-byte length prefix.
-func DirectiveSize(targetLen int) int {
-	return FrameOverhead + DescriptorHeaderLen + directivePayload + 1 + targetLen
-}
+// DirectiveSize returns the on-the-wire size of a Directive message: framing
+// + descriptor header + 8-byte epoch + action and TTL bytes + 2-byte capacity.
+func DirectiveSize() int { return FrameOverhead + DescriptorHeaderLen + directivePayload }
 
-// DirectiveAckSize returns the on-the-wire size of a DirectiveAck whose node
-// id has the given length: framing + descriptor header + 8-byte epoch +
-// 1-byte applied flag + 1-byte length prefix.
-func DirectiveAckSize(nodeIDLen int) int {
-	return FrameOverhead + DescriptorHeaderLen + ackPayload + 1 + nodeIDLen
-}
+// DirectiveAckSize returns the on-the-wire size of a DirectiveAck: framing +
+// descriptor header + 8-byte epoch + 1-byte applied flag.
+func DirectiveAckSize() int { return FrameOverhead + DescriptorHeaderLen + ackPayload }
 
 // ChunkRequestSize returns the on-the-wire size of a ChunkRequest: framing +
 // descriptor header + 4-byte file index + 4-byte chunk index. Transfer frames

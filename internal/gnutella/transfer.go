@@ -33,9 +33,7 @@ const chunkRequestPayload = 4 + 4
 
 // Encode serializes the request (descriptor header + payload, no framing).
 func (cr *ChunkRequest) Encode() []byte {
-	buf := make([]byte, DescriptorHeaderLen+chunkRequestPayload)
-	h := Header{ID: cr.ID, Type: TypeChunkRequest, TTL: 1, PayloadLen: chunkRequestPayload}
-	h.encode(buf)
+	buf := encodeOneHop(cr.ID, TypeChunkRequest, chunkRequestPayload)
 	binary.LittleEndian.PutUint32(buf[23:27], cr.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cr.Chunk)
 	return buf
@@ -51,12 +49,9 @@ func (cr *ChunkRequest) frame() ([]byte, error) { return cr.Encode(), nil }
 
 // DecodeChunkRequest parses an encoded chunk request.
 func DecodeChunkRequest(buf []byte) (*ChunkRequest, error) {
-	h, err := decodeHeaderAs(buf, TypeChunkRequest)
+	h, err := decodeFixed(buf, TypeChunkRequest, chunkRequestPayload)
 	if err != nil {
 		return nil, err
-	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen != chunkRequestPayload {
-		return nil, fmt.Errorf("%w: chunk request payload %d", ErrBadMessage, h.PayloadLen)
 	}
 	return &ChunkRequest{
 		ID:        h.ID,
@@ -92,10 +87,7 @@ func (cd *ChunkData) Encode() ([]byte, error) {
 	if len(cd.Data) > MaxChunkLen {
 		return nil, fmt.Errorf("%w: chunk data %d bytes, max %d", ErrBadMessage, len(cd.Data), MaxChunkLen)
 	}
-	payload := chunkDataPayload + len(cd.Data)
-	buf := make([]byte, DescriptorHeaderLen+payload)
-	h := Header{ID: cd.ID, Type: TypeChunkData, TTL: 1, PayloadLen: uint32(payload)}
-	h.encode(buf)
+	buf := encodeOneHop(cd.ID, TypeChunkData, chunkDataPayload+len(cd.Data))
 	binary.LittleEndian.PutUint32(buf[23:27], cd.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cd.Chunk)
 	binary.LittleEndian.PutUint32(buf[31:35], cd.TotalChunks)
@@ -115,7 +107,7 @@ func (cd *ChunkData) frame() ([]byte, error) { return cd.Encode() }
 
 // DecodeChunkData parses an encoded chunk data frame.
 func DecodeChunkData(buf []byte) (*ChunkData, error) {
-	h, err := decodeHeaderAs(buf, TypeChunkData)
+	h, err := decodeOneHop(buf, TypeChunkData)
 	if err != nil {
 		return nil, err
 	}
@@ -166,9 +158,7 @@ const chunkNackPayload = 4 + 4 + 1
 
 // Encode serializes the nack (descriptor header + payload, no framing).
 func (cn *ChunkNack) Encode() []byte {
-	buf := make([]byte, DescriptorHeaderLen+chunkNackPayload)
-	h := Header{ID: cn.ID, Type: TypeChunkNack, TTL: 1, PayloadLen: chunkNackPayload}
-	h.encode(buf)
+	buf := encodeOneHop(cn.ID, TypeChunkNack, chunkNackPayload)
 	binary.LittleEndian.PutUint32(buf[23:27], cn.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cn.Chunk)
 	buf[31] = cn.Code
@@ -185,12 +175,9 @@ func (cn *ChunkNack) frame() ([]byte, error) { return cn.Encode(), nil }
 
 // DecodeChunkNack parses an encoded chunk nack.
 func DecodeChunkNack(buf []byte) (*ChunkNack, error) {
-	h, err := decodeHeaderAs(buf, TypeChunkNack)
+	h, err := decodeFixed(buf, TypeChunkNack, chunkNackPayload)
 	if err != nil {
 		return nil, err
-	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen != chunkNackPayload {
-		return nil, fmt.Errorf("%w: chunk nack payload %d", ErrBadMessage, h.PayloadLen)
 	}
 	cn := &ChunkNack{
 		ID:        h.ID,

@@ -92,6 +92,41 @@ func decodeHeaderAs(buf []byte, want MsgType) (Header, error) {
 	return h, err
 }
 
+// Single-hop frames (Join, Update, the control frames and the transfer
+// frames) have no TTL or hops of their own: they cross one link and are never
+// relayed. Their encoders stamp TTL 1 and hops 0 through encodeOneHop, and
+// their decoders accept nothing else, so every frame they accept re-encodes
+// to its input.
+
+// encodeOneHop returns a t frame with room for payload bytes and its
+// single-hop header written.
+func encodeOneHop(id GUID, t MsgType, payload int) []byte {
+	buf := make([]byte, DescriptorHeaderLen+payload)
+	h := Header{ID: id, Type: t, TTL: 1, PayloadLen: uint32(payload)}
+	h.encode(buf)
+	return buf
+}
+
+// decodeOneHop is decodeHeaderAs for a single-hop frame: any TTL but 1 or
+// hops but 0 is not a frame encodeOneHop made.
+func decodeOneHop(buf []byte, want MsgType) (Header, error) {
+	h, err := decodeHeaderAs(buf, want)
+	if err == nil && (h.TTL != 1 || h.Hops != 0) {
+		err = fmt.Errorf("%w: %v ttl %d hops %d, want 1 and 0", ErrBadMessage, want, h.TTL, h.Hops)
+	}
+	return h, err
+}
+
+// decodeFixed is decodeOneHop for a frame whose payload is always payload
+// bytes long.
+func decodeFixed(buf []byte, want MsgType, payload int) (Header, error) {
+	h, err := decodeOneHop(buf, want)
+	if err == nil && (int(h.PayloadLen) != payload || len(buf) != DescriptorHeaderLen+payload) {
+		err = fmt.Errorf("%w: %v payload %d, want %d", ErrBadMessage, want, h.PayloadLen, payload)
+	}
+	return h, err
+}
+
 // headerOnly is the body of a frame that is its descriptor header alone,
 // with no payload. Ping, Pong and Busy have its fields and share its codec.
 type headerOnly struct {
@@ -379,10 +414,7 @@ type Join struct {
 
 // Encode serializes the join (descriptor header + payload, no framing).
 func (j *Join) Encode() []byte {
-	payload := 1 + MetadataRecordLen*len(j.Files)
-	buf := make([]byte, DescriptorHeaderLen+payload)
-	h := Header{ID: j.ID, Type: TypeJoin, TTL: 1, PayloadLen: uint32(payload)}
-	h.encode(buf)
+	buf := encodeOneHop(j.ID, TypeJoin, 1+MetadataRecordLen*len(j.Files))
 	buf[23] = 0 // flags, reserved
 	off := 24
 	for _, f := range j.Files {
@@ -405,7 +437,7 @@ func (j *Join) frame() ([]byte, error) { return j.Encode(), nil }
 
 // DecodeJoin parses an encoded join.
 func DecodeJoin(buf []byte) (*Join, error) {
-	h, err := decodeHeaderAs(buf, TypeJoin)
+	h, err := decodeOneHop(buf, TypeJoin)
 	if err != nil {
 		return nil, err
 	}
@@ -443,12 +475,12 @@ type Update struct {
 	File MetadataRecord
 }
 
+// updatePayload is an Update's fixed payload length: op byte plus one record.
+const updatePayload = 1 + MetadataRecordLen
+
 // Encode serializes the update (descriptor header + payload, no framing).
 func (u *Update) Encode() []byte {
-	payload := 1 + MetadataRecordLen
-	buf := make([]byte, DescriptorHeaderLen+payload)
-	h := Header{ID: u.ID, Type: TypeUpdate, TTL: 1, PayloadLen: uint32(payload)}
-	h.encode(buf)
+	buf := encodeOneHop(u.ID, TypeUpdate, updatePayload)
 	buf[23] = byte(u.Op)
 	binary.LittleEndian.PutUint32(buf[24:28], u.File.FileIndex)
 	binary.LittleEndian.PutUint32(buf[28:32], u.File.FileSize)
@@ -466,12 +498,9 @@ func (u *Update) frame() ([]byte, error) { return u.Encode(), nil }
 
 // DecodeUpdate parses an encoded update.
 func DecodeUpdate(buf []byte) (*Update, error) {
-	h, err := decodeHeaderAs(buf, TypeUpdate)
+	h, err := decodeFixed(buf, TypeUpdate, updatePayload)
 	if err != nil {
 		return nil, err
-	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || int(h.PayloadLen) != 1+MetadataRecordLen {
-		return nil, fmt.Errorf("%w: update payload %d", ErrBadMessage, h.PayloadLen)
 	}
 	u := &Update{ID: h.ID, Op: UpdateOp(buf[23])}
 	if u.Op < OpInsert || u.Op > OpModify {

@@ -130,7 +130,6 @@ func (l *Live) Launch() error {
 				l.closeLocked()
 				return err
 			}
-			ln.node.SetIdentity(label(c, p), ln.telAddr)
 		}
 	}
 	for c := range l.nodes {
@@ -306,7 +305,6 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 		n.Close()
 		return err
 	}
-	n.SetIdentity(label(cluster, partner), ln.telAddr)
 	return l.connectLocked(cluster, partner, n, false)
 }
 

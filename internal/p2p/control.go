@@ -8,10 +8,10 @@ import (
 
 // Control-plane side of a node: the receiver half of the fleet controller in
 // internal/control. A controller connects with the link.Control hello;
-// the node immediately announces itself with a Register frame (carrying its
-// identity and the highest directive epoch it has applied, so a restarted
-// controller can rebuild its database), then applies Directives; its
-// link.Conn answers Pings.
+// the node immediately announces itself with a Register frame (carrying the
+// highest directive epoch it has applied, so a restarted controller can
+// rebuild its database), then applies Directives; its link.Conn answers
+// Pings.
 //
 // Directives are idempotent by epoch: the node applies a directive only when
 // its epoch exceeds the node's watermark, and acknowledges every directive
@@ -19,25 +19,6 @@ import (
 // nothing here changes — the node keeps serving with its last-applied
 // configuration, which is the graceful-degradation contract the control
 // plane is built around.
-
-// SetIdentity names this node for the control plane: id is the stable
-// operator-assigned label (e.g. "sp-0-1"), telemetry the /metrics HTTP
-// address ("" when not serving telemetry). Call before controllers connect;
-// safe to call again after a restart.
-func (n *Node) SetIdentity(id, telemetry string) {
-	n.mu.Lock()
-	n.nodeID = id
-	n.telemetryAddr = telemetry
-	n.mu.Unlock()
-}
-
-// ControlState reports the node's control-plane view: the highest directive
-// epoch applied and the currently effective TTL and client capacity.
-func (n *Node) ControlState() (epoch uint64, ttl, maxClients int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ctlEpoch, n.opts.TTL, n.opts.MaxClients
-}
 
 // runControl serves one controller link: announce, then apply directives
 // until the link dies.
@@ -59,10 +40,7 @@ func (n *Node) runControl(c *conn) {
 			if applied {
 				flag = 1
 			}
-			n.mu.Lock()
-			id := n.nodeID
-			n.mu.Unlock()
-			ack := &gnutella.DirectiveAck{ID: m.ID, Epoch: m.Epoch, Applied: flag, NodeID: id}
+			ack := &gnutella.DirectiveAck{ID: m.ID, Epoch: m.Epoch, Applied: flag}
 			if err := c.send(ack); err != nil {
 				n.opts.Logf("p2p: directive ack to %s: %v", c.RemoteAddr(), err)
 				return
@@ -78,19 +56,14 @@ func (n *Node) runControl(c *conn) {
 func (n *Node) makeRegister(flags uint8) *gnutella.Register {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return &gnutella.Register{
-		ID:        gnutella.NewGUID(),
-		Flags:     flags,
-		Epoch:     n.ctlEpoch,
-		NodeID:    n.nodeID,
-		Addr:      n.Addr(),
-		Telemetry: n.telemetryAddr,
-	}
+	return &gnutella.Register{ID: gnutella.NewGUID(), Flags: flags, Epoch: n.ctlEpoch}
 }
 
-// applyDirective applies one Section 5.3 decision if its epoch is fresh.
-// Every mutation happens under mu — the same lock all readers of TTL and
-// MaxClients already hold — so a directive lands atomically between queries.
+// applyDirective applies one Section 5.3 decision if its epoch is fresh: a
+// non-zero MaxClients becomes the client capacity and a non-zero TTL the
+// query TTL, whatever the action. Both change under mu — the same lock all
+// readers of TTL and MaxClients already hold — so a directive lands
+// atomically between queries.
 func (n *Node) applyDirective(d *gnutella.Directive) bool {
 	n.mu.Lock()
 	if d.Epoch <= n.ctlEpoch {
@@ -99,33 +72,16 @@ func (n *Node) applyDirective(d *gnutella.Directive) bool {
 		return false
 	}
 	n.ctlEpoch = d.Epoch
-	var target string
-	switch d.Action {
-	case gnutella.ActionSetTTL:
-		if d.TTL > 0 {
-			n.opts.TTL = int(d.TTL)
-		}
-	case gnutella.ActionPromotePartner, gnutella.ActionSplitCluster, gnutella.ActionCoalesce:
-		if d.MaxClients > 0 {
-			n.opts.MaxClients = int(d.MaxClients)
-		}
-		if d.TTL > 0 {
-			n.opts.TTL = int(d.TTL)
-		}
-		target = d.Target
+	if d.MaxClients > 0 {
+		n.opts.MaxClients = int(d.MaxClients)
+	}
+	if d.TTL > 0 {
+		n.opts.TTL = int(d.TTL)
 	}
 	n.mu.Unlock()
 	n.metrics.DirectivesApplied.Inc()
-	n.opts.Logf("p2p: applied directive epoch %d: %s (ttl %d, max-clients %d, target %q)",
-		d.Epoch, d.Action, d.TTL, d.MaxClients, d.Target)
-	if target != "" {
-		// Best-effort: take over the dead partner's overlay position. A dial
-		// failure does not un-apply the capacity change; the controller sees
-		// the topology through its next scrape and can retarget.
-		if err := n.ConnectPeer(target); err != nil {
-			n.opts.Logf("p2p: directive epoch %d: peering with %s: %v", d.Epoch, target, err)
-		}
-	}
+	n.opts.Logf("p2p: applied directive epoch %d: %s (ttl %d, max-clients %d)",
+		d.Epoch, d.Action, d.TTL, d.MaxClients)
 	return true
 }
 

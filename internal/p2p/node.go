@@ -237,13 +237,10 @@ type Node struct {
 	// framing is every link's frame bound (FrameTimeout) and meter.
 	framing link.Framing
 
-	// Control-plane state (guarded by mu). nodeID and telemetryAddr identify
-	// this node to a fleet controller (SetIdentity); ctlEpoch is the highest
-	// directive epoch applied — the idempotency watermark every Register
-	// announces and every Directive is checked against.
-	nodeID        string
-	telemetryAddr string
-	ctlEpoch      uint64
+	// ctlEpoch (guarded by mu) is the highest directive epoch applied — the
+	// idempotency watermark every Register announces and every Directive is
+	// checked against.
+	ctlEpoch uint64
 
 	// book scores each peer link's reliability from observed behavior
 	// (genuine hits vs forged/unsolicited ones vs Busy refusals); nil unless
@@ -383,7 +380,8 @@ func (n *Node) Close() error {
 	return nil
 }
 
-// Stats reports the node's current shape and overload accounting.
+// Stats reports the node's current shape, overload accounting and the
+// configuration the fleet controller's directives have left it with.
 type Stats struct {
 	Clients      int
 	Peers        int
@@ -415,6 +413,12 @@ type Stats struct {
 	// (no dialable responder behind any claimed result).
 	HitsUnsolicited int64
 	HitsForged      int64
+	// DirectiveEpoch is the highest fleet-controller directive epoch
+	// applied; TTL and MaxClients are the query TTL and client capacity in
+	// effect, which directives change.
+	DirectiveEpoch uint64
+	TTL            int
+	MaxClients     int
 }
 
 // Stats returns a snapshot of the node's state.
@@ -438,6 +442,9 @@ func (n *Node) Stats() Stats {
 		BusyReceived:         m.BusyReceived.Value(),
 		HitsUnsolicited:      m.HitsUnsolicited.Value(),
 		HitsForged:           m.HitsForged.Value(),
+		DirectiveEpoch:       n.ctlEpoch,
+		TTL:                  n.opts.TTL,
+		MaxClients:           n.opts.MaxClients,
 	}
 }
 

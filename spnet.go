@@ -457,9 +457,9 @@ func TelemetryHandler(reg *MetricsRegistry) http.Handler { return metrics.Handle
 // Fleet control plane: a FleetController scrapes every super-peer's
 // telemetry, watches their control links, and pushes the Section 5.3 local
 // decision rules to live nodes as epoch-versioned idempotent directives —
-// partner promotion on death or re-registration storms, cluster split on
-// sustained overload, coalesce on underload, TTL decay under bandwidth
-// pressure. Nodes keep serving on their last-applied configuration whenever
+// partner promotion on death or re-registration storms (walked back when
+// the node returns), cluster split with one step of TTL decay on sustained
+// overload, coalesce on underload. Nodes keep serving on their last-applied configuration whenever
 // the controller is unreachable, and a restarted controller rebuilds its
 // epoch watermark from the fleet's Register announcements.
 type (
