@@ -420,12 +420,22 @@ func (c *Controller) scrapeNode(id string) {
 	st.scrapeFails = 0
 	if st.havePrev {
 		dt := now.Sub(st.prevAt).Seconds() * c.opts.TimeScale
-		if dt > 0 {
-			var in, out float64
-			for cl := 0; cl < metrics.NumClasses; cl++ {
-				in += bytes[cl][metrics.DirIn] - st.prevBytes[cl][metrics.DirIn]
-				out += bytes[cl][metrics.DirOut] - st.prevBytes[cl][metrics.DirOut]
-			}
+		var in, out float64
+		reset := false
+		for cl := 0; cl < metrics.NumClasses; cl++ {
+			dIn := bytes[cl][metrics.DirIn] - st.prevBytes[cl][metrics.DirIn]
+			dOut := bytes[cl][metrics.DirOut] - st.prevBytes[cl][metrics.DirOut]
+			reset = reset || dIn < 0 || dOut < 0
+			in += dIn
+			out += dOut
+		}
+		switch {
+		case reset:
+			// The node restarted between the scrapes, so its counters began
+			// again at zero: a gap, as after a failed scrape. This scrape is
+			// the new baseline.
+			st.haveLoad = false
+		case dt > 0:
 			st.load = analysis.Load{InBps: in * 8 / dt, OutBps: out * 8 / dt}
 			st.haveLoad = true
 		}

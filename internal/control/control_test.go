@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -409,6 +410,49 @@ func (f *fakeTelemetry) setStep(step float64) {
 	f.mu.Lock()
 	f.step = step
 	f.mu.Unlock()
+}
+
+// TestScrapeCounterResetIsAGap: a node restarted between two scrapes starts
+// its counters at zero again. That scrape is a gap, not negative load, and
+// the one after it measures load again.
+func TestScrapeCounterResetIsAGap(t *testing.T) {
+	var mu sync.Mutex
+	nm := metrics.NewNodeMetrics()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		h := metrics.Handler(nm.Registry())
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	observe := func(n int) {
+		mu.Lock()
+		nm.Load.Observe(metrics.ClassQuery, metrics.DirIn, n)
+		mu.Unlock()
+	}
+	c := New(testOptions([]NodeConfig{{ID: "sp-0-0", Telemetry: srv.Listener.Addr().String()}}))
+	load := func() analysis.Load {
+		c.scrapeNode("sp-0-0")
+		return c.Status()[0].Load
+	}
+
+	observe(1000)
+	load()
+	observe(1000)
+	if got := load(); got.InBps <= 0 {
+		t.Fatalf("load before the restart = %+v, want positive", got)
+	}
+	mu.Lock()
+	nm = metrics.NewNodeMetrics() // the node restarts
+	mu.Unlock()
+	observe(100)
+	if got := load(); got.InBps < 0 || got.OutBps < 0 {
+		t.Fatalf("load across the restart = %+v, want no negative rate", got)
+	}
+	observe(1000)
+	if got := load(); got.InBps <= 0 {
+		t.Fatalf("load after the restart = %+v, want positive", got)
+	}
 }
 
 func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {

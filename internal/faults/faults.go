@@ -1,17 +1,13 @@
-// Package faults is a deterministic, seed-driven fault injector for the live
-// super-peer stack. A Controller wraps each named node's transport so that
-// its connections can drop, truncate, corrupt or reset traffic according to
-// per-node rules, and can isolate whole nodes (blackholing their links) — the
-// failure vocabulary the paper's Section 3.2 reliability argument is about,
-// made concrete so tests and the live network harness can kill a super-peer
-// mid-search and watch k-redundant failover happen.
-//
-// All probabilistic decisions flow through one splittable PRNG seeded at
-// construction, so a fixed seed and a fixed sequence of operations yield the
-// same injected faults on every run. The same package also defines the
-// failure-schedule types shared between the discrete-event simulator
-// (internal/sim, virtual time) and the live harness (internal/network, wall
-// time), so the two layers can replay identical failure histories.
+// Package faults injects the two failures the paper's Section 3.2
+// reliability argument is about into the live super-peer stack: a node that
+// crashes (ResetNode kills all its connections) and a node that is cut off
+// (Isolate blackholes its links until Restore). A Controller wraps each named
+// node's link.Net, so tests and the live network harness can kill a
+// super-peer mid-search and watch k-redundant failover happen. The same
+// package defines the failure-schedule types shared between the
+// discrete-event simulator (internal/sim, virtual time) and the live harness
+// (internal/network, wall time), so the two layers can replay identical
+// failure histories.
 package faults
 
 import (
@@ -20,88 +16,29 @@ import (
 	"sync"
 	"time"
 
-	"spnet/internal/stats"
+	"spnet/internal/link"
 )
 
-// Kind classifies one injected fault, for accounting.
-type Kind int
-
-// Fault kinds.
-const (
-	// Drop silently discards a message write.
-	Drop Kind = iota
-	// Truncate writes a prefix of the message and then kills the
-	// connection, corrupting the stream mid-message.
-	Truncate
-	// Reset kills the connection outright, as a remote RST would.
-	Reset
-	// Partition discards traffic because an endpoint is partitioned.
-	Partition
-	// Corrupt flips one byte of a message write, letting the damaged frame
-	// through to exercise the receiver's decoder hardening.
-	Corrupt
-	numKinds
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Drop:
-		return "drop"
-	case Truncate:
-		return "truncate"
-	case Reset:
-		return "reset"
-	case Partition:
-		return "partition"
-	case Corrupt:
-		return "corrupt"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Rule is a per-node probabilistic fault policy, evaluated independently on
-// every message write through the node's wrapped connections. Probabilities
-// are checked in order drop, truncate, corrupt, reset; at most one fault
-// fires per write.
-type Rule struct {
-	// DropProb is the probability a write is silently discarded.
-	DropProb float64
-	// TruncateProb is the probability a write is cut short mid-message and
-	// the connection killed.
-	TruncateProb float64
-	// CorruptProb is the probability one byte of the write is flipped before
-	// delivery, leaving the connection up.
-	CorruptProb float64
-	// ResetProb is the probability the connection is killed before the
-	// write.
-	ResetProb float64
-}
-
-// Controller owns the fault state for a set of named nodes and the
-// deterministic RNG behind every probabilistic decision.
+// Controller owns the partition and crash state of a set of named nodes.
 type Controller struct {
-	mu    sync.Mutex
-	rng   *stats.RNG
-	rules map[string]Rule
+	mu sync.Mutex
 	// isolated maps an isolated node to the channel Restore closes.
 	isolated map[string]chan struct{}
 	conns    map[string]map[*Conn]struct{}
-	counts   [numKinds]int
 }
 
-// NewController returns a fault controller whose decisions derive from seed.
+// NewController returns a fault controller. The seed is unused: partition
+// and crash draw nothing at random.
 func NewController(seed uint64) *Controller {
 	return &Controller{
-		rng:      stats.NewRNG(seed),
-		rules:    make(map[string]Rule),
 		isolated: make(map[string]chan struct{}),
 		conns:    make(map[string]map[*Conn]struct{}),
 	}
 }
 
-// Wrap registers c as a link of node `local` and returns the
-// fault-injecting wrapper.
-func (f *Controller) Wrap(local string, c net.Conn) *Conn {
+// wrap registers c as a link of node `local` and returns the fault-injecting
+// wrapper.
+func (f *Controller) wrap(local string, c net.Conn) *Conn {
 	fc := &Conn{Conn: c, ctrl: f, local: local}
 	f.mu.Lock()
 	fc.heal = f.isolated[local]
@@ -117,59 +54,42 @@ func (f *Controller) Wrap(local string, c net.Conn) *Conn {
 
 // WrapAccept returns a wrapper suitable for a node's accept path.
 func (f *Controller) WrapAccept(local string) func(net.Conn) net.Conn {
-	return func(c net.Conn) net.Conn { return f.Wrap(local, c) }
-}
-
-// Transport is a network to listen and dial on; link.Net is one, and so is
-// what Net returns.
-type Transport interface {
-	Listen(addr string) (net.Listener, error)
-	Dial(addr string, timeout time.Duration) (net.Conn, error)
+	return func(c net.Conn) net.Conn { return f.wrap(local, c) }
 }
 
 // Net returns base as node `local` sees it: every connection its listeners
 // accept and every dial it makes is wrapped, and dials fail while the node
 // is isolated.
-func (f *Controller) Net(local string, base Transport) Transport {
-	return nodeNet{f, local, base}
-}
-
-type nodeNet struct {
-	f     *Controller
-	local string
-	base  Transport
-}
-
-func (n nodeNet) Listen(addr string) (net.Listener, error) {
-	ln, err := n.base.Listen(addr)
-	if err != nil {
-		return nil, err
+func (f *Controller) Net(local string, base link.Net) link.Net {
+	return link.Net{
+		ListenFunc: func(addr string) (net.Listener, error) {
+			ln, err := base.Listen(addr)
+			if err != nil {
+				return nil, err
+			}
+			return listener{ln, f.WrapAccept(local)}, nil
+		},
+		DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+			f.mu.Lock()
+			isolated := f.isolated[local] != nil
+			f.mu.Unlock()
+			if isolated {
+				return nil, &timeoutError{fmt.Sprintf("faults: %s is partitioned from %s", local, addr)}
+			}
+			c, err := base.Dial(addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return f.wrap(local, c), nil
+		},
 	}
-	return listener{ln, n}, nil
-}
-
-func (n nodeNet) Dial(addr string, timeout time.Duration) (net.Conn, error) {
-	n.f.mu.Lock()
-	isolated := n.f.isolated[n.local] != nil
-	if isolated {
-		n.f.counts[Partition]++
-	}
-	n.f.mu.Unlock()
-	if isolated {
-		return nil, &timeoutError{fmt.Sprintf("faults: %s is partitioned from %s", n.local, addr)}
-	}
-	c, err := n.base.Dial(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return n.f.Wrap(n.local, c), nil
 }
 
 // listener wraps every connection it accepts; Addr is the base listener's,
 // so a node relistening on its pinned address keeps it.
 type listener struct {
 	net.Listener
-	n nodeNet
+	wrap func(net.Conn) net.Conn
 }
 
 func (l listener) Accept() (net.Conn, error) {
@@ -177,14 +97,7 @@ func (l listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.n.f.Wrap(l.n.local, c), nil
-}
-
-// SetRule installs (or replaces) node's probabilistic fault rule.
-func (f *Controller) SetRule(node string, r Rule) {
-	f.mu.Lock()
-	f.rules[node] = r
-	f.mu.Unlock()
+	return l.wrap(c), nil
 }
 
 // Isolate partitions a node from everything: writes on its links are
@@ -206,11 +119,18 @@ func (f *Controller) Isolate(node string) {
 // Restore heals an isolated node; its stalled reads resume.
 func (f *Controller) Restore(node string) {
 	f.mu.Lock()
-	if heal := f.isolated[node]; heal != nil {
-		close(heal)
-		delete(f.isolated, node)
+	defer f.mu.Unlock()
+	heal := f.isolated[node]
+	if heal == nil {
+		return
 	}
-	f.mu.Unlock()
+	close(heal)
+	delete(f.isolated, node)
+	for c := range f.conns[node] {
+		c.mu.Lock()
+		c.wakeLocked()
+		c.mu.Unlock()
+	}
 }
 
 // ResetNode kills every registered connection of a node — the abrupt crash
@@ -225,83 +145,6 @@ func (f *Controller) ResetNode(node string) {
 	for _, c := range victims {
 		c.Close()
 	}
-	f.count(Reset)
-}
-
-// Counts reports how many faults of each kind have been injected.
-func (f *Controller) Counts() map[Kind]int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[Kind]int, numKinds)
-	for k := Kind(0); k < numKinds; k++ {
-		if f.counts[k] > 0 {
-			out[k] = f.counts[k]
-		}
-	}
-	return out
-}
-
-func (f *Controller) count(k Kind) {
-	f.mu.Lock()
-	f.counts[k]++
-	f.mu.Unlock()
-}
-
-// writeAction decides, deterministically given the call sequence, what to do
-// with one write at a node. The RNG is consumed only when a rule with
-// non-zero probabilities is installed, so fault-free nodes do not perturb
-// the stream.
-type action int
-
-const (
-	actPass action = iota
-	actDrop
-	actTruncate
-	actCorrupt
-	actReset
-	actPartition
-)
-
-// writeFault is one write's decided fate: the action plus, for actCorrupt,
-// the flip position and XOR mask.
-type writeFault struct {
-	act  action
-	pos  int
-	mask byte
-}
-
-func (f *Controller) writeAction(local string, n int) writeFault {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.isolated[local] != nil {
-		f.counts[Partition]++
-		return writeFault{act: actPartition}
-	}
-	r, ok := f.rules[local]
-	if !ok {
-		return writeFault{act: actPass}
-	}
-	if r.DropProb > 0 && f.rng.Float64() < r.DropProb {
-		f.counts[Drop]++
-		return writeFault{act: actDrop}
-	}
-	if r.TruncateProb > 0 && f.rng.Float64() < r.TruncateProb {
-		f.counts[Truncate]++
-		return writeFault{act: actTruncate}
-	}
-	if r.CorruptProb > 0 && n > 0 && f.rng.Float64() < r.CorruptProb {
-		f.counts[Corrupt]++
-		return writeFault{
-			act:  actCorrupt,
-			pos:  int(f.rng.Uint64() % uint64(n)),
-			mask: byte(1 + f.rng.Uint64()%255), // non-zero: always a real flip
-		}
-	}
-	if r.ResetProb > 0 && f.rng.Float64() < r.ResetProb {
-		f.counts[Reset]++
-		return writeFault{act: actReset}
-	}
-	return writeFault{act: actPass}
 }
 
 func (f *Controller) unregister(node string, c *Conn) {
@@ -310,10 +153,9 @@ func (f *Controller) unregister(node string, c *Conn) {
 	f.mu.Unlock()
 }
 
-// Conn is a fault-injecting net.Conn wrapper. Reads stall while the local
-// node is isolated, until it is restored, the Conn is closed or the read
-// deadline passes; writes consult the controller and may be dropped,
-// truncated, corrupted or turned into a connection reset.
+// Conn is a fault-injecting net.Conn wrapper. While the local node is
+// isolated its writes vanish and its reads stall, until the node is
+// restored, the Conn is closed or the read deadline passes.
 type Conn struct {
 	net.Conn
 	ctrl  *Controller
@@ -326,13 +168,10 @@ type Conn struct {
 	heal         chan struct{}
 	readDeadline time.Time // the caller's
 	closed       bool
-	// wake, made by a stalled Read, is closed when readDeadline changes or
-	// the Conn closes, so the Read looks again.
+	// wake, made by a stalled Read, is closed when readDeadline changes,
+	// the node is restored or the Conn closes, so the Read looks again.
 	wake chan struct{}
 }
-
-// errReset reports a connection killed by fault injection.
-var errReset = fmt.Errorf("faults: connection reset by injector")
 
 // past is a read deadline long gone: setting it ends a pending read.
 var past = time.Unix(1, 0)
@@ -345,28 +184,18 @@ func (e *timeoutError) Error() string   { return e.msg }
 func (e *timeoutError) Timeout() bool   { return true }
 func (e *timeoutError) Temporary() bool { return true }
 
-// Write applies the node's fault policy to one message write.
+// Write delivers p unless the local node is isolated; then the caller sees
+// success and the bytes vanish.
 func (c *Conn) Write(p []byte) (int, error) {
-	w := c.ctrl.writeAction(c.local, len(p))
-	switch w.act {
-	case actDrop, actPartition:
-		// The caller sees success; the bytes vanish.
-		return len(p), nil
-	case actTruncate:
-		n := len(p) / 2
-		if n > 0 {
-			c.Conn.Write(p[:n])
+	c.mu.Lock()
+	heal := c.heal
+	c.mu.Unlock()
+	if heal != nil {
+		select {
+		case <-heal:
+		default:
+			return len(p), nil
 		}
-		c.Close()
-		return n, errReset
-	case actCorrupt:
-		damaged := make([]byte, len(p))
-		copy(damaged, p)
-		damaged[w.pos] ^= w.mask
-		return c.Conn.Write(damaged)
-	case actReset:
-		c.Close()
-		return 0, errReset
 	}
 	return c.Conn.Write(p)
 }
@@ -381,7 +210,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 			return 0, err
 		}
 		n, err := c.Conn.Read(p)
-		if n > 0 || err == nil || !c.isolated() {
+		if n > 0 || err == nil || !c.cut() {
 			return n, err
 		}
 		// Isolate ended this read: stall instead.
@@ -397,7 +226,9 @@ func (c *Conn) isolate(heal chan struct{}) {
 	c.Conn.SetReadDeadline(past)
 }
 
-func (c *Conn) isolated() bool {
+// cut reports whether the socket's read deadline is held in the past: the
+// node was isolated and no Read has seen the heal yet.
+func (c *Conn) cut() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.heal != nil
@@ -427,14 +258,9 @@ func (c *Conn) stall() error {
 		case closed:
 			return net.ErrClosed
 		}
-		var expired <-chan time.Time // nil: no deadline
-		if !dl.IsZero() {
-			expired = time.After(time.Until(dl))
-		}
-		select {
-		case <-heal:
-		case <-wake:
-		case <-expired:
+		if dl.IsZero() {
+			<-wake
+		} else if link.Sleep(time.Until(dl), wake) {
 			return &timeoutError{"faults: read timeout while partitioned"}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"spnet/internal/faults"
+	"spnet/internal/stats"
 )
 
 // seedMessages is one valid encode of every wire message type, the corpus
@@ -49,34 +49,38 @@ func encodeMsg(t testing.TB, m Message) []byte {
 	return buf.Bytes()
 }
 
-// bufferConn adapts a bytes.Buffer to net.Conn so the fault injector's write
-// path can produce damaged frames for the fuzz corpus.
-type bufferConn struct {
-	bytes.Buffer
+// encodes is encodeMsg over msgs.
+func encodes(t testing.TB, msgs []Message) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(msgs))
+	for i, m := range msgs {
+		out[i] = encodeMsg(t, m)
+	}
+	return out
 }
 
-func (*bufferConn) Read([]byte) (int, error)         { return 0, io.EOF }
-func (*bufferConn) Close() error                     { return nil }
-func (*bufferConn) LocalAddr() net.Addr              { return nil }
-func (*bufferConn) RemoteAddr() net.Addr             { return nil }
-func (*bufferConn) SetDeadline(time.Time) error      { return nil }
-func (*bufferConn) SetReadDeadline(time.Time) error  { return nil }
-func (*bufferConn) SetWriteDeadline(time.Time) error { return nil }
+// truncated cuts each frame to its first half, what a link that dies
+// mid-write delivers.
+func truncated(frames [][]byte) [][]byte {
+	out := make([][]byte, len(frames))
+	for i, b := range frames {
+		out[i] = b[:len(b)/2]
+	}
+	return out
+}
 
-// faultedEncodes runs each message through a faults.Controller applying the
-// given rule to each write, returning whatever bytes reached the "wire".
-func faultedEncodes(t testing.TB, seed uint64, rule faults.Rule, msgs []Message) [][]byte {
-	t.Helper()
-	ctrl := faults.NewController(seed)
-	ctrl.SetRule("sender", rule)
-	var out [][]byte
-	for _, m := range msgs {
-		var buf bufferConn
-		fc := ctrl.Wrap("sender", &buf)
-		WriteMessage(fc, m) // error expected for truncating rules
-		if buf.Len() > 0 {
-			out = append(out, append([]byte(nil), buf.Bytes()...))
-		}
+// corrupted returns a copy of each frame with one byte flipped. Each flip
+// takes three draws from one stream seeded by seed: a Float64 it discards,
+// then the position, then a non-zero XOR mask. The discarded draw keeps the
+// corpus byte-identical to the one these seeds have always produced.
+func corrupted(seed uint64, frames [][]byte) [][]byte {
+	rng := stats.NewRNG(seed)
+	out := make([][]byte, len(frames))
+	for i, b := range frames {
+		rng.Float64()
+		d := append([]byte(nil), b...)
+		d[rng.Uint64()%uint64(len(d))] ^= byte(1 + rng.Uint64()%255)
+		out[i] = d
 	}
 	return out
 }
@@ -86,15 +90,16 @@ func faultedEncodes(t testing.TB, seed uint64, rule faults.Rule, msgs []Message)
 // stream errors — io.EOF / io.ErrUnexpectedEOF at stream ends, ErrShortMessage
 // or the ErrBadMessage family (including ErrPayloadTooLarge) for damage.
 func FuzzReadMessage(f *testing.F) {
-	for _, m := range seedMessages(f) {
-		f.Add(encodeMsg(f, m))
-	}
-	// Damaged variants of every message via the fault injector: streams cut
-	// mid-frame and streams with flipped bytes.
-	for _, b := range faultedEncodes(f, 11, faults.Rule{TruncateProb: 1}, seedMessages(f)) {
+	frames := encodes(f, seedMessages(f))
+	for _, b := range frames {
 		f.Add(b)
 	}
-	for _, b := range faultedEncodes(f, 12, faults.Rule{CorruptProb: 1}, seedMessages(f)) {
+	// Damaged variants of every message: streams cut mid-frame and streams
+	// with flipped bytes.
+	for _, b := range truncated(frames) {
+		f.Add(b)
+	}
+	for _, b := range corrupted(12, frames) {
 		f.Add(b)
 	}
 	// A header whose length field vastly overstates the payload.
@@ -129,18 +134,19 @@ type encoder interface {
 }
 
 // fuzzDecode fuzzes one payload decoder on its own, seeded from the given
-// messages' encodes plus fault-injected truncated and corrupted copies. The
+// messages' encodes plus truncated and corrupted copies of them. The
 // decoder must never panic, must fail only with errors wrapping
 // ErrBadMessage, and must accept only canonical bytes: whatever decodes
 // re-encodes to exactly the input.
 func fuzzDecode[M encoder](f *testing.F, decode func([]byte) (M, error), msgs ...Message) {
-	for _, m := range msgs {
-		f.Add(encodeMsg(f, m))
-	}
-	for _, b := range faultedEncodes(f, 21, faults.Rule{TruncateProb: 1}, msgs) {
+	frames := encodes(f, msgs)
+	for _, b := range frames {
 		f.Add(b)
 	}
-	for _, b := range faultedEncodes(f, 22, faults.Rule{CorruptProb: 1}, msgs) {
+	for _, b := range truncated(frames) {
+		f.Add(b)
+	}
+	for _, b := range corrupted(22, frames) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -187,22 +193,23 @@ func FuzzDecodeDirectiveAck(f *testing.F) {
 		&DirectiveAck{ID: GUID{13}, Epoch: 1 << 63})
 }
 
-// TestReadMessageFaultedStream replays injector-damaged frames over a real
+// TestReadMessageFaultedStream replays damaged frames over a real
 // connection pair and checks the reader's behavior is bounded: typed errors
 // for damage, no hangs past the read deadline.
 func TestReadMessageFaultedStream(t *testing.T) {
+	msgs := seedMessages(t)
+	frames := encodes(t, msgs)
 	cases := []struct {
-		name string
-		rule faults.Rule
+		name   string
+		frames [][]byte
 	}{
-		{"truncate", faults.Rule{TruncateProb: 1}},
-		{"corrupt", faults.Rule{CorruptProb: 1}},
+		{"truncate", truncated(frames)},
+		{"corrupt", corrupted(7, frames)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctrl := faults.NewController(7)
-			ctrl.SetRule("sender", tc.rule)
-			for _, m := range seedMessages(t) {
+			for i, frame := range tc.frames {
+				m := msgs[i]
 				a, b := net.Pipe()
 				// Both ends are deadline-bounded: a corrupted length field may
 				// make the reader wait for bytes that never come (or leave the
@@ -210,7 +217,6 @@ func TestReadMessageFaultedStream(t *testing.T) {
 				// must end promptly rather than hang.
 				a.SetWriteDeadline(time.Now().Add(2 * time.Second))
 				b.SetReadDeadline(time.Now().Add(2 * time.Second))
-				fc := ctrl.Wrap("sender", a)
 				done := make(chan error, 1)
 				go func() {
 					var err error
@@ -219,8 +225,8 @@ func TestReadMessageFaultedStream(t *testing.T) {
 					}
 					done <- err
 				}()
-				WriteMessage(fc, m) // error expected under injected faults
-				fc.Close()
+				a.Write(frame)
+				a.Close()
 				select {
 				case err := <-done:
 					var ne net.Error

@@ -1,4 +1,4 @@
-package link
+package link_test
 
 import (
 	"errors"
@@ -8,10 +8,11 @@ import (
 	"time"
 
 	"spnet/internal/faults"
+	"spnet/internal/link"
 )
 
 // connect dials ln on n and returns both ends, closed at cleanup.
-func connect(t *testing.T, n Net, ln net.Listener) (dialed, accepted net.Conn) {
+func connect(t *testing.T, n link.Net, ln net.Listener) (dialed, accepted net.Conn) {
 	t.Helper()
 	got := make(chan net.Conn, 1)
 	go func() {
@@ -31,7 +32,7 @@ func connect(t *testing.T, n Net, ln net.Listener) (dialed, accepted net.Conn) {
 }
 
 // pair listens on n and returns a dialed and an accepted end.
-func pair(t *testing.T, n Net) (dialed, accepted net.Conn) {
+func pair(t *testing.T, n link.Net) (dialed, accepted net.Conn) {
 	t.Helper()
 	ln, err := n.Listen("127.0.0.1:0")
 	if err != nil {
@@ -82,19 +83,19 @@ func wantTimeout(t *testing.T, err error) {
 // read deadline ends a Read with a timeout, Close and a deadline set from
 // another goroutine each end a Read already waiting, and a closed listener's
 // address can be listened on again, as a restarted super-peer does. Where a
-// Net can partition, the read cases run again with the node isolated.
+// Net can partition, the read cases run again with the node isolated, and a
+// write vanishes while the partition holds and is delivered after the heal.
 func TestNetConformance(t *testing.T) {
 	ctrl := faults.NewController(1)
-	fn := ctrl.Net("n", Net{})
 	rows := []struct {
 		name string
-		net  Net
+		net  link.Net
 		// partition isolates every connection of the row's Net and returns
 		// the heal; nil where the Net cannot partition.
 		partition func() (heal func())
 	}{
-		{"tcp", Net{}, nil},
-		{"faults over tcp", Net{ListenFunc: fn.Listen, DialFunc: fn.Dial}, func() func() {
+		{"tcp", link.Net{}, nil},
+		{"faults over tcp", ctrl.Net("n", link.Net{}), func() func() {
 			ctrl.Isolate("n")
 			return func() { ctrl.Restore("n") }
 		}},
@@ -159,6 +160,42 @@ func TestNetConformance(t *testing.T) {
 					c.Close()
 				}
 				wantTimeout(t, err)
+			})
+			// The write half: an isolated end writes to a peer on plain TCP.
+			peered := func(t *testing.T) (c, peer net.Conn) {
+				ln, err := row.net.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatalf("Listen: %v", err)
+				}
+				defer ln.Close()
+				peer, c = connect(t, link.Net{}, ln)
+				return c, peer
+			}
+			t.Run(row.name+"/partitioned/a write vanishes", func(t *testing.T) {
+				c, peer := peered(t)
+				heal := row.partition()
+				defer heal()
+				if n, err := c.Write([]byte("lost")); n != 4 || err != nil {
+					t.Fatalf("partitioned Write = %d, %v; want silent success", n, err)
+				}
+				peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+				n, err := peer.Read(make([]byte, 4))
+				if n > 0 {
+					t.Fatalf("peer read %d bytes of a partitioned write", n)
+				}
+				wantTimeout(t, err)
+			})
+			t.Run(row.name+"/partitioned/a write after the heal is delivered", func(t *testing.T) {
+				c, peer := peered(t)
+				row.partition()()
+				if _, err := c.Write([]byte("sent")); err != nil {
+					t.Fatalf("Write after the heal: %v", err)
+				}
+				peer.SetReadDeadline(time.Now().Add(time.Second))
+				got := make([]byte, 4)
+				if _, err := io.ReadFull(peer, got); err != nil || string(got) != "sent" {
+					t.Fatalf("peer read %q, %v; want %q", got, err, "sent")
+				}
 			})
 		}
 		for _, rc := range reads {

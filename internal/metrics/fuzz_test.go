@@ -3,13 +3,10 @@ package metrics
 import (
 	"bytes"
 	"errors"
-	"io"
-	"net"
 	"strings"
 	"testing"
-	"time"
 
-	"spnet/internal/faults"
+	"spnet/internal/stats"
 )
 
 // validExposition renders a realistic node scrape: a NodeMetrics registry
@@ -30,38 +27,28 @@ func validExposition(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// sink adapts a bytes.Buffer to net.Conn so the fault injector's write path
-// can mangle an exposition the way a damaged transport would.
-type sink struct{ bytes.Buffer }
-
-func (*sink) Read([]byte) (int, error)         { return 0, io.EOF }
-func (*sink) Close() error                     { return nil }
-func (*sink) LocalAddr() net.Addr              { return nil }
-func (*sink) RemoteAddr() net.Addr             { return nil }
-func (*sink) SetDeadline(time.Time) error      { return nil }
-func (*sink) SetReadDeadline(time.Time) error  { return nil }
-func (*sink) SetWriteDeadline(time.Time) error { return nil }
-
-// corruptedExpositions pushes the valid exposition through a faults.Corrupt
-// (and truncate) write rule line by line, harvesting damaged scrapes.
-func corruptedExpositions(t testing.TB, seed uint64, rule faults.Rule) [][]byte {
+// damagedExpositions cuts each line of the valid exposition to its first
+// half and, separately, flips one byte of each line, harvesting damaged
+// scrapes. Each flip takes three draws from one stream seeded by seed: a
+// Float64 it discards, then the position, then a non-zero XOR mask. The
+// discarded draw keeps the corpus byte-identical to the one this seed has
+// always produced.
+func damagedExpositions(t testing.TB, seed uint64) (truncated, corrupted []string) {
 	t.Helper()
-	ctrl := faults.NewController(seed)
-	ctrl.SetRule("scraped", rule)
-	valid := validExposition(t)
-	var out [][]byte
-	for _, line := range strings.SplitAfter(string(valid), "\n") {
+	rng := stats.NewRNG(seed)
+	for _, line := range strings.SplitAfter(string(validExposition(t)), "\n") {
 		if line == "" {
 			continue
 		}
-		var buf sink
-		fc := ctrl.Wrap("scraped", &buf)
-		fc.Write([]byte(line)) // error expected for truncating rules
-		if buf.Len() > 0 {
-			out = append(out, append([]byte(nil), buf.Bytes()...))
+		if n := len(line) / 2; n > 0 {
+			truncated = append(truncated, line[:n])
 		}
+		rng.Float64()
+		d := []byte(line)
+		d[rng.Uint64()%uint64(len(d))] ^= byte(1 + rng.Uint64()%255)
+		corrupted = append(corrupted, string(d))
 	}
-	return out
+	return truncated, corrupted
 }
 
 // FuzzParsePrometheus hammers the exposition parser with arbitrary bytes —
@@ -71,11 +58,12 @@ func corruptedExpositions(t testing.TB, seed uint64, rule faults.Rule) [][]byte 
 // errors.
 func FuzzParsePrometheus(f *testing.F) {
 	f.Add(string(validExposition(f)))
-	for _, b := range corruptedExpositions(f, 3, faults.Rule{CorruptProb: 1}) {
-		f.Add(string(b))
+	truncated, corrupted := damagedExpositions(f, 3)
+	for _, s := range corrupted {
+		f.Add(s)
 	}
-	for _, b := range corruptedExpositions(f, 4, faults.Rule{TruncateProb: 1}) {
-		f.Add(string(b))
+	for _, s := range truncated {
+		f.Add(s)
 	}
 	f.Add("# comment only\n\n")
 	f.Add(`m{a="1",b="2"} 3`)

@@ -29,8 +29,7 @@ type LiveConfig struct {
 	// Partners is the k-redundancy level: partners per virtual super-peer
 	// (Section 3.2; default 2).
 	Partners int
-	// Seed drives the fault controller's randomness and, offset by the slot
-	// number, each super-peer's RoutingSeed.
+	// Seed, offset by the slot number, is each super-peer's RoutingSeed.
 	Seed uint64
 	// Telemetry starts a loopback HTTP server per super-peer serving the
 	// node's metrics registry (Prometheus text, expvar JSON, pprof) — the
@@ -98,10 +97,7 @@ func label(cluster, partner int) string { return fmt.Sprintf("sp-%d-%d", cluster
 // controller, so isolating lbl blackholes everything listened or dialed on
 // it. Every slot's node and telemetry server use their own label's; the
 // fleet controller and the harness's scrapes dial on ControllerLabel's.
-func (l *Live) Net(lbl string) link.Net {
-	t := l.ctrl.Net(lbl, link.Net{})
-	return link.Net{ListenFunc: t.Listen, DialFunc: t.Dial}
-}
+func (l *Live) Net(lbl string) link.Net { return l.ctrl.Net(lbl, link.Net{}) }
 
 // Overlay returns the graph the fleet is wired from (the default ring when
 // LiveConfig.Overlay was nil).

@@ -452,6 +452,11 @@ func (cl *Client) failover() error {
 		}
 
 		cl.mu.Lock()
+		if cl.closed { // Close ran during the Join and missed c
+			cl.mu.Unlock()
+			c.Close()
+			return errClientClosed
+		}
 		cl.conn = c
 		cl.addrIdx = next
 		cl.broken = false

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"sync"
@@ -8,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"spnet/internal/faults"
 	"spnet/internal/gnutella"
 	"spnet/internal/link"
 	"spnet/internal/stats"
@@ -415,12 +415,33 @@ func TestHeartbeatKeepsLivePeerConnected(t *testing.T) {
 	}
 }
 
+// failingConn is a connection whose writes, once armed, kill it and fail,
+// as a remote reset would.
+type failingConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+func (c failingConn) Write(p []byte) (int, error) {
+	if c.armed.Load() {
+		c.Conn.Close()
+		return 0, errors.New("test: connection reset")
+	}
+	return c.Conn.Write(p)
+}
+
 // TestSearchDetailedAccountsDeadNeighbor checks graceful degradation with
 // per-neighbor accounting: a search over an overlay with a faulted link
 // returns local results plus the per-neighbor error, instead of failing.
 func TestSearchDetailedAccountsDeadNeighbor(t *testing.T) {
-	ctrl := faults.NewController(9)
-	a := startNode(t, Options{Net: link.Net{DialFunc: ctrl.Net("a", link.Net{}).Dial}})
+	var armed atomic.Bool
+	a := startNode(t, Options{Net: link.Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := link.Net{}.Dial(addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return failingConn{c, &armed}, nil
+	}}})
 	b := startNode(t, Options{})
 	if err := a.ConnectPeer(b.Addr()); err != nil {
 		t.Fatal(err)
@@ -433,7 +454,7 @@ func TestSearchDetailedAccountsDeadNeighbor(t *testing.T) {
 	waitFor(t, "local indexed", func() bool { return a.Stats().IndexedFiles == 1 })
 
 	// Kill a's outbound link traffic from now on.
-	ctrl.SetRule("a", faults.Rule{ResetProb: 1})
+	armed.Store(true)
 	out, err := a.SearchDetailed("hit", 100*time.Millisecond)
 	if err != nil {
 		t.Fatalf("SearchDetailed: %v", err)
@@ -443,5 +464,81 @@ func TestSearchDetailedAccountsDeadNeighbor(t *testing.T) {
 	}
 	if len(out.Neighbors) != 1 || out.Failed() != 1 {
 		t.Errorf("neighbor accounting = %+v, want one failed neighbor", out.Neighbors)
+	}
+}
+
+// joinGate is a connection that, once the gate is armed, holds its Join
+// frame write until the gate is released.
+type joinGate struct {
+	net.Conn
+	g *gate
+}
+
+type gate struct {
+	armed   atomic.Bool
+	held    chan struct{} // closed when a Join write is held
+	release chan struct{}
+	once    sync.Once
+}
+
+func (c joinGate) Write(p []byte) (int, error) {
+	m, err := gnutella.ReadMessage(bytes.NewReader(p))
+	if c.g.armed.Load() && err == nil && m.Type() == gnutella.TypeJoin {
+		c.g.once.Do(func() { close(c.g.held) })
+		<-c.g.release
+	}
+	return c.Conn.Write(p)
+}
+
+// TestClientCloseDuringFailoverClosesRejoinedLink: a Close that lands while
+// a failover is sending its Join leaves no link behind, so the partner drops
+// the client as Close promises.
+func TestClientCloseDuringFailoverClosesRejoinedLink(t *testing.T) {
+	primary := startNode(t, Options{})
+	partner := startNode(t, Options{})
+	g := &gate{held: make(chan struct{}), release: make(chan struct{})}
+	cl, err := DialClientOptions(DialOptions{
+		Addrs:   []string{primary.Addr(), partner.Addr()},
+		Backoff: fastBackoff,
+		Net: link.Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+			c, err := link.Net{}.Dial(addr, timeout)
+			if err != nil {
+				return nil, err
+			}
+			return joinGate{c, g}, nil
+		}},
+	}, []SharedFile{{Index: 1, Title: "orphan"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	waitFor(t, "client joined primary", func() bool { return primary.Stats().IndexedFiles == 1 })
+
+	g.armed.Store(true)
+	primary.Close()
+	if _, err := cl.Search("orphan", 100*time.Millisecond); err == nil {
+		t.Fatal("search over the dead link reported success")
+	}
+	reconnected := make(chan error, 1)
+	go func() { reconnected <- cl.Reconnect() }()
+	select {
+	case <-g.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("failover never sent its Join")
+	}
+	cl.Close()
+	close(g.release)
+	<-reconnected
+
+	// The partner admitted the link before the Join was held, so an open
+	// link count of 0 means it saw the link close, not that the Join has
+	// yet to land.
+	deadline := time.Now().Add(2 * time.Second)
+	for partner.Stats().Clients != 0 || partner.Metrics().ConnsOpen.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("partner still holds %d clients on %d links 2s after Close",
+				partner.Stats().Clients, partner.Metrics().ConnsOpen.Value())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

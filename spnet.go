@@ -402,14 +402,13 @@ func DialSuperPeers(opts ClientDialOptions, files []SharedFile) (*NodeClient, er
 	return p2p.DialClientOptions(opts, files)
 }
 
-// FaultController, FaultRule and FailureSchedule are the deterministic fault
-// injection layer: a seeded controller that wraps live connections to inject
-// message drop, truncation, corruption, connection resets and partitions, plus
-// shared failure schedules that replay identically in the simulator
-// (FailureOptions.Schedule) and against live networks.
+// FaultController and FailureSchedule are the fault injection layer: a
+// controller that wraps live connections to crash a node (every connection
+// reset) or partition it, plus shared failure schedules that replay
+// identically in the simulator (FailureOptions.Schedule) and against live
+// networks.
 type (
 	FaultController = faults.Controller
-	FaultRule       = faults.Rule
 	FailureSchedule = faults.Schedule
 	PartnerFailure  = faults.PartnerFailure
 )
