@@ -90,7 +90,10 @@ func main() {
 		opts.Routing = strat
 	}
 	if *mtbf > 0 {
-		opts.Failures = &spnet.FailureOptions{MTBF: *mtbf, RecoveryDelay: *recovery}
+		opts.Failures = &spnet.FailureOptions{
+			RecoveryDelay: *recovery,
+			Schedule:      spnet.ExponentialFailureSchedule(*seed+2, len(inst.Clusters), cfg.Partners(), *mtbf, *duration),
+		}
 	}
 	if *contentOn {
 		opts.Content = &spnet.ContentOptions{}

@@ -156,24 +156,27 @@ func simScalars(m *spnet.Measured) string {
 }
 
 func TestGoldenSimFailures(t *testing.T) {
-	// Stochastic MTBF clocks on single-partner clusters: whole-cluster
-	// outages, lost client queries, recoverCluster.
+	// A drawn MTBF schedule on single-partner clusters: whole-cluster
+	// outages, lost client queries, slot recovery ending each outage.
 	inst, err := spnet.Generate(goldenConfig(), nil, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := spnet.Simulate(inst, spnet.SimOptions{
 		Duration: 600, Seed: 21, Churn: true,
-		Failures: &spnet.FailureOptions{MTBF: 400, RecoveryDelay: 60},
+		Failures: &spnet.FailureOptions{
+			RecoveryDelay: 60,
+			Schedule:      spnet.ExponentialFailureSchedule(21, len(inst.Clusters), 1, 400, 600),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect(t, "mtbf aggregate", fmtLoad(m.Aggregate), "{545142.34666666714 545240.93333333358 6248609.6400012737}")
-	expect(t, "mtbf scalars", simScalars(m), "1931 185558 120813 53 253")
+	expect(t, "mtbf aggregate", fmtLoad(m.Aggregate), "{329291.30666666711 308450.05333333346 3551613.5999999773}")
+	expect(t, "mtbf scalars", simScalars(m), "2047 188815 117055 54 223")
 
 	// A replayed fault schedule on 2-redundant clusters: the co-partner
-	// carries on and replacePartner restores the redundancy level.
+	// carries on and each slot comes back on its own.
 	cfg := goldenConfig()
 	cfg.Redundancy = true
 	inst, err = spnet.Generate(cfg, nil, 11)
@@ -188,8 +191,8 @@ func TestGoldenSimFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expect(t, "replay aggregate", fmtLoad(m.Aggregate), "{469627.52000000019 493124.18666666676 5056043.5920001147}")
-	expect(t, "replay scalars", simScalars(m), "2076 247961 159368 146 59")
+	expect(t, "replay aggregate", fmtLoad(m.Aggregate), "{475569.14666666667 514168.95999999961 5266348.848000058}")
+	expect(t, "replay scalars", simScalars(m), "2087 263713 168976 147 34")
 }
 
 func TestGoldenSimRouting(t *testing.T) {

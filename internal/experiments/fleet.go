@@ -235,8 +235,6 @@ func (f *fleet) replay(seed uint64, usersPer int, rate, duration float64, timeli
 				}
 			}
 			if ev.restart {
-				// "Still running" is benign: a schedule may kill a partner
-				// again inside its own recovery window.
 				if err := f.live.RestartSuperPeer(ev.cluster, ev.partner); err != nil {
 					f.logf("live: restart sp-%d-%d: %v", ev.cluster, ev.partner, err)
 				}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"spnet/internal/faults"
 	"spnet/internal/network"
 	"spnet/internal/sim"
 	"spnet/internal/topology"
@@ -43,7 +42,7 @@ func reliabilityScenario(seed uint64, reg failureRegime, k int, duration float64
 			TTL:       7,
 		},
 		Failures: &sim.FailureOptions{
-			Schedule:      faults.ExponentialSchedule(seed+500, clusters, k, reg.mtbf, duration),
+			Schedule:      sim.ExponentialSchedule(seed+500, clusters, k, reg.mtbf, duration),
 			RecoveryDelay: reg.recovery,
 		},
 		SimDuration: duration,
@@ -108,7 +107,6 @@ func runLiveReliability(p Params, regimes []failureRegime, ks []int) (*Report, e
 				workload.DefaultRates().QueryRate, duration),
 			"one kill schedule per cell, drawn from the regime and played by both arms; the live arm restarts a slot when its recovery falls inside the window",
 			"lost = client queries lost (dark cluster; live also: failed or no genuine result) over every user's queries",
-			"at k >= 2 the simulator's replay can strike a different slot than the live fleet once a partner is down (DESIGN.md §16)",
 			"degraded = live client searches not lost but short of the 9 planted matches; recovery = client conn-lost → rejoined",
 		},
 		Tables: []Table{{

@@ -4,7 +4,7 @@ import (
 	"strconv"
 	"testing"
 
-	"spnet/internal/faults"
+	"spnet/internal/sim"
 )
 
 // TestLiveReliabilitySchedulesDeterministic pins the determinism contract:
@@ -30,8 +30,8 @@ func TestLiveReliabilitySchedulesDeterministic(t *testing.T) {
 		t.Error("distinct client slots share an arrival stream")
 	}
 
-	s1 := faults.ExponentialSchedule(7, 2, 2, 30, 60)
-	s2 := faults.ExponentialSchedule(7, 2, 2, 30, 60)
+	s1 := sim.ExponentialSchedule(7, 2, 2, 30, 60)
+	s2 := sim.ExponentialSchedule(7, 2, 2, 30, 60)
 	if len(s1) != len(s2) {
 		t.Fatalf("schedule lengths differ: %d vs %d", len(s1), len(s2))
 	}

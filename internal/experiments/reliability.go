@@ -54,7 +54,10 @@ func runReliability(p Params) (*Report, error) {
 		m, err := sim.Run(inst, sim.Options{
 			Duration: duration,
 			Seed:     p.Seed + 100 + uint64(k),
-			Failures: &sim.FailureOptions{MTBF: reg.mtbf, RecoveryDelay: reg.recovery},
+			Failures: &sim.FailureOptions{
+				RecoveryDelay: reg.recovery,
+				Schedule:      sim.ExponentialSchedule(p.Seed+200+uint64(k), len(inst.Clusters), k, reg.mtbf, duration),
+			},
 		})
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"spnet/internal/control"
-	"spnet/internal/faults"
 	"spnet/internal/network"
 	"spnet/internal/sim"
 	"spnet/internal/topology"
@@ -36,7 +35,7 @@ func selfHealScenario(seed uint64, duration float64) Scenario {
 			TTL:       7,
 		},
 		Failures: &sim.FailureOptions{
-			Schedule: faults.Schedule{{At: duration / 3, Cluster: 0, Partner: 0}},
+			Schedule: sim.Schedule{{At: duration / 3, Cluster: 0, Partner: 0}},
 			// Replaced only after the window closes.
 			RecoveryDelay: duration,
 		},

@@ -44,10 +44,10 @@ type Scenario struct {
 	// Failures, when set, kills partners in the simulator and on the live
 	// fleet. Its Schedule is drawn once and each arm plays the part inside
 	// its own window: the simulator takes the options as they are, and the
-	// live arm kills each scheduled slot and restarts it RecoveryDelay later
-	// if that too falls inside the window. The model does not price
-	// failures. Only at k = 1 do the two arms kill event for event
-	// (sim.FailureOptions.Schedule).
+	// live arm kills each scheduled slot that is up and restarts it
+	// RecoveryDelay later if that too falls inside the window. Both arms
+	// kill event for event at every k (sim.FailureOptions). The model does
+	// not price failures.
 	Failures *sim.FailureOptions
 	// ClientCapacity, when positive, caps every live partner's clients
 	// (p2p.Options.MaxClients). A client's first dial walks its cluster's
@@ -522,15 +522,23 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 
 // timeline is the live side of Failures: each scheduled kill inside the
 // window and, when it too falls inside, the slot's restart RecoveryDelay
-// later, in time order.
+// later, in time order. A kill of a slot that is still down is dropped, as
+// the simulator drops it, so it brings no restart of its own.
 func (s *Scenario) timeline() []fault {
 	if s.Failures == nil {
 		return nil
 	}
 	var out []fault
+	up := map[[2]int]float64{} // slot → when it is back up
 	for _, ev := range s.Failures.Schedule.Truncate(s.Live.Duration) {
+		slot := [2]int{ev.Cluster, ev.Partner}
+		if ev.At < up[slot] {
+			continue
+		}
+		back := ev.At + s.Failures.RecoveryDelay
+		up[slot] = back
 		out = append(out, fault{at: ev.At, cluster: ev.Cluster, partner: ev.Partner})
-		if back := ev.At + s.Failures.RecoveryDelay; back < s.Live.Duration {
+		if back < s.Live.Duration {
 			out = append(out, fault{at: back, restart: true, cluster: ev.Cluster, partner: ev.Partner})
 		}
 	}

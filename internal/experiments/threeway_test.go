@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
-	"spnet/internal/faults"
 	"spnet/internal/network"
 	"spnet/internal/routing"
 	"spnet/internal/sim"
@@ -138,35 +138,81 @@ func TestThreeWayFloodForwardsAgree(t *testing.T) {
 }
 
 // TestThreeWayKillsAgree holds the simulator and the live fleet to the same
-// kills of one drawn schedule. At k = 1 a kill either darkens its cluster in
-// both arms or, landing on a slot still down from an earlier one, is dropped
-// in both, so the simulator's FailuresInjected must equal the live arm's
-// executed kills exactly. Every event falls in the window's first three
-// quarters, so every kill and its restart play out inside it.
+// kills of one drawn schedule at k = 1, 2 and 3. In both arms a kill takes
+// its slot down unless it is down already, when the kill is dropped, and the
+// slot comes back RecoveryDelay after its own failure. So the simulator's
+// FailuresInjected must equal the live arm's executed kills exactly. Every
+// event falls in the window's first three quarters, so every kill and its
+// restart play out inside it.
 func TestThreeWayKillsAgree(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots a fleet")
+		t.Skip("boots fleets")
 	}
 	leakCheck(t)
 	const window = 240
-	s := floodScenario(topology.Ring(3), 2)
-	s.SimDuration = window
-	s.Live.Duration, s.Live.TimeScale = window, 240
-	// Seed 7 draws 7 kills of which 2 land on a slot already down.
-	s.Failures = &sim.FailureOptions{
-		Schedule:      faults.ExponentialSchedule(7, 3, 1, 60, 0.75*window),
-		RecoveryDelay: 20,
+	// Each seed's schedule drops an event. At k = 2 seed 8 also kills a slot
+	// while its co-partner is down, darkening the cluster.
+	for _, c := range []struct {
+		k    int
+		seed uint64
+	}{{1, 7}, {2, 8}, {3, 7}} {
+		s := floodScenario(topology.Ring(3), 2)
+		s.Planted.Partners = c.k
+		s.SimDuration = window
+		s.Live.Duration, s.Live.TimeScale = window, 240
+		s.Failures = &sim.FailureOptions{
+			Schedule:      sim.ExponentialSchedule(c.seed, 3, c.k, 60, 0.75*window),
+			RecoveryDelay: 20,
+		}
+		if c.k == 2 && !killsBesideDownSlot(s.Failures) {
+			t.Fatal("k = 2: no kill lands while its co-partner is down")
+		}
+		tw, err := runThreeWay(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tw.Live.Kills) == 0 || len(tw.Live.Kills) == len(s.Failures.Schedule) {
+			t.Fatalf("k = %d: %d of %d scheduled kills executed live: the schedule no longer exercises dropped events",
+				c.k, len(tw.Live.Kills), len(s.Failures.Schedule))
+		}
+		if tw.Sim.FailuresInjected != len(tw.Live.Kills) {
+			t.Errorf("k = %d: simulator injected %d failures, live fleet executed %d kills of the same %d-event schedule",
+				c.k, tw.Sim.FailuresInjected, len(tw.Live.Kills), len(s.Failures.Schedule))
+		}
 	}
-	tw, err := runThreeWay(s)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// killsBesideDownSlot reports whether a kill of f's schedule that finds its
+// slot up lands while another slot of the same cluster is down.
+func killsBesideDownSlot(f *sim.FailureOptions) bool {
+	up := map[[2]int]float64{} // slot → when it is back up
+	for _, ev := range f.Schedule.Sorted() {
+		slot := [2]int{ev.Cluster, ev.Partner}
+		if ev.At < up[slot] {
+			continue
+		}
+		for other, back := range up {
+			if other[0] == ev.Cluster && other != slot && ev.At < back {
+				return true
+			}
+		}
+		up[slot] = ev.At + f.RecoveryDelay
 	}
-	if len(tw.Live.Kills) == 0 || len(tw.Live.Kills) == len(s.Failures.Schedule) {
-		t.Fatalf("%d of %d scheduled kills executed live: the schedule no longer exercises dropped events",
-			len(tw.Live.Kills), len(s.Failures.Schedule))
+	return false
+}
+
+// TestTimelineRestartsOnlyTakenKills: a kill that lands on a slot still down
+// is dropped with no restart of its own, so it cannot cut short the slot's
+// next outage.
+func TestTimelineRestartsOnlyTakenKills(t *testing.T) {
+	s := Scenario{
+		Failures: &sim.FailureOptions{RecoveryDelay: 20, Schedule: sim.Schedule{
+			{At: 10}, {At: 15}, {At: 33}, // 15 lands while slot 0 is down
+		}},
+		Live: LiveLoad{Duration: 100},
 	}
-	if tw.Sim.FailuresInjected != len(tw.Live.Kills) {
-		t.Errorf("simulator injected %d failures, live fleet executed %d kills of the same %d-event schedule",
-			tw.Sim.FailuresInjected, len(tw.Live.Kills), len(s.Failures.Schedule))
+	want := []fault{{at: 10}, {at: 30, restart: true}, {at: 33}, {at: 53, restart: true}}
+	if got := s.timeline(); !slices.Equal(got, want) {
+		t.Errorf("timeline = %+v, want %+v", got, want)
 	}
 }

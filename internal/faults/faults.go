@@ -3,11 +3,7 @@
 // crashes (ResetNode kills all its connections) and a node that is cut off
 // (Isolate blackholes its links until Restore). A Controller wraps each named
 // node's link.Net, so tests and the live network harness can kill a
-// super-peer mid-search and watch k-redundant failover happen. The same
-// package defines the failure-schedule types shared between the
-// discrete-event simulator (internal/sim, virtual time) and the live harness
-// (internal/network, wall time), so the two layers can replay identical
-// failure histories.
+// super-peer mid-search and watch k-redundant failover happen.
 package faults
 
 import (

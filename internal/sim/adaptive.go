@@ -270,7 +270,7 @@ func (s *Simulator) promotePartner(c *clusterNode) {
 	}
 	p := &partnerNode{cluster: c, files: cl.files, lifespan: cl.lifespan}
 	c.setPartners(append(c.partners, p))
-	c.targetPartners = len(c.partners)
+	c.slots = append(c.slots, p)
 	cl.cluster = nil // retire the client slot; its processes stop
 
 	for _, other := range c.clients {
@@ -295,7 +295,7 @@ func (s *Simulator) splitCluster(c *clusterNode) {
 	}
 	sp := &partnerNode{cluster: nc, files: seedClient.files, lifespan: seedClient.lifespan}
 	nc.setPartners([]*partnerNode{sp})
-	nc.targetPartners = 1
+	nc.slots = []*partnerNode{sp}
 	seedClient.cluster = nil
 	s.clusters = append(s.clusters, nc)
 

@@ -246,7 +246,7 @@ func TestAdversaryValidation(t *testing.T) {
 	if _, err := Run(inst, Options{
 		Duration:  10,
 		Adversary: &AdversaryOptions{},
-		Failures:  &FailureOptions{MTBF: 100, RecoveryDelay: 10},
+		Failures:  &FailureOptions{RecoveryDelay: 10},
 	}); err == nil {
 		t.Error("adversary + failures accepted")
 	}

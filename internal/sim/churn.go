@@ -44,7 +44,7 @@ func (s *Simulator) chargePartnerToClient(p *partnerNode, c *clientNode, class m
 // clientJoin charges the join interaction: the client sends its metadata to
 // each partner; each partner receives it and adds it to its index.
 func (s *Simulator) clientJoin(c *clientNode) {
-	if c.cluster.isDown() {
+	if c.cluster.down {
 		return // no partner to join until the cluster recovers
 	}
 	if s.contentMode() {
@@ -72,7 +72,7 @@ func (s *Simulator) clientJoinOne(c *clientNode, p *partnerNode) {
 // partner re-indexes its own files, and with redundancy also ships them to
 // its co-partner.
 func (s *Simulator) partnerRejoin(p *partnerNode) {
-	if p.cluster.isDown() {
+	if p.cluster.down {
 		return
 	}
 	p.counters.procU += float64(cost.ProcessJoin(p.files))
@@ -90,7 +90,7 @@ func (s *Simulator) partnerRejoin(p *partnerNode) {
 // clientUpdate charges one collection update: the client notifies every
 // partner, and each partner applies the change to its index.
 func (s *Simulator) clientUpdate(c *clientNode) {
-	if c.cluster.isDown() {
+	if c.cluster.down {
 		return
 	}
 	ub, upS := cost.SendUpdateCost()
@@ -105,7 +105,7 @@ func (s *Simulator) clientUpdate(c *clientNode) {
 // partnerUpdate charges a super-peer's own collection update: applied
 // locally, and with redundancy also shipped to the co-partner.
 func (s *Simulator) partnerUpdate(p *partnerNode) {
-	if p.cluster.isDown() {
+	if p.cluster.down {
 		return
 	}
 	p.counters.procU += float64(cost.ProcessUpdateCost())

@@ -123,7 +123,7 @@ func TestContentModeIncompatibilities(t *testing.T) {
 	}
 	if _, err := Run(inst, Options{
 		Duration: 10, Content: &ContentOptions{},
-		Failures: &FailureOptions{MTBF: 100, RecoveryDelay: 10},
+		Failures: &FailureOptions{RecoveryDelay: 10},
 	}); err == nil {
 		t.Error("content+failures accepted")
 	}

@@ -50,7 +50,7 @@ func (s *Simulator) userQueryFromClient(c *clientNode) {
 	if len(c.cluster.partners) == 0 {
 		return
 	}
-	if c.cluster.isDown() {
+	if c.cluster.down {
 		// The super-peer failed and no partner remains: the client is
 		// temporarily disconnected and its query is lost (Section 3.2).
 		s.clientQueriesLost++
@@ -91,7 +91,7 @@ func (s *Simulator) userQueryFromClient(c *clientNode) {
 // userQueryFromPartner: a super-peer submits its own query (super-peers are
 // users too).
 func (s *Simulator) userQueryFromPartner(p *partnerNode) {
-	if p.cluster.isDown() {
+	if p.cluster.down {
 		return
 	}
 	s.sourceQuery(p, nil)
@@ -149,7 +149,7 @@ func (s *Simulator) markSeen(c *clusterNode, id uint64, from *partnerNode, origi
 // sendQueryTo transmits one copy of query msg from partner p to (one
 // partner of) neighbor cluster nb.
 func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg *message) {
-	if nb.isDown() || len(nb.partners) == 0 {
+	if nb.down || len(nb.partners) == 0 {
 		return // the neighbor's connections are closed; nothing is sent
 	}
 	target := s.advPickNeighborPartner(p.cluster, nb)
@@ -166,7 +166,7 @@ func (s *Simulator) sendQueryTo(p *partnerNode, nb *clusterNode, msg *message) {
 // local processing, response, and forwarding with a decremented TTL.
 func (s *Simulator) handleQuery(msg *message) {
 	p := msg.to
-	if p.cluster.isDown() {
+	if p.cluster.down {
 		return // failed while the message was in flight
 	}
 	p.counters.addIn(metrics.ClassQuery, s.qBytes)
@@ -299,7 +299,7 @@ func (s *Simulator) sendResponse(p *partnerNode, to *partnerNode, r *message) {
 // along the reverse path.
 func (s *Simulator) handleResponse(msg *message) {
 	p := msg.to
-	if p.cluster.isDown() {
+	if p.cluster.down {
 		return // failed while the message was in flight
 	}
 	b := respCost(int(msg.addrs), int(msg.results))

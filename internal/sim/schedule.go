@@ -1,4 +1,4 @@
-package faults
+package sim
 
 import (
 	"sort"
@@ -16,7 +16,7 @@ type PartnerFailure struct {
 	At float64
 	// Cluster is the cluster (overlay node) index.
 	Cluster int
-	// Partner is the partner index within the cluster's virtual super-peer.
+	// Partner is the partner slot within the cluster's virtual super-peer.
 	Partner int
 }
 
@@ -52,11 +52,12 @@ func (s Schedule) Truncate(duration float64) Schedule {
 	return out
 }
 
-// ExponentialSchedule draws each partner's failure process — successive
-// exponential inter-failure gaps with the given MTBF — out to duration
-// seconds, the same process internal/sim's stochastic failure injection
-// uses. The result is deterministic in (seed, clusters, partners, mtbf,
-// duration): each partner's gap stream comes from its own split of the seed.
+// ExponentialSchedule draws each partner slot's failure process, a Poisson
+// clock with exponential gaps of mean mtbf, out to duration seconds. Replayed
+// with events for a down slot dropped, each slot fails after an exponential
+// up-time of mean mtbf. The result is deterministic in (seed, clusters,
+// partners, mtbf, duration): each slot's gap stream comes from its own split
+// of the seed.
 func ExponentialSchedule(seed uint64, clusters, partners int, mtbf, duration float64) Schedule {
 	var out Schedule
 	if mtbf <= 0 || duration <= 0 {

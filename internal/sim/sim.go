@@ -229,10 +229,13 @@ type clusterNode struct {
 	ttl              int  // TTL stamped on queries sourced in this cluster
 	rrOut            int  // round-robin selector for neighbor partners
 	acceptingClients bool // rule I state, toggled by the adaptive advisor
-	// targetPartners is the redundancy level failure recovery restores.
-	targetPartners int
-	adaptive       *adaptiveState
-	failures       *failureState
+	// slots is the fixed partner slot table failure events address: slot i
+	// is up while slots[i] is in partners and the cluster is not down.
+	slots []*partnerNode
+	// down is true while every slot is down (FailureOptions): clients are
+	// disconnected and overlay traffic to the cluster is lost.
+	down     bool
+	adaptive *adaptiveState
 	// index is the cluster's shared inverted index (content mode only);
 	// partners hold identical replicas, modeled once.
 	index     *index.Index
@@ -407,7 +410,7 @@ func New(inst *network.Instance, opts Options) (*Simulator, error) {
 				cluster: c, files: cl.Files, lifespan: cl.Lifespan,
 			})
 		}
-		c.targetPartners = len(c.partners)
+		c.slots = slices.Clone(c.partners)
 		s.clusters[v] = c
 	}
 	var nbs []int32
@@ -451,14 +454,11 @@ func (s *Simulator) start() {
 			s.startClientProcesses(cl, true)
 		}
 		s.scheduleSeenCleanup(c)
-		s.scheduleFailures(c)
 		if s.opts.Adaptive != nil {
 			s.scheduleAdaptive(c)
 		}
 	}
-	if f := s.opts.Failures; f != nil && f.replayMode() {
-		s.scheduleReplay()
-	}
+	s.scheduleFailures()
 }
 
 // startClientProcesses schedules a client slot's behavior loops: Poisson

@@ -299,7 +299,7 @@ func TestAdjacencyInvariants(t *testing.T) {
 	red.Redundancy = true
 	run(red, Options{
 		Duration: 600, Seed: 21, Churn: true,
-		Failures: &FailureOptions{MTBF: 400, RecoveryDelay: 60},
+		Failures: failureOpts(red, 400, 60, 600),
 	})
 }
 

@@ -402,22 +402,21 @@ func DialSuperPeers(opts ClientDialOptions, files []SharedFile) (*NodeClient, er
 	return p2p.DialClientOptions(opts, files)
 }
 
-// FaultController and FailureSchedule are the fault injection layer: a
-// controller that wraps live connections to crash a node (every connection
-// reset) or partition it, plus shared failure schedules that replay
-// identically in the simulator (FailureOptions.Schedule) and against live
-// networks.
+// FaultController wraps live connections to crash a node (every connection
+// reset) or partition it. A FailureSchedule kills partner slots, and the
+// simulator (FailureOptions.Schedule) and a live network execute it alike:
+// each drops a kill of a slot that is already down.
 type (
 	FaultController = faults.Controller
-	FailureSchedule = faults.Schedule
-	PartnerFailure  = faults.PartnerFailure
+	FailureSchedule = sim.Schedule
+	PartnerFailure  = sim.PartnerFailure
 )
 
 // ExponentialFailureSchedule draws a reproducible failure schedule with
 // exponentially distributed inter-failure gaps (mean mtbf) for every partner
 // of every cluster over the given duration.
 func ExponentialFailureSchedule(seed uint64, clusters, partners int, mtbf, duration float64) FailureSchedule {
-	return faults.ExponentialSchedule(seed, clusters, partners, mtbf, duration)
+	return sim.ExponentialSchedule(seed, clusters, partners, mtbf, duration)
 }
 
 // LiveNetwork runs a real super-peer network on loopback and orchestrates

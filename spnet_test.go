@@ -182,7 +182,10 @@ func TestFacadeFailures(t *testing.T) {
 	}
 	m, err := spnet.Simulate(inst, spnet.SimOptions{
 		Duration: 800, Seed: 5,
-		Failures: &spnet.FailureOptions{MTBF: 400, RecoveryDelay: 100},
+		Failures: &spnet.FailureOptions{
+			RecoveryDelay: 100,
+			Schedule:      spnet.ExponentialFailureSchedule(6, len(inst.Clusters), 1, 400, 800),
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
