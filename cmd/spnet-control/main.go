@@ -1,18 +1,18 @@
 // Command spnet-control runs the fleet controller: it watches a set of live
-// super-peers (spnet-node processes) over persistent control links and their
-// /metrics telemetry, and pushes the paper's Section 5.3 local decision
-// rules to them as epoch-versioned directives — partner promotion when a
-// node dies or flaps, cluster split and TTL decay on sustained overload,
-// coalesce on underload.
+// super-peers (spnet-node processes) over persistent control links, which
+// carry their load and client counts each tick, and pushes the paper's
+// Section 5.3 local decision rules to them as epoch-versioned directives —
+// partner promotion when a node dies or flaps, cluster split and TTL decay
+// on sustained overload, coalesce on underload.
 //
-// Each -node flag names one super-peer as id=addr[=telemetry] with the
-// optional cluster/partner position appended as @cluster.partner:
+// Each -node flag names one super-peer as id=addr with the optional
+// cluster/partner position appended as @cluster.partner:
 //
-//	spnet-node -listen 127.0.0.1:7001 -telemetry 127.0.0.1:9001
-//	spnet-node -listen 127.0.0.1:7002 -telemetry 127.0.0.1:9002
-//	spnet-control -node sp-0-0=127.0.0.1:7001=127.0.0.1:9001@0.0 \
-//	              -node sp-0-1=127.0.0.1:7002=127.0.0.1:9002@0.1 \
-//	              -capacity 100 -scrape 2s
+//	spnet-node -listen 127.0.0.1:7001
+//	spnet-node -listen 127.0.0.1:7002
+//	spnet-control -node sp-0-0=127.0.0.1:7001@0.0 \
+//	              -node sp-0-1=127.0.0.1:7002@0.1 \
+//	              -capacity 100 -interval 2s
 //
 // Nodes keep serving on their last-applied configuration whenever the
 // controller is unreachable; restarting spnet-control is safe — it relearns
@@ -37,7 +37,7 @@ type nodeFlags []spnet.FleetNodeConfig
 
 func (n *nodeFlags) String() string { return fmt.Sprintf("%d nodes", len(*n)) }
 
-// Set parses id=addr[=telemetry][@cluster.partner].
+// Set parses id=addr[@cluster.partner].
 func (n *nodeFlags) Set(spec string) error {
 	cfg := spnet.FleetNodeConfig{}
 	if at := strings.LastIndexByte(spec, '@'); at >= 0 {
@@ -47,14 +47,11 @@ func (n *nodeFlags) Set(spec string) error {
 			return fmt.Errorf("bad position %q (want cluster.partner): %v", pos, err)
 		}
 	}
-	parts := strings.Split(spec, "=")
-	if len(parts) < 2 || len(parts) > 3 || parts[0] == "" || parts[1] == "" {
-		return fmt.Errorf("bad node spec %q (want id=addr[=telemetry][@cluster.partner])", spec)
+	id, addr, ok := strings.Cut(spec, "=")
+	if !ok || id == "" || addr == "" || strings.Contains(addr, "=") {
+		return fmt.Errorf("bad node spec %q (want id=addr[@cluster.partner])", spec)
 	}
-	cfg.ID, cfg.Addr = parts[0], parts[1]
-	if len(parts) == 3 {
-		cfg.Telemetry = parts[2]
-	}
+	cfg.ID, cfg.Addr = id, addr
 	*n = append(*n, cfg)
 	return nil
 }
@@ -62,7 +59,7 @@ func (n *nodeFlags) Set(spec string) error {
 func main() {
 	var nodes nodeFlags
 	var (
-		scrape   = flag.Duration("scrape", 2*time.Second, "scrape/decision interval")
+		interval = flag.Duration("interval", 2*time.Second, "decision interval: each tick polls every node for its load")
 		rpcTO    = flag.Duration("rpc-timeout", 2*time.Second, "per-directive round-trip timeout")
 		capacity = flag.Int("capacity", 100, "baseline per-node client capacity (promotion doubles it)")
 		inLimit  = flag.Float64("limit-in-bps", 0, "per-node incoming-bandwidth limit; 0 disables the hotspot/underload rules")
@@ -72,7 +69,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "seed for backoff jitter")
 		verbose  = flag.Bool("v", false, "log controller diagnostics")
 	)
-	flag.Var(&nodes, "node", "super-peer as id=addr[=telemetry][@cluster.partner]; repeatable")
+	flag.Var(&nodes, "node", "super-peer as id=addr[@cluster.partner]; repeatable")
 	flag.Parse()
 	if len(nodes) == 0 {
 		fmt.Fprintln(os.Stderr, "spnet-control: at least one -node is required")
@@ -82,7 +79,7 @@ func main() {
 
 	opts := spnet.FleetOptions{
 		Nodes:          nodes,
-		ScrapeInterval: *scrape,
+		Interval:       *interval,
 		RPCTimeout:     *rpcTO,
 		ClientCapacity: *capacity,
 		Limit:          spnet.Load{InBps: *inLimit, OutBps: *outLimit},
@@ -98,8 +95,8 @@ func main() {
 	}
 	ctrl := spnet.NewFleetController(opts)
 	ctrl.Start()
-	fmt.Printf("fleet controller watching %d nodes (scrape %s, capacity %d)\n",
-		len(nodes), *scrape, *capacity)
+	fmt.Printf("fleet controller watching %d nodes (interval %s, capacity %d)\n",
+		len(nodes), *interval, *capacity)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -21,7 +21,7 @@
 //	spnet-node -listen 127.0.0.1:7001 -serve-content -content-files 16 \
 //	           -transfer-rate 262144
 //
-// Expose load telemetry (Prometheus /metrics, expvar /debug/vars, pprof):
+// Expose load telemetry (Prometheus /metrics, pprof):
 //
 //	spnet-node -listen 127.0.0.1:7001 -telemetry 127.0.0.1:9001
 //
@@ -65,7 +65,7 @@ func run(args []string, out io.Writer, sigc <-chan os.Signal) error {
 		ttl     = fs.Int("ttl", 7, "TTL stamped on queries")
 		maxCl   = fs.Int("max-clients", 100, "maximum clients (cluster size - 1)")
 		maxPeer = fs.Int("max-peers", 30, "maximum overlay neighbors (outdegree)")
-		telem   = fs.String("telemetry", "", "serve load telemetry on this address: /metrics (Prometheus), /debug/vars (expvar), /debug/pprof/")
+		telem   = fs.String("telemetry", "", "serve load telemetry on this address: /metrics (Prometheus), /debug/pprof/")
 		query   = fs.String("query", "", "run this keyword query from the node itself, print results, and exit")
 		wait    = fs.Duration("wait", 2*time.Second, "how long to collect results for -query")
 		routing = fs.String("routing", "flood", `query-routing strategy: "flood", "randomwalk[:k]", "routingindex" or "learned"`)

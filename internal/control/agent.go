@@ -11,9 +11,9 @@ import (
 )
 
 // agent maintains the control link to one node: dial with seeded backoff,
-// handshake, read the node's Register announcement, then pump acks and
-// re-registrations until the link dies — and start over. One goroutine per
-// node for the life of the controller.
+// handshake, then read the node's Registers until the link dies or falls
+// silent — and start over. One goroutine per node for the life of the
+// controller.
 type agent struct {
 	ctrl *Controller
 	cfg  NodeConfig
@@ -21,38 +21,36 @@ type agent struct {
 
 	mu   sync.Mutex
 	conn *link.Conn // nil while the link is down
-	// pending holds the pushes waiting for an ack on conn, keyed by epoch.
-	pending map[uint64]*pendingPush
-	// registers counts Register frames since the decision loop last looked —
-	// the re-registration-storm detector's input.
+	// pending holds the wake channel of each push waiting for its receipt
+	// on conn, keyed by epoch. Whoever takes one out closes it: the reader
+	// when the receipt arrives, or setConn when the link drops.
+	pending map[uint64]chan struct{}
+	// last is the newest Register from the node, on this link or an
+	// earlier one: the decision loop's sample.
+	last sample
+	// asked is when the oldest Poll or Directive on conn still awaiting a
+	// Register was sent; at or before conn's LastFrame when none is.
+	asked time.Time
+	// registers counts links whose first Register arrived since the
+	// decision loop last looked — the re-registration-storm detector's input.
 	registers int
 	// bye records a graceful deregistration (node drained, not crashed).
 	bye bool
 }
 
-// pendingPush is one push waiting for its ack. Whoever takes it out of
-// agent.pending closes woke: the reader when the ack arrives (setting ack
-// first), or setConn when the link drops.
-type pendingPush struct {
-	woke chan struct{}
-	ack  *gnutella.DirectiveAck
-}
-
-func newAgent(c *Controller, cfg NodeConfig, rng *stats.RNG) *agent {
-	return &agent{
-		ctrl:    c,
-		cfg:     cfg,
-		rng:     rng,
-		pending: make(map[uint64]*pendingPush),
-	}
+// sample is one Register and the link and time it arrived on.
+type sample struct {
+	reg  *gnutella.Register
+	conn *link.Conn
+	at   time.Time
 }
 
 // run is the agent's connection-supervision loop.
 func (a *agent) run() {
 	defer a.ctrl.wg.Done()
-	// A frame that has started must finish within one RPC timeout, so a node
-	// stalled mid-frame takes its link down; payloads are capped at 64 KiB.
-	framing := link.Framing{Bound: a.ctrl.opts.RPCTimeout, MaxPayload: 1 << 16}
+	// Payloads are capped at 64 KiB. Every read carries readLoop's silence
+	// deadline, so a node stalled mid-frame takes its link down too.
+	framing := link.Framing{MaxPayload: 1 << 16}
 	attempt := 0
 	for {
 		select {
@@ -87,7 +85,7 @@ func (a *agent) backoff(attempt int) time.Duration {
 }
 
 // setConn publishes or clears the live link. Clearing it wakes every push
-// still waiting for an ack on it.
+// still waiting for a receipt on it.
 func (a *agent) setConn(c *link.Conn) {
 	a.mu.Lock()
 	a.conn = c
@@ -99,9 +97,9 @@ func (a *agent) setConn(c *link.Conn) {
 		default:
 		}
 	}
-	for epoch, p := range a.pending {
+	for epoch, woke := range a.pending {
 		delete(a.pending, epoch)
-		close(p.woke)
+		close(woke)
 	}
 	a.mu.Unlock()
 	if c == nil {
@@ -109,58 +107,87 @@ func (a *agent) setConn(c *link.Conn) {
 	}
 }
 
-// linkUp reports whether the control link is currently connected.
-func (a *agent) linkUp() bool {
+// liveConn returns the control link, nil while it is down.
+func (a *agent) liveConn() *link.Conn {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.conn != nil
+	return a.conn
 }
 
-// readLoop pumps the link's inbound frames until it errors.
+// readLoop pumps the link's Registers until it errors or leaves a request
+// unanswered for RPCTimeout. Silence is timed from the request, not the last
+// frame, so a tick whose pushes delay its Polls condemns no healthy link.
 func (a *agent) readLoop(c *link.Conn) {
 	for {
-		m, err := c.Recv(time.Time{})
+		m, err := c.Recv(a.silentAt(c))
+		if err == link.ErrIdle && time.Now().Before(a.silentAt(c)) {
+			continue // the deadline was a wake-up, not a request timing out
+		}
 		if err != nil {
 			return
 		}
-		switch msg := m.(type) {
-		case *gnutella.Register:
-			a.handleRegister(msg)
-		case *gnutella.DirectiveAck:
-			a.mu.Lock()
-			if p := a.pending[msg.Epoch]; p != nil {
-				delete(a.pending, msg.Epoch)
-				p.ack = msg
-				close(p.woke)
-			}
-			a.mu.Unlock()
-		default:
+		r, ok := m.(*gnutella.Register)
+		if !ok {
 			a.ctrl.opts.Logf("control: unexpected %T from %s", m, a.cfg.ID)
 			return
 		}
+		a.handleRegister(c, r)
 	}
 }
 
-// handleRegister ingests a node announcement: adopt its epoch watermark (the
-// restart-recovery path — a fresh controller learns the fleet's highest
-// applied epoch from these), count it for storm detection, and record byes.
-func (a *agent) handleRegister(r *gnutella.Register) {
-	a.ctrl.adoptEpoch(r.Epoch)
+// silentAt is when link c is down: RPCTimeout after its oldest unanswered
+// request, or with none a wake-up Interval + RPCTimeout out to look again.
+func (a *agent) silentAt(c *link.Conn) time.Time {
 	a.mu.Lock()
-	a.registers++
-	if r.Flags == gnutella.RegisterBye {
+	asked := a.asked
+	a.mu.Unlock()
+	if asked.After(c.LastFrame()) {
+		return asked.Add(a.ctrl.opts.RPCTimeout)
+	}
+	return time.Now().Add(a.ctrl.opts.Interval + a.ctrl.opts.RPCTimeout)
+}
+
+// handleRegister ingests one Register from link c: adopt its epoch watermark
+// (the restart-recovery path — a fresh controller learns the fleet's highest
+// applied epoch from these), keep it as the latest sample, deliver the
+// receipts it carries, count a link's first for storm detection, and record
+// byes.
+func (a *agent) handleRegister(c *link.Conn, r *gnutella.Register) {
+	a.ctrl.adoptEpoch(r.Epoch)
+	bye := r.Flags == gnutella.RegisterBye
+	a.mu.Lock()
+	first := a.last.conn != c
+	a.last = sample{reg: r, conn: c, at: c.LastFrame()}
+	if first {
+		a.registers++
+	}
+	if bye {
 		a.bye = true
 	}
+	for epoch, woke := range a.pending {
+		if epoch <= r.Epoch {
+			delete(a.pending, epoch)
+			close(woke)
+		}
+	}
 	a.mu.Unlock()
-	if r.Flags == gnutella.RegisterBye {
+	switch {
+	case bye:
 		a.ctrl.event(Event{Type: EvDeregistered, Node: a.cfg.ID, Epoch: r.Epoch})
-	} else {
+	case first:
 		a.ctrl.event(Event{Type: EvRegistered, Node: a.cfg.ID, Epoch: r.Epoch})
 	}
 }
 
-// takeRegisters returns and resets the register count, and whether a bye was
-// seen, for the decision loop's storm/drain detection.
+// latest returns the newest Register sample.
+func (a *agent) latest() sample {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.last
+}
+
+// takeRegisters returns and resets the first-Register count, and whether a
+// bye was seen, for the decision loop's storm/drain detection.
 func (a *agent) takeRegisters() (n int, bye bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -169,64 +196,77 @@ func (a *agent) takeRegisters() (n int, bye bool) {
 	return n, bye
 }
 
-// push sends one directive and waits for its ack, retrying with seeded
-// backoff. An Applied=0 (stale) ack still counts as success: the node already
-// holds an equal or newer configuration, which is exactly what idempotent
-// delivery promises. Fails fast when the link is down — a partitioned
-// controller must not block its decision loop on dead RPCs.
+// poll asks the node for its next Register.
+func (a *agent) poll() {
+	if conn := a.liveConn(); conn != nil {
+		a.ask(conn, &gnutella.Poll{})
+	}
+}
+
+// ask sends c a request the node answers with a Register, starting readLoop's
+// silence clock unless an earlier request is still unanswered.
+func (a *agent) ask(c *link.Conn, m gnutella.Message) error {
+	a.mu.Lock()
+	if !a.asked.After(c.LastFrame()) {
+		a.asked = time.Now()
+	}
+	a.mu.Unlock()
+	err := c.Send(m, a.ctrl.opts.RPCTimeout)
+	if err != nil {
+		c.Close() // a frame cut off part way leaves the stream out of step
+	}
+	return err
+}
+
+// push sends one directive and waits for its receipt, retrying with seeded
+// backoff. A stale directive's receipt still counts as success: the node
+// already holds an equal or newer configuration, which is exactly what
+// idempotent delivery promises. Fails fast when the link is down — a
+// partitioned controller must not block its decision loop on dead RPCs.
 func (a *agent) push(d *gnutella.Directive) error {
 	var lastErr error
 	for attempt := 0; attempt < pushAttempts; attempt++ {
 		if attempt > 0 && !link.Sleep(a.backoff(attempt), a.ctrl.stop) {
 			return fmt.Errorf("control: shutting down")
 		}
-		ack, err := a.pushOnce(d)
-		if err != nil {
-			lastErr = err
-			continue
+		if lastErr = a.pushOnce(d); lastErr == nil {
+			a.ctrl.event(Event{Type: EvAcked, Node: a.cfg.ID, Epoch: d.Epoch, Detail: d.Action.String()})
+			return nil
 		}
-		applied := ack.Applied == 1
-		a.ctrl.event(Event{Type: EvAcked, Node: a.cfg.ID, Epoch: d.Epoch,
-			Detail: fmt.Sprintf("%s applied=%v", d.Action, applied)})
-		return nil
 	}
 	return lastErr
 }
 
-// pushOnce sends d on the live link and waits one RPCTimeout for its ack.
-// The wait ends early when the reader delivers the ack or the link drops,
-// Controller.Close included, since it closes the links.
-func (a *agent) pushOnce(d *gnutella.Directive) (*gnutella.DirectiveAck, error) {
+// pushOnce sends d on the live link and waits one RPCTimeout for its
+// receipt. The wait ends early when the reader delivers the receipt or the
+// link drops, Controller.Close included, since it closes the links.
+func (a *agent) pushOnce(d *gnutella.Directive) error {
 	a.mu.Lock()
 	conn := a.conn
 	if conn == nil {
 		a.mu.Unlock()
-		return nil, fmt.Errorf("control: link to %s down", a.cfg.ID)
+		return fmt.Errorf("control: link to %s down", a.cfg.ID)
 	}
-	p := &pendingPush{woke: make(chan struct{})}
-	a.pending[d.Epoch] = p
+	woke := make(chan struct{})
+	a.pending[d.Epoch] = woke
 	a.mu.Unlock()
 
-	err := conn.Send(d, a.ctrl.opts.RPCTimeout)
-	if err == nil && !link.Sleep(a.ctrl.opts.RPCTimeout, p.woke) {
-		// Woken: the ack arrived, or the link dropped.
-		if p.ack != nil {
-			return p.ack, nil
-		}
-		return nil, fmt.Errorf("control: link to %s dropped awaiting epoch %d", a.cfg.ID, d.Epoch)
-	}
+	err := a.ask(conn, d)
 	if err == nil {
-		// A silent link (blackholed by a partition, or a wedged node) must
-		// not keep looking healthy: poison it so run() goes through a full
-		// redial, and later decisions fail fast on a down link instead of
-		// burning an RPC timeout each.
-		err = fmt.Errorf("control: ack timeout from %s (epoch %d)", a.cfg.ID, d.Epoch)
+		if !link.Sleep(a.ctrl.opts.RPCTimeout, woke) {
+			// Woken: the receipt arrived, or the link dropped.
+			if last := a.latest().reg; last != nil && last.Epoch >= d.Epoch {
+				return nil
+			}
+			return fmt.Errorf("control: link to %s dropped awaiting epoch %d", a.cfg.ID, d.Epoch)
+		}
+		// A silent link is left to readLoop's silence bound.
+		err = fmt.Errorf("control: no receipt from %s (epoch %d)", a.cfg.ID, d.Epoch)
 	}
 	a.mu.Lock()
-	if a.pending[d.Epoch] == p {
+	if a.pending[d.Epoch] == woke {
 		delete(a.pending, d.Epoch)
 	}
 	a.mu.Unlock()
-	conn.Close() // poison the link; run() redials
-	return nil, err
+	return err
 }

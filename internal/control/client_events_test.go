@@ -85,7 +85,7 @@ func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 	// The client must observably bounce off the full survivor before the
 	// promotion lands, so detect deaths a few client-retry periods slower
 	// than the client notices them.
-	opts.ScrapeInterval = 400 * time.Millisecond
+	opts.Interval = 400 * time.Millisecond
 	c := New(opts)
 	c.Start()
 	defer c.Close()

@@ -1,25 +1,39 @@
 // Package control is the fleet control plane: the operational form of the
-// paper's Section 5.3 local decision rules. A Controller watches every
-// super-peer of a live deployment through two channels — a persistent control
-// link (over which nodes announce themselves with Register frames and receive
-// Directives) and the node's /metrics telemetry (scraped and compared against
-// the analytical prediction) — and closes the loop by pushing decisions back:
+// paper's Section 5.3 local decision rules. A Controller reaches every
+// super-peer of a live deployment through one channel, a control link it
+// dials, and closes the loop by pushing decisions back on it:
 // partner-promotion when a super-peer dies or re-registers in a storm,
 // cluster split and TTL decay on sustained overload, coalesce on sustained
 // underload.
 //
-// Everything is robust by construction. Control RPCs use seeded exponential
-// backoff with jitter, per-RPC timeouts, and epoch-versioned idempotent
-// directives, so a retried or replayed directive is harmless. Nodes keep
+// Wire. The node sends one kind of frame, Register: flags, its directive
+// epoch, its metered wire bytes In and Out over every class since it
+// started, and its client count. It sends one when the link opens and one
+// after every Poll and every Directive. A push's receipt is the first
+// Register whose epoch is at least the push's: the node then holds that
+// directive or a newer one.
+//
+// Tick. Each tick samples every node's latest Register, decides, then sends
+// every linked node a Poll. A node's load is the bytes between this tick's
+// sample and the last tick's on the same link, over the wall time between
+// their arrivals times TimeScale; its client count is the sample's. A new
+// link starts a new baseline: the controller dials every link and a node's
+// links die with its process, so counters never run backwards on one link.
+//
+// Death. A node is dead on a bye, a storm (flapRegisters links opened in
+// one tick) or a down link. The node answers every Poll and Directive, so a
+// link that leaves one unanswered for RPCTimeout is down, even one a
+// partition blackholes. A dead node's partner is promoted only if it was
+// alive when the node died.
+//
+// Pushes retry with seeded backoff and are idempotent by epoch. Nodes keep
 // serving on their last-applied configuration whenever the controller is
 // unreachable, and a restarted controller rebuilds its epoch watermark from
-// the fleet's Register announcements — no durable controller state exists to
-// lose.
+// the fleet's Registers: no durable controller state exists to lose.
 package control
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 	"time"
 
@@ -37,9 +51,6 @@ type NodeConfig struct {
 	ID string
 	// Addr is the node's p2p listen address (control links dial it).
 	Addr string
-	// Telemetry is the node's /metrics HTTP address ("" disables scraping;
-	// deadness is then judged on the control link alone).
-	Telemetry string
 	// Cluster and Partner locate the node in the k-redundant layout, so the
 	// controller knows whose partner to promote.
 	Cluster int
@@ -50,11 +61,11 @@ type NodeConfig struct {
 type Options struct {
 	// Nodes is the fleet.
 	Nodes []NodeConfig
-	// ScrapeInterval is the decision-loop tick (default 2s). One telemetry
-	// fetch is bounded by half a tick, and detection latency for a dead node
-	// is at most two ticks (deadAfter).
-	ScrapeInterval time.Duration
-	// RPCTimeout bounds one directive push round trip (default 2s).
+	// Interval is the decision-loop tick (default 2s).
+	Interval time.Duration
+	// RPCTimeout bounds one directive push round trip, and the wait for the
+	// Register answering any Poll or Directive before the link is down
+	// (default 2s).
 	RPCTimeout time.Duration
 	// DialTimeout bounds each control-link dial and its hello (default 2s).
 	DialTimeout time.Duration
@@ -75,12 +86,12 @@ type Options struct {
 	// BaseTTL is the TTL nodes start with, the ceiling TTL decay works down
 	// from (default 7).
 	BaseTTL int
-	// TimeScale converts wall-clock scrape rates into model (virtual)
+	// TimeScale converts wall-clock load rates into model (virtual)
 	// per-second rates when the workload is driven on compressed time:
 	// virtual seconds per wall second (default 1).
 	TimeScale float64
-	// Net is the transport both control links and telemetry scrapes dial on
-	// (zero: TCP; the fault-injection hook).
+	// Net is the transport control links dial on (zero: TCP; the
+	// fault-injection hook).
 	Net link.Net
 	// OnEvent, when set, receives every controller event as it happens.
 	OnEvent func(Event)
@@ -89,16 +100,13 @@ type Options struct {
 }
 
 const (
-	// deadAfter is how many consecutive scrape failures (with the control
-	// link also down) declare a node dead.
-	deadAfter = 2
-	// flapRegisters is the re-registration-storm threshold: this many
-	// Register frames from one node within a single tick triggers the same
+	// flapRegisters is the re-registration-storm threshold: this many links
+	// to one node opened within a single tick trigger the same
 	// partner-promotion response as death.
 	flapRegisters = 3
 	// sustainTicks is how many consecutive ticks a hotspot or underload
 	// signal must persist before the controller acts — hysteresis against
-	// one-scrape blips.
+	// one-sample blips.
 	sustainTicks = 2
 	// cooldownTicks is how many ticks after an action the same node is left
 	// alone, so a directive's effect is observed before the next one.
@@ -109,8 +117,8 @@ const (
 )
 
 func (o *Options) setDefaults() {
-	if o.ScrapeInterval <= 0 {
-		o.ScrapeInterval = 2 * time.Second
+	if o.Interval <= 0 {
+		o.Interval = 2 * time.Second
 	}
 	if o.RPCTimeout <= 0 {
 		o.RPCTimeout = 2 * time.Second
@@ -142,18 +150,16 @@ const (
 	EvRegistered EventType = iota
 	// EvDeregistered: a node sent a graceful bye (drain, not crash).
 	EvDeregistered
-	// EvLinkDown: a control link dropped.
+	// EvLinkDown: a control link dropped or fell silent.
 	EvLinkDown
-	// EvScrapeFailed: one telemetry scrape failed.
-	EvScrapeFailed
-	// EvDead: a node was declared dead (scrapes failing, link down) or
-	// re-registering in a storm.
+	// EvDead: a node was declared dead: deregistered, re-registering in a
+	// storm, or its link down.
 	EvDead
 	// EvRecovered: a dead node came back.
 	EvRecovered
 	// EvPushed: a directive was handed to the push path.
 	EvPushed
-	// EvAcked: a directive was acknowledged by its node.
+	// EvAcked: a directive's receipt arrived.
 	EvAcked
 	// EvPushFailed: a directive exhausted its retries; the node keeps its
 	// last-known configuration.
@@ -167,7 +173,7 @@ const (
 
 var eventNames = map[EventType]string{
 	EvRegistered: "registered", EvDeregistered: "deregistered", EvLinkDown: "link-down",
-	EvScrapeFailed: "scrape-failed", EvDead: "dead", EvRecovered: "recovered",
+	EvDead: "dead", EvRecovered: "recovered",
 	EvPushed: "pushed", EvAcked: "acked", EvPushFailed: "push-failed",
 	EvHotspot: "hotspot", EvUnderload: "underload",
 }
@@ -202,22 +208,20 @@ func (e Event) String() string {
 // nodeState is the controller's per-node bookkeeping.
 type nodeState struct {
 	agent *agent
-	// scrapeFails counts consecutive failed telemetry scrapes.
-	scrapeFails int
-	// prevBytes is the last scraped per-class byte matrix, prevAt its time;
-	// deltas between scrapes become the measured load.
-	prevBytes metrics.ByClass
-	prevAt    time.Time
-	havePrev  bool
-	// load is the latest measured per-scrape load; haveLoad gates the load
-	// rules until at least one real delta exists (a fresh baseline scrape
-	// alone says nothing about rate).
+	// prev is the last tick's sample; the bytes between it and this tick's
+	// become the measured load.
+	prev sample
+	// load is the latest measured load; haveLoad gates the load rules on a
+	// fresh one: a new Register this tick, on the link of the last tick's.
 	load     analysis.Load
 	haveLoad bool
-	// dead marks a node the controller has written off (and responded to).
-	dead bool
+	// dead marks a node the controller has written off (and responded to);
+	// since is the tick it last turned dead or alive. The decision loop
+	// writes both under mu, so it alone may read them without.
+	dead  bool
+	since int
 	// promotedFor, on a surviving partner, names the dead node whose
-	// cluster it was promoted to absorb, until the walk-back is acked; ""
+	// cluster it was promoted to absorb, until the walk-back's receipt; ""
 	// otherwise.
 	promotedFor string
 	// overTicks / underTicks count consecutive ticks of hotspot / underload
@@ -227,7 +231,7 @@ type nodeState struct {
 	// cooldown suppresses further load actions for a few ticks after one.
 	cooldown int
 	// ttl tracks the TTL the controller believes the node runs (BaseTTL
-	// until a directive carrying a TTL is acked).
+	// until a directive carrying a TTL has its receipt).
 	ttl int
 }
 
@@ -239,7 +243,6 @@ type NodeStatus struct {
 	Promoted bool
 	// PromotedFor names the dead partner this node was promoted to cover.
 	PromotedFor string
-	ScrapeFails int
 	Load        analysis.Load
 	TTL         int
 }
@@ -253,9 +256,8 @@ type Controller struct {
 	nodes  map[string]*nodeState
 	order  []string // Nodes order, for deterministic iteration
 	epoch  uint64
+	ticks  int // decision ticks so far, nodeState.since's clock; decision loop only
 	events []Event
-
-	scrape *http.Client
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -265,18 +267,15 @@ type Controller struct {
 func New(opts Options) *Controller {
 	opts.setDefaults()
 	c := &Controller{
-		opts:   opts,
-		nodes:  make(map[string]*nodeState),
-		scrape: opts.Net.HTTPClient(opts.ScrapeInterval / 2),
-		stop:   make(chan struct{}),
+		opts:  opts,
+		nodes: make(map[string]*nodeState),
+		stop:  make(chan struct{}),
 	}
 	rng := stats.NewRNG(opts.Seed)
 	for i, cfg := range opts.Nodes {
-		st := &nodeState{
-			agent: newAgent(c, cfg, rng.Split(uint64(i)+1)),
-			ttl:   opts.BaseTTL,
-		}
-		c.nodes[cfg.ID] = st
+		c.nodes[cfg.ID] = &nodeState{ttl: opts.BaseTTL, agent: &agent{
+			ctrl: c, cfg: cfg, rng: rng.Split(uint64(i) + 1), pending: make(map[uint64]chan struct{}),
+		}}
 		c.order = append(c.order, cfg.ID)
 	}
 	return c
@@ -291,7 +290,7 @@ func (c *Controller) Start() {
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
-		link.Every(c.stop, c.opts.ScrapeInterval, c.tick)
+		link.Every(c.stop, c.opts.Interval, c.tick)
 	}()
 }
 
@@ -305,18 +304,12 @@ func (c *Controller) Close() {
 	default:
 	}
 	close(c.stop)
-	c.mu.Lock()
 	for _, id := range c.order {
-		st := c.nodes[id]
-		st.agent.mu.Lock()
-		if st.agent.conn != nil {
-			st.agent.conn.Close()
+		if conn := c.nodes[id].agent.liveConn(); conn != nil {
+			conn.Close()
 		}
-		st.agent.mu.Unlock()
 	}
-	c.mu.Unlock()
 	c.wg.Wait()
-	c.scrape.CloseIdleConnections()
 }
 
 // Epoch returns the controller's current directive epoch watermark.
@@ -342,11 +335,10 @@ func (c *Controller) Status() []NodeStatus {
 		st := c.nodes[id]
 		out = append(out, NodeStatus{
 			ID:          id,
-			LinkUp:      st.agent.linkUp(),
+			LinkUp:      st.agent.liveConn() != nil,
 			Dead:        st.dead,
 			Promoted:    st.promotedFor != "",
 			PromotedFor: st.promotedFor,
-			ScrapeFails: st.scrapeFails,
 			Load:        st.load,
 			TTL:         st.ttl,
 		})
@@ -386,62 +378,41 @@ func (c *Controller) nextEpoch() uint64 {
 	return c.epoch
 }
 
-// tick runs one control cycle of the decision loop: scrape everyone, then
-// apply the decision rules. Survives any combination of scrape failures and
-// dead links; a tick never blocks longer than the per-RPC and per-scrape
-// timeouts bound.
+// tick runs one control cycle of the decision loop: sample every node's
+// latest Register, apply the decision rules, then poll every linked node for
+// the next sample. A tick never blocks longer than the per-RPC timeouts
+// bound.
 func (c *Controller) tick(time.Time) {
 	for _, id := range c.order {
-		c.scrapeNode(id)
+		c.sample(c.nodes[id])
 	}
 	c.decide()
+	for _, id := range c.order {
+		c.nodes[id].agent.poll()
+	}
 }
 
-// scrapeNode fetches one node's telemetry and folds it into measured load.
-func (c *Controller) scrapeNode(id string) {
+// sample keeps a node's latest Register as this tick's sample and folds it
+// into the measured load. The first sample on a link is a baseline with no
+// load.
+func (c *Controller) sample(st *nodeState) {
+	cur := st.agent.latest()
 	c.mu.Lock()
-	st := c.nodes[id]
-	cfg := st.agent.cfg
-	c.mu.Unlock()
-	if cfg.Telemetry == "" {
-		return
-	}
-	bytes, err := metrics.ScrapeClassBytes(c.scrape, cfg.Telemetry)
-	now := time.Now()
-	c.mu.Lock()
-	if err != nil {
-		st.scrapeFails++
-		// A gap poisons the delta; restart the baseline and stale rate.
-		st.havePrev, st.haveLoad = false, false
-		c.mu.Unlock()
-		c.event(Event{Type: EvScrapeFailed, Node: id, Detail: err.Error()})
-		return
-	}
-	st.scrapeFails = 0
-	if st.havePrev {
-		dt := now.Sub(st.prevAt).Seconds() * c.opts.TimeScale
-		var in, out float64
-		reset := false
-		for cl := 0; cl < metrics.NumClasses; cl++ {
-			dIn := bytes[cl][metrics.DirIn] - st.prevBytes[cl][metrics.DirIn]
-			dOut := bytes[cl][metrics.DirOut] - st.prevBytes[cl][metrics.DirOut]
-			reset = reset || dIn < 0 || dOut < 0
-			in += dIn
-			out += dOut
+	defer c.mu.Unlock()
+	prev := st.prev
+	st.prev = cur
+	st.haveLoad = false
+	switch {
+	case cur.conn == nil || cur.conn != prev.conn:
+		st.load = analysis.Load{}
+	case cur.at.After(prev.at):
+		dt := cur.at.Sub(prev.at).Seconds() * c.opts.TimeScale
+		st.load = analysis.Load{
+			InBps:  float64(cur.reg.In-prev.reg.In) * 8 / dt,
+			OutBps: float64(cur.reg.Out-prev.reg.Out) * 8 / dt,
 		}
-		switch {
-		case reset:
-			// The node restarted between the scrapes, so its counters began
-			// again at zero: a gap, as after a failed scrape. This scrape is
-			// the new baseline.
-			st.haveLoad = false
-		case dt > 0:
-			st.load = analysis.Load{InBps: in * 8 / dt, OutBps: out * 8 / dt}
-			st.haveLoad = true
-		}
+		st.haveLoad = true
 	}
-	st.prevBytes, st.prevAt, st.havePrev = bytes, now, true
-	c.mu.Unlock()
 }
 
 // decide applies the Section 5.3 rules to the fleet's current picture.
@@ -452,82 +423,75 @@ func (c *Controller) decide() {
 	}
 }
 
-// decideDeaths finds dead or storming nodes and promotes their partners;
-// when a dead node returns, the promotion is unwound.
+// decideDeaths rules every node dead or alive, then, every tick until it
+// lands, promotes a partner for each uncovered dead node and walks back any
+// partner still promoted for a live one.
 func (c *Controller) decideDeaths() {
+	c.ticks++
 	for _, id := range c.order {
-		c.mu.Lock()
 		st := c.nodes[id]
-		cfg := st.agent.cfg
-		wasDead := st.dead
-		linkUp := st.agent.linkUp()
-		fails := st.scrapeFails
-		c.mu.Unlock()
+		linkUp := st.agent.liveConn() != nil
 		regs, bye := st.agent.takeRegisters()
-
-		scrapeDead := cfg.Telemetry != "" && fails >= deadAfter
-		linkDead := cfg.Telemetry == "" && !linkUp
 		storm := regs >= flapRegisters
-		dead := bye || storm || ((scrapeDead || linkDead) && !linkUp)
-
-		switch {
-		case dead && !wasDead:
-			c.mu.Lock()
-			st.dead = true
-			c.mu.Unlock()
-			detail := "scrapes failing, link down"
-			if bye {
-				detail = "deregistered"
-			} else if storm {
-				detail = fmt.Sprintf("re-registration storm (%d in one tick)", regs)
-			}
-			c.event(Event{Type: EvDead, Node: id, Detail: detail})
-			c.promotePartnerOf(cfg)
-		case dead && wasDead:
-			// Still dead and nobody promoted yet (the push may have failed
-			// while the controller was partitioned): keep trying, so the
-			// fleet reconverges once connectivity heals.
-			if c.coveringPartner(cfg.ID) == nil {
-				c.promotePartnerOf(cfg)
-			}
-		case !dead && wasDead && linkUp:
-			c.mu.Lock()
-			st.dead = false
-			c.mu.Unlock()
+		dead := bye || storm || !linkUp
+		if dead == st.dead {
+			continue
+		}
+		c.mu.Lock()
+		st.dead, st.since = dead, c.ticks
+		c.mu.Unlock()
+		if !dead {
 			c.event(Event{Type: EvRecovered, Node: id})
-			fallthrough
-		case !dead && !wasDead:
-			// Alive: walk back any partner still promoted for it. A
-			// walk-back whose push failed (say, the partner was cut off) is
-			// retried every tick until it is acked, as promotion is.
-			c.restorePartnerOf(cfg)
+			continue
+		}
+		detail := "link down"
+		if bye {
+			detail = "deregistered"
+		} else if storm {
+			detail = fmt.Sprintf("re-registration storm (%d in one tick)", regs)
+		}
+		c.event(Event{Type: EvDead, Node: id, Detail: detail})
+	}
+	for _, id := range c.order {
+		if st := c.nodes[id]; !st.dead {
+			c.restorePartnerOf(id)
+		} else if c.coveringPartner(id) == nil {
+			c.promotePartnerOf(st)
 		}
 	}
 }
 
-// promotePartnerOf pushes a partner-promotion directive to the first live
-// same-cluster partner of the dead node: absorb the orphaned clients by
-// doubling capacity. Section 5.3 rule I's failure response, pushed instead
-// of simulated.
-func (c *Controller) promotePartnerOf(dead NodeConfig) {
-	survivor := c.pickSurvivor(dead)
-	if survivor == nil {
-		c.opts.Logf("control: no live partner to promote for %s", dead.ID)
-		return
+// promotePartnerOf pushes a partner-promotion directive to the first
+// same-cluster partner whose link is up and that was alive when the dead node
+// died: absorb the orphans by doubling capacity (Section 5.3 rule I's failure
+// response). A controller partition kills every node, so the first link back
+// must not cover for the rest.
+func (c *Controller) promotePartnerOf(dead *nodeState) {
+	var survivor *nodeState
+	c.mu.Lock()
+	for _, id := range c.order {
+		st := c.nodes[id]
+		if st.agent.cfg.Cluster == dead.agent.cfg.Cluster && !st.dead && st.since < dead.since && st.agent.liveConn() != nil {
+			survivor = st
+			break
+		}
 	}
-	c.pushDirective(survivor, &gnutella.Directive{
-		Action:     gnutella.ActionPromotePartner,
-		MaxClients: uint16(2 * c.opts.ClientCapacity),
-	}, func(st *nodeState) { st.promotedFor = dead.ID })
+	c.mu.Unlock()
+	if survivor != nil {
+		c.pushDirective(survivor, &gnutella.Directive{
+			Action:     gnutella.ActionPromotePartner,
+			MaxClients: uint16(2 * c.opts.ClientCapacity),
+		}, func(st *nodeState) { st.promotedFor = dead.agent.cfg.ID })
+	}
 }
 
 // restorePartnerOf unwinds a promotion once the dead node is back: the
 // promoted partner returns to baseline capacity (the split half of rule I —
 // the recovered node takes its clients back as they re-home). A partner
 // whose control link is down is left for a later tick.
-func (c *Controller) restorePartnerOf(recovered NodeConfig) {
-	promoted := c.coveringPartner(recovered.ID)
-	if promoted == nil || !promoted.agent.linkUp() {
+func (c *Controller) restorePartnerOf(recovered string) {
+	promoted := c.coveringPartner(recovered)
+	if promoted == nil || promoted.agent.liveConn() == nil {
 		return
 	}
 	c.pushDirective(promoted, &gnutella.Directive{
@@ -543,21 +507,6 @@ func (c *Controller) coveringPartner(id string) *nodeState {
 	defer c.mu.Unlock()
 	for _, other := range c.order {
 		if st := c.nodes[other]; st.promotedFor == id {
-			return st
-		}
-	}
-	return nil
-}
-
-// pickSurvivor returns the first same-cluster partner of `dead` whose
-// control link is up, in fleet order.
-func (c *Controller) pickSurvivor(dead NodeConfig) *nodeState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range c.order {
-		st := c.nodes[id]
-		cfg := st.agent.cfg
-		if cfg.ID != dead.ID && cfg.Cluster == dead.Cluster && !st.dead && st.agent.linkUp() {
 			return st
 		}
 	}
@@ -581,11 +530,9 @@ func (c *Controller) decideLoad() {
 			c.mu.Unlock()
 			continue
 		}
-		// Clients is not directly observable over telemetry; assume a
-		// promotable cluster (>=2 clients) so rule I's shed arm is reachable.
 		adv := design.Advise(design.LocalState{
 			Load: st.load, Limit: c.opts.Limit,
-			Clients: 2, TTL: st.ttl,
+			Clients: int(st.prev.reg.Clients), TTL: st.ttl,
 		}, design.Thresholds{})
 		var over, under bool
 		switch {
@@ -603,51 +550,47 @@ func (c *Controller) decideLoad() {
 		load, ttl := st.load, st.ttl
 		c.mu.Unlock()
 
+		var ev EventType
+		var d *gnutella.Directive
 		switch {
 		case over:
-			c.event(Event{Type: EvHotspot, Node: id,
-				Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
 			// Shed: cap the cluster at half baseline (split), and decay TTL
 			// one step to cut forwarded-query bandwidth (rule III under
 			// pressure).
-			d := &gnutella.Directive{
+			ev = EvHotspot
+			d = &gnutella.Directive{
 				Action:     gnutella.ActionSplitCluster,
 				MaxClients: uint16(max(1, c.opts.ClientCapacity/2)),
 			}
 			if ttl > 1 {
 				d.TTL = uint8(ttl - 1)
 			}
-			c.pushDirective(st, d, func(st *nodeState) {
-				st.cooldown = cooldownTicks
-				st.overTicks = 0
-				if d.TTL > 0 {
-					st.ttl = int(d.TTL)
-				}
-			})
 		case under:
-			c.event(Event{Type: EvUnderload, Node: id,
-				Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
 			// Coalesce: open capacity to absorb another small cluster, and
 			// restore the baseline TTL if decayed.
-			d := &gnutella.Directive{
+			ev = EvUnderload
+			d = &gnutella.Directive{
 				Action:     gnutella.ActionCoalesce,
 				MaxClients: uint16(2 * c.opts.ClientCapacity),
 			}
 			if ttl < c.opts.BaseTTL {
 				d.TTL = uint8(c.opts.BaseTTL)
 			}
-			c.pushDirective(st, d, func(st *nodeState) {
-				st.cooldown = cooldownTicks
-				st.underTicks = 0
-				if d.TTL > 0 {
-					st.ttl = int(d.TTL)
-				}
-			})
+		default:
+			continue
 		}
+		c.event(Event{Type: ev, Node: id, Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
+		c.pushDirective(st, d, func(st *nodeState) {
+			st.cooldown = cooldownTicks
+			st.overTicks, st.underTicks = 0, 0
+			if d.TTL > 0 {
+				st.ttl = int(d.TTL)
+			}
+		})
 	}
 }
 
-// pushDirective allocates an epoch, pushes d to the node, and on success
+// pushDirective allocates an epoch, pushes d to the node, and on its receipt
 // applies onAcked to the node's controller-side state. On exhausted retries
 // the node simply keeps its last-known configuration; the decision will be
 // re-derived (with a fresh epoch) on a later tick if it still holds.

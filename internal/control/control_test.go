@@ -3,8 +3,6 @@ package control
 import (
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -49,7 +47,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func testOptions(nodes []NodeConfig) Options {
 	return Options{
 		Nodes:          nodes,
-		ScrapeInterval: 40 * time.Millisecond,
+		Interval:       40 * time.Millisecond,
 		RPCTimeout:     300 * time.Millisecond,
 		DialTimeout:    300 * time.Millisecond,
 		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 100 * time.Millisecond},
@@ -371,123 +369,263 @@ func TestWalkBackRetriedAfterFailedPush(t *testing.T) {
 	})
 }
 
-// fakeTelemetry serves a Prometheus exposition whose query-in byte counter
-// advances by `step` bytes per scrape, letting tests dial measured load up
-// and down at will.
-type fakeTelemetry struct {
-	mu    sync.Mutex
-	total float64
-	step  float64
-	srv   *http.Server
-	addr  string
-}
-
-func newFakeTelemetry(t *testing.T, step float64) *fakeTelemetry {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("telemetry listen: %v", err)
-	}
-	f := &fakeTelemetry{step: step, addr: ln.Addr().String()}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		f.total += f.step
-		v := f.total
-		f.mu.Unlock()
-		key := metrics.SeriesKey(metrics.MetricMessageBytes,
-			metrics.Label{Name: "type", Value: metrics.ClassQuery.String()},
-			metrics.Label{Name: "dir", Value: metrics.DirIn.String()})
-		fmt.Fprintf(w, "%s %g\n", key, v)
-	})
-	f.srv = &http.Server{Handler: mux}
-	go f.srv.Serve(ln)
-	t.Cleanup(func() { f.srv.Close() })
-	return f
-}
-
-func (f *fakeTelemetry) setStep(step float64) {
-	f.mu.Lock()
-	f.step = step
-	f.mu.Unlock()
-}
-
-// TestScrapeCounterResetIsAGap: a node restarted between two scrapes starts
-// its counters at zero again. That scrape is a gap, not negative load, and
-// the one after it measures load again.
-func TestScrapeCounterResetIsAGap(t *testing.T) {
-	var mu sync.Mutex
-	nm := metrics.NewNodeMetrics()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		h := metrics.Handler(nm.Registry())
-		mu.Unlock()
-		h.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	observe := func(n int) {
-		mu.Lock()
-		nm.Load.Observe(metrics.ClassQuery, metrics.DirIn, n)
-		mu.Unlock()
-	}
-	c := New(testOptions([]NodeConfig{{ID: "sp-0-0", Telemetry: srv.Listener.Addr().String()}}))
-	load := func() analysis.Load {
-		c.scrapeNode("sp-0-0")
-		return c.Status()[0].Load
-	}
-
-	observe(1000)
-	load()
-	observe(1000)
-	if got := load(); got.InBps <= 0 {
-		t.Fatalf("load before the restart = %+v, want positive", got)
-	}
-	mu.Lock()
-	nm = metrics.NewNodeMetrics() // the node restarts
-	mu.Unlock()
-	observe(100)
-	if got := load(); got.InBps < 0 || got.OutBps < 0 {
-		t.Fatalf("load across the restart = %+v, want no negative rate", got)
-	}
-	observe(1000)
-	if got := load(); got.InBps <= 0 {
-		t.Fatalf("load after the restart = %+v, want positive", got)
-	}
-}
-
-func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
-	t.Parallel()
+// TestSilentPartitionTakesLinkDown: a partition that blackholes the control
+// link, with no push in flight, leaves the link open but silent. The node
+// answers every tick's Poll, so the next one unanswered for RPCTimeout takes
+// the link down, and the node is declared dead within 2 × (Interval +
+// RPCTimeout).
+func TestSilentPartitionTakesLinkDown(t *testing.T) {
+	t.Parallel() // mostly one silence bound: overlap it with other waits
+	fc := faults.NewController(3)
 	n := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
-	tel := newFakeTelemetry(t, 1e7) // ~2 Gbit/s measured at a 40ms scrape
-	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: n.Addr(), Telemetry: tel.addr}})
-	opts.Limit = analysis.Load{InBps: 1e6}
+	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: n.Addr()}})
+	opts.Net = link.Net{DialFunc: fc.Net("controller", link.Net{}).Dial}
 	c := New(opts)
 	c.Start()
 	defer c.Close()
+	waitFor(t, "registered", func() bool { return hasEvent(c, EvRegistered, "sp-0-0") })
+
+	isolated := time.Now()
+	fc.Isolate("controller")
+	defer fc.Restore("controller")
+	bound := 2 * (opts.Interval + opts.RPCTimeout)
+	for deadline := isolated.Add(bound); !hasEvent(c, EvDead, "sp-0-0"); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no death %v after a silent partition; status %+v", bound, c.Status())
+		}
+	}
+	for _, typ := range []EventType{EvLinkDown, EvDead} {
+		if e, _ := findEvent(c, typ, "sp-0-0"); e.Time.Sub(isolated) > bound {
+			t.Errorf("%v %v after the partition, want within %v", typ, e.Time.Sub(isolated), bound)
+		}
+	}
+}
+
+// TestSlowPushSparesHealthyLinks: a tick whose push waits on a freshly
+// isolated node sends its Polls late. Silence is timed from each Poll, so
+// that delay takes down no other node's link.
+func TestSlowPushSparesHealthyLinks(t *testing.T) {
+	t.Parallel() // mostly one silence bound: overlap it with other waits
+	fc := faults.NewController(9)
+	n0 := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
+	n1 := startNode(t, "sp-0-1", p2p.Options{MaxClients: 5, TTL: 7})
+	n2 := startNode(t, "sp-1-0", p2p.Options{MaxClients: 5, TTL: 7})
+	opts := testOptions([]NodeConfig{
+		{ID: "sp-0-0", Addr: n0.Addr(), Cluster: 0, Partner: 0},
+		{ID: "sp-0-1", Addr: n1.Addr(), Cluster: 0, Partner: 1},
+		{ID: "sp-1-0", Addr: n2.Addr(), Cluster: 1},
+	})
+	toN1, addr1 := fc.Net("sp-0-1", link.Net{}), n1.Addr()
+	opts.Net = link.Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+		if addr == addr1 {
+			return toN1.Dial(addr, timeout)
+		}
+		return link.Net{}.Dial(addr, timeout)
+	}}
+	c := New(opts)
+	c.Start()
+	defer c.Close()
+	waitFor(t, "all registered", func() bool {
+		return hasEvent(c, EvRegistered, "sp-0-0") && hasEvent(c, EvRegistered, "sp-0-1") &&
+			hasEvent(c, EvRegistered, "sp-1-0")
+	})
+
+	// Cut sp-0-1 off, then kill its partner: the next tick pushes the
+	// promotion into the cut and waits out the silence bound on it.
+	mark := len(c.Events())
+	fc.Isolate("sp-0-1")
+	defer fc.Restore("sp-0-1")
+	n0.Close()
+	waitFor(t, "promotion push failed", func() bool {
+		for _, e := range c.Events()[mark:] {
+			if e.Type == EvPushFailed && e.Node == "sp-0-1" {
+				return true
+			}
+		}
+		return false
+	})
+	time.Sleep(2 * (opts.Interval + opts.RPCTimeout))
+	for _, e := range c.Events()[mark:] {
+		if e.Node == "sp-1-0" {
+			t.Errorf("healthy node saw %s while a push waited on another", e)
+		}
+	}
+}
+
+// TestPartnerBackFirstIsNoSurvivor: when both partners of a cluster are cut
+// off and declared dead, the one whose link comes back first was not alive
+// when the other died, so it is not promoted to cover for it.
+func TestPartnerBackFirstIsNoSurvivor(t *testing.T) {
+	t.Parallel() // mostly silence bounds: overlap them with other waits
+	fc := faults.NewController(11)
+	n0 := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
+	n1 := startNode(t, "sp-0-1", p2p.Options{MaxClients: 5, TTL: 7})
+	opts := testOptions([]NodeConfig{
+		{ID: "sp-0-0", Addr: n0.Addr(), Cluster: 0, Partner: 0},
+		{ID: "sp-0-1", Addr: n1.Addr(), Cluster: 0, Partner: 1},
+	})
+	to := map[string]link.Net{n0.Addr(): fc.Net("sp-0-0", link.Net{}), n1.Addr(): fc.Net("sp-0-1", link.Net{})}
+	opts.Net = link.Net{DialFunc: func(addr string, timeout time.Duration) (net.Conn, error) {
+		return to[addr].Dial(addr, timeout)
+	}}
+	c := New(opts)
+	c.Start()
+	defer c.Close()
+	waitFor(t, "both registered", func() bool {
+		return hasEvent(c, EvRegistered, "sp-0-0") && hasEvent(c, EvRegistered, "sp-0-1")
+	})
+
+	fc.Isolate("sp-0-0")
+	fc.Isolate("sp-0-1")
+	defer fc.Restore("sp-0-1")
+	waitFor(t, "both dead", func() bool { return hasEvent(c, EvDead, "sp-0-0") && hasEvent(c, EvDead, "sp-0-1") })
+	fc.Restore("sp-0-0")
+	waitFor(t, "sp-0-0 recovered", func() bool { return hasEvent(c, EvRecovered, "sp-0-0") })
+	time.Sleep(2 * (opts.Interval + opts.RPCTimeout))
+	if hasEvent(c, EvPushed, "sp-0-0") || n0.Stats().MaxClients != 5 {
+		t.Fatalf("sp-0-0 promoted for a partner it did not outlive: max clients %d", n0.Stats().MaxClients)
+	}
+}
+
+// TestRestartIsANewBaseline: a node restarted on its address comes back on a
+// new link with counters begun again at zero. The first sample on that link
+// is a baseline with no load, the ones after it read positive, and none
+// reads negative.
+func TestRestartIsANewBaseline(t *testing.T) {
+	n := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
+	addr := n.Addr()
+	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: addr}})
+	opts.Interval = time.Hour // the test drives the samples itself
+	c := New(opts)
+	c.Start()
+	defer c.Close()
+	st := c.nodes["sp-0-0"]
+
+	// step samples the newest Register, as a tick does, then polls and
+	// waits for the reply that the next step samples.
+	step := func() analysis.Load {
+		t.Helper()
+		c.sample(st)
+		last := st.agent.latest().reg
+		st.agent.poll()
+		waitFor(t, "poll reply", func() bool { return st.agent.latest().reg != last })
+		load := c.Status()[0].Load
+		if load.InBps < 0 || load.OutBps < 0 {
+			t.Fatalf("negative load %+v", load)
+		}
+		return load
+	}
+	waitFor(t, "registered", func() bool { return hasEvent(c, EvRegistered, "sp-0-0") })
+	if got := step(); got != (analysis.Load{}) {
+		t.Fatalf("first sample = %+v, want a baseline with no load", got)
+	}
+	if got := step(); got.InBps <= 0 || got.OutBps <= 0 {
+		t.Fatalf("load before the restart = %+v, want positive", got)
+	}
+	// A tick with no Register since the last one has no fresh delta.
+	c.sample(st)
+	c.sample(st)
+	c.mu.Lock()
+	fresh := st.haveLoad
+	c.mu.Unlock()
+	if fresh {
+		t.Fatal("a repeated sample counted as a fresh load")
+	}
+
+	n.Close()
+	n2 := p2p.NewNode(p2p.Options{MaxClients: 5, TTL: 7})
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		err := n2.Listen(addr)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Skipf("could not rebind %s: %v", addr, err)
+		}
+	}
+	defer n2.Close()
+	waitFor(t, "re-registered", func() bool {
+		s := st.agent.latest()
+		return s.conn != st.prev.conn && s.reg.Flags == gnutella.RegisterHello
+	})
+	if got := step(); got != (analysis.Load{}) {
+		t.Fatalf("first sample after the restart = %+v, want a baseline with no load", got)
+	}
+	for i := 0; i < 3; i++ {
+		if got := step(); got.InBps <= 0 || got.OutBps <= 0 {
+			t.Fatalf("load %d after the restart = %+v, want positive", i+1, got)
+		}
+	}
+}
+
+// TestHotspotSplitsAndUnderloadCoalesces drives a real node with searching
+// clients past its limit, then lets it idle. The limit is sized from the
+// control frames: an idle link carries one Poll in and one Register out per
+// tick, a tenth of the limit, under the coalesce threshold of 15%.
+func TestHotspotSplitsAndUnderloadCoalesces(t *testing.T) {
+	t.Parallel()
+	n := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
+	opts := testOptions([]NodeConfig{{ID: "sp-0-0", Addr: n.Addr()}})
+	perTick := 8 / opts.Interval.Seconds()
+	opts.Limit = analysis.Load{
+		InBps:  float64(gnutella.PollSize()) * perTick,
+		OutBps: float64(gnutella.RegisterSize()) * perTick,
+	}.Scale(10)
+	c := New(opts)
+	c.Start()
+	defer c.Close()
+
+	// Two clients, each sharing files every search matches, so each search
+	// draws a QueryHit of many results. One goroutine per client: a
+	// Client's Search is not safe for concurrent use.
+	var files []p2p.SharedFile
+	for i := 1; i <= 20; i++ {
+		files = append(files, p2p.SharedFile{Index: uint32(i), Title: fmt.Sprintf("hotspot track %d", i)})
+	}
+	stop := make(chan struct{})
+	var searching sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		cl, err := p2p.DialClient(n.Addr(), files)
+		if err != nil {
+			t.Fatalf("DialClient: %v", err)
+		}
+		defer cl.Close()
+		searching.Add(1)
+		go func() {
+			defer searching.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					cl.Search("hotspot", 2*time.Millisecond)
+				}
+			}
+		}()
+	}
 
 	waitFor(t, "hotspot declared", func() bool { return hasEvent(c, EvHotspot, "sp-0-0") })
 	waitFor(t, "split applied", func() bool {
 		// ClientCapacity/2, TTL decayed at least one step (a second hotspot
 		// episode may already have decayed further).
 		ns := n.Stats()
-		ttl, maxClients := ns.TTL, ns.MaxClients
-		return maxClients == 2 && ttl < 7
+		return ns.MaxClients == 2 && ns.TTL < 7
 	})
 
-	// The flow dries up: sustained underload should coalesce — capacity
-	// opens up and the decayed TTL is restored.
-	tel.setStep(0)
+	// The searches stop, the clients stay: sustained underload should
+	// coalesce — capacity opens up and the decayed TTL is restored.
+	close(stop)
+	searching.Wait()
 	waitFor(t, "underload declared", func() bool { return hasEvent(c, EvUnderload, "sp-0-0") })
 	waitFor(t, "coalesce applied", func() bool {
 		ns := n.Stats()
-		ttl, maxClients := ns.TTL, ns.MaxClients
-		return maxClients == 10 && ttl == 7
+		return ns.MaxClients == 10 && ns.TTL == 7
 	})
 }
 
 // TestControllerStalledFrameDropsLink: a node that sends part of a frame and
-// goes silent takes its control link down within the frame bound
-// (RPCTimeout), so decideDeaths, which needs the link down, can see it.
+// goes silent takes its control link down within Interval + RPCTimeout, so
+// decideDeaths, which needs the link down, can see it.
 func TestControllerStalledFrameDropsLink(t *testing.T) {
 	t.Parallel() // mostly one idle RPCTimeout: overlap it with other waits
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -269,22 +269,21 @@ func (f *fleet) replay(seed uint64, usersPer int, rate, duration float64, timeli
 	return start, kills
 }
 
-// control starts a fleet controller over every super-peer, scraping every
+// control starts a fleet controller over every super-peer, ticking every
 // `every` virtual seconds, with capacity clients per partner and ttl as the
-// fleet's baselines. Its control links and scrapes dial through the fault
-// controller as network.ControllerLabel, so a drill can partition it. The
-// caller closes it.
+// fleet's baselines. Its control links dial through the fault controller as
+// network.ControllerLabel, so a drill can partition it. The caller closes
+// it.
 func (f *fleet) control(every float64, capacity, ttl int, seed uint64) *control.Controller {
 	var nodes []control.NodeConfig
 	for _, sp := range f.live.SuperPeers() {
 		nodes = append(nodes, control.NodeConfig{
-			ID: sp.ID, Addr: sp.Addr, Telemetry: sp.Telemetry,
-			Cluster: sp.Cluster, Partner: sp.Partner,
+			ID: sp.ID, Addr: sp.Addr, Cluster: sp.Cluster, Partner: sp.Partner,
 		})
 	}
 	ctrl := control.New(control.Options{
 		Nodes:          nodes,
-		ScrapeInterval: f.wallClamped(every, 50*time.Millisecond),
+		Interval:       f.wallClamped(every, 50*time.Millisecond),
 		RPCTimeout:     500 * time.Millisecond,
 		DialTimeout:    500 * time.Millisecond,
 		Backoff:        link.Backoff{Initial: 20 * time.Millisecond, Max: 200 * time.Millisecond},

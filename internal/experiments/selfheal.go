@@ -46,8 +46,8 @@ func selfHealScenario(seed uint64, duration float64) Scenario {
 	}
 }
 
-// selfHealInterval is the controller's scrape interval in the drill's on
-// arm, virtual seconds.
+// selfHealInterval is the controller's tick in the drill's on arm, virtual
+// seconds.
 const selfHealInterval = 20
 
 // healTimes reads the controller's log against the window's first kill:

@@ -34,7 +34,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestSelfHealEndToEnd is the acceptance drill: kill a loaded super-peer
 // whose orphans cannot re-home (survivor at exact capacity), and check the
-// controller detects the death within a couple of scrape intervals, promotes
+// controller detects the death within a couple of ticks, promotes
 // the survivor, and recovers most of the lost-query gap versus the
 // controller-off arm. Leak-checked: every goroutine both arms spawn must be
 // gone afterwards.
@@ -60,11 +60,12 @@ func TestSelfHealEndToEnd(t *testing.T) {
 	if detect < 0 {
 		t.Fatalf("death never detected; events: %v", on.Live.Events)
 	}
-	// Detection: the kill deregisters gracefully, so the controller should
-	// notice within roughly one decision tick — allow three for tick
-	// alignment and single-CPU -race scheduler slack.
+	// Detection: the kill resets the node's connections before it closes,
+	// so no bye arrives, but the control link drops at once and the next
+	// tick declares the death — allow three ticks for tick alignment and
+	// single-CPU -race scheduler slack.
 	if detect > 3*10 {
-		t.Errorf("detection took %.0f virtual s, want within ~3 scrape intervals (30)", detect)
+		t.Errorf("detection took %.0f virtual s, want within ~3 ticks (30)", detect)
 	}
 	if reconfig < 0 {
 		t.Fatalf("promotion never acked; events: %v", on.Live.Events)
@@ -103,7 +104,7 @@ func TestSelfHealControllerPartition(t *testing.T) {
 	}
 	defer f.close()
 	live := f.live
-	// At one virtual second per wall second: a 50 ms scrape tick.
+	// At one virtual second per wall second: a 50 ms tick.
 	ctrl := f.control(0.05, 4, 7, 24)
 	defer ctrl.Close()
 
@@ -117,13 +118,15 @@ func TestSelfHealControllerPartition(t *testing.T) {
 	})
 
 	live.PartitionController()
-	waitFor(t, "scrapes failing", func() bool {
+	// The partition blackholes every control link: each falls silent, goes
+	// down, and its node is declared dead.
+	waitFor(t, "every control link down", func() bool {
 		for _, s := range ctrl.Status() {
-			if s.ScrapeFails > 0 {
-				return true
+			if s.LinkUp || !s.Dead {
+				return false
 			}
 		}
-		return false
+		return true
 	})
 
 	// Nodes keep serving on last-known config while the controller is dark.
@@ -146,11 +149,13 @@ func TestSelfHealControllerPartition(t *testing.T) {
 		}
 	}
 
-	// Heal: scrapes recover and any spuriously-dead slots come back.
+	// Heal: links re-establish and the slots declared dead come back. Every
+	// node died in the partition, so none is a survivor to promote for
+	// another: no config may have moved.
 	live.HealController()
 	waitFor(t, "control plane reconverged", func() bool {
 		for _, s := range ctrl.Status() {
-			if s.Dead || !s.LinkUp || s.ScrapeFails > 0 {
+			if s.Dead || !s.LinkUp {
 				return false
 			}
 		}

@@ -6,15 +6,16 @@ import (
 )
 
 // Control-plane payload descriptors. These frames carry the fleet control
-// plane of Section 5.3 made operational: nodes announce themselves with
-// Register, the controller pushes versioned Directives, and nodes confirm
-// with DirectiveAck. Like heartbeats and summaries they are outside the
-// paper's Table 2 cost model (metered as ClassOther). All three are
-// fixed-size and travel one controller link, never relayed.
+// plane of Section 5.3 made operational: the controller sends versioned
+// Directives and Polls; the node sends a Register, carrying its epoch and
+// load, when the link opens and in answer to each. Like heartbeats and
+// summaries they are outside the paper's Table 2 cost model (metered as
+// ClassOther). All three are fixed-size and travel one controller link,
+// never relayed. 0x16 is unassigned.
 const (
-	TypeRegister     MsgType = 0x14
-	TypeDirective    MsgType = 0x15
-	TypeDirectiveAck MsgType = 0x16
+	TypeRegister  MsgType = 0x14
+	TypeDirective MsgType = 0x15
+	TypePoll      MsgType = 0x1A
 )
 
 // Register flags.
@@ -26,11 +27,12 @@ const (
 	RegisterBye uint8 = 1
 )
 
-// Register is the node → controller announcement: the highest directive
-// epoch the node has applied — the state the controller rebuilds its
-// database from after its own restart. The controller already knows which
-// node a link reaches, because it dialed it. Payload: 1-byte flags, 8-byte
-// little-endian epoch.
+// Register is the node → controller report, the only frame a node sends on
+// its control link: the highest directive epoch the node has applied — the
+// state the controller rebuilds its database from after its own restart —
+// and the node's load. The controller already knows which node a link
+// reaches, because it dialed it. Payload: 1-byte flags, then little-endian
+// 8-byte epoch, 8-byte In, 8-byte Out and 2-byte Clients.
 type Register struct {
 	ID    GUID
 	Flags uint8
@@ -38,16 +40,24 @@ type Register struct {
 	// controller adopts the fleet-wide maximum so epochs stay monotonic
 	// across controller restarts.
 	Epoch uint64
+	// In and Out are the node's metered wire bytes over every load class
+	// since it started, this frame's own excluded.
+	In, Out uint64
+	// Clients is the node's client count.
+	Clients uint16
 }
 
 // registerPayload is a Register's fixed payload length.
-const registerPayload = 1 + 8
+const registerPayload = 1 + 8 + 8 + 8 + 2
 
 // Encode serializes the register (descriptor header + payload, no framing).
 func (rg *Register) Encode() ([]byte, error) {
 	buf := encodeOneHop(rg.ID, TypeRegister, registerPayload)
 	buf[23] = rg.Flags
 	binary.LittleEndian.PutUint64(buf[24:32], rg.Epoch)
+	binary.LittleEndian.PutUint64(buf[32:40], rg.In)
+	binary.LittleEndian.PutUint64(buf[40:48], rg.Out)
+	binary.LittleEndian.PutUint16(buf[48:50], rg.Clients)
 	return buf, nil
 }
 
@@ -65,7 +75,14 @@ func DecodeRegister(buf []byte) (*Register, error) {
 	if err != nil {
 		return nil, err
 	}
-	rg := &Register{ID: h.ID, Flags: buf[23], Epoch: binary.LittleEndian.Uint64(buf[24:32])}
+	rg := &Register{
+		ID:      h.ID,
+		Flags:   buf[23],
+		Epoch:   binary.LittleEndian.Uint64(buf[24:32]),
+		In:      binary.LittleEndian.Uint64(buf[32:40]),
+		Out:     binary.LittleEndian.Uint64(buf[40:48]),
+		Clients: binary.LittleEndian.Uint16(buf[48:50]),
+	}
 	if rg.Flags > RegisterBye {
 		return nil, fmt.Errorf("%w: register flags 0x%02x", ErrBadMessage, rg.Flags)
 	}
@@ -159,49 +176,28 @@ func DecodeDirective(buf []byte) (*Directive, error) {
 	return d, nil
 }
 
-// DirectiveAck is the node → controller receipt for one Directive: it echoes
-// the directive's epoch and reports whether the node applied it (Applied=1)
-// or rejected it as stale (Applied=0 — the node had already applied an equal
-// or newer epoch, so the directive was an idempotent no-op). Payload: 8-byte
-// little-endian epoch, 1-byte applied flag.
-type DirectiveAck struct {
-	ID      GUID
-	Epoch   uint64
-	Applied uint8 // 1 = applied, 0 = stale (already superseded)
+// Poll is the controller → node request for a fresh Register, sent once per
+// decision tick. It has no payload.
+type Poll struct {
+	ID GUID
 }
 
-// ackPayload is a DirectiveAck's fixed payload length.
-const ackPayload = 8 + 1
+// Encode serializes the poll (descriptor header only, no framing).
+func (p *Poll) Encode() ([]byte, error) { return encodeOneHop(p.ID, TypePoll, 0), nil }
 
-// Encode serializes the ack (descriptor header + payload, no framing).
-func (a *DirectiveAck) Encode() ([]byte, error) {
-	buf := encodeOneHop(a.ID, TypeDirectiveAck, ackPayload)
-	binary.LittleEndian.PutUint64(buf[23:31], a.Epoch)
-	buf[31] = a.Applied
-	return buf, nil
-}
+// WireSize returns the on-the-wire size including framing: PollSize().
+func (p *Poll) WireSize() int { return PollSize() }
 
-// WireSize returns the on-the-wire size including framing: DirectiveAckSize().
-func (a *DirectiveAck) WireSize() int { return DirectiveAckSize() }
+// Type returns TypePoll.
+func (p *Poll) Type() MsgType { return TypePoll }
 
-// Type returns TypeDirectiveAck.
-func (a *DirectiveAck) Type() MsgType { return TypeDirectiveAck }
+func (p *Poll) frame() ([]byte, error) { return p.Encode() }
 
-func (a *DirectiveAck) frame() ([]byte, error) { return a.Encode() }
-
-// DecodeDirectiveAck parses an encoded directive ack.
-func DecodeDirectiveAck(buf []byte) (*DirectiveAck, error) {
-	h, err := decodeFixed(buf, TypeDirectiveAck, ackPayload)
+// DecodePoll parses an encoded poll.
+func DecodePoll(buf []byte) (*Poll, error) {
+	h, err := decodeFixed(buf, TypePoll, 0)
 	if err != nil {
 		return nil, err
 	}
-	a := &DirectiveAck{
-		ID:      h.ID,
-		Epoch:   binary.LittleEndian.Uint64(buf[23:31]),
-		Applied: buf[31],
-	}
-	if a.Applied > 1 {
-		return nil, fmt.Errorf("%w: ack applied flag %d", ErrBadMessage, a.Applied)
-	}
-	return a, nil
+	return &Poll{ID: h.ID}, nil
 }

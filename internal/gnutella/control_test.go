@@ -8,9 +8,12 @@ import (
 
 func TestRegisterRoundTrip(t *testing.T) {
 	in := &Register{
-		ID:    GUID{1, 2, 3},
-		Flags: RegisterBye,
-		Epoch: 1<<40 + 17,
+		ID:      GUID{1, 2, 3},
+		Flags:   RegisterBye,
+		Epoch:   1<<40 + 17,
+		In:      1<<50 + 3,
+		Out:     386,
+		Clients: 65535,
 	}
 	buf, err := in.Encode()
 	if err != nil {
@@ -126,8 +129,8 @@ func TestDirectiveActionString(t *testing.T) {
 	}
 }
 
-func TestDirectiveAckRoundTrip(t *testing.T) {
-	in := &DirectiveAck{ID: GUID{8}, Epoch: 7, Applied: 1}
+func TestPollRoundTrip(t *testing.T) {
+	in := &Poll{ID: GUID{8}}
 	buf, err := in.Encode()
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -135,17 +138,17 @@ func TestDirectiveAckRoundTrip(t *testing.T) {
 	if got := len(buf) + FrameOverhead; got != in.WireSize() {
 		t.Errorf("encoded %d+framing bytes, WireSize %d", len(buf), in.WireSize())
 	}
-	out, err := DecodeDirectiveAck(buf)
+	out, err := DecodePoll(buf)
 	if err != nil {
-		t.Fatalf("DecodeDirectiveAck: %v", err)
+		t.Fatalf("DecodePoll: %v", err)
 	}
 	if *out != *in {
 		t.Errorf("round trip: got %+v, want %+v", out, in)
 	}
 }
 
-func TestDecodeDirectiveAckRejectsDamage(t *testing.T) {
-	valid, err := (&DirectiveAck{Epoch: 7, Applied: 0}).Encode()
+func TestDecodePollRejectsDamage(t *testing.T) {
+	valid, err := (&Poll{ID: GUID{9}}).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +156,12 @@ func TestDecodeDirectiveAckRejectsDamage(t *testing.T) {
 		name string
 		mut  func([]byte) []byte
 	}{
-		{"wrong type", func(b []byte) []byte { b[16] = byte(TypeBusy); return b }},
-		{"bad applied flag", func(b []byte) []byte { b[31] = 2; return b }},
-		{"truncated", func(b []byte) []byte { return b[:len(b)-3] }},
-		{"trailing bytes", func(b []byte) []byte { return append(b, 1) }},
+		{"wrong type", func(b []byte) []byte { b[16] = byte(TypePing); return b }},
+		{"trailing bytes", func(b []byte) []byte { b = append(b, 0); putPayloadLen(b, 1); return b }},
+		{"payload claim", func(b []byte) []byte { putPayloadLen(b, 1); return b }},
 	}
 	for _, tc := range cases {
-		buf := append([]byte(nil), valid...)
-		buf = tc.mut(buf)
-		if tc.name == "truncated" || tc.name == "trailing bytes" {
-			putPayloadLen(buf, len(buf)-DescriptorHeaderLen)
-		}
-		if _, err := DecodeDirectiveAck(buf); !errors.Is(err, ErrBadMessage) {
+		if _, err := DecodePoll(tc.mut(append([]byte(nil), valid...))); !errors.Is(err, ErrBadMessage) {
 			t.Errorf("%s: err %v, want ErrBadMessage", tc.name, err)
 		}
 	}
@@ -176,7 +173,7 @@ func TestControlFramesOverStream(t *testing.T) {
 	msgs := []Message{
 		&Register{ID: GUID{1}, Epoch: 3},
 		&Directive{ID: GUID{2}, Epoch: 4, Action: ActionCoalesce, MaxClients: 50},
-		&DirectiveAck{ID: GUID{3}, Epoch: 4, Applied: 1},
+		&Poll{ID: GUID{3}},
 	}
 	var buf bytes.Buffer
 	for _, m := range msgs {
@@ -198,8 +195,8 @@ func TestControlFramesOverStream(t *testing.T) {
 			if g, ok := got.(*Directive); !ok || *g != *w {
 				t.Errorf("got %+v, want %+v", got, w)
 			}
-		case *DirectiveAck:
-			if g, ok := got.(*DirectiveAck); !ok || *g != *w {
+		case *Poll:
+			if g, ok := got.(*Poll); !ok || *g != *w {
 				t.Errorf("got %+v, want %+v", got, w)
 			}
 		}
@@ -215,7 +212,7 @@ func TestSingleHopFramesRejectRelayedHeaders(t *testing.T) {
 		&Update{ID: GUID{2}, Op: OpInsert, File: MetadataRecord{FileIndex: 2}},
 		&Register{ID: GUID{3}, Epoch: 3},
 		&Directive{ID: GUID{4}, Epoch: 4, Action: ActionCoalesce, MaxClients: 50},
-		&DirectiveAck{ID: GUID{5}, Epoch: 4, Applied: 1},
+		&Poll{ID: GUID{5}},
 		&ChunkRequest{ID: GUID{6}, FileIndex: 3, Chunk: 1},
 		&ChunkData{ID: GUID{7}, FileIndex: 3, Chunk: 1, TotalChunks: 2, Data: []byte("xy")},
 		&ChunkNack{ID: GUID{8}, FileIndex: 3, Chunk: 9, Code: NackNotFound},

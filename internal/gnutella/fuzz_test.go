@@ -30,9 +30,9 @@ func seedMessages(t testing.TB) []Message {
 		&Join{ID: GUID{7}, Files: []MetadataRecord{{FileIndex: 1, FileSize: 2, Title: "a.mp3"}}},
 		&Update{ID: GUID{8}, Op: OpInsert, File: MetadataRecord{FileIndex: 3, Title: "b.mp3"}},
 		&Summary{ID: GUID{9}, TTL: 1, Terms: []string{"free", "jazz"}},
-		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42},
+		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42, In: 386, Out: 290, Clients: 1},
 		&Directive{ID: GUID{11}, Epoch: 43, Action: ActionPromotePartner, MaxClients: 200},
-		&DirectiveAck{ID: GUID{12}, Epoch: 43, Applied: 1},
+		&Poll{ID: GUID{12}},
 		&ChunkRequest{ID: GUID{13}, FileIndex: 4, Chunk: 2},
 		&ChunkData{ID: GUID{14}, FileIndex: 4, Chunk: 2, TotalChunks: 8,
 			FileSize: 1 << 20, Data: []byte("chunk payload bytes")},
@@ -176,8 +176,8 @@ func FuzzDecodeSummary(f *testing.F) {
 
 func FuzzDecodeRegister(f *testing.F) {
 	fuzzDecode(f, DecodeRegister,
-		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42},
-		&Register{ID: GUID{11}, Flags: RegisterBye, Epoch: 1 << 63})
+		&Register{ID: GUID{10}, Flags: RegisterHello, Epoch: 42, In: 386, Out: 290, Clients: 1},
+		&Register{ID: GUID{11}, Flags: RegisterBye, Epoch: 1 << 63, In: 1 << 40, Out: 1<<63 + 1, Clients: 65535})
 }
 
 func FuzzDecodeDirective(f *testing.F) {
@@ -187,10 +187,8 @@ func FuzzDecodeDirective(f *testing.F) {
 		&Directive{ID: GUID{13}, Epoch: 1 << 63, Action: ActionCoalesce, TTL: 255, MaxClients: 65535})
 }
 
-func FuzzDecodeDirectiveAck(f *testing.F) {
-	fuzzDecode(f, DecodeDirectiveAck,
-		&DirectiveAck{ID: GUID{12}, Epoch: 43, Applied: 1},
-		&DirectiveAck{ID: GUID{13}, Epoch: 1 << 63})
+func FuzzDecodePoll(f *testing.F) {
+	fuzzDecode(f, DecodePoll, &Poll{ID: GUID{12}}, &Poll{})
 }
 
 // TestReadMessageFaultedStream replays damaged frames over a real

@@ -97,17 +97,18 @@ func UpdateSize() int { return UpdateLen }
 func PingSize() int { return PingLen }
 
 // RegisterSize returns the on-the-wire size of a Register message: framing +
-// descriptor header + 1-byte flags + 8-byte epoch. Control frames are
-// fleet-management traffic outside the paper's Table 2 cost model.
+// descriptor header + 1-byte flags + 8-byte epoch + 8-byte In and Out +
+// 2-byte Clients: 106 bytes. Control frames are fleet-management traffic
+// outside the paper's Table 2 cost model.
 func RegisterSize() int { return FrameOverhead + DescriptorHeaderLen + registerPayload }
 
 // DirectiveSize returns the on-the-wire size of a Directive message: framing
 // + descriptor header + 8-byte epoch + action and TTL bytes + 2-byte capacity.
 func DirectiveSize() int { return FrameOverhead + DescriptorHeaderLen + directivePayload }
 
-// DirectiveAckSize returns the on-the-wire size of a DirectiveAck: framing +
-// descriptor header + 8-byte epoch + 1-byte applied flag.
-func DirectiveAckSize() int { return FrameOverhead + DescriptorHeaderLen + ackPayload }
+// PollSize returns the on-the-wire size of a Poll: framing + descriptor
+// header, 79 bytes.
+func PollSize() int { return FrameOverhead + DescriptorHeaderLen }
 
 // ChunkRequestSize returns the on-the-wire size of a ChunkRequest: framing +
 // descriptor header + 4-byte file index + 4-byte chunk index. Transfer frames

@@ -41,7 +41,7 @@ var frames = [256]frameRow{
 	TypeSummary:      {"Summary", metrics.ClassOther, decoder(DecodeSummary)},
 	TypeRegister:     {"Register", metrics.ClassOther, decoder(DecodeRegister)},
 	TypeDirective:    {"Directive", metrics.ClassOther, decoder(DecodeDirective)},
-	TypeDirectiveAck: {"DirectiveAck", metrics.ClassOther, decoder(DecodeDirectiveAck)},
+	TypePoll:         {"Poll", metrics.ClassOther, decoder(DecodePoll)},
 	TypeChunkRequest: {"ChunkRequest", metrics.ClassTransfer, decoder(DecodeChunkRequest)},
 	TypeChunkData:    {"ChunkData", metrics.ClassTransfer, decoder(DecodeChunkData)},
 	TypeChunkNack:    {"ChunkNack", metrics.ClassTransfer, decoder(DecodeChunkNack)},

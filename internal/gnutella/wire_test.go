@@ -31,15 +31,15 @@ func TestSizeFormulas(t *testing.T) {
 	if got := UpdateSize(); got != 152 {
 		t.Errorf("UpdateSize() = %d, want 152", got)
 	}
-	// Control frames: framing + header + a 9-, 12- and 9-byte payload.
-	if got := RegisterSize(); got != 56+23+9 {
-		t.Errorf("RegisterSize() = %d, want %d", got, 56+23+9)
+	// Control frames: framing + header + a 27-, 12- and 0-byte payload.
+	if got := RegisterSize(); got != 106 {
+		t.Errorf("RegisterSize() = %d, want 106 (56+23+27)", got)
 	}
 	if got := DirectiveSize(); got != 56+23+12 {
 		t.Errorf("DirectiveSize() = %d, want %d", got, 56+23+12)
 	}
-	if got := DirectiveAckSize(); got != 56+23+9 {
-		t.Errorf("DirectiveAckSize() = %d, want %d", got, 56+23+9)
+	if got := PollSize(); got != 79 {
+		t.Errorf("PollSize() = %d, want 79 (56+23)", got)
 	}
 }
 

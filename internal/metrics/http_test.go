@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -69,25 +68,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 	if got := vals[SeriesKey(MetricMessages, Label{"dir", "in"}, Label{"type", "query"})]; got != 42 {
 		t.Errorf("scraped messages(query,in) = %v, want 42", got)
-	}
-
-	code, body = get("/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status = %d", code)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not valid JSON: %v\n%s", err, body)
-	}
-	spnet, ok := vars["spnet"].(map[string]any)
-	if !ok {
-		t.Fatalf("/debug/vars missing spnet object: %s", body)
-	}
-	if got := spnet[SeriesKey(MetricConnsOpen)]; got != float64(3) {
-		t.Errorf("vars %s = %v, want 3", MetricConnsOpen, got)
-	}
-	if _, ok := vars["memstats"]; !ok {
-		t.Error("/debug/vars missing memstats")
 	}
 
 	code, body = get("/debug/pprof/")

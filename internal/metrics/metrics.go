@@ -1,6 +1,6 @@
 // Package metrics is a dependency-free metrics layer for the super-peer
 // stack: atomic counters, gauges and fixed-bucket histograms collected in a
-// Registry that renders Prometheus text format and expvar-style JSON.
+// Registry that renders Prometheus text format.
 //
 // The package exists to make the paper's load model measurable: every byte
 // and message a node sends or receives is attributed to the Table 2 load
@@ -223,7 +223,7 @@ func renderLabels(labels []Label) string {
 }
 
 // SeriesKey returns the canonical "name{labels}" key a series appears under
-// in ParsePrometheus output and in WriteVars JSON (labels sorted by name).
+// in ParsePrometheus output (labels sorted by name).
 func SeriesKey(name string, labels ...Label) string {
 	return name + renderLabels(sortLabels(labels))
 }
@@ -270,42 +270,6 @@ func writePromHistogram(w io.Writer, name string, s *series) error {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, renderLabels(s.labels), snap.Count)
-	return err
-}
-
-// WriteVars renders the registry as one JSON object, keyed by SeriesKey.
-// Histograms render as {"count": n, "sum": s}. The output is deterministic
-// (registration order) and is embedded under the "spnet" key of the
-// /debug/vars endpoint.
-func (r *Registry) WriteVars(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, err := io.WriteString(w, "{"); err != nil {
-		return err
-	}
-	first := true
-	for _, f := range r.order {
-		for _, s := range f.series {
-			if !first {
-				if _, err := io.WriteString(w, ", "); err != nil {
-					return err
-				}
-			}
-			first = false
-			key := strconv.Quote(f.name + renderLabels(s.labels))
-			var val string
-			if s.hist != nil {
-				snap := s.hist.Snapshot()
-				val = fmt.Sprintf(`{"count": %d, "sum": %s}`, snap.Count, fmtFloat(snap.Sum))
-			} else {
-				val = fmtFloat(s.value())
-			}
-			if _, err := fmt.Fprintf(w, "%s: %s", key, val); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := io.WriteString(w, "}")
 	return err
 }
 

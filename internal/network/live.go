@@ -32,9 +32,9 @@ type LiveConfig struct {
 	// Seed, offset by the slot number, is each super-peer's RoutingSeed.
 	Seed uint64
 	// Telemetry starts a loopback HTTP server per super-peer serving the
-	// node's metrics registry (Prometheus text, expvar JSON, pprof) — the
-	// same handler spnet-node exposes for -telemetry. Addresses are pinned
-	// across kill/restart and reported by SuperPeers.
+	// node's metrics registry (Prometheus text, pprof) — the same handler
+	// spnet-node exposes for -telemetry. Addresses are pinned across
+	// kill/restart and reported by SuperPeers.
 	Telemetry bool
 	// Node is the base configuration applied to every super-peer; its Net
 	// is overwritten to route through the fault controller, and its

@@ -1,50 +1,46 @@
 package p2p
 
 import (
+	"math"
 	"time"
 
 	"spnet/internal/gnutella"
+	"spnet/internal/metrics"
 )
 
 // Control-plane side of a node: the receiver half of the fleet controller in
-// internal/control. A controller connects with the link.Control hello;
-// the node immediately announces itself with a Register frame (carrying the
-// highest directive epoch it has applied, so a restarted controller can
-// rebuild its database), then applies Directives; its link.Conn answers
-// Pings.
+// internal/control. A controller connects with the link.Control hello. The
+// node sends one kind of frame on that link, a Register carrying the highest
+// directive epoch it has applied (so a restarted controller can rebuild its
+// database), its metered wire bytes and its client count. It sends one when
+// the link opens and one after every Poll and every Directive; its link.Conn
+// answers Pings.
 //
 // Directives are idempotent by epoch: the node applies a directive only when
-// its epoch exceeds the node's watermark, and acknowledges every directive
-// either way (Applied=1 or Applied=0 for stale). If the controller vanishes,
-// nothing here changes — the node keeps serving with its last-applied
-// configuration, which is the graceful-degradation contract the control
-// plane is built around.
+// its epoch exceeds the node's watermark. The Register that follows is the
+// directive's receipt either way: its epoch is at least the directive's. If
+// the controller vanishes, nothing here changes — the node keeps serving
+// with its last-applied configuration, which is the graceful-degradation
+// contract the control plane is built around.
 
-// runControl serves one controller link: announce, then apply directives
-// until the link dies.
+// runControl serves one controller link: report, then report again after
+// every poll and every directive until the link dies.
 func (n *Node) runControl(c *conn) {
 	defer c.Close()
-	if err := c.send(n.makeRegister(gnutella.RegisterHello)); err != nil {
-		n.opts.Logf("p2p: control register to %s: %v", c.RemoteAddr(), err)
-		return
-	}
 	for {
+		if err := c.send(n.makeRegister(gnutella.RegisterHello)); err != nil {
+			n.opts.Logf("p2p: control register to %s: %v", c.RemoteAddr(), err)
+			return
+		}
 		msg, err := c.Recv(time.Time{})
 		if err != nil {
 			return
 		}
 		switch m := msg.(type) {
+		case *gnutella.Poll:
+			// Answered by the Register at the top of the loop.
 		case *gnutella.Directive:
-			applied := n.applyDirective(m)
-			var flag uint8
-			if applied {
-				flag = 1
-			}
-			ack := &gnutella.DirectiveAck{ID: m.ID, Epoch: m.Epoch, Applied: flag}
-			if err := c.send(ack); err != nil {
-				n.opts.Logf("p2p: directive ack to %s: %v", c.RemoteAddr(), err)
-				return
-			}
+			n.applyDirective(m)
 		default:
 			n.opts.Logf("p2p: unexpected %T from controller %s", m, c.RemoteAddr())
 			return
@@ -52,11 +48,18 @@ func (n *Node) runControl(c *conn) {
 	}
 }
 
-// makeRegister builds this node's announcement frame.
+// makeRegister builds this node's report frame. Its In and Out are read
+// before it is sent, so they exclude the frame itself.
 func (n *Node) makeRegister(flags uint8) *gnutella.Register {
+	rg := &gnutella.Register{ID: gnutella.NewGUID(), Flags: flags}
+	for cl := 0; cl < metrics.NumClasses; cl++ {
+		rg.In += uint64(n.metrics.Load.Bytes(metrics.Class(cl), metrics.DirIn))
+		rg.Out += uint64(n.metrics.Load.Bytes(metrics.Class(cl), metrics.DirOut))
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return &gnutella.Register{ID: gnutella.NewGUID(), Flags: flags, Epoch: n.ctlEpoch}
+	rg.Epoch, rg.Clients = n.ctlEpoch, uint16(min(len(n.clients), math.MaxUint16))
+	return rg
 }
 
 // applyDirective applies one Section 5.3 decision if its epoch is fresh: a
@@ -64,12 +67,12 @@ func (n *Node) makeRegister(flags uint8) *gnutella.Register {
 // query TTL, whatever the action. Both change under mu — the same lock all
 // readers of TTL and MaxClients already hold — so a directive lands
 // atomically between queries.
-func (n *Node) applyDirective(d *gnutella.Directive) bool {
+func (n *Node) applyDirective(d *gnutella.Directive) {
 	n.mu.Lock()
 	if d.Epoch <= n.ctlEpoch {
 		n.mu.Unlock()
 		n.metrics.DirectivesStale.Inc()
-		return false
+		return
 	}
 	n.ctlEpoch = d.Epoch
 	if d.MaxClients > 0 {
@@ -82,7 +85,6 @@ func (n *Node) applyDirective(d *gnutella.Directive) bool {
 	n.metrics.DirectivesApplied.Inc()
 	n.opts.Logf("p2p: applied directive epoch %d: %s (ttl %d, max-clients %d)",
 		d.Epoch, d.Action, d.TTL, d.MaxClients)
-	return true
 }
 
 // deregisterFromControllers sends a best-effort RegisterBye on every open

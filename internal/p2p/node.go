@@ -300,7 +300,7 @@ func NewNode(opts Options) *Node {
 }
 
 // Metrics returns the node's metric set; serve its registry with
-// metrics.Handler for the /metrics, /debug/vars and /debug/pprof surface.
+// metrics.Handler for the /metrics and /debug/pprof surface.
 func (n *Node) Metrics() *metrics.NodeMetrics { return n.metrics }
 
 // startWorkers launches the query dispatch pool once, from whichever entry

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -76,17 +75,76 @@ func TestTelemetryScrape(t *testing.T) {
 		}
 	}
 
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(get("/debug/vars")), &vars); err != nil {
-		t.Fatalf("/debug/vars not valid JSON: %v", err)
-	}
-	if _, ok := vars["spnet"].(map[string]any); !ok {
-		t.Error("/debug/vars missing spnet object")
-	}
-
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Error("/debug/pprof/ does not list profiles")
 	}
+}
+
+// TestRegisterIsTheMeter: the Register a node sends in reply to a Poll
+// reports exactly what its /metrics says. The in bytes include the Poll;
+// the out bytes exclude the Register itself, which is metered once sent.
+func TestRegisterIsTheMeter(t *testing.T) {
+	node := NewNode(Options{HeartbeatInterval: -1})
+	if err := node.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	cl, err := DialClient(node.Addr(), []SharedFile{{Index: 1, Title: "needle in haystack"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if r, err := cl.Search("needle", 200*time.Millisecond); err != nil || len(r) != 1 {
+		t.Fatalf("search = %v, %v; want one result", r, err)
+	}
+
+	ctl, err := link.Net{}.Open(node.Addr(), link.Control, 5*time.Second, link.Framing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	recvRegister := func() *gnutella.Register {
+		t.Helper()
+		m, err := ctl.Recv(time.Now().Add(5 * time.Second))
+		rg, ok := m.(*gnutella.Register)
+		if err != nil || !ok {
+			t.Fatalf("control link read %v, %v; want the node's Register", m, err)
+		}
+		return rg
+	}
+	recvRegister() // the hello
+	if err := ctl.Send(&gnutella.Poll{}, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rg := recvRegister()
+
+	srv := httptest.NewServer(metrics.Handler(node.Metrics().Registry()))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, err := metrics.ParsePrometheus(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in, out float64
+	for c := 0; c < metrics.NumClasses; c++ {
+		class := metrics.Label{Name: "type", Value: metrics.Class(c).String()}
+		in += vals[metrics.SeriesKey(metrics.MetricMessageBytes, class, metrics.Label{Name: "dir", Value: "in"})]
+		out += vals[metrics.SeriesKey(metrics.MetricMessageBytes, class, metrics.Label{Name: "dir", Value: "out"})]
+	}
+	if in != float64(rg.In) {
+		t.Errorf("scraped in = %v, Register.In = %d", in, rg.In)
+	}
+	if want := rg.Out + uint64(gnutella.RegisterSize()); out != float64(want) {
+		t.Errorf("scraped out = %v, want Register.Out %d + RegisterSize %d", out, rg.Out, gnutella.RegisterSize())
+	}
+	if got := node.Stats().Clients; int(rg.Clients) != got {
+		t.Errorf("Register.Clients = %d, Stats().Clients = %d", rg.Clients, got)
+	}
+	t.Logf("in %v = %d, out %v = %d + %d, clients %d", in, rg.In, out, rg.Out, gnutella.RegisterSize(), rg.Clients)
 }
 
 // TestStatsShedSourceSplit drives the overload ladder from both source

@@ -447,19 +447,19 @@ type (
 )
 
 // TelemetryHandler serves a registry over HTTP: Prometheus text format on
-// /metrics, expvar JSON on /debug/vars, and the net/http/pprof profiles on
-// /debug/pprof/. spnet-node's -telemetry flag and LiveConfig.Telemetry use
-// this same handler.
+// /metrics and the net/http/pprof profiles on /debug/pprof/. spnet-node's
+// -telemetry flag and LiveConfig.Telemetry use this same handler.
 func TelemetryHandler(reg *MetricsRegistry) http.Handler { return metrics.Handler(reg) }
 
-// Fleet control plane: a FleetController scrapes every super-peer's
-// telemetry, watches their control links, and pushes the Section 5.3 local
-// decision rules to live nodes as epoch-versioned idempotent directives —
-// partner promotion on death or re-registration storms (walked back when
-// the node returns), cluster split with one step of TTL decay on sustained
-// overload, coalesce on underload. Nodes keep serving on their last-applied configuration whenever
-// the controller is unreachable, and a restarted controller rebuilds its
-// epoch watermark from the fleet's Register announcements.
+// Fleet control plane: a FleetController reads every super-peer's load and
+// client count off its control link, which is also how it judges the node
+// alive, and pushes the Section 5.3 local decision rules to live nodes as
+// epoch-versioned idempotent directives — partner promotion on death or
+// re-registration storms (walked back when the node returns), cluster split
+// with one step of TTL decay on sustained overload, coalesce on underload.
+// Nodes keep serving on their last-applied configuration whenever the
+// controller is unreachable, and a restarted controller rebuilds its epoch
+// watermark from the fleet's Register announcements.
 type (
 	FleetController = control.Controller
 	FleetOptions    = control.Options
@@ -474,7 +474,6 @@ const (
 	FleetRegistered   = control.EvRegistered
 	FleetDeregistered = control.EvDeregistered
 	FleetLinkDown     = control.EvLinkDown
-	FleetScrapeFailed = control.EvScrapeFailed
 	FleetDead         = control.EvDead
 	FleetRecovered    = control.EvRecovered
 	FleetPushed       = control.EvPushed
