@@ -76,6 +76,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	// Directives carry capacity in 16 bits and TTL in 8.
+	if *capacity < 1 || *capacity > 65535 || *ttl < 1 || *ttl > 255 {
+		fmt.Fprintln(os.Stderr, "spnet-control: -capacity must be in 1..65535 and -base-ttl in 1..255")
+		os.Exit(2)
+	}
 
 	opts := spnet.FleetOptions{
 		Nodes:          nodes,

@@ -137,12 +137,12 @@ func TestGoldenSimAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	expect(t, "aggregate", fmtLoad(m.Aggregate),
-		"{1273263.2355555568 1266287.3066666659 17016712.256001357}")
+		"{1348415.9822222209 1348272.7822222218 17816621.824002869}")
 	expect(t, "scalars",
 		fmt.Sprintf("%d %d %d %d %.17g %.17g",
 			m.QueriesIssued, m.EventsExecuted, m.FinalClusters, m.FinalPeers,
 			m.FinalMeanTTL, m.FinalMeanOutdegree),
-		"4054 980026 39 566 4.384615384615385 7.8461538461538458")
+		"4113 1000366 41 577 4.5121951219512191 7.5121951219512191")
 }
 
 // The three goldens below pin the schedule call sites the churn, content and

@@ -34,6 +34,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -104,13 +105,6 @@ const (
 	// to one node opened within a single tick trigger the same
 	// partner-promotion response as death.
 	flapRegisters = 3
-	// sustainTicks is how many consecutive ticks a hotspot or underload
-	// signal must persist before the controller acts — hysteresis against
-	// one-sample blips.
-	sustainTicks = 2
-	// cooldownTicks is how many ticks after an action the same node is left
-	// alone, so a directive's effect is observed before the next one.
-	cooldownTicks = 3
 	// pushAttempts is how many times a directive is tried before the
 	// controller gives up on it for this tick.
 	pushAttempts = 3
@@ -224,12 +218,8 @@ type nodeState struct {
 	// cluster it was promoted to absorb, until the walk-back's receipt; ""
 	// otherwise.
 	promotedFor string
-	// overTicks / underTicks count consecutive ticks of hotspot / underload
-	// signal, for hysteresis.
-	overTicks  int
-	underTicks int
-	// cooldown suppresses further load actions for a few ticks after one.
-	cooldown int
+	// local is the node's Section 5.3 decision state.
+	local design.Local
 	// ttl tracks the TTL the controller believes the node runs (BaseTTL
 	// until a directive carrying a TTL has its receipt).
 	ttl int
@@ -480,7 +470,7 @@ func (c *Controller) promotePartnerOf(dead *nodeState) {
 	if survivor != nil {
 		c.pushDirective(survivor, &gnutella.Directive{
 			Action:     gnutella.ActionPromotePartner,
-			MaxClients: uint16(2 * c.opts.ClientCapacity),
+			MaxClients: capacity(2 * c.opts.ClientCapacity),
 		}, func(st *nodeState) { st.promotedFor = dead.agent.cfg.ID })
 	}
 }
@@ -496,7 +486,7 @@ func (c *Controller) restorePartnerOf(recovered string) {
 	}
 	c.pushDirective(promoted, &gnutella.Directive{
 		Action:     gnutella.ActionSplitCluster,
-		MaxClients: uint16(c.opts.ClientCapacity),
+		MaxClients: capacity(c.opts.ClientCapacity),
 	}, func(st *nodeState) { st.promotedFor = "" })
 }
 
@@ -513,82 +503,53 @@ func (c *Controller) coveringPartner(id string) *nodeState {
 	return nil
 }
 
-// decideLoad applies the hotspot and underload rules with hysteresis: a
-// signal must persist sustainTicks before the controller acts, and an acted
-// on node is left alone for cooldownTicks.
+// decideLoad runs each node's decision step on its fresh load; a dead node
+// or a tick with no fresh sample is a missed observation. The step starts a
+// cooldown when it acts, whether or not the push lands. Only the decision
+// loop writes what this reads, so it reads without mu.
 func (c *Controller) decideLoad() {
 	for _, id := range c.order {
-		c.mu.Lock()
 		st := c.nodes[id]
 		if st.dead || !st.haveLoad {
-			st.overTicks, st.underTicks = 0, 0
-			c.mu.Unlock()
+			st.local.Miss()
 			continue
 		}
-		if st.cooldown > 0 {
-			st.cooldown--
-			c.mu.Unlock()
-			continue
-		}
-		adv := design.Advise(design.LocalState{
-			Load: st.load, Limit: c.opts.Limit,
-			Clients: int(st.prev.reg.Clients), TTL: st.ttl,
-		}, design.Thresholds{})
-		var over, under bool
-		switch {
-		case adv.PromotePartner || adv.SplitCluster || adv.Resign:
-			st.overTicks++
-			st.underTicks = 0
-			over = st.overTicks >= sustainTicks
-		case adv.TryCoalesce:
-			st.underTicks++
-			st.overTicks = 0
-			under = st.underTicks >= sustainTicks
-		default:
-			st.overTicks, st.underTicks = 0, 0
-		}
-		load, ttl := st.load, st.ttl
-		c.mu.Unlock()
-
+		adv := st.local.Step(design.Obs{Load: st.load, Limit: c.opts.Limit, Clients: int(st.prev.reg.Clients), TTL: st.ttl})
 		var ev EventType
 		var d *gnutella.Directive
-		switch {
-		case over:
-			// Shed: cap the cluster at half baseline (split), and decay TTL
-			// one step to cut forwarded-query bandwidth (rule III under
-			// pressure).
-			ev = EvHotspot
-			d = &gnutella.Directive{
-				Action:     gnutella.ActionSplitCluster,
-				MaxClients: uint16(max(1, c.opts.ClientCapacity/2)),
-			}
-			if ttl > 1 {
-				d.TTL = uint8(ttl - 1)
-			}
-		case under:
-			// Coalesce: open capacity to absorb another small cluster, and
-			// restore the baseline TTL if decayed.
+		switch adv.Action {
+		case design.Hold:
+			continue
+		case design.Coalesce:
+			// Open capacity to absorb another small cluster, and restore the
+			// baseline TTL if decayed.
 			ev = EvUnderload
-			d = &gnutella.Directive{
-				Action:     gnutella.ActionCoalesce,
-				MaxClients: uint16(2 * c.opts.ClientCapacity),
-			}
-			if ttl < c.opts.BaseTTL {
+			d = &gnutella.Directive{Action: gnutella.ActionCoalesce, MaxClients: capacity(2 * c.opts.ClientCapacity)}
+			if st.ttl < c.opts.BaseTTL {
 				d.TTL = uint8(c.opts.BaseTTL)
 			}
 		default:
-			continue
+			// Promote, Split or Resign sheds: cap the cluster at half
+			// baseline (split), and decay TTL one step to cut forwarded-query
+			// bandwidth (rule III under pressure).
+			ev = EvHotspot
+			d = &gnutella.Directive{Action: gnutella.ActionSplitCluster, MaxClients: capacity(max(1, c.opts.ClientCapacity/2))}
+			if st.ttl > 1 {
+				d.TTL = uint8(st.ttl - 1)
+			}
 		}
-		c.event(Event{Type: ev, Node: id, Detail: fmt.Sprintf("load %s vs limit %s", load, c.opts.Limit)})
+		c.event(Event{Type: ev, Node: id, Detail: fmt.Sprintf("load %s vs limit %s", st.load, c.opts.Limit)})
 		c.pushDirective(st, d, func(st *nodeState) {
-			st.cooldown = cooldownTicks
-			st.overTicks, st.underTicks = 0, 0
 			if d.TTL > 0 {
 				st.ttl = int(d.TTL)
 			}
 		})
 	}
 }
+
+// capacity is a client capacity as a directive carries it: saturated at the
+// field's 65535, never wrapped.
+func capacity(n int) uint16 { return uint16(min(n, math.MaxUint16)) }
 
 // pushDirective allocates an epoch, pushes d to the node, and on its receipt
 // applies onAcked to the node's controller-side state. On exhausted retries

@@ -125,6 +125,30 @@ func TestPromoteOnDeathAndRestoreOnRecovery(t *testing.T) {
 	})
 }
 
+// TestDirectiveCapacitySaturates: a promotion doubles a capacity past the
+// directive's 16-bit field, and the survivor must get the field's ceiling,
+// not the doubled value wrapped to something smaller than it had.
+func TestDirectiveCapacitySaturates(t *testing.T) {
+	n0 := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
+	n1 := startNode(t, "sp-0-1", p2p.Options{MaxClients: 5, TTL: 7})
+	opts := testOptions([]NodeConfig{
+		{ID: "sp-0-0", Addr: n0.Addr(), Cluster: 0, Partner: 0},
+		{ID: "sp-0-1", Addr: n1.Addr(), Cluster: 0, Partner: 1},
+	})
+	opts.ClientCapacity = 40000
+	c := New(opts)
+	c.Start()
+	defer c.Close()
+	waitFor(t, "both registered", func() bool {
+		return hasEvent(c, EvRegistered, "sp-0-0") && hasEvent(c, EvRegistered, "sp-0-1")
+	})
+	n0.Close()
+	waitFor(t, "promotion acked", func() bool { return hasEvent(c, EvAcked, "sp-0-1") })
+	if got := n1.Stats().MaxClients; got != 65535 {
+		t.Fatalf("survivor max clients = %d, want the saturated 65535", got)
+	}
+}
+
 func TestEpochIdempotencyAndRestartRecovery(t *testing.T) {
 	n := startNode(t, "sp-0-0", p2p.Options{MaxClients: 5, TTL: 7})
 	cfg := []NodeConfig{{ID: "sp-0-0", Addr: n.Addr()}}

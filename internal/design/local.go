@@ -13,6 +13,9 @@ type LocalState struct {
 	// "limited altruism" assumption: a super-peer accepts any load below
 	// its predefined limit and never exceeds it voluntarily.
 	Limit analysis.Load
+	// Partners is the number of partners sharing the virtual super-peer:
+	// rule I promotes a partner while it is at most 1, then splits.
+	Partners int
 	// Clients is the current cluster size excluding the super-peer.
 	Clients int
 	// Outdegree is the number of neighbor super-peers.
@@ -35,64 +38,46 @@ type LocalState struct {
 	ProbedNeighbor bool
 }
 
+// Action is rule I's response to a cluster's load.
+type Action int
+
+const (
+	Hold     Action = iota // the load calls for no change
+	Promote                // overload: a capable client becomes a redundant partner
+	Split                  // overload, already redundant: a client founds a new cluster with half the clients
+	Coalesce               // far below the limit: merge with another small cluster
+	Resign                 // overload with no clients to shed and few neighbors: become a client
+)
+
 // Advice is the set of local actions the Section 5.3 guidelines recommend.
 type Advice struct {
 	// AcceptClients: rule I — a super-peer should always accept new
 	// clients, unless it is about to shed load.
 	AcceptClients bool
-	// PromotePartner: the cluster is too large to handle; select a capable
-	// client to become a redundant partner (rule I, overload response).
-	PromotePartner bool
-	// SplitCluster: alternatively, promote a client to a new super-peer
-	// and split the cluster in two.
-	SplitCluster bool
-	// TryCoalesce: the cluster is far below the limit; seek another small
-	// cluster to merge with (rule I, underload response).
-	TryCoalesce bool
+	// Action is rule I's structural response.
+	Action Action
 	// AddNeighbor: rule II — increase outdegree while resources allow and
 	// the cluster is not growing.
 	AddNeighbor bool
 	// DropProbedNeighbor: Appendix E — the most recently added neighbor did
 	// not increase responses, so the connection should be dropped.
 	DropProbedNeighbor bool
-	// Resign: the super-peer cannot support even a few neighbors; it
-	// should consider dropping clients or becoming a client itself.
-	Resign bool
 	// NewTTL is the TTL to use from now on (rule III); equal to the current
 	// TTL when no decrease is warranted.
 	NewTTL int
 }
 
-// Thresholds tune the advisor; zero values select the defaults.
-type Thresholds struct {
-	// Overload is the load fraction above which the cluster sheds load
-	// (default 1.0 — the hard limit).
-	Overload float64
-	// Spare is the load fraction below which extra neighbors are accepted
-	// (default 0.7).
-	Spare float64
-	// Coalesce is the load fraction below which merging clusters is
-	// proposed (default 0.15).
-	Coalesce float64
-	// MinViableOutdegree is the outdegree below which a super-peer that
-	// cannot afford more neighbors should resign (default 2).
-	MinViableOutdegree int
-}
+// Thresholds is empty: the rules use the paper's defaults below.
+type Thresholds struct{}
 
-func (t *Thresholds) setDefaults() {
-	if t.Overload == 0 {
-		t.Overload = 1.0
-	}
-	if t.Spare == 0 {
-		t.Spare = 0.7
-	}
-	if t.Coalesce == 0 {
-		t.Coalesce = 0.15
-	}
-	if t.MinViableOutdegree == 0 {
-		t.MinViableOutdegree = 2
-	}
-}
+// The rules' thresholds: load fractions of the limit (per Utilization) and
+// an outdegree.
+const (
+	overloadAt         = 1.0  // shed load at the hard limit
+	spareBelow         = 0.7  // room for rule II's extra neighbors
+	coalesceBelow      = 0.15 // propose a merge
+	minViableOutdegree = 2    // an overloaded super-peer with no clients and fewer neighbors resigns
+)
 
 // Utilization returns the maximum load fraction across the three resources,
 // the scalar the local rules compare against their thresholds.
@@ -111,8 +96,8 @@ func Utilization(load, limit analysis.Load) float64 {
 }
 
 // Advise applies the Section 5.3 guidelines to one super-peer's local state.
-func Advise(s LocalState, th Thresholds) Advice {
-	th.setDefaults()
+// It keeps no history; Local.Step adds it.
+func Advise(s LocalState, _ Thresholds) Advice {
 	u := Utilization(s.Load, s.Limit)
 	adv := Advice{NewTTL: s.TTL}
 
@@ -120,19 +105,20 @@ func Advise(s LocalState, th Thresholds) Advice {
 	// some super-peer, refusing it helps nobody. Only an overloaded
 	// super-peer stops accepting, and it also sheds load: prefer promoting a
 	// partner (rule #2: redundancy improves both reliability and individual
-	// load); splitting is the alternative for very large clusters.
+	// load); splitting is the response once the cluster is redundant.
 	switch {
-	case u >= th.Overload:
-		adv.AcceptClients = false
-		if s.Clients >= 2 {
-			adv.PromotePartner = true
-			adv.SplitCluster = true
-		} else {
-			adv.Resign = s.Outdegree < th.MinViableOutdegree
+	case u >= overloadAt:
+		switch {
+		case s.Clients >= 2 && s.Partners > 1:
+			adv.Action = Split
+		case s.Clients >= 2:
+			adv.Action = Promote
+		case s.Outdegree < minViableOutdegree:
+			adv.Action = Resign
 		}
-	case u <= th.Coalesce && s.Clients > 0:
+	case u <= coalesceBelow && s.Clients > 0:
 		adv.AcceptClients = true
-		adv.TryCoalesce = true
+		adv.Action = Coalesce
 	default:
 		adv.AcceptClients = true
 	}
@@ -145,7 +131,7 @@ func Advise(s LocalState, th Thresholds) Advice {
 
 	// Rule II: grow outdegree while the cluster is stable and resources are
 	// spare; everyone doing so shortens the EPL for the whole network.
-	if !s.ClusterGrowing && u < th.Spare && !adv.DropProbedNeighbor && u < th.Overload {
+	if !s.ClusterGrowing && u < spareBelow && !adv.DropProbedNeighbor {
 		adv.AddNeighbor = true
 	}
 
@@ -154,4 +140,132 @@ func Advise(s LocalState, th Thresholds) Advice {
 		adv.NewTTL = s.MaxRespHops
 	}
 	return adv
+}
+
+// The history Local keeps around Advise.
+const (
+	// sustainSteps is how many consecutive steps an overload or underload
+	// signal must hold before rule I acts (hysteresis against one-window
+	// blips); cooldownSteps is how many steps rule I then holds, so the
+	// action's effect is observed before the next one.
+	sustainSteps  = 2
+	cooldownSteps = 3
+	// horizonSample is how many of the cluster's own queries rule III
+	// samples before it trusts the farthest response hop ("if a super-peer
+	// rarely or never receives responses from beyond x hops away").
+	horizonSample = 30
+	// probeSample is how many own queries Appendix E's probe samples before
+	// it compares result rates; a rate above probeGain times the one before
+	// the probe keeps the neighbor.
+	probeSample = 20
+	probeGain   = 1.02
+)
+
+// Obs is what a layer measured about one super-peer: its load over the
+// window since the last step, the cluster's shape now, and the window's own
+// queries (how many it sourced, the results they drew, and the farthest hop
+// a response came from).
+type Obs struct {
+	Load, Limit                       analysis.Load
+	Partners, Clients, Outdegree, TTL int
+	Queries, Results, MaxRespHops     int
+}
+
+// window counts a cluster's own queries across steps.
+type window struct{ queries, results, hops int }
+
+// Local is one super-peer's Section 5.3 decision state, the history the
+// rules need beyond one observation: each layer measures, Local decides, and
+// the layer acts. The zero value is ready to use.
+type Local struct {
+	run      int     // rule I: consecutive steps of one signal, + overload, - underload
+	cooldown int     // rule I: steps left to hold after an action
+	clients  int     // rule II: the cluster size last reported, the growth baseline
+	horizon  window  // rule III: own queries and farthest hop since the TTL was checked
+	probe    *window // Appendix E: own queries and results since the layer added a neighbor
+	before   float64 // results per query in the window before the probe (the last window, until one starts)
+}
+
+// Step decides from a fresh observation. Rule I's action must hold for
+// sustainSteps consecutive steps and starts a cooldown of cooldownSteps;
+// AcceptClients follows the load without hysteresis. Rule III lowers NewTTL
+// by at most one hop a step, once horizonSample own queries are in. The
+// layer acts on the Advice, then reports back with Settle.
+func (l *Local) Step(o Obs) Advice {
+	l.horizon.queries += o.Queries
+	l.horizon.hops = max(l.horizon.hops, o.MaxRespHops)
+	judged := false
+	if p := l.probe; p != nil {
+		p.queries += o.Queries
+		p.results += o.Results
+		judged = p.queries >= probeSample
+	}
+	s := LocalState{
+		Load: o.Load, Limit: o.Limit,
+		Partners: o.Partners, Clients: o.Clients, Outdegree: o.Outdegree, TTL: o.TTL,
+		ClusterGrowing: o.Clients > l.clients,
+		ProbedNeighbor: judged,
+		GainedResultsAfterNeighbor: judged &&
+			float64(l.probe.results)/float64(l.probe.queries) > l.before*probeGain,
+	}
+	if l.horizon.queries >= horizonSample {
+		s.MaxRespHops = l.horizon.hops
+	}
+	adv := Advise(s, Thresholds{})
+	adv.Action = l.sustain(adv.Action)
+
+	if judged || l.probe == nil {
+		l.probe, l.before = nil, 0
+		if o.Queries > 0 {
+			l.before = float64(o.Results) / float64(o.Queries)
+		}
+	}
+	adv.AddNeighbor = adv.AddNeighbor && l.probe == nil
+	if adv.NewTTL < o.TTL {
+		adv.NewTTL = o.TTL - 1
+	}
+	if adv.NewTTL < o.TTL || l.horizon.queries >= horizonSample {
+		l.horizon = window{}
+	}
+	l.clients = o.Clients
+	return adv
+}
+
+// Miss records a step with no fresh observation: it breaks a sustained
+// signal and leaves a cooldown as it was.
+func (l *Local) Miss() { l.run = 0 }
+
+// Settle records the cluster as the layer left it after acting on a Step:
+// its size, the next step's growth baseline, and whether it added the
+// neighbor AddNeighbor asked for, which starts Appendix E's probe of it. A
+// layer that does not call it is taken to have left the size as observed.
+func (l *Local) Settle(clients int, added bool) {
+	l.clients = clients
+	if added {
+		l.probe = &window{}
+	}
+}
+
+// sustain applies rule I's hysteresis to the action Advise proposed.
+func (l *Local) sustain(a Action) Action {
+	if l.cooldown > 0 {
+		l.cooldown--
+		return Hold
+	}
+	signal := 0
+	switch a {
+	case Promote, Split, Resign:
+		signal = 1
+	case Coalesce:
+		signal = -1
+	}
+	if l.run*signal <= 0 { // no signal, or the other one: a new run
+		l.run = 0
+	}
+	l.run += signal
+	if l.run*signal < sustainSteps {
+		return Hold
+	}
+	l.run, l.cooldown = 0, cooldownSteps
+	return a
 }

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"fmt"
 	"testing"
 
 	"spnet/internal/analysis"
@@ -17,7 +18,7 @@ func TestAdviseRuleIAcceptByDefault(t *testing.T) {
 	if !adv.AcceptClients {
 		t.Error("rule I: should accept clients at moderate load")
 	}
-	if adv.PromotePartner || adv.SplitCluster || adv.Resign {
+	if adv.Action != Hold {
 		t.Errorf("no shedding expected: %+v", adv)
 	}
 	if adv.NewTTL != 7 {
@@ -28,17 +29,21 @@ func TestAdviseRuleIAcceptByDefault(t *testing.T) {
 func TestAdviseOverloadShedsLoad(t *testing.T) {
 	s := LocalState{
 		Load: analysis.Load{InBps: 1500}, Limit: limit(),
-		Clients: 20, Outdegree: 4, TTL: 7,
+		Partners: 1, Clients: 20, Outdegree: 4, TTL: 7,
 	}
 	adv := Advise(s, Thresholds{})
 	if adv.AcceptClients {
 		t.Error("overloaded super-peer should stop accepting")
 	}
-	if !adv.PromotePartner || !adv.SplitCluster {
-		t.Errorf("overload with many clients should propose partner/split: %+v", adv)
+	if adv.Action != Promote {
+		t.Errorf("overload with one partner should promote another: %+v", adv)
 	}
 	if adv.AddNeighbor {
 		t.Error("overloaded super-peer should not add neighbors")
+	}
+	s.Partners = 2
+	if adv := Advise(s, Thresholds{}); adv.Action != Split {
+		t.Errorf("overload with two partners should split: %+v", adv)
 	}
 }
 
@@ -48,7 +53,7 @@ func TestAdviseOverloadedLonerResigns(t *testing.T) {
 		Clients: 0, Outdegree: 1, TTL: 7,
 	}
 	adv := Advise(s, Thresholds{})
-	if !adv.Resign {
+	if adv.Action != Resign {
 		t.Error("an overloaded super-peer with no clients and one neighbor should resign")
 	}
 }
@@ -59,7 +64,7 @@ func TestAdviseUnderloadCoalesces(t *testing.T) {
 		Clients: 2, Outdegree: 3, TTL: 7,
 	}
 	adv := Advise(s, Thresholds{})
-	if !adv.TryCoalesce {
+	if adv.Action != Coalesce {
 		t.Error("far-underloaded cluster should seek a merge")
 	}
 	if !adv.AcceptClients {
@@ -126,21 +131,116 @@ func TestAdviseRuleIIIDecreaseTTL(t *testing.T) {
 	}
 }
 
-func TestAdviseCustomThresholds(t *testing.T) {
-	s := LocalState{
-		Load: analysis.Load{InBps: 600}, Limit: limit(),
-		Clients: 10, Outdegree: 3, TTL: 5,
+// at is an observation at utilization u of limit(), with no own queries.
+func at(u float64) Obs {
+	return Obs{Load: analysis.Load{InBps: 1000 * u}, Limit: limit(), Partners: 1, Clients: 10, Outdegree: 4, TTL: 7}
+}
+
+func TestLocalStepRuleIHysteresis(t *testing.T) {
+	// Each step is O (overload), U (underload), N (normal load) or M (no
+	// fresh observation); each action is - (hold), P, S or C.
+	obs := map[byte]Obs{'O': at(1.5), 'U': at(0.1), 'N': at(0.5)}
+	for _, tc := range []struct {
+		name, steps, want string
+		partners          int
+	}{
+		{"a one-step blip holds", "ONO", "---", 1},
+		{"two consecutive steps act", "OO", "-P", 1},
+		{"split once redundant", "OO", "-S", 2},
+		{"underload coalesces", "UU", "-C", 1},
+		{"the cooldown lasts three steps", "OOOOOOO", "-P----P", 1},
+		{"a miss breaks a run", "OMOO", "---P", 1},
+		{"a miss does not shorten a cooldown", "OOMMMOOOOO", "-P-------P", 1},
+		{"an over run then an under run starts over", "OUUOO", "--C--", 1},
+	} {
+		var l Local
+		got := ""
+		for i := range tc.steps {
+			if tc.steps[i] == 'M' {
+				l.Miss()
+				got += "-"
+				continue
+			}
+			o := obs[tc.steps[i]]
+			o.Partners = tc.partners
+			got += string("-PSCR"[l.Step(o).Action])
+		}
+		if got != tc.want {
+			t.Errorf("%s: %s acted %s, want %s", tc.name, tc.steps, got, tc.want)
+		}
 	}
-	// Default spare threshold 0.7 would allow a neighbor at 0.6 load.
-	if adv := Advise(s, Thresholds{}); !adv.AddNeighbor {
-		t.Error("default thresholds should add neighbor at 60% load")
+}
+
+func TestLocalStepAcceptsWithoutHysteresis(t *testing.T) {
+	var l Local
+	if l.Step(at(1.5)).AcceptClients {
+		t.Error("the first overloaded step should stop accepting clients")
 	}
-	// A stricter spare threshold blocks it.
-	if adv := Advise(s, Thresholds{Spare: 0.5}); adv.AddNeighbor {
-		t.Error("strict spare threshold should block the neighbor")
+	if !l.Step(at(0.5)).AcceptClients {
+		t.Error("the first step back under the limit should accept clients")
 	}
-	// A lower overload threshold triggers shedding earlier.
-	if adv := Advise(s, Thresholds{Overload: 0.5}); adv.AcceptClients {
-		t.Error("custom overload threshold should stop accepting at 60% load")
+}
+
+func TestLocalStepRuleIIIHorizon(t *testing.T) {
+	// Ten own queries a step, responses from no farther than 3 hops: the
+	// TTL holds until 30 queries are in, then falls one hop per window of
+	// 30 toward 3.
+	var l Local
+	ttl, got := 7, []int{}
+	for i := 0; i < 12; i++ {
+		o := at(0.5)
+		o.TTL, o.Queries, o.MaxRespHops = ttl, 10, 3
+		ttl = l.Step(o).NewTTL
+		got = append(got, ttl)
+	}
+	want := []int{7, 7, 6, 6, 6, 5, 5, 5, 4, 4, 4, 3}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("TTL by step = %v, want %v", got, want)
+	}
+}
+
+func TestLocalStepAppendixEProbe(t *testing.T) {
+	// A neighbor is added after a window of 10 results per query; it is
+	// judged once 20 queries are in and kept only on a gain over 2%.
+	for _, tc := range []struct {
+		results int // over the probe's second window of ten queries
+		drop    bool
+	}{
+		{103, false}, // 205 results / 20 queries = 10.25 > 10.2
+		{102, true},  // 204 / 20 = 10.2, no more than 2%
+	} {
+		var l Local
+		o := at(0.5)
+		o.Queries, o.Results = 10, 100
+		l.Settle(o.Clients, false)
+		if !l.Step(o).AddNeighbor {
+			t.Fatal("spare resources: should add a neighbor")
+		}
+		l.Settle(o.Clients, true)
+		o.Results = 102
+		if adv := l.Step(o); adv.AddNeighbor || adv.DropProbedNeighbor {
+			t.Fatalf("10 queries into the probe: %+v, want it still waiting", adv)
+		}
+		o.Results = tc.results
+		adv := l.Step(o)
+		if adv.DropProbedNeighbor != tc.drop {
+			t.Errorf("%d results: drop = %v, want %v", tc.results, adv.DropProbedNeighbor, tc.drop)
+		}
+		if adv.AddNeighbor == tc.drop {
+			t.Errorf("%d results: add = %v after the probe ended", tc.results, adv.AddNeighbor)
+		}
+	}
+}
+
+func TestLocalStepGrowthFromSettledSize(t *testing.T) {
+	// Rule II compares with the size the layer settled at after acting, not
+	// the size it observed before.
+	var l Local
+	l.Step(at(0.5))
+	l.Settle(6, false) // the layer's action moved four clients away
+	o := at(0.5)
+	o.Clients = 8
+	if l.Step(o).AddNeighbor {
+		t.Error("the cluster grew from 6 to 8 since the last action: rule II should wait")
 	}
 }

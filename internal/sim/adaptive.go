@@ -18,8 +18,6 @@ type AdaptiveOptions struct {
 	// Limit is the load each super-peer is willing to handle (the paper's
 	// "limited altruism" assumption).
 	Limit analysis.Load
-	// Thresholds tune the advisor; zero values select the defaults.
-	Thresholds design.Thresholds
 	// Interval is the local evaluation period in seconds (default 60).
 	Interval float64
 	// MaxOutdegree caps rule II's neighbor growth (default 30).
@@ -44,30 +42,19 @@ func (o *AdaptiveOptions) maxOutdegree() int {
 	return o.MaxOutdegree
 }
 
-// adaptiveState is one cluster's local bookkeeping between evaluations.
+// adaptiveState is one cluster's measurements between evaluations; local
+// decides from them.
 type adaptiveState struct {
 	lastIn, lastOut, lastProc float64 // counter snapshots at the last eval
 	lastEvalAt                float64
-	prevClients               int
 
-	// Response-horizon observation for rule III. The window accumulates
-	// across evaluations until enough of the cluster's own queries have
-	// been seen to trust the horizon ("if a super-peer rarely or never
-	// receives responses from beyond x hops away").
-	ttlWindowMaxHops int
-	ttlWindowQueries int
+	// The cluster's own queries since the last evaluation: how many, the
+	// results they drew, and the farthest hop a response came from.
+	queries, results, hops int
 
-	// Results-per-query observation, also used by the Appendix E probe.
-	resultsObserved float64
-	queriesObserved int
-
-	// Appendix E neighbor probe. Judgment is deferred until the probe has
-	// seen enough of the cluster's own queries to compare result rates.
-	probing        bool
-	probedNeighbor *clusterNode
-	resultsBefore  float64 // results/query before the probe
-	probeQueries   int
-	probeResults   float64
+	// probed is the neighbor Appendix E's probe watches.
+	probed *clusterNode
+	local  design.Local
 }
 
 // noteSourceQuery and noteSourceResponse feed the local observations the
@@ -76,32 +63,23 @@ func (s *Simulator) noteSourceQuery(c *clusterNode, localResults int) {
 	if c.adaptive == nil {
 		return
 	}
-	c.adaptive.queriesObserved++
-	c.adaptive.resultsObserved += float64(localResults)
-	c.adaptive.ttlWindowQueries++
-	if c.adaptive.probing {
-		c.adaptive.probeQueries++
-		c.adaptive.probeResults += float64(localResults)
-	}
+	c.adaptive.queries++
+	c.adaptive.results += localResults
 }
 
 func (s *Simulator) noteSourceResponse(c *clusterNode, msg *message) {
 	if c.adaptive == nil {
 		return
 	}
-	c.adaptive.resultsObserved += float64(msg.results)
-	if hops := int(msg.hops); hops > c.adaptive.ttlWindowMaxHops {
-		c.adaptive.ttlWindowMaxHops = hops
-	}
-	if c.adaptive.probing {
-		c.adaptive.probeResults += float64(msg.results)
-	}
+	c.adaptive.results += int(msg.results)
+	c.adaptive.hops = max(c.adaptive.hops, int(msg.hops))
 }
 
 // scheduleAdaptive installs the periodic local evaluation for one cluster
 // and, once per simulation, the new-client arrival process.
 func (s *Simulator) scheduleAdaptive(c *clusterNode) {
-	c.adaptive = &adaptiveState{prevClients: len(c.clients), lastEvalAt: s.sched.now}
+	c.adaptive = &adaptiveState{lastEvalAt: s.sched.now}
+	c.adaptive.local.Settle(len(c.clients), false) // rule II's first growth baseline
 	var tick func()
 	tick = func() {
 		if c.dissolved() {
@@ -145,96 +123,43 @@ func (s *Simulator) observedLoad(c *clusterNode) analysis.Load {
 	return load
 }
 
-// adaptiveEvaluate runs one Section 5.3 decision round for a cluster.
+// adaptiveEvaluate runs one Section 5.3 decision round for a cluster: it
+// measures, local decides, and the cluster acts. A dark cluster has nothing
+// fresh to measure, so it makes no decision.
 func (s *Simulator) adaptiveEvaluate(c *clusterNode) {
 	st := c.adaptive
-	opts := s.opts.Adaptive
-	load := s.observedLoad(c)
-
-	resultsPerQuery := 0.0
-	if st.queriesObserved > 0 {
-		resultsPerQuery = st.resultsObserved / float64(st.queriesObserved)
+	if c.down {
+		st.local.Miss()
+		return
 	}
-
-	// Appendix E probe: judge the most recent neighbor addition only once
-	// enough queries have flowed to compare result rates fairly.
-	const probeMinQueries = 20
-	probeReady := st.probing && st.probeQueries >= probeMinQueries
-	probeGain := false
-	if probeReady {
-		probeGain = st.probeResults/float64(st.probeQueries) > st.resultsBefore*1.02
-	}
-	// Rule III needs a trustworthy horizon: only report the observed
-	// maximum response distance once enough of the cluster's own queries
-	// have been sampled, and let the TTL decay one hop per decision so a
-	// noisy window cannot collapse the reach.
-	const ttlMinQueries = 30
-	maxRespHops := 0
-	if st.ttlWindowQueries >= ttlMinQueries {
-		maxRespHops = st.ttlWindowMaxHops
-	}
-	state := design.LocalState{
-		Load:                       load,
-		Limit:                      opts.Limit,
-		Clients:                    len(c.clients),
-		Outdegree:                  len(c.neighbors),
-		TTL:                        c.ttl,
-		MaxRespHops:                maxRespHops,
-		ClusterGrowing:             len(c.clients) > st.prevClients,
-		ProbedNeighbor:             probeReady,
-		GainedResultsAfterNeighbor: probeGain,
-	}
-	adv := design.Advise(state, opts.Thresholds)
+	adv := st.local.Step(design.Obs{
+		Load: s.observedLoad(c), Limit: s.opts.Adaptive.Limit,
+		Partners: len(c.partners), Clients: len(c.clients), Outdegree: len(c.neighbors), TTL: c.ttl,
+		Queries: st.queries, Results: st.results, MaxRespHops: st.hops,
+	})
+	st.queries, st.results, st.hops = 0, 0, 0
 
 	c.acceptingClients = adv.AcceptClients
-
-	if adv.DropProbedNeighbor && st.probedNeighbor != nil && !st.probedNeighbor.dissolved() {
-		s.removeEdge(c, st.probedNeighbor)
+	if adv.DropProbedNeighbor && st.probed != nil && !st.probed.dissolved() {
+		s.removeEdge(c, st.probed)
 	}
-	if probeReady || adv.DropProbedNeighbor {
-		st.probing = false
-		st.probedNeighbor = nil
-		st.probeQueries = 0
-		st.probeResults = 0
-	}
-
 	switch {
-	case adv.PromotePartner && len(c.partners) == 1 && len(c.clients) >= 2:
+	case adv.Action == design.Promote:
 		s.promotePartner(c)
-	case adv.SplitCluster && len(c.partners) > 1 && len(c.clients) >= 4:
-		// Already redundant and still overloaded: split instead.
+	case adv.Action == design.Split && len(c.clients) >= 4:
 		s.splitCluster(c)
-	case adv.TryCoalesce:
+	case adv.Action == design.Coalesce:
 		s.tryCoalesce(c)
 	}
-
-	if adv.AddNeighbor && !st.probing && len(c.neighbors) < opts.maxOutdegree() {
+	added := false
+	if adv.AddNeighbor && len(c.neighbors) < s.opts.Adaptive.maxOutdegree() {
 		if nb := s.randomNonNeighbor(c); nb != nil {
 			s.addEdge(c, nb)
-			st.probing = true
-			st.probedNeighbor = nb
-			st.resultsBefore = resultsPerQuery
-			st.probeQueries = 0
-			st.probeResults = 0
+			st.probed, added = nb, true
 		}
 	}
-
-	if adv.NewTTL < c.ttl {
-		c.ttl--
-		if c.ttl < adv.NewTTL {
-			c.ttl = adv.NewTTL
-		}
-		st.ttlWindowMaxHops = 0
-		st.ttlWindowQueries = 0
-	} else if st.ttlWindowQueries >= ttlMinQueries {
-		// Horizon checked and the TTL held: start a fresh window.
-		st.ttlWindowMaxHops = 0
-		st.ttlWindowQueries = 0
-	}
-
-	st.prevClients = len(c.clients)
-	st.resultsObserved = 0
-	st.queriesObserved = 0
+	c.ttl = adv.NewTTL
+	st.local.Settle(len(c.clients), added)
 }
 
 // newClientArrival models the bootstrap path: a fresh client asks a random
@@ -247,16 +172,18 @@ func (s *Simulator) newClientArrival() {
 		if target.dissolved() || !target.acceptingClients {
 			continue
 		}
-		c := &clientNode{
-			cluster:  target,
-			files:    prof.Files.Sample(s.rng),
-			lifespan: prof.Lifespans.Sample(s.rng),
-		}
-		target.clients = append(target.clients, c)
-		s.clientJoin(c)
-		s.startClientProcesses(c, false)
+		s.seatClient(target, prof.Files.Sample(s.rng), prof.Lifespans.Sample(s.rng))
 		return
 	}
+}
+
+// seatClient starts a client with the given collection in cluster c: it
+// joins, and its behavior processes begin.
+func (s *Simulator) seatClient(c *clusterNode, files int, lifespan float64) {
+	cl := &clientNode{cluster: c, files: files, lifespan: lifespan}
+	c.clients = append(c.clients, cl)
+	s.clientJoin(cl)
+	s.startClientProcesses(cl, false)
 }
 
 // promotePartner converts the most capable client into a second super-peer
@@ -305,10 +232,7 @@ func (s *Simulator) splitCluster(c *clusterNode) {
 		cl := c.clients[len(c.clients)-1]
 		c.clients = c.clients[:len(c.clients)-1]
 		cl.cluster = nil // retire the old slot
-		moved := &clientNode{cluster: nc, files: cl.files, lifespan: cl.lifespan}
-		nc.clients = append(nc.clients, moved)
-		s.clientJoin(moved)
-		s.startClientProcesses(moved, false)
+		s.seatClient(nc, cl.files, cl.lifespan)
 	}
 
 	// Wire the new cluster into the overlay: to its origin and a couple of
@@ -352,24 +276,18 @@ func (s *Simulator) tryCoalesce(c *clusterNode) {
 	// Move the neighbor's clients over.
 	for _, cl := range smallest.clients {
 		cl.cluster = nil
-		moved := &clientNode{cluster: c, files: cl.files, lifespan: cl.lifespan}
-		c.clients = append(c.clients, moved)
-		s.clientJoin(moved)
-		s.startClientProcesses(moved, false)
+		s.seatClient(c, cl.files, cl.lifespan)
 	}
 	smallest.clients = nil
 
 	// The neighbor's super-peer resigns to client of c.
 	old := smallest.partners[0]
-	resigned := &clientNode{cluster: c, files: old.files, lifespan: old.lifespan}
-	c.clients = append(c.clients, resigned)
-	s.clientJoin(resigned)
-	s.startClientProcesses(resigned, false)
+	s.seatClient(c, old.files, old.lifespan)
 
 	// Rewire: the dissolved cluster's neighbors connect to c so the overlay
 	// stays connected, then it leaves the overlay.
-	smallest.setPartners(nil) // marks the cluster dissolved
-	for _, nb := range neighborList(smallest) {
+	smallest.setPartners(nil)                             // marks the cluster dissolved
+	for _, nb := range slices.Clone(smallest.neighbors) { // removeEdge edits the slice
 		s.removeEdge(smallest, nb)
 		if nb != c {
 			s.addEdge(c, nb)
@@ -422,9 +340,4 @@ func (s *Simulator) addEdge(a, b *clusterNode) {
 func (s *Simulator) removeEdge(a, b *clusterNode) {
 	a.deleteNeighbor(b)
 	b.deleteNeighbor(a)
-}
-
-// neighborList snapshots a cluster's neighbors, for loops that rewire them.
-func neighborList(c *clusterNode) []*clusterNode {
-	return slices.Clone(c.neighbors)
 }

@@ -1,10 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"spnet/internal/analysis"
-	"spnet/internal/design"
 	"spnet/internal/network"
 )
 
@@ -94,10 +94,7 @@ func TestAdaptiveUnderloadCoalesces(t *testing.T) {
 	m, err := Run(inst, Options{
 		Duration: 900, Seed: 8, Churn: false,
 		Adaptive: &AdaptiveOptions{
-			Limit: analysis.Load{InBps: 1e9, OutBps: 1e9, ProcHz: 1e12},
-			Thresholds: design.Thresholds{
-				Coalesce: 0.5, // everything far below this merges
-			},
+			Limit:    analysis.Load{InBps: 1e9, OutBps: 1e9, ProcHz: 1e12},
 			Interval: 60,
 		},
 	})
@@ -154,5 +151,50 @@ func TestAdaptiveStaysDeterministic(t *testing.T) {
 	if a.Aggregate != b.Aggregate || a.FinalClusters != b.FinalClusters ||
 		a.FinalMeanOutdegree != b.FinalMeanOutdegree {
 		t.Error("adaptive run is not deterministic")
+	}
+}
+
+// TestDarkClusterMakesNoDecision: a cluster whose every partner is down
+// measures only the outage, so its evaluation must leave it as it was
+// rather than read the silence as underload and absorb a neighbor's clients,
+// and its first load window after recovery starts at the recovery.
+func TestDarkClusterMakesNoDecision(t *testing.T) {
+	inst := adaptiveBase(t, 1)
+	s, err := New(inst, Options{
+		Duration: 1800, Seed: 2, Churn: true,
+		Adaptive: &AdaptiveOptions{
+			Limit:    analysis.Load{InBps: 5e4, OutBps: 5e4, ProcHz: 1e6},
+			Interval: 60,
+		},
+		Failures: &FailureOptions{
+			RecoveryDelay: 300,
+			Schedule:      ExponentialSchedule(3, len(inst.Clusters), 1, 600, 1800),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.start()
+	evaluated, dark := 0, map[*clusterNode]bool{}
+	for at := 60.0; at <= 1800; at += 60 {
+		s.runUntil(at)
+		for _, c := range s.clusters {
+			if dark[c] && !c.down && c.adaptive.lastEvalAt <= at-60 {
+				t.Fatalf("t=%v: cluster %d recovered, but its load window starts at %v, in the outage", at, c.id, c.adaptive.lastEvalAt)
+			}
+			if dark[c] = c.down && !c.dissolved(); !dark[c] {
+				continue
+			}
+			clients, neighbors, ttl, accepting := len(c.clients), slices.Clone(c.neighbors), c.ttl, c.acceptingClients
+			s.adaptiveEvaluate(c)
+			evaluated++
+			if len(c.clients) != clients || !slices.Equal(c.neighbors, neighbors) || c.ttl != ttl || c.acceptingClients != accepting {
+				t.Fatalf("t=%v: dark cluster %d acted: clients %d -> %d, outdegree %d -> %d, ttl %d -> %d",
+					at, c.id, clients, len(c.clients), len(neighbors), len(c.neighbors), ttl, c.ttl)
+			}
+		}
+	}
+	if evaluated == 0 {
+		t.Fatal("no cluster was dark at any check; the schedule exercised nothing")
 	}
 }

@@ -20,8 +20,9 @@ import "slices"
 //     the failed partner's files and lifespan. Clients join it and a
 //     co-partner hands over its collection.
 //   - Dark clusters. A cluster is dark while every slot is down: its clients'
-//     queries are lost and overlay traffic to it is dropped. The first
-//     replacement ends the outage, and every client re-joins.
+//     queries are lost and overlay traffic to it is dropped, and under
+//     Adaptive it makes no decision. The first replacement ends the outage,
+//     every client re-joins, and the adaptive load window starts afresh.
 type FailureOptions struct {
 	// RecoveryDelay is how long it takes to find and provision a
 	// replacement partner after a failure, in seconds.
@@ -79,6 +80,9 @@ func (s *Simulator) recoverSlot(c *clusterNode, i int) {
 	if c.down {
 		c.down = false
 		c.partners[0] = p // the dead partner's seat
+		if c.adaptive != nil {
+			s.observedLoad(c) // the outage is no load measurement: restart the window
+		}
 	} else {
 		c.setPartners(append(c.partners, p))
 	}

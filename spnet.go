@@ -23,9 +23,10 @@
 //     and expected path length.
 //   - The global design procedure of Figure 10 (Design) and the TTL/EPL
 //     helpers of rule #4 and Appendix F (PredictTTL, MeasureEPL).
-//   - The Section 5.3 local decision rules (Advise) and a deterministic
-//     discrete-event, message-level simulator (Simulate) that validates the
-//     analysis and runs the local rules under churn.
+//   - The Section 5.3 local decision rules (Advise; the simulator and the
+//     fleet controller decide through one stateful step around it) and a
+//     deterministic discrete-event, message-level simulator (Simulate) that
+//     validates the analysis and runs the local rules under churn.
 //   - An experiment harness regenerating every table and figure of the
 //     paper's evaluation (RunExperiment, ExperimentIDs).
 //
@@ -198,15 +199,15 @@ func MeasureEPL(n int, avgOutdegree float64, reach, trials int, seed uint64) (fl
 	return design.MeasureEPL(n, avgOutdegree, reach, trials, stats.NewRNG(seed))
 }
 
-// LocalState, Thresholds and Advice implement the Section 5.3 local decision
-// rules for one super-peer.
+// LocalState and Advice are the Section 5.3 local rules' input and output for
+// one super-peer; Thresholds is empty (the rules use the paper's defaults).
 type (
 	LocalState = design.LocalState
 	Thresholds = design.Thresholds
 	Advice     = design.Advice
 )
 
-// Advise applies the Section 5.3 guidelines to one super-peer's local state.
+// Advise applies the Section 5.3 guidelines to one super-peer's state alone.
 func Advise(s LocalState, th Thresholds) Advice { return design.Advise(s, th) }
 
 // SimOptions, AdaptiveOptions and Measured parameterize the discrete-event
