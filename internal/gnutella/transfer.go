@@ -105,7 +105,10 @@ func (cd *ChunkData) Type() MsgType { return TypeChunkData }
 
 func (cd *ChunkData) frame() ([]byte, error) { return cd.Encode() }
 
-// DecodeChunkData parses an encoded chunk data frame.
+// DecodeChunkData parses an encoded chunk data frame. The returned Data
+// aliases buf (capped at its end, so an append copies): the caller must not
+// reuse buf while the ChunkData is live. ReadMessage allocates a fresh frame
+// per read, so its ChunkData owns its bytes.
 func DecodeChunkData(buf []byte) (*ChunkData, error) {
 	h, err := decodeOneHop(buf, TypeChunkData)
 	if err != nil {
@@ -126,7 +129,7 @@ func DecodeChunkData(buf []byte) (*ChunkData, error) {
 		FileSize:    binary.LittleEndian.Uint64(buf[35:43]),
 	}
 	if len(buf) > 43 {
-		cd.Data = append([]byte(nil), buf[43:]...)
+		cd.Data = buf[43:len(buf):len(buf)]
 	}
 	return cd, nil
 }

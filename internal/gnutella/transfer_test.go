@@ -157,3 +157,35 @@ func TestChunkFramesOverStream(t *testing.T) {
 		}
 	}
 }
+
+// TestChunkDataFramesDoNotShareBuffers: a decoded ChunkData's Data aliases
+// its frame, so two frames read back to back from one stream must land in
+// separate buffers. A reader that reused its frame buffer would overwrite the
+// first chunk's bytes with the second's.
+func TestChunkDataFramesDoNotShareBuffers(t *testing.T) {
+	var stream bytes.Buffer
+	for _, fill := range []byte{'a', 'b'} {
+		m := &ChunkData{FileIndex: 1, Chunk: uint32(fill), TotalChunks: 256, Data: bytes.Repeat([]byte{fill}, 1000)}
+		if err := WriteMessage(&stream, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := ReadMessage(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := ReadMessage(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.(*ChunkData), second.(*ChunkData)
+	if !bytes.Equal(a.Data, bytes.Repeat([]byte{'a'}, 1000)) {
+		t.Error("the first frame's Data changed when the second frame was read")
+	}
+	if !bytes.Equal(b.Data, bytes.Repeat([]byte{'b'}, 1000)) {
+		t.Error("the second frame's Data is wrong")
+	}
+	if cap(a.Data) != len(a.Data) {
+		t.Errorf("Data has cap %d beyond its length %d: an append would write into the frame", cap(a.Data), len(a.Data))
+	}
+}

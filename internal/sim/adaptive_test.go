@@ -198,3 +198,61 @@ func TestDarkClusterMakesNoDecision(t *testing.T) {
 		t.Fatal("no cluster was dark at any check; the schedule exercised nothing")
 	}
 }
+
+// TestPartnerChangeRestartsLoadWindow: when a multi-partner cluster loses a
+// partner or seats a replacement, its load window starts afresh. Otherwise
+// the window's counter sum drops by the failed partner's counts, or averages
+// in a partner that was not there, and the next evaluation can read a
+// negative load as underload and coalesce.
+func TestPartnerChangeRestartsLoadWindow(t *testing.T) {
+	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 300,
+		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 7, KRedundancy: 3}
+	inst := generate(t, cfg, lowVarProfile(), 1)
+	s, err := New(inst, Options{
+		Duration: 1800, Seed: 2, Churn: true,
+		Adaptive: &AdaptiveOptions{
+			Limit:    analysis.Load{InBps: 5e4, OutBps: 5e4, ProcHz: 1e6},
+			Interval: 60,
+		},
+		Failures: &FailureOptions{
+			RecoveryDelay: 300,
+			Schedule:      ExponentialSchedule(3, len(inst.Clusters), 3, 600, 1800),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.start()
+	const step = 5.0
+	partners, changes := map[*clusterNode]int{}, 0
+	for at := step; at <= 1800; at += step {
+		s.runUntil(at)
+		for _, c := range s.clusters {
+			if c.dissolved() || c.down {
+				continue
+			}
+			st := c.adaptive
+			var in, out, proc float64
+			for _, p := range c.partners {
+				in += p.counters.bytesIn
+				out += p.counters.bytesOut
+				proc += p.counters.procU
+			}
+			if in < st.lastIn || out < st.lastOut || proc < st.lastProc {
+				t.Fatalf("t=%v: cluster %d's window reads negative load: in %v < %v, out %v < %v, proc %v < %v",
+					at, c.id, in, st.lastIn, out, st.lastOut, proc, st.lastProc)
+			}
+			if n, ok := partners[c]; ok && n != len(c.partners) {
+				changes++
+				if st.lastEvalAt <= at-step {
+					t.Fatalf("t=%v: cluster %d went from %d to %d partners, but its load window starts at %v",
+						at, c.id, n, len(c.partners), st.lastEvalAt)
+				}
+			}
+			partners[c] = len(c.partners)
+		}
+	}
+	if changes == 0 {
+		t.Fatal("no partner set changed at any check; the schedule exercised nothing")
+	}
+}

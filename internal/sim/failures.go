@@ -18,7 +18,8 @@ import "slices"
 //     dead process.
 //   - Recovery. A slot comes back RecoveryDelay after its own failure, with
 //     the failed partner's files and lifespan. Clients join it and a
-//     co-partner hands over its collection.
+//     co-partner hands over its collection. Under Adaptive, each failure or
+//     recovery starts the cluster's load window afresh.
 //   - Dark clusters. A cluster is dark while every slot is down: its clients'
 //     queries are lost and overlay traffic to it is dropped, and under
 //     Adaptive it makes no decision. The first replacement ends the outage,
@@ -60,10 +61,22 @@ func (s *Simulator) failSlot(c *clusterNode, i int) {
 	if len(c.partners) > 1 {
 		failed := c.slots[i]
 		c.setPartners(slices.DeleteFunc(c.partners, func(p *partnerNode) bool { return p == failed }))
+		s.restartLoadWindow(c)
 	} else {
 		c.down = true
 	}
 	s.sched.schedule(s.opts.Failures.RecoveryDelay, func() { s.recoverSlot(c, i) })
+}
+
+// restartLoadWindow starts an adaptive cluster's load window afresh when its
+// partner set changes. The window sums its partners' counters, so a partner
+// that leaves takes its counts out of the sum, and one that arrives would be
+// averaged over a window it was not in: either misreads the load, possibly as
+// negative. An outage is no load measurement either.
+func (s *Simulator) restartLoadWindow(c *clusterNode) {
+	if c.adaptive != nil {
+		s.observedLoad(c)
+	}
 }
 
 // recoverSlot seats a replacement in slot i with the failed partner's files
@@ -80,12 +93,10 @@ func (s *Simulator) recoverSlot(c *clusterNode, i int) {
 	if c.down {
 		c.down = false
 		c.partners[0] = p // the dead partner's seat
-		if c.adaptive != nil {
-			s.observedLoad(c) // the outage is no load measurement: restart the window
-		}
 	} else {
 		c.setPartners(append(c.partners, p))
 	}
+	s.restartLoadWindow(c)
 	for _, cl := range c.clients {
 		s.clientJoinOne(cl, p)
 	}

@@ -3,6 +3,7 @@ package transfer
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"spnet/internal/content"
@@ -10,26 +11,45 @@ import (
 
 func TestFillContentDeterministicAndWindowed(t *testing.T) {
 	const title = "free jazz classics"
-	whole := make([]byte, 1000)
+	whole := make([]byte, 3*DefaultChunkSize)
 	FillContent(title, 0, whole)
 
-	again := make([]byte, 1000)
+	again := make([]byte, len(whole))
 	FillContent(title, 0, again)
 	if !bytes.Equal(whole, again) {
 		t.Fatal("same (title, offset, len) produced different bytes")
 	}
 
-	// Any window must agree with the whole.
-	win := make([]byte, 100)
-	FillContent(title, 357, win)
-	if !bytes.Equal(win, whole[357:457]) {
-		t.Error("windowed fill disagrees with whole-file fill")
+	// Any window must agree with the whole, also one that starts mid-block,
+	// crosses a 16-byte keystream block or a 64 KiB chunk boundary, or is
+	// filled into a dirty buffer.
+	for _, w := range []struct{ off, n int }{
+		{357, 100}, {15, 2}, {65535, 2}, {65535, 40}, {65536 + 15, 17}, {65536 + 15, DefaultChunkSize},
+	} {
+		win := bytes.Repeat([]byte{0xAA}, w.n)
+		FillContent(title, int64(w.off), win)
+		if !bytes.Equal(win, whole[w.off:w.off+w.n]) {
+			t.Errorf("window [%d, %d) disagrees with the whole file", w.off, w.off+w.n)
+		}
 	}
 
 	other := make([]byte, 1000)
 	FillContent(title+"!", 0, other)
-	if bytes.Equal(whole, other) {
+	if bytes.Equal(whole[:1000], other) {
 		t.Error("different titles produced identical bytes")
+	}
+}
+
+// TestFillContentKnownAnswer pins the content definition: the first 32
+// bytes are the AES-128-CTR keystream under sha256(title)[:16] from counter
+// 0, as an independent AES implementation computes them. Every ContentHash,
+// and so every fleet's agreement on what a file is, hangs on these bytes.
+func TestFillContentKnownAnswer(t *testing.T) {
+	got := make([]byte, 32)
+	FillContent("free jazz classics", 0, got)
+	const want = "a51cc96c3cb087374eb9408045d9a32a4cb33f519d81a8ffeffc1c3a86387fa9"
+	if hex.EncodeToString(got) != want {
+		t.Errorf("content at offset 0 = %x, want %s", got, want)
 	}
 }
 
@@ -160,5 +180,28 @@ func TestStoreAddSampledDeterministic(t *testing.T) {
 		if fa[i] != fb[i] {
 			t.Fatalf("file %d differs across equal seeds: %+v vs %+v", i, fa[i], fb[i])
 		}
+	}
+}
+
+var benchSink []byte
+
+func BenchmarkFillContent(b *testing.B) {
+	buf := make([]byte, DefaultChunkSize)
+	b.SetBytes(DefaultChunkSize)
+	for i := 0; i < b.N; i++ {
+		FillContent("bench payload", int64(i)*DefaultChunkSize, buf)
+	}
+}
+
+// BenchmarkStoreChunkData is the serving side's cost per 64 KiB chunk: the
+// allocation and the content fill behind every ChunkData frame.
+func BenchmarkStoreChunkData(b *testing.B) {
+	s := NewStore(StoreOptions{MinFileSize: 4 << 20, MaxFileSize: 4 << 20})
+	f := s.Add("bench payload")
+	chunks := uint32(f.NumChunks(s.ChunkSize()))
+	b.SetBytes(int64(s.ChunkSize()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _, _ = s.ChunkData(f.Index, uint32(i)%chunks)
 	}
 }

@@ -520,9 +520,12 @@ func (d *download) banLocked(idx, c int) {
 // is a forged chunk: debit the source's trust, ban it from the chunk, and
 // requeue; a collapsed posterior retires the source entirely.
 func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
+	// d.man is fixed before any source starts, so the sources verify in
+	// parallel, off the ledger lock.
+	c := int(m.Chunk)
+	good := c < d.man.NumChunks() && len(m.Data) == d.man.ChunkLen(c) && sha256.Sum256(m.Data) == d.man.Hashes[c]
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	c := int(m.Chunk)
 	if c >= len(d.have) || d.claimed[c] != idx {
 		return nil
 	}
@@ -531,8 +534,7 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
 	if d.have[c] {
 		return nil
 	}
-	want := d.man.Hashes[c]
-	if len(m.Data) != d.man.ChunkLen(c) || sha256.Sum256(m.Data) != want {
+	if !good {
 		d.forged++
 		d.srcStats[idx].Forged++
 		d.book.Observe(idx, false)
