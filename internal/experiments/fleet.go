@@ -53,8 +53,8 @@ func (b bridge) supervised(seed uint64, attempts int) p2p.DialOptions {
 // fleet is one live cell: a network.Live wired from an overlay graph, the
 // grid of clients dialed into its clusters, and the clock the cell's
 // schedules replay on. It owns what every live experiment repeats — boot,
-// dial, wait for the fleet to be whole, replay arrivals and faults, scrape —
-// so an experiment is left with its scenario and its measurements.
+// dial, wait for the fleet to be whole, replay arrivals and faults, read the
+// meters — so an experiment is left with its scenario and its measurements.
 type fleet struct {
 	bridge
 	live     *network.Live
@@ -326,18 +326,16 @@ func (f *fleet) socketBytes() int64 {
 	return total
 }
 
-// scrape reads every super-peer's per-class wire-byte totals off its
-// telemetry endpoint, in the harness's stable slot order, dialing from the
-// fleet controller's vantage point with 5 s per scrape.
-func (f *fleet) scrape() ([]metrics.ByClass, error) {
+// classBytes reads every super-peer's per-class wire-byte totals off its
+// Table 2 meter, in the harness's stable slot order. A killed slot reads
+// zero.
+func (f *fleet) classBytes() []metrics.ByClass {
 	sps := f.live.SuperPeers()
 	out := make([]metrics.ByClass, len(sps))
-	client := f.live.Net(network.ControllerLabel).HTTPClient(5 * time.Second)
 	for i, sp := range sps {
-		var err error
-		if out[i], err = metrics.ScrapeClassBytes(client, sp.Telemetry); err != nil {
-			return nil, err
+		if n := f.live.Node(sp.Cluster, sp.Partner); n != nil {
+			out[i] = n.Metrics().Load.BytesByClass()
 		}
 	}
-	return out, nil
+	return out
 }

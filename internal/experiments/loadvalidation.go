@@ -12,8 +12,8 @@ import (
 
 // loadScenario is the model-vs-measured load validation: the same small
 // deterministic network is evaluated analytically, simulated, and run as
-// real TCP super-peers with telemetry scraped over HTTP, then the three
-// per-super-peer bandwidth measurements are laid side by side.
+// real TCP super-peers whose Table 2 meters are read in process, then the
+// three per-super-peer bandwidth measurements are laid side by side.
 //
 // The configuration is chosen so all three layers describe the same system
 // exactly: k = 1 (the live flood sends to every partner of every neighbor,
@@ -53,8 +53,8 @@ type LoadValidationRow struct {
 	Model metrics.ByClass
 	// Sim is the simulator's measurement (Measured.SuperPeerClassBps).
 	Sim metrics.ByClass
-	// Live is the telemetry-scraped measurement, converted to virtual
-	// seconds through the time bridge. Only classes the model drives
+	// Live is the metered measurement, converted to virtual seconds
+	// through the time bridge. Only classes the model drives
 	// (query, response) are meaningful for comparison.
 	Live metrics.ByClass
 }
@@ -145,7 +145,7 @@ func runLoadValidation(s Scenario) (*LoadValidationResult, error) {
 				n, p.Clients, p.QueryRate),
 			fmt.Sprintf("live window %g virtual s at time-scale %g (%.1f wall s); simulator %g virtual s",
 				s.Live.Duration, s.Live.TimeScale, s.Live.Duration/s.Live.TimeScale, s.SimDuration),
-			"live column scraped from each super-peer's /metrics endpoint (spnet_message_bytes_total)",
+			"live column read off each super-peer's Table 2 meter (the bytes spnet_message_bytes_total exports)",
 			"query and response classes are the compared components; joins are one-shot live vs rate-based in the model, pings and busy have no analytical counterpart",
 		},
 		Tables: []Table{{

@@ -9,7 +9,7 @@ import (
 )
 
 // TestLoadValidationE2E boots the full three-way validation on a small
-// deterministic configuration: live TCP super-peers with scraped telemetry
+// deterministic configuration: live TCP super-peers read through their meters
 // against the analytical model and the discrete-event simulator. The live
 // measured query+response bandwidth must agree with the analytical
 // prediction within a tolerance dominated by Poisson sampling noise. Three

@@ -93,11 +93,10 @@ func TestSelfHealControllerPartition(t *testing.T) {
 	}
 	leakCheck(t)
 	f, err := launchFleet(network.LiveConfig{
-		Clusters:  2,
-		Partners:  2,
-		Seed:      23,
-		Telemetry: true,
-		Node:      p2p.Options{MaxClients: 4, TTL: 7, DrainTimeout: 100 * time.Millisecond},
+		Clusters: 2,
+		Partners: 2,
+		Seed:     23,
+		Node:     p2p.Options{MaxClients: 4, TTL: 7, DrainTimeout: 100 * time.Millisecond},
 	}, 1, t.Logf)
 	if err != nil {
 		t.Fatalf("launch: %v", err)

@@ -350,18 +350,17 @@ const (
 //
 // What the scenario kills shapes the rest: only then are clients supervised
 // (a watchdog, backoff and one failover lap per cycle, their losses and
-// rejoins timed), and only a fleet nobody kills is drained and scraped for
-// per-class deltas, since a restart resets a node's counters.
+// rejoins timed), and only a fleet nobody kills is drained and its meters
+// read for per-class deltas, since a restart resets a node's counters.
 func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMeasured, error) {
 	var m LiveMeasured
 	p, adv := s.Planted, s.Adversary
 	trust := adv != nil && adv.Trust
 	killing := s.Failures != nil
 	cfg := network.LiveConfig{
-		Overlay:   inst.Graph,
-		Partners:  p.Partners,
-		Seed:      s.Seed,
-		Telemetry: true,
+		Overlay:  inst.Graph,
+		Partners: p.Partners,
+		Seed:     s.Seed,
 		Node: p2p.Options{
 			TTL:               p.TTL,
 			MaxClients:        s.ClientCapacity,
@@ -485,9 +484,7 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 	f.count(-1, &m)
 	var base []metrics.ByClass
 	if !killing {
-		if base, err = f.scrape(); err != nil {
-			return m, err
-		}
+		base = f.classBytes()
 	}
 	start, kills := window(s.Seed, s.timeline(), true)
 	m.Kills = kills
@@ -499,10 +496,7 @@ func (s *Scenario) live(inst *network.Instance, strat routing.Strategy) (LiveMea
 		// virtual second — late-firing arrivals dilate elapsed time and the
 		// division self-corrects for it.
 		elapsed := f.virtual(time.Since(start))
-		end, err := f.scrape()
-		if err != nil {
-			return m, err
-		}
+		end := f.classBytes()
 		for i, sp := range f.live.SuperPeers() {
 			delta := end[i]
 			delta.Merge(base[i].Scale(-1))

@@ -64,9 +64,9 @@ type TransferBenchResult struct {
 	Pred *analysis.TransferPrediction
 	// Clean is the live clean-download measurement.
 	Clean *transfer.Result
-	// WireScraped is the transfer-class wire-byte total (both directions)
-	// scraped from every super-peer's telemetry across the clean download.
-	WireScraped float64
+	// WireMetered is the transfer-class wire-byte total (both directions)
+	// read off every super-peer's Table 2 meter across the clean download.
+	WireMetered float64
 	// Kill is the failover drill.
 	Kill TransferKill
 	// Sources is how many sources the overlay query surfaced.
@@ -80,25 +80,21 @@ func (r *TransferBenchResult) ThroughputRelErr() float64 {
 	return relErr(r.Clean.ThroughputBps, r.Pred.ThroughputBps)
 }
 
-// WireRelErr compares scraped transfer-class wire bytes with the predicted
+// WireRelErr compares metered transfer-class wire bytes with the predicted
 // protocol total.
 func (r *TransferBenchResult) WireRelErr() float64 {
-	return relErr(r.WireScraped, float64(r.Pred.WireBytes))
+	return relErr(r.WireMetered, float64(r.Pred.WireBytes))
 }
 
-// scrapeTransferBytes sums the transfer-class wire bytes (both directions)
-// over every live super-peer's telemetry endpoint.
-func scrapeTransferBytes(f *fleet) (float64, error) {
-	scraped, err := f.scrape()
-	if err != nil {
-		return 0, err
-	}
+// transferBytes sums the transfer-class wire bytes (both directions) over
+// every live super-peer's meter.
+func transferBytes(f *fleet) float64 {
 	var total float64
-	for _, b := range scraped {
+	for _, b := range f.classBytes() {
 		total += b.Sum(metrics.DirIn, metrics.ClassTransfer)
 		total += b.Sum(metrics.DirOut, metrics.ClassTransfer)
 	}
-	return total, nil
+	return total
 }
 
 // discoverSources queries the settled overlay from one node and distills
@@ -141,10 +137,9 @@ func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error)
 	f := store.Add(transferBenchTitle)
 
 	cell, err := launchFleet(network.LiveConfig{
-		Clusters:  transferSources,
-		Partners:  1,
-		Seed:      seed,
-		Telemetry: true,
+		Clusters: transferSources,
+		Partners: 1,
+		Seed:     seed,
 		Node: p2p.Options{
 			Content:           store,
 			TransferRate:      transferSourceRate,
@@ -178,12 +173,9 @@ func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error)
 
 	wantHash := transfer.ContentHash(f.Title, f.Size)
 
-	// Clean download, bracketed by telemetry scrapes so the wire-byte column
+	// Clean download, bracketed by meter reads so the wire-byte column
 	// covers exactly this transfer.
-	wireBase, err := scrapeTransferBytes(cell)
-	if err != nil {
-		return nil, err
-	}
+	wireBase := transferBytes(cell)
 	clean, err := transfer.Fetch(sources, fetchOpts(seed))
 	if err != nil {
 		return nil, fmt.Errorf("transferbench: clean download: %w", err)
@@ -191,10 +183,7 @@ func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error)
 	if clean.Hash != wantHash {
 		return nil, fmt.Errorf("transferbench: clean download hash mismatch")
 	}
-	wireEnd, err := scrapeTransferBytes(cell)
-	if err != nil {
-		return nil, err
-	}
+	wireEnd := transferBytes(cell)
 
 	// Failover drill: same download, one source killed mid-transfer.
 	killCluster := transferSources - 1
@@ -245,7 +234,7 @@ func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error)
 	res := &TransferBenchResult{
 		Pred:        pred,
 		Clean:       clean,
-		WireScraped: wireEnd - wireBase,
+		WireMetered: wireEnd - wireBase,
 		Sources:     len(sources),
 		Kill: TransferKill{
 			KilledAddr: killAddr,
@@ -268,10 +257,10 @@ func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error)
 				fmt.Sprintf("%.3f", clean.Elapsed.Seconds()),
 				fmt.Sprintf("%.1f%%", 100*relErr(clean.Elapsed.Seconds(), pred.DurationSec))},
 			{"wire bytes (transfer class)", fmt.Sprintf("%d", pred.WireBytes),
-				fmt.Sprintf("%.0f", res.WireScraped),
+				fmt.Sprintf("%.0f", res.WireMetered),
 				fmt.Sprintf("%.1f%%", 100*res.WireRelErr())},
 			{"protocol efficiency", fmt.Sprintf("%.4f", pred.Efficiency),
-				fmt.Sprintf("%.4f", float64(clean.Size)/math.Max(res.WireScraped, 1)), ""},
+				fmt.Sprintf("%.4f", float64(clean.Size)/math.Max(res.WireMetered, 1)), ""},
 			{"chunks", fmt.Sprintf("%d", pred.Chunks), fmt.Sprintf("%d", clean.Chunks), ""},
 			{"sources", fmt.Sprintf("%d", transferSources), fmt.Sprintf("%d", res.Sources), ""},
 		},
@@ -297,7 +286,7 @@ func runTransferBench(seed uint64, fileSize int64) (*TransferBenchResult, error)
 				transferSources, f.Size, transferChunkSize, float64(transferSourceRate)),
 			"sources discovered through a real overlay query (QueryHit responder addresses), not configured",
 			"model: window pipelining keeps every source service-bound, so throughput = sources × per-source rate cap",
-			"wire column scraped from each super-peer's /metrics endpoint (spnet_message_bytes_total{type=\"transfer\"})",
+			"wire column read off each super-peer's Table 2 meter (transfer class, both directions)",
 			fmt.Sprintf("failover drill killed one source at %.0f%% of the predicted duration; download completed on the survivors",
 				100*transferKillFraction),
 		},

@@ -8,8 +8,9 @@ import (
 
 // TestTransferBenchEndToEnd is the acceptance drill for the transfer plane:
 // live multi-source throughput must land within 30% of the analytical
-// prediction, the transfer-class wire accounting must match the protocol
-// model, and the killed-source download must complete with the hash intact.
+// prediction, the transfer-class wire bytes the super-peers meter must equal
+// the protocol model's exactly, and the killed-source download must complete
+// with the hash intact.
 func TestTransferBenchEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live network run")
@@ -28,9 +29,9 @@ func TestTransferBenchEndToEnd(t *testing.T) {
 		t.Errorf("live throughput %.0f B/s vs predicted %.0f B/s: rel err %.1f%%, want <= 30%%",
 			res.Clean.ThroughputBps, res.Pred.ThroughputBps, 100*e)
 	}
-	if e := res.WireRelErr(); e > 0.10 {
-		t.Errorf("scraped transfer wire bytes %.0f vs predicted %d: rel err %.1f%%, want <= 10%%",
-			res.WireScraped, res.Pred.WireBytes, 100*e)
+	if res.WireMetered != float64(res.Pred.WireBytes) {
+		t.Errorf("metered transfer wire bytes %.0f, want exactly the predicted %d",
+			res.WireMetered, res.Pred.WireBytes)
 	}
 	if res.Kill.Recovery <= 0 {
 		t.Errorf("failover drill recovery %v, want > 0", res.Kill.Recovery)

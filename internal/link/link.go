@@ -11,12 +11,10 @@ package link
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -123,21 +121,6 @@ func (l meteredListener) Accept() (net.Conn, error) {
 	return l.meter(c), nil
 }
 
-// HTTPClient returns a client that dials every request afresh through n —
-// so a partition bites at once and no pooled connection outlives a restart —
-// and gives each request, dial included, timeout.
-func (n Net) HTTPClient(timeout time.Duration) *http.Client {
-	return &http.Client{
-		Timeout: timeout,
-		Transport: &http.Transport{
-			DisableKeepAlives: true,
-			DialContext: func(_ context.Context, _, addr string) (net.Conn, error) {
-				return n.Dial(addr, timeout)
-			},
-		},
-	}
-}
-
 // Framing is what a plane sets once for every Conn it makes.
 type Framing struct {
 	// Bound is how long a frame may take to finish arriving once its first
@@ -191,21 +174,21 @@ func (c *Conn) LastFrame() time.Time { return time.Unix(0, c.last.Load()) }
 func (c *Conn) Read(p []byte) (int, error) { return c.br.Read(p) }
 
 // Send writes one frame within the given time, serialized against the
-// Conn's other senders, and meters it once written. Each Send sets its own
-// write deadline, so a stale one never outlives the next.
+// Conn's other senders. Each Send sets its own write deadline, so a stale
+// one never outlives the next. The frame is metered before it is written, so
+// a reader that holds it can rely on the sender's out meter already counting
+// it; a frame whose write fails is counted as sent, and since the Conn is
+// then retired that is at most one frame per dead link.
 func (c *Conn) Send(m gnutella.Message, within time.Duration) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if err := c.Conn.SetWriteDeadline(time.Now().Add(within)); err != nil {
 		return err
 	}
-	if err := gnutella.WriteMessage(c.Conn, m); err != nil {
-		return err
-	}
 	if c.f.Meter != nil {
 		c.f.Meter(metrics.DirOut, m)
 	}
-	return nil
+	return gnutella.WriteMessage(c.Conn, m)
 }
 
 // Recv reads and meters the next frame. With a zero deadline the wait for

@@ -164,6 +164,19 @@ func (c choppyConn) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// stallConn delivers each write and then holds Write until release closes,
+// like a socket whose write call is slow to return after the peer has read.
+type stallConn struct {
+	net.Conn
+	release <-chan struct{}
+}
+
+func (c stallConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	<-c.release
+	return n, err
+}
+
 // ends are two Conns joined by net.Pipe, each framed with the same bound and
 // metering into its own counts.
 type ends struct {
@@ -251,6 +264,7 @@ func (e *ends) metered(t *testing.T, a, b [2]int64) {
 }
 
 // TestConn is Conn's frame contract: metering once per frame and direction,
+// an out meter that counts a frame before its reader can hold it,
 // a zero-deadline Recv that waits unbounded for a frame to start but not for
 // one to finish, a deadline that expires between frames and leaves the Conn
 // usable, Sends that never interleave, and keepalive: a Ping answered once,
@@ -282,6 +296,24 @@ func TestConn(t *testing.T) {
 				}
 			}
 			e.metered(t, [2]int64{1, 1}, [2]int64{1, 1})
+		}},
+		{"a frame is metered before its write returns", false, func(t *testing.T, e *ends) {
+			release := make(chan struct{})
+			e.a = newConn(stallConn{e.a.Conn, release}, e.a.f)
+			sent := make(chan error, 1)
+			go func() { sent <- e.a.Send(&gnutella.Busy{ID: gnutella.GUID{5}, TTL: 1}, time.Second) }()
+			m, err := e.b.Recv(time.Time{})
+			out := e.am[metrics.DirOut].Load()
+			close(release)
+			if err != nil || m.Type() != gnutella.TypeBusy {
+				t.Fatalf("b.Recv = %v, %v; want the Busy", m, err)
+			}
+			if err := <-sent; err != nil {
+				t.Fatalf("Send: %v", err)
+			}
+			if out != 1 {
+				t.Errorf("a metered %d out while b held the frame, want 1", out)
+			}
 		}},
 		{"idle Recv outlives the frame bound", false, func(t *testing.T, e *ends) {
 			e.waitsThenReceives(t, bound)

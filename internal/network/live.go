@@ -2,12 +2,10 @@ package network
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 
 	"spnet/internal/faults"
 	"spnet/internal/link"
-	"spnet/internal/metrics"
 	"spnet/internal/p2p"
 	"spnet/internal/topology"
 )
@@ -31,11 +29,6 @@ type LiveConfig struct {
 	Partners int
 	// Seed, offset by the slot number, is each super-peer's RoutingSeed.
 	Seed uint64
-	// Telemetry starts a loopback HTTP server per super-peer serving the
-	// node's metrics registry (Prometheus text, pprof) — the same handler
-	// spnet-node exposes for -telemetry. Addresses are pinned across
-	// kill/restart and reported by SuperPeers.
-	Telemetry bool
 	// Node is the base configuration applied to every super-peer; its Net
 	// is overwritten to route through the fault controller, and its
 	// RoutingSeed with the slot's.
@@ -60,13 +53,10 @@ func (c *LiveConfig) setDefaults() {
 }
 
 // liveNode is one super-peer slot. The listen address is pinned at launch so
-// a restarted super-peer reappears where clients and peers expect it; the
-// telemetry address is pinned the same way so scrapers survive restarts.
+// a restarted super-peer reappears where clients and peers expect it.
 type liveNode struct {
-	node    *p2p.Node // nil while killed
-	addr    string
-	telAddr string       // telemetry HTTP address, "" unless LiveConfig.Telemetry
-	telSrv  *http.Server // nil while killed or telemetry disabled
+	node *p2p.Node // nil while killed
+	addr string
 }
 
 // Live runs a real super-peer network on loopback and orchestrates churn
@@ -95,8 +85,8 @@ func label(cluster, partner int) string { return fmt.Sprintf("sp-%d-%d", cluster
 
 // Net is the transport of fault label lbl: TCP through the fault
 // controller, so isolating lbl blackholes everything listened or dialed on
-// it. Every slot's node and telemetry server use their own label's; the
-// fleet controller and the harness's scrapes dial on ControllerLabel's.
+// it. Each slot's node is the only listener on its own label's; the fleet
+// controller dials on ControllerLabel's.
 func (l *Live) Net(lbl string) link.Net { return l.ctrl.Net(lbl, link.Net{}) }
 
 // Overlay returns the graph the fleet is wired from (the default ring when
@@ -122,10 +112,6 @@ func (l *Live) Launch() error {
 			}
 			ln.addr = ln.node.Addr()
 			l.nodes[c][p] = ln
-			if err := l.startTelemetryLocked(ln, label(c, p)); err != nil {
-				l.closeLocked()
-				return err
-			}
 		}
 	}
 	for c := range l.nodes {
@@ -139,46 +125,15 @@ func (l *Live) Launch() error {
 	return nil
 }
 
-// startTelemetryLocked serves the slot node's metrics registry over HTTP,
-// listening on the slot's fault label lbl so a partition blackholes scrapes
-// too; the node's meter never sees these bytes. The first start picks a free
-// loopback port; restarts rebind the pinned address.
-func (l *Live) startTelemetryLocked(ln *liveNode, lbl string) error {
-	if !l.cfg.Telemetry {
-		return nil
-	}
-	addr := ln.telAddr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	lis, err := l.Net(lbl).Listen(addr)
-	if err != nil {
-		return err
-	}
-	ln.telAddr = lis.Addr().String()
-	ln.telSrv = &http.Server{Handler: metrics.Handler(ln.node.Metrics().Registry())}
-	go ln.telSrv.Serve(lis)
-	return nil
-}
-
-// stopTelemetry shuts a slot's telemetry server down, keeping the pinned
-// address for a later restart. Safe on nil.
-func stopTelemetry(srv *http.Server) {
-	if srv != nil {
-		srv.Close()
-	}
-}
-
 // SuperPeerInfo identifies one live super-peer slot. The Live harness reports
 // slots in stable cluster-major, partner-minor order with addresses pinned
-// across kill/restart, so scrape loops and result tables are deterministic.
+// across kill/restart, so measurement loops and result tables are
+// deterministic.
 type SuperPeerInfo struct {
 	Cluster int    // cluster index: the slot's overlay node
 	Partner int    // partner rank within the cluster
 	ID      string // stable label, "sp-<cluster>-<partner>"
 	Addr    string // p2p listen address (pinned across restarts)
-	// Telemetry is the HTTP metrics address, "" unless LiveConfig.Telemetry.
-	Telemetry string
 }
 
 // SuperPeers enumerates every super-peer slot in stable cluster-major,
@@ -195,7 +150,7 @@ func (l *Live) SuperPeers() []SuperPeerInfo {
 			}
 			out = append(out, SuperPeerInfo{
 				Cluster: c, Partner: p,
-				ID: label(c, p), Addr: ln.addr, Telemetry: ln.telAddr,
+				ID: label(c, p), Addr: ln.addr,
 			})
 		}
 	}
@@ -266,14 +221,11 @@ func (l *Live) KillSuperPeer(cluster, partner int) error {
 	l.mu.Lock()
 	ln := l.nodes[cluster][partner]
 	n := ln.node
-	srv := ln.telSrv
 	ln.node = nil
-	ln.telSrv = nil
 	l.mu.Unlock()
 	if n == nil {
 		return fmt.Errorf("network: super-peer %d/%d already dead", cluster, partner)
 	}
-	stopTelemetry(srv)
 	l.ctrl.ResetNode(label(cluster, partner))
 	return n.Close()
 }
@@ -296,11 +248,6 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 		return err
 	}
 	ln.node = n
-	if err := l.startTelemetryLocked(ln, label(cluster, partner)); err != nil {
-		ln.node = nil
-		n.Close()
-		return err
-	}
 	return l.connectLocked(cluster, partner, n, false)
 }
 
@@ -313,8 +260,8 @@ func (l *Live) RestartSuperPeer(cluster, partner int) error {
 const ControllerLabel = "controller"
 
 // PartitionController cuts the fleet controller off from every node: its
-// control links blackhole and its scrapes fail, while the overlay itself
-// keeps running — the control plane's graceful-degradation drill.
+// control links blackhole, while the overlay itself keeps running — the
+// control plane's graceful-degradation drill.
 func (l *Live) PartitionController() { l.ctrl.Isolate(ControllerLabel) }
 
 // HealController reverses PartitionController.
@@ -358,12 +305,7 @@ func (l *Live) closeLocked() error {
 	var first error
 	for _, cluster := range l.nodes {
 		for _, ln := range cluster {
-			if ln == nil {
-				continue
-			}
-			stopTelemetry(ln.telSrv)
-			ln.telSrv = nil
-			if ln.node == nil {
+			if ln == nil || ln.node == nil {
 				continue
 			}
 			if err := ln.node.Close(); err != nil && first == nil {

@@ -382,3 +382,55 @@ func TestLiveWiresOverlay(t *testing.T) {
 		})
 	}
 }
+
+// TestLiveSuperPeersStableOrder pins the enumeration contract experiments
+// rely on for deterministic measurement loops and result tables:
+// cluster-major, partner-minor order with IDs and addresses stable across
+// kill/restart.
+func TestLiveSuperPeersStableOrder(t *testing.T) {
+	lv := NewLive(LiveConfig{Clusters: 3, Partners: 2, Seed: 5})
+	if err := lv.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	defer lv.Close()
+
+	sps := lv.SuperPeers()
+	if len(sps) != 6 {
+		t.Fatalf("got %d super-peers, want 6", len(sps))
+	}
+	for i, sp := range sps {
+		wantC, wantP := i/2, i%2
+		if sp.Cluster != wantC || sp.Partner != wantP {
+			t.Errorf("slot %d = cluster %d partner %d, want %d/%d", i, sp.Cluster, sp.Partner, wantC, wantP)
+		}
+		if want := fmt.Sprintf("sp-%d-%d", wantC, wantP); sp.ID != want {
+			t.Errorf("slot %d ID = %q, want %q", i, sp.ID, want)
+		}
+		if sp.Addr == "" {
+			t.Errorf("slot %d has no address", i)
+		}
+	}
+
+	before := sps
+	if err := lv.KillSuperPeer(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	after := lv.SuperPeers()
+	if len(after) != len(before) {
+		t.Fatalf("enumeration changed size after kill: %d -> %d", len(before), len(after))
+	}
+	for i := range before {
+		if before[i] != after[i] {
+			t.Errorf("slot %d changed after kill: %+v -> %+v", i, before[i], after[i])
+		}
+	}
+	if err := lv.RestartSuperPeer(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	restarted := lv.SuperPeers()
+	for i := range before {
+		if before[i] != restarted[i] {
+			t.Errorf("slot %d changed after restart: %+v -> %+v", i, before[i], restarted[i])
+		}
+	}
+}

@@ -15,7 +15,8 @@ import (
 
 // TestTelemetryScrape boots a real super-peer, drives traffic through it,
 // and scrapes its telemetry surface over HTTP — the same handler spnet-node
-// serves for -telemetry.
+// serves for -telemetry. Every Table 2 cell of the exposition must equal the
+// node's meter exactly.
 func TestTelemetryScrape(t *testing.T) {
 	node := NewNode(Options{HeartbeatInterval: -1})
 	if err := node.Listen("127.0.0.1:0"); err != nil {
@@ -75,6 +76,29 @@ func TestTelemetryScrape(t *testing.T) {
 		}
 	}
 
+	// The client sends no heartbeats, so the node's meter is still once the
+	// search is over: every Table 2 cell of the exposition is its value.
+	load := node.Metrics().Load
+	for c := 0; c < metrics.NumClasses; c++ {
+		for d := 0; d < metrics.NumDirs; d++ {
+			k, dir := metrics.Class(c), metrics.Dir(d)
+			for _, cell := range []struct {
+				name string
+				want int64
+			}{
+				{metrics.MetricMessageBytes, load.Bytes(k, dir)},
+				{metrics.MetricMessages, load.Messages(k, dir)},
+			} {
+				key := metrics.SeriesKey(cell.name,
+					metrics.Label{Name: "type", Value: k.String()},
+					metrics.Label{Name: "dir", Value: dir.String()})
+				if got, ok := vals[key]; !ok || got != float64(cell.want) {
+					t.Errorf("scraped %s = %v (present %v), want the meter's %d", key, got, ok, cell.want)
+				}
+			}
+		}
+	}
+
 	if body := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
 		t.Error("/debug/pprof/ does not list profiles")
 	}
@@ -82,7 +106,8 @@ func TestTelemetryScrape(t *testing.T) {
 
 // TestRegisterIsTheMeter: the Register a node sends in reply to a Poll
 // reports exactly what its /metrics says. The in bytes include the Poll;
-// the out bytes exclude the Register itself, which is metered once sent.
+// the out bytes exclude the Register itself, which is metered after its
+// counts are read and before it is written.
 func TestRegisterIsTheMeter(t *testing.T) {
 	node := NewNode(Options{HeartbeatInterval: -1})
 	if err := node.Listen("127.0.0.1:0"); err != nil {

@@ -449,7 +449,8 @@ type (
 
 // TelemetryHandler serves a registry over HTTP: Prometheus text format on
 // /metrics and the net/http/pprof profiles on /debug/pprof/. spnet-node's
-// -telemetry flag and LiveConfig.Telemetry use this same handler.
+// -telemetry flag uses this same handler; to serve a LiveNetwork slot's
+// telemetry, mount TelemetryHandler(lv.Node(c, k).Metrics().Registry()).
 func TelemetryHandler(reg *MetricsRegistry) http.Handler { return metrics.Handler(reg) }
 
 // Fleet control plane: a FleetController reads every super-peer's load and
