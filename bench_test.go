@@ -136,33 +136,14 @@ func reportSimEvents(b *testing.B, events int, vsec float64) {
 
 // Core-engine micro-benchmarks.
 
-// BenchmarkGenerate measures instance generation (Step 1): PLOD topology,
-// peer sampling and the Appendix B expectations for a 2000-peer network;
-// BenchmarkGenerate10k is the same at paper scale.
-func BenchmarkGenerate(b *testing.B)    { benchmarkGenerate(b, 2000) }
-func BenchmarkGenerate10k(b *testing.B) { benchmarkGenerate(b, 10000) }
-
-func benchmarkGenerate(b *testing.B, peers int) {
-	cfg := spnet.DefaultConfig()
-	cfg.GraphSize = peers
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := spnet.Generate(cfg, nil, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkEvaluate measures the mean-value analysis (Steps 2-3) over a
 // 2000-peer power-law instance: one BFS per source cluster plus response
-// flow accumulation; BenchmarkEvaluate10k is the same at paper scale (1000
-// clusters, TTL 7), the number bench/ reports as analysis.evaluate_ms.10k.
-func BenchmarkEvaluate(b *testing.B)    { benchmarkEvaluate(b, 2000) }
-func BenchmarkEvaluate10k(b *testing.B) { benchmarkEvaluate(b, 10000) }
-
-func benchmarkEvaluate(b *testing.B, peers int) {
+// flow accumulation. bench/'s analysis-10k workload times the same at paper
+// scale (analysis.evaluate_ms.10k), with instance generation and the clique
+// fast path beside it.
+func BenchmarkEvaluate(b *testing.B) {
 	cfg := spnet.DefaultConfig()
-	cfg.GraphSize = peers
+	cfg.GraphSize = 2000
 	inst, err := spnet.Generate(cfg, nil, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -175,22 +156,6 @@ func benchmarkEvaluate(b *testing.B, peers int) {
 		results = res.ResultsPerQuery
 	}
 	b.ReportMetric(results, "results/query")
-}
-
-// BenchmarkEvaluateClique measures the closed-form clique fast path at the
-// cluster-size-1 extreme (10000 super-peers) that would otherwise need a
-// 5×10⁷-edge graph.
-func BenchmarkEvaluateClique(b *testing.B) {
-	cfg := spnet.Config{GraphType: spnet.Strong, GraphSize: 10000, ClusterSize: 1, TTL: 1}
-	inst, err := spnet.Generate(cfg, nil, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		spnet.Evaluate(inst)
-	}
 }
 
 // BenchmarkSimulate measures the discrete-event simulator's event

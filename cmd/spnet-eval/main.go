@@ -48,9 +48,11 @@ func main() {
 	cfg := spnet.Config{
 		GraphSize:    *size,
 		ClusterSize:  *cluster,
-		Redundancy:   *redundancy,
 		AvgOutdegree: *outdeg,
 		TTL:          *ttl,
+	}
+	if *redundancy {
+		cfg.KRedundancy = 2
 	}
 	switch *graphType {
 	case "power":

@@ -177,11 +177,9 @@ func churnDemo() {
 				fmt.Println("  event: connection to super-peer lost")
 			case spnet.EventBackoff:
 				fmt.Printf("  event: backing off %v before attempt %d\n", e.Delay, e.Attempt)
-			case spnet.EventReconnected:
-				fmt.Printf("  event: reconnected to redundant partner %s\n", e.Addr)
 			case spnet.EventRejoined:
 				rejoinedAt = time.Now()
-				fmt.Println("  event: collection re-joined on the new super-peer")
+				fmt.Printf("  event: collection re-joined on redundant partner %s\n", e.Addr)
 			}
 		},
 	}, []spnet.SharedFile{{Index: 1, Title: "Footprints Live"}})

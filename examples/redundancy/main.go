@@ -25,7 +25,7 @@ func main() {
 		TTL:         1,
 	}
 	redundant := base
-	redundant.Redundancy = true
+	redundant.KRedundancy = 2
 	half := base
 	half.ClusterSize = 50
 

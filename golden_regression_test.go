@@ -178,7 +178,7 @@ func TestGoldenSimFailures(t *testing.T) {
 	// A replayed fault schedule on 2-redundant clusters: the co-partner
 	// carries on and each slot comes back on its own.
 	cfg := goldenConfig()
-	cfg.Redundancy = true
+	cfg.KRedundancy = 2
 	inst, err = spnet.Generate(cfg, nil, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestGoldenSimRouting(t *testing.T) {
 
 func TestGoldenSimAdversary(t *testing.T) {
 	cfg := goldenConfig()
-	cfg.Redundancy = true
+	cfg.KRedundancy = 2
 	inst, err := spnet.Generate(cfg, nil, 11)
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ func TestBreakdownSumsToAggregate(t *testing.T) {
 		{GraphType: network.PowerLaw, GraphSize: 500, ClusterSize: 10, AvgOutdegree: 3.1, TTL: 7},
 		{GraphType: network.Strong, GraphSize: 400, ClusterSize: 20, TTL: 1},
 		{GraphType: network.Strong, GraphSize: 300, ClusterSize: 10, TTL: 3},
-		{GraphType: network.PowerLaw, GraphSize: 400, ClusterSize: 8, AvgOutdegree: 3.1, TTL: 5, Redundancy: true},
+		{GraphType: network.PowerLaw, GraphSize: 400, ClusterSize: 8, AvgOutdegree: 3.1, TTL: 5, KRedundancy: 2},
 		{GraphType: network.PowerLaw, GraphSize: 300, ClusterSize: 9, KRedundancy: 3, AvgOutdegree: 3.1, TTL: 4},
 	} {
 		res := Evaluate(generate(t, cfg, nil, 30))

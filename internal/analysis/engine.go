@@ -36,12 +36,6 @@ type Result struct {
 	// Section 4.1 copy count; strategy evaluations scale it down.
 	QueryForwardsPerQuery float64
 
-	// Transfer, when set, is the analytical expectation for the content
-	// transfer workload the caller pairs with this instance (PredictTransfer).
-	// Evaluate never populates it: downloads are priced independently of the
-	// query-path model and attached by callers that run both.
-	Transfer *TransferPrediction
-
 	spShared     []rawLoad // per cluster: query-path load of the virtual super-peer (split across partners)
 	spPerPartner []rawLoad // per cluster: join/update load each partner bears in full
 	clientBase   []rawLoad // per cluster: per-client load excluding the join component

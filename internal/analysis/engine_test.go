@@ -239,7 +239,7 @@ func TestBandwidthConservation(t *testing.T) {
 		{GraphType: network.Strong, GraphSize: 200, ClusterSize: 10, TTL: 1},
 		{GraphType: network.Strong, GraphSize: 200, ClusterSize: 10, TTL: 3},
 		{GraphType: network.PowerLaw, GraphSize: 400, ClusterSize: 10, AvgOutdegree: 3.1, TTL: 7},
-		{GraphType: network.PowerLaw, GraphSize: 400, ClusterSize: 8, AvgOutdegree: 3.1, TTL: 7, Redundancy: true},
+		{GraphType: network.PowerLaw, GraphSize: 400, ClusterSize: 8, AvgOutdegree: 3.1, TTL: 7, KRedundancy: 2},
 		{GraphType: network.PowerLaw, GraphSize: 300, ClusterSize: 1, AvgOutdegree: 3.1, TTL: 5},
 	}
 	for _, cfg := range cases {
@@ -256,7 +256,7 @@ func TestBandwidthConservation(t *testing.T) {
 // AllNodeLoads.
 func TestAggregateIsSumOfIndividuals(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 300, ClusterSize: 6,
-		AvgOutdegree: 3.1, TTL: 4, Redundancy: true}
+		AvgOutdegree: 3.1, TTL: 4, KRedundancy: 2}
 	inst := generate(t, cfg, nil, 5)
 	res := Evaluate(inst)
 	var sum Load
@@ -383,9 +383,11 @@ func TestRandomConfigInvariantsProperty(t *testing.T) {
 		cfg := network.Config{
 			GraphSize:    size,
 			ClusterSize:  cs,
-			Redundancy:   red,
 			TTL:          int(ttlRaw) % 8,
 			AvgOutdegree: 1 + float64(degRaw%5),
+		}
+		if red {
+			cfg.KRedundancy = 2
 		}
 		if strong {
 			cfg.GraphType = network.Strong

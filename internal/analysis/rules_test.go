@@ -112,7 +112,7 @@ func TestRule1IncomingBandwidthException(t *testing.T) {
 func TestRule2RedundancyHelps(t *testing.T) {
 	plain := network.Config{GraphType: network.Strong, GraphSize: 2000, ClusterSize: 100, TTL: 1}
 	red := plain
-	red.Redundancy = true
+	red.KRedundancy = 2
 	prof := lowVarProfile()
 	// Client counts are N(c̄, .2c̄) per cluster, so single instances of a
 	// 20-cluster system are noisy; average over trials (the paper's Step 4).
@@ -154,7 +154,7 @@ func TestRule2RedundancyHelps(t *testing.T) {
 // the individual load of a non-redundant super-peer [of half the] cluster").
 func TestRule2RedundancyVsHalfClusters(t *testing.T) {
 	red := network.Config{GraphType: network.Strong, GraphSize: 2000, ClusterSize: 100,
-		TTL: 1, Redundancy: true}
+		TTL: 1, KRedundancy: 2}
 	half := network.Config{GraphType: network.Strong, GraphSize: 2000, ClusterSize: 50, TTL: 1}
 	prof := lowVarProfile()
 	sr, err := RunTrials(red, prof, 20, 25)
@@ -226,7 +226,7 @@ func TestRule4MinimizeTTL(t *testing.T) {
 func TestAppendixCLowQueryRate(t *testing.T) {
 	cfg := network.Config{GraphType: network.Strong, GraphSize: 1000, ClusterSize: 100, TTL: 1}
 	red := cfg
-	red.Redundancy = true
+	red.KRedundancy = 2
 
 	defProf := lowVarProfile()
 	lowProf := lowVarProfile()

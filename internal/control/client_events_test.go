@@ -46,9 +46,9 @@ func (l *eventLog) count(typ p2p.EventType) (n, first int) {
 // story from the client's point of view and pins the Event contract: kill
 // the client's super-peer while the surviving partner is at capacity, let
 // the controller promote the survivor, and require the supervised client to
-// emit conn-lost → dial-failed (refused while full) → reconnected → rejoined
-// in causal order, with the terminal transitions firing exactly once — no
-// duplicate reconnects, no spurious give-up.
+// emit conn-lost → dial-failed (refused while full) → rejoined in causal
+// order, with the terminal transitions firing exactly once — no duplicate
+// reconnects, no spurious give-up.
 func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 	// Two partners with capacity 1 each. n0 hosts the watched client; n1 is
 	// pre-filled by a squatter so the failover target starts Busy.
@@ -117,15 +117,14 @@ func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 	events := log.snapshot()
 
 	lost, lostAt := log.count(p2p.EventConnLost)
-	reconn, reconnAt := log.count(p2p.EventReconnected)
 	rejoin, rejoinAt := log.count(p2p.EventRejoined)
 	failed, failedAt := log.count(p2p.EventDialFailed)
 	gaveUp, _ := log.count(p2p.EventGaveUp)
 
 	// Exactly once: one death seen, one successful re-home, one re-join.
-	if lost != 1 || reconn != 1 || rejoin != 1 {
-		t.Errorf("want exactly one conn-lost/reconnected/rejoined, got %d/%d/%d\nevents: %v",
-			lost, reconn, rejoin, events)
+	if lost != 1 || rejoin != 1 {
+		t.Errorf("want exactly one conn-lost/rejoined, got %d/%d\nevents: %v",
+			lost, rejoin, events)
 	}
 	if gaveUp != 0 {
 		t.Errorf("client gave up during a recoverable failover\nevents: %v", events)
@@ -136,13 +135,15 @@ func TestClientEventOrderAcrossPromotedFailover(t *testing.T) {
 		t.Errorf("no dial-failed events — survivor never refused while full\nevents: %v", events)
 	}
 	// Causal order: the death is observed first, refusals happen before the
-	// successful reconnect, and the metadata re-join is last.
-	if !(lostAt < failedAt && failedAt < reconnAt && reconnAt < rejoinAt) {
-		t.Errorf("events out of causal order: conn-lost@%d dial-failed@%d reconnected@%d rejoined@%d\nevents: %v",
-			lostAt, failedAt, reconnAt, rejoinAt, events)
+	// successful re-join.
+	if !(lostAt < failedAt && failedAt < rejoinAt) {
+		t.Errorf("events out of causal order: conn-lost@%d dial-failed@%d rejoined@%d\nevents: %v",
+			lostAt, failedAt, rejoinAt, events)
 	}
-	// The reconnect landed on the promoted partner, not the dead one.
-	if events[reconnAt].Addr != n1.Addr() {
-		t.Errorf("reconnected to %s, want promoted partner %s", events[reconnAt].Addr, n1.Addr())
+	// The re-join landed on the promoted partner, not the dead one, on the
+	// attempt after the last refusal: one cycle, one refusal per attempt.
+	if e := events[rejoinAt]; e.Addr != n1.Addr() || e.Attempt != failed {
+		t.Errorf("rejoined %s on attempt %d, want promoted partner %s on attempt %d\nevents: %v",
+			e.Addr, e.Attempt, n1.Addr(), failed, events)
 	}
 }

@@ -70,8 +70,6 @@ type Options struct {
 	Trials int
 	// Seed for the candidate evaluations.
 	Seed uint64
-	// MaxTTL bounds step 4's TTL escalation (0 = 7, the Gnutella default).
-	MaxTTL int
 	// Workers bounds the candidate-evaluation worker pool (0 = GOMAXPROCS,
 	// 1 = serial). The selected plan is identical at any setting: candidates
 	// evaluate speculatively in worker-sized batches and the batch results
@@ -116,10 +114,6 @@ func Run(goals Goals, cons Constraints, opts Options) (*Plan, error) {
 	if trials <= 0 {
 		trials = 2
 	}
-	maxTTL := opts.MaxTTL
-	if maxTTL <= 0 {
-		maxTTL = 7
-	}
 
 	plan := &Plan{}
 	logf := func(format string, args ...any) {
@@ -130,7 +124,7 @@ func Run(goals Goals, cons Constraints, opts Options) (*Plan, error) {
 	logf("step 1: desired reach %d peers in a network of %d", reach, goals.NetworkSize)
 
 	for attempt := 0; attempt < 6; attempt++ {
-		cfg, pred, err := searchTTLAndCluster(goals.NetworkSize, reach, cons, opts, trials, maxTTL, logf)
+		cfg, pred, err := searchTTLAndCluster(goals.NetworkSize, reach, cons, opts, trials, logf)
 		if err == nil {
 			plan.Config = cfg
 			plan.Predicted = pred
@@ -153,8 +147,11 @@ func Run(goals Goals, cons Constraints, opts Options) (*Plan, error) {
 	return nil, fmt.Errorf("%w for goals %+v under %+v", ErrInfeasible, goals, cons)
 }
 
+// maxTTL bounds step 4's TTL escalation: 7, the Gnutella default.
+const maxTTL = 7
+
 // searchTTLAndCluster runs steps 2–5 for a fixed reach goal.
-func searchTTLAndCluster(size, reach int, cons Constraints, opts Options, trials, maxTTL int,
+func searchTTLAndCluster(size, reach int, cons Constraints, opts Options, trials int,
 	logf func(string, ...any)) (network.Config, *analysis.TrialSummary, error) {
 
 	// Candidates that exceed the individual load limit stay infeasible at
@@ -311,7 +308,7 @@ func tryCandidate(size, reach, ttl, cs int, redundant bool, cons Constraints, op
 			GraphType:    network.PowerLaw,
 			GraphSize:    size,
 			ClusterSize:  cs,
-			Redundancy:   redundant,
+			KRedundancy:  partners,
 			AvgOutdegree: float64(d),
 			TTL:          ttl,
 		}

@@ -50,7 +50,7 @@ func TestProcedureGnutellaRedesignShape(t *testing.T) {
 		t.Errorf("reach was reduced by %v, expected full goal met", plan.ReachShortfall)
 	}
 	conns := cfg.ClusterSize - cfg.Partners() + int(cfg.AvgOutdegree)*cfg.Partners()
-	if cfg.Redundancy {
+	if cfg.Redundant() {
 		conns++
 	}
 	if conns > 100 {

@@ -30,7 +30,7 @@ func runBreakdown(p Params) (*Report, error) {
 			AvgOutdegree: 3.1, TTL: 7}},
 		{"2-redundant (cluster 50, strong, TTL 1)", network.Config{
 			GraphType: network.Strong, GraphSize: size, ClusterSize: 50,
-			Redundancy: true, TTL: 1}},
+			KRedundancy: 2, TTL: 1}},
 	}
 
 	bwRows := make([][]string, 0, len(configs))

@@ -42,7 +42,7 @@ func caseStudyConfigs(p Params) (size int, configs []struct {
 		}),
 		mk("New w/ Red.", network.Config{
 			GraphType: network.PowerLaw, GraphSize: size, ClusterSize: 10,
-			Redundancy: true, AvgOutdegree: 18, TTL: 2,
+			KRedundancy: 2, AvgOutdegree: 18, TTL: 2,
 		}),
 	}
 	return size, configs
@@ -111,7 +111,7 @@ func runFig11(p Params) (*Report, error) {
 		Columns: []string{"Cluster Size", "Redundancy", "Avg Outdegree", "TTL", "SP In (bps)", "SP Out (bps)", "SP Proc (Hz)", "Reach (peers)"},
 		Rows: [][]string{{
 			fmt.Sprint(plan.Config.ClusterSize),
-			fmt.Sprint(plan.Config.Redundancy),
+			fmt.Sprint(plan.Config.Redundant()),
 			fmt.Sprintf("%.0f", plan.Config.AvgOutdegree),
 			fmt.Sprint(plan.Config.TTL),
 			fmtEng(plan.Predicted.SuperPeer.InBps.Mean),

@@ -8,11 +8,11 @@ import (
 
 // sweepSystem describes one curve of a cluster-size sweep.
 type sweepSystem struct {
-	label      string
-	graphType  network.GraphType
-	redundancy bool
-	outdegree  float64
-	ttl        int
+	label     string
+	graphType network.GraphType
+	partners  int // k of k-redundancy
+	outdegree float64
+	ttl       int
 }
 
 // paperSweepSystems returns the four systems of Figures 4–5: the strongly
@@ -20,10 +20,10 @@ type sweepSystem struct {
 // with average outdegree 3.1 and TTL 7, each with and without 2-redundancy.
 func paperSweepSystems() []sweepSystem {
 	return []sweepSystem{
-		{"Strong", network.Strong, false, 0, 1},
-		{"Strong, Redundancy", network.Strong, true, 0, 1},
-		{"Power, Avg Outdeg=3.1", network.PowerLaw, false, 3.1, 7},
-		{"Power, Avg Outdeg=3.1, Redundancy", network.PowerLaw, true, 3.1, 7},
+		{"Strong", network.Strong, 1, 0, 1},
+		{"Strong, Redundancy", network.Strong, 2, 0, 1},
+		{"Power, Avg Outdeg=3.1", network.PowerLaw, 1, 3.1, 7},
+		{"Power, Avg Outdeg=3.1, Redundancy", network.PowerLaw, 2, 3.1, 7},
 	}
 }
 
@@ -42,7 +42,7 @@ func clusterSweep(p Params, prof *workload.Profile, systems []sweepSystem,
 	var tasks []task
 	for si := range systems {
 		for _, cs := range sizes {
-			if systems[si].redundancy && cs < 2 {
+			if cs < systems[si].partners {
 				continue
 			}
 			tasks = append(tasks, task{si, cs})
@@ -58,7 +58,7 @@ func clusterSweep(p Params, prof *workload.Profile, systems []sweepSystem,
 			GraphType:    sys.graphType,
 			GraphSize:    graphSize,
 			ClusterSize:  t.cs,
-			Redundancy:   sys.redundancy,
+			KRedundancy:  sys.partners,
 			AvgOutdegree: sys.outdegree,
 			TTL:          sys.ttl,
 		}

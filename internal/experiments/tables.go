@@ -21,7 +21,7 @@ func runTable1(Params) (*Report, error) {
 				{"Graph Type", cfg.GraphType.String(), "strongly connected or power-law"},
 				{"Graph Size", fmt.Sprint(cfg.GraphSize), "number of peers in the network"},
 				{"Cluster Size", fmt.Sprint(cfg.ClusterSize), "nodes per cluster, incl. the super-peer"},
-				{"Redundancy", fmt.Sprint(cfg.Redundancy), "whether super-peer 2-redundancy is used"},
+				{"Redundancy", fmt.Sprint(cfg.Redundant()), "whether super-peer 2-redundancy is used"},
 				{"Avg. Outdegree", fmt.Sprint(cfg.AvgOutdegree), "average outdegree of a super-peer"},
 				{"TTL", fmt.Sprint(cfg.TTL), "time-to-live of a query message"},
 				{"Query Rate", fmtEng(rates.QueryRate), "expected queries per user per second"},

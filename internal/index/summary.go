@@ -3,25 +3,18 @@ package index
 import "sort"
 
 // Summary is a content digest of an index (or a union of indexes): the set of
-// distinct title terms present, with document and owner counts for memory
-// accounting. It is what a super-peer advertises to overlay neighbors so a
-// routing-index strategy can prune forwards — a query can only match behind a
-// link whose aggregated summary contains every query term — and what the
-// neighbor stores per link, at cost proportional to distinct terms rather
-// than indexed files.
+// distinct title terms present. It is what a super-peer advertises to
+// overlay neighbors so a routing-index strategy can prune forwards — a query
+// can only match behind a link whose aggregated summary contains every query
+// term — and what the neighbor stores per link, at cost proportional to
+// distinct terms rather than indexed files.
 type Summary struct {
-	terms  map[string]struct{}
-	docs   int
-	owners int
+	terms map[string]struct{}
 }
 
 // Summary digests the index's current content.
 func (ix *Index) Summary() *Summary {
-	s := &Summary{
-		terms:  make(map[string]struct{}, len(ix.postings)),
-		docs:   len(ix.docs),
-		owners: len(ix.byOwner),
-	}
+	s := &Summary{terms: make(map[string]struct{}, len(ix.postings))}
 	for t := range ix.postings {
 		s.terms[t] = struct{}{}
 	}
@@ -29,43 +22,13 @@ func (ix *Index) Summary() *Summary {
 }
 
 // NewSummary builds a summary directly from a term list, as when decoding an
-// advertisement received over the wire. Doc and owner counts are zero.
+// advertisement received over the wire.
 func NewSummary(terms []string) *Summary {
 	s := &Summary{terms: make(map[string]struct{}, len(terms))}
 	for _, t := range terms {
 		s.terms[t] = struct{}{}
 	}
 	return s
-}
-
-// NumTerms returns the number of distinct terms in the digest.
-func (s *Summary) NumTerms() int { return len(s.terms) }
-
-// Docs returns the number of documents the digest covers (summed across
-// merged sources; a document indexed by two merged indexes counts twice).
-func (s *Summary) Docs() int { return s.docs }
-
-// Owners returns the number of owner sets the digest covers (summed across
-// merged sources).
-func (s *Summary) Owners() int { return s.owners }
-
-// Has reports whether the digest contains the term.
-func (s *Summary) Has(term string) bool {
-	_, ok := s.terms[term]
-	return ok
-}
-
-// Covers reports whether a conjunctive query over the given terms could match
-// content behind this digest: every term must be present. An empty query is
-// covered (it constrains nothing), matching Strategy semantics where
-// term-less queries flood.
-func (s *Summary) Covers(terms []string) bool {
-	for _, t := range terms {
-		if _, ok := s.terms[t]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Terms returns the digest's term set, sorted for deterministic encoding.
@@ -93,8 +56,6 @@ func MergeSummary(dst *Summary, srcs ...*Summary) *Summary {
 		for t := range src.terms {
 			dst.terms[t] = struct{}{}
 		}
-		dst.docs += src.docs
-		dst.owners += src.owners
 	}
 	return dst
 }

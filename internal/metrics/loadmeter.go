@@ -138,8 +138,8 @@ const (
 	// "forged" (failed trust validation).
 	MetricHitsDropped = "spnet_query_hits_dropped_total"
 	// MetricPeerReputation gauges the beta-posterior reliability score of
-	// each neighbor super-peer link, labeled by peer id. Registered per link
-	// when trust-aware mode is on.
+	// each neighbor super-peer link, labeled by peer id. Present while the
+	// link is up, when trust-aware mode is on.
 	MetricPeerReputation = "spnet_peer_reputation"
 	// MetricControlDirectives counts control-plane directives received from a
 	// fleet controller, labeled by result: "applied" or "stale" (epoch at or
@@ -267,7 +267,7 @@ func (s Source) String() string {
 // load meter, raw connection byte counters, the open-connection gauge,
 // executed processing units, query outcome counters split by shed reason and
 // source class, and the query service-time histogram. Live super-peers own
-// one each; the simulator exports the same schema per simulated super-peer.
+// one each.
 type NodeMetrics struct {
 	reg *Registry
 

@@ -5,8 +5,8 @@
 // The package exists to make the paper's load model measurable: every byte
 // and message a node sends or receives is attributed to the Table 2 load
 // taxonomy {query, response, join, update, busy, ping} × {in, out} (see
-// LoadMeter), so live nodes and simulated nodes report load under the same
-// metric names the analytical model predicts.
+// LoadMeter, and ByClass, the same cells the simulator and the analytical
+// model fill), so a live node's load reads in the model's own units.
 //
 // All hot-path update operations (Counter.Add, FloatCounter.Add, Gauge.Set,
 // Histogram.Observe, LoadMeter.Observe, MeteredConn.Read/Write) are
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,6 +142,26 @@ func (r *Registry) register(name, help string, k kind, s *series) {
 	}
 	f.byKey[key] = true
 	f.series = append(f.series, s)
+}
+
+// Unregister removes the series registered under name with these labels, if
+// there is one; the other series keep their order. A family left with no
+// series goes too, so the exposition reads as if the series had never been
+// registered.
+func (r *Registry) Unregister(name string, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.byName[name]
+	key := renderLabels(sortLabels(labels))
+	if f == nil || !f.byKey[key] {
+		return
+	}
+	delete(f.byKey, key)
+	f.series = slices.DeleteFunc(f.series, func(s *series) bool { return renderLabels(s.labels) == key })
+	if len(f.series) == 0 {
+		delete(r.byName, name)
+		r.order = slices.DeleteFunc(r.order, func(g *family) bool { return g == f })
+	}
 }
 
 func sortLabels(labels []Label) []Label {

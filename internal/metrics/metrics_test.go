@@ -58,6 +58,37 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 	r.Gauge("x_total", "x", Label{"a", "1"})
 }
 
+func TestRegistryUnregister(t *testing.T) {
+	expo := func(r *Registry) string {
+		var b strings.Builder
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	r := NewRegistry()
+	r.Gauge("g", "g", Label{"peer", "0"}).Set(10)
+	r.Gauge("g", "g", Label{"peer", "1"}).Set(11)
+	r.Gauge("g", "g", Label{"peer", "2"}).Set(12)
+	r.Counter("c_total", "c")
+
+	r.Unregister("g", Label{"peer", "1"})
+	r.Unregister("g", Label{"peer", "9"}) // no such series
+	want := "# HELP g g\n# TYPE g gauge\n" + `g{peer="0"} 10` + "\n" + `g{peer="2"} 12` + "\n" +
+		"# HELP c_total c\n# TYPE c_total counter\nc_total 0\n"
+	if got := expo(r); got != want {
+		t.Fatalf("after one Unregister:\n%s\nwant:\n%s", got, want)
+	}
+
+	// The last series takes its family with it, and the name is free again.
+	r.Unregister("g", Label{"peer", "0"})
+	r.Unregister("g", Label{"peer", "2"})
+	if got, want := expo(r), "# HELP c_total c\n# TYPE c_total counter\nc_total 0\n"; got != want {
+		t.Fatalf("after every series went:\n%s\nwant:\n%s", got, want)
+	}
+	r.Gauge("g", "g", Label{"peer", "1"})
+}
+
 func TestSeriesKeySortsLabels(t *testing.T) {
 	got := SeriesKey("m", Label{"type", "query"}, Label{"dir", "in"})
 	want := `m{dir="in",type="query"}`

@@ -42,11 +42,8 @@ type Config struct {
 	// super-peer itself (default 10). A pure P2P network is the degenerate
 	// case ClusterSize = 1.
 	ClusterSize int
-	// Redundancy enables 2-redundant "virtual" super-peers (Section 3.2).
-	Redundancy bool
-	// KRedundancy optionally generalizes redundancy to k partners per
-	// virtual super-peer. 0 defers to the Redundancy flag (k = 2 when set,
-	// else 1); values >= 1 take precedence. The paper introduces
+	// KRedundancy is k, the number of partners per "virtual" super-peer
+	// (Section 3.2); 0 means 1, no redundancy. The paper introduces
 	// k-redundancy for general k but evaluates only k = 2 because the
 	// number of super-peer connections grows as k²; general k is provided
 	// as an extension (see the kredundancy experiment).
@@ -57,9 +54,6 @@ type Config struct {
 	AvgOutdegree float64
 	// TTL is the time-to-live of query messages (default 7).
 	TTL int
-	// PLODAlpha is the power-law credit exponent for PowerLaw graphs;
-	// 0 selects the generator default.
-	PLODAlpha float64
 }
 
 // DefaultConfig returns the Table 1 defaults: a power-law network of 10000
@@ -69,7 +63,6 @@ func DefaultConfig() Config {
 		GraphType:    PowerLaw,
 		GraphSize:    10000,
 		ClusterSize:  10,
-		Redundancy:   false,
 		AvgOutdegree: 3.1,
 		TTL:          7,
 	}
@@ -126,15 +119,10 @@ func (c Config) MeanClients() float64 {
 	return float64(c.ClusterSize - c.Partners())
 }
 
-// Partners returns the number of super-peer partners per cluster: k for a
-// k-redundant configuration (KRedundancy, or 2 when the Redundancy flag is
-// set), 1 otherwise.
+// Partners returns k, the number of super-peer partners per cluster.
 func (c Config) Partners() int {
 	if c.KRedundancy >= 1 {
 		return c.KRedundancy
-	}
-	if c.Redundancy {
-		return 2
 	}
 	return 1
 }

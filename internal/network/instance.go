@@ -84,11 +84,7 @@ func Generate(cfg Config, prof *workload.Profile, rng *stats.RNG) (*Instance, er
 		if n == 1 {
 			g = topology.NewClique(1)
 		} else {
-			pg, err := topology.PowerLaw(topology.PLODParams{
-				N:      n,
-				AvgDeg: cfg.AvgOutdegree,
-				Alpha:  cfg.PLODAlpha,
-			}, rng.Split(1))
+			pg, err := topology.PowerLaw(topology.PLODParams{N: n, AvgDeg: cfg.AvgOutdegree}, rng.Split(1))
 			if err != nil {
 				return nil, fmt.Errorf("network: generating topology: %w", err)
 			}

@@ -21,7 +21,7 @@ func mustGenerate(t *testing.T, cfg Config, seed uint64) *Instance {
 func TestDefaultConfigMatchesTable1(t *testing.T) {
 	c := DefaultConfig()
 	if c.GraphType != PowerLaw || c.GraphSize != 10000 || c.ClusterSize != 10 ||
-		c.Redundancy || c.AvgOutdegree != 3.1 || c.TTL != 7 {
+		c.Redundant() || c.AvgOutdegree != 3.1 || c.TTL != 7 {
 		t.Errorf("DefaultConfig() = %+v does not match Table 1", c)
 	}
 	if err := c.Validate(); err != nil {
@@ -42,7 +42,7 @@ func TestConfigValidation(t *testing.T) {
 		"zero size":        mk(func(c *Config) { c.GraphSize = 0 }),
 		"zero cluster":     mk(func(c *Config) { c.ClusterSize = 0 }),
 		"cluster too big":  mk(func(c *Config) { c.ClusterSize = c.GraphSize + 1 }),
-		"redundant size 1": mk(func(c *Config) { c.ClusterSize = 1; c.Redundancy = true }),
+		"redundant size 1": mk(func(c *Config) { c.ClusterSize = 1; c.KRedundancy = 2 }),
 		"negative ttl":     mk(func(c *Config) { c.TTL = -1 }),
 		"tiny outdegree":   mk(func(c *Config) { c.AvgOutdegree = 0.2 }),
 		"huge outdegree":   mk(func(c *Config) { c.AvgOutdegree = 1e6 }),
@@ -65,7 +65,7 @@ func TestMeanClientsAndPartners(t *testing.T) {
 	if c.MeanClients() != 9 || c.Partners() != 1 {
 		t.Errorf("non-redundant: clients %v partners %d", c.MeanClients(), c.Partners())
 	}
-	c.Redundancy = true
+	c.KRedundancy = 2
 	if c.MeanClients() != 8 || c.Partners() != 2 {
 		t.Errorf("redundant: clients %v partners %d", c.MeanClients(), c.Partners())
 	}
@@ -119,7 +119,7 @@ func TestGenerateClusterSizeDistribution(t *testing.T) {
 func TestGenerateRedundant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.GraphSize = 1000
-	cfg.Redundancy = true
+	cfg.KRedundancy = 2
 	inst := mustGenerate(t, cfg, 3)
 	for i := range inst.Clusters {
 		cl := &inst.Clusters[i]
@@ -289,7 +289,7 @@ func TestConnectionCounts(t *testing.T) {
 		}
 	}
 
-	cfg.Redundancy = true
+	cfg.KRedundancy = 2
 	inst = mustGenerate(t, cfg, 9)
 	if inst.ClientConns() != 2 {
 		t.Errorf("redundant ClientConns = %d, want 2", inst.ClientConns())
@@ -350,7 +350,9 @@ func TestGenerateInvariantsProperty(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.GraphSize = size
 		cfg.ClusterSize = clusterSize
-		cfg.Redundancy = red
+		if red {
+			cfg.KRedundancy = 2
+		}
 		inst, err := Generate(cfg, nil, stats.NewRNG(seed))
 		if err != nil {
 			return false
@@ -412,16 +414,17 @@ func TestKRedundancyGeneralizes(t *testing.T) {
 	}
 }
 
-func TestKRedundancyPrecedence(t *testing.T) {
+func TestKRedundancyZeroMeansOnePartner(t *testing.T) {
 	c := DefaultConfig()
-	c.Redundancy = true
-	c.KRedundancy = 1 // explicit k overrides the flag
-	if c.Partners() != 1 || c.Redundant() {
-		t.Errorf("KRedundancy=1 should mean a single partner: %d", c.Partners())
+	for _, k := range []int{0, 1} {
+		c.KRedundancy = k
+		if c.Partners() != 1 || c.Redundant() {
+			t.Errorf("KRedundancy=%d should mean a single partner: %d", k, c.Partners())
+		}
 	}
-	c.KRedundancy = 0
-	if c.Partners() != 2 {
-		t.Errorf("flag fallback broken: %d", c.Partners())
+	c.KRedundancy = 3
+	if c.Partners() != 3 || !c.Redundant() {
+		t.Errorf("KRedundancy=3: partners %d, redundant %v", c.Partners(), c.Redundant())
 	}
 }
 

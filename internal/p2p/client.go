@@ -109,11 +109,9 @@ const (
 	EventBackoff
 	// EventDialFailed fires when one reconnect attempt fails.
 	EventDialFailed
-	// EventReconnected fires when a connection to a (possibly different)
-	// super-peer is established.
-	EventReconnected
-	// EventRejoined fires after the collection metadata has been re-shipped
-	// to the new super-peer.
+	// EventRejoined fires when a connection to a (possibly different)
+	// super-peer is established and the collection metadata has been
+	// re-shipped to it. Attempt is the reconnect attempt that succeeded.
 	EventRejoined
 	// EventGaveUp fires when MaxAttempts reconnect attempts all failed.
 	EventGaveUp
@@ -127,8 +125,6 @@ func (t EventType) String() string {
 		return "backoff"
 	case EventDialFailed:
 		return "dial-failed"
-	case EventReconnected:
-		return "reconnected"
 	case EventRejoined:
 		return "rejoined"
 	case EventGaveUp:
@@ -177,10 +173,6 @@ type DialOptions struct {
 	// list order. When the best rival's score exceeds the current partner's
 	// by 0.15 (trustMargin) the client re-homes proactively.
 	Trust bool
-	// TrustPriors, when non-empty, seeds the reputation book with initial
-	// reliability views aligned index-for-index with Addrs — the noisy
-	// initial views of the reliability model (values clamped to [0, 1]).
-	TrustPriors []float64
 	// Metrics, when set, meters the client's traffic: raw socket bytes and
 	// per-message load-taxonomy attribution land in this metric set, under
 	// the same names super-peers use.
@@ -250,24 +242,6 @@ const writeTimeout = 30 * time.Second
 // between comparable partners.
 const trustMargin = 0.15
 
-// trustPriorWeight is the pseudo-count weight of DialOptions.TrustPriors —
-// strong enough to steer initial partner choice, weak enough that a few
-// contradicting observations override a wrong view.
-const trustPriorWeight = 4
-
-// rankedOrder returns indices into opts.Addrs in preference order:
-// reputation-score order under Trust, list order otherwise.
-func (cl *Client) rankedOrder() []int {
-	ids := make([]int, len(cl.opts.Addrs))
-	for i := range ids {
-		ids[i] = i
-	}
-	if cl.book != nil {
-		cl.book.Rank(ids)
-	}
-	return ids
-}
-
 // errClientClosed reports operations on a closed client.
 var errClientClosed = errors.New("p2p: client closed")
 
@@ -300,16 +274,10 @@ func DialClientOptions(opts DialOptions, files []SharedFile) (*Client, error) {
 	}
 	if opts.Trust {
 		cl.book = trust.NewBook()
-		for i, rel := range opts.TrustPriors {
-			if i >= len(opts.Addrs) {
-				break
-			}
-			cl.book.SetPrior(i, rel, trustPriorWeight)
-		}
 	}
 	var firstErr error
-	for _, i := range cl.rankedOrder() {
-		c, err := opts.Net.Open(opts.Addrs[i], link.Client, opts.DialTimeout, cl.framing)
+	for i, addr := range opts.Addrs {
+		c, err := opts.Net.Open(addr, link.Client, opts.DialTimeout, cl.framing)
 		if err == nil {
 			cl.conn, cl.addrIdx = c, i
 			break
@@ -406,13 +374,12 @@ func (cl *Client) failover() error {
 
 	var order []int
 	if cl.book != nil {
-		order = cl.rankedOrder()
-		for i, idx := range order {
-			if idx == fromIdx {
-				order = append(append(order[:i:i], order[i+1:]...), fromIdx)
-				break
+		for i := range cl.opts.Addrs {
+			if i != fromIdx {
+				order = append(order, i)
 			}
 		}
+		order = append(cl.book.Rank(order), fromIdx)
 	}
 
 	var lastErr error
@@ -463,8 +430,7 @@ func (cl *Client) failover() error {
 		cl.reconnects++
 		cl.mu.Unlock()
 		cl.opts.Logf("p2p: reconnected to super-peer %s (attempt %d)", addr, attempt)
-		cl.opts.OnEvent(Event{Type: EventReconnected, Addr: addr, Attempt: attempt})
-		cl.opts.OnEvent(Event{Type: EventRejoined, Addr: addr})
+		cl.opts.OnEvent(Event{Type: EventRejoined, Addr: addr, Attempt: attempt})
 		return nil
 	}
 	err := fmt.Errorf("%w after %d attempts: %v", ErrNoSuperPeer, cl.opts.MaxAttempts, lastErr)
@@ -716,10 +682,13 @@ func (cl *Client) Close() error {
 		return nil
 	}
 	cl.closed = true
-	c := cl.conn
+	c, broken := cl.conn, cl.broken
 	cl.mu.Unlock()
 	close(cl.stop)
-	err := c.Close() // a Client always holds a Conn, live or broken
+	var err error
+	if !broken { // markBroken already closed a broken Conn
+		err = c.Close()
+	}
 	cl.wg.Wait()
 	return err
 }

@@ -194,15 +194,14 @@ func (n *Node) runPeer(c *conn) {
 	n.nextPeerID++
 	n.peers[c] = struct{}{}
 	n.mu.Unlock()
+	// Expose the link's reliability score while it is up. Peer ids are
+	// never reused, so each link gets its own series.
+	peerLabel := metrics.Label{Name: "peer", Value: strconv.Itoa(c.peerID)}
 	if n.book != nil {
-		// Expose the link's reliability score. Peer ids are never reused, so
-		// each link gets its own series; after disconnect the book entry is
-		// dropped and the gauge reads the uninformative 0.5.
 		id := c.peerID
 		n.metrics.Registry().GaugeFunc(metrics.MetricPeerReputation,
 			"Beta-posterior reliability score of a neighbor super-peer link.",
-			func() float64 { return n.book.Score(id) },
-			metrics.Label{Name: "peer", Value: strconv.Itoa(id)})
+			func() float64 { return n.book.Score(id) }, peerLabel)
 	}
 	n.summariesChanged() // advertise our routing summary on the new link
 	defer func() {
@@ -212,6 +211,7 @@ func (n *Node) runPeer(c *conn) {
 		n.mu.Unlock()
 		n.rstate.DropNeighbor(c.peerID)
 		if n.book != nil {
+			n.metrics.Registry().Unregister(metrics.MetricPeerReputation, peerLabel)
 			n.book.Drop(c.peerID)
 		}
 		n.summariesChanged() // adverts shrink without this link's summary

@@ -145,11 +145,8 @@ func TestClientFailoverKillMidSearch(t *testing.T) {
 	if backoffs[0].Delay != wantDelay {
 		t.Errorf("first backoff delay = %v, want %v (deterministic under seed %d)", backoffs[0].Delay, wantDelay, seed)
 	}
-	if got := rec.byType(EventReconnected); len(got) != 1 || got[0].Addr != partner.Addr() {
-		t.Errorf("reconnected events = %+v, want one to %s", got, partner.Addr())
-	}
-	if got := rec.byType(EventRejoined); len(got) != 1 {
-		t.Errorf("rejoined events = %+v, want exactly one", got)
+	if got := rec.byType(EventRejoined); len(got) != 1 || got[0].Addr != partner.Addr() || got[0].Attempt != 1 {
+		t.Errorf("rejoined events = %+v, want one to %s on attempt 1", got, partner.Addr())
 	}
 
 	// Rejoin reconciled the index: the partner holds the provider's file
@@ -540,5 +537,30 @@ func TestClientCloseDuringFailoverClosesRejoinedLink(t *testing.T) {
 				partner.Stats().Clients, partner.Metrics().ConnsOpen.Value())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestClientCloseAfterBrokenLink: a client whose only super-peer died, and
+// whose failover gave up, closes cleanly. The broken link's Conn was closed
+// when it broke, and Close does not close it a second time.
+func TestClientCloseAfterBrokenLink(t *testing.T) {
+	n := startNode(t, Options{})
+	cl, err := DialClientOptions(DialOptions{
+		Addrs:       []string{n.Addr()},
+		Backoff:     fastBackoff,
+		MaxAttempts: 2,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Close()
+	// The first search breaks the link; the second fails over and gives up.
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Search("anything", 200*time.Millisecond); err == nil {
+			t.Fatalf("search %d against a closed super-peer succeeded", i)
+		}
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatalf("Close after a broken link: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package p2p
 import (
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,21 +227,52 @@ func TestClientTrustRehoming(t *testing.T) {
 	}
 }
 
-// TestTrustPriorsRankInitialDial: noisy initial views steer the first
-// connection to the best-reputed partner, not the first listed.
-func TestTrustPriorsRankInitialDial(t *testing.T) {
-	a := startNode(t, Options{})
-	b := startNode(t, Options{})
-	cl, err := DialClientOptions(DialOptions{
-		Addrs:       []string{a.Addr(), b.Addr()},
-		Trust:       true,
-		TrustPriors: []float64{0.2, 0.9},
-	}, nil)
-	if err != nil {
-		t.Fatalf("DialClientOptions: %v", err)
+// TestPeerReputationSeriesLeaveWithLink: under Trust each overlay link has a
+// spnet_peer_reputation series while it is up, and the series goes when the
+// link closes, so a node does not keep one series for every link it ever
+// had. The series of the links still up keep their order.
+func TestPeerReputationSeriesLeaveWithLink(t *testing.T) {
+	n := startNode(t, Options{Trust: true})
+	reputation := func() []string {
+		var buf strings.Builder
+		if err := n.Metrics().Registry().WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.Contains(line, metrics.MetricPeerReputation) {
+				out = append(out, line)
+			}
+		}
+		return out
 	}
-	defer cl.Close()
-	if got := cl.SuperPeerAddr(); got != b.Addr() {
-		t.Fatalf("client homed on %s, want the better-reputed %s", got, b.Addr())
+
+	var links []net.Conn
+	for i := 0; i < 5; i++ {
+		links = append(links, dialRawPeer(t, n.Addr()))
+	}
+	waitFor(t, "five links up", func() bool { return len(reputation()) == 2+5 }) // HELP, TYPE, a series per link
+	before := reputation()
+
+	links[1].Close()
+	links[3].Close()
+	waitFor(t, "two series gone", func() bool { return len(reputation()) == 2+3 })
+	after := reputation()
+	kept := 0 // after must be before with two lines taken out
+	for _, line := range before {
+		if kept < len(after) && line == after[kept] {
+			kept++
+		}
+	}
+	if kept != len(after) {
+		t.Fatalf("surviving series out of order:\nbefore %q\nafter %q", before, after)
+	}
+
+	for _, c := range links {
+		c.Close()
+	}
+	waitFor(t, "every series gone", func() bool { return len(reputation()) == 0 })
+	if got := n.Stats().Peers; got != 0 {
+		t.Fatalf("Peers = %d after every link closed, want 0", got)
 	}
 }

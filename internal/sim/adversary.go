@@ -19,6 +19,15 @@ const adversarySeedSalt = 0x616476657273726e // "adversrn"
 // advForgedResults is the fabricated result count a forging relay claims.
 const advForgedResults = 3
 
+// priorNoise is the stddev of the rel_book-style noisy initial reliability
+// views, and priorWeight their pseudo-count weight. Views reflect only
+// observable misbehavior (dropping, Busy-lying) — forging is covert until
+// the audit catches it.
+const (
+	priorNoise  = 0.25
+	priorWeight = 4
+)
+
 // advObserveWindow is how long (virtual seconds) a trusting client waits
 // after submitting a query before scoring its access partner on whether any
 // genuine result arrived — comfortably past the worst-case response RTT at
@@ -60,14 +69,6 @@ type AdversaryOptions struct {
 	// Trust enables reputation-weighted partner selection and forged-hit
 	// auditing (the defense being measured; off = trust-oblivious baseline).
 	Trust bool
-	// PriorNoise is the stddev of the rel_book-style noisy initial
-	// reliability views (default 0.25; negative = exact views). Views
-	// reflect only observable misbehavior (dropping, Busy-lying) — forging
-	// is covert until the audit catches it.
-	PriorNoise float64
-	// PriorWeight is the pseudo-count weight of the initial views
-	// (default 4).
-	PriorWeight float64
 	// NeutralPriors starts every reputation book at the uninformative 0.5
 	// score instead of noisy initial views, isolating what online
 	// observation alone recovers.
@@ -123,17 +124,6 @@ func (s *Simulator) initAdversary() error {
 			return fmt.Errorf("sim: Adversary.%s = %v, want in [0, 1]", v.name, v.v)
 		}
 	}
-	noise := a.PriorNoise
-	if noise == 0 {
-		noise = 0.25
-	} else if noise < 0 {
-		noise = 0
-	}
-	weight := a.PriorWeight
-	if weight <= 0 {
-		weight = 4
-	}
-
 	s.adv = &advState{
 		opts:     a,
 		rng:      stats.NewRNG(s.opts.Seed ^ adversarySeedSalt),
@@ -169,7 +159,7 @@ func (s *Simulator) initAdversary() error {
 		if !a.NeutralPriors {
 			for _, nb := range c.neighbors {
 				for _, p := range nb.partners {
-					c.trustBook.SetPrior(p.advID, trust.NoisyPrior(s.adv.rng, rel(p), noise), weight)
+					c.trustBook.SetPrior(p.advID, trust.NoisyPrior(s.adv.rng, rel(p), priorNoise), priorWeight)
 				}
 			}
 		}
@@ -177,7 +167,7 @@ func (s *Simulator) initAdversary() error {
 			cl.trustBook = trust.NewBook()
 			if !a.NeutralPriors {
 				for i, p := range c.partners {
-					cl.trustBook.SetPrior(i, trust.NoisyPrior(s.adv.rng, rel(p), noise), weight)
+					cl.trustBook.SetPrior(i, trust.NoisyPrior(s.adv.rng, rel(p), priorNoise), priorWeight)
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"math"
-	"strings"
 	"testing"
 
 	"spnet/internal/metrics"
@@ -52,43 +49,6 @@ func TestSimClassBreakdownConsistent(t *testing.T) {
 	for _, c := range []metrics.Class{metrics.ClassBusy, metrics.ClassPing, metrics.ClassOther} {
 		if agg.Sum(metrics.DirIn, c)+agg.Sum(metrics.DirOut, c) != 0 {
 			t.Errorf("simulator attributed bytes to live-only class %v", c)
-		}
-	}
-}
-
-// TestMeasuredRegisterMetrics checks the simulator's registry exporter: the
-// exposition must carry the live series name with a cluster label, and the
-// per-cluster query totals must reproduce the class breakdown.
-func TestMeasuredRegisterMetrics(t *testing.T) {
-	cfg := network.DefaultConfig()
-	cfg.GraphSize = 120
-	inst := generate(t, cfg, lowVarProfile(), 4)
-	m, err := Run(inst, Options{Duration: 300, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	m.RegisterMetrics(reg)
-	var buf strings.Builder
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	vals, err := metrics.ParsePrometheus(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, cls := range m.SuperPeerClassBps {
-		key := metrics.SeriesKey(metrics.MetricMessageBytes,
-			metrics.Label{Name: "type", Value: "query"},
-			metrics.Label{Name: "dir", Value: "in"},
-			metrics.Label{Name: "cluster", Value: fmt.Sprint(v)})
-		want := cls.Get(metrics.ClassQuery, metrics.DirIn) * m.Duration / 8
-		got, ok := vals[key]
-		if !ok {
-			t.Fatalf("exposition missing %s", key)
-		}
-		if math.Abs(got-want) > 1e-6*math.Max(1, want) {
-			t.Errorf("cluster %d exported query-in bytes %v, want %v", v, got, want)
 		}
 	}
 }

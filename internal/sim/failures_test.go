@@ -53,7 +53,7 @@ func TestRedundancySurvivesFailures(t *testing.T) {
 	base := network.Config{GraphType: network.PowerLaw, GraphSize: 400,
 		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 5}
 	red := base
-	red.Redundancy = true
+	red.KRedundancy = 2
 
 	// Recovery (60 s) far below the MTBF (2000 s): the regime where the
 	// paper's "much lower probability that all partners fail before any is
@@ -110,7 +110,7 @@ func TestFailureRecoveryRestoresService(t *testing.T) {
 
 func TestFailuresDeterministic(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 200,
-		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 4, Redundancy: true}
+		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 4, KRedundancy: 2}
 	opts := Options{Duration: 800, Seed: 7, Churn: true, Failures: failureOpts(cfg, 500, 100, 800)}
 	a, err := Run(generate(t, cfg, nil, 8), opts)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestScheduledFailuresDeterministic(t *testing.T) {
 	// The same generated schedule replayed twice yields identical runs —
 	// the property that lets the live harness compare against the sim.
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 200,
-		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 4, Redundancy: true}
+		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 4, KRedundancy: 2}
 	sched := ExponentialSchedule(21, 20, 2, 400, 800)
 	if len(sched) == 0 {
 		t.Fatal("empty generated schedule")

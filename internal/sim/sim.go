@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"spnet/internal/analysis"
 	"spnet/internal/cost"
@@ -606,33 +605,4 @@ func (s *Simulator) measure() *Measured {
 	}
 	s.advMeasure(m)
 	return m
-}
-
-// RegisterMetrics exposes the run's measured per-cluster byte totals on a
-// registry under the same series name live super-peers emit
-// (spnet_message_bytes_total{type,dir}), with an extra cluster label, so one
-// scrape pipeline consumes live and simulated runs alike. Values are
-// per-partner mean totals reconstructed from the class bandwidth breakdown.
-func (m *Measured) RegisterMetrics(r *metrics.Registry) {
-	fwd := float64(m.QueriesForwarded)
-	r.CounterFunc(metrics.MetricQueriesForwarded,
-		"Query copies forwarded over super-peer overlay links.",
-		func() float64 { return fwd },
-		metrics.Label{Name: "strategy", Value: m.Strategy})
-	for v, cls := range m.SuperPeerClassBps {
-		bytes := cls.Scale(m.Duration / 8)
-		clusterLbl := metrics.Label{Name: "cluster", Value: strconv.Itoa(v)}
-		for c := 0; c < metrics.NumClasses; c++ {
-			for d := 0; d < metrics.NumDirs; d++ {
-				cc, dd := metrics.Class(c), metrics.Dir(d)
-				val := bytes.Get(cc, dd)
-				r.CounterFunc(metrics.MetricMessageBytes,
-					"Model wire bytes (incl. frame overhead) by class and direction.",
-					func() float64 { return val },
-					metrics.Label{Name: "type", Value: cc.String()},
-					metrics.Label{Name: "dir", Value: dd.String()},
-					clusterLbl)
-			}
-		}
-	}
 }

@@ -131,7 +131,7 @@ func TestSimMatchesAnalysis(t *testing.T) {
 		{"strong", network.Config{GraphType: network.Strong, GraphSize: 400,
 			ClusterSize: 20, TTL: 1}},
 		{"redundant", network.Config{GraphType: network.PowerLaw, GraphSize: 400,
-			ClusterSize: 10, AvgOutdegree: 3.1, TTL: 5, Redundancy: true}},
+			ClusterSize: 10, AvgOutdegree: 3.1, TTL: 5, KRedundancy: 2}},
 		{"k3-redundant", network.Config{GraphType: network.PowerLaw, GraphSize: 400,
 			ClusterSize: 10, KRedundancy: 3, AvgOutdegree: 3.1, TTL: 5}},
 	} {
@@ -202,7 +202,7 @@ func TestSimTTLZero(t *testing.T) {
 
 func TestIndexSizeAndConns(t *testing.T) {
 	cfg := network.Config{GraphType: network.PowerLaw, GraphSize: 200,
-		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 3, Redundancy: true}
+		ClusterSize: 10, AvgOutdegree: 3.1, TTL: 3, KRedundancy: 2}
 	inst := generate(t, cfg, nil, 11)
 	s, err := New(inst, Options{Duration: 1})
 	if err != nil {
@@ -296,7 +296,7 @@ func TestAdjacencyInvariants(t *testing.T) {
 	}
 	// Failures change partner counts under a fixed overlay.
 	red := cfg
-	red.Redundancy = true
+	red.KRedundancy = 2
 	run(red, Options{
 		Duration: 600, Seed: 21, Churn: true,
 		Failures: failureOpts(red, 400, 60, 600),

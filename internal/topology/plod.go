@@ -21,12 +21,12 @@ import (
 type PLODParams struct {
 	N      int     // number of nodes (super-peer clusters)
 	AvgDeg float64 // target average outdegree, e.g. 3.1 or 10
-	Alpha  float64 // power-law credit exponent; 0 picks the default 0.8
 }
 
-// defaultPLODAlpha makes the degree frequency tail f_d ∝ d^-(1+1/α) ≈ d^-2.25,
-// close to the exponent measured for Gnutella-era overlays.
-const defaultPLODAlpha = 0.8
+// plodAlpha is the power-law credit exponent. It makes the degree frequency
+// tail f_d ∝ d^-(1+1/α) ≈ d^-2.25, close to the exponent measured for
+// Gnutella-era overlays.
+const plodAlpha = 0.8
 
 // PowerLaw generates a connected power-law overlay with the given parameters.
 // The same parameters and RNG stream always produce the same graph.
@@ -43,15 +43,7 @@ func PowerLaw(p PLODParams, rng *stats.RNG) (*AdjGraph, error) {
 	if p.AvgDeg > float64(p.N-1) {
 		return nil, fmt.Errorf("topology: PowerLaw AvgDeg = %v exceeds N-1 = %d", p.AvgDeg, p.N-1)
 	}
-	alpha := p.Alpha
-	if alpha == 0 {
-		alpha = defaultPLODAlpha
-	}
-	if alpha < 0 {
-		return nil, fmt.Errorf("topology: PowerLaw Alpha = %v, want >= 0", alpha)
-	}
-
-	credits := plodCredits(p.N, p.AvgDeg, alpha, rng)
+	credits := plodCredits(p.N, p.AvgDeg, rng)
 
 	// Configuration-model pairing: lay out one stub per credit, shuffle, and
 	// connect consecutive stubs, skipping self-loops and duplicates.
@@ -117,10 +109,10 @@ func PowerLaw(p PLODParams, rng *stats.RNG) (*AdjGraph, error) {
 // plodCredits draws per-node degree credits c_v = round(β·x^-α), x uniform on
 // [1, n], with β calibrated by bisection so the clamped credit mean matches
 // the target average outdegree.
-func plodCredits(n int, avgDeg, alpha float64, rng *stats.RNG) []int {
+func plodCredits(n int, avgDeg float64, rng *stats.RNG) []int {
 	xs := make([]float64, n)
 	for i := range xs {
-		xs[i] = math.Pow(float64(1+rng.Intn(n)), -alpha)
+		xs[i] = math.Pow(float64(1+rng.Intn(n)), -plodAlpha)
 	}
 	clampMean := func(beta float64) float64 {
 		var sum float64

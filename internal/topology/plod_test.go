@@ -114,7 +114,6 @@ func TestPowerLawRejectsBadParams(t *testing.T) {
 		{N: 0, AvgDeg: 3},
 		{N: 10, AvgDeg: 0.5},
 		{N: 10, AvgDeg: 20},
-		{N: 10, AvgDeg: 3, Alpha: -1},
 	}
 	for _, p := range cases {
 		if _, err := PowerLaw(p, stats.NewRNG(1)); err == nil {

@@ -151,27 +151,6 @@ func (b *Book) Rank(ids []int) []int {
 	return ids
 }
 
-// Best returns the highest-scoring id among ids (ties → lowest id). It
-// returns fallback when ids is empty.
-func (b *Book) Best(ids []int, fallback int) int {
-	if len(ids) == 0 {
-		return fallback
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	best, bestScore := ids[0], -1.0
-	for _, id := range ids {
-		s := 0.5
-		if c := b.creds[id]; c != nil {
-			s = (c.good + 1) / (c.good + c.bad + 2)
-		}
-		if s > bestScore || (s == bestScore && id < best) {
-			best, bestScore = id, s
-		}
-	}
-	return best
-}
-
 // Weight maps partner id's score to an admission weight in [floor, 1]:
 // score 0.5 (no information) maps to 1 so trust-aware admission is a no-op
 // until evidence accumulates, and the weight decays linearly to floor as

@@ -76,12 +76,6 @@ func TestRankDeterministicTies(t *testing.T) {
 			t.Fatalf("Rank = %v, want %v", got, want)
 		}
 	}
-	if best := b.Best([]int{5, 9, 1, 2}, -1); best != 2 {
-		t.Fatalf("Best = %d, want 2", best)
-	}
-	if best := b.Best(nil, -1); best != -1 {
-		t.Fatalf("Best(empty) = %d, want fallback -1", best)
-	}
 }
 
 func TestWeight(t *testing.T) {
@@ -187,7 +181,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				b.Observe(g, i%3 == 0)
 				_ = b.Score(g)
-				_ = b.Best([]int{0, 1, 2, 3}, 0)
+				_ = b.Rank([]int{0, 1, 2, 3})
 			}
 		}(g)
 	}

@@ -380,12 +380,11 @@ type Backoff = link.Backoff
 
 // Client failover events, in the order a recovery emits them.
 const (
-	EventConnLost    = p2p.EventConnLost
-	EventBackoff     = p2p.EventBackoff
-	EventDialFailed  = p2p.EventDialFailed
-	EventReconnected = p2p.EventReconnected
-	EventRejoined    = p2p.EventRejoined
-	EventGaveUp      = p2p.EventGaveUp
+	EventConnLost   = p2p.EventConnLost
+	EventBackoff    = p2p.EventBackoff
+	EventDialFailed = p2p.EventDialFailed
+	EventRejoined   = p2p.EventRejoined
+	EventGaveUp     = p2p.EventGaveUp
 )
 
 // NewNode creates a super-peer; call its Listen method to start serving.
