@@ -65,6 +65,11 @@ func DecodeChunkRequest(buf []byte) (*ChunkRequest, error) {
 // resume bitmap from whichever response arrives first. Payload: 4-byte file
 // index, 4-byte chunk index, 4-byte total chunk count, 8-byte file size (all
 // little-endian), then the chunk bytes.
+//
+// A ChunkData may own its frame: Reserve points Data inside a buffer with
+// room for the header in front, so a server fills the chunk where it will be
+// sent and Encode writes only the header. One ChunkData reused across
+// replies serves every chunk from one buffer.
 type ChunkData struct {
 	ID          GUID
 	FileIndex   uint32
@@ -72,27 +77,58 @@ type ChunkData struct {
 	TotalChunks uint32
 	FileSize    uint64
 	Data        []byte
+
+	owned []byte // the frame Reserve placed Data in; nil until then
 }
 
 // chunkDataPayload is the fixed part of a ChunkData payload.
 const chunkDataPayload = 4 + 4 + 4 + 8
+
+// chunkDataHead is where a ChunkData frame's chunk bytes start.
+const chunkDataHead = DescriptorHeaderLen + chunkDataPayload
 
 // MaxChunkLen bounds a single chunk's data bytes, keeping every ChunkData
 // frame well under MaxPayloadLen so transfer links obey the same reader
 // limits as every other link.
 const MaxChunkLen = 1 << 20 // 1 MiB
 
-// Encode serializes the chunk data (descriptor header + payload, no framing).
-func (cd *ChunkData) Encode() ([]byte, error) {
-	if len(cd.Data) > MaxChunkLen {
-		return nil, fmt.Errorf("%w: chunk data %d bytes, max %d", ErrBadMessage, len(cd.Data), MaxChunkLen)
+// Reserve makes Data n bytes inside the frame cd owns and returns it for the
+// caller to fill. The frame is reused when it has room and regrown when it
+// has not; a reused frame still holds the last chunk's bytes.
+func (cd *ChunkData) Reserve(n int) []byte {
+	if len(cd.owned) < chunkDataHead+n {
+		cd.owned = make([]byte, chunkDataHead+n)
 	}
-	buf := encodeOneHop(cd.ID, TypeChunkData, chunkDataPayload+len(cd.Data))
+	cd.Data = cd.owned[chunkDataHead : chunkDataHead+n : chunkDataHead+n]
+	return cd.Data
+}
+
+// inFrame reports whether Data still starts where Reserve put it.
+func (cd *ChunkData) inFrame() bool {
+	return len(cd.Data) > 0 && len(cd.owned) > chunkDataHead && &cd.Data[0] == &cd.owned[chunkDataHead]
+}
+
+// Encode serializes the chunk data (descriptor header + payload, no framing).
+// While Data is where Reserve put it, the header is written in front of it
+// and the frame returned is cd's own, overwritten by the next Reserve and
+// Encode; otherwise Data is copied into a new frame. Both give equal bytes.
+func (cd *ChunkData) Encode() ([]byte, error) {
+	n := len(cd.Data)
+	if n > MaxChunkLen {
+		return nil, fmt.Errorf("%w: chunk data %d bytes, max %d", ErrBadMessage, n, MaxChunkLen)
+	}
+	var buf []byte
+	if cd.inFrame() {
+		buf = cd.owned[:chunkDataHead+n]
+		putOneHop(buf, cd.ID, TypeChunkData)
+	} else {
+		buf = encodeOneHop(cd.ID, TypeChunkData, chunkDataPayload+n)
+		copy(buf[chunkDataHead:], cd.Data)
+	}
 	binary.LittleEndian.PutUint32(buf[23:27], cd.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cd.Chunk)
 	binary.LittleEndian.PutUint32(buf[31:35], cd.TotalChunks)
 	binary.LittleEndian.PutUint64(buf[35:43], cd.FileSize)
-	copy(buf[43:], cd.Data)
 	return buf, nil
 }
 

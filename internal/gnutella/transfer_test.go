@@ -189,3 +189,95 @@ func TestChunkDataFramesDoNotShareBuffers(t *testing.T) {
 		t.Errorf("Data has cap %d beyond its length %d: an append would write into the frame", cap(a.Data), len(a.Data))
 	}
 }
+
+// copyEncode is cd encoded through the copying path: the same fields, with
+// Data in a slice cd does not own.
+func copyEncode(t *testing.T, cd *ChunkData) []byte {
+	t.Helper()
+	c := &ChunkData{ID: cd.ID, FileIndex: cd.FileIndex, Chunk: cd.Chunk,
+		TotalChunks: cd.TotalChunks, FileSize: cd.FileSize, Data: bytes.Clone(cd.Data)}
+	buf, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// TestChunkDataInFrameEncodesLikeCopy: a ChunkData filled through Reserve
+// encodes in place, to the bytes the copying encode gives, for a full chunk
+// and a short last one; shrinking reuses the frame, and growing past it
+// regrows it.
+func TestChunkDataInFrameEncodesLikeCopy(t *testing.T) {
+	var cd ChunkData
+	var base *byte // the owned frame's first byte
+	for i, tc := range []struct {
+		name  string
+		n     int
+		reuse bool
+	}{
+		{"full", 64 << 10, false},
+		{"short last", 1000, true},
+		{"regrow within", 64 << 10, true},
+		{"regrow past", 64<<10 + 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := cd.Reserve(tc.n)
+			if len(data) != tc.n || cap(data) != tc.n {
+				t.Fatalf("Reserve(%d) gave len %d cap %d", tc.n, len(data), cap(data))
+			}
+			if reused := &cd.owned[0] == base; reused != tc.reuse {
+				t.Errorf("frame reused = %v, want %v", reused, tc.reuse)
+			}
+			base = &cd.owned[0]
+			for j := range data {
+				data[j] = byte(j*7 + i)
+			}
+			cd.ID, cd.FileIndex, cd.Chunk = GUID{byte(i + 1)}, 9, uint32(i)
+			cd.TotalChunks, cd.FileSize = 4, 3<<16+1000
+			frame, err := cd.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &frame[chunkDataHead] != &data[0] {
+				t.Error("Encode copied a Data that lives in its frame")
+			}
+			if want := copyEncode(t, &cd); !bytes.Equal(frame, want) {
+				t.Error("in-frame encode differs from the copying encode")
+			}
+			if out, err := DecodeChunkData(frame); err != nil || !bytes.Equal(out.Data, data) {
+				t.Errorf("in-frame encode does not decode back: %v", err)
+			}
+		})
+	}
+}
+
+// TestChunkDataRepointedDataCopies: once Data no longer starts where Reserve
+// put it, Encode falls back to copying and leaves the owned frame alone.
+func TestChunkDataRepointedDataCopies(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		repoint func(cd *ChunkData)
+	}{
+		{"elsewhere", func(cd *ChunkData) { cd.Data = bytes.Repeat([]byte{'x'}, 500) }},
+		{"inside, shifted", func(cd *ChunkData) { cd.Data = cd.Data[1:] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cd := &ChunkData{ID: GUID{7}, FileIndex: 1, Chunk: 2, TotalChunks: 3, FileSize: 5000}
+			copy(cd.Reserve(1000), bytes.Repeat([]byte{'y'}, 1000))
+			tc.repoint(cd)
+			frame, err := cd.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &frame[0] == &cd.owned[0] {
+				t.Error("Encode wrote into the owned frame for a re-pointed Data")
+			}
+			if !bytes.Equal(cd.owned[:chunkDataHead], make([]byte, chunkDataHead)) {
+				t.Error("Encode wrote a header into the owned frame")
+			}
+			if want := copyEncode(t, cd); !bytes.Equal(frame, want) {
+				t.Error("re-pointed encode differs from the copying encode")
+			}
+		})
+	}
+}

@@ -102,9 +102,15 @@ func decodeHeaderAs(buf []byte, want MsgType) (Header, error) {
 // single-hop header written.
 func encodeOneHop(id GUID, t MsgType, payload int) []byte {
 	buf := make([]byte, DescriptorHeaderLen+payload)
-	h := Header{ID: id, Type: t, TTL: 1, PayloadLen: uint32(payload)}
-	h.encode(buf)
+	putOneHop(buf, id, t)
 	return buf
+}
+
+// putOneHop writes a single-hop t header over the front of frame, whose
+// payload is the rest of it.
+func putOneHop(frame []byte, id GUID, t MsgType) {
+	h := Header{ID: id, Type: t, TTL: 1, PayloadLen: uint32(len(frame) - DescriptorHeaderLen)}
+	h.encode(frame)
 }
 
 // decodeOneHop is decodeHeaderAs for a single-hop frame: any TTL but 1 or

@@ -29,9 +29,12 @@ func (n *Node) indexStore(s *transfer.Store) {
 
 // runTransfer serves one transfer link: a strict request/response loop over
 // the content store. Responses go back in request order, which is what lets
-// the downloader pipeline a window of requests per source.
+// the downloader pipeline a window of requests per source. Every reply is
+// built in one ChunkData, whose frame the link's chunks share: each is sent
+// before the next request is read.
 func (n *Node) runTransfer(c *conn) {
 	defer c.Close()
+	var reply gnutella.ChunkData
 	for {
 		msg, err := c.Recv(time.Time{})
 		if err != nil {
@@ -42,26 +45,26 @@ func (n *Node) runTransfer(c *conn) {
 			n.opts.Logf("p2p: unexpected %T on transfer link from %s", msg, c.RemoteAddr())
 			return
 		}
-		if err := n.serveChunk(c, req); err != nil {
+		if err := n.serveChunk(c, req, &reply); err != nil {
 			n.opts.Logf("p2p: serving chunk to %s: %v", c.RemoteAddr(), err)
 			return
 		}
 	}
 }
 
-// serveChunk answers one ChunkRequest from the store, pacing data chunks
-// through the node's transfer-rate bucket; Close cuts a pacing wait short.
-// Unknown files or chunk indices are nacked, not dropped, so the downloader
-// can re-aim immediately.
-func (n *Node) serveChunk(c *conn, req *gnutella.ChunkRequest) error {
-	data, man, ok := n.opts.Content.ChunkData(req.FileIndex, req.Chunk)
-	if !ok {
+// serveChunk answers one ChunkRequest from the store in reply, pacing data
+// chunks through the node's transfer-rate bucket; Close cuts a pacing wait
+// short. Unknown files or chunk indices are nacked, not dropped, so the
+// downloader can re-aim immediately.
+func (n *Node) serveChunk(c *conn, req *gnutella.ChunkRequest, reply *gnutella.ChunkData) error {
+	if !n.opts.Content.FillChunk(req.FileIndex, req.Chunk, reply) {
 		return c.send(&gnutella.ChunkNack{
 			ID: req.ID, FileIndex: req.FileIndex, Chunk: req.Chunk,
 			Code: gnutella.NackNotFound,
 		})
 	}
-	if req.Chunk != transfer.ManifestChunk {
+	reply.ID = req.ID
+	if data := reply.Data; req.Chunk != transfer.ManifestChunk {
 		if n.mis.forgeChunk() && len(data) > 0 {
 			// Adversary: flip bits in the payload. The manifest hash check on
 			// the receiving side is what catches this.
@@ -72,11 +75,7 @@ func (n *Node) serveChunk(c *conn, req *gnutella.ChunkRequest) error {
 		}
 		n.metrics.TransferBytes[metrics.DirOut].Add(int64(len(data)))
 	}
-	return c.send(&gnutella.ChunkData{
-		ID: req.ID, FileIndex: req.FileIndex, Chunk: req.Chunk,
-		TotalChunks: uint32(man.NumChunks()), FileSize: uint64(man.FileSize),
-		Data: data,
-	})
+	return c.send(reply)
 }
 
 // TransferSources distills search results into dialable download sources for

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"spnet/internal/content"
+	"spnet/internal/gnutella"
 )
 
 func TestFillContentDeterministicAndWindowed(t *testing.T) {
@@ -166,6 +168,71 @@ func TestStoreChunkData(t *testing.T) {
 	}
 }
 
+// TestStoreFillChunk: one ChunkData reused across every chunk of a file,
+// the manifest and the short last chunk included, carries each chunk's bytes
+// and the file's shape, and a refused request leaves it untouched.
+func TestStoreFillChunk(t *testing.T) {
+	s := NewStore(StoreOptions{ChunkSize: 1 << 10, MinFileSize: 3000, MaxFileSize: 5000})
+	f := s.Add("store test title")
+	man, _ := s.Manifest(f.Index)
+	if f.Size%int64(s.ChunkSize()) == 0 {
+		t.Fatalf("file size %d is a whole number of chunks; the short last chunk goes untested", f.Size)
+	}
+	chunks := []uint32{ManifestChunk}
+	for c := range man.NumChunks() {
+		chunks = append(chunks, uint32(c))
+	}
+	var cd gnutella.ChunkData
+	for _, c := range chunks {
+		if !s.FillChunk(f.Index, c, &cd) {
+			t.Fatalf("chunk %d not filled", c)
+		}
+		if cd.FileIndex != f.Index || cd.Chunk != c || cd.TotalChunks != uint32(man.NumChunks()) || cd.FileSize != uint64(f.Size) {
+			t.Fatalf("chunk %d: file %d, chunk %d, %d chunks, %d bytes", c, cd.FileIndex, cd.Chunk, cd.TotalChunks, cd.FileSize)
+		}
+		if c == ManifestChunk {
+			if !bytes.Equal(cd.Data, man.Encode()) {
+				t.Fatal("manifest chunk is not the encoded manifest")
+			}
+		} else if sha256.Sum256(cd.Data) != man.Hashes[c] {
+			t.Fatalf("chunk %d fails its manifest hash", c)
+		}
+	}
+	before := cd
+	if s.FillChunk(f.Index, uint32(man.NumChunks()), &cd) || s.FillChunk(99, 0, &cd) {
+		t.Error("out-of-range chunk or unknown file filled")
+	}
+	if cd.Chunk != before.Chunk || &cd.Data[0] != &before.Data[0] {
+		t.Error("a refused request changed the ChunkData")
+	}
+}
+
+// TestServeChunkAllocs guards the serving side's allocations: filling a
+// reused ChunkData with a 64 KiB chunk and encoding it allocates only the
+// cipher state, never the chunk or its frame.
+func TestServeChunkAllocs(t *testing.T) {
+	s := NewStore(StoreOptions{MinFileSize: 4 << 20, MaxFileSize: 4 << 20})
+	f := s.Add("bench payload")
+	var cd gnutella.ChunkData
+	serve := func(c uint32) {
+		s.FillChunk(f.Index, c, &cd)
+		if _, err := cd.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serve(0) // sizes the frame
+	const runs = 64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		serve(uint32(i))
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per > 2<<10 {
+		t.Errorf("filling and encoding a 64 KiB chunk allocates %d B, want at most 2 KiB", per)
+	}
+}
+
 func TestStoreAddSampledDeterministic(t *testing.T) {
 	lib := content.DefaultLibrary()
 	a := NewStore(StoreOptions{})
@@ -203,5 +270,22 @@ func BenchmarkStoreChunkData(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink, _, _ = s.ChunkData(f.Index, uint32(i)%chunks)
+	}
+}
+
+// BenchmarkServeChunk is what a transfer link pays per 64 KiB chunk: the
+// content filled into the link's one reused ChunkData and its frame encoded
+// in place.
+func BenchmarkServeChunk(b *testing.B) {
+	s := NewStore(StoreOptions{MinFileSize: 4 << 20, MaxFileSize: 4 << 20})
+	f := s.Add("bench payload")
+	chunks := uint32(f.NumChunks(s.ChunkSize()))
+	var cd gnutella.ChunkData
+	b.SetBytes(int64(s.ChunkSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.FillChunk(f.Index, uint32(i)%chunks, &cd)
+		benchSink, _ = cd.Encode()
 	}
 }

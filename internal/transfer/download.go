@@ -123,15 +123,18 @@ func (p *Progress) Remaining() int {
 
 // Result reports one download.
 type Result struct {
-	Data          []byte
-	Size          int64
-	Hash          [sha256.Size]byte // SHA-256 of Data; only valid when complete
-	Chunks        int
-	ChunkSize     int
-	Retried       int // chunk fetches re-issued
-	Forged        int // chunks rejected on hash mismatch
+	Data      []byte
+	Size      int64
+	Hash      [sha256.Size]byte // SHA-256 of Data; only valid when complete
+	Chunks    int
+	ChunkSize int
+	Retried   int // chunk fetches re-issued
+	Forged    int // chunks rejected on hash mismatch
+	// Elapsed is the wall time of the whole verified fetch: the manifest,
+	// every chunk, and the whole-file Hash, which is taken beside the chunks
+	// as the verified prefix grows and finished after the last one.
 	Elapsed       time.Duration
-	ThroughputBps float64 // content bytes per second of wall time
+	ThroughputBps float64 // content bytes per second of Elapsed
 	Sources       []SourceStats
 	// Progress carries the resumable state; on a failed download pass it to
 	// Resume to continue from the bitmap.
@@ -180,6 +183,14 @@ type download struct {
 	book     *trust.Book
 	srcStats []SourceStats
 
+	// front counts the chunks of the verified prefix: chunks 0..front-1 are
+	// all in. A chunk's bytes are written once, under mu, before front
+	// passes them, and deliver never rewrites a chunk it has; so the digest
+	// reads data below front off the lock. advanced holds one wake-up for
+	// the digest, posted whenever front moves.
+	front    int
+	advanced chan struct{}
+
 	// released holds one wake-up per source, posted whenever a claim is
 	// given up, so a source with nothing to claim waits for one instead of
 	// polling. done closes when the download ends: the last chunk is in, or
@@ -200,6 +211,7 @@ func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
 		framing:  link.Framing{Meter: link.LoadMeter(opts.Metrics)},
 		book:     opts.Trust,
 		srcStats: make([]SourceStats, len(sources)),
+		advanced: make(chan struct{}, 1),
 		released: make([]chan struct{}, len(sources)),
 		done:     make(chan struct{}),
 	}
@@ -220,6 +232,7 @@ func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
 				d.remain--
 			}
 		}
+		d.advanceLocked()
 	} else if err := d.bootstrap(); err != nil {
 		return nil, err
 	}
@@ -232,7 +245,13 @@ func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
 			d.runSource(idx)
 		}(i)
 	}
-	wg.Wait()
+	stopped := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(stopped)
+	}()
+	sum := d.digest(stopped)
+	<-stopped
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -269,11 +288,53 @@ func fetch(sources []Source, prev *Progress, opts Options) (*Result, error) {
 		}
 		return res, err
 	}
-	res.Hash = sha256.Sum256(d.data)
+	res.Hash = sum
 	if nm := opts.Metrics; nm != nil {
 		nm.TransferThroughput.Observe(res.ThroughputBps)
 	}
 	return res, nil
+}
+
+// digest hashes the verified prefix as it grows, off the lock, and returns
+// the whole file's SHA-256 once the prefix covers the file, or zero when the
+// sources stopped short of that.
+func (d *download) digest(stopped <-chan struct{}) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	size := int64(len(d.data))
+	var hashed int64
+	for last := false; ; {
+		d.mu.Lock()
+		front := min(int64(d.front)*int64(d.man.ChunkSize), size)
+		d.mu.Unlock()
+		h.Write(d.data[hashed:front])
+		if hashed = front; hashed == size {
+			h.Sum(sum[:0])
+			return sum
+		}
+		if last {
+			return sum
+		}
+		select {
+		case <-d.advanced:
+		case <-stopped:
+			last = true // look once more: front may have moved before the sources stopped
+		}
+	}
+}
+
+// advanceLocked moves front past every chunk now in and wakes the digest if
+// it moved.
+func (d *download) advanceLocked() {
+	from := d.front
+	for d.front < len(d.have) && d.have[d.front] {
+		d.front++
+	}
+	if d.front > from {
+		select {
+		case d.advanced <- struct{}{}:
+		default: // a wake-up is already posted
+		}
+	}
 }
 
 // install sizes the buffers from the manifest.
@@ -550,6 +611,7 @@ func (d *download) deliver(idx int, m *gnutella.ChunkData) error {
 	}
 	copy(d.data[int64(c)*int64(d.man.ChunkSize):], m.Data)
 	d.have[c] = true
+	d.advanceLocked()
 	if d.remain--; d.remain == 0 {
 		close(d.done)
 	}

@@ -1,6 +1,8 @@
 package transfer_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -330,5 +332,51 @@ func TestFetchConnBytesCountHello(t *testing.T) {
 		if got := nm.ConnBytes[tc.dir].Value(); got != want {
 			t.Errorf("conn bytes %v = %d, want %d (frames %d + %d hellos)", tc.dir, got, want, frames, links)
 		}
+	}
+}
+
+// TestResumeStalledPrefix resumes a complete download with one chunk taken
+// out and its bytes zeroed: the first chunk, so the whole-file digest waits
+// at the file's start until the last fetch, and the short last chunk of a
+// file that is not a whole number of chunks, so it waits at the very end.
+// Either way the hash must cover the refetched bytes.
+func TestResumeStalledPrefix(t *testing.T) {
+	store := transfer.NewStore(transfer.StoreOptions{
+		ChunkSize: 16 << 10, MinFileSize: 300_000, MaxFileSize: 300_000,
+	})
+	f := store.Add("stalled prefix documentary")
+	if f.Size%int64(store.ChunkSize()) == 0 {
+		t.Fatalf("file size %d is a whole number of chunks", f.Size)
+	}
+	want := transfer.ContentHash(f.Title, f.Size)
+	sources := []transfer.Source{{Addr: startNode(t, store, 0, nil).Addr(), FileIndex: f.Index}}
+	full, err := transfer.Fetch(sources, fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		chunk int
+	}{{"first", 0}, {"last", full.Chunks - 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog := &transfer.Progress{
+				Manifest: full.Progress.Manifest,
+				Data:     bytes.Clone(full.Data),
+				Have:     slices.Clone(full.Progress.Have),
+			}
+			prog.Have[tc.chunk] = false
+			lo := tc.chunk * full.ChunkSize
+			clear(prog.Data[lo:min(lo+full.ChunkSize, len(prog.Data))])
+			res, err := transfer.Resume(sources, prog, fastOpts())
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if res.Hash != want {
+				t.Error("hash after resume differs from the content hash")
+			}
+			if got := res.Sources[0].Chunks; got != 1 {
+				t.Errorf("resume fetched %d chunks, want the 1 missing", got)
+			}
+		})
 	}
 }

@@ -120,18 +120,34 @@ func (s *Store) Manifest(index uint32) (*Manifest, bool) {
 // sentinel returns the encoded manifest. ok is false when the file or chunk
 // does not exist.
 func (s *Store) ChunkData(index, chunk uint32) (data []byte, m *Manifest, ok bool) {
+	var cd gnutella.ChunkData
+	if !s.FillChunk(index, chunk, &cd) {
+		return nil, nil, false
+	}
+	return cd.Data, s.manifests[index], true
+}
+
+// FillChunk is ChunkData written into a reply: it sets cd's file index,
+// chunk, total chunk count and file size, and its Data. A data chunk's
+// content is generated straight into cd's own frame (ChunkData.Reserve), so a
+// cd reused across calls serves every chunk without allocating; the manifest
+// sentinel's Data is the encoded manifest. ok is false, and cd untouched,
+// when the file or chunk does not exist.
+func (s *Store) FillChunk(index, chunk uint32, cd *gnutella.ChunkData) (ok bool) {
 	f, found := s.Lookup(index)
 	if !found {
-		return nil, nil, false
+		return false
 	}
-	m = s.manifests[index]
+	m := s.manifests[index]
+	if chunk != ManifestChunk && int64(chunk) >= int64(m.NumChunks()) {
+		return false
+	}
+	cd.FileIndex, cd.Chunk = index, chunk
+	cd.TotalChunks, cd.FileSize = uint32(m.NumChunks()), uint64(m.FileSize)
 	if chunk == ManifestChunk {
-		return m.Encode(), m, true
+		cd.Data = m.Encode()
+	} else {
+		FillContent(f.Title, int64(chunk)*int64(s.opts.ChunkSize), cd.Reserve(m.ChunkLen(int(chunk))))
 	}
-	if int64(chunk) >= int64(m.NumChunks()) {
-		return nil, nil, false
-	}
-	data = make([]byte, m.ChunkLen(int(chunk)))
-	FillContent(f.Title, int64(chunk)*int64(s.opts.ChunkSize), data)
-	return data, m, true
+	return true
 }
