@@ -3,7 +3,6 @@ package p2p
 import (
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,24 +137,15 @@ func (n *Node) runClient(c *conn) {
 // super-peer "will add this metadata to its index" (Section 3.2).
 func (n *Node) handleClientJoin(c *conn, j *gnutella.Join) {
 	n.metrics.ProcUnits.Add(float64(cost.ProcessJoin(len(j.Files))))
+	rec := responder(j.ID, c.RemoteAddr())
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if c.owner < 0 {
 		c.owner = n.nextOwn
 		n.nextOwn++
 		n.clients[c.owner] = c
-	} else {
-		n.index.RemoveOwner(c.owner)
 	}
-	n.guids[c.owner] = j.ID
-	for _, f := range j.Files {
-		terms := titleTerms(f.Title)
-		if len(terms) == 0 {
-			continue
-		}
-		// Owner ids are non-negative by construction, so Add cannot fail.
-		n.index.Add(index.DocID{Owner: c.owner, File: f.FileIndex}, terms)
-	}
+	n.core.join(c.owner, rec, j.Files)
 }
 
 // dropClient removes a departed client's metadata ("when a client leaves,
@@ -165,9 +155,8 @@ func (n *Node) dropClient(c *conn) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if c.owner >= 0 {
-		n.index.RemoveOwner(c.owner)
+		n.core.leave(c.owner)
 		delete(n.clients, c.owner)
-		delete(n.guids, c.owner)
 	}
 }
 
@@ -179,10 +168,10 @@ func (n *Node) handleClientUpdate(c *conn, u *gnutella.Update) {
 	doc := index.DocID{Owner: c.owner, File: u.File.FileIndex}
 	switch u.Op {
 	case gnutella.OpDelete:
-		n.index.Remove(doc)
+		n.core.index.Remove(doc)
 	case gnutella.OpInsert, gnutella.OpModify:
 		if terms := titleTerms(u.File.Title); len(terms) > 0 {
-			n.index.Add(doc, terms)
+			n.core.index.Add(doc, terms)
 		}
 	}
 }
@@ -192,27 +181,29 @@ func (n *Node) runPeer(c *conn) {
 	n.mu.Lock()
 	c.peerID = n.nextPeerID
 	n.nextPeerID++
-	n.peers[c] = struct{}{}
+	n.peers[c.peerID] = c
+	n.core.addPeer(c.peerID)
 	n.mu.Unlock()
 	// Expose the link's reliability score while it is up. Peer ids are
 	// never reused, so each link gets its own series.
 	peerLabel := metrics.Label{Name: "peer", Value: strconv.Itoa(c.peerID)}
-	if n.book != nil {
+	if n.core.book != nil {
 		id := c.peerID
 		n.metrics.Registry().GaugeFunc(metrics.MetricPeerReputation,
 			"Beta-posterior reliability score of a neighbor super-peer link.",
-			func() float64 { return n.book.Score(id) }, peerLabel)
+			func() float64 { return n.core.book.Score(id) }, peerLabel)
 	}
 	n.summariesChanged() // advertise our routing summary on the new link
 	defer func() {
 		c.Close()
 		n.mu.Lock()
-		delete(n.peers, c)
+		delete(n.peers, c.peerID)
+		n.core.dropPeer(c.peerID)
 		n.mu.Unlock()
-		n.rstate.DropNeighbor(c.peerID)
-		if n.book != nil {
+		n.core.rstate.DropNeighbor(c.peerID)
+		if n.core.book != nil {
 			n.metrics.Registry().Unregister(metrics.MetricPeerReputation, peerLabel)
-			n.book.Drop(c.peerID)
+			n.core.book.Drop(c.peerID)
 		}
 		n.summariesChanged() // adverts shrink without this link's summary
 	}()
@@ -224,13 +215,11 @@ func (n *Node) runPeer(c *conn) {
 		switch m := msg.(type) {
 		case *gnutella.Query:
 			n.enqueueQuery(c, m)
-		case *gnutella.QueryHit:
-			n.handleQueryHit(c, m)
-		case *gnutella.Busy:
-			n.handleBusy(c, m)
+		case *gnutella.QueryHit, *gnutella.Busy:
+			n.step(c.peerID, m, time.Time{}) // a response stamps no route
 		case *gnutella.Summary:
 			if n.routeSummaries {
-				n.rstate.SetSummary(c.peerID, m.Terms)
+				n.core.rstate.SetSummary(c.peerID, m.Terms)
 				n.summariesChanged() // our adverts to other links now differ
 			}
 		default:
@@ -240,76 +229,22 @@ func (n *Node) runPeer(c *conn) {
 	}
 }
 
-// peerListLocked snapshots the peer set, excluding one link.
-func (n *Node) peerListLocked(except *conn) []*conn {
+// peerListLocked snapshots the peer set.
+func (n *Node) peerListLocked() []*conn {
 	out := make([]*conn, 0, len(n.peers))
-	for p := range n.peers {
-		if p != except {
-			out = append(out, p)
-		}
+	for _, p := range n.peers {
+		out = append(out, p)
 	}
 	return out
 }
 
-// searchLocked answers a keyword query over the index and builds the
-// QueryHit: results plus "the address of each client whose collection
-// produced a result". Returns nil when nothing matches. Callers hold n.mu.
-func (n *Node) searchLocked(id gnutella.GUID, text string) *gnutella.QueryHit {
-	terms := titleTerms(text)
-	if len(terms) == 0 {
-		n.meterProcessQuery(0)
-		return nil
+// responder is the record a QueryHit carries for an owner at address a:
+// its IPv4 and port when a is a TCP address, zero values for anything else.
+func responder(guid gnutella.GUID, a net.Addr) gnutella.ResponderRecord {
+	rec := gnutella.ResponderRecord{ClientGUID: guid}
+	if tcp, ok := a.(*net.TCPAddr); ok {
+		copy(rec.IP[:], tcp.IP.To4())
+		rec.Port = uint16(tcp.Port)
 	}
-	matches := n.index.Search(terms)
-	n.meterProcessQuery(len(matches))
-	if len(matches) == 0 {
-		return nil
-	}
-	hit := &gnutella.QueryHit{ID: id, TTL: uint8(n.opts.TTL)}
-	addrByOwner := make(map[int]uint16)
-	for _, m := range matches {
-		ref, ok := addrByOwner[m.Doc.Owner]
-		if !ok {
-			if len(hit.Responders) >= 255 {
-				break // wire limit; deterministic truncation
-			}
-			ref = uint16(len(hit.Responders))
-			addrByOwner[m.Doc.Owner] = ref
-			rec := gnutella.ResponderRecord{ClientGUID: n.guids[m.Doc.Owner]}
-			if m.Doc.Owner == storeOwner {
-				// Store-served content: the node itself is the responder, at
-				// its listen address — dialable, unlike client remote addrs.
-				if n.ln != nil {
-					rec.IP, rec.Port = splitAddr(n.ln.Addr())
-				}
-			} else if cl := n.clients[m.Doc.Owner]; cl != nil {
-				rec.IP, rec.Port = splitAddr(cl.RemoteAddr())
-			}
-			hit.Responders = append(hit.Responders, rec)
-		}
-		hit.Responders[ref].ResultCount++
-		hit.Results = append(hit.Results, gnutella.ResultRecord{
-			FileIndex: m.Doc.File,
-			AddrRef:   ref,
-			Title:     strings.Join(m.Terms, " "),
-		})
-	}
-	return hit
-}
-
-// titleTerms tokenizes a title or query string into lower-case terms.
-func titleTerms(s string) []string { return strings.Fields(strings.ToLower(s)) }
-
-// splitAddr extracts IPv4 and port from a TCP address; zero values for
-// anything else.
-func splitAddr(a net.Addr) ([4]byte, uint16) {
-	var ip [4]byte
-	tcp, ok := a.(*net.TCPAddr)
-	if !ok {
-		return ip, 0
-	}
-	if v4 := tcp.IP.To4(); v4 != nil {
-		copy(ip[:], v4)
-	}
-	return ip, uint16(tcp.Port)
+	return rec
 }

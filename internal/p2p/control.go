@@ -79,7 +79,7 @@ func (n *Node) applyDirective(d *gnutella.Directive) {
 		n.opts.MaxClients = int(d.MaxClients)
 	}
 	if d.TTL > 0 {
-		n.opts.TTL = int(d.TTL)
+		n.core.ttl = int(d.TTL)
 	}
 	n.mu.Unlock()
 	n.metrics.DirectivesApplied.Inc()

@@ -45,9 +45,3 @@ func (n *Node) meterMessage(d metrics.Dir, m gnutella.Message) {
 	u += cost.PacketMultiplex(int(nm.ConnsOpen.Value()))
 	nm.ProcUnits.Add(float64(u))
 }
-
-// meterProcessQuery charges the Table 2 query-processing cost for servicing
-// one query that produced the given number of results.
-func (n *Node) meterProcessQuery(results int) {
-	n.metrics.ProcUnits.Add(float64(cost.ProcessQuery(float64(results))))
-}

@@ -39,8 +39,8 @@ type MisbehaveOptions struct {
 	Seed uint64
 }
 
-// misbehaveState is a node's adversary machinery; nil on honest nodes, and
-// every probe treats the nil receiver as "behave".
+// misbehaveState is a node's adversary machinery, nil on honest nodes. The
+// query core draws from it for queries, and forgeChunk for served chunks.
 type misbehaveState struct {
 	mu   sync.Mutex
 	opts MisbehaveOptions
@@ -64,18 +64,6 @@ func (m *misbehaveState) draw(p float64) bool {
 	return m.rng.Float64() < p
 }
 
-func (m *misbehaveState) dropQuery() bool {
-	return m != nil && m.draw(m.opts.Drop)
-}
-
-func (m *misbehaveState) forgeHit() bool {
-	return m != nil && m.draw(m.opts.Forge)
-}
-
-func (m *misbehaveState) busyLie() bool {
-	return m != nil && m.draw(m.opts.BusyLie)
-}
-
 func (m *misbehaveState) forgeChunk() bool {
 	return m != nil && m.draw(m.opts.ForgeChunk)
 }
@@ -97,8 +85,8 @@ func forgeQueryHit(q *gnutella.Query) *gnutella.QueryHit {
 
 // hitLooksForged reports whether no claimed result in h is backed by a
 // dialable responder address. Honest hits always carry the responding
-// clients' real TCP addresses (searchLocked fills them from the live
-// connections), so an all-zero responder set marks a fabricated hit.
+// clients' real TCP addresses (recorded when each joins), so an all-zero
+// responder set marks a fabricated hit.
 func hitLooksForged(h *gnutella.QueryHit) bool {
 	if len(h.Responders) == 0 {
 		return true

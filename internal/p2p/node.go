@@ -21,13 +21,10 @@ import (
 	"time"
 
 	"spnet/internal/gnutella"
-	"spnet/internal/index"
 	"spnet/internal/link"
 	"spnet/internal/metrics"
 	"spnet/internal/routing"
-	"spnet/internal/stats"
 	"spnet/internal/transfer"
-	"spnet/internal/trust"
 )
 
 // Options configure a Node. The zero value is usable.
@@ -189,24 +186,19 @@ type Node struct {
 	opts Options
 	ln   net.Listener
 
-	mu      sync.Mutex
-	index   *index.Index
-	clients map[int]*conn // owner id -> client connection
-	guids   map[int]gnutella.GUID
-	peers   map[*conn]struct{}
-	conns   map[*conn]struct{} // every live connection, for shutdown
-	routes  map[gnutella.GUID]*routeEntry
-	nextOwn int
-	closed  bool
+	mu       sync.Mutex
+	core     *core                            // every query decision; its pointers never change
+	clients  map[int]*conn                    // owner id -> client connection
+	peers    map[int]*conn                    // peer id -> peer connection
+	conns    map[*conn]struct{}               // every live connection, for shutdown
+	searches map[gnutella.GUID]*SearchOutcome // the node's own searches in flight
+	nextOwn  int
+	closed   bool
 
-	// Routing strategy state: route never changes after NewNode; rstate
-	// locks internally. nextPeerID (guarded by mu) hands each peer link a
-	// stable id in rstate's namespace. sumMu serializes summary
-	// recomputation so adverts can never be sent out of order.
-	route          routing.Strategy
-	routeLearns    bool
+	// nextPeerID (guarded by mu) hands each peer link a stable id, its link
+	// id in the core and the routing strategy's namespace. sumMu serializes
+	// summary recomputation so adverts can never be sent out of order.
 	routeSummaries bool
-	rstate         *routing.NodeState
 	nextPeerID     int
 	sumMu          sync.Mutex
 
@@ -242,14 +234,9 @@ type Node struct {
 	// checked against.
 	ctlEpoch uint64
 
-	// book scores each peer link's reliability from observed behavior
-	// (genuine hits vs forged/unsolicited ones vs Busy refusals); nil unless
-	// Options.Trust. peerQueued counts overlay queries queued or executing,
-	// for the trust-aware admission share. mis is the adversary machinery,
-	// nil on honest nodes.
-	book       *trust.Book
+	// peerQueued counts overlay queries queued or executing, for the
+	// trust-aware admission share.
 	peerQueued atomic.Int32
-	mis        *misbehaveState
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -266,31 +253,19 @@ type queryTask struct {
 func NewNode(opts Options) *Node {
 	opts.setDefaults()
 	n := &Node{
-		opts:    opts,
-		index:   index.New(),
-		clients: make(map[int]*conn),
-		guids:   make(map[int]gnutella.GUID),
-		peers:   make(map[*conn]struct{}),
-		conns:   make(map[*conn]struct{}),
-		routes:  make(map[gnutella.GUID]*routeEntry),
-		queue:   make(chan queryTask, opts.QueueDepth),
-		metrics: metrics.NewNodeMetrics(),
-		mis:     newMisbehaveState(opts.Misbehave),
-		stop:    make(chan struct{}),
+		opts:     opts,
+		clients:  make(map[int]*conn),
+		peers:    make(map[int]*conn),
+		conns:    make(map[*conn]struct{}),
+		searches: make(map[gnutella.GUID]*SearchOutcome),
+		queue:    make(chan queryTask, opts.QueueDepth),
+		metrics:  metrics.NewNodeMetrics(),
+		stop:     make(chan struct{}),
 	}
 	n.opts.Net = opts.Net.Metered(n.metrics)
 	n.framing = link.Framing{Bound: opts.FrameTimeout, Meter: n.meterMessage}
-	if opts.Trust {
-		n.book = trust.NewBook()
-	}
-	n.route = opts.Routing
-	if n.route == nil {
-		n.route = routing.NewFlood()
-	}
-	n.routeLearns = routing.Learns(n.route)
-	n.routeSummaries = routing.UsesSummaries(n.route)
-	n.rstate = routing.NewNodeState(stats.NewRNG(opts.RoutingSeed))
-	n.metrics.InitForwarded(n.route.Name())
+	n.core = newCore(&opts, n.metrics)
+	n.routeSummaries = routing.UsesSummaries(n.core.strategy)
 	if opts.Content != nil {
 		n.indexStore(opts.Content)
 		burst := 2 * float64(opts.Content.ChunkSize())
@@ -322,6 +297,11 @@ func (n *Node) Listen(addr string) error {
 		return fmt.Errorf("p2p: listen %s: %w", addr, err)
 	}
 	n.ln = ln
+	if n.opts.Content != nil { // the store's responder: dialable, unlike a client's
+		n.mu.Lock()
+		n.core.responders[storeOwner] = responder(gnutella.GUID{}, ln.Addr())
+		n.mu.Unlock()
+	}
 	n.startWorkers()
 	n.wg.Add(2)
 	go n.acceptLoop()
@@ -432,7 +412,7 @@ func (n *Node) Stats() Stats {
 	return Stats{
 		Clients:              len(n.clients),
 		Peers:                len(n.peers),
-		IndexedFiles:         n.index.NumDocs(),
+		IndexedFiles:         n.core.index.NumDocs(),
 		QueriesHandled:       m.QueriesHandled.Value(),
 		QueriesShed:          shedClient + shedPeer,
 		QueriesShedClient:    shedClient,
@@ -443,7 +423,7 @@ func (n *Node) Stats() Stats {
 		HitsUnsolicited:      m.HitsUnsolicited.Value(),
 		HitsForged:           m.HitsForged.Value(),
 		DirectiveEpoch:       n.ctlEpoch,
-		TTL:                  n.opts.TTL,
+		TTL:                  n.core.ttl,
 		MaxClients:           n.opts.MaxClients,
 	}
 }
@@ -451,10 +431,10 @@ func (n *Node) Stats() Stats {
 // PeerScores snapshots the node's reputation view of its overlay links,
 // keyed by peer link id. Nil when Options.Trust is off.
 func (n *Node) PeerScores() map[int]float64 {
-	if n.book == nil {
+	if n.core.book == nil {
 		return nil
 	}
-	return n.book.Scores()
+	return n.core.book.Scores()
 }
 
 func (n *Node) acceptLoop() {
@@ -589,7 +569,7 @@ func (n *Node) heartbeatLoop() {
 	defer n.wg.Done()
 	link.Every(n.stop, n.opts.HeartbeatInterval, func(now time.Time) {
 		n.mu.Lock()
-		peers := n.peerListLocked(nil)
+		peers := n.peerListLocked()
 		n.mu.Unlock()
 		for _, p := range peers {
 			if silent := now.Sub(p.LastFrame()); silent > n.opts.HeartbeatTimeout {
@@ -627,13 +607,13 @@ func (n *Node) enqueueQuery(c *conn, q *gnutella.Query) {
 		n.sendBusy(c, q)
 		return
 	}
-	if peer && n.book != nil {
+	if peer && n.core.book != nil {
 		// Trust-aware admission: overlay queries may collectively occupy at
 		// most a TrustPeerShare slice of the queue — the rest stays reserved
 		// for local clients — and a link's usable slice scales with its
 		// reliability score, so a distrusted neighbor can flood us out of at
 		// most trustFloor of the overlay share.
-		w := n.book.Weight(c.peerID, trustFloor)
+		w := n.core.book.Weight(c.peerID, trustFloor)
 		limit := max(1, int(w*n.opts.TrustPeerShare*float64(n.opts.QueueDepth)))
 		if int(n.peerQueued.Load()) >= limit {
 			n.metrics.Shed[metrics.ShedAdmission][src].Inc()
@@ -665,9 +645,11 @@ func (n *Node) release(c *conn) {
 	}
 }
 
-// sendBusy answers a shed query over its arrival link.
+// sendBusy answers a shed query over its arrival link, best effort.
 func (n *Node) sendBusy(c *conn, q *gnutella.Query) {
-	c.reply(&gnutella.Busy{ID: q.ID, TTL: 1, Hops: q.Hops}, false)
+	if err := c.send(&gnutella.Busy{ID: q.ID, TTL: 1, Hops: q.Hops}); err != nil {
+		n.opts.Logf("p2p: responding to %s: %v", c.RemoteAddr(), err)
+	}
 }
 
 // queryWorker drains the dispatch queue. On shutdown it keeps draining until
@@ -692,15 +674,17 @@ func (n *Node) queryWorker() {
 	}
 }
 
-// dispatch executes one admitted query.
+// dispatch executes one admitted query: a peer's copy, or a client's query,
+// which the node sources "as if it were its own". A client's owner id is
+// set before its first query is queued and never changes.
 func (n *Node) dispatch(t queryTask) {
 	defer n.release(t.c)
 	start := time.Now()
-	if t.c.role == rolePeer {
-		n.relay(t.c, t.q)
-	} else {
-		n.handleClientQuery(t.c, t.q)
+	from := t.c.peerID
+	if t.c.role != rolePeer {
+		from = clientLink(t.c.owner)
 	}
+	n.step(from, t.q, start)
 	n.metrics.QueryService.Observe(time.Since(start).Seconds())
 	n.metrics.QueriesHandled.Inc()
 }
@@ -710,13 +694,8 @@ func (n *Node) dispatch(t queryTask) {
 func (n *Node) pruneLoop() {
 	defer n.wg.Done()
 	link.Every(n.stop, routeTTL/2, func(now time.Time) {
-		cutoff := now.Add(-routeTTL)
 		n.mu.Lock()
-		for id, rt := range n.routes {
-			if _, own := rt.back.(*ownSearch); rt.at.Before(cutoff) && !own {
-				delete(n.routes, id)
-			}
-		}
+		n.core.expire(now)
 		n.mu.Unlock()
 	})
 }

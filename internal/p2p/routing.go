@@ -1,49 +1,11 @@
 package p2p
 
 import (
-	"encoding/binary"
-	"sort"
 	"strings"
 
 	"spnet/internal/gnutella"
 	"spnet/internal/index"
-	"spnet/internal/routing"
 )
-
-// selectPeers runs the node's routing strategy over a snapshot of peer links
-// (taken under n.mu by the caller) and returns the links the query copy q
-// should go to. q's Hops is the query's overlay distance at the forwarding
-// decision: 0 when this node sources the query, >= 1 when relaying. Called
-// outside n.mu — strategy state locks internally. The snapshot is sorted by
-// peer id so candidate order (and any seeded randomness over it) is stable.
-func (n *Node) selectPeers(peers []*conn, q *gnutella.Query) []*conn {
-	if len(peers) == 0 {
-		return peers
-	}
-	sort.Slice(peers, func(i, j int) bool { return peers[i].peerID < peers[j].peerID })
-	terms := titleTerms(q.Text)
-	cands := make([]routing.Candidate, len(peers))
-	for i, p := range peers {
-		cands[i] = routing.Candidate{ID: p.peerID}
-	}
-	rq := routing.Query{
-		ID:    binary.LittleEndian.Uint64(q.ID[:8]),
-		Terms: terms,
-		TTL:   int(q.TTL),
-		Hops:  int(q.Hops),
-	}
-	sel := n.route.Select(nil, rq, cands, n.rstate)
-	out := make([]*conn, 0, len(sel))
-	for _, i := range sel {
-		p := peers[i]
-		if n.routeLearns {
-			n.rstate.RecordForward(p.peerID, terms)
-		}
-		out = append(out, p)
-	}
-	n.metrics.QueriesForwarded.Add(int64(len(out)))
-	return out
-}
 
 // summariesChanged recomputes the routing-index advert for every peer link
 // and ships a Summary to each link whose advert changed. The advert sent to
@@ -65,8 +27,8 @@ func (n *Node) summariesChanged() {
 		n.mu.Unlock()
 		return
 	}
-	local := n.index.Summary()
-	peers := n.peerListLocked(nil)
+	local := n.core.index.Summary()
+	peers := n.peerListLocked()
 	n.mu.Unlock()
 
 	type advert struct {
@@ -80,7 +42,7 @@ func (n *Node) summariesChanged() {
 			if q == p {
 				continue
 			}
-			if ts := n.rstate.SummaryTermList(q.peerID); ts != nil {
+			if ts := n.core.rstate.SummaryTermList(q.peerID); ts != nil {
 				merged = index.MergeSummary(merged, index.NewSummary(ts))
 			}
 		}
@@ -105,13 +67,13 @@ func (n *Node) summariesChanged() {
 // convergence before measuring.
 func (n *Node) RoutingInfo() (strategy string, links, terms int) {
 	n.mu.Lock()
-	peers := n.peerListLocked(nil)
+	peers := n.peerListLocked()
 	n.mu.Unlock()
 	for _, p := range peers {
-		if t := n.rstate.SummaryTerms(p.peerID); t >= 0 {
+		if t := n.core.rstate.SummaryTerms(p.peerID); t >= 0 {
 			links++
 			terms += t
 		}
 	}
-	return n.route.Name(), links, terms
+	return n.core.strategy.Name(), links, terms
 }

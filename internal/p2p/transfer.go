@@ -22,7 +22,7 @@ const storeOwner = 1 << 30
 func (n *Node) indexStore(s *transfer.Store) {
 	for _, f := range s.Files() {
 		if terms := titleTerms(f.Title); len(terms) > 0 {
-			n.index.Add(index.DocID{Owner: storeOwner, File: f.Index}, terms)
+			n.core.index.Add(index.DocID{Owner: storeOwner, File: f.Index}, terms)
 		}
 	}
 }
@@ -65,7 +65,7 @@ func (n *Node) serveChunk(c *conn, req *gnutella.ChunkRequest, reply *gnutella.C
 	}
 	reply.ID = req.ID
 	if data := reply.Data; req.Chunk != transfer.ManifestChunk {
-		if n.mis.forgeChunk() && len(data) > 0 {
+		if n.core.mis.forgeChunk() && len(data) > 0 {
 			// Adversary: flip bits in the payload. The manifest hash check on
 			// the receiving side is what catches this.
 			data[0] ^= 0xA5

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"strings"
@@ -114,7 +115,7 @@ func TestTrustAdmissionShare(t *testing.T) {
 
 	n.mu.Lock()
 	var link *conn
-	for p := range n.peers {
+	for _, p := range n.peers {
 		link = p
 	}
 	n.mu.Unlock()
@@ -128,7 +129,7 @@ func TestTrustAdmissionShare(t *testing.T) {
 	}
 
 	// Reputable link, empty queue: admission passes.
-	n.book.SetPrior(link.peerID, 1, 100)
+	n.core.book.SetPrior(link.peerID, 1, 100)
 	n.enqueueQuery(link, q)
 	if got := n.metrics.Shed[metrics.ShedAdmission][metrics.SourcePeer].Value(); got != 0 {
 		t.Fatalf("reputable link shed %d by admission, want 0", got)
@@ -136,7 +137,7 @@ func TestTrustAdmissionShare(t *testing.T) {
 
 	// Distrusted link: weight floors out, limit = max(1, 0.1*0.5*8) = 1;
 	// with one overlay query already accounted, the next is shed.
-	n.book.SetPrior(link.peerID, 0, 100)
+	n.core.book.SetPrior(link.peerID, 0, 100)
 	n.peerQueued.Store(1)
 	defer n.peerQueued.Store(0)
 	q2 := *q
@@ -274,5 +275,48 @@ func TestPeerReputationSeriesLeaveWithLink(t *testing.T) {
 	waitFor(t, "every series gone", func() bool { return len(reputation()) == 0 })
 	if got := n.Stats().Peers; got != 0 {
 		t.Fatalf("Peers = %d after every link closed, want 0", got)
+	}
+}
+
+// TestForgeOncePerQuery: a forging relay draws for a query's first copy
+// only, as the simulator's adversary does, so two copies of one GUID bring
+// back one forged QueryHit, not one per copy.
+func TestForgeOncePerQuery(t *testing.T) {
+	n := startNode(t, Options{HeartbeatInterval: -1, Misbehave: &MisbehaveOptions{Forge: 1, Seed: 7}})
+	in := dialRawPeer(t, n.Addr())
+	waitFor(t, "peer link up", func() bool { return n.Stats().Peers == 1 })
+
+	id, sentinel := testGUID(1), testGUID(2)
+	for i, q := range []*gnutella.Query{
+		{ID: id, TTL: 2, Text: "x"},
+		{ID: id, TTL: 2, Text: "x"}, // duplicate: no draw, no forged hit
+		{ID: sentinel, TTL: 2, Text: "x"},
+	} {
+		if err := gnutella.WriteMessage(in, q); err != nil {
+			t.Fatal(err)
+		}
+		// One at a time, so the node's hits come back in query order.
+		waitFor(t, "query handled", func() bool { return n.Stats().QueriesHandled == int64(i+1) })
+	}
+
+	forged := 0
+	in.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(in)
+	for {
+		msg, err := gnutella.ReadMessage(br)
+		if err != nil {
+			t.Fatalf("after %d forged hits: %v", forged, err)
+		}
+		hit, ok := msg.(*gnutella.QueryHit)
+		if !ok {
+			continue
+		}
+		if hit.ID == sentinel {
+			break
+		}
+		forged++
+	}
+	if forged != 1 {
+		t.Fatalf("%d forged hits for one query sent twice, want 1", forged)
 	}
 }
