@@ -51,14 +51,16 @@ type Register struct {
 const registerPayload = 1 + 8 + 8 + 8 + 2
 
 // Encode serializes the register (descriptor header + payload, no framing).
-func (rg *Register) Encode() ([]byte, error) {
-	buf := encodeOneHop(rg.ID, TypeRegister, registerPayload)
+func (rg *Register) Encode() ([]byte, error) { return rg.appendFrame(nil) }
+
+func (rg *Register) appendFrame(dst []byte) ([]byte, error) {
+	dst, buf := appendOneHop(dst, rg.ID, TypeRegister, registerPayload)
 	buf[23] = rg.Flags
 	binary.LittleEndian.PutUint64(buf[24:32], rg.Epoch)
 	binary.LittleEndian.PutUint64(buf[32:40], rg.In)
 	binary.LittleEndian.PutUint64(buf[40:48], rg.Out)
 	binary.LittleEndian.PutUint16(buf[48:50], rg.Clients)
-	return buf, nil
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing: RegisterSize().
@@ -66,8 +68,6 @@ func (rg *Register) WireSize() int { return RegisterSize() }
 
 // Type returns TypeRegister.
 func (rg *Register) Type() MsgType { return TypeRegister }
-
-func (rg *Register) frame() ([]byte, error) { return rg.Encode() }
 
 // DecodeRegister parses an encoded register.
 func DecodeRegister(buf []byte) (*Register, error) {
@@ -140,13 +140,15 @@ type Directive struct {
 const directivePayload = 8 + 1 + 1 + 2
 
 // Encode serializes the directive (descriptor header + payload, no framing).
-func (d *Directive) Encode() ([]byte, error) {
-	buf := encodeOneHop(d.ID, TypeDirective, directivePayload)
+func (d *Directive) Encode() ([]byte, error) { return d.appendFrame(nil) }
+
+func (d *Directive) appendFrame(dst []byte) ([]byte, error) {
+	dst, buf := appendOneHop(dst, d.ID, TypeDirective, directivePayload)
 	binary.LittleEndian.PutUint64(buf[23:31], d.Epoch)
 	buf[31] = byte(d.Action)
 	buf[32] = d.TTL
 	binary.LittleEndian.PutUint16(buf[33:35], d.MaxClients)
-	return buf, nil
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing: DirectiveSize().
@@ -154,8 +156,6 @@ func (d *Directive) WireSize() int { return DirectiveSize() }
 
 // Type returns TypeDirective.
 func (d *Directive) Type() MsgType { return TypeDirective }
-
-func (d *Directive) frame() ([]byte, error) { return d.Encode() }
 
 // DecodeDirective parses an encoded directive.
 func DecodeDirective(buf []byte) (*Directive, error) {
@@ -183,7 +183,7 @@ type Poll struct {
 }
 
 // Encode serializes the poll (descriptor header only, no framing).
-func (p *Poll) Encode() ([]byte, error) { return encodeOneHop(p.ID, TypePoll, 0), nil }
+func (p *Poll) Encode() ([]byte, error) { return p.appendFrame(nil) }
 
 // WireSize returns the on-the-wire size including framing: PollSize().
 func (p *Poll) WireSize() int { return PollSize() }
@@ -191,7 +191,10 @@ func (p *Poll) WireSize() int { return PollSize() }
 // Type returns TypePoll.
 func (p *Poll) Type() MsgType { return TypePoll }
 
-func (p *Poll) frame() ([]byte, error) { return p.Encode() }
+func (p *Poll) appendFrame(dst []byte) ([]byte, error) {
+	dst, _ = appendOneHop(dst, p.ID, TypePoll, 0)
+	return dst, nil
+}
 
 // DecodePoll parses an encoded poll.
 func DecodePoll(buf []byte) (*Poll, error) {

@@ -218,7 +218,7 @@ func TestSingleHopFramesRejectRelayedHeaders(t *testing.T) {
 		&ChunkNack{ID: GUID{8}, FileIndex: 3, Chunk: 9, Code: NackNotFound},
 	}
 	for _, m := range msgs {
-		valid, err := m.frame()
+		valid, err := m.appendFrame(nil)
 		if err != nil {
 			t.Fatalf("encoding %T: %v", m, err)
 		}

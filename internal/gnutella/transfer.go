@@ -32,11 +32,13 @@ type ChunkRequest struct {
 const chunkRequestPayload = 4 + 4
 
 // Encode serializes the request (descriptor header + payload, no framing).
-func (cr *ChunkRequest) Encode() []byte {
-	buf := encodeOneHop(cr.ID, TypeChunkRequest, chunkRequestPayload)
+func (cr *ChunkRequest) Encode() []byte { return encoded(cr) }
+
+func (cr *ChunkRequest) appendFrame(dst []byte) ([]byte, error) {
+	dst, buf := appendOneHop(dst, cr.ID, TypeChunkRequest, chunkRequestPayload)
 	binary.LittleEndian.PutUint32(buf[23:27], cr.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cr.Chunk)
-	return buf
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing: ChunkRequestSize().
@@ -44,8 +46,6 @@ func (cr *ChunkRequest) WireSize() int { return ChunkRequestSize() }
 
 // Type returns TypeChunkRequest.
 func (cr *ChunkRequest) Type() MsgType { return TypeChunkRequest }
-
-func (cr *ChunkRequest) frame() ([]byte, error) { return cr.Encode(), nil }
 
 // DecodeChunkRequest parses an encoded chunk request.
 func DecodeChunkRequest(buf []byte) (*ChunkRequest, error) {
@@ -112,24 +112,29 @@ func (cd *ChunkData) inFrame() bool {
 // While Data is where Reserve put it, the header is written in front of it
 // and the frame returned is cd's own, overwritten by the next Reserve and
 // Encode; otherwise Data is copied into a new frame. Both give equal bytes.
-func (cd *ChunkData) Encode() ([]byte, error) {
+func (cd *ChunkData) Encode() ([]byte, error) { return cd.appendFrame(nil) }
+
+// appendFrame appends cd's frame to dst, except that given no dst while Data
+// is where Reserve put it, it returns cd's own frame, as Encode does.
+func (cd *ChunkData) appendFrame(dst []byte) ([]byte, error) {
 	n := len(cd.Data)
 	if n > MaxChunkLen {
 		return nil, fmt.Errorf("%w: chunk data %d bytes, max %d", ErrBadMessage, n, MaxChunkLen)
 	}
 	var buf []byte
-	if cd.inFrame() {
+	if dst == nil && cd.inFrame() {
 		buf = cd.owned[:chunkDataHead+n]
 		putOneHop(buf, cd.ID, TypeChunkData)
+		dst = buf
 	} else {
-		buf = encodeOneHop(cd.ID, TypeChunkData, chunkDataPayload+n)
+		dst, buf = appendOneHop(dst, cd.ID, TypeChunkData, chunkDataPayload+n)
 		copy(buf[chunkDataHead:], cd.Data)
 	}
 	binary.LittleEndian.PutUint32(buf[23:27], cd.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cd.Chunk)
 	binary.LittleEndian.PutUint32(buf[31:35], cd.TotalChunks)
 	binary.LittleEndian.PutUint64(buf[35:43], cd.FileSize)
-	return buf, nil
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing; it equals
@@ -139,12 +144,11 @@ func (cd *ChunkData) WireSize() int { return ChunkDataSize(len(cd.Data)) }
 // Type returns TypeChunkData.
 func (cd *ChunkData) Type() MsgType { return TypeChunkData }
 
-func (cd *ChunkData) frame() ([]byte, error) { return cd.Encode() }
-
 // DecodeChunkData parses an encoded chunk data frame. The returned Data
 // aliases buf (capped at its end, so an append copies): the caller must not
-// reuse buf while the ChunkData is live. ReadMessage allocates a fresh frame
-// per read, so its ChunkData owns its bytes.
+// reuse buf while the ChunkData is live. It is the one decoder that does not
+// copy out, so ReadMessage reads a ChunkData, alone among frames, into a
+// fresh buffer that is never recycled, and its ChunkData owns its bytes.
 func DecodeChunkData(buf []byte) (*ChunkData, error) {
 	h, err := decodeOneHop(buf, TypeChunkData)
 	if err != nil {
@@ -196,12 +200,14 @@ type ChunkNack struct {
 const chunkNackPayload = 4 + 4 + 1
 
 // Encode serializes the nack (descriptor header + payload, no framing).
-func (cn *ChunkNack) Encode() []byte {
-	buf := encodeOneHop(cn.ID, TypeChunkNack, chunkNackPayload)
+func (cn *ChunkNack) Encode() []byte { return encoded(cn) }
+
+func (cn *ChunkNack) appendFrame(dst []byte) ([]byte, error) {
+	dst, buf := appendOneHop(dst, cn.ID, TypeChunkNack, chunkNackPayload)
 	binary.LittleEndian.PutUint32(buf[23:27], cn.FileIndex)
 	binary.LittleEndian.PutUint32(buf[27:31], cn.Chunk)
 	buf[31] = cn.Code
-	return buf
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing: ChunkNackSize().
@@ -209,8 +215,6 @@ func (cn *ChunkNack) WireSize() int { return ChunkNackSize() }
 
 // Type returns TypeChunkNack.
 func (cn *ChunkNack) Type() MsgType { return TypeChunkNack }
-
-func (cn *ChunkNack) frame() ([]byte, error) { return cn.Encode(), nil }
 
 // DecodeChunkNack parses an encoded chunk nack.
 func DecodeChunkNack(buf []byte) (*ChunkNack, error) {

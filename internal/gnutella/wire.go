@@ -94,16 +94,31 @@ func decodeHeaderAs(buf []byte, want MsgType) (Header, error) {
 
 // Single-hop frames (Join, Update, the control frames and the transfer
 // frames) have no TTL or hops of their own: they cross one link and are never
-// relayed. Their encoders stamp TTL 1 and hops 0 through encodeOneHop, and
+// relayed. Their encoders stamp TTL 1 and hops 0 through appendOneHop, and
 // their decoders accept nothing else, so every frame they accept re-encodes
 // to its input.
 
-// encodeOneHop returns a t frame with room for payload bytes and its
-// single-hop header written.
-func encodeOneHop(id GUID, t MsgType, payload int) []byte {
-	buf := make([]byte, DescriptorHeaderLen+payload)
-	putOneHop(buf, id, t)
+// extend appends n zero bytes to dst, the room for one frame, and returns
+// the extended slice and the frame. The zeros are the NUL padding and
+// reserved bytes no encoder writes, whatever dst's spare capacity held.
+func extend(dst []byte, n int) ([]byte, []byte) {
+	dst = append(dst, make([]byte, n)...)
+	return dst, dst[len(dst)-n:]
+}
+
+// encoded is the frame of a message whose encoder cannot fail, in a fresh
+// buffer.
+func encoded(m Message) []byte {
+	buf, _ := m.appendFrame(nil)
 	return buf
+}
+
+// appendOneHop appends a t frame with room for payload bytes and its
+// single-hop header written to dst, and returns dst and the frame.
+func appendOneHop(dst []byte, id GUID, t MsgType, payload int) ([]byte, []byte) {
+	dst, buf := extend(dst, DescriptorHeaderLen+payload)
+	putOneHop(buf, id, t)
+	return dst, buf
 }
 
 // putOneHop writes a single-hop t header over the front of frame, whose
@@ -114,7 +129,7 @@ func putOneHop(frame []byte, id GUID, t MsgType) {
 }
 
 // decodeOneHop is decodeHeaderAs for a single-hop frame: any TTL but 1 or
-// hops but 0 is not a frame encodeOneHop made.
+// hops but 0 is not a frame appendOneHop made.
 func decodeOneHop(buf []byte, want MsgType) (Header, error) {
 	h, err := decodeHeaderAs(buf, want)
 	if err == nil && (h.TTL != 1 || h.Hops != 0) {
@@ -141,11 +156,11 @@ type headerOnly struct {
 	Hops uint8
 }
 
-func (b *headerOnly) encode(t MsgType) []byte {
-	buf := make([]byte, DescriptorHeaderLen)
+func (b *headerOnly) appendFrame(dst []byte, t MsgType) ([]byte, error) {
+	dst, buf := extend(dst, DescriptorHeaderLen)
 	h := Header{ID: b.ID, Type: t, TTL: b.TTL, Hops: b.Hops}
 	h.encode(buf)
-	return buf
+	return dst, nil
 }
 
 // decodeHeaderOnly parses a want frame, which must carry no payload; name
@@ -172,7 +187,7 @@ type Ping struct {
 }
 
 // Encode serializes the ping (descriptor header only, no payload).
-func (p *Ping) Encode() []byte { return (*headerOnly)(p).encode(TypePing) }
+func (p *Ping) Encode() []byte { return encoded(p) }
 
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (p *Ping) WireSize() int { return PingSize() }
@@ -180,7 +195,9 @@ func (p *Ping) WireSize() int { return PingSize() }
 // Type returns TypePing.
 func (p *Ping) Type() MsgType { return TypePing }
 
-func (p *Ping) frame() ([]byte, error) { return p.Encode(), nil }
+func (p *Ping) appendFrame(dst []byte) ([]byte, error) {
+	return (*headerOnly)(p).appendFrame(dst, TypePing)
+}
 
 // DecodePing parses an encoded ping.
 func DecodePing(buf []byte) (*Ping, error) { return decodeHeaderOnly[Ping](buf, TypePing, "ping") }
@@ -194,7 +211,7 @@ type Pong struct {
 }
 
 // Encode serializes the pong (descriptor header only, no payload).
-func (p *Pong) Encode() []byte { return (*headerOnly)(p).encode(TypePong) }
+func (p *Pong) Encode() []byte { return encoded(p) }
 
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (p *Pong) WireSize() int { return PingSize() }
@@ -202,7 +219,9 @@ func (p *Pong) WireSize() int { return PingSize() }
 // Type returns TypePong.
 func (p *Pong) Type() MsgType { return TypePong }
 
-func (p *Pong) frame() ([]byte, error) { return p.Encode(), nil }
+func (p *Pong) appendFrame(dst []byte) ([]byte, error) {
+	return (*headerOnly)(p).appendFrame(dst, TypePong)
+}
 
 // DecodePong parses an encoded pong.
 func DecodePong(buf []byte) (*Pong, error) { return decodeHeaderOnly[Pong](buf, TypePong, "pong") }
@@ -221,7 +240,7 @@ type Busy struct {
 }
 
 // Encode serializes the busy signal (descriptor header only, no payload).
-func (b *Busy) Encode() []byte { return (*headerOnly)(b).encode(TypeBusy) }
+func (b *Busy) Encode() []byte { return encoded(b) }
 
 // WireSize returns the on-the-wire size including framing: PingLen.
 func (b *Busy) WireSize() int { return PingSize() }
@@ -229,7 +248,9 @@ func (b *Busy) WireSize() int { return PingSize() }
 // Type returns TypeBusy.
 func (b *Busy) Type() MsgType { return TypeBusy }
 
-func (b *Busy) frame() ([]byte, error) { return b.Encode(), nil }
+func (b *Busy) appendFrame(dst []byte) ([]byte, error) {
+	return (*headerOnly)(b).appendFrame(dst, TypeBusy)
+}
 
 // DecodeBusy parses an encoded busy signal.
 func DecodeBusy(buf []byte) (*Busy, error) { return decodeHeaderOnly[Busy](buf, TypeBusy, "busy") }
@@ -244,15 +265,16 @@ type Query struct {
 }
 
 // Encode serializes the query (descriptor header + payload, no framing).
-func (q *Query) Encode() []byte {
+func (q *Query) Encode() []byte { return encoded(q) }
+
+func (q *Query) appendFrame(dst []byte) ([]byte, error) {
 	payload := 2 + len(q.Text) + 1
-	buf := make([]byte, DescriptorHeaderLen+payload)
+	dst, buf := extend(dst, DescriptorHeaderLen+payload)
 	h := Header{ID: q.ID, Type: TypeQuery, TTL: q.TTL, Hops: q.Hops, PayloadLen: uint32(payload)}
 	h.encode(buf)
 	binary.LittleEndian.PutUint16(buf[23:25], q.MinSpeed)
-	copy(buf[25:], q.Text)
-	buf[len(buf)-1] = 0 // NUL terminator
-	return buf
+	copy(buf[25:], q.Text) // the NUL terminator is extend's
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing; it equals
@@ -261,8 +283,6 @@ func (q *Query) WireSize() int { return QuerySize(len(q.Text)) }
 
 // Type returns TypeQuery.
 func (q *Query) Type() MsgType { return TypeQuery }
-
-func (q *Query) frame() ([]byte, error) { return q.Encode(), nil }
 
 // DecodeQuery parses an encoded query.
 func DecodeQuery(buf []byte) (*Query, error) {
@@ -321,12 +341,14 @@ type QueryHit struct {
 }
 
 // Encode serializes the query hit (descriptor header + payload, no framing).
-func (r *QueryHit) Encode() ([]byte, error) {
+func (r *QueryHit) Encode() ([]byte, error) { return r.appendFrame(nil) }
+
+func (r *QueryHit) appendFrame(dst []byte) ([]byte, error) {
 	if len(r.Responders) > 255 {
 		return nil, fmt.Errorf("%w: %d responders, max 255", ErrBadMessage, len(r.Responders))
 	}
 	payload := 1 + ResponderRecordLen*len(r.Responders) + ResultRecordLen*len(r.Results)
-	buf := make([]byte, DescriptorHeaderLen+payload)
+	dst, buf := extend(dst, DescriptorHeaderLen+payload)
 	h := Header{ID: r.ID, Type: TypeQueryHit, TTL: r.TTL, Hops: r.Hops, PayloadLen: uint32(payload)}
 	h.encode(buf)
 	buf[23] = byte(len(r.Responders))
@@ -346,7 +368,7 @@ func (r *QueryHit) Encode() ([]byte, error) {
 		copy(buf[off+10:off+10+titleFieldLen], res.Title)
 		off += ResultRecordLen
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing; it equals
@@ -355,8 +377,6 @@ func (r *QueryHit) WireSize() int { return ResponseSize(len(r.Responders), len(r
 
 // Type returns TypeQueryHit.
 func (r *QueryHit) Type() MsgType { return TypeQueryHit }
-
-func (r *QueryHit) frame() ([]byte, error) { return r.Encode() }
 
 // DecodeQueryHit parses an encoded query hit.
 func DecodeQueryHit(buf []byte) (*QueryHit, error) {
@@ -419,9 +439,11 @@ type Join struct {
 }
 
 // Encode serializes the join (descriptor header + payload, no framing).
-func (j *Join) Encode() []byte {
-	buf := encodeOneHop(j.ID, TypeJoin, 1+MetadataRecordLen*len(j.Files))
-	buf[23] = 0 // flags, reserved
+func (j *Join) Encode() []byte { return encoded(j) }
+
+func (j *Join) appendFrame(dst []byte) ([]byte, error) {
+	dst, buf := appendOneHop(dst, j.ID, TypeJoin, 1+MetadataRecordLen*len(j.Files))
+	// buf[23], the flags byte, is reserved: extend's zero.
 	off := 24
 	for _, f := range j.Files {
 		binary.LittleEndian.PutUint32(buf[off:off+4], f.FileIndex)
@@ -429,7 +451,7 @@ func (j *Join) Encode() []byte {
 		copy(buf[off+8:off+8+metadataTitleLen], f.Title)
 		off += MetadataRecordLen
 	}
-	return buf
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing; it equals
@@ -438,8 +460,6 @@ func (j *Join) WireSize() int { return JoinSize(len(j.Files)) }
 
 // Type returns TypeJoin.
 func (j *Join) Type() MsgType { return TypeJoin }
-
-func (j *Join) frame() ([]byte, error) { return j.Encode(), nil }
 
 // DecodeJoin parses an encoded join.
 func DecodeJoin(buf []byte) (*Join, error) {
@@ -485,13 +505,15 @@ type Update struct {
 const updatePayload = 1 + MetadataRecordLen
 
 // Encode serializes the update (descriptor header + payload, no framing).
-func (u *Update) Encode() []byte {
-	buf := encodeOneHop(u.ID, TypeUpdate, updatePayload)
+func (u *Update) Encode() []byte { return encoded(u) }
+
+func (u *Update) appendFrame(dst []byte) ([]byte, error) {
+	dst, buf := appendOneHop(dst, u.ID, TypeUpdate, updatePayload)
 	buf[23] = byte(u.Op)
 	binary.LittleEndian.PutUint32(buf[24:28], u.File.FileIndex)
 	binary.LittleEndian.PutUint32(buf[28:32], u.File.FileSize)
 	copy(buf[32:32+metadataTitleLen], u.File.Title)
-	return buf
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing: UpdateLen.
@@ -499,8 +521,6 @@ func (u *Update) WireSize() int { return UpdateSize() }
 
 // Type returns TypeUpdate.
 func (u *Update) Type() MsgType { return TypeUpdate }
-
-func (u *Update) frame() ([]byte, error) { return u.Encode(), nil }
 
 // DecodeUpdate parses an encoded update.
 func DecodeUpdate(buf []byte) (*Update, error) {
@@ -533,7 +553,9 @@ type Summary struct {
 
 // Encode serializes the summary (descriptor header + payload, no framing).
 // Terms longer than 255 bytes or counts above 65535 are rejected.
-func (s *Summary) Encode() ([]byte, error) {
+func (s *Summary) Encode() ([]byte, error) { return s.appendFrame(nil) }
+
+func (s *Summary) appendFrame(dst []byte) ([]byte, error) {
 	if len(s.Terms) > 65535 {
 		return nil, fmt.Errorf("%w: %d summary terms, max 65535", ErrBadMessage, len(s.Terms))
 	}
@@ -544,7 +566,7 @@ func (s *Summary) Encode() ([]byte, error) {
 		}
 		payload += 1 + len(t)
 	}
-	buf := make([]byte, DescriptorHeaderLen+payload)
+	dst, buf := extend(dst, DescriptorHeaderLen+payload)
 	h := Header{ID: s.ID, Type: TypeSummary, TTL: s.TTL, Hops: s.Hops, PayloadLen: uint32(payload)}
 	h.encode(buf)
 	binary.LittleEndian.PutUint16(buf[23:25], uint16(len(s.Terms)))
@@ -554,7 +576,7 @@ func (s *Summary) Encode() ([]byte, error) {
 		copy(buf[off+1:], t)
 		off += 1 + len(t)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 // WireSize returns the on-the-wire size including framing; it equals
@@ -569,8 +591,6 @@ func (s *Summary) WireSize() int {
 
 // Type returns TypeSummary.
 func (s *Summary) Type() MsgType { return TypeSummary }
-
-func (s *Summary) frame() ([]byte, error) { return s.Encode() }
 
 // DecodeSummary parses an encoded summary.
 func DecodeSummary(buf []byte) (*Summary, error) {

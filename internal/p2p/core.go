@@ -191,7 +191,10 @@ func (c *core) misbehave(from int, q *gnutella.Query, out []send) ([]send, bool)
 // search answers a query's terms from the local index and builds the
 // QueryHit: the results plus "the address of each client whose collection
 // produced a result". It returns nil when nothing matches, and charges the
-// Table 2 processing cost either way.
+// Table 2 processing cost either way. Results stop, deterministically, at the
+// first match that would need a 256th responder or take the payload past
+// gnutella.MaxPayloadLen, a peer link's read limit; that bound also keeps
+// each responder's ResultCount far below 65536.
 func (c *core) search(id gnutella.GUID, terms []string) *gnutella.QueryHit {
 	var matches []index.Match
 	if len(terms) > 0 {
@@ -201,22 +204,29 @@ func (c *core) search(id gnutella.GUID, terms []string) *gnutella.QueryHit {
 	if len(matches) == 0 {
 		return nil
 	}
-	hit := &gnutella.QueryHit{ID: id, TTL: uint8(c.ttl)}
-	refs := make(map[int]uint16)
+	hit := &gnutella.QueryHit{ID: id, TTL: uint8(c.ttl), Results: make([]gnutella.ResultRecord, 0, len(matches))}
+	var ownerBuf [4]int
+	owners := ownerBuf[:0] // owners[ref] is hit.Responders[ref]'s owner
+	payload := 1           // the responder count byte
 	for _, m := range matches {
-		ref, ok := refs[m.Doc.Owner]
-		if !ok {
-			if len(hit.Responders) >= 255 {
-				break // wire limit; deterministic truncation
-			}
-			ref = uint16(len(hit.Responders))
-			refs[m.Doc.Owner] = ref
+		ref := slices.Index(owners, m.Doc.Owner)
+		grow := gnutella.ResultRecordLen
+		if ref < 0 {
+			grow += gnutella.ResponderRecordLen
+		}
+		if ref < 0 && len(owners) >= 255 || payload+grow > gnutella.MaxPayloadLen {
+			break // wire and reader limits; deterministic truncation
+		}
+		payload += grow
+		if ref < 0 {
+			ref = len(owners)
+			owners = append(owners, m.Doc.Owner)
 			hit.Responders = append(hit.Responders, c.responders[m.Doc.Owner])
 		}
 		hit.Responders[ref].ResultCount++
 		hit.Results = append(hit.Results, gnutella.ResultRecord{
 			FileIndex: m.Doc.File,
-			AddrRef:   ref,
+			AddrRef:   uint16(ref),
 			Title:     strings.Join(m.Terms, " "),
 		})
 	}

@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -168,6 +169,35 @@ func TestCoreExpire(t *testing.T) {
 // learning), the index's miss, and one copy shared by every send. Measured
 // at 4 on go1.24; a fifth would be a new allocation on every query copy a
 // node handles, such as a per-send neighbor status or a peer snapshot.
+// TestCoreHitFitsReader: one owner with more matching files than a frame can
+// carry gets a hit truncated to the reader's payload limit, not one the
+// receiving link rejects as too large.
+func TestCoreHitFitsReader(t *testing.T) {
+	c := testCore(Options{})
+	files := make([]gnutella.MetadataRecord, 56000)
+	for i := range files {
+		files[i] = gnutella.MetadataRecord{FileIndex: uint32(i), Title: "needle"}
+	}
+	c.join(1, needleOwner, files)
+	hit := c.search(testGUID(1), []string{"needle"})
+	var wire bytes.Buffer
+	if err := gnutella.WriteMessage(&wire, hit); err != nil {
+		t.Fatal(err)
+	}
+	m, err := gnutella.ReadMessage(&wire)
+	if err != nil {
+		t.Fatalf("reading the hit back: %v", err)
+	}
+	back := m.(*gnutella.QueryHit)
+	count := 0
+	for _, r := range back.Responders {
+		count += int(r.ResultCount)
+	}
+	if count != len(back.Results) || len(back.Results) < 55000 {
+		t.Errorf("%d results, responder counts sum to %d", len(back.Results), count)
+	}
+}
+
 func TestCoreRelayAllocs(t *testing.T) {
 	c := testCore(Options{})
 	c.addPeer(3)
