@@ -121,7 +121,8 @@ const (
 	// MetricProcUnits accumulates executed processing cost in Table 2 model
 	// units (multiply by cost.CyclesPerUnit for Hz).
 	MetricProcUnits = "spnet_processing_units_total"
-	// MetricQueriesHandled counts queries a super-peer fully serviced.
+	// MetricQueriesHandled counts every query copy a super-peer decided on:
+	// dispatched, or dropped as a duplicate on arrival.
 	MetricQueriesHandled = "spnet_queries_handled_total"
 	// MetricQueriesShed counts queries dropped by the overload ladder,
 	// labeled by reason and source class.
@@ -131,7 +132,8 @@ const (
 	MetricQueriesForwarded = "spnet_queries_forwarded_total"
 	// MetricBusyReceived counts Busy notices received from neighbors.
 	MetricBusyReceived = "spnet_busy_received_total"
-	// MetricQueryService is the histogram of query service times in seconds.
+	// MetricQueryService is the histogram of query service times in seconds,
+	// over dispatched queries only: a duplicate dropped on arrival has none.
 	MetricQueryService = "spnet_query_service_seconds"
 	// MetricHitsDropped counts QueryHits the node refused to relay, labeled
 	// by reason: "unsolicited" (no matching outstanding query route) or
@@ -279,7 +281,8 @@ type NodeMetrics struct {
 	ConnsOpen *Gauge
 	// ProcUnits accumulates executed Table 2 processing units.
 	ProcUnits *FloatCounter
-	// QueriesHandled counts fully serviced queries.
+	// QueriesHandled counts query copies decided on: dispatched, or dropped
+	// as a duplicate on arrival.
 	QueriesHandled *Counter
 	// Shed counts dropped queries by [reason][source].
 	Shed [numShedReasons][numSources]*Counter
@@ -291,7 +294,8 @@ type NodeMetrics struct {
 	// HitsForged counts QueryHits dropped by trust validation (no dialable
 	// responder behind any claimed result).
 	HitsForged *Counter
-	// QueryService is the query service-time histogram (seconds).
+	// QueryService is the service-time histogram (seconds) of dispatched
+	// queries.
 	QueryService *Histogram
 	// QueriesForwarded counts query copies sent on to neighbor super-peers.
 	// It carries the routing strategy as a label, so it is registered by
@@ -324,7 +328,7 @@ func NewNodeMetrics() *NodeMetrics {
 	}
 	nm.ConnsOpen = r.Gauge(MetricConnsOpen, "Open client and peer connections.")
 	nm.ProcUnits = r.FloatCounter(MetricProcUnits, "Executed processing cost in Table 2 model units.")
-	nm.QueriesHandled = r.Counter(MetricQueriesHandled, "Queries fully serviced by this node.")
+	nm.QueriesHandled = r.Counter(MetricQueriesHandled, "Query copies this node decided on: dispatched, or dropped as a duplicate on arrival.")
 	for reason := 0; reason < numShedReasons; reason++ {
 		for src := 0; src < numSources; src++ {
 			nm.Shed[reason][src] = r.Counter(MetricQueriesShed, "Queries dropped by the overload ladder, by reason and source class.",
@@ -336,7 +340,7 @@ func NewNodeMetrics() *NodeMetrics {
 		Label{"reason", "unsolicited"})
 	nm.HitsForged = r.Counter(MetricHitsDropped, "QueryHits refused relay, by reason.",
 		Label{"reason", "forged"})
-	nm.QueryService = r.Histogram(MetricQueryService, "Query service time in seconds.", DefLatencyBuckets)
+	nm.QueryService = r.Histogram(MetricQueryService, "Service time in seconds of each dispatched query.", DefLatencyBuckets)
 	nm.DirectivesApplied = r.Counter(MetricControlDirectives, "Control-plane directives by outcome.",
 		Label{"result", "applied"})
 	nm.DirectivesStale = r.Counter(MetricControlDirectives, "Control-plane directives by outcome.",

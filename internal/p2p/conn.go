@@ -94,6 +94,15 @@ func newConn(n *Node, lc *link.Conn, r role) *conn {
 		queries: bucket{rate: n.opts.ClientQueryRate, burst: n.opts.ClientQueryBurst}}
 }
 
+// linkID is the link's id in the query core: its peer id, or its client
+// owner's clientLink.
+func (c *conn) linkID() int {
+	if c.role == rolePeer {
+		return c.peerID
+	}
+	return clientLink(c.owner)
+}
+
 // send writes one message within the node's WriteTimeout.
 func (c *conn) send(m gnutella.Message) error { return c.Send(m, c.node.opts.WriteTimeout) }
 
@@ -207,6 +216,7 @@ func (n *Node) runPeer(c *conn) {
 		}
 		n.summariesChanged() // adverts shrink without this link's summary
 	}()
+	var sl sendList
 	for {
 		msg, err := c.Recv(time.Time{})
 		if err != nil {
@@ -216,7 +226,7 @@ func (n *Node) runPeer(c *conn) {
 		case *gnutella.Query:
 			n.enqueueQuery(c, m)
 		case *gnutella.QueryHit, *gnutella.Busy:
-			n.step(c.peerID, m, time.Time{}) // a response stamps no route
+			n.step(c.peerID, m, time.Time{}, &sl) // a response stamps no route
 		case *gnutella.Summary:
 			if n.routeSummaries {
 				n.core.rstate.SetSummary(c.peerID, m.Terms)

@@ -136,6 +136,9 @@ func (c *core) dropPeer(id int) {
 // can still travel. DESIGN.md §16 gives the case and why this forward-once
 // rule does not forward every copy with more hops left.
 func (c *core) query(from int, q *gnutella.Query, now time.Time, out []send) []send {
+	if c.redundant(from, q) {
+		return out // received, then dropped
+	}
 	relayed := from >= 0
 	ttl, hops, hitHops := q.TTL-1, q.Hops+1, q.Hops // the copy sent on
 	if !relayed {
@@ -143,9 +146,6 @@ func (c *core) query(from int, q *gnutella.Query, now time.Time, out []send) []s
 	}
 	onward := !relayed || q.TTL > 1
 	rt, dup := c.routes[q.ID]
-	if dup && (rt.forwarded || !onward || !relayed) {
-		return out // redundant copy: received, then dropped
-	}
 	terms := titleTerms(q.Text)
 	if !dup {
 		var stop bool
@@ -167,6 +167,15 @@ func (c *core) query(from int, q *gnutella.Query, now time.Time, out []send) []s
 		out = c.forward(out, from, q, ttl, hops, terms)
 	}
 	return out
+}
+
+// redundant reports whether a copy of q arriving on link from is one the
+// forward-once rule drops: its GUID has a route, and the copy is a user's,
+// ends here (TTL <= 1) or comes after the query was forwarded. Node applies
+// it on arrival too, so a duplicate takes no dispatch slot (DESIGN.md §18).
+func (c *core) redundant(from int, q *gnutella.Query) bool {
+	rt, dup := c.routes[q.ID]
+	return dup && (rt.forwarded || from < 0 || q.TTL <= 1)
 }
 
 // misbehave is an adversary's look at a query, drawn only for a copy with no
@@ -266,7 +275,9 @@ func (c *core) forward(out []send, from int, q *gnutella.Query, ttl, hops uint8,
 
 // respond routes a QueryHit or Busy that arrived on peer link from back
 // along its query's route, the simulator's handleResponse: one hop further
-// (Hops+1) over a link, or as it came to the node's own search. A hit with
+// (Hops+1) over a link, or as it came to the node's own search. The core
+// owns m from then on and relays it, Hops incremented in place, rather than
+// a copy: every caller hands over a frame it has just decoded. A hit with
 // no route is unsolicited (forged, replayed or stale) and is dropped. Under
 // Trust a hit with no dialable responder is dropped as forged before the
 // strategy can credit it, and each hit is the sending link's good or bad
@@ -291,9 +302,7 @@ func (c *core) respond(from int, m gnutella.Message, out []send) []send {
 			c.rstate.RecordHit(from, rt.terms)
 		}
 		if rt.back != ownLink {
-			fwd := *r
-			fwd.Hops++
-			m = &fwd
+			r.Hops++
 		}
 	case *gnutella.Busy:
 		c.metrics.BusyReceived.Inc()
@@ -302,9 +311,7 @@ func (c *core) respond(from int, m gnutella.Message, out []send) []send {
 		}
 		c.observe(from, false)
 		if rt.back != ownLink {
-			fwd := *r
-			fwd.Hops++
-			m = &fwd
+			r.Hops++
 		}
 	}
 	return c.reply(out, rt.back, m)

@@ -164,11 +164,6 @@ func TestCoreExpire(t *testing.T) {
 	}
 }
 
-// TestCoreRelayAllocs guards what one relay to three peers allocates: the
-// route, the query's terms (tokenized once for the index, the strategy and
-// learning), the index's miss, and one copy shared by every send. Measured
-// at 4 on go1.24; a fifth would be a new allocation on every query copy a
-// node handles, such as a per-send neighbor status or a peer snapshot.
 // TestCoreHitFitsReader: one owner with more matching files than a frame can
 // carry gets a hit truncated to the reader's payload limit, not one the
 // receiving link rejects as too large.
@@ -198,6 +193,11 @@ func TestCoreHitFitsReader(t *testing.T) {
 	}
 }
 
+// TestCoreRelayAllocs guards what one relay to three peers allocates: the
+// route, the query's terms (tokenized once for the index, the strategy and
+// learning), the index's miss, and one copy shared by every send. Measured
+// at 4 on go1.24; a fifth would be a new allocation on every query copy a
+// node handles, such as a per-send neighbor status or a peer snapshot.
 func TestCoreRelayAllocs(t *testing.T) {
 	c := testCore(Options{})
 	c.addPeer(3)
@@ -216,5 +216,25 @@ func TestCoreRelayAllocs(t *testing.T) {
 	t.Logf("%v allocs per relay", allocs)
 	if allocs > 4 {
 		t.Errorf("%v allocs per relay, want at most 4", allocs)
+	}
+}
+
+// TestCoreRespondAllocs: relaying a hit one hop back allocates nothing. The
+// core owns the frame it is handed and increments its Hops in place, and the
+// send goes into the caller's list.
+func TestCoreRespondAllocs(t *testing.T) {
+	c := testCore(Options{})
+	id := testGUID(1)
+	c.query(0, &gnutella.Query{ID: id, TTL: 3, Hops: 1, Text: "miss"}, epoch, nil)
+	hit := needleHit(id, 0)
+	out := make([]send, 0, 1)
+	allocs := testing.AllocsPerRun(200, func() {
+		out = c.respond(1, hit, out[:0])
+	})
+	if len(out) != 1 || out[0].to != 0 || out[0].m != hit {
+		t.Fatalf("relayed%s, want the hit itself on link 0", sendsString(out))
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocs per relayed hit, want 0", allocs)
 	}
 }

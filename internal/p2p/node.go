@@ -366,7 +366,9 @@ type Stats struct {
 	Clients      int
 	Peers        int
 	IndexedFiles int
-	// QueriesHandled counts queries dispatched to completion.
+	// QueriesHandled counts every query copy the node decided on: each one
+	// dispatched, and each duplicate dropped on arrival. Shed and
+	// rate-limited queries are not in it.
 	QueriesHandled int64
 	// QueriesShed counts queries answered with Busy because the dispatch
 	// queue or a connection's inflight cap was full, across both source
@@ -586,12 +588,22 @@ func (n *Node) heartbeatLoop() {
 	})
 }
 
-// enqueueQuery admits one arriving query into the dispatch queue, applying
-// the overload-protection ladder in order: per-client token bucket, per
-// connection inflight cap, then the node-wide queue bound. Every refusal is
-// an explicit, counted Busy response to the sender — never a silent drop —
-// and admission never blocks the connection's read loop.
+// enqueueQuery admits one arriving query into the dispatch queue. A copy the
+// core's duplicate rule drops is dropped here first, under n.mu, and counted
+// handled: it takes no token, slot or Busy. The core applies the rule again,
+// for a copy whose first copy was still queued when it arrived. Any other
+// query meets the overload-protection ladder in order: per-client token
+// bucket, per connection inflight cap, then the node-wide queue bound. Every
+// refusal is an explicit, counted Busy response to the sender — never a
+// silent drop — and admission never waits for room in the queue.
 func (n *Node) enqueueQuery(c *conn, q *gnutella.Query) {
+	n.mu.Lock()
+	dup := n.core.redundant(c.linkID(), q)
+	n.mu.Unlock()
+	if dup {
+		n.metrics.QueriesHandled.Inc() // received, then dropped
+		return
+	}
 	peer := c.role == rolePeer
 	src := metrics.SourceClient
 	if peer {
@@ -657,15 +669,16 @@ func (n *Node) sendBusy(c *conn, q *gnutella.Query) {
 // exits.
 func (n *Node) queryWorker() {
 	defer n.qwg.Done()
+	var sl sendList
 	for {
 		select {
 		case t := <-n.queue:
-			n.dispatch(t)
+			n.dispatch(t, &sl)
 		case <-n.stop:
 			for {
 				select {
 				case t := <-n.queue:
-					n.dispatch(t)
+					n.dispatch(t, &sl)
 				default:
 					return
 				}
@@ -674,17 +687,14 @@ func (n *Node) queryWorker() {
 	}
 }
 
-// dispatch executes one admitted query: a peer's copy, or a client's query,
-// which the node sources "as if it were its own". A client's owner id is
-// set before its first query is queued and never changes.
-func (n *Node) dispatch(t queryTask) {
+// dispatch executes one admitted query, with the worker's send list: a
+// peer's copy, or a client's query, which the node sources "as if it were
+// its own". A client's owner id is set before its first query is queued and
+// never changes.
+func (n *Node) dispatch(t queryTask, sl *sendList) {
 	defer n.release(t.c)
 	start := time.Now()
-	from := t.c.peerID
-	if t.c.role != rolePeer {
-		from = clientLink(t.c.owner)
-	}
-	n.step(from, t.q, start)
+	n.step(t.c.linkID(), t.q, start, sl)
 	n.metrics.QueryService.Observe(time.Since(start).Seconds())
 	n.metrics.QueriesHandled.Inc()
 }

@@ -263,6 +263,83 @@ func TestDuplicateForwardedOnceTTLAllows(t *testing.T) {
 	}
 }
 
+// TestDuplicateBurstNotShed: a burst of copies of a query the node has
+// already handled is dropped on arrival, not shed. A reader that has fallen
+// behind reads such a burst all at once; queued for a worker, the copies
+// filled the link's inflight cap and the rest drew a Busy each, which an
+// upstream node under Trust takes as a solicited Busy and debits the link for.
+func TestDuplicateBurstNotShed(t *testing.T) {
+	opts := Options{QueryWorkers: 1, MaxInflight: 2, HeartbeatInterval: -1}
+	// burst holds n.mu, so no worker can step the core, while send delivers
+	// ten more copies, then waits until n has decided on all eleven.
+	burst := func(t *testing.T, n *Node, send func() error) {
+		n.mu.Lock()
+		for i := 0; i < 10; i++ {
+			if err := send(); err != nil {
+				t.Errorf("sending copy %d: %v", i, err)
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+		n.mu.Unlock()
+		waitFor(t, "every copy decided", func() bool {
+			st := n.Stats()
+			return st.QueriesHandled+st.QueriesShed >= 11
+		})
+		if shed := n.Stats().QueriesShed; shed != 0 {
+			t.Errorf("%d duplicate copies shed with Busy, want 0", shed)
+		}
+	}
+
+	t.Run("raw peer", func(t *testing.T) {
+		n := startNode(t, opts)
+		in := dialRawPeer(t, n.Addr())
+		waitFor(t, "link up", func() bool { return n.Stats().Peers == 1 })
+		q := &gnutella.Query{ID: testGUID(1), TTL: 3, Text: "burst"}
+		send := func() error { return gnutella.WriteMessage(in, q) }
+		if err := send(); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "first copy handled", func() bool { return n.Stats().QueriesHandled == 1 })
+		burst(t, n, send)
+		in.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+		if m, err := gnutella.ReadMessage(in); err == nil {
+			t.Errorf("node sent a %T on the link, want nothing", m)
+		}
+	})
+
+	t.Run("trust upstream", func(t *testing.T) {
+		n := startNode(t, opts)
+		up := startNode(t, Options{Trust: true, HeartbeatInterval: -1})
+		if err := up.ConnectPeer(n.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "link up", func() bool { return n.Stats().Peers == 1 && up.Stats().Peers == 1 })
+		done := make(chan *SearchOutcome, 1)
+		go func() {
+			out, _ := up.SearchDetailed("burst", time.Second)
+			done <- out
+		}()
+		waitFor(t, "first copy handled", func() bool { return n.Stats().QueriesHandled == 1 })
+		var id gnutella.GUID // the search's, and up's one peer link
+		var pc *conn
+		up.mu.Lock()
+		for id = range up.searches {
+		}
+		for _, pc = range up.peers {
+		}
+		up.mu.Unlock()
+		before := up.core.book.Score(pc.peerID)
+		q := &gnutella.Query{ID: id, TTL: 7, Text: "burst"}
+		burst(t, n, func() error { return pc.send(q) })
+		if out := <-done; out.Busy != 0 {
+			t.Errorf("upstream search got %d Busy, want 0", out.Busy)
+		}
+		if after := up.core.book.Score(pc.peerID); after != before {
+			t.Errorf("upstream scores the link %.4f after the burst, %.4f before", after, before)
+		}
+	})
+}
+
 func TestMaxClientsRefused(t *testing.T) {
 	n := startNode(t, Options{MaxClients: 1})
 	first, err := DialClient(n.Addr(), nil)

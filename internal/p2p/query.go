@@ -24,7 +24,7 @@ func (n *Node) SearchDetailed(query string, window time.Duration) (*SearchOutcom
 	n.mu.Lock()
 	n.searches[id] = s
 	n.mu.Unlock()
-	neighbors := n.step(ownLink, &gnutella.Query{ID: id, Text: query}, time.Time{})
+	neighbors := n.step(ownLink, &gnutella.Query{ID: id, Text: query}, time.Time{}, new(sendList))
 	var err error
 	if !link.Sleep(window, n.stop) {
 		err = errClosed
@@ -38,37 +38,49 @@ func (n *Node) SearchDetailed(query string, window time.Duration) (*SearchOutcom
 	return &out, err
 }
 
+// sendList is step's scratch: the sends the core decides and the link each
+// goes out on. A goroutine that steps the core owns one — each query worker,
+// each peer link's reader, and each own search its own — so a step allocates
+// only the frames it sends. step clears both after sending, so a list kept
+// between steps holds no frame or conn alive.
+type sendList struct {
+	sends []send
+	links []*conn
+}
+
 // step hands one frame that arrived on link from — a Query stamped with
 // now, a QueryHit or a Busy — to the core under n.mu, and performs the
 // sends it decides once the lock is released: a frame for a link goes out
 // on it, best effort, and one for the node's own search is collected while
 // the lock is still held. A link that has gone by then is skipped; a send
 // that fails is logged, and the far side learns from its connection error.
-// step reports per-neighbor delivery of an own search's query copies.
-func (n *Node) step(from int, m gnutella.Message, now time.Time) []NeighborStatus {
+// The core owns m from then on. step reports per-neighbor delivery of an own
+// search's query copies.
+func (n *Node) step(from int, m gnutella.Message, now time.Time, sl *sendList) []NeighborStatus {
 	n.mu.Lock()
-	var sends []send
 	if q, ok := m.(*gnutella.Query); ok {
-		sends = n.core.query(from, q, now, nil)
+		sl.sends = n.core.query(from, q, now, sl.sends[:0])
 	} else {
-		sends = n.core.respond(from, m, nil)
+		sl.sends = n.core.respond(from, m, sl.sends[:0])
 	}
-	links := make([]*conn, len(sends))
-	for i, s := range sends {
+	sl.links = sl.links[:0]
+	for _, s := range sl.sends {
+		var c *conn
 		switch {
 		case s.to == ownLink:
 			n.collectLocked(s.m)
 		case s.to >= 0:
-			links[i] = n.peers[s.to]
+			c = n.peers[s.to]
 		default:
-			links[i] = n.clients[clientLink(s.to)]
+			c = n.clients[clientLink(s.to)]
 		}
+		sl.links = append(sl.links, c)
 	}
 	n.mu.Unlock()
 
 	var status []NeighborStatus
-	for i, s := range sends {
-		c := links[i]
+	for i, s := range sl.sends {
+		c := sl.links[i]
 		if c == nil {
 			continue
 		}
@@ -84,6 +96,8 @@ func (n *Node) step(from int, m gnutella.Message, now time.Time) []NeighborStatu
 			status = append(status, NeighborStatus{Addr: c.RemoteAddr().String(), Err: err})
 		}
 	}
+	clear(sl.sends)
+	clear(sl.links)
 	return status
 }
 
