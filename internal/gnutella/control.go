@@ -69,24 +69,31 @@ func (rg *Register) WireSize() int { return RegisterSize() }
 // Type returns TypeRegister.
 func (rg *Register) Type() MsgType { return TypeRegister }
 
+// checkRegister checks a Register frame: its fixed size and known flags.
+func checkRegister(h Header, buf []byte) error {
+	if err := checkFixed(h, buf, registerPayload); err != nil {
+		return err
+	}
+	if buf[23] > RegisterBye {
+		return fmt.Errorf("%w: register flags 0x%02x", ErrBadMessage, buf[23])
+	}
+	return nil
+}
+
 // DecodeRegister parses an encoded register.
 func DecodeRegister(buf []byte) (*Register, error) {
-	h, err := decodeFixed(buf, TypeRegister, registerPayload)
+	h, err := decodeChecked(buf, TypeRegister, checkRegister)
 	if err != nil {
 		return nil, err
 	}
-	rg := &Register{
+	return &Register{
 		ID:      h.ID,
 		Flags:   buf[23],
 		Epoch:   binary.LittleEndian.Uint64(buf[24:32]),
 		In:      binary.LittleEndian.Uint64(buf[32:40]),
 		Out:     binary.LittleEndian.Uint64(buf[40:48]),
 		Clients: binary.LittleEndian.Uint16(buf[48:50]),
-	}
-	if rg.Flags > RegisterBye {
-		return nil, fmt.Errorf("%w: register flags 0x%02x", ErrBadMessage, rg.Flags)
-	}
-	return rg, nil
+	}, nil
 }
 
 // DirectiveAction identifies which Section 5.3 local decision a Directive
@@ -157,23 +164,31 @@ func (d *Directive) WireSize() int { return DirectiveSize() }
 // Type returns TypeDirective.
 func (d *Directive) Type() MsgType { return TypeDirective }
 
+// checkDirective checks a Directive frame: its fixed size and a known
+// action.
+func checkDirective(h Header, buf []byte) error {
+	if err := checkFixed(h, buf, directivePayload); err != nil {
+		return err
+	}
+	if a := DirectiveAction(buf[31]); a < ActionPromotePartner || a > ActionCoalesce {
+		return fmt.Errorf("%w: directive action %d", ErrBadMessage, a)
+	}
+	return nil
+}
+
 // DecodeDirective parses an encoded directive.
 func DecodeDirective(buf []byte) (*Directive, error) {
-	h, err := decodeFixed(buf, TypeDirective, directivePayload)
+	h, err := decodeChecked(buf, TypeDirective, checkDirective)
 	if err != nil {
 		return nil, err
 	}
-	d := &Directive{
+	return &Directive{
 		ID:         h.ID,
 		Epoch:      binary.LittleEndian.Uint64(buf[23:31]),
 		Action:     DirectiveAction(buf[31]),
 		TTL:        buf[32],
 		MaxClients: binary.LittleEndian.Uint16(buf[33:35]),
-	}
-	if d.Action < ActionPromotePartner || d.Action > ActionCoalesce {
-		return nil, fmt.Errorf("%w: directive action %d", ErrBadMessage, d.Action)
-	}
-	return d, nil
+	}, nil
 }
 
 // Poll is the controller → node request for a fresh Register, sent once per
@@ -196,9 +211,12 @@ func (p *Poll) appendFrame(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
+// checkPoll checks a Poll frame: a single-hop header alone.
+func checkPoll(h Header, buf []byte) error { return checkFixed(h, buf, 0) }
+
 // DecodePoll parses an encoded poll.
 func DecodePoll(buf []byte) (*Poll, error) {
-	h, err := decodeFixed(buf, TypePoll, 0)
+	h, err := decodeChecked(buf, TypePoll, checkPoll)
 	if err != nil {
 		return nil, err
 	}

@@ -47,9 +47,12 @@ func (cr *ChunkRequest) WireSize() int { return ChunkRequestSize() }
 // Type returns TypeChunkRequest.
 func (cr *ChunkRequest) Type() MsgType { return TypeChunkRequest }
 
+// checkChunkRequest checks a ChunkRequest frame: its fixed size.
+func checkChunkRequest(h Header, buf []byte) error { return checkFixed(h, buf, chunkRequestPayload) }
+
 // DecodeChunkRequest parses an encoded chunk request.
 func DecodeChunkRequest(buf []byte) (*ChunkRequest, error) {
-	h, err := decodeFixed(buf, TypeChunkRequest, chunkRequestPayload)
+	h, err := decodeChecked(buf, TypeChunkRequest, checkChunkRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -150,16 +153,9 @@ func (cd *ChunkData) Type() MsgType { return TypeChunkData }
 // copy out, so ReadMessage reads a ChunkData, alone among frames, into a
 // fresh buffer that is never recycled, and its ChunkData owns its bytes.
 func DecodeChunkData(buf []byte) (*ChunkData, error) {
-	h, err := decodeOneHop(buf, TypeChunkData)
+	h, err := decodeChecked(buf, TypeChunkData, checkChunkData)
 	if err != nil {
 		return nil, err
-	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < chunkDataPayload {
-		return nil, fmt.Errorf("%w: chunk data payload %d", ErrBadMessage, h.PayloadLen)
-	}
-	if int(h.PayloadLen)-chunkDataPayload > MaxChunkLen {
-		return nil, fmt.Errorf("%w: chunk data %d bytes, max %d",
-			ErrBadMessage, int(h.PayloadLen)-chunkDataPayload, MaxChunkLen)
 	}
 	cd := &ChunkData{
 		ID:          h.ID,
@@ -172,6 +168,22 @@ func DecodeChunkData(buf []byte) (*ChunkData, error) {
 		cd.Data = buf[43:len(buf):len(buf)]
 	}
 	return cd, nil
+}
+
+// checkChunkData checks a ChunkData frame: the fixed fields, then at most
+// MaxChunkLen chunk bytes.
+func checkChunkData(h Header, buf []byte) error {
+	if err := checkOneHop(h); err != nil {
+		return err
+	}
+	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < chunkDataPayload {
+		return fmt.Errorf("%w: chunk data payload %d", ErrBadMessage, h.PayloadLen)
+	}
+	if int(h.PayloadLen)-chunkDataPayload > MaxChunkLen {
+		return fmt.Errorf("%w: chunk data %d bytes, max %d",
+			ErrBadMessage, int(h.PayloadLen)-chunkDataPayload, MaxChunkLen)
+	}
+	return nil
 }
 
 // ChunkNack reason codes.
@@ -216,20 +228,27 @@ func (cn *ChunkNack) WireSize() int { return ChunkNackSize() }
 // Type returns TypeChunkNack.
 func (cn *ChunkNack) Type() MsgType { return TypeChunkNack }
 
+// checkChunkNack checks a ChunkNack frame: its fixed size and a known code.
+func checkChunkNack(h Header, buf []byte) error {
+	if err := checkFixed(h, buf, chunkNackPayload); err != nil {
+		return err
+	}
+	if code := buf[31]; code < NackNotFound || code > NackBadRequest {
+		return fmt.Errorf("%w: chunk nack code %d", ErrBadMessage, code)
+	}
+	return nil
+}
+
 // DecodeChunkNack parses an encoded chunk nack.
 func DecodeChunkNack(buf []byte) (*ChunkNack, error) {
-	h, err := decodeFixed(buf, TypeChunkNack, chunkNackPayload)
+	h, err := decodeChecked(buf, TypeChunkNack, checkChunkNack)
 	if err != nil {
 		return nil, err
 	}
-	cn := &ChunkNack{
+	return &ChunkNack{
 		ID:        h.ID,
 		FileIndex: binary.LittleEndian.Uint32(buf[23:27]),
 		Chunk:     binary.LittleEndian.Uint32(buf[27:31]),
 		Code:      buf[31],
-	}
-	if cn.Code < NackNotFound || cn.Code > NackBadRequest {
-		return nil, fmt.Errorf("%w: chunk nack code %d", ErrBadMessage, cn.Code)
-	}
-	return cn, nil
+	}, nil
 }

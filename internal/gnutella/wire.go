@@ -92,10 +92,35 @@ func decodeHeaderAs(buf []byte, want MsgType) (Header, error) {
 	return h, err
 }
 
+// Every frame type has a structural check, its frame-table row's check: a
+// function of the decoded header and the whole frame that accepts exactly
+// the frames its decoder accepts. The decoder runs it before it parses, and
+// a frame reader runs the same function before it hands a frame on
+// undecoded, so a frame is refused by the same rule whichever way it is
+// read.
+
+// decodeChecked is decodeHeaderAs followed by want's structural check.
+func decodeChecked(buf []byte, want MsgType, check func(Header, []byte) error) (Header, error) {
+	h, err := decodeHeaderAs(buf, want)
+	if err == nil {
+		err = check(h, buf)
+	}
+	return h, err
+}
+
+// checkPayloadLen checks that h's payload length is the rest of the frame
+// and at least least bytes.
+func checkPayloadLen(h Header, buf []byte, least uint32) error {
+	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < least {
+		return fmt.Errorf("%w: %v payload length %d vs buffer %d", ErrBadMessage, h.Type, h.PayloadLen, len(buf)-DescriptorHeaderLen)
+	}
+	return nil
+}
+
 // Single-hop frames (Join, Update, the control frames and the transfer
 // frames) have no TTL or hops of their own: they cross one link and are never
 // relayed. Their encoders stamp TTL 1 and hops 0 through appendOneHop, and
-// their decoders accept nothing else, so every frame they accept re-encodes
+// their checks accept nothing else, so every frame they accept re-encodes
 // to its input.
 
 // extend appends n zero bytes to dst, the room for one frame, and returns
@@ -128,24 +153,25 @@ func putOneHop(frame []byte, id GUID, t MsgType) {
 	h.encode(frame)
 }
 
-// decodeOneHop is decodeHeaderAs for a single-hop frame: any TTL but 1 or
-// hops but 0 is not a frame appendOneHop made.
-func decodeOneHop(buf []byte, want MsgType) (Header, error) {
-	h, err := decodeHeaderAs(buf, want)
-	if err == nil && (h.TTL != 1 || h.Hops != 0) {
-		err = fmt.Errorf("%w: %v ttl %d hops %d, want 1 and 0", ErrBadMessage, want, h.TTL, h.Hops)
+// checkOneHop refuses a single-hop frame with any TTL but 1 or hops but 0:
+// it is not a frame appendOneHop made.
+func checkOneHop(h Header) error {
+	if h.TTL != 1 || h.Hops != 0 {
+		return fmt.Errorf("%w: %v ttl %d hops %d, want 1 and 0", ErrBadMessage, h.Type, h.TTL, h.Hops)
 	}
-	return h, err
+	return nil
 }
 
-// decodeFixed is decodeOneHop for a frame whose payload is always payload
+// checkFixed is checkOneHop for a frame whose payload is always payload
 // bytes long.
-func decodeFixed(buf []byte, want MsgType, payload int) (Header, error) {
-	h, err := decodeOneHop(buf, want)
-	if err == nil && (int(h.PayloadLen) != payload || len(buf) != DescriptorHeaderLen+payload) {
-		err = fmt.Errorf("%w: %v payload %d, want %d", ErrBadMessage, want, h.PayloadLen, payload)
+func checkFixed(h Header, buf []byte, payload int) error {
+	if err := checkOneHop(h); err != nil {
+		return err
 	}
-	return h, err
+	if int(h.PayloadLen) != payload || len(buf) != DescriptorHeaderLen+payload {
+		return fmt.Errorf("%w: %v payload %d, want %d", ErrBadMessage, h.Type, h.PayloadLen, payload)
+	}
+	return nil
 }
 
 // headerOnly is the body of a frame that is its descriptor header alone,
@@ -163,15 +189,19 @@ func (b *headerOnly) appendFrame(dst []byte, t MsgType) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeHeaderOnly parses a want frame, which must carry no payload; name
-// is the frame's in errors.
-func decodeHeaderOnly[M Ping | Pong | Busy](buf []byte, want MsgType, name string) (*M, error) {
-	h, err := decodeHeaderAs(buf, want)
+// checkEmpty is the check of Ping, Pong and Busy, which carry no payload.
+func checkEmpty(h Header, buf []byte) error {
+	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
+		return fmt.Errorf("%w: %v payload %d, want 0", ErrBadMessage, h.Type, h.PayloadLen)
+	}
+	return nil
+}
+
+// decodeHeaderOnly parses a want frame, which must carry no payload.
+func decodeHeaderOnly[M Ping | Pong | Busy](buf []byte, want MsgType) (*M, error) {
+	h, err := decodeChecked(buf, want, checkEmpty)
 	if err != nil {
 		return nil, err
-	}
-	if h.PayloadLen != 0 || len(buf) != DescriptorHeaderLen {
-		return nil, fmt.Errorf("%w: %s payload %d, want 0", ErrBadMessage, name, h.PayloadLen)
 	}
 	m := M(headerOnly{ID: h.ID, TTL: h.TTL, Hops: h.Hops})
 	return &m, nil
@@ -200,7 +230,7 @@ func (p *Ping) appendFrame(dst []byte) ([]byte, error) {
 }
 
 // DecodePing parses an encoded ping.
-func DecodePing(buf []byte) (*Ping, error) { return decodeHeaderOnly[Ping](buf, TypePing, "ping") }
+func DecodePing(buf []byte) (*Ping, error) { return decodeHeaderOnly[Ping](buf, TypePing) }
 
 // Pong answers a Ping, echoing its GUID. Like the heartbeat Ping it carries
 // no payload: liveness, not peer discovery, is the information.
@@ -224,7 +254,7 @@ func (p *Pong) appendFrame(dst []byte) ([]byte, error) {
 }
 
 // DecodePong parses an encoded pong.
-func DecodePong(buf []byte) (*Pong, error) { return decodeHeaderOnly[Pong](buf, TypePong, "pong") }
+func DecodePong(buf []byte) (*Pong, error) { return decodeHeaderOnly[Pong](buf, TypePong) }
 
 // Busy is the explicit load-shed signal of the overload-protected super-peer
 // stack: a node that cannot accept a Query (dispatch queue full, per-link
@@ -253,7 +283,7 @@ func (b *Busy) appendFrame(dst []byte) ([]byte, error) {
 }
 
 // DecodeBusy parses an encoded busy signal.
-func DecodeBusy(buf []byte) (*Busy, error) { return decodeHeaderOnly[Busy](buf, TypeBusy, "busy") }
+func DecodeBusy(buf []byte) (*Busy, error) { return decodeHeaderOnly[Busy](buf, TypeBusy) }
 
 // Query is a keyword search request flooded over the super-peer overlay.
 type Query struct {
@@ -284,17 +314,22 @@ func (q *Query) WireSize() int { return QuerySize(len(q.Text)) }
 // Type returns TypeQuery.
 func (q *Query) Type() MsgType { return TypeQuery }
 
-// DecodeQuery parses an encoded query.
-func DecodeQuery(buf []byte) (*Query, error) {
-	h, err := decodeHeaderAs(buf, TypeQuery)
-	if err != nil {
-		return nil, err
-	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 3 {
-		return nil, fmt.Errorf("%w: payload length %d vs buffer %d", ErrBadMessage, h.PayloadLen, len(buf)-DescriptorHeaderLen)
+// checkQuery checks a Query frame: the flags and a NUL-terminated text.
+func checkQuery(h Header, buf []byte) error {
+	if err := checkPayloadLen(h, buf, 3); err != nil {
+		return err
 	}
 	if buf[len(buf)-1] != 0 {
-		return nil, fmt.Errorf("%w: query text not NUL-terminated", ErrBadMessage)
+		return fmt.Errorf("%w: query text not NUL-terminated", ErrBadMessage)
+	}
+	return nil
+}
+
+// DecodeQuery parses an encoded query.
+func DecodeQuery(buf []byte) (*Query, error) {
+	h, err := decodeChecked(buf, TypeQuery, checkQuery)
+	if err != nil {
+		return nil, err
 	}
 	return &Query{
 		ID:       h.ID,
@@ -378,36 +413,57 @@ func (r *QueryHit) WireSize() int { return ResponseSize(len(r.Responders), len(r
 // Type returns TypeQueryHit.
 func (r *QueryHit) Type() MsgType { return TypeQueryHit }
 
+// hitResults returns the result count of a QueryHit frame whose responder
+// count byte is in place, or -1 when its responder and result records do not
+// fill its payload exactly.
+func hitResults(h Header, buf []byte) int {
+	rest := int(h.PayloadLen) - 1 - ResponderRecordLen*int(buf[23])
+	if rest < 0 || rest%ResultRecordLen != 0 {
+		return -1
+	}
+	return rest / ResultRecordLen
+}
+
+// checkQueryHit checks a QueryHit frame: a responder count, then that many
+// responder records and whole result records filling the payload.
+func checkQueryHit(h Header, buf []byte) error {
+	if err := checkPayloadLen(h, buf, 1); err != nil {
+		return err
+	}
+	if hitResults(h, buf) < 0 {
+		return fmt.Errorf("%w: %d responders do not fit payload %d", ErrBadMessage, buf[23], h.PayloadLen)
+	}
+	return nil
+}
+
+// responderAt parses the responder record at the front of b.
+func responderAt(b []byte) ResponderRecord {
+	a := ResponderRecord{
+		Port:        binary.LittleEndian.Uint16(b[4:6]),
+		Speed:       binary.LittleEndian.Uint32(b[6:10]),
+		ClientGUID:  GUID(b[10:26]),
+		ResultCount: binary.LittleEndian.Uint16(b[26:28]),
+	}
+	copy(a.IP[:], b[0:4])
+	return a
+}
+
 // DecodeQueryHit parses an encoded query hit.
 func DecodeQueryHit(buf []byte) (*QueryHit, error) {
-	h, err := decodeHeaderAs(buf, TypeQueryHit)
+	h, err := decodeChecked(buf, TypeQueryHit, checkQueryHit)
 	if err != nil {
 		return nil, err
 	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 1 {
-		return nil, fmt.Errorf("%w: payload length %d vs buffer %d", ErrBadMessage, h.PayloadLen, len(buf)-DescriptorHeaderLen)
-	}
-	numAddrs := int(buf[23])
-	rest := int(h.PayloadLen) - 1 - ResponderRecordLen*numAddrs
-	if rest < 0 || rest%ResultRecordLen != 0 {
-		return nil, fmt.Errorf("%w: %d responders do not fit payload %d", ErrBadMessage, numAddrs, h.PayloadLen)
-	}
-	numResults := rest / ResultRecordLen
 	qh := &QueryHit{
 		ID:         h.ID,
 		TTL:        h.TTL,
 		Hops:       h.Hops,
-		Responders: make([]ResponderRecord, numAddrs),
-		Results:    make([]ResultRecord, numResults),
+		Responders: make([]ResponderRecord, buf[23]),
+		Results:    make([]ResultRecord, hitResults(h, buf)),
 	}
 	off := 24
 	for i := range qh.Responders {
-		a := &qh.Responders[i]
-		copy(a.IP[:], buf[off:off+4])
-		a.Port = binary.LittleEndian.Uint16(buf[off+4 : off+6])
-		a.Speed = binary.LittleEndian.Uint32(buf[off+6 : off+10])
-		copy(a.ClientGUID[:], buf[off+10:off+26])
-		a.ResultCount = binary.LittleEndian.Uint16(buf[off+26 : off+28])
+		qh.Responders[i] = responderAt(buf[off:])
 		off += ResponderRecordLen
 	}
 	for i := range qh.Results {
@@ -461,17 +517,26 @@ func (j *Join) WireSize() int { return JoinSize(len(j.Files)) }
 // Type returns TypeJoin.
 func (j *Join) Type() MsgType { return TypeJoin }
 
-// DecodeJoin parses an encoded join.
-func DecodeJoin(buf []byte) (*Join, error) {
-	h, err := decodeOneHop(buf, TypeJoin)
-	if err != nil {
-		return nil, err
+// checkJoin checks a Join frame: the flags byte, then whole metadata
+// records.
+func checkJoin(h Header, buf []byte) error {
+	if err := checkOneHop(h); err != nil {
+		return err
 	}
 	rest := int(h.PayloadLen) - 1
 	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || rest < 0 || rest%MetadataRecordLen != 0 {
-		return nil, fmt.Errorf("%w: join payload %d", ErrBadMessage, h.PayloadLen)
+		return fmt.Errorf("%w: join payload %d", ErrBadMessage, h.PayloadLen)
 	}
-	j := &Join{ID: h.ID, Files: make([]MetadataRecord, rest/MetadataRecordLen)}
+	return nil
+}
+
+// DecodeJoin parses an encoded join.
+func DecodeJoin(buf []byte) (*Join, error) {
+	h, err := decodeChecked(buf, TypeJoin, checkJoin)
+	if err != nil {
+		return nil, err
+	}
+	j := &Join{ID: h.ID, Files: make([]MetadataRecord, (h.PayloadLen-1)/MetadataRecordLen)}
 	off := 24
 	for i := range j.Files {
 		f := &j.Files[i]
@@ -522,16 +587,24 @@ func (u *Update) WireSize() int { return UpdateSize() }
 // Type returns TypeUpdate.
 func (u *Update) Type() MsgType { return TypeUpdate }
 
+// checkUpdate checks an Update frame: its fixed size and a known op.
+func checkUpdate(h Header, buf []byte) error {
+	if err := checkFixed(h, buf, updatePayload); err != nil {
+		return err
+	}
+	if op := UpdateOp(buf[23]); op < OpInsert || op > OpModify {
+		return fmt.Errorf("%w: update op %d", ErrBadMessage, op)
+	}
+	return nil
+}
+
 // DecodeUpdate parses an encoded update.
 func DecodeUpdate(buf []byte) (*Update, error) {
-	h, err := decodeFixed(buf, TypeUpdate, updatePayload)
+	h, err := decodeChecked(buf, TypeUpdate, checkUpdate)
 	if err != nil {
 		return nil, err
 	}
 	u := &Update{ID: h.ID, Op: UpdateOp(buf[23])}
-	if u.Op < OpInsert || u.Op > OpModify {
-		return nil, fmt.Errorf("%w: update op %d", ErrBadMessage, u.Op)
-	}
 	u.File.FileIndex = binary.LittleEndian.Uint32(buf[24:28])
 	u.File.FileSize = binary.LittleEndian.Uint32(buf[28:32])
 	u.File.Title = trimNUL(buf[32 : 32+metadataTitleLen])
@@ -592,35 +665,42 @@ func (s *Summary) WireSize() int {
 // Type returns TypeSummary.
 func (s *Summary) Type() MsgType { return TypeSummary }
 
+// checkSummary checks a Summary frame: a term count, then that many
+// length-prefixed terms filling the payload exactly.
+func checkSummary(h Header, buf []byte) error {
+	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 2 {
+		return fmt.Errorf("%w: summary payload %d", ErrBadMessage, h.PayloadLen)
+	}
+	n := int(binary.LittleEndian.Uint16(buf[23:25]))
+	off := 25
+	for i := 0; i < n; i++ {
+		if off >= len(buf) {
+			return fmt.Errorf("%w: summary truncated at term %d/%d", ErrBadMessage, i, n)
+		}
+		off += 1 + int(buf[off])
+		if off > len(buf) {
+			return fmt.Errorf("%w: summary term %d overruns payload", ErrBadMessage, i)
+		}
+	}
+	if off != len(buf) {
+		return fmt.Errorf("%w: %d trailing summary bytes", ErrBadMessage, len(buf)-off)
+	}
+	return nil
+}
+
 // DecodeSummary parses an encoded summary.
 func DecodeSummary(buf []byte) (*Summary, error) {
-	h, err := decodeHeaderAs(buf, TypeSummary)
+	h, err := decodeChecked(buf, TypeSummary, checkSummary)
 	if err != nil {
 		return nil, err
-	}
-	if int(h.PayloadLen) != len(buf)-DescriptorHeaderLen || h.PayloadLen < 2 {
-		return nil, fmt.Errorf("%w: summary payload %d", ErrBadMessage, h.PayloadLen)
 	}
 	n := int(binary.LittleEndian.Uint16(buf[23:25]))
 	s := &Summary{ID: h.ID, TTL: h.TTL, Hops: h.Hops}
 	if n > 0 {
 		s.Terms = make([]string, 0, n)
 	}
-	off := 25
-	for i := 0; i < n; i++ {
-		if off >= len(buf) {
-			return nil, fmt.Errorf("%w: summary truncated at term %d/%d", ErrBadMessage, i, n)
-		}
-		l := int(buf[off])
-		off++
-		if off+l > len(buf) {
-			return nil, fmt.Errorf("%w: summary term %d overruns payload", ErrBadMessage, i)
-		}
-		s.Terms = append(s.Terms, string(buf[off:off+l]))
-		off += l
-	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("%w: %d trailing summary bytes", ErrBadMessage, len(buf)-off)
+	for off := 25; len(s.Terms) < n; off += 1 + int(buf[off]) {
+		s.Terms = append(s.Terms, string(buf[off+1:off+1+int(buf[off])]))
 	}
 	return s, nil
 }

@@ -14,8 +14,11 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // DocID identifies one file in the index: the owning peer and the owner's
@@ -36,15 +39,23 @@ func unkey(k uint64) DocID {
 // call New.
 type Index struct {
 	postings map[string]map[uint64]struct{} // term -> set of packed DocIDs
-	docs     map[uint64][]string            // packed DocID -> its terms
+	docs     map[uint64]entry               // packed DocID -> its terms and title
 	byOwner  map[int]map[uint64]struct{}    // owner -> its packed DocIDs
+}
+
+// entry is one indexed file: its distinct terms in title order, and the title
+// a match reports, those terms joined by single spaces. The title is built
+// once, when the file is added, not per match.
+type entry struct {
+	terms []string
+	title string
 }
 
 // New returns an empty index.
 func New() *Index {
 	return &Index{
 		postings: make(map[string]map[uint64]struct{}),
-		docs:     make(map[uint64][]string),
+		docs:     make(map[uint64]entry),
 		byOwner:  make(map[int]map[uint64]struct{}),
 	}
 }
@@ -83,7 +94,7 @@ func (ix *Index) Add(doc DocID, terms []string) error {
 			dedup = append(dedup, t)
 		}
 	}
-	ix.docs[k] = dedup
+	ix.docs[k] = entry{terms: dedup, title: strings.Join(dedup, " ")}
 	for _, t := range dedup {
 		set := ix.postings[t]
 		if set == nil {
@@ -106,12 +117,12 @@ func (ix *Index) Add(doc DocID, terms []string) error {
 func (ix *Index) Remove(doc DocID) { ix.removeKey(doc.key()) }
 
 func (ix *Index) removeKey(k uint64) {
-	terms, ok := ix.docs[k]
+	d, ok := ix.docs[k]
 	if !ok {
 		return
 	}
 	delete(ix.docs, k)
-	for _, t := range terms {
+	for _, t := range d.terms {
 		set := ix.postings[t]
 		delete(set, k)
 		if len(set) == 0 {
@@ -143,18 +154,24 @@ func (ix *Index) RemoveOwner(owner int) int {
 	return n
 }
 
-// Match is one search hit.
+// Match is one search hit: the file, its distinct title terms, and Title,
+// those terms joined by single spaces.
 type Match struct {
 	Doc   DocID
 	Terms []string
+	Title string
 }
 
 // Search answers a conjunctive keyword query: every returned file's title
 // contains all query terms. Results are sorted by (owner, file) so output is
 // deterministic. A query with no terms matches nothing.
-func (ix *Index) Search(terms []string) []Match {
+func (ix *Index) Search(terms []string) []Match { return ix.AppendSearch(nil, terms) }
+
+// AppendSearch is Search appending its matches to dst, so a caller that
+// searches again and again can keep one slice for every search.
+func (ix *Index) AppendSearch(dst []Match, terms []string) []Match {
 	if len(terms) == 0 {
-		return nil
+		return dst
 	}
 	// Intersect starting from the rarest term.
 	sets := make([]map[uint64]struct{}, 0, len(terms))
@@ -166,13 +183,15 @@ func (ix *Index) Search(terms []string) []Match {
 		seen[t] = true
 		set, ok := ix.postings[t]
 		if !ok {
-			return nil
+			return dst
 		}
 		sets = append(sets, set)
 	}
-	sort.Slice(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
-
-	keys := make([]uint64, 0, len(sets[0]))
+	slices.SortFunc(sets, func(a, b map[uint64]struct{}) int { return cmp.Compare(len(a), len(b)) })
+	if len(sets) == 1 {
+		dst = slices.Grow(dst, len(sets[0])) // every posting matches
+	}
+	start := len(dst)
 outer:
 	for k := range sets[0] {
 		for _, set := range sets[1:] {
@@ -180,14 +199,11 @@ outer:
 				continue outer
 			}
 		}
-		keys = append(keys, k)
+		d := ix.docs[k]
+		dst = append(dst, Match{Doc: unkey(k), Terms: d.terms, Title: d.title})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]Match, len(keys))
-	for i, k := range keys {
-		out[i] = Match{Doc: unkey(k), Terms: ix.docs[k]}
-	}
-	return out
+	slices.SortFunc(dst[start:], func(a, b Match) int { return cmp.Compare(a.Doc.key(), b.Doc.key()) })
+	return dst
 }
 
 // CountMatches returns the number of matching files and the number of

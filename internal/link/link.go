@@ -191,41 +191,71 @@ func (c *Conn) Send(m gnutella.Message, within time.Duration) error {
 	return gnutella.WriteMessage(c.Conn, m)
 }
 
-// Recv reads and meters the next frame. With a zero deadline the wait for
-// the frame's first byte is unbounded, and once it is in the rest must
-// arrive within Framing.Bound. With a non-zero deadline the whole read must
-// finish by it, and a deadline that passes before the frame starts returns
-// ErrIdle. Every return leaves the socket with no read deadline, or is an
-// error other than ErrIdle, after which the Conn must be retired: a frame
-// cut off part way leaves the stream out of step.
+// Recv reads, meters and decodes the next frame. With a zero deadline the
+// wait for the frame's first byte is unbounded, and once it is in the rest
+// must arrive within Framing.Bound. With a non-zero deadline the whole read
+// must finish by it, and a deadline that passes before the frame starts
+// returns ErrIdle. Every return leaves the socket with no read deadline, or
+// is an error other than ErrIdle, after which the Conn must be retired: a
+// frame cut off part way leaves the stream out of step.
 //
 // Liveness frames never reach the caller. Recv stamps LastFrame as every
 // frame starts, answers a Ping with a Pong within Framing.Bound (pongWithin
 // when unset), absorbs a Pong, and reads on under the same deadline.
 func (c *Conn) Recv(deadline time.Time) (gnutella.Message, error) {
 	for {
-		m, err := c.recv(deadline)
+		m, err := c.recv(deadline, gnutella.ReadMessageLimit)
 		if err != nil {
 			return nil, err
 		}
-		switch p := m.(type) {
-		case *gnutella.Ping:
-			within := pongWithin
-			if c.f.Bound > 0 {
-				within = c.f.Bound
-			}
-			if err := c.Send(&gnutella.Pong{ID: p.ID, TTL: 1}, within); err != nil {
-				return nil, err
-			}
-		case *gnutella.Pong:
-		default:
-			return m, nil
+		var id gnutella.GUID
+		if p, ok := m.(*gnutella.Ping); ok {
+			id = p.ID
+		}
+		if live, err := c.absorb(m.Type(), id); err != nil || !live {
+			return m, err
 		}
 	}
 }
 
-// recv is Recv for one frame of any type.
-func (c *Conn) recv(deadline time.Time) (gnutella.Message, error) {
+// RecvFrame is Recv for a reader that routes frames by their header: it
+// reads the next frame into f, which the caller's goroutine owns, checks it
+// as its decoder would, meters it and leaves it undecoded. f holds the frame
+// until the next RecvFrame into it. Deadlines, liveness frames and errors are
+// Recv's.
+func (c *Conn) RecvFrame(deadline time.Time, f *gnutella.Frame) error {
+	for {
+		_, err := c.recv(deadline, func(r io.Reader, max uint32) (gnutella.Message, error) {
+			return f, gnutella.ReadFrame(r, max, f)
+		})
+		if err != nil {
+			return err
+		}
+		if live, err := c.absorb(f.Type(), f.Header().ID); err != nil || !live {
+			return err
+		}
+	}
+}
+
+// absorb reports whether a frame of type t is a liveness frame, which the
+// caller never sees, and answers a Ping, whose GUID is id, with a Pong.
+func (c *Conn) absorb(t gnutella.MsgType, id gnutella.GUID) (bool, error) {
+	switch t {
+	case gnutella.TypePing:
+		within := pongWithin
+		if c.f.Bound > 0 {
+			within = c.f.Bound
+		}
+		return true, c.Send(&gnutella.Pong{ID: id, TTL: 1}, within)
+	case gnutella.TypePong:
+		return true, nil
+	}
+	return false, nil
+}
+
+// recv is Recv and RecvFrame for one frame of any type, which read reads
+// from the Conn under the Framing's payload bound.
+func (c *Conn) recv(deadline time.Time, read func(io.Reader, uint32) (gnutella.Message, error)) (gnutella.Message, error) {
 	if !deadline.IsZero() {
 		if err := c.Conn.SetReadDeadline(deadline); err != nil {
 			return nil, err
@@ -251,7 +281,7 @@ func (c *Conn) recv(deadline time.Time) (gnutella.Message, error) {
 			return nil, err
 		}
 	}
-	m, err := gnutella.ReadMessageLimit(c.br, c.f.MaxPayload)
+	m, err := read(c.br, c.f.MaxPayload)
 	if err == nil && !deadline.IsZero() {
 		err = c.Conn.SetReadDeadline(time.Time{})
 	}

@@ -127,7 +127,9 @@ func (n *Node) runClient(c *conn) {
 				n.opts.Logf("p2p: query before join from %s", c.RemoteAddr())
 				return
 			}
-			n.enqueueQuery(c, m)
+			if !n.dropDuplicate(c, m.ID, m.TTL) {
+				n.enqueueQuery(c, m)
+			}
 		case *gnutella.Update:
 			if c.owner < 0 {
 				n.opts.Logf("p2p: update before join from %s", c.RemoteAddr())
@@ -216,27 +218,45 @@ func (n *Node) runPeer(c *conn) {
 		}
 		n.summariesChanged() // adverts shrink without this link's summary
 	}()
-	var sl sendList
+	var (
+		f  gnutella.Frame
+		sl sendList
+	)
 	for {
-		msg, err := c.Recv(time.Time{})
-		if err != nil {
+		if err := c.RecvFrame(time.Time{}, &f); err != nil {
 			return
 		}
-		switch m := msg.(type) {
-		case *gnutella.Query:
-			n.enqueueQuery(c, m)
-		case *gnutella.QueryHit, *gnutella.Busy:
-			n.step(c.peerID, m, time.Time{}, &sl) // a response stamps no route
-		case *gnutella.Summary:
-			if n.routeSummaries {
-				n.core.rstate.SetSummary(c.peerID, m.Terms)
-				n.summariesChanged() // our adverts to other links now differ
-			}
-		default:
-			n.opts.Logf("p2p: unexpected %T from peer %s", m, c.RemoteAddr())
+		if !n.peerFrame(c, &f, &sl) {
+			n.opts.Logf("p2p: unexpected %v from peer %s", f.Type(), c.RemoteAddr())
 			return
 		}
 	}
+}
+
+// peerFrame acts on one frame a peer link's reader read into f, by its
+// header (DESIGN.md §17 "Who owns a frame's bytes"): a Query is decoded only
+// if it is not a duplicate, and a QueryHit or Busy goes to the core as the
+// frame itself and is relayed from f before the reader reads again. It
+// reports false for a frame no peer sends, which ends the link.
+func (n *Node) peerFrame(c *conn, f *gnutella.Frame, sl *sendList) bool {
+	switch f.Type() {
+	case gnutella.TypeQuery:
+		if h := f.Header(); !n.dropDuplicate(c, h.ID, h.TTL) {
+			q, _ := f.Decode() // checked when it was read
+			n.enqueueQuery(c, q.(*gnutella.Query))
+		}
+	case gnutella.TypeQueryHit, gnutella.TypeBusy:
+		n.step(c.peerID, f, time.Time{}, sl) // a response stamps no route
+	case gnutella.TypeSummary:
+		if n.routeSummaries {
+			m, _ := f.Decode()
+			n.core.rstate.SetSummary(c.peerID, m.(*gnutella.Summary).Terms)
+			n.summariesChanged() // our adverts to other links now differ
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // peerListLocked snapshots the peer set.

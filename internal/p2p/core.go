@@ -65,8 +65,9 @@ type core struct {
 	mis      *misbehaveState // nil on honest nodes
 	metrics  *metrics.NodeMetrics
 
-	cands []routing.Candidate // forward's scratch
-	picks []int
+	cands   []routing.Candidate // forward's scratch
+	picks   []int
+	matches []index.Match // search's scratch
 }
 
 func newCore(opts *Options, m *metrics.NodeMetrics) *core {
@@ -136,7 +137,7 @@ func (c *core) dropPeer(id int) {
 // can still travel. DESIGN.md §16 gives the case and why this forward-once
 // rule does not forward every copy with more hops left.
 func (c *core) query(from int, q *gnutella.Query, now time.Time, out []send) []send {
-	if c.redundant(from, q) {
+	if c.redundant(from, q.ID, q.TTL) {
 		return out // received, then dropped
 	}
 	relayed := from >= 0
@@ -169,13 +170,15 @@ func (c *core) query(from int, q *gnutella.Query, now time.Time, out []send) []s
 	return out
 }
 
-// redundant reports whether a copy of q arriving on link from is one the
-// forward-once rule drops: its GUID has a route, and the copy is a user's,
-// ends here (TTL <= 1) or comes after the query was forwarded. Node applies
-// it on arrival too, so a duplicate takes no dispatch slot (DESIGN.md §18).
-func (c *core) redundant(from int, q *gnutella.Query) bool {
-	rt, dup := c.routes[q.ID]
-	return dup && (rt.forwarded || from < 0 || q.TTL <= 1)
+// redundant reports whether a copy of query id with the given TTL arriving
+// on link from is one the forward-once rule drops: its GUID has a route, and
+// the copy is a user's, ends here (TTL <= 1) or comes after the query was
+// forwarded. Node applies it on arrival too, to a peer's copy before it is
+// decoded, so a duplicate takes no decode and no dispatch slot (DESIGN.md
+// §18).
+func (c *core) redundant(from int, id gnutella.GUID, ttl uint8) bool {
+	rt, dup := c.routes[id]
+	return dup && (rt.forwarded || from < 0 || ttl <= 1)
 }
 
 // misbehave is an adversary's look at a query, drawn only for a copy with no
@@ -205,10 +208,9 @@ func (c *core) misbehave(from int, q *gnutella.Query, out []send) ([]send, bool)
 // gnutella.MaxPayloadLen, a peer link's read limit; that bound also keeps
 // each responder's ResultCount far below 65536.
 func (c *core) search(id gnutella.GUID, terms []string) *gnutella.QueryHit {
-	var matches []index.Match
-	if len(terms) > 0 {
-		matches = c.index.Search(terms)
-	}
+	c.matches = c.index.AppendSearch(c.matches[:0], terms)
+	matches := c.matches
+	defer clear(matches) // the scratch keeps no title alive between searches
 	c.metrics.ProcUnits.Add(float64(cost.ProcessQuery(float64(len(matches)))))
 	if len(matches) == 0 {
 		return nil
@@ -236,7 +238,7 @@ func (c *core) search(id gnutella.GUID, terms []string) *gnutella.QueryHit {
 		hit.Results = append(hit.Results, gnutella.ResultRecord{
 			FileIndex: m.Doc.File,
 			AddrRef:   uint16(ref),
-			Title:     strings.Join(m.Terms, " "),
+			Title:     m.Title,
 		})
 	}
 	return hit
@@ -273,26 +275,27 @@ func (c *core) forward(out []send, from int, q *gnutella.Query, ttl, hops uint8,
 	return out
 }
 
-// respond routes a QueryHit or Busy that arrived on peer link from back
-// along its query's route, the simulator's handleResponse: one hop further
-// (Hops+1) over a link, or as it came to the node's own search. The core
-// owns m from then on and relays it, Hops incremented in place, rather than
-// a copy: every caller hands over a frame it has just decoded. A hit with
-// no route is unsolicited (forged, replayed or stale) and is dropped. Under
-// Trust a hit with no dialable responder is dropped as forged before the
-// strategy can credit it, and each hit is the sending link's good or bad
-// observation. A solicited Busy is a bad one, whether the peer is loaded or
-// lying: persistent liars lose score, an honest peer's hits dominate.
-func (c *core) respond(from int, m gnutella.Message, out []send) []send {
-	var rt *route
-	switch r := m.(type) {
-	case *gnutella.QueryHit:
-		if rt = c.routes[r.ID]; rt == nil {
+// respond routes a QueryHit or Busy frame that arrived on peer link from
+// back along its query's route, the simulator's handleResponse: one hop
+// further over a link, or as it came to the node's own search. It reads the
+// frame's header, and under Trust its responder block, and decodes nothing:
+// the core owns f from then on and relays f itself (Frame.Relay: Hops + 1),
+// so the caller sends it before it reads into f again. A hit with no route is
+// unsolicited (forged, replayed or stale) and is dropped. Under Trust a hit
+// with no dialable responder is dropped as forged before the strategy can
+// credit it, and each hit is the sending link's good or bad observation. A
+// solicited Busy is a bad one, whether the peer is loaded or lying:
+// persistent liars lose score, an honest peer's hits dominate.
+func (c *core) respond(from int, f *gnutella.Frame, out []send) []send {
+	rt := c.routes[f.Header().ID]
+	switch f.Type() {
+	case gnutella.TypeQueryHit:
+		if rt == nil {
 			c.metrics.HitsUnsolicited.Inc()
 			c.observe(from, false)
 			return out
 		}
-		forged := c.book != nil && hitLooksForged(r)
+		forged := c.book != nil && hitLooksForged(f)
 		c.observe(from, !forged)
 		if forged {
 			c.metrics.HitsForged.Inc()
@@ -301,20 +304,19 @@ func (c *core) respond(from int, m gnutella.Message, out []send) []send {
 		if len(rt.terms) > 0 {
 			c.rstate.RecordHit(from, rt.terms)
 		}
-		if rt.back != ownLink {
-			r.Hops++
-		}
-	case *gnutella.Busy:
+	case gnutella.TypeBusy:
 		c.metrics.BusyReceived.Inc()
-		if rt = c.routes[r.ID]; rt == nil {
+		if rt == nil {
 			return out
 		}
 		c.observe(from, false)
-		if rt.back != ownLink {
-			r.Hops++
-		}
+	default:
+		return out
 	}
-	return c.reply(out, rt.back, m)
+	if rt.back != ownLink {
+		f.Relay()
+	}
+	return c.reply(out, rt.back, f)
 }
 
 // reply appends m for link to, unless to is the link of a client that has

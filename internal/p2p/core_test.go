@@ -82,7 +82,7 @@ func TestCore(t *testing.T) {
 			{func(c *core) []send { return c.query(ownLink, query(1, 0), epoch, nil) }, nil},
 		}},
 		{name: "unsolicited hit", steps: []step{
-			{func(c *core) []send { return c.respond(1, needleHit(id, 0), nil) }, nil},
+			{func(c *core) []send { return c.respond(1, frameOf(needleHit(id, 0)), nil) }, nil},
 		}, check: func(t *testing.T, c *core) {
 			if got := c.metrics.HitsUnsolicited.Value(); got != 1 {
 				t.Errorf("HitsUnsolicited = %d, want 1", got)
@@ -91,8 +91,8 @@ func TestCore(t *testing.T) {
 		{name: "forged hit under Trust", opts: Options{Trust: true}, steps: []step{
 			{func(c *core) []send { return c.query(2, query(2, 0), epoch, nil) },
 				[]send{{2, needleHit(id, 0)}, copyTo(0, id, 1, 1), copyTo(1, id, 1, 1)}},
-			{func(c *core) []send { return c.respond(1, forgeQueryHit(query(1, 1)), nil) }, nil},
-			{func(c *core) []send { return c.respond(0, needleHit(id, 1), nil) }, []send{{2, needleHit(id, 2)}}},
+			{func(c *core) []send { return c.respond(1, frameOf(forgeQueryHit(query(1, 1))), nil) }, nil},
+			{func(c *core) []send { return c.respond(0, frameOf(needleHit(id, 1)), nil) }, []send{{2, needleHit(id, 2)}}},
 		}, check: func(t *testing.T, c *core) {
 			if got := c.metrics.HitsForged.Value(); got != 1 {
 				t.Errorf("HitsForged = %d, want 1", got)
@@ -104,12 +104,12 @@ func TestCore(t *testing.T) {
 		{name: "hit for a departed client", steps: []step{
 			{func(c *core) []send { return c.query(clientLink(0), query(1, 0), epoch, nil) },
 				[]send{{clientLink(0), needleHit(id, 0)}, copyTo(0, id, 7, 0), copyTo(1, id, 7, 0), copyTo(2, id, 7, 0)}},
-			{func(c *core) []send { c.leave(0); return c.respond(1, needleHit(id, 0), nil) }, nil},
+			{func(c *core) []send { c.leave(0); return c.respond(1, frameOf(needleHit(id, 0)), nil) }, nil},
 		}},
 		{name: "Busy relayed with Hops+1", steps: []step{
 			{func(c *core) []send { return c.query(0, query(2, 1), epoch, nil) },
 				[]send{{0, needleHit(id, 1)}, copyTo(1, id, 1, 2), copyTo(2, id, 1, 2)}},
-			{func(c *core) []send { return c.respond(1, &gnutella.Busy{ID: id, TTL: 1, Hops: 2}, nil) },
+			{func(c *core) []send { return c.respond(1, frameOf(&gnutella.Busy{ID: id, TTL: 1, Hops: 2}), nil) },
 				[]send{{0, &gnutella.Busy{ID: id, TTL: 1, Hops: 3}}}},
 		}, check: func(t *testing.T, c *core) {
 			if got := c.metrics.BusyReceived.Value(); got != 1 {
@@ -119,14 +119,14 @@ func TestCore(t *testing.T) {
 		{name: "own search keeps Hops", steps: []step{
 			{func(c *core) []send { return c.query(ownLink, query(0, 0), epoch, nil) },
 				[]send{{ownLink, needleHit(id, 0)}, copyTo(0, id, 7, 0), copyTo(1, id, 7, 0), copyTo(2, id, 7, 0)}},
-			{func(c *core) []send { return c.respond(1, &gnutella.Busy{ID: id, TTL: 1, Hops: 0}, nil) },
+			{func(c *core) []send { return c.respond(1, frameOf(&gnutella.Busy{ID: id, TTL: 1, Hops: 0}), nil) },
 				[]send{{ownLink, &gnutella.Busy{ID: id, TTL: 1, Hops: 0}}}},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCore(tc.opts)
 			for i, s := range tc.steps {
-				if got := s.do(c); !reflect.DeepEqual(got, s.want) {
+				if got := decoded(s.do(c)); !reflect.DeepEqual(got, s.want) {
 					t.Errorf("step %d sent%s\nwant%s", i, sendsString(got), sendsString(s.want))
 				}
 			}
@@ -135,6 +135,35 @@ func TestCore(t *testing.T) {
 			}
 		})
 	}
+}
+
+// frameOf is m as a peer link's reader hands it to the core: its frame,
+// read into a Frame of its own.
+func frameOf(m gnutella.Message) *gnutella.Frame {
+	var wire bytes.Buffer
+	f := new(gnutella.Frame)
+	if err := gnutella.WriteMessage(&wire, m); err != nil {
+		panic(err)
+	}
+	if err := gnutella.ReadFrame(&wire, 0, f); err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// decoded is sends with every Frame decoded, as the link it goes out on
+// reads it.
+func decoded(sends []send) []send {
+	for i, s := range sends {
+		if f, ok := s.m.(*gnutella.Frame); ok {
+			m, err := f.Decode()
+			if err != nil {
+				panic(err)
+			}
+			sends[i].m = m
+		}
+	}
+	return sends
 }
 
 // sendsString prints sends for a failure message.
@@ -226,7 +255,7 @@ func TestCoreRespondAllocs(t *testing.T) {
 	c := testCore(Options{})
 	id := testGUID(1)
 	c.query(0, &gnutella.Query{ID: id, TTL: 3, Hops: 1, Text: "miss"}, epoch, nil)
-	hit := needleHit(id, 0)
+	hit := frameOf(needleHit(id, 0))
 	out := make([]send, 0, 1)
 	allocs := testing.AllocsPerRun(200, func() {
 		out = c.respond(1, hit, out[:0])

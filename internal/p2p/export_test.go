@@ -36,9 +36,14 @@ func (c *core) Join(owner int, title string) {
 	c.join(owner, rec, []gnutella.MetadataRecord{{FileIndex: uint32(owner), Title: title}})
 }
 
-// Query and Respond hand the core one frame that arrived on link from.
+// Query hands the core one query that arrived on link from.
 func (c *core) Query(from int, q *gnutella.Query, now time.Time) []send {
 	return c.query(from, q, now, nil)
 }
 
-func (c *core) Respond(from int, m gnutella.Message) []send { return c.respond(from, m, nil) }
+// Respond hands the core one response that arrived on link from, as a peer
+// link's reader does, as a Frame, and decodes each Frame the core sends on,
+// as the next hop's reader reads it.
+func (c *core) Respond(from int, m gnutella.Message) []send {
+	return decoded(c.respond(from, frameOf(m), nil))
+}

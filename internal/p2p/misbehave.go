@@ -83,16 +83,13 @@ func forgeQueryHit(q *gnutella.Query) *gnutella.QueryHit {
 	return h
 }
 
-// hitLooksForged reports whether no claimed result in h is backed by a
-// dialable responder address. Honest hits always carry the responding
-// clients' real TCP addresses (recorded when each joins), so an all-zero
-// responder set marks a fabricated hit.
-func hitLooksForged(h *gnutella.QueryHit) bool {
-	if len(h.Responders) == 0 {
-		return true
-	}
-	for _, r := range h.Responders {
-		if r.Port != 0 {
+// hitLooksForged reports whether no claimed result in a QueryHit frame is
+// backed by a dialable responder address. Honest hits always carry the
+// responding clients' real TCP addresses (recorded when each joins), so an
+// all-zero responder set marks a fabricated hit.
+func hitLooksForged(f *gnutella.Frame) bool {
+	for i := range gnutella.HitResponders(f) {
+		if f.Responder(i).Port != 0 {
 			return false
 		}
 	}

@@ -430,13 +430,21 @@ func (n *Node) Stats() Stats {
 	}
 }
 
-// PeerScores snapshots the node's reputation view of its overlay links,
-// keyed by peer link id. Nil when Options.Trust is off.
+// PeerScores snapshots the node's reputation view of its live overlay
+// links, keyed by peer link id: every link, at the score admission weighs it
+// by, which is the 0.5 prior until its first observation. Nil when
+// Options.Trust is off.
 func (n *Node) PeerScores() map[int]float64 {
 	if n.core.book == nil {
 		return nil
 	}
-	return n.core.book.Scores()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make(map[int]float64, len(n.peers))
+	for id := range n.peers {
+		out[id] = n.core.book.Score(id)
+	}
+	return out
 }
 
 func (n *Node) acceptLoop() {
@@ -588,22 +596,27 @@ func (n *Node) heartbeatLoop() {
 	})
 }
 
-// enqueueQuery admits one arriving query into the dispatch queue. A copy the
-// core's duplicate rule drops is dropped here first, under n.mu, and counted
-// handled: it takes no token, slot or Busy. The core applies the rule again,
-// for a copy whose first copy was still queued when it arrived. Any other
-// query meets the overload-protection ladder in order: per-client token
+// dropDuplicate applies the core's duplicate rule, under n.mu, to a copy of
+// query id with the given TTL arriving on c, before the copy is admitted and,
+// on a peer link, before it is decoded. A copy the rule drops is counted
+// handled and takes no decode, token, slot or Busy. The core applies the rule
+// again, for a copy whose first copy was still queued when it arrived.
+func (n *Node) dropDuplicate(c *conn, id gnutella.GUID, ttl uint8) bool {
+	n.mu.Lock()
+	dup := n.core.redundant(c.linkID(), id, ttl)
+	n.mu.Unlock()
+	if dup {
+		n.metrics.QueriesHandled.Inc() // received, then dropped
+	}
+	return dup
+}
+
+// enqueueQuery admits one arriving query, not a duplicate, into the dispatch
+// queue. It meets the overload-protection ladder in order: per-client token
 // bucket, per connection inflight cap, then the node-wide queue bound. Every
 // refusal is an explicit, counted Busy response to the sender — never a
 // silent drop — and admission never waits for room in the queue.
 func (n *Node) enqueueQuery(c *conn, q *gnutella.Query) {
-	n.mu.Lock()
-	dup := n.core.redundant(c.linkID(), q)
-	n.mu.Unlock()
-	if dup {
-		n.metrics.QueriesHandled.Inc() // received, then dropped
-		return
-	}
 	peer := c.role == rolePeer
 	src := metrics.SourceClient
 	if peer {

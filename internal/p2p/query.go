@@ -48,20 +48,21 @@ type sendList struct {
 	links []*conn
 }
 
-// step hands one frame that arrived on link from — a Query stamped with
-// now, a QueryHit or a Busy — to the core under n.mu, and performs the
-// sends it decides once the lock is released: a frame for a link goes out
-// on it, best effort, and one for the node's own search is collected while
-// the lock is still held. A link that has gone by then is skipped; a send
-// that fails is logged, and the far side learns from its connection error.
-// The core owns m from then on. step reports per-neighbor delivery of an own
-// search's query copies.
+// step hands one message that arrived on link from — a decoded Query
+// stamped with now, or a peer's QueryHit or Busy Frame — to the core under
+// n.mu, and performs the sends it decides once the lock is released: a
+// frame for a link goes out on it, best effort, and one for the node's own
+// search is collected while the lock is still held. A link that has gone by
+// then is skipped; a send that fails is logged, and the far side learns from
+// its connection error. The core owns m from then on; a relayed Frame is
+// written before step returns, so its reader may read into it again. step
+// reports per-neighbor delivery of an own search's query copies.
 func (n *Node) step(from int, m gnutella.Message, now time.Time, sl *sendList) []NeighborStatus {
 	n.mu.Lock()
 	if q, ok := m.(*gnutella.Query); ok {
 		sl.sends = n.core.query(from, q, now, sl.sends[:0])
 	} else {
-		sl.sends = n.core.respond(from, m, sl.sends[:0])
+		sl.sends = n.core.respond(from, m.(*gnutella.Frame), sl.sends[:0])
 	}
 	sl.links = sl.links[:0]
 	for _, s := range sl.sends {
@@ -101,15 +102,20 @@ func (n *Node) step(from int, m gnutella.Message, now time.Time, sl *sendList) [
 	return status
 }
 
-// collectLocked files one response into the own search it answers. The
-// core sends on ownLink only over an own search's route, and the search
-// deletes its route and its entry together, so the entry is there.
+// collectLocked files one response into the own search it answers: the
+// node's own QueryHit, or a peer's QueryHit or Busy Frame, the one frame a
+// node decodes for its hits. The core sends on ownLink only over an own
+// search's route, and the search deletes its route and its entry together,
+// so the entry is there.
 func (n *Node) collectLocked(m gnutella.Message) {
-	switch r := m.(type) {
-	case *gnutella.QueryHit:
-		s := n.searches[r.ID]
-		s.Results = append(s.Results, hitResults(r)...)
-	case *gnutella.Busy:
-		n.searches[r.ID].Busy++
+	if f, ok := m.(*gnutella.Frame); ok {
+		if f.Type() == gnutella.TypeBusy {
+			n.searches[f.Header().ID].Busy++
+			return
+		}
+		m, _ = f.Decode() // a peer's hit, checked when it was read
 	}
+	r := m.(*gnutella.QueryHit)
+	s := n.searches[r.ID]
+	s.Results = append(s.Results, hitResults(r)...)
 }

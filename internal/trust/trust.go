@@ -103,17 +103,6 @@ func (b *Book) Score(id int) float64 {
 	return (c.good + 1) / (c.good + c.bad + 2)
 }
 
-// Scores returns a copy of all known partner scores.
-func (b *Book) Scores() map[int]float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[int]float64, len(b.creds))
-	for id, c := range b.creds {
-		out[id] = (c.good + 1) / (c.good + c.bad + 2)
-	}
-	return out
-}
-
 // Drop forgets partner id (e.g. a departed neighbor), bounding book memory.
 func (b *Book) Drop(id int) {
 	b.mu.Lock()

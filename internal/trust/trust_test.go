@@ -109,9 +109,8 @@ func TestDropAndLen(t *testing.T) {
 	if b.Len() != 1 || b.Score(1) != 0.5 {
 		t.Fatalf("Drop did not forget partner 1")
 	}
-	scores := b.Scores()
-	if len(scores) != 1 || scores[2] != 1.0/3.0 {
-		t.Fatalf("Scores = %v", scores)
+	if got := b.Score(2); got != 1.0/3.0 {
+		t.Fatalf("Score(2) = %v after dropping partner 1, want 1/3", got)
 	}
 }
 
